@@ -6,24 +6,6 @@
 //	experiments -fig 6 -scale 10    # Figure 6: Naive vs Better, "Tall"
 //	experiments -fig 7 -scale 10    # Figure 7: candidates vs fanout
 //	experiments -all -scale 10      # everything
-//	experiments -countbench -countout BENCH_counting.json
-//	                                # counting-backend ablation (hashtree vs bitmap)
-//	experiments -servebench -serveout BENCH_serving.json
-//	                                # serving layer: snapshot build + query latency
-//	experiments -overloadbench -serveout BENCH_serving.json
-//	                                # admission control: shed rate and admitted
-//	                                # latency at 1x/2x/4x the -max-rps budget
-//	experiments -ingestbench -serveout BENCH_serving.json
-//	                                # streaming ingest: durable append throughput
-//	                                # and delta refresh vs full re-mine at
-//	                                # 1%/10%/50% deltas
-//	experiments -snapbench -serveout BENCH_serving.json
-//	                                # .nsnap cold start: encode time, file size,
-//	                                # mmap load vs mine-from-raw rebuild
-//	experiments -clusterbench -serveout BENCH_serving.json
-//	                                # sharded cluster: merged /score latency
-//	                                # through the router at 1/2/4 shards, plus
-//	                                # one-shard-down degraded (206) mode
 //
 // -scale divides the transaction count (50,000 at scale 1) while keeping
 // the paper's 8,000-item universe, so relative supports — and hence every
@@ -55,30 +37,18 @@ func main() {
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	var (
-		fig       = fs.String("fig", "", "figures to regenerate: comma-separated of 5,6,7")
-		table     = fs.String("table", "", "tables to regenerate: 1, 2 or 12")
-		all       = fs.Bool("all", false, "run every experiment")
-		scale     = fs.Int("scale", 10, "transaction-count divisor (1 = the paper's 50,000)")
-		seed      = fs.Int64("seed", 1, "dataset seed")
-		minRI     = fs.Float64("minri", 0.5, "minimum rule interest (paper: 0.5)")
-		minsups   = fs.String("minsups", "2,1.5,1,0.75,0.5", "support levels in percent for figures 5/6")
-		maxK      = fs.Int("maxk", 0, "stage-1 level cap (0 = unlimited)")
-		parallel  = fs.Int("parallel", 1, "counting workers")
-		backend   = fs.String("backend", "auto", "counting backend: auto, hashtree or bitmap")
-		disk      = fs.Bool("disk", false, "stream transactions from disk on every pass (the paper's setting)")
-		slowIO    = fs.Int("slowio", 0, "simulated scan cost in µs per transaction (0 = off); models the paper's 1995 disk-bound regime")
-		cbench    = fs.Bool("countbench", false, "time the Improved counting pass under both backends (hashtree vs bitmap)")
-		cbenchOut = fs.String("countout", "", "also write the -countbench results as JSON to this file (e.g. BENCH_counting.json)")
-		reps      = fs.Int("reps", 3, "repetitions per -countbench/-servebench measurement (best time kept)")
-		sbench    = fs.Bool("servebench", false, "measure serving-snapshot build time and lookup throughput/latency on Short and Tall")
-		sbenchOut = fs.String("serveout", "", "also write the -servebench results as JSON to this file (e.g. BENCH_serving.json)")
-		lookups   = fs.Int("lookups", 20000, "timed queries per -servebench run")
-		obench    = fs.Bool("overloadbench", false, "drive the governed daemon at 1x/2x/4x its -max-rps and record shed rate + admitted latency")
-		ibench    = fs.Bool("ingestbench", false, "measure segment-log append throughput and delta refresh vs full re-mine at 1%/10%/50% deltas")
-		snapb     = fs.Bool("snapbench", false, "measure .nsnap encode time, file size, and mmap-load vs mine-from-raw cold start on Short and Tall")
-		clbench   = fs.Bool("clusterbench", false, "measure merged /score latency through the shard router at 1/2/4 shards, plus one-shard-down degraded mode")
-		maxRPS    = fs.Float64("maxrps", 200, "token-bucket rate the -overloadbench governor enforces (the daemon's -max-rps)")
-		overSec   = fs.Duration("overloadsec", 2*time.Second, "measurement window per -overloadbench load level")
+		fig      = fs.String("fig", "", "figures to regenerate: comma-separated of 5,6,7")
+		table    = fs.String("table", "", "tables to regenerate: 1, 2 or 12")
+		all      = fs.Bool("all", false, "run every experiment")
+		scale    = fs.Int("scale", 10, "transaction-count divisor (1 = the paper's 50,000)")
+		seed     = fs.Int64("seed", 1, "dataset seed")
+		minRI    = fs.Float64("minri", 0.5, "minimum rule interest (paper: 0.5)")
+		minsups  = fs.String("minsups", "2,1.5,1,0.75,0.5", "support levels in percent for figures 5/6")
+		maxK     = fs.Int("maxk", 0, "stage-1 level cap (0 = unlimited)")
+		parallel = fs.Int("parallel", 1, "counting workers")
+		backend  = fs.String("backend", "auto", "counting backend: auto, hashtree or bitmap")
+		disk     = fs.Bool("disk", false, "stream transactions from disk on every pass (the paper's setting)")
+		slowIO   = fs.Int("slowio", 0, "simulated scan cost in µs per transaction (0 = off); models the paper's 1995 disk-bound regime")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -104,9 +74,9 @@ func run(args []string, out io.Writer) error {
 		figs["5"], figs["6"], figs["7"] = true, true, true
 		tables["1"], tables["2"] = true, true
 	}
-	if len(figs) == 0 && len(tables) == 0 && !*cbench && !*sbench && !*obench && !*ibench && !*snapb && !*clbench {
+	if len(figs) == 0 && len(tables) == 0 {
 		fs.Usage()
-		return fmt.Errorf("nothing selected; use -fig, -table, -countbench, -servebench, -overloadbench, -ingestbench, -snapbench, -clusterbench or -all")
+		return fmt.Errorf("nothing selected; use -fig, -table or -all")
 	}
 
 	sups, err := parseFloats(*minsups)
@@ -224,164 +194,6 @@ func run(args []string, out io.Writer) error {
 				k, negative.EstimateCandidates(k, 9), negative.EstimateCandidates(k, 3))
 		}
 		fmt.Fprintln(out)
-	}
-	if *cbench {
-		fmt.Fprintln(out, "=== Counting backends — Improved negative pass, hashtree vs bitmap ===")
-		pct := 1.0
-		if len(sups) > 0 {
-			pct = sups[len(sups)/2]
-		}
-		var cmps []*bench.CountingComparison
-		for _, name := range []string{"Short", "Tall"} {
-			ds, err := need(name)
-			if err != nil {
-				return err
-			}
-			cmp, err := bench.RunCountingBackends(ds, pct, *minRI, gen.Cumulate, *maxK, *parallel, *reps)
-			if err != nil {
-				return err
-			}
-			cmps = append(cmps, cmp)
-		}
-		bench.PrintCounting(out, cmps)
-		if *cbenchOut != "" {
-			f, err := os.Create(*cbenchOut)
-			if err != nil {
-				return err
-			}
-			if err := bench.WriteCountingJSON(f, *scale, cmps); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
-			fmt.Fprintf(out, "wrote %s\n", *cbenchOut)
-		}
-		fmt.Fprintln(out)
-	}
-	var srows []*bench.ServingBench
-	var orows []*bench.OverloadBench
-	if *sbench {
-		fmt.Fprintln(out, "=== Serving layer — snapshot build time and query latency ===")
-		pct := 2.0
-		if len(sups) > 0 {
-			pct = sups[0]
-		}
-		for _, name := range []string{"Short", "Tall"} {
-			ds, err := need(name)
-			if err != nil {
-				return err
-			}
-			row, err := bench.RunServingBench(ds, pct, *minRI, gen.Cumulate, *maxK, *parallel, *reps, *lookups)
-			if err != nil {
-				return err
-			}
-			srows = append(srows, row)
-		}
-		bench.PrintServing(out, srows)
-		fmt.Fprintln(out)
-	}
-	if *obench {
-		fmt.Fprintln(out, "=== Overload — shed rate and admitted latency at 1x/2x/4x -max-rps ===")
-		pct := 2.0
-		if len(sups) > 0 {
-			pct = sups[0]
-		}
-		ds, err := need("Short")
-		if err != nil {
-			return err
-		}
-		row, err := bench.RunOverloadBench(ds, pct, *minRI, gen.Cumulate, *maxK, *parallel, *maxRPS, *overSec)
-		if err != nil {
-			return err
-		}
-		orows = append(orows, row)
-		bench.PrintOverload(out, orows)
-		fmt.Fprintln(out)
-	}
-	var irows []*bench.IngestBench
-	if *ibench {
-		fmt.Fprintln(out, "=== Streaming ingest — append throughput and delta refresh vs full re-mine ===")
-		pct := 2.0
-		if len(sups) > 0 {
-			pct = sups[0]
-		}
-		ds, err := need("Short")
-		if err != nil {
-			return err
-		}
-		dir, err := os.MkdirTemp("", "negmine-ingestbench")
-		if err != nil {
-			return err
-		}
-		defer os.RemoveAll(dir)
-		row, err := bench.RunIngestBench(ds, pct, *minRI, gen.Cumulate, *maxK, *parallel, dir)
-		if err != nil {
-			return err
-		}
-		irows = append(irows, row)
-		bench.PrintIngest(out, irows)
-		fmt.Fprintln(out)
-	}
-	var snrows []*bench.SnapshotBench
-	if *snapb {
-		fmt.Fprintln(out, "=== Snapshot — .nsnap mmap cold start vs mine-from-raw rebuild ===")
-		pct := 2.0
-		if len(sups) > 0 {
-			pct = sups[0]
-		}
-		dir, err := os.MkdirTemp("", "negmine-snapbench")
-		if err != nil {
-			return err
-		}
-		defer os.RemoveAll(dir)
-		for _, name := range []string{"Short", "Tall"} {
-			ds, err := need(name)
-			if err != nil {
-				return err
-			}
-			row, err := bench.RunSnapshotBench(ds, pct, *minRI, gen.Cumulate, *maxK, *parallel, *reps, dir)
-			if err != nil {
-				return err
-			}
-			snrows = append(snrows, row)
-		}
-		bench.PrintSnapshot(out, snrows)
-		fmt.Fprintln(out)
-	}
-	var clrows []*bench.ClusterBench
-	if *clbench {
-		fmt.Fprintln(out, "=== Cluster — merged /score latency at 1/2/4 shards and one-shard-down degraded mode ===")
-		pct := 2.0
-		if len(sups) > 0 {
-			pct = sups[0]
-		}
-		ds, err := need("Short")
-		if err != nil {
-			return err
-		}
-		row, err := bench.RunClusterBench(ds, pct, *minRI, gen.Cumulate, *maxK, *parallel, *lookups/10)
-		if err != nil {
-			return err
-		}
-		clrows = append(clrows, row)
-		bench.PrintCluster(out, clrows)
-		fmt.Fprintln(out)
-	}
-	if *sbenchOut != "" && (len(srows) > 0 || len(orows) > 0 || len(irows) > 0 || len(snrows) > 0 || len(clrows) > 0) {
-		f, err := os.Create(*sbenchOut)
-		if err != nil {
-			return err
-		}
-		if err := bench.WriteServingJSON(f, *scale, srows, orows, irows, snrows, clrows); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "wrote %s\n", *sbenchOut)
 	}
 	return nil
 }

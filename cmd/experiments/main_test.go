@@ -2,8 +2,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
-	"os"
 	"strings"
 	"testing"
 )
@@ -45,102 +43,6 @@ func TestFiguresSmall(t *testing.T) {
 	}
 }
 
-func TestServeBench(t *testing.T) {
-	if testing.Short() {
-		t.Skip("serving benchmark in -short mode")
-	}
-	var out bytes.Buffer
-	outPath := t.TempDir() + "/BENCH_serving.json"
-	err := run([]string{"-servebench", "-scale", "100", "-minsups", "2", "-maxk", "3",
-		"-reps", "1", "-lookups", "500", "-serveout", outPath}, &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := out.String()
-	for _, want := range []string{"Serving layer", "Short", "Tall", "p99", "wrote"} {
-		if !strings.Contains(s, want) {
-			t.Errorf("output missing %q:\n%s", want, s)
-		}
-	}
-	raw, err := os.ReadFile(outPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		Benches []struct {
-			Dataset      string  `json:"dataset"`
-			Rules        int     `json:"rules"`
-			BuildSeconds float64 `json:"snapshot_build_seconds"`
-			P99          float64 `json:"lookup_p99_us"`
-		} `json:"benches"`
-	}
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		t.Fatalf("bad BENCH_serving.json: %v", err)
-	}
-	if len(doc.Benches) != 2 || doc.Benches[0].Dataset != "Short" || doc.Benches[1].Dataset != "Tall" {
-		t.Fatalf("benches = %+v", doc.Benches)
-	}
-	for _, b := range doc.Benches {
-		if b.Rules == 0 || b.BuildSeconds <= 0 || b.P99 <= 0 {
-			t.Errorf("degenerate bench row: %+v", b)
-		}
-	}
-}
-
-func TestOverloadBench(t *testing.T) {
-	if testing.Short() {
-		t.Skip("overload benchmark in -short mode")
-	}
-	var out bytes.Buffer
-	outPath := t.TempDir() + "/BENCH_serving.json"
-	err := run([]string{"-overloadbench", "-scale", "100", "-minsups", "2", "-maxk", "3",
-		"-maxrps", "400", "-overloadsec", "150ms", "-serveout", outPath}, &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := out.String()
-	for _, want := range []string{"Overload", "1x", "4x", "shed", "wrote"} {
-		if !strings.Contains(s, want) {
-			t.Errorf("output missing %q:\n%s", want, s)
-		}
-	}
-	raw, err := os.ReadFile(outPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		Overload []struct {
-			MaxRPS float64 `json:"max_rps"`
-			Levels []struct {
-				Multiplier float64 `json:"multiplier"`
-				Requests   int     `json:"requests"`
-				ShedRate   float64 `json:"shed_rate"`
-				P99        float64 `json:"admitted_p99_us"`
-			} `json:"levels"`
-		} `json:"overload"`
-	}
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		t.Fatalf("bad BENCH_serving.json: %v", err)
-	}
-	if len(doc.Overload) != 1 || len(doc.Overload[0].Levels) != 3 {
-		t.Fatalf("overload section = %+v", doc.Overload)
-	}
-	levels := doc.Overload[0].Levels
-	if levels[0].Multiplier != 1 || levels[1].Multiplier != 2 || levels[2].Multiplier != 4 {
-		t.Fatalf("multipliers = %+v", levels)
-	}
-	for _, l := range levels {
-		if l.Requests == 0 {
-			t.Errorf("level %gx issued no requests", l.Multiplier)
-		}
-	}
-	// Offering 4x the token-bucket rate must shed more than offering 1x.
-	if levels[2].ShedRate <= levels[0].ShedRate {
-		t.Errorf("shed rate not rising with load: 1x=%.3f 4x=%.3f",
-			levels[0].ShedRate, levels[2].ShedRate)
-	}
-}
-
 func TestRunErrors(t *testing.T) {
 	var out bytes.Buffer
 	if err := run([]string{}, &out); err == nil {
@@ -148,6 +50,18 @@ func TestRunErrors(t *testing.T) {
 	}
 	if err := run([]string{"-fig", "5", "-minsups", "abc"}, &out); err == nil {
 		t.Error("bad minsups accepted")
+	}
+	// The retired measurement modes and their knobs are unknown flags now;
+	// benchmark/ is the only measurement harness.
+	removed := []string{"-countout=x", "-reps=1", "-serveout=x", "-lookups=1", "-maxrps=1", "-overloadsec=1s"}
+	for _, mode := range []string{"count", "serve", "overload", "ingest", "snap", "cluster"} {
+		removed = append(removed, "-"+mode+"bench")
+	}
+	for _, flag := range removed {
+		err := run([]string{"-table", "12", flag}, &out)
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Errorf("removed flag %s: err = %v, want unknown-flag error", flag, err)
+		}
 	}
 }
 
@@ -158,107 +72,5 @@ func TestParseFloats(t *testing.T) {
 	}
 	if _, err := parseFloats("1,x"); err == nil {
 		t.Error("bad float accepted")
-	}
-}
-
-func TestIngestBench(t *testing.T) {
-	if testing.Short() {
-		t.Skip("ingest benchmark in -short mode")
-	}
-	var out bytes.Buffer
-	outPath := t.TempDir() + "/BENCH_serving.json"
-	err := run([]string{"-ingestbench", "-scale", "100", "-minsups", "2", "-serveout", outPath}, &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := out.String()
-	for _, want := range []string{"Streaming ingest", "append", "delta", "wrote"} {
-		if !strings.Contains(s, want) {
-			t.Errorf("output missing %q:\n%s", want, s)
-		}
-	}
-	raw, err := os.ReadFile(outPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		Ingest []struct {
-			Dataset  string  `json:"dataset"`
-			Txns     int     `json:"txns"`
-			AppendPS float64 `json:"append_txns_per_second"`
-			Levels   []struct {
-				DeltaPct    float64 `json:"delta_pct"`
-				DeltaTxns   int     `json:"delta_txns"`
-				Refresh     float64 `json:"delta_refresh_seconds"`
-				Full        float64 `json:"full_remine_seconds"`
-				NewSegments int     `json:"new_segments"`
-			} `json:"delta_levels"`
-		} `json:"ingest"`
-	}
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		t.Fatalf("bad BENCH_serving.json: %v", err)
-	}
-	if len(doc.Ingest) != 1 || len(doc.Ingest[0].Levels) != 3 {
-		t.Fatalf("ingest section = %+v", doc.Ingest)
-	}
-	row := doc.Ingest[0]
-	if row.Dataset != "Short" || row.Txns == 0 || row.AppendPS <= 0 {
-		t.Fatalf("ingest row = %+v", row)
-	}
-	if row.Levels[0].DeltaPct != 1 || row.Levels[1].DeltaPct != 10 || row.Levels[2].DeltaPct != 50 {
-		t.Fatalf("delta levels = %+v", row.Levels)
-	}
-	for _, l := range row.Levels {
-		if l.DeltaTxns == 0 || l.Refresh <= 0 || l.Full <= 0 {
-			t.Errorf("degenerate delta level: %+v", l)
-		}
-		// Exactly the delta was new: the base segments stayed cached.
-		if l.NewSegments != 1 {
-			t.Errorf("%g%% delta phase-I mined %d segments, want 1", l.DeltaPct, l.NewSegments)
-		}
-	}
-}
-
-func TestSnapBench(t *testing.T) {
-	if testing.Short() {
-		t.Skip("snapshot benchmark in -short mode")
-	}
-	var out bytes.Buffer
-	outPath := t.TempDir() + "/BENCH_serving.json"
-	err := run([]string{"-snapbench", "-scale", "100", "-minsups", "2", "-maxk", "3",
-		"-reps", "1", "-serveout", outPath}, &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := out.String()
-	for _, want := range []string{"Snapshot", "Short", "Tall", "faster cold start", "wrote"} {
-		if !strings.Contains(s, want) {
-			t.Errorf("output missing %q:\n%s", want, s)
-		}
-	}
-	raw, err := os.ReadFile(outPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		Snapshot []struct {
-			Dataset   string  `json:"dataset"`
-			Rules     int     `json:"rules"`
-			FileBytes int64   `json:"file_bytes"`
-			Load      float64 `json:"mmap_load_seconds"`
-			Rebuild   float64 `json:"rebuild_seconds"`
-			Speedup   float64 `json:"load_speedup"`
-		} `json:"snapshot"`
-	}
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		t.Fatalf("bad BENCH_serving.json: %v", err)
-	}
-	if len(doc.Snapshot) != 2 || doc.Snapshot[0].Dataset != "Short" || doc.Snapshot[1].Dataset != "Tall" {
-		t.Fatalf("snapshot section = %+v", doc.Snapshot)
-	}
-	for _, b := range doc.Snapshot {
-		if b.Rules == 0 || b.FileBytes == 0 || b.Load <= 0 || b.Rebuild <= 0 || b.Speedup <= 0 {
-			t.Errorf("degenerate snapshot row: %+v", b)
-		}
 	}
 }

@@ -6,9 +6,9 @@
 //
 //	negload -target http://127.0.0.1:8377 -tax tax.txt -duration 30s -rps 200 -tracers 2
 //
-// With -workloadbench the per-endpoint latency quantiles, error/shed rates
-// and the freshness distribution merge into the workload section of
-// BENCH_serving.json (other sections preserved).
+// It prints a per-endpoint summary (latency quantiles, error/shed rates,
+// the freshness distribution); -json prints the raw result instead. The
+// committed numbers come from benchmark/ (workload stream-mixed), not here.
 package main
 
 import (
@@ -21,7 +21,6 @@ import (
 	"os/signal"
 	"time"
 
-	"negmine/internal/bench"
 	"negmine/internal/loadsim"
 	"negmine/internal/taxonomy"
 )
@@ -69,9 +68,7 @@ func run(args []string, out io.Writer) error {
 
 		scoreLimit = fs.Int("score-limit", 0, "limit for /score responses (0 = server default)")
 
-		benchPath = fs.String("workloadbench", "", "merge results into this BENCH_serving.json")
-		label     = fs.String("label", "1x", "row label for the workload section (e.g. 1x, 4x)")
-		jsonOut   = fs.Bool("json", false, "print the raw result as JSON instead of the summary")
+		jsonOut = fs.Bool("json", false, "print the raw result as JSON instead of the summary")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -115,21 +112,14 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
-	rows := []*bench.WorkloadBench{{Label: *label, Result: res}}
 	if *jsonOut {
 		enc := json.NewEncoder(out)
 		enc.SetIndent("", "  ")
-		if err := enc.Encode(rows[0]); err != nil {
+		if err := enc.Encode(res); err != nil {
 			return err
 		}
 	} else {
-		bench.PrintWorkload(out, rows)
-	}
-	if *benchPath != "" {
-		if err := bench.MergeWorkloadJSON(*benchPath, rows); err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "merged workload run %q into %s\n", *label, *benchPath)
+		res.Print(out)
 	}
 	if fr := res.Freshness; fr != nil && fr.Missed > 0 {
 		return fmt.Errorf("%d of %d tracer rules never became visible within %s", fr.Missed, fr.Tracers, cfg.PollTimeout)

@@ -187,13 +187,6 @@ func TestWorkloadSoak(t *testing.T) {
 		"-minsup", "0.05", "-minri", "0.5", "-maxk", "3",
 		"-remine-every", remine.String())
 
-	// Pre-seed the bench file with another section to prove the merge
-	// preserves it.
-	benchPath := filepath.Join(dir, "BENCH_serving.json")
-	if err := os.WriteFile(benchPath, []byte(`{"description":"seeded","scale":50,"benches":[]}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
 	var out strings.Builder
 	args := []string{
 		"-target", "http://" + addr, "-tax", taxPath,
@@ -203,37 +196,20 @@ func TestWorkloadSoak(t *testing.T) {
 		"-burst-start", (duration / 4).String(), "-burst-len", (duration / 8).String(), "-burst-amp", "3",
 		"-tracers", "2", "-minsup", "0.05", "-poll-every", "100ms",
 		"-poll-timeout", (duration + 60*time.Second).String(),
-		"-workloadbench", benchPath, "-label", "soak",
+		"-json",
 	}
 	if err := run(args, &out); err != nil {
 		t.Fatalf("negload: %v\n%s", err, out.String())
 	}
 	t.Logf("negload:\n%s", out.String())
 
-	raw, err := os.ReadFile(benchPath)
-	if err != nil {
-		t.Fatal(err)
+	var res loadsim.Result
+	if err := json.Unmarshal([]byte(out.String()), &res); err != nil {
+		t.Fatalf("parsing negload -json output: %v\n%s", err, out.String())
 	}
-	var doc struct {
-		Description string          `json:"description"`
-		Scale       int             `json:"scale"`
-		Workload    struct {
-			Runs []struct {
-				Label string `json:"label"`
-				loadsim.Result
-			} `json:"runs"`
-		} `json:"workload"`
+	if res.Seed != 42 || res.Ops == 0 || len(res.Endpoints) == 0 {
+		t.Fatalf("negload -json result = %+v", res)
 	}
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		t.Fatalf("parsing %s: %v\n%s", benchPath, err, raw)
-	}
-	if doc.Description != "seeded" || doc.Scale != 50 {
-		t.Fatalf("merge clobbered existing sections: %s", raw)
-	}
-	if len(doc.Workload.Runs) != 1 || doc.Workload.Runs[0].Label != "soak" {
-		t.Fatalf("workload section = %+v", doc.Workload)
-	}
-	res := doc.Workload.Runs[0].Result
 
 	// Zero hard server errors across every endpoint; sheds/206s would be
 	// acceptable under overload but 5xx never is.

@@ -6,7 +6,7 @@
 //
 // Endpoints:
 //
-//	POST /score {"basket":[...]}   fan out by basket-item shard, merge
+//	POST /score {"basket":[...]}   fan out to every shard, merge
 //	GET  /rules?item=NAME          fan out to every shard, merge
 //	GET  /healthz                  router liveness + routable-shard summary
 //	GET  /metrics                  fan-out counters, latency, cluster status

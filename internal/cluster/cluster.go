@@ -11,12 +11,14 @@
 // Rules are partitioned by antecedent item: a rule belongs to the shard of
 // its lexicographically-first antecedent item (ShardOfAntecedent). The
 // assignment is a pure function of the rule and the shard count, so every
-// producer filtering a snapshot (serve.Meta.Keep) and every router routing a
-// query computes the same mapping with no coordination. Because a triggered
-// rule's antecedent is a subset of the basket, the shards owning the
-// basket's items (ShardsForBasket) are exactly the shards that can own a
-// triggered rule — /score fans out only to those; /rules?item=X fans out to
-// every shard, since X may sit on any rule's consequent.
+// producer filtering a snapshot (serve.Meta.Keep) computes the same mapping
+// with no coordination. Both read endpoints fan out to every shard:
+// /rules?item=X because X may sit on any rule's consequent, /score because
+// a triggered rule's antecedent is a subset of the basket's ancestor
+// closure, not of the basket, so its owning shard may be that of a category
+// the router (which holds no taxonomy) cannot derive. ShardsForBasket, the
+// shards of the basket's own items, is therefore a lower bound on where
+// triggered rules live and never the routing set.
 //
 // # Failure model
 //
@@ -102,8 +104,10 @@ func ShardOfAntecedent(antecedent []string, shards int) int {
 	return ShardOfItem(min, shards)
 }
 
-// ShardsForBasket returns the sorted, de-duplicated shard ids that can own
-// a rule triggered by the basket (the shards of the basket's items).
+// ShardsForBasket returns the sorted, de-duplicated shards of the basket's
+// own items. Rules triggered through an ancestor of a basket item may live
+// on other shards, so this is not the set /score must query (the router
+// queries every shard).
 func ShardsForBasket(basket []string, shards int) []int {
 	if shards <= 1 {
 		return []int{0}

@@ -3,82 +3,9 @@ package cluster
 import (
 	"sync/atomic"
 	"time"
+
+	"negmine/internal/metrics"
 )
-
-// Latency histogram bucket bounds, matching internal/serve's /metrics
-// buckets so router and shard latencies line up in dashboards.
-var bucketBounds = [...]time.Duration{
-	50 * time.Microsecond,
-	100 * time.Microsecond,
-	250 * time.Microsecond,
-	500 * time.Microsecond,
-	1 * time.Millisecond,
-	2500 * time.Microsecond,
-	5 * time.Millisecond,
-	10 * time.Millisecond,
-	25 * time.Millisecond,
-	50 * time.Millisecond,
-	100 * time.Millisecond,
-	250 * time.Millisecond,
-	1 * time.Second,
-}
-
-type histogram struct {
-	buckets [len(bucketBounds) + 1]atomic.Int64
-	count   atomic.Int64
-	sumNs   atomic.Int64
-}
-
-func (h *histogram) observe(d time.Duration) {
-	i := 0
-	for ; i < len(bucketBounds); i++ {
-		if d <= bucketBounds[i] {
-			break
-		}
-	}
-	h.buckets[i].Add(1)
-	h.count.Add(1)
-	h.sumNs.Add(int64(d))
-}
-
-func (h *histogram) quantile(q float64) time.Duration {
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	rank := int64(q*float64(total) + 0.5)
-	if rank < 1 {
-		rank = 1
-	}
-	var seen int64
-	for i := range h.buckets {
-		seen += h.buckets[i].Load()
-		if seen >= rank {
-			if i < len(bucketBounds) {
-				return bucketBounds[i]
-			}
-			return bucketBounds[len(bucketBounds)-1]
-		}
-	}
-	return bucketBounds[len(bucketBounds)-1]
-}
-
-type histogramJSON struct {
-	Count  int64   `json:"count"`
-	MeanMs float64 `json:"meanMs"`
-	P50Ms  float64 `json:"p50Ms"`
-	P99Ms  float64 `json:"p99Ms"`
-}
-
-func (h *histogram) export() histogramJSON {
-	out := histogramJSON{Count: h.count.Load()}
-	if out.Count > 0 {
-		out.MeanMs = float64(h.sumNs.Load()) / float64(out.Count) / 1e6
-		out.P50Ms = h.quantile(0.50).Seconds() * 1e3
-		out.P99Ms = h.quantile(0.99).Seconds() * 1e3
-	}
-	return out
-}
 
 // Router endpoint ids tracked by routerMetrics.
 const (
@@ -98,7 +25,7 @@ var repNames = [repCount]string{"score", "rules", "ingest", "status", "heartbeat
 type routerMetrics struct {
 	requests [repCount]atomic.Int64
 	errors   [repCount]atomic.Int64
-	latency  [repCount]histogram
+	latency  [repCount]metrics.Histogram
 
 	attempts    atomic.Int64 // proxied shard requests, including retries/hedges
 	retries     atomic.Int64 // failure-triggered re-dispatches
@@ -125,7 +52,7 @@ func (m *routerMetrics) observe(ep int, d time.Duration, status int) {
 	if status >= 400 {
 		m.errors[ep].Add(1)
 	}
-	m.latency[ep].observe(d)
+	m.latency[ep].Observe(d)
 }
 
 // routerMetricsJSON is the router /metrics document (the cluster-level
@@ -151,9 +78,9 @@ type routerMetricsJSON struct {
 }
 
 type endpointJSON struct {
-	Requests int64         `json:"requests"`
-	Errors   int64         `json:"errors"`
-	Latency  histogramJSON `json:"latency"`
+	Requests int64                 `json:"requests"`
+	Errors   int64                 `json:"errors"`
+	Latency  metrics.HistogramJSON `json:"latency"`
 }
 
 func (m *routerMetrics) export(pool *Pool) routerMetricsJSON {
@@ -167,7 +94,7 @@ func (m *routerMetrics) export(pool *Pool) routerMetricsJSON {
 		doc.Endpoints[repNames[ep]] = endpointJSON{
 			Requests: m.requests[ep].Load(),
 			Errors:   m.errors[ep].Load(),
-			Latency:  m.latency[ep].export(),
+			Latency:  m.latency[ep].Export(false),
 		}
 	}
 	doc.Fanout.Attempts = m.attempts.Load()

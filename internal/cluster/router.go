@@ -177,7 +177,7 @@ func (p *Pool) httpProbe(ctx context.Context, addr string) error {
 
 // Handler returns the router's HTTP handler:
 //
-//	POST /score              fan out by basket-item shard, merge ranked matches
+//	POST /score              fan out to every shard, merge ranked matches
 //	GET  /rules?item=NAME    fan out to every shard, merge ranked rules
 //	POST /ingest             forward the write to the current ingest primary
 //	GET  /healthz            router liveness + routable-shard summary
@@ -374,18 +374,18 @@ func (rt *Router) callShard(ctx context.Context, shard int,
 	}
 }
 
-// fanOut runs callShard for every listed shard concurrently and returns the
-// outcomes in shard order.
-func (rt *Router) fanOut(ctx context.Context, shards []int,
+// fanOut runs callShard for every shard concurrently and returns the
+// outcomes indexed by shard id. Both read endpoints query the whole cluster.
+func (rt *Router) fanOut(ctx context.Context,
 	mkReq func(ctx context.Context, addr string) (*http.Request, error)) []shardResult {
-	out := make([]shardResult, len(shards))
+	out := make([]shardResult, rt.pool.Shards())
 	var wg sync.WaitGroup
-	for i, shard := range shards {
+	for shard := range out {
 		wg.Add(1)
-		go func(i, shard int) {
+		go func(shard int) {
 			defer wg.Done()
-			out[i] = rt.callShard(ctx, shard, mkReq)
-		}(i, shard)
+			out[shard] = rt.callShard(ctx, shard, mkReq)
+		}(shard)
 	}
 	wg.Wait()
 	return out
@@ -429,8 +429,10 @@ func (rt *Router) handleScore(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "re-encoding request: %v", err)
 		return
 	}
-	shards := ShardsForBasket(req.Basket, rt.pool.Shards())
-	results := rt.fanOut(r.Context(), shards, func(ctx context.Context, addr string) (*http.Request, error) {
+	// Score matches antecedents against the basket's ancestor closure, so a
+	// rule keyed by a category the basket never names may sit on any shard:
+	// fan out to all of them, as /rules does.
+	results := rt.fanOut(r.Context(), func(ctx context.Context, addr string) (*http.Request, error) {
 		sr, err := http.NewRequestWithContext(ctx, http.MethodPost, "http://"+addr+"/score", bytes.NewReader(body))
 		if err == nil {
 			sr.Header.Set("Content-Type", "application/json")
@@ -444,10 +446,10 @@ func (rt *Router) handleScore(w http.ResponseWriter, r *http.Request) {
 	}
 	lists := make([][]WireMatch, 0, len(results))
 	var missing []int
-	for i, res := range results {
+	for shard, res := range results {
 		switch {
 		case res.err != nil:
-			missing = append(missing, shards[i])
+			missing = append(missing, shard)
 		case res.status != http.StatusOK:
 			// A non-5xx error from a shard (4xx) would be the router's own
 			// request reflected back; relay the first one verbatim.
@@ -458,8 +460,8 @@ func (rt *Router) handleScore(w http.ResponseWriter, r *http.Request) {
 		default:
 			var doc ScoreDoc
 			if err := json.Unmarshal(res.body, &doc); err != nil {
-				missing = append(missing, shards[i])
-				rt.cfg.Logf("shard %d replica %s: bad /score body: %v", shards[i], res.node, err)
+				missing = append(missing, shard)
+				rt.cfg.Logf("shard %d replica %s: bad /score body: %v", shard, res.node, err)
 				continue
 			}
 			lists = append(lists, doc.Matches)
@@ -511,12 +513,8 @@ func (rt *Router) handleRules(w http.ResponseWriter, r *http.Request) {
 	}
 	// Rules can mention the item on either side, so every shard may hold a
 	// match: fan out to all of them with the original query.
-	shards := make([]int, rt.pool.Shards())
-	for i := range shards {
-		shards[i] = i
-	}
 	rawQuery := r.URL.RawQuery
-	results := rt.fanOut(r.Context(), shards, func(ctx context.Context, addr string) (*http.Request, error) {
+	results := rt.fanOut(r.Context(), func(ctx context.Context, addr string) (*http.Request, error) {
 		return http.NewRequestWithContext(ctx, http.MethodGet, "http://"+addr+"/rules?"+rawQuery, nil)
 	})
 
@@ -527,10 +525,10 @@ func (rt *Router) handleRules(w http.ResponseWriter, r *http.Request) {
 	lists := make([][]WireRule, 0, len(results))
 	var expanded []string
 	var missing []int
-	for i, res := range results {
+	for shard, res := range results {
 		switch {
 		case res.err != nil:
-			missing = append(missing, shards[i])
+			missing = append(missing, shard)
 		case res.status != http.StatusOK:
 			w.Header().Set("Content-Type", "application/json")
 			w.WriteHeader(res.status)
@@ -539,8 +537,8 @@ func (rt *Router) handleRules(w http.ResponseWriter, r *http.Request) {
 		default:
 			var doc RulesDoc
 			if err := json.Unmarshal(res.body, &doc); err != nil {
-				missing = append(missing, shards[i])
-				rt.cfg.Logf("shard %d replica %s: bad /rules body: %v", shards[i], res.node, err)
+				missing = append(missing, shard)
+				rt.cfg.Logf("shard %d replica %s: bad /rules body: %v", shard, res.node, err)
 				continue
 			}
 			// Every shard serves the same taxonomy, so the expansion is

@@ -174,15 +174,16 @@ func TestRouterScoreMergesAcrossShards(t *testing.T) {
 	if ris[0] != 0.9 || ris[1] != 0.5 || ris[2] != 0.3 {
 		t.Fatalf("merge order = %v", ris)
 	}
-	// A single-shard basket only fans out to its own shard.
+	// A basket whose items all live on one shard still queries every
+	// shard: another shard may own a rule triggered through an ancestor.
 	b0.hits.Store(0)
 	b1.hits.Store(0)
 	rec, _ = postScore(t, h, fmt.Sprintf(`{"basket": [%q]}`, items[0]))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d", rec.Code)
 	}
-	if b1.hits.Load() != 0 {
-		t.Fatal("single-shard basket touched the other shard")
+	if b0.hits.Load() == 0 || b1.hits.Load() == 0 {
+		t.Fatalf("/score did not fan out to every shard: hits %d / %d", b0.hits.Load(), b1.hits.Load())
 	}
 }
 

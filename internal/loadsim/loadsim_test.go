@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -271,6 +272,16 @@ func TestRunFreshnessBetweenPolls(t *testing.T) {
 	}
 	if fr.P99Seconds < fr.P50Seconds || fr.MaxSeconds < fr.P99Seconds {
 		t.Fatalf("quantile ordering violated: %+v", fr)
+	}
+
+	// The summary negload prints names every endpoint that saw traffic
+	// and the freshness line.
+	var sum strings.Builder
+	res.Print(&sum)
+	for _, want := range []string{"offered 50 rps", "score ", "freshness: 1/1 tracers visible"} {
+		if !strings.Contains(sum.String(), want) {
+			t.Errorf("summary missing %q:\n%s", want, sum.String())
+		}
 	}
 }
 

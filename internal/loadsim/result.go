@@ -1,6 +1,8 @@
 package loadsim
 
 import (
+	"fmt"
+	"io"
 	"sort"
 	"time"
 )
@@ -45,8 +47,7 @@ type FreshnessResult struct {
 	SamplesSeconds []float64 `json:"samplesSeconds,omitempty"`
 }
 
-// Result is one run's full outcome, shaped for the BENCH_serving.json
-// workload section.
+// Result is one run's full outcome; negload -json prints it verbatim.
 type Result struct {
 	Target          string           `json:"target"`
 	Seed            int64            `json:"seed"`
@@ -77,6 +78,24 @@ func (r *Result) Errors5xx() int64 {
 		n += ep.Err5xx
 	}
 	return n
+}
+
+// Print renders the run as a human-readable summary.
+func (r *Result) Print(w io.Writer) {
+	fmt.Fprintf(w, "offered %.0f rps, achieved %.0f rps over %.1fs (%d ops)\n",
+		r.OfferedRPS, r.AchievedRPS, r.ElapsedSeconds, r.Ops)
+	for _, ep := range r.Endpoints {
+		if ep.Sent == 0 {
+			continue
+		}
+		fmt.Fprintf(w, "  %-6s %6d sent  ok %-6d 4xx %-4d 5xx %-4d shed %-4d 206 %-4d net %-3d  p50 %.2fms p99 %.2fms p999 %.2fms\n",
+			ep.Endpoint, ep.Sent, ep.OK, ep.Err4xx, ep.Err5xx, ep.Shed, ep.Partial, ep.NetErr,
+			ep.P50Ms, ep.P99Ms, ep.P999Ms)
+	}
+	if fr := r.Freshness; fr != nil {
+		fmt.Fprintf(w, "  freshness: %d/%d tracers visible (plants %d txns)  p50 %.2fs p99 %.2fs max %.2fs\n",
+			fr.Visible, fr.Tracers, fr.PlantTxns, fr.P50Seconds, fr.P99Seconds, fr.MaxSeconds)
+	}
 }
 
 // quantiles returns exact (mean, p50, p99, p999) in milliseconds. lat is

@@ -30,7 +30,7 @@ type flight struct {
 	ok   bool
 }
 
-// CacheStats is the hot-item cache block of /metrics and BENCH_serving.json.
+// CacheStats is the hot-item cache block of /metrics.
 type CacheStats struct {
 	Entries   int     `json:"entries"`
 	Capacity  int     `json:"capacity"`

@@ -7,99 +7,8 @@ import (
 	"time"
 
 	"negmine/internal/govern"
+	"negmine/internal/metrics"
 )
-
-// latency histogram bucket upper bounds. The last bucket is +Inf.
-// (An array, not a slice, so len() is a compile-time constant below.)
-var bucketBounds = [...]time.Duration{
-	50 * time.Microsecond,
-	100 * time.Microsecond,
-	250 * time.Microsecond,
-	500 * time.Microsecond,
-	1 * time.Millisecond,
-	2500 * time.Microsecond,
-	5 * time.Millisecond,
-	10 * time.Millisecond,
-	25 * time.Millisecond,
-	50 * time.Millisecond,
-	100 * time.Millisecond,
-	250 * time.Millisecond,
-	1 * time.Second,
-}
-
-// histogram is a fixed-bucket latency histogram safe for concurrent use.
-type histogram struct {
-	buckets [len(bucketBounds) + 1]atomic.Int64
-	count   atomic.Int64
-	sumNs   atomic.Int64
-}
-
-func (h *histogram) observe(d time.Duration) {
-	i := 0
-	for ; i < len(bucketBounds); i++ {
-		if d <= bucketBounds[i] {
-			break
-		}
-	}
-	h.buckets[i].Add(1)
-	h.count.Add(1)
-	h.sumNs.Add(int64(d))
-}
-
-// quantile estimates q ∈ (0,1] from the bucket counts (upper-bound of the
-// bucket containing the q-th observation — the usual Prometheus-style bound).
-func (h *histogram) quantile(q float64) time.Duration {
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	rank := int64(q*float64(total) + 0.5)
-	if rank < 1 {
-		rank = 1
-	}
-	var seen int64
-	for i := range h.buckets {
-		seen += h.buckets[i].Load()
-		if seen >= rank {
-			if i < len(bucketBounds) {
-				return bucketBounds[i]
-			}
-			// +Inf bucket: report the largest finite bound.
-			return bucketBounds[len(bucketBounds)-1]
-		}
-	}
-	return bucketBounds[len(bucketBounds)-1]
-}
-
-type histogramJSON struct {
-	Count   int64            `json:"count"`
-	MeanMs  float64          `json:"meanMs"`
-	P50Ms   float64          `json:"p50Ms"`
-	P99Ms   float64          `json:"p99Ms"`
-	Buckets map[string]int64 `json:"buckets,omitempty"`
-}
-
-func (h *histogram) export(withBuckets bool) histogramJSON {
-	out := histogramJSON{Count: h.count.Load()}
-	if out.Count > 0 {
-		out.MeanMs = float64(h.sumNs.Load()) / float64(out.Count) / 1e6
-		out.P50Ms = h.quantile(0.50).Seconds() * 1e3
-		out.P99Ms = h.quantile(0.99).Seconds() * 1e3
-	}
-	if withBuckets && out.Count > 0 {
-		out.Buckets = map[string]int64{}
-		for i := range h.buckets {
-			if n := h.buckets[i].Load(); n > 0 {
-				label := "+Inf"
-				if i < len(bucketBounds) {
-					label = "le=" + bucketBounds[i].String()
-				}
-				out.Buckets[label] = n
-			}
-		}
-	}
-	return out
-}
 
 // endpoint ids tracked by Metrics.
 const (
@@ -122,7 +31,7 @@ var endpointNames = [epCount]string{"rules", "score", "healthz", "metrics", "rel
 type Metrics struct {
 	requests [epCount]atomic.Int64
 	errors   [epCount]atomic.Int64 // responses with status ≥ 400
-	latency  [epCount]histogram
+	latency  [epCount]metrics.Histogram
 
 	reloadOK      atomic.Int64
 	reloadFail    atomic.Int64
@@ -168,7 +77,7 @@ func (m *Metrics) observe(ep int, d time.Duration, status int) {
 	if status >= 400 {
 		m.errors[ep].Add(1)
 	}
-	m.latency[ep].observe(d)
+	m.latency[ep].Observe(d)
 }
 
 func (m *Metrics) recordReload(err error) {
@@ -214,9 +123,9 @@ type watchJSON struct {
 
 // endpointJSON is one endpoint's exported block.
 type endpointJSON struct {
-	Requests int64         `json:"requests"`
-	Errors   int64         `json:"errors"`
-	Latency  histogramJSON `json:"latency"`
+	Requests int64                 `json:"requests"`
+	Errors   int64                 `json:"errors"`
+	Latency  metrics.HistogramJSON `json:"latency"`
 }
 
 // metricsJSON is the full /metrics document.
@@ -234,19 +143,15 @@ type metricsJSON struct {
 	Watch    *watchJSON `json:"watch,omitempty"`
 	Snapshot struct {
 		SnapshotInfo
-		AgeSeconds float64 `json:"ageSeconds"`
-		// AgeSecondsGauge repeats AgeSeconds under the stable snake_case
-		// name scrapers alert on: a growing value means reloads (or the
-		// replica's snapshot store) have stalled and the node serves stale
-		// rules.
-		AgeSecondsGauge float64 `json:"age_seconds"`
+		// AgeSeconds is the scraper-stable staleness gauge: a growing value
+		// means reloads (or the replica's snapshot store) have stalled and
+		// the node serves stale rules.
+		AgeSeconds float64 `json:"age_seconds"`
 		// FreshnessSeconds is now minus the append time of the newest
 		// ingested transaction visible in the served rules — the rule
 		// freshness a client actually experiences. Without a watermark it
 		// equals the snapshot age (same clock, see Snapshot.Freshness).
-		// The snake_case twin is the scraper-stable gauge name.
-		FreshnessSeconds      float64 `json:"freshnessSeconds"`
-		FreshnessSecondsGauge float64 `json:"freshness_seconds"`
+		FreshnessSeconds float64 `json:"freshness_seconds"`
 		// Layout describes the arena + posting-list memory layout; Cache is
 		// the hot-item result cache (absent when caching is disabled).
 		Layout *LayoutInfo `json:"layout,omitempty"`
@@ -292,7 +197,7 @@ func (m *Metrics) WriteJSON(w io.Writer, snap *Snapshot) error {
 		doc.Endpoints[endpointNames[ep]] = endpointJSON{
 			Requests: m.requests[ep].Load(),
 			Errors:   m.errors[ep].Load(),
-			Latency:  m.latency[ep].export(true),
+			Latency:  m.latency[ep].Export(true),
 		}
 	}
 	doc.Panics = m.panics.Load()
@@ -312,9 +217,7 @@ func (m *Metrics) WriteJSON(w io.Writer, snap *Snapshot) error {
 	if snap != nil {
 		doc.Snapshot.SnapshotInfo = snap.Info()
 		doc.Snapshot.AgeSeconds = snap.Age().Seconds()
-		doc.Snapshot.AgeSecondsGauge = doc.Snapshot.AgeSeconds
 		doc.Snapshot.FreshnessSeconds = snap.Freshness().Seconds()
-		doc.Snapshot.FreshnessSecondsGauge = doc.Snapshot.FreshnessSeconds
 		layout := snap.Layout()
 		doc.Snapshot.Layout = &layout
 		doc.Snapshot.Cache = snap.CacheStats()

@@ -158,7 +158,7 @@ func TestHandlerHealthzAndMetrics(t *testing.T) {
 		} `json:"endpoints"`
 		Snapshot struct {
 			Rules      int     `json:"rules"`
-			AgeSeconds float64 `json:"ageSeconds"`
+			AgeSeconds float64 `json:"age_seconds"`
 		} `json:"snapshot"`
 	}
 	if err := json.Unmarshal([]byte(body), &m); err != nil {
