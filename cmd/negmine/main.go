@@ -193,6 +193,9 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintf(w, "stage 2+3 (%v): %d candidates, %d negative itemsets, %d rules in %v\n",
 			negAlg, res.TotalCandidates(), len(res.Negatives), len(res.Rules),
 			res.Timing.Negative.Round(timeUnit))
+		fmt.Fprintf(w, "  (restrict %v, candidate generation %v, counting %v, rule generation %v)\n",
+			res.Timing.Restrict.Round(timeUnit), res.Timing.CandGen.Round(timeUnit),
+			res.Timing.Count.Round(timeUnit), res.Timing.RuleGen.Round(timeUnit))
 
 		if *negatives {
 			fmt.Fprintln(w, "\nnegative itemsets (expected vs actual support):")

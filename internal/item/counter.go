@@ -87,6 +87,18 @@ func (t *SupportTable) Count(s Itemset) (int, bool) {
 // Support returns the relative support of s in [0,1] and whether it is known.
 func (t *SupportTable) Support(s Itemset) (float64, bool) {
 	n, ok := t.counts[s.Key()]
+	return t.relative(n, ok)
+}
+
+// SupportBytes is Support for an itemset already encoded with
+// Itemset.AppendKey. It does not allocate, which is what hot loops that
+// probe the table once per generated set need.
+func (t *SupportTable) SupportBytes(key []byte) (float64, bool) {
+	n, ok := t.counts[Key(key)] // this form of lookup does not copy key
+	return t.relative(n, ok)
+}
+
+func (t *SupportTable) relative(n int, ok bool) (float64, bool) {
 	if !ok || t.total == 0 {
 		return 0, ok
 	}

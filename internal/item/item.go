@@ -35,16 +35,7 @@ func New(items ...Item) Itemset {
 	}
 	s := make(Itemset, len(items))
 	copy(s, items)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	// Deduplicate in place.
-	w := 1
-	for r := 1; r < len(s); r++ {
-		if s[r] != s[w-1] {
-			s[w] = s[r]
-			w++
-		}
-	}
-	return s[:w]
+	return SortDedup(s)
 }
 
 // FromSorted adopts a slice that the caller guarantees is already sorted and
@@ -271,16 +262,8 @@ func (s Itemset) ReplaceAt(i int, x Item) Itemset {
 	out := make(Itemset, len(s))
 	copy(out, s)
 	out[i] = x
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
 	// The replacement may collide with an existing member; dedupe.
-	w := 1
-	for r := 1; r < len(out); r++ {
-		if out[r] != out[w-1] {
-			out[w] = out[r]
-			w++
-		}
-	}
-	return out[:w]
+	return SortDedup(out)
 }
 
 // Key returns a compact string usable as a map key. Two itemsets have the
@@ -289,11 +272,17 @@ func (s Itemset) Key() Key {
 	if len(s) == 0 {
 		return ""
 	}
-	b := make([]byte, 0, len(s)*4)
+	return Key(s.AppendKey(make([]byte, 0, len(s)*4)))
+}
+
+// AppendKey appends the Key encoding of s to dst and returns the extended
+// buffer. With a reused dst it is the allocation-free way to probe a
+// Key-keyed map: m[Key(buf)] does not copy the bytes.
+func (s Itemset) AppendKey(dst []byte) []byte {
 	for _, x := range s {
-		b = append(b, byte(x), byte(x>>8), byte(x>>16), byte(x>>24))
+		dst = append(dst, byte(x), byte(x>>8), byte(x>>16), byte(x>>24))
 	}
-	return Key(b)
+	return dst
 }
 
 // Key is the map-key form of an itemset (4 bytes per item, little endian).

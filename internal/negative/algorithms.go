@@ -48,24 +48,33 @@ func mineStages23(large *apriori.Result, tax *taxonomy.Taxonomy, opt Options, co
 	// drives candidate generation only — support counting below still uses
 	// the original taxonomy, since a category's support comes from all its
 	// leaves, small ones included.
+	sup := singleSupports(large.Table, tax.Size())
 	gtax := tax
 	if !opt.DisableTaxonomyCompression {
-		gtax = tax.Restrict(func(x item.Item) bool {
-			return large.Table.Contains(item.Itemset{x})
-		})
+		gtax = tax.Restrict(func(x item.Item) bool { return sup[x] >= 0 })
 	}
-	cands := GenerateCandidates(large.Levels, large.Table, gtax, opt.MinSupport, opt.MinRI, opt.Substitutes)
+	restricted := time.Now()
+	cands := generateCandidates(large.Levels, large.Table, gtax, sup, opt.MinSupport, opt.MinRI, opt.Substitutes)
 	for _, c := range cands {
 		res.CandidatesBySize[c.Set.Len()]++
 	}
+	generated := time.Now()
 
 	negs, err := countAndFilter(countFn, tax, cands, opt, large.N)
 	if err != nil {
 		return nil, err
 	}
+	counted := time.Now()
 	res.Negatives = negs
 	res.Rules = generateRules(negs, large.Table, opt.MinRI)
-	res.Timing.Negative = time.Since(negStart)
+	done := time.Now()
+	res.Timing = Timing{
+		Negative: done.Sub(negStart),
+		Restrict: restricted.Sub(negStart),
+		CandGen:  generated.Sub(restricted),
+		Count:    counted.Sub(generated),
+		RuleGen:  done.Sub(counted),
+	}
 	return res, nil
 }
 
@@ -100,25 +109,28 @@ func mineNaive(db txdb.DB, tax *taxonomy.Taxonomy, opt Options) (*Result, error)
 		}
 		negStart := time.Now()
 		table := stepper.Result().Table
-		g := newGenerator(tax, table, opt.MinSupport, opt.MinRI, opt.Substitutes)
+		g := newGenerator(tax, table, singleSupports(table, tax.Size()), opt.MinSupport, opt.MinRI, opt.Substitutes)
 		for _, cs := range level {
 			g.fromLarge(cs.Set)
 		}
 		cands := g.candidates()
 		res.CandidatesBySize[k] += len(cands)
+		generated := time.Now()
 		lvlNegs, err := countAndFilter(defaultCount(db, tax, opt), tax, cands, opt, stepper.Result().N)
 		if err != nil {
 			return nil, err
 		}
 		negs = append(negs, lvlNegs...)
-		res.Timing.Negative += time.Since(negStart)
+		res.Timing.CandGen += generated.Sub(negStart)
+		res.Timing.Count += time.Since(generated)
 	}
 	res.Large = stepper.Result()
 	ruleStart := time.Now()
 	sort.Slice(negs, func(i, j int) bool { return negs[i].Set.Compare(negs[j].Set) < 0 })
 	res.Negatives = negs
 	res.Rules = generateRules(negs, res.Large.Table, opt.MinRI)
-	res.Timing.Negative += time.Since(ruleStart)
+	res.Timing.RuleGen = time.Since(ruleStart)
+	res.Timing.Negative = res.Timing.CandGen + res.Timing.Count + res.Timing.RuleGen
 	return res, nil
 }
 

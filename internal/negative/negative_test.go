@@ -4,6 +4,7 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"negmine/internal/count"
 	"negmine/internal/gen"
@@ -396,6 +397,29 @@ func TestPassComplexity(t *testing.T) {
 		}
 		if got := ins.Passes(); got != 2*n-1 {
 			t.Errorf("%v: Naive used %d passes, want 2n−1 = %d", backend, got, 2*n-1)
+		}
+	}
+}
+
+// TestTimingParts: Timing's per-step durations are what an operator reads to
+// see where a re-mine went, so they must account for all of Negative.
+func TestTimingParts(t *testing.T) {
+	tax, _, db := paperExample(t)
+	for _, alg := range []Algorithm{Improved, Naive} {
+		res, err := Mine(db, tax, Options{MinSupport: 0.04, MinRI: 0.5, Algorithm: alg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tm := res.Timing
+		sum := time.Duration(0)
+		for _, d := range []time.Duration{tm.Restrict, tm.CandGen, tm.Count, tm.RuleGen} {
+			if d < 0 {
+				t.Errorf("%v: negative part in %+v", alg, tm)
+			}
+			sum += d
+		}
+		if sum == 0 || sum > tm.Negative || tm.Negative-sum > time.Millisecond {
+			t.Errorf("%v: parts add up to %v of Negative = %v (%+v)", alg, sum, tm.Negative, tm)
 		}
 	}
 }

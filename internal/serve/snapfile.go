@@ -154,13 +154,7 @@ func SnapshotFromImage(img *snapfmt.Image, cacheSize int) (*Snapshot, error) {
 		}
 		s.cache = newQueryCache(cacheSize)
 	}
-	s.scratch.New = func() any {
-		return &queryScratch{
-			rules: make([]uint64, s.ruleWords),
-			items: make([]uint64, s.itemWords),
-			ids:   make([]int32, 0, 64),
-		}
-	}
+	s.scratch.New = newScratch(s.ruleWords, s.itemWords)
 	// built reflects when the rules were produced, not when this process
 	// loaded them, so Age() keeps measuring rule staleness.
 	s.built = img.Header.Created()

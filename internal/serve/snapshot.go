@@ -153,6 +153,21 @@ type queryScratch struct {
 	ids   []int32
 }
 
+// newScratch returns the scratch pool's constructor for a snapshot of the
+// given bitmap widths. It takes the widths, not the *Snapshot: the pool is a
+// field of the snapshot, so a constructor that captured the snapshot would
+// make it reachable from itself, and the finalizer that unmaps a file-backed
+// snapshot (OpenSnapshotFile) never runs on such a cycle.
+func newScratch(ruleWords, itemWords int) func() any {
+	return func() any {
+		return &queryScratch{
+			rules: make([]uint64, ruleWords),
+			items: make([]uint64, itemWords),
+			ids:   make([]int32, 0, 64),
+		}
+	}
+}
+
 // SnapshotInfo is the metadata block surfaced by /healthz and /metrics.
 type SnapshotInfo struct {
 	Rules        int       `json:"rules"`
@@ -275,13 +290,7 @@ func BuildSnapshot(st *rulestore.Store, tax *taxonomy.Taxonomy, meta Meta) *Snap
 		}
 		s.cache = newQueryCache(size)
 	}
-	s.scratch.New = func() any {
-		return &queryScratch{
-			rules: make([]uint64, s.ruleWords),
-			items: make([]uint64, s.itemWords),
-			ids:   make([]int32, 0, 64),
-		}
-	}
+	s.scratch.New = newScratch(s.ruleWords, s.itemWords)
 	s.buildDur = time.Since(start)
 	s.built = time.Now()
 	return s
