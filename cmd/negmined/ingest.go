@@ -105,7 +105,7 @@ func (c *ingestController) noteAppend(tid int64) {
 }
 
 // seed imports a transaction file into the empty log in sealed batches, so
-// the first refresh starts from reasonably sized partitions.
+// the import never holds more than one batch in the active segment.
 func (c *ingestController) seed(dataPath string) error {
 	db, err := loadData(dataPath, c.tax.Dictionary())
 	if err != nil {
@@ -287,6 +287,18 @@ func (c *ingestController) Stats() serve.IngestStats {
 		FencedAppends:          ls.FencedAppends,
 		DedupHits:              ls.DedupHits,
 		DedupEntries:           ls.DedupEntries,
+	}
+	if ms.Duration > 0 {
+		st.LastRefresh = &serve.RefreshBreakdown{
+			IndexAppendSeconds: ms.IndexAppend.Seconds(),
+			Stage1Seconds:      ms.Stage1.Seconds(),
+			RestrictSeconds:    ms.Restrict.Seconds(),
+			CandGenSeconds:     ms.CandGen.Seconds(),
+			CountSeconds:       ms.Count.Seconds(),
+			RuleGenSeconds:     ms.RuleGen.Seconds(),
+			IndexBytes:         ms.IndexBytes,
+			LargeItems:         ms.LargeItems,
+		}
 	}
 	st.Role, st.ReplLagSegments = c.RoleLag()
 	return st

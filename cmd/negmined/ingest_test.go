@@ -4,7 +4,10 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
+	"math"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -13,6 +16,8 @@ import (
 
 	"negmine"
 	"negmine/internal/datagen"
+	"negmine/internal/fault"
+	"negmine/internal/incr"
 	"negmine/internal/serve"
 )
 
@@ -273,6 +278,71 @@ func TestStreamingAutoRemine(t *testing.T) {
 			t.Fatalf("timer-refreshed snapshot serves %d rules, want %d", got, want.Len())
 		}
 	})
+}
+
+// TestProbesAnswerDuringRefresh holds a re-mine at the incr.merge failpoint
+// for 300 ms and probes the daemon over real HTTP meanwhile: /healthz and
+// /metrics read the miner's last stats and must not wait for the refresh (a
+// router that waits marks the shard suspect). Afterwards /metrics carries the
+// refresh's stage breakdown, which accounts for its wall time.
+func TestProbesAnswerDuringRefresh(t *testing.T) {
+	dir := t.TempDir()
+	taxPath, seedPath, baskets := streamFixture(t, dir, 400, 360)
+	_, h, _ := newStreamingDaemon(t,
+		"-ingest-dir", filepath.Join(dir, "log"), "-data", seedPath, "-tax", taxPath,
+		"-minsup", "0.15", "-minri", "0.3")
+	ts := httptest.NewServer(h)
+	defer ts.Close()
+	get := func(path string) time.Duration {
+		t.Helper()
+		start := time.Now()
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if _, err := io.Copy(io.Discard, resp.Body); err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: %d, %v", path, resp.StatusCode, err)
+		}
+		return time.Since(start)
+	}
+	get("/healthz") // open the keep-alive connection outside the timed probes
+	if code := postJSON(t, h, "/ingest", ingestBody(t, baskets[360:]), nil); code != http.StatusAccepted {
+		t.Fatalf("/ingest: %d", code)
+	}
+
+	disarm := fault.Enable(incr.PointMerge, fault.Sleep(300*time.Millisecond))
+	reloaded := make(chan int, 1)
+	go func() { reloaded <- postJSON(t, h, "/reload?wait=1", "", nil) }()
+	for fault.Hits(incr.PointMerge) == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	for _, path := range []string{"/healthz", "/metrics"} {
+		if took := get(path); took > 20*time.Millisecond {
+			t.Errorf("GET %s took %v while a refresh was running", path, took)
+		}
+	}
+	code := <-reloaded
+	disarm()
+	if code != http.StatusOK {
+		t.Fatalf("/reload: %d", code)
+	}
+
+	var m struct {
+		Ingest struct {
+			Seconds float64                 `json:"lastRefreshSeconds"`
+			Last    *serve.RefreshBreakdown `json:"lastRefresh"`
+		} `json:"ingest"`
+	}
+	getJSON(t, h, "/metrics", &m)
+	lr := m.Ingest.Last
+	if lr == nil || lr.IndexBytes == 0 || lr.LargeItems == 0 {
+		t.Fatalf("ingest.lastRefresh = %+v", lr)
+	}
+	parts := lr.IndexAppendSeconds + lr.Stage1Seconds + lr.RestrictSeconds + lr.CandGenSeconds + lr.CountSeconds + lr.RuleGenSeconds
+	if m.Ingest.Seconds < 0.3 || math.Abs(parts-m.Ingest.Seconds) > 0.05*m.Ingest.Seconds {
+		t.Fatalf("lastRefresh parts sum to %.4fs, lastRefreshSeconds is %.4fs", parts, m.Ingest.Seconds)
+	}
 }
 
 func TestStreamingFlagValidation(t *testing.T) {

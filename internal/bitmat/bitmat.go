@@ -107,6 +107,19 @@ func (m *Matrix) Set(x item.Item, pos int) bool {
 	return true
 }
 
+// SetAll marks every position of the posting list pos in item x's row — Set
+// for a whole list, with one row lookup — and reports whether x has a row.
+func (m *Matrix) SetAll(x item.Item, pos []uint32) bool {
+	row := m.Row(x)
+	if row == nil {
+		return false
+	}
+	for _, p := range pos {
+		row[p>>6] |= 1 << (p & 63)
+	}
+	return true
+}
+
 // NextSet returns the position of the first set bit at or after from in
 // row, or -1 when no further bit is set. Iterating
 //

@@ -31,6 +31,26 @@ func TestSetMarksPositions(t *testing.T) {
 	}
 }
 
+// TestSetAllEqualsSet: marking a posting list in one call leaves the row
+// exactly as marking its positions one by one does.
+func TestSetAllEqualsSet(t *testing.T) {
+	posts := []uint32{0, 1, 63, 64, 100, 129}
+	one, all := New(item.New(1, 2), 130), New(item.New(1, 2), 130)
+	for _, p := range posts {
+		one.Set(2, int(p))
+	}
+	if !all.SetAll(2, posts) || all.SetAll(9, posts) {
+		t.Fatal("SetAll must report whether the item has a row")
+	}
+	for _, x := range []item.Item{1, 2} {
+		for w := range one.Row(x) {
+			if one.Row(x)[w] != all.Row(x)[w] {
+				t.Fatalf("item %d word %d: Set %x, SetAll %x", x, w, one.Row(x)[w], all.Row(x)[w])
+			}
+		}
+	}
+}
+
 func TestNextSetEdgeCases(t *testing.T) {
 	if got := NextSet(nil, 0); got != -1 {
 		t.Fatalf("NextSet(nil) = %d", got)

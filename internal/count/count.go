@@ -79,62 +79,61 @@ func Candidates(db txdb.DB, cands []item.Itemset, opt Options) ([]int, error) {
 
 // Singletons counts every distinct item appearing in db's (transformed)
 // transactions. Unlike Candidates it needs no candidate list — it is the L1
-// pass of every Apriori-family algorithm — and for the same reason it
-// always counts with a per-worker map counter regardless of Backend: the
-// bitmap engine needs the item universe up front, which is exactly what
-// this pass discovers.
+// pass of every Apriori-family algorithm — and for the same reason it never
+// uses the bitmap engine, which needs the item universe up front: each
+// worker counts into a dense slice indexed by item id, converted to a
+// Counter once at the end. An Indexed database declared under Options.Tax
+// already knows the answer and is not scanned.
 func Singletons(db txdb.DB, opt Options) (*item.Counter, error) {
+	if ix := indexOf(db, opt.Tax); ix != nil {
+		return ix.Singletons(), nil
+	}
 	sharder, canShard := db.(txdb.Sharder)
 	workers := opt.Parallelism
 	if workers < 2 || !canShard {
-		c := item.NewCounter()
+		workers = 1
+	}
+	dense := make([][]int, workers)
+	errs := make([]error, workers)
+	counter := func(w int) func(txdb.Transaction) error {
 		buf := make([]item.Item, 0, 64)
-		err := db.Scan(func(tx txdb.Transaction) error {
+		return func(tx txdb.Transaction) error {
 			var s item.Itemset
 			s, buf = applyShared(opt, buf, tx.Items)
-			addSingles(c, s)
+			for _, x := range s {
+				if int(x) >= len(dense[w]) {
+					dense[w] = append(dense[w], make([]int, int(x)+1-len(dense[w]))...)
+				}
+				dense[w][x]++
+			}
 			return nil
-		})
+		}
+	}
+	if workers == 1 {
+		errs[0] = db.Scan(counter(0))
+	} else {
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				if err := sharder.ScanShard(w, workers, counter(w)); err != nil {
+					errs[w] = fmt.Errorf("count: worker %d: %w", w, err)
+				}
+			}(w)
+		}
+		wg.Wait()
+	}
+	total := item.NewCounter()
+	for w, err := range errs {
 		if err != nil {
 			return nil, err
 		}
-		return c, nil
-	}
-	counters := make([]*item.Counter, workers)
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			c := item.NewCounter()
-			counters[w] = c
-			buf := make([]item.Item, 0, 64)
-			errs[w] = sharder.ScanShard(w, workers, func(tx txdb.Transaction) error {
-				var s item.Itemset
-				s, buf = applyShared(opt, buf, tx.Items)
-				addSingles(c, s)
-				return nil
-			})
-		}(w)
-	}
-	wg.Wait()
-	for w, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("count: worker %d: %w", w, err)
+		for x, n := range dense[w] {
+			if n > 0 {
+				total.Add(item.Itemset{item.Item(x)}, n)
+			}
 		}
 	}
-	total := counters[0]
-	for _, c := range counters[1:] {
-		total.Merge(c)
-	}
 	return total, nil
-}
-
-func addSingles(c *item.Counter, s item.Itemset) {
-	var buf [1]item.Item
-	for _, x := range s {
-		buf[0] = x
-		c.Add(buf[:], 1)
-	}
 }

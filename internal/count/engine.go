@@ -7,6 +7,7 @@ import (
 	"negmine/internal/bitmat"
 	"negmine/internal/fault"
 	"negmine/internal/item"
+	"negmine/internal/taxonomy"
 	"negmine/internal/txdb"
 )
 
@@ -87,8 +88,32 @@ type Engine interface {
 	Multi(db txdb.DB, groups [][]item.Itemset, transforms []TransformInto, opt Options) ([][]int, error)
 }
 
-// EngineFor selects the engine for a counting pass. Explicit Backend values
-// are obeyed; BackendAuto applies the heuristic: bitmap only when
+// Indexed is a txdb.DB that carries a vertical index of itself under the
+// ancestor extension of Taxonomy(): the 1-item counts Singletons would scan
+// for, and the rows bitmat.FromDBTaxonomy would build for every item a
+// counting pass can name (the large 1-items — level-wise candidates and the
+// paper's negative candidates are built from nothing else). Passes declared
+// under the same taxonomy (Options.Tax) are answered from the index: no scan,
+// no matrix build, and Backend — a choice between ways of scanning — does not
+// apply. Every other pass scans the database as usual.
+type Indexed interface {
+	txdb.DB
+	Taxonomy() *taxonomy.Taxonomy
+	Singletons() *item.Counter
+	Matrix() *bitmat.Matrix
+}
+
+// indexOf returns db's index when it answers passes declared under tax.
+func indexOf(db txdb.DB, tax *taxonomy.Taxonomy) Indexed {
+	if ix, ok := db.(Indexed); ok && tax != nil && ix.Taxonomy() == tax {
+		return ix
+	}
+	return nil
+}
+
+// EngineFor selects the engine for a counting pass. An Indexed database
+// counts from its own rows; otherwise explicit Backend values are obeyed and
+// BackendAuto applies the heuristic: bitmap only when
 //
 //   - the database is a memory-resident *txdb.MemDB — wrappers like
 //     txdb.Instrumented or txdb.Throttled model disk-resident access and
@@ -98,6 +123,9 @@ type Engine interface {
 //     per-group transforms), and
 //   - the matrix over the groups' distinct items fits Options.BitmapBudget.
 func EngineFor(db txdb.DB, groups [][]item.Itemset, transforms []TransformInto, opt Options) Engine {
+	if indexOf(db, opt.Tax) != nil {
+		return BitmapEngine{}
+	}
 	switch opt.Backend {
 	case BackendHashTree:
 		return HashTreeEngine{}
@@ -207,6 +235,9 @@ func (BitmapEngine) Multi(db txdb.DB, groups [][]item.Itemset, transforms []Tran
 	if transforms != nil && len(transforms) != len(groups) {
 		return nil, fmt.Errorf("count: %d transforms for %d groups", len(transforms), len(groups))
 	}
+	if ix := indexOf(db, opt.Tax); ix != nil {
+		return countRows(ix.Matrix(), groups, opt) // rows built and reserved by db's owner
+	}
 	used := usedItems(groups)
 	reserved := bitmat.EstimateBytes(db.Count(), used.Len())
 	if err := opt.Mem.Reserve(reserved); err != nil {
@@ -228,6 +259,11 @@ func (BitmapEngine) Multi(db txdb.DB, groups [][]item.Itemset, transforms []Tran
 	if err != nil {
 		return nil, err
 	}
+	return countRows(m, groups, opt)
+}
+
+// countRows counts every group's candidates against m's rows.
+func countRows(m *bitmat.Matrix, groups [][]item.Itemset, opt Options) ([][]int, error) {
 	flat := make([]item.Itemset, 0)
 	for _, g := range groups {
 		flat = append(flat, g...)

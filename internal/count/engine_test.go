@@ -1,9 +1,11 @@
 package count
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
+	"negmine/internal/bitmat"
 	"negmine/internal/hashtree"
 	"negmine/internal/item"
 	"negmine/internal/taxonomy"
@@ -257,5 +259,89 @@ func TestSharedTransformComputedOncePerTransaction(t *testing.T) {
 	if calls != db.Count() {
 		t.Fatalf("shared transform ran %d times for %d transactions × %d groups, want %d",
 			calls, db.Count(), len(groups), db.Count())
+	}
+}
+
+// indexedDB is a count.Indexed whose every scan fails: whatever it answers,
+// it answered from its index.
+type indexedDB struct {
+	n       int
+	tax     *taxonomy.Taxonomy
+	singles *item.Counter
+	rows    *bitmat.Matrix
+}
+
+func (d *indexedDB) Count() int                   { return d.n }
+func (d *indexedDB) Taxonomy() *taxonomy.Taxonomy { return d.tax }
+func (d *indexedDB) Singletons() *item.Counter    { return d.singles }
+func (d *indexedDB) Matrix() *bitmat.Matrix       { return d.rows }
+func (d *indexedDB) Scan(func(txdb.Transaction) error) error {
+	return errors.New("indexedDB: scanned")
+}
+
+// TestIndexedDatabaseIsNotScanned pins the seam internal/incr refreshes
+// through: a database that carries its own vertical index answers Singletons
+// and every counting pass declared under its taxonomy — whatever Backend
+// says — with the counts a scan gives, and is scanned for anything else.
+func TestIndexedDatabaseIsNotScanned(t *testing.T) {
+	tax, leaves := testTax(t, 16)
+	db := leafDB(7, leaves, 300, 8)
+	universe := leaves.Union(tax.Categories())
+	rows, err := bitmat.FromDBTaxonomy(db, tax, universe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scanOpt := Options{TransformInto: tax.ExtendInto}
+	wantSingles, err := Singletons(db, scanOpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The dense per-worker counters against a map-based recount.
+	ref := map[item.Item]int{}
+	for _, tx := range db.Transactions() {
+		for _, x := range tax.Extend(tx.Items) {
+			ref[x]++
+		}
+	}
+	if wantSingles.Len() != len(ref) {
+		t.Fatalf("Singletons counted %d items, reference %d", wantSingles.Len(), len(ref))
+	}
+	for x, n := range ref {
+		if got := wantSingles.Count(item.Itemset{x}); got != n {
+			t.Fatalf("Singletons: item %d counted %d, reference %d", x, got, n)
+		}
+	}
+
+	ix := &indexedDB{n: db.Count(), tax: tax, singles: wantSingles, rows: rows}
+	groups := randomGroups(rand.New(rand.NewSource(8)), universe, 3)
+	want, err := HashTreeEngine{}.Multi(db, groups, nil, scanOpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, backend := range []Backend{BackendAuto, BackendHashTree, BackendBitmap} {
+		opt := Options{TransformInto: tax.ExtendInto, Tax: tax, Backend: backend}
+		got, err := Multi(ix, groups, opt)
+		if err != nil {
+			t.Fatalf("%v: %v", backend, err)
+		}
+		for g := range groups {
+			for i := range groups[g] {
+				if got[g][i] != want[g][i] {
+					t.Fatalf("%v: group %d cand %v: indexed %d, scanned %d", backend, g, groups[g][i], got[g][i], want[g][i])
+				}
+			}
+		}
+		if singles, err := Singletons(ix, opt); err != nil || singles != wantSingles {
+			t.Fatalf("%v: Singletons did not come from the index (err %v)", backend, err)
+		}
+	}
+	other, _ := testTax(t, 16)
+	for name, opt := range map[string]Options{"no taxonomy declared": scanOpt, "another taxonomy": {TransformInto: tax.ExtendInto, Tax: other}} {
+		if _, err := Multi(ix, groups, opt); err == nil {
+			t.Errorf("%s: Multi answered from the index", name)
+		}
+		if _, err := Singletons(ix, opt); err == nil {
+			t.Errorf("%s: Singletons answered from the index", name)
+		}
 	}
 }

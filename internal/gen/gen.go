@@ -217,6 +217,7 @@ func genLevel(prev []item.Itemset, tax *taxonomy.Taxonomy, k int) []item.Itemset
 func mineL1(db txdb.DB, tax *taxonomy.Taxonomy, opt Options, res *apriori.Result) ([]item.Itemset, error) {
 	cnt := opt.Count
 	cnt.TransformInto = basicTransform(tax)
+	cnt.Tax = tax // the transform is the full ancestor extension
 	singles, err := count.Singletons(db, cnt)
 	if err != nil {
 		return nil, err

@@ -10,9 +10,9 @@ import (
 )
 
 // TestChaosMergeFaultThenRetry arms the merge failpoint: the refresh fails
-// after the per-segment phase, and a retry (the daemon's next trigger)
-// completes with a result identical to an undisturbed batch mine — the
-// caches populated before the failure are reused, never corrupted.
+// after the index has been extended, and a retry (the daemon's next trigger)
+// completes with a result identical to an undisturbed batch mine — the index
+// built before the failure is reused, never corrupted.
 func TestChaosMergeFaultThenRetry(t *testing.T) {
 	tax, baskets := testData(t, 300, 9)
 	log, err := seglog.Open(t.TempDir(), seglog.Options{})
@@ -36,7 +36,7 @@ func TestChaosMergeFaultThenRetry(t *testing.T) {
 	}
 	st := m.LastStats()
 	if st.NewSegments != 0 {
-		t.Fatalf("retry re-mined %d segments the failed refresh already cached", st.NewSegments)
+		t.Fatalf("retry re-read %d segments the failed refresh already indexed", st.NewSegments)
 	}
 	want := batchMine(t, log, tax)
 	if !bytes.Equal(reportBytes(t, got), reportBytes(t, want)) {

@@ -1,46 +1,47 @@
-// Package incr refreshes negative-rule results incrementally over a
-// segmented transaction log (internal/seglog), treating each sealed
-// segment as one partition of the Partition algorithm the paper's authors
-// built stage 1 on.
+// Package incr keeps negative-rule results fresh over a segmented
+// transaction log (internal/seglog) without re-reading old data.
 //
-// A Miner caches two things per sealed segment: the segment's locally
-// large itemsets (phase I) and the segment's exact support counts for
-// every itemset it has ever been asked about. Both are immutable facts
-// about an immutable file, so a refresh only scans segments it has not
-// seen before — phase I mines the new segments, the global candidate
-// union is re-counted from the caches, and cache misses (a candidate
-// first seen now that an old segment never reported) trigger targeted
-// counting scans of exactly the segments missing it. When the delta's
-// item distribution matches the base — the steady state of a live feed —
-// candidate sets are stable, there are no misses, and the refresh cost is
-// proportional to the new data only.
+// A Miner owns one append-only vertical index of the sealed log (see index):
+// per taxonomy node, the positions of the transactions that support it.
+// Sealed segments are immutable and new ones only arrive at the end, so a
+// refresh reads just the segments past the (ID, CRC) prefix the index
+// already covers; a compaction or a recycled ID drops the index and rebuilds
+// it with one scan. Nothing is persisted: a restarted daemon's first refresh
+// builds the index with the scan a batch mine would have made anyway.
 //
-// Stages 2 and 3 (negative candidate generation, counting, rule
-// extraction) run through negative.MineWithCounts with a CountFunc backed
-// by the same per-segment caches, so a refresh produces exactly the rule
-// set a batch re-mine of the whole log would: both paths execute the same
-// stage-2/3 code over equal stage-1 results and exact counts.
+// The refresh then runs the batch miner itself — negative.Mine — over a
+// database that answers every counting pass from the index (count.Indexed):
+// pass 1 is the posting-list lengths, every later pass is AND + popcount over
+// dense rows materialised for the large 1-items only. The result is
+// byte-identical to a batch mine of the same transactions because it is that
+// batch mine, minus the data passes.
+//
+// Index memory is 4 bytes per posting (Σ |extended transaction|, about
+// 107 B per transaction on the paper's Short data) plus N/8 bytes per large
+// 1-item for the duration of a refresh, all reserved against Options.Count.Mem.
+// When a reservation is refused the index is released and the refresh mines
+// the sealed segments by scanning, down the ordinary batch degradation
+// ladder.
 package incr
 
 import (
+	"errors"
 	"fmt"
-	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"negmine/internal/apriori"
-	"negmine/internal/count"
 	"negmine/internal/fault"
-	"negmine/internal/item"
+	"negmine/internal/govern"
 	"negmine/internal/negative"
-	"negmine/internal/partition"
 	"negmine/internal/seglog"
 	"negmine/internal/taxonomy"
 	"negmine/internal/txdb"
 )
 
-// PointMerge is the failpoint (see internal/fault) evaluated after the
-// per-segment phase but before the global merge and stage-2/3 run.
+// PointMerge is the failpoint (see internal/fault) evaluated after the index
+// has been extended but before the mine runs.
 const PointMerge = "incr.merge"
 
 // RefreshStats describes what one Refresh actually did.
@@ -49,42 +50,27 @@ type RefreshStats struct {
 	// refresh mined over.
 	Segments int
 	N        int
-	// NewSegments is how many segments were phase-I mined this refresh
-	// (segments not in the cache — new or freshly compacted).
+	// NewSegments is how many segments were read into the index this
+	// refresh: the ones sealed since the last refresh, or all of them when
+	// the index was built or rebuilt.
 	NewSegments int
-	// CountScans is the number of per-segment counting scans this refresh
-	// issued; OldSegmentScans is the subset that hit segments already
-	// cached before the refresh began — zero when the candidate sets were
-	// stable, the "only new segments scanned" property.
-	CountScans      int
+	// OldSegmentScans counts segment reads of data the index had already
+	// seen: the re-reads of a rebuild forced by a changed log history, plus
+	// every segment scan of a refresh that mined without the index. Zero is
+	// the "only new segments read" steady state.
 	OldSegmentScans int
-	// CacheHits and CacheMisses count per-(segment, itemset) support
-	// lookups during the counting phases.
-	CacheHits   int
-	CacheMisses int
-	// Duration is the refresh wall time.
-	Duration time.Duration
+	// IndexBytes is the index's posting storage after the refresh and
+	// LargeItems the number of large 1-items it materialised rows for (both
+	// zero when the refresh fell back to scanning).
+	IndexBytes int64
+	LargeItems int
+	// Duration is the refresh wall time; the stage fields split it: the
+	// index append, stage 1 (row materialisation plus large-itemset mining)
+	// and negative.Timing's four parts of stages 2–3.
+	Duration                          time.Duration
+	IndexAppend, Stage1               time.Duration
+	Restrict, CandGen, Count, RuleGen time.Duration
 }
-
-// segCache is everything the Miner remembers about one sealed segment.
-type segCache struct {
-	txns   int
-	local  []item.Itemset   // locally large itemsets (phase I result)
-	counts map[item.Key]int // exact support counts, by itemset key
-}
-
-// segKey identifies a sealed segment for caching purposes. The CRC rides
-// along with the ID because IDs alone are not stable identities across every
-// log history: a replication follower that adopts a primary's segments, or a
-// log rebuilt in place, can present a recycled ID with different content.
-// Keying on (ID, CRC) turns any such collision into a harmless cache miss
-// instead of mining stale counts.
-type segKey struct {
-	id  int64
-	crc uint32
-}
-
-func segKeyOf(e seglog.SegmentEntry) segKey { return segKey{id: e.ID, crc: e.CRC} }
 
 // Miner incrementally mines a segment log. The zero value is not usable;
 // see New. A Miner is safe for concurrent use, but refreshes serialize.
@@ -92,28 +78,32 @@ type Miner struct {
 	tax *taxonomy.Taxonomy
 	opt negative.Options
 
-	mu    sync.Mutex
-	segs  map[segKey]*segCache
-	stats RefreshStats // last refresh
+	mu  sync.Mutex // serializes refreshes; guards idx
+	idx index
+
+	// stats is the last completed refresh, published without mu so that a
+	// health probe never waits out a running refresh.
+	stats atomic.Pointer[RefreshStats]
 }
 
-// New returns a Miner refreshing with the given taxonomy and mining
-// options (the same Options a batch negative.Mine call would take; the
-// Algorithm field is ignored — incremental refresh always follows the
-// Improved schedule).
+// New returns a Miner refreshing with the given taxonomy and mining options
+// (the same Options a batch negative.Mine call would take; the Algorithm
+// field is ignored — a refresh always follows the Improved schedule).
 func New(tax *taxonomy.Taxonomy, opt negative.Options) *Miner {
-	return &Miner{tax: tax, opt: opt, segs: map[segKey]*segCache{}}
+	return &Miner{tax: tax, opt: opt, idx: index{mem: opt.Count.Mem, tax: tax}}
 }
 
-// LastStats returns the statistics of the most recent Refresh.
+// LastStats returns the statistics of the most recent completed Refresh. It
+// never blocks on a refresh in progress.
 func (m *Miner) LastStats() RefreshStats {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.stats
+	if st := m.stats.Load(); st != nil {
+		return *st
+	}
+	return RefreshStats{}
 }
 
-// Refresh seals the log's active segment and mines the complete log,
-// reusing every cached per-segment result. The returned Result is
+// Refresh seals the log's active segment, extends the index over the newly
+// sealed segments and mines the complete sealed log. The returned Result is
 // identical to negative.Mine over the same transactions.
 func (m *Miner) Refresh(log *seglog.Log) (*negative.Result, error) {
 	if err := log.Seal(); err != nil {
@@ -122,204 +112,44 @@ func (m *Miner) Refresh(log *seglog.Log) (*negative.Result, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	start := time.Now()
-	rs := &refreshState{known: map[segKey]bool{}}
-	st := &rs.st
-
 	views := log.SealedViews()
-	live := make(map[segKey]bool, len(views))
+	st := RefreshStats{Segments: len(views)}
 	for _, v := range views {
-		live[segKeyOf(v.Entry)] = true
 		st.N += v.Entry.Txns
 	}
-	st.Segments = len(views)
-	// Drop caches of segments that no longer exist (compacted away, or
-	// replaced under a recycled ID — the CRC in the key catches those).
-	for k := range m.segs {
-		if !live[k] {
-			delete(m.segs, k)
-		}
-	}
-	for k := range m.segs {
-		rs.known[k] = true
-	}
+	snap := &sealed{views: views, n: st.N}
+	var db txdb.DB = snap
 
-	// Phase I on segments we have not seen: buffer, extend, mine locally.
-	minSup := m.opt.MinSupport
-	for _, v := range views {
-		if _, ok := m.segs[segKeyOf(v.Entry)]; ok {
-			continue
-		}
-		st.NewSegments++
-		part := make([]item.Itemset, 0, v.Entry.Txns)
-		err := v.DB.Scan(func(tx txdb.Transaction) error {
-			part = append(part, m.tax.Extend(tx.Items))
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		sc := &segCache{txns: v.Entry.Txns, counts: map[item.Key]int{}}
-		sc.local = partition.LocallyLarge(part, minSup, m.opt.Gen.MaxK, m.tax)
-		// Phase I already knows these sets' exact local counts are at least
-		// the local minimum, but not their values; count them now while the
-		// segment is hot so later refreshes never return to it.
-		if err := m.countInto(v, sc, sc.local, rs); err != nil {
-			return nil, err
-		}
-		m.segs[segKeyOf(v.Entry)] = sc
+	err := m.idx.extend(views, &st)
+	st.IndexAppend = time.Since(start)
+	if ferr := fault.Hit(PointMerge); ferr != nil {
+		return nil, fmt.Errorf("incr: %w", ferr)
 	}
-
-	if err := fault.Hit(PointMerge); err != nil {
-		return nil, fmt.Errorf("incr: %w", err)
-	}
-
-	// Merge: the union of locally large itemsets is a superset of the
-	// globally large ones; count the union exactly everywhere and keep the
-	// sets meeting the global threshold, assembling the result exactly as
-	// partition.Mine (and therefore gen.Mine) would.
-	union := map[item.Key]item.Itemset{}
-	for _, sc := range m.segs {
-		for _, s := range sc.local {
-			union[s.Key()] = s
+	if err == nil {
+		var v *view
+		if v, err = m.idx.view(snap, apriori.MinCount(m.opt.MinSupport, st.N)); err == nil {
+			defer m.idx.mem.Release(v.rows.Bytes())
+			db, st.IndexBytes, st.LargeItems = v, m.idx.bytes, v.rows.Items().Len()
 		}
 	}
-	cands := make([]item.Itemset, 0, len(union))
-	for _, s := range union {
-		cands = append(cands, s)
-	}
-	counts, err := m.countEverywhere(views, cands, rs)
-	if err != nil {
+	if errors.Is(err, govern.ErrOverBudget) {
+		m.idx.drop() // no room for the index: mine the segments by scanning
+	} else if err != nil {
 		return nil, err
 	}
-	large := &apriori.Result{
-		Table:    item.NewSupportTable(st.N),
-		N:        st.N,
-		MinCount: apriori.MinCount(minSup, st.N),
-	}
-	bySize := map[int][]item.CountedSet{}
-	maxK := 0
-	for i, s := range cands {
-		if counts[i] >= large.MinCount {
-			bySize[s.Len()] = append(bySize[s.Len()], item.CountedSet{Set: s, Count: counts[i]})
-			if s.Len() > maxK {
-				maxK = s.Len()
-			}
-		}
-	}
-	for k := 1; k <= maxK; k++ {
-		level := bySize[k]
-		if len(level) == 0 {
-			break // L_k empty ⇒ all longer levels empty too
-		}
-		sort.Slice(level, func(i, j int) bool { return level[i].Set.Compare(level[j].Set) < 0 })
-		large.Levels = append(large.Levels, level)
-		for _, cs := range level {
-			large.Table.Put(cs.Set, cs.Count)
-		}
-	}
 
-	// Stages 2 and 3 through the shared seam, counting from the caches.
 	opt := m.opt
 	opt.Algorithm = negative.Improved
-	res, err := negative.MineWithCounts(large, m.tax, opt, func(groups [][]item.Itemset, _ []count.TransformInto) ([][]int, error) {
-		out := make([][]int, len(groups))
-		for gi, g := range groups {
-			c, err := m.countEverywhere(views, g, rs)
-			if err != nil {
-				return nil, err
-			}
-			out[gi] = c
-		}
-		return out, nil
-	})
+	mineStart := time.Now()
+	res, err := negative.Mine(db, m.tax, opt)
 	if err != nil {
 		return nil, err
 	}
+	st.OldSegmentScans += int(snap.reads.Load())
+	t := res.Timing
+	st.Stage1 = mineStart.Sub(start) - st.IndexAppend + t.Stage1
+	st.Restrict, st.CandGen, st.Count, st.RuleGen = t.Restrict, t.CandGen, t.Count, t.RuleGen
 	st.Duration = time.Since(start)
-	m.stats = *st
+	m.stats.Store(&st)
 	return res, nil
-}
-
-// refreshState carries one refresh's statistics plus the set of segment
-// keys that were already cached when the refresh began — a counting scan
-// against one of those is old-segment work the steady state avoids.
-type refreshState struct {
-	st    RefreshStats
-	known map[segKey]bool
-}
-
-// countEverywhere returns, for each set, its exact support count over all
-// sealed segments, filling per-segment cache misses with targeted counting
-// scans.
-func (m *Miner) countEverywhere(views []seglog.SegmentView, sets []item.Itemset, rs *refreshState) ([]int, error) {
-	total := make([]int, len(sets))
-	for _, v := range views {
-		sc := m.segs[segKeyOf(v.Entry)]
-		var missing []item.Itemset
-		for _, s := range sets {
-			if _, ok := sc.counts[s.Key()]; !ok {
-				missing = append(missing, s)
-			}
-		}
-		rs.st.CacheHits += len(sets) - len(missing)
-		if len(missing) > 0 {
-			if err := m.countInto(v, sc, missing, rs); err != nil {
-				return nil, err
-			}
-		}
-		for i, s := range sets {
-			c, ok := sc.counts[s.Key()]
-			if !ok {
-				return nil, fmt.Errorf("incr: segment %d: count for %v missing after scan", v.Entry.ID, s)
-			}
-			total[i] += c
-		}
-	}
-	return total, nil
-}
-
-// countInto counts sets exactly over one segment and caches the results.
-// Counting is done under the full ancestor extension; for any itemset that
-// is exactly the count a gen.ExtendTransform-restricted pass would produce
-// (a set's own items are always inside the restriction's used set).
-func (m *Miner) countInto(v seglog.SegmentView, sc *segCache, sets []item.Itemset, rs *refreshState) error {
-	if len(sets) == 0 {
-		return nil
-	}
-	rs.st.CountScans++
-	rs.st.CacheMisses += len(sets)
-	if rs.known[segKeyOf(v.Entry)] {
-		rs.st.OldSegmentScans++
-	}
-	bySize := map[int][]item.Itemset{}
-	maxK := 0
-	for _, s := range sets {
-		bySize[s.Len()] = append(bySize[s.Len()], s)
-		if s.Len() > maxK {
-			maxK = s.Len()
-		}
-	}
-	var sizes []int
-	for k := 1; k <= maxK; k++ {
-		if len(bySize[k]) > 0 {
-			sizes = append(sizes, k)
-		}
-	}
-	groups := make([][]item.Itemset, len(sizes))
-	for gi, k := range sizes {
-		groups[gi] = bySize[k]
-	}
-	cnt := m.opt.Count
-	cnt.TransformInto = m.tax.ExtendInto
-	cnt.Tax = m.tax
-	counts, err := count.Multi(v.DB, groups, cnt)
-	if err != nil {
-		return err
-	}
-	for gi := range groups {
-		for j, s := range groups[gi] {
-			sc.counts[s.Key()] = counts[gi][j]
-		}
-	}
-	return nil
 }

@@ -25,21 +25,20 @@ func testData(t testing.TB, n int, seed int64) (*taxonomy.Taxonomy, []item.Items
 	if err != nil {
 		t.Fatal(err)
 	}
-	var baskets []item.Itemset
-	if err := db.Scan(func(tx txdb.Transaction) error {
-		baskets = append(baskets, tx.Items.Clone())
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	return tax, baskets
+	return tax, basketsOf(db)
 }
 
-// miningOpts uses a support floor high enough that even the smallest
-// segment a test seals keeps a meaningful local threshold: Partition's
-// phase I degenerates when ceil(minSup·|segment|) approaches 1 (every
-// subset of every basket is locally large), which is the documented reason
-// segments must be sized sensibly, not confetti.
+// basketsOf lists a generated database's itemsets in order.
+func basketsOf(db *txdb.MemDB) []item.Itemset {
+	var baskets []item.Itemset
+	for _, tx := range db.Transactions() {
+		baskets = append(baskets, tx.Items)
+	}
+	return baskets
+}
+
+// miningOpts is the configuration every equivalence test mines with, on
+// both sides.
 func miningOpts() negative.Options {
 	return negative.Options{MinSupport: 0.15, MinRI: 0.3}
 }
@@ -47,6 +46,11 @@ func miningOpts() negative.Options {
 // batchMine runs the batch Improved pipeline over the same transactions the
 // log holds.
 func batchMine(t *testing.T, log *seglog.Log, tax *taxonomy.Taxonomy) *negative.Result {
+	t.Helper()
+	return batchMineWith(t, log, tax, miningOpts())
+}
+
+func batchMineWith(t *testing.T, log *seglog.Log, tax *taxonomy.Taxonomy, opt negative.Options) *negative.Result {
 	t.Helper()
 	var txs []txdb.Transaction
 	if err := log.Scan(func(tx txdb.Transaction) error {
@@ -59,7 +63,7 @@ func batchMine(t *testing.T, log *seglog.Log, tax *taxonomy.Taxonomy) *negative.
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := negative.Mine(db, tax, miningOpts())
+	res, err := negative.Mine(db, tax, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +83,7 @@ func reportBytes(t *testing.T, res *negative.Result) []byte {
 }
 
 // fillLog appends baskets in batches and seals every sealEvery batches.
-func fillLog(t *testing.T, log *seglog.Log, baskets []item.Itemset, batch, sealEvery int) {
+func fillLog(t testing.TB, log *seglog.Log, baskets []item.Itemset, batch, sealEvery int) {
 	t.Helper()
 	if batch <= 0 {
 		batch = 50
@@ -178,61 +182,9 @@ func sortInts(a []int) {
 	}
 }
 
-// TestReplicaDeltaScansOnlyNewSegments is the acceptance check for the
-// refresh cost model: when the delta replicates the base distribution (the
-// steady state of a live feed, made exact here by appending a replica of a
-// base block), the candidate sets are stable, so a refresh after a 10%
-// delta must scan the new segment only — every old-segment count comes
-// from the cache.
-func TestReplicaDeltaScansOnlyNewSegments(t *testing.T) {
-	tax, baskets := testData(t, 500, 3)
-	block := baskets[:50]
-	log, err := seglog.Open(t.TempDir(), seglog.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer log.Close()
-	// Base: ten sealed segments, each one replica of the block, so relative
-	// supports are exactly the block's and stay fixed as replicas arrive.
-	for i := 0; i < 10; i++ {
-		fillLog(t, log, block, len(block), 1)
-	}
-
-	m := New(tax, miningOpts())
-	base, err := m.Refresh(log)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// 10% delta: one more replica segment.
-	fillLog(t, log, block, len(block), 1)
-	got, err := m.Refresh(log)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := m.LastStats()
-	if st.NewSegments != 1 {
-		t.Fatalf("delta refresh mined %d new segments, want 1 (stats %+v)", st.NewSegments, st)
-	}
-	if st.OldSegmentScans != 0 {
-		t.Fatalf("delta refresh scanned %d old segments, want 0 (stats %+v)", st.OldSegmentScans, st)
-	}
-	if st.CacheHits == 0 {
-		t.Fatalf("delta refresh hit the cache %d times — caching is not engaged", st.CacheHits)
-	}
-	// And still exactly equal to the batch result.
-	want := batchMine(t, log, tax)
-	gb, wb := reportBytes(t, got), reportBytes(t, want)
-	if !bytes.Equal(gb, wb) {
-		t.Fatal("delta refresh report differs from batch")
-	}
-	if len(base.Rules) == 0 && len(got.Rules) == 0 {
-		t.Fatal("no rules mined before or after the delta — the test is vacuous")
-	}
-}
-
-// TestRefreshSurvivesCompaction compacts the log between refreshes; the
-// merged segment is new to the cache and the result must stay exact.
+// TestRefreshSurvivesCompaction compacts the log between refreshes: the
+// sealed log no longer extends the prefix the index covers, which forces
+// exactly one rebuild, and the result stays exact.
 func TestRefreshSurvivesCompaction(t *testing.T) {
 	tax, baskets := testData(t, 400, 4)
 	log, err := seglog.Open(t.TempDir(), seglog.Options{CompactUnder: 1 << 20})
@@ -257,5 +209,14 @@ func TestRefreshSurvivesCompaction(t *testing.T) {
 	gb, wb := reportBytes(t, got), reportBytes(t, want)
 	if !bytes.Equal(gb, wb) {
 		t.Fatal("post-compaction refresh report differs from batch")
+	}
+	if st := m.LastStats(); st.OldSegmentScans != st.Segments || st.NewSegments != st.Segments {
+		t.Fatalf("post-compaction refresh did not rebuild over the whole log: %+v", st)
+	}
+	if _, err := m.Refresh(log); err != nil {
+		t.Fatal(err)
+	}
+	if st := m.LastStats(); st.OldSegmentScans != 0 || st.NewSegments != 0 {
+		t.Fatalf("refresh after the rebuild read segments again: %+v", st)
 	}
 }

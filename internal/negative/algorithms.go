@@ -34,9 +34,8 @@ func mineImproved(db txdb.DB, tax *taxonomy.Taxonomy, opt Options) (*Result, err
 
 // mineStages23 runs candidate generation, counting and rule generation (the
 // paper's stages 2 and 3) against an already-mined stage-1 result, with the
-// counting pass delegated to countFn. Both the batch Improved driver and the
-// incremental refresh path (internal/incr) go through here, which is what
-// makes their rule sets identical by construction.
+// counting pass delegated to countFn. The batch Improved driver and
+// MineWithCounts both go through here.
 func mineStages23(large *apriori.Result, tax *taxonomy.Taxonomy, opt Options, countFn CountFunc) (*Result, error) {
 	res := &Result{Large: large, CandidatesBySize: map[int]int{}}
 	if len(large.Levels) < 2 {

@@ -27,10 +27,10 @@ type CountFunc func(groups [][]item.Itemset, transforms []count.TransformInto) (
 // obtained elsewhere, delegating the candidate counting pass to countFn.
 //
 // The batch Improved driver is MineWithCounts applied to gen.Mine's result
-// with a whole-database CountFunc; internal/incr applies it to a result
-// merged from per-segment partitions with a segment-cached CountFunc. Equal
-// stage-1 results and exact counts therefore yield byte-identical rule sets
-// — both paths are the same code from here on.
+// with a whole-database CountFunc; a caller with another source of exact
+// counts (a cache, an instrumented pass) supplies its own. Equal stage-1
+// results and exact counts yield byte-identical rule sets — every caller
+// runs the same code from here on.
 func MineWithCounts(large *apriori.Result, tax *taxonomy.Taxonomy, opt Options, countFn CountFunc) (*Result, error) {
 	if err := opt.validate(); err != nil {
 		return nil, err

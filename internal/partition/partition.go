@@ -384,22 +384,6 @@ func phaseOneParallel(db rangeScanner, n, parts, partSize int, opt Options, tran
 	return nil
 }
 
-// LocallyLarge mines one in-memory partition — transactions already
-// taxonomy-extended — and returns its locally large itemsets, sorted. This
-// is phase I for a single partition, exported for internal/incr, where the
-// sealed segments of a transaction log play the role of the algorithm's
-// partitions and their local results are cached between refreshes.
-func LocallyLarge(part []item.Itemset, minSupport float64, maxK int, tax *taxonomy.Taxonomy) []item.Itemset {
-	local := make(map[item.Key]struct{})
-	locallyLarge(part, Options{MinSupport: minSupport, MaxK: maxK, Taxonomy: tax}, local)
-	out := make([]item.Itemset, 0, len(local))
-	for k := range local {
-		out = append(out, k.Itemset())
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
-	return out
-}
-
 // locallyLarge mines one in-memory partition with vertical tidlists and adds
 // every locally large itemset to global.
 func locallyLarge(part []item.Itemset, opt Options, global map[item.Key]struct{}) {

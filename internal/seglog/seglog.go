@@ -8,10 +8,9 @@
 // active segment is truncated at the first torn frame — which by the
 // fsync-before-ack contract can only contain unacknowledged transactions.
 //
-// Sealed segments double as the partitions of the paper's Partition
-// algorithm: internal/incr mines each sealed segment locally and caches the
-// per-segment counts, which is what makes incremental re-mining scan only
-// the segments that are new since the last refresh.
+// Sealed segments are immutable and only ever added at the end, which is
+// what lets internal/incr keep a vertical index of the sealed log and read
+// only the segments that are new since the last refresh.
 package seglog
 
 import (

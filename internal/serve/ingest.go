@@ -70,6 +70,9 @@ type IngestStats struct {
 	LastRefreshSeconds     float64 `json:"lastRefreshSeconds,omitempty"`
 	LastRefreshNewSegments int     `json:"lastRefreshNewSegments,omitempty"`
 	LastRefreshOldScans    int     `json:"lastRefreshOldSegmentScans"`
+	// LastRefresh accounts for that refresh stage by stage (absent until
+	// one has completed).
+	LastRefresh *RefreshBreakdown `json:"lastRefresh,omitempty"`
 	// High-availability state. Role is primary | standby | fenced (empty on
 	// non-HA daemons); the counters mirror the seglog's fencing and dedup
 	// activity, and ReplLagSegments is the standby's sealed-segment lag.
@@ -79,6 +82,19 @@ type IngestStats struct {
 	DedupHits       int64  `json:"dedupHits,omitempty"`
 	DedupEntries    int    `json:"dedupEntries,omitempty"`
 	ReplLagSegments int    `json:"replLagSegments,omitempty"`
+}
+
+// RefreshBreakdown says where the last refresh's wall time went — the parts
+// add up to IngestStats.LastRefreshSeconds — and what its index held.
+type RefreshBreakdown struct {
+	IndexAppendSeconds float64 `json:"indexAppendSeconds"`
+	Stage1Seconds      float64 `json:"stage1Seconds"`
+	RestrictSeconds    float64 `json:"restrictSeconds"`
+	CandGenSeconds     float64 `json:"candgenSeconds"`
+	CountSeconds       float64 `json:"countSeconds"`
+	RuleGenSeconds     float64 `json:"rulegenSeconds"`
+	IndexBytes         int64   `json:"indexBytes"`
+	LargeItems         int     `json:"largeItems"`
 }
 
 // IngestSink accepts batches of named baskets from POST /ingest. The serve
