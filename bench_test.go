@@ -20,6 +20,7 @@ import (
 	"negmine/internal/bench"
 	"negmine/internal/count"
 	"negmine/internal/gen"
+	"negmine/internal/govern"
 	"negmine/internal/negative"
 )
 
@@ -184,31 +185,55 @@ func BenchmarkBackends(b *testing.B) {
 
 // BenchmarkCountingBackends compares the counting engines — Agrawal-Srikant
 // hash tree vs vertical TID bitmap — on the Improved algorithm's negative
-// stage, Short and Tall presets. This is where the hashtree÷bitmap ratio
-// is reproduced; the benchmark's count.negpass_s and bitmat.* layers time
-// the counting pass alone.
+// stage, Short and Tall presets, plus the bitmap engine under a memory
+// budget of a sixteenth of its widest matrix (the multi-window path). This
+// is where the hashtree÷bitmap ratio is reproduced; the benchmark's
+// count.negpass_s and bitmat.* layers time the counting pass alone.
 func BenchmarkCountingBackends(b *testing.B) {
 	short, tall := datasets(b)
 	for _, ds := range []*bench.Dataset{short, tall} {
-		for _, backend := range []count.Backend{count.BackendHashTree, count.BackendBitmap} {
-			b.Run(fmt.Sprintf("%s/%s", ds.Name, backend), func(b *testing.B) {
+		mine := func(b *testing.B, backend count.Backend, mem *govern.Budget) float64 {
+			opt := negative.Options{
+				MinSupport: 0.015,
+				MinRI:      0.5,
+				Algorithm:  negative.Improved,
+				Gen:        gen.Options{Algorithm: gen.Cumulate, MaxK: benchMaxK},
+			}
+			opt.Count.Backend, opt.Count.Mem = backend, mem
+			opt.Gen.Count = opt.Count
+			res, err := negative.Mine(ds.DB, ds.Tax, opt)
+			if err != nil {
+				b.Fatal(err)
+			}
+			return res.Timing.Negative.Seconds()
+		}
+		for _, c := range []struct {
+			name     string
+			backend  count.Backend
+			budgeted bool
+		}{
+			{"hashtree", count.BackendHashTree, false},
+			{"bitmap", count.BackendBitmap, false},
+			{"bitmap/mem=matrix÷16", count.BackendBitmap, true},
+		} {
+			b.Run(fmt.Sprintf("%s/%s", ds.Name, c.name), func(b *testing.B) {
+				var mem *govern.Budget
+				if c.budgeted {
+					// An unlimited ledger still tracks: its high water after
+					// one mine is the widest matrix any pass reserved.
+					ledger := govern.NewBudget(0)
+					mine(b, c.backend, ledger)
+					mem = govern.NewBudget(ledger.HighWater() / 16)
+					b.ResetTimer()
+				}
 				var negSec float64
 				for i := 0; i < b.N; i++ {
-					opt := negative.Options{
-						MinSupport: 0.015,
-						MinRI:      0.5,
-						Algorithm:  negative.Improved,
-						Gen:        gen.Options{Algorithm: gen.Cumulate, MaxK: benchMaxK},
-					}
-					opt.Count.Backend = backend
-					opt.Gen.Count.Backend = backend
-					res, err := negative.Mine(ds.DB, ds.Tax, opt)
-					if err != nil {
-						b.Fatal(err)
-					}
-					negSec += res.Timing.Negative.Seconds()
+					negSec += mine(b, c.backend, mem)
 				}
 				b.ReportMetric(negSec/float64(b.N), "neg-sec/op")
+				if c.budgeted {
+					b.ReportMetric(float64(mem.HighWater()), "highwater-B")
+				}
 			})
 		}
 	}

@@ -9,7 +9,9 @@
 //
 // -scale divides the transaction count (50,000 at scale 1) while keeping
 // the paper's 8,000-item universe, so relative supports — and hence every
-// curve's shape — are preserved. Absolute times shrink accordingly.
+// curve's shape — are preserved. Absolute times shrink accordingly. -disk
+// and -slowio model the paper's I/O-bound setting and count with its hash
+// tree unless -backend names another engine.
 package main
 
 import (
@@ -86,6 +88,12 @@ func run(args []string, out io.Writer) error {
 	countBackend, err := count.ParseBackend(*backend)
 	if err != nil {
 		return err
+	}
+	if (*disk || *slowIO > 0) && countBackend == count.BackendAuto {
+		// The I/O-bound runs reproduce the paper's engine, whose cost is the
+		// per-transaction probing the simulated device is charged beside.
+		countBackend = count.BackendHashTree
+		fmt.Fprintf(out, "counting backend: %v (the paper's engine, pinned for -disk/-slowio; -backend overrides)\n", countBackend)
 	}
 	cfg := bench.TimingConfig{
 		MinSupsPct: sups,

@@ -43,6 +43,30 @@ func TestFiguresSmall(t *testing.T) {
 	}
 }
 
+// TestIOBoundRunsPinTheHashTree: -disk/-slowio runs are the paper's I/O-bound
+// setting and keep its engine unless -backend says otherwise.
+func TestIOBoundRunsPinTheHashTree(t *testing.T) {
+	const pinned = "counting backend: hashtree"
+	for _, tc := range []struct {
+		args []string
+		want bool
+	}{
+		{[]string{"-slowio", "1"}, true},
+		{[]string{"-disk"}, true},
+		{[]string{"-slowio", "1", "-backend", "bitmap"}, false},
+		{nil, false},
+	} {
+		var out bytes.Buffer
+		args := append([]string{"-fig", "5", "-scale", "100", "-minsups", "3", "-maxk", "2"}, tc.args...)
+		if err := run(args, &out); err != nil {
+			t.Fatalf("%v: %v", tc.args, err)
+		}
+		if got := strings.Contains(out.String(), pinned); got != tc.want {
+			t.Errorf("%v: output names the pinned backend = %v, want %v:\n%s", tc.args, got, tc.want, out.String())
+		}
+	}
+}
+
 func TestRunErrors(t *testing.T) {
 	var out bytes.Buffer
 	if err := run([]string{}, &out); err == nil {

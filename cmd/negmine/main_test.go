@@ -98,6 +98,58 @@ func TestRunBinaryInput(t *testing.T) {
 	}
 }
 
+// TestBinaryInputSameRulesUnderEveryBackend: a file-backed database gets no
+// engine of its own — the default backend and both named ones print the same
+// report, timing lines aside.
+func TestBinaryInputSameRulesUnderEveryBackend(t *testing.T) {
+	data, taxPath := writeFixtures(t)
+	tf, err := os.Open(taxPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tax, err := negmine.ParseTaxonomy(tf)
+	tf.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := negmine.ReadBaskets(f, tax.Dictionary()) // ids the taxonomy knows
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bin := filepath.Join(t.TempDir(), "x.nmtx")
+	if err := negmine.SaveDB(bin, db); err != nil {
+		t.Fatal(err)
+	}
+	reports := map[string]string{}
+	for _, backend := range []string{"auto", "bitmap", "hashtree"} {
+		var out bytes.Buffer
+		err := run([]string{"-data", bin, "-tax", taxPath, "-minsup", "0.15", "-minri", "0.3", "-negatives", "-backend", backend}, &out)
+		if err != nil {
+			t.Fatalf("-backend %s: %v", backend, err)
+		}
+		var kept []string
+		for _, line := range strings.Split(out.String(), "\n") {
+			if !strings.Contains(line, " in ") && !strings.Contains(line, "(restrict") {
+				kept = append(kept, line)
+			}
+		}
+		reports[backend] = strings.Join(kept, "\n")
+	}
+	if !strings.Contains(reports["auto"], "{pepsi} =/=> {chips}") {
+		t.Fatalf("default backend mined no rule from the binary file:\n%s", reports["auto"])
+	}
+	for _, backend := range []string{"bitmap", "hashtree"} {
+		if reports[backend] != reports["auto"] {
+			t.Errorf("-backend %s prints a different report than the default:\n%s\n--- auto ---\n%s", backend, reports[backend], reports["auto"])
+		}
+	}
+}
+
 func TestRunFlagErrors(t *testing.T) {
 	data, tax := writeFixtures(t)
 	var out bytes.Buffer

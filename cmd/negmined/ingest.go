@@ -7,11 +7,15 @@ import (
 	"sync/atomic"
 	"time"
 
-	"negmine"
 	"negmine/internal/incr"
 	"negmine/internal/item"
+	"negmine/internal/negative"
+	"negmine/internal/report"
+	"negmine/internal/rulestore"
 	"negmine/internal/seglog"
 	"negmine/internal/serve"
+	"negmine/internal/taxonomy"
+	"negmine/internal/txdb"
 )
 
 // ingestController is the streaming-mode backend: it owns the segment log
@@ -25,8 +29,8 @@ import (
 type ingestController struct {
 	log   *seglog.Log
 	miner *incr.Miner
-	tax   *negmine.Taxonomy
-	opt   negmine.NegativeOptions
+	tax   *taxonomy.Taxonomy
+	opt   negative.Options
 
 	srv        atomic.Pointer[serve.Server] // set after NewServer (attach)
 	pending    atomic.Int64                 // txns appended since last refresh start
@@ -48,7 +52,7 @@ type ingestController struct {
 // newIngestController opens (or creates) the segment log, seeds it from
 // dataPath when the log is empty and a seed is given, and returns the
 // controller ready to be wired into a Server.
-func newIngestController(dir, dataPath, taxPath string, opt negmine.NegativeOptions, remineTxns, cacheSize, dedupWindow int, keep func(ante, cons []string) bool) (*ingestController, error) {
+func newIngestController(dir, dataPath, taxPath string, opt negative.Options, remineTxns, cacheSize, dedupWindow int, keep func(ante, cons []string) bool) (*ingestController, error) {
 	tax, err := loadTaxonomy(taxPath)
 	if err != nil {
 		return nil, err
@@ -125,7 +129,7 @@ func (c *ingestController) seed(dataPath string) error {
 		buf = buf[:0]
 		return c.log.Seal()
 	}
-	err = db.Scan(func(tx negmine.Transaction) error {
+	err = db.Scan(func(tx txdb.Transaction) error {
 		buf = append(buf, tx.Items.Clone())
 		if len(buf) == batch {
 			return flush()
@@ -160,8 +164,8 @@ func (c *ingestController) load(ctx context.Context) (*serve.Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	rep := negmine.BuildNegativeReport(res, c.opt.MinSupport, c.opt.MinRI, c.tax.Name)
-	st := negmine.RuleStoreFromReport(rep)
+	rep := report.BuildNegative(res, c.opt.MinSupport, c.opt.MinRI, c.tax.Name)
+	st := rulestore.FromReport(rep)
 	c.refreshes.Add(1)
 	meta := serve.Meta{
 		Source:     "ingest " + c.log.Dir(),

@@ -274,8 +274,14 @@ func TestStreamingAutoRemine(t *testing.T) {
 		}
 		waitRefreshes(h, 2)
 		want := referenceStore(t, taxPath, baskets)
-		if got := srv.Snapshot().Len(); got != want.Len() {
-			t.Fatalf("timer-refreshed snapshot serves %d rules, want %d", got, want.Len())
+		// The refresh counter ticks when the mine ends, a moment before the
+		// snapshot built from it is swapped in.
+		deadline := time.Now().Add(15 * time.Second)
+		for srv.Snapshot().Len() != want.Len() {
+			if time.Now().After(deadline) {
+				t.Fatalf("timer-refreshed snapshot serves %d rules, want %d", srv.Snapshot().Len(), want.Len())
+			}
+			time.Sleep(25 * time.Millisecond)
 		}
 	})
 }

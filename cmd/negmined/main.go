@@ -117,10 +117,17 @@ import (
 	"syscall"
 	"time"
 
-	"negmine"
 	"negmine/internal/artifact"
+	"negmine/internal/count"
+	"negmine/internal/gen"
 	"negmine/internal/govern"
+	"negmine/internal/item"
+	"negmine/internal/negative"
+	"negmine/internal/report"
+	"negmine/internal/rulestore"
 	"negmine/internal/serve"
+	"negmine/internal/taxonomy"
+	"negmine/internal/txdb"
 )
 
 func main() {
@@ -609,29 +616,29 @@ func parseFlags(args []string, out io.Writer) (*config, error) {
 		return withShard(withSnapshots(cfg))
 	}
 
-	opt := negmine.NegativeOptions{MinSupport: *minSup, MinRI: *minRI}
+	opt := negative.Options{MinSupport: *minSup, MinRI: *minRI}
 	switch strings.ToLower(*algName) {
 	case "better", "improved":
-		opt.Algorithm = negmine.Improved
+		opt.Algorithm = negative.Improved
 	case "naive":
-		opt.Algorithm = negmine.Naive
+		opt.Algorithm = negative.Naive
 	default:
 		return nil, usageErrf(fs, "unknown -alg %q (want better or naive)", *algName)
 	}
 	switch strings.ToLower(*genName) {
 	case "basic":
-		opt.Gen.Algorithm = negmine.Basic
+		opt.Gen.Algorithm = gen.Basic
 	case "cumulate":
-		opt.Gen.Algorithm = negmine.Cumulate
+		opt.Gen.Algorithm = gen.Cumulate
 	case "estmerge":
-		opt.Gen.Algorithm = negmine.EstMerge
+		opt.Gen.Algorithm = gen.EstMerge
 	default:
 		return nil, usageErrf(fs, "unknown -gen %q (want basic, cumulate or estmerge)", *genName)
 	}
 	opt.Gen.MaxK = *maxK
 	opt.Count.Parallelism = *parallel
 	opt.Gen.Count.Parallelism = *parallel
-	cb, err := negmine.ParseCountBackend(*backend)
+	cb, err := count.ParseBackend(*backend)
 	if err != nil {
 		return nil, usageErrf(fs, "%v", err)
 	}
@@ -681,11 +688,11 @@ func reportLoader(repPath, taxPath string, cacheSize int, keep func(ante, cons [
 			return nil, err
 		}
 		defer f.Close()
-		rep, err := negmine.ReadNegativeReport(f)
+		rep, err := report.ReadNegativeJSON(f)
 		if err != nil {
 			return nil, fmt.Errorf("reading %s: %w", repPath, err)
 		}
-		st := negmine.RuleStoreFromReport(rep)
+		st := rulestore.FromReport(rep)
 		meta := serve.Meta{
 			Source:     "report " + repPath,
 			MinSupport: rep.MinSupport,
@@ -702,7 +709,7 @@ func reportLoader(repPath, taxPath string, cacheSize int, keep func(ante, cons [
 // mineLoader runs the full mining pipeline on every (re)load — hot
 // re-mining. Data and taxonomy are re-read each time so dropping a fresh
 // file in place plus /reload (or -watch) picks it up.
-func mineLoader(dataPath, taxPath string, opt negmine.NegativeOptions, cacheSize int, keep func(ante, cons []string) bool) serve.LoadFunc {
+func mineLoader(dataPath, taxPath string, opt negative.Options, cacheSize int, keep func(ante, cons []string) bool) serve.LoadFunc {
 	return func(ctx context.Context) (*serve.Snapshot, error) {
 		tax, err := loadTaxonomy(taxPath)
 		if err != nil {
@@ -712,11 +719,12 @@ func mineLoader(dataPath, taxPath string, opt negmine.NegativeOptions, cacheSize
 		if err != nil {
 			return nil, err
 		}
-		rep, err := negmine.MineNegativeReport(db, tax, opt)
+		res, err := negative.Mine(db, tax, opt)
 		if err != nil {
 			return nil, fmt.Errorf("mining %s: %w", dataPath, err)
 		}
-		st := negmine.RuleStoreFromReport(rep)
+		rep := report.BuildNegative(res, opt.MinSupport, opt.MinRI, tax.Name)
+		st := rulestore.FromReport(rep)
 		meta := serve.Meta{
 			Source:     "mined " + dataPath,
 			MinSupport: opt.MinSupport,
@@ -730,27 +738,27 @@ func mineLoader(dataPath, taxPath string, opt negmine.NegativeOptions, cacheSize
 	}
 }
 
-func loadTaxonomy(path string) (*negmine.Taxonomy, error) {
+func loadTaxonomy(path string) (*taxonomy.Taxonomy, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	tax, err := negmine.ParseTaxonomy(f)
+	tax, err := taxonomy.Parse(f)
 	if err != nil {
 		return nil, fmt.Errorf("parsing taxonomy %s: %w", path, err)
 	}
 	return tax, nil
 }
 
-func loadData(path string, dict *negmine.Dictionary) (negmine.DB, error) {
+func loadData(path string, dict *item.Dictionary) (txdb.DB, error) {
 	if strings.HasSuffix(path, ".nmtx") || strings.HasSuffix(path, ".nmtx.gz") {
-		return negmine.OpenDB(path)
+		return txdb.OpenFile(path)
 	}
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	return negmine.ReadBaskets(f, dict)
+	return txdb.ReadBaskets(f, dict)
 }

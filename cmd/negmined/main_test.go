@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -451,5 +452,30 @@ func TestGovernanceFlagValidation(t *testing.T) {
 	}
 	if errors.As(err, &ue) {
 		t.Fatal("-h classified as usage error (would exit 2, want 0)")
+	}
+}
+
+// TestDaemonLinksNoBatchOnlyPackages pins the daemon's import graph: it
+// reaches the miner through the internal packages it uses, not through the
+// root facade, which would link the Partition miner and the data generator
+// into a process that runs neither.
+func TestDaemonLinksNoBatchOnlyPackages(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs go list; skipped in -short")
+	}
+	out, err := exec.Command("go", "list", "-deps", ".").CombinedOutput()
+	if err != nil {
+		t.Fatalf("go list -deps: %v\n%s", err, out)
+	}
+	banned := map[string]bool{
+		"negmine":                    true,
+		"negmine/internal/partition": true,
+		"negmine/internal/datagen":   true,
+		"negmine/internal/bench":     true,
+	}
+	for _, pkg := range strings.Fields(string(out)) {
+		if banned[pkg] {
+			t.Errorf("cmd/negmined depends on %s", pkg)
+		}
 	}
 }

@@ -248,12 +248,11 @@ func TestMineWithTransform(t *testing.T) {
 	)
 	res, err := Mine(db, Options{
 		MinSupport: 0.6,
-		Count: count.Options{Transform: func(s item.Itemset) item.Itemset {
-			out := make([]item.Item, len(s))
-			for i, x := range s {
-				out[i] = x % 2
+		Count: count.Options{TransformInto: func(dst []item.Item, s item.Itemset) item.Itemset {
+			for _, x := range s {
+				dst = append(dst, x%2)
 			}
-			return item.New(out...)
+			return item.SortDedup(dst)
 		}},
 	})
 	if err != nil {
@@ -265,6 +264,57 @@ func TestMineWithTransform(t *testing.T) {
 	}
 	if got["{0}"] != 2 || got["{1}"] != 2 {
 		t.Errorf("transformed counts = %v", got)
+	}
+}
+
+// TestBaselinesHonourTransform: the comparison baselines transform every
+// pass, not just pass 1, so under the same transform they equal Mine.
+func TestBaselinesHonourTransform(t *testing.T) {
+	r := rand.New(rand.NewSource(51))
+	db := &txdb.MemDB{}
+	for i := 0; i < 150; i++ {
+		raw := make([]item.Item, 1+r.Intn(7))
+		for j := range raw {
+			raw[j] = item.Item(r.Intn(30))
+		}
+		db.Append(txdb.Transaction{TID: int64(i + 1), Items: item.New(raw...)})
+	}
+	opt := Options{
+		MinSupport: 0.1,
+		Count: count.Options{TransformInto: func(dst []item.Item, s item.Itemset) item.Itemset {
+			for _, x := range s {
+				dst = append(dst, x/3)
+			}
+			return item.SortDedup(dst)
+		}},
+	}
+	want, err := Mine(db, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want.Levels) < 2 {
+		t.Fatalf("test premise: only %d levels mined", len(want.Levels))
+	}
+	baselines := map[string]func() (*Result, error){
+		"MineTid":               func() (*Result, error) { return MineTid(db, opt) },
+		"MineHybrid":            func() (*Result, error) { return MineHybrid(db, HybridOptions{Options: opt}) },
+		"MineHybrid(no switch)": func() (*Result, error) { return MineHybrid(db, HybridOptions{Options: opt, SwitchBudget: 1}) },
+		"MineDHP":               func() (*Result, error) { return MineDHP(db, DHPOptions{Options: opt}) },
+	}
+	for name, mine := range baselines {
+		got, err := mine()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		a, b := want.Large(), got.Large()
+		if len(a) != len(b) {
+			t.Fatalf("%s: %d large itemsets, Mine found %d", name, len(b), len(a))
+		}
+		for i := range a {
+			if !a[i].Set.Equal(b[i].Set) || a[i].Count != b[i].Count {
+				t.Fatalf("%s itemset %d: %v/%d, Mine has %v/%d", name, i, b[i].Set, b[i].Count, a[i].Set, a[i].Count)
+			}
+		}
 	}
 }
 

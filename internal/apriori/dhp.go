@@ -43,10 +43,9 @@ func MineDHP(db txdb.DB, opt DHPOptions) (*Result, error) {
 	n := db.Count()
 	res := &Result{Table: item.NewSupportTable(n), N: n, MinCount: MinCount(opt.MinSupport, n)}
 
+	var buf []item.Item // transform scratch; scans are sequential
 	transform := func(s item.Itemset) item.Itemset {
-		if opt.Count.Transform != nil {
-			return opt.Count.Transform(s)
-		}
+		s, buf = opt.Count.Apply(buf, s)
 		return s
 	}
 

@@ -57,6 +57,7 @@ func MineHybrid(db txdb.DB, opt HybridOptions) (*Result, error) {
 
 	var tidLists [][]int32 // nil until switched
 	switched := false
+	var buf []item.Item // transform scratch
 
 	for k := 2; opt.MaxK == 0 || k <= opt.MaxK; k++ {
 		if !switched {
@@ -72,10 +73,8 @@ func MineHybrid(db txdb.DB, opt HybridOptions) (*Result, error) {
 			collect := estimatedEntries <= budget
 			var lists [][]int32
 			scanErr := db.Scan(func(tx txdb.Transaction) error {
-				s := tx.Items
-				if opt.Count.Transform != nil {
-					s = opt.Count.Transform(s)
-				}
+				var s item.Itemset
+				s, buf = opt.Count.Apply(buf, tx.Items)
 				if !collect {
 					counter.Add(s)
 					return nil

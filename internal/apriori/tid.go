@@ -53,11 +53,10 @@ func MineTid(db txdb.DB, opt Options) (*Result, error) {
 	// itemsets contained in transaction t. Transactions with no ids are
 	// dropped from the slice.
 	var tidLists [][]int32
+	var buf []item.Item // transform scratch
 	if err := db.Scan(func(tx txdb.Transaction) error {
-		s := tx.Items
-		if opt.Count.Transform != nil {
-			s = opt.Count.Transform(s)
-		}
+		var s item.Itemset
+		s, buf = opt.Count.Apply(buf, tx.Items)
 		var ids []int32
 		for _, x := range s {
 			if id, ok := idOf[x]; ok {

@@ -77,12 +77,11 @@ func TestMineTidTransform(t *testing.T) {
 	db := txdb.FromItemsets([]item.Item{10}, []item.Item{10}, []item.Item{12})
 	res, err := MineTid(db, Options{
 		MinSupport: 0.5,
-		Count: count.Options{Transform: func(s item.Itemset) item.Itemset {
-			out := make([]item.Item, len(s))
-			for i, x := range s {
-				out[i] = x / 2
+		Count: count.Options{TransformInto: func(dst []item.Item, s item.Itemset) item.Itemset {
+			for _, x := range s {
+				dst = append(dst, x/2)
 			}
-			return item.New(out...)
+			return item.SortDedup(dst)
 		}},
 	})
 	if err != nil {

@@ -6,7 +6,7 @@
 // probing, which is the Eclat/Partition-style vertical representation the
 // paper's authors pioneered (Savasere–Omiecinski–Navathe, VLDB 1995).
 //
-// Two builders are provided:
+// Two builders are provided, both the one-window case of FillWindows:
 //
 //   - FromDB sets bits from each (optionally transformed) transaction —
 //     the generic path, correct for any transform.
@@ -17,9 +17,11 @@
 //     infrequent to have rows of their own), so Cumulate's transaction
 //     extension costs nothing at counting time.
 //
-// A Matrix is immutable after construction and safe for concurrent readers;
-// Counts shards candidates (not transactions) across workers, each with its
-// own scratch row.
+// A matrix narrower than the database holds one window of transactions at a
+// time (FillWindows); support is a count over transactions, so the windows'
+// counts add up. A filled Matrix is safe for concurrent readers; Counts
+// shards candidates (not transactions) across workers, each with its own
+// scratch row.
 package bitmat
 
 import (
@@ -36,8 +38,8 @@ import (
 // Matrix is a set of per-item bitmaps over transaction positions, stored
 // row-major in one contiguous word slice.
 type Matrix struct {
-	n     int   // transactions (bits per row)
-	words int   // words per row: ceil(n/64)
+	n     int // transactions (bits per row)
+	words int // words per row: ceil(n/64)
 	items item.Itemset
 	index map[item.Item]int32 // item → row number
 	bits  []uint64            // len = len(items)*words
@@ -73,7 +75,7 @@ func (m *Matrix) Items() item.Itemset { return m.items }
 func (m *Matrix) Bytes() int64 { return int64(len(m.bits)) * 8 }
 
 // EstimateBytes returns the bit-storage size of a matrix over nTx
-// transactions and nItems rows, for backend-selection budgeting.
+// transactions and nItems rows, for memory budgeting.
 func EstimateBytes(nTx, nItems int) int64 {
 	return int64(nItems) * int64((nTx+63)/64) * 8
 }
@@ -152,68 +154,78 @@ func NextSet(row []uint64, from int) int {
 // structurally so the two packages stay decoupled.
 type Transform func(dst []item.Item, s item.Itemset) item.Itemset
 
-// FromDB builds rows for items over one pass of db, applying transform (nil
-// = identity) to every transaction. Items in a (transformed) transaction
-// without a row are ignored, so callers must include every item they intend
-// to count.
-func FromDB(db txdb.DB, items item.Itemset, transform Transform) (*Matrix, error) {
-	m := New(items, db.Count())
+// FillWindows fills m from one pass over db, N() transactions at a time:
+// the i-th transaction scanned sets position i mod N() in the row of each of
+// its items that has one — under a taxonomy its items and all their
+// ancestors (transform is not consulted), otherwise the items transform (nil
+// = identity) maps it to. Whenever a window is full and db has more, full is
+// called and the rows are cleared for the next window; the last window —
+// the only one when N() covers db.Count() — is left in m for the caller.
+// Support is a count over transactions, so candidate counts add up across
+// windows. A scan that yields more than db.Count() transactions is an error.
+func (m *Matrix) FillWindows(db txdb.DB, tax *taxonomy.Taxonomy, transform Transform, full func() error) error {
+	n := db.Count()
 	buf := make([]item.Item, 0, 64)
-	tid := 0
-	err := db.Scan(func(tx txdb.Transaction) error {
-		if tid >= m.n {
-			return fmt.Errorf("bitmat: scan produced more than Count() = %d transactions", m.n)
+	seen, pos := 0, 0
+	return db.Scan(func(tx txdb.Transaction) error {
+		if seen == n {
+			return fmt.Errorf("bitmat: scan produced more than Count() = %d transactions", n)
+		}
+		if pos == m.n {
+			if err := full(); err != nil {
+				return err
+			}
+			clear(m.bits)
+			pos = 0
 		}
 		s := tx.Items
-		if transform != nil {
+		if tax == nil && transform != nil {
 			s = transform(buf[:0], s)
 			buf = s[:0]
 		}
 		for _, x := range s {
 			if r, ok := m.index[x]; ok {
-				m.set(r, tid)
+				m.set(r, pos)
+			}
+			if tax == nil {
+				continue
+			}
+			// The closure is walked directly rather than OR-composed from
+			// child rows so that descendant leaves without rows of their
+			// own (small 1-itemsets pruned from candidate generation) still
+			// contribute to their ancestors' support, as the paper requires.
+			for _, a := range tax.AncestorsOf(x) {
+				if r, ok := m.index[a]; ok {
+					m.set(r, pos)
+				}
 			}
 		}
-		tid++
+		seen++
+		pos++
 		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return m, nil
+}
+
+// FromDB builds rows for items over one pass of db, applying transform (nil
+// = identity) to every transaction: FillWindows with one window. Items in a
+// (transformed) transaction without a row are ignored, so callers must
+// include every item they intend to count.
+func FromDB(db txdb.DB, items item.Itemset, transform Transform) (*Matrix, error) {
+	return fromDB(db, nil, items, transform)
 }
 
 // FromDBTaxonomy builds rows for items over one pass of db's raw
 // transactions, setting each item's bit and the bits of all its taxonomy
-// ancestors — the ancestor-closure build. A category row therefore equals
-// the OR of its children's rows; the closure is walked directly rather than
-// OR-composed so that descendant leaves *without* rows of their own (e.g.
-// small 1-itemsets pruned from candidate generation) still contribute to
-// their ancestors' support, exactly as the paper requires.
+// ancestors — the ancestor-closure build, FillWindows with one window. A
+// category row therefore equals the OR of its children's rows, including
+// children too infrequent to have rows of their own.
 func FromDBTaxonomy(db txdb.DB, tax *taxonomy.Taxonomy, items item.Itemset) (*Matrix, error) {
-	if tax == nil {
-		return FromDB(db, items, nil)
-	}
+	return fromDB(db, tax, items, nil)
+}
+
+func fromDB(db txdb.DB, tax *taxonomy.Taxonomy, items item.Itemset, transform Transform) (*Matrix, error) {
 	m := New(items, db.Count())
-	tid := 0
-	err := db.Scan(func(tx txdb.Transaction) error {
-		if tid >= m.n {
-			return fmt.Errorf("bitmat: scan produced more than Count() = %d transactions", m.n)
-		}
-		for _, x := range tx.Items {
-			if r, ok := m.index[x]; ok {
-				m.set(r, tid)
-			}
-			for _, a := range tax.AncestorsOf(x) {
-				if r, ok := m.index[a]; ok {
-					m.set(r, tid)
-				}
-			}
-		}
-		tid++
-		return nil
-	})
-	if err != nil {
+	if err := m.FillWindows(db, tax, transform, nil); err != nil {
 		return nil, err
 	}
 	return m, nil
@@ -221,8 +233,7 @@ func FromDBTaxonomy(db txdb.DB, tax *taxonomy.Taxonomy, items item.Itemset) (*Ma
 
 // And writes a AND b into dst. All three must have equal length.
 func And(dst, a, b []uint64) {
-	_ = dst[len(a)-1]
-	_ = b[len(a)-1]
+	dst, b = dst[:len(a)], b[:len(a)]
 	for i := range a {
 		dst[i] = a[i] & b[i]
 	}
@@ -230,7 +241,7 @@ func And(dst, a, b []uint64) {
 
 // AndInto folds src into dst: dst &= src.
 func AndInto(dst, src []uint64) {
-	_ = src[len(dst)-1]
+	src = src[:len(dst)]
 	for i := range dst {
 		dst[i] &= src[i]
 	}
@@ -238,8 +249,7 @@ func AndInto(dst, src []uint64) {
 
 // Or writes a OR b into dst. All three must have equal length.
 func Or(dst, a, b []uint64) {
-	_ = dst[len(a)-1]
-	_ = b[len(a)-1]
+	dst, b = dst[:len(a)], b[:len(a)]
 	for i := range a {
 		dst[i] = a[i] | b[i]
 	}
@@ -247,7 +257,7 @@ func Or(dst, a, b []uint64) {
 
 // OrInto folds src into dst: dst |= src.
 func OrInto(dst, src []uint64) {
-	_ = src[len(dst)-1]
+	src = src[:len(dst)]
 	for i := range dst {
 		dst[i] |= src[i]
 	}
@@ -265,7 +275,7 @@ func PopCount(a []uint64) int {
 // AndPopCount returns the number of set bits in a AND b without
 // materializing the intersection.
 func AndPopCount(a, b []uint64) int {
-	_ = b[len(a)-1]
+	b = b[:len(a)]
 	n := 0
 	for i, w := range a {
 		n += bits.OnesCount64(w & b[i])

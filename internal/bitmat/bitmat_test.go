@@ -355,6 +355,14 @@ func TestKernels(t *testing.T) {
 	if got := AndPopCount(a, b); got != 1+1+0 {
 		t.Fatalf("AndPopCount = %d", got)
 	}
+	// Rows over zero transactions have no words; every kernel is a no-op.
+	And(nil, nil, nil)
+	Or(nil, nil, nil)
+	AndInto(nil, nil)
+	OrInto(nil, nil)
+	if got := AndPopCount(nil, nil); got != 0 {
+		t.Fatalf("AndPopCount over empty rows = %d", got)
+	}
 }
 
 func TestEstimateBytes(t *testing.T) {

@@ -1,11 +1,11 @@
 // Package count is the support-counting engine shared by every mining
 // algorithm in the library (Apriori, the generalized miners, the Partition
 // algorithm and the negative-itemset pass). Counting runs through a
-// pluggable Engine: the Agrawal–Srikant hash tree (per-transaction subset
-// probing, works over any database) or the vertical TID-bitmap matrix of
-// internal/bitmat (AND+popcount per candidate, memory-resident databases).
-// Options.Backend selects the engine; the default Auto heuristic is
-// documented on EngineFor.
+// pluggable Engine: the vertical TID-bitmap matrix of internal/bitmat
+// (AND+popcount per candidate, over as wide a window of transactions as the
+// memory budget grants) or the Agrawal–Srikant hash tree (per-transaction
+// subset probing, any transform). Options.Backend selects the engine; the
+// default is documented on EngineFor.
 package count
 
 import (
@@ -28,28 +28,20 @@ type Options struct {
 	Parallelism int
 	// MaxLeaf is the hash tree leaf capacity (0 = default).
 	MaxLeaf int
-	// Transform, if non-nil, maps each transaction's itemset before
-	// counting (the Cumulate ancestor extension, a filter, ...). It must be
-	// safe for concurrent calls when Parallelism > 1. New code should
-	// prefer TransformInto, which avoids a per-transaction allocation.
-	Transform func(item.Itemset) item.Itemset
-	// TransformInto is the allocation-free form of Transform: engines pass
-	// a reusable per-worker buffer as dst. It takes precedence over
-	// Transform when both are set.
+	// TransformInto, if non-nil, maps each transaction's itemset before
+	// counting (the Cumulate ancestor extension, a filter, ...); engines
+	// pass a reusable per-worker buffer as dst. It must be safe for
+	// concurrent calls when Parallelism > 1.
 	TransformInto TransformInto
 	// Backend selects the counting engine; the zero value is BackendAuto.
 	Backend Backend
-	// BitmapBudget caps the bitmap matrix size in bytes for BackendAuto
-	// selection (0 = DefaultBitmapBudget). An explicit BackendBitmap
-	// ignores the budget.
-	BitmapBudget int64
 	// Mem, if non-nil, is the process-wide memory ledger every engine
 	// reserves its dominant allocation against before making it: the bitmap
-	// engine its matrix, the hash-tree engine its trees and per-worker
-	// counters. A bitmap reservation that fails degrades the pass to the
-	// hash-tree engine (see MultiTransformed); a hash-tree reservation that
-	// fails is the floor of the ladder and surfaces as an error wrapping
-	// govern.ErrOverBudget. Nil means unbounded.
+	// engine its window of rows, which it narrows to what the ledger grants
+	// (floor: 64 transactions), the hash-tree engine its trees and
+	// per-worker counters. A floor that does not fit surfaces as an error
+	// wrapping govern.ErrOverBudget; no pass changes engine under pressure.
+	// Nil means unbounded.
 	Mem *govern.Budget
 	// Tax, if non-nil, declares that the installed transforms (shared or
 	// per-group) are taxonomy ancestor extensions — possibly filtered down
@@ -99,7 +91,7 @@ func Singletons(db txdb.DB, opt Options) (*item.Counter, error) {
 		buf := make([]item.Item, 0, 64)
 		return func(tx txdb.Transaction) error {
 			var s item.Itemset
-			s, buf = applyShared(opt, buf, tx.Items)
+			s, buf = opt.Apply(buf, tx.Items)
 			for _, x := range s {
 				if int(x) >= len(dense[w]) {
 					dense[w] = append(dense[w], make([]int, int(x)+1-len(dense[w]))...)

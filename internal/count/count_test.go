@@ -121,21 +121,20 @@ func TestSingletonsParallel(t *testing.T) {
 
 func TestTransformApplied(t *testing.T) {
 	db := txdb.FromItemsets([]item.Item{10}, []item.Item{20})
-	shift := func(s item.Itemset) item.Itemset {
-		out := make([]item.Item, len(s))
-		for i, x := range s {
-			out[i] = x + 1
+	shift := func(dst []item.Item, s item.Itemset) item.Itemset {
+		for _, x := range s {
+			dst = append(dst, x+1)
 		}
-		return item.New(out...)
+		return dst
 	}
-	got, err := Candidates(db, []item.Itemset{item.New(11)}, Options{Transform: shift})
+	got, err := Candidates(db, []item.Itemset{item.New(11)}, Options{TransformInto: shift})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got[0] != 1 {
 		t.Errorf("transformed count = %d, want 1", got[0])
 	}
-	c, err := Singletons(db, Options{Transform: shift})
+	c, err := Singletons(db, Options{TransformInto: shift})
 	if err != nil {
 		t.Fatal(err)
 	}

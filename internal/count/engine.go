@@ -5,34 +5,28 @@ import (
 	"strings"
 
 	"negmine/internal/bitmat"
-	"negmine/internal/fault"
+	"negmine/internal/govern"
 	"negmine/internal/item"
 	"negmine/internal/taxonomy"
 	"negmine/internal/txdb"
 )
 
-// PointBudget is the failpoint evaluated where BackendAuto checks the
-// bitmap memory budget; arming it with an error simulates a budget trip and
-// must produce a silent, correct fallback to the hash-tree engine.
-const PointBudget = "count.bitmap.budget"
-
 // Backend names a support-counting engine.
 type Backend int
 
 const (
-	// BackendAuto lets EngineFor choose: the bitmap engine when the database
-	// is memory-resident and the bitmap matrix fits Options.BitmapBudget,
-	// the hash-tree engine otherwise. It is the zero value, so existing
-	// callers get the heuristic without code changes.
+	// BackendAuto lets EngineFor choose: the bitmap engine unless a
+	// per-group transform is opaque to it (no Options.Tax). It is the zero
+	// value.
 	BackendAuto Backend = iota
 	// BackendHashTree forces per-transaction subset probing through the
 	// Agrawal–Srikant hash tree. It works over any DB (disk-resident,
 	// throttled, instrumented) and with arbitrary transforms.
 	BackendHashTree
 	// BackendBitmap forces the vertical TID-bitmap engine (internal/bitmat):
-	// one build pass, then AND+popcount per candidate. It requires either a
-	// shared transform or — for per-group transforms — an Options.Tax
-	// declaration that the transforms are ancestor extensions.
+	// one scan, AND+popcount per candidate and window of transactions. It
+	// requires either a shared transform or — for per-group transforms — an
+	// Options.Tax declaration that the transforms are ancestor extensions.
 	BackendBitmap
 )
 
@@ -63,10 +57,6 @@ func ParseBackend(s string) (Backend, error) {
 		return BackendAuto, fmt.Errorf("count: unknown backend %q (want auto, hashtree or bitmap)", s)
 	}
 }
-
-// DefaultBitmapBudget caps the bitmap matrix at 256 MiB when
-// Options.BitmapBudget is zero.
-const DefaultBitmapBudget int64 = 256 << 20
 
 // TransformInto maps a transaction's itemset before counting, appending the
 // result into dst (normally dst[:0] of a caller-owned scratch buffer) and
@@ -112,47 +102,17 @@ func indexOf(db txdb.DB, tax *taxonomy.Taxonomy) Indexed {
 }
 
 // EngineFor selects the engine for a counting pass. An Indexed database
-// counts from its own rows; otherwise explicit Backend values are obeyed and
-// BackendAuto applies the heuristic: bitmap only when
-//
-//   - the database is a memory-resident *txdb.MemDB — wrappers like
-//     txdb.Instrumented or txdb.Throttled model disk-resident access and
-//     keep the paper-faithful hash-tree scan, and
-//   - per-group transforms, if any, are declared as taxonomy ancestor
-//     extensions via Options.Tax (the bitmap engine cannot honor opaque
-//     per-group transforms), and
-//   - the matrix over the groups' distinct items fits Options.BitmapBudget.
+// counts from its own rows. Otherwise the bitmap engine counts, over any
+// database — it honours memory itself, by narrowing its transaction window —
+// unless BackendHashTree asks for the hash tree or, under BackendAuto, a
+// per-group transform is opaque to it (not declared an ancestor extension
+// via Options.Tax).
 func EngineFor(db txdb.DB, groups [][]item.Itemset, transforms []TransformInto, opt Options) Engine {
 	if indexOf(db, opt.Tax) != nil {
 		return BitmapEngine{}
 	}
-	switch opt.Backend {
-	case BackendHashTree:
-		return HashTreeEngine{}
-	case BackendBitmap:
-		return BitmapEngine{}
-	}
-	if _, ok := db.(*txdb.MemDB); !ok {
-		return HashTreeEngine{}
-	}
-	if hasPerGroup(transforms) && opt.Tax == nil {
-		return HashTreeEngine{}
-	}
-	budget := opt.BitmapBudget
-	if budget == 0 {
-		budget = DefaultBitmapBudget
-	}
-	if fault.Hit(PointBudget) != nil {
-		return HashTreeEngine{} // injected budget trip
-	}
-	est := bitmat.EstimateBytes(db.Count(), usedItems(groups).Len())
-	if est > budget {
-		return HashTreeEngine{}
-	}
-	// A matrix that fits BitmapBudget may still not fit what is left of the
-	// process memory budget; don't pick an engine whose reservation is
-	// already known to fail.
-	if est > opt.Mem.Available() {
+	opaque := hasPerGroup(transforms) && opt.Tax == nil
+	if opt.Backend == BackendHashTree || opt.Backend == BackendAuto && opaque {
 		return HashTreeEngine{}
 	}
 	return BitmapEngine{}
@@ -168,63 +128,62 @@ func hasPerGroup(transforms []TransformInto) bool {
 	return false
 }
 
-// usedItems returns the sorted distinct items over all candidate groups.
-func usedItems(groups [][]item.Itemset) item.Itemset {
+// flatten concatenates the groups, in order, into one candidate list.
+func flatten(groups [][]item.Itemset) []item.Itemset {
+	var flat []item.Itemset
+	for _, g := range groups {
+		flat = append(flat, g...)
+	}
+	return flat
+}
+
+// usedItems returns the sorted distinct items of cands.
+func usedItems(cands []item.Itemset) item.Itemset {
 	seen := make(map[item.Item]struct{})
 	var out []item.Item
-	for _, g := range groups {
-		for _, c := range g {
-			for _, x := range c {
-				if _, ok := seen[x]; !ok {
-					seen[x] = struct{}{}
-					out = append(out, x)
-				}
+	for _, c := range cands {
+		for _, x := range c {
+			if _, ok := seen[x]; !ok {
+				seen[x] = struct{}{}
+				out = append(out, x)
 			}
 		}
 	}
 	return item.SortDedup(out)
 }
 
-// applyShared applies the shared transform configuration (TransformInto
-// first, then the legacy Transform, then identity) using buf as scratch. It
-// returns the transformed set and the possibly-grown buffer to keep for the
-// next transaction.
-func applyShared(opt Options, buf []item.Item, raw item.Itemset) (item.Itemset, []item.Item) {
+// Apply applies the shared transform (identity when none is set) to one
+// transaction using buf as scratch. It returns the transformed set, valid
+// until buf's next use, and the possibly-grown buffer to keep for the next
+// transaction.
+func (opt Options) Apply(buf []item.Item, raw item.Itemset) (item.Itemset, []item.Item) {
 	if opt.TransformInto != nil {
 		s := opt.TransformInto(buf[:0], raw)
 		return s, s[:0]
 	}
-	if opt.Transform != nil {
-		return opt.Transform(raw), buf
-	}
 	return raw, buf
 }
 
-// sharedBitmapTransform adapts the shared transform configuration to the
-// bitmat builder's hook (nil when counting raw transactions).
-func sharedBitmapTransform(opt Options) bitmat.Transform {
-	if opt.TransformInto != nil {
-		return bitmat.Transform(opt.TransformInto)
-	}
-	if opt.Transform != nil {
-		tr := opt.Transform
-		return func(_ []item.Item, s item.Itemset) item.Itemset { return tr(s) }
-	}
-	return nil
-}
+// maxWindowBytes caps the rows the bitmap engine holds at once, budget or no
+// budget.
+const maxWindowBytes = 256 << 20
 
-// BitmapEngine counts candidates against a vertical TID-bitmap matrix: one
-// database pass materializes a bitmap row per distinct candidate item, then
-// each candidate's support is the popcount of the AND of its rows. The
-// candidate loop — not the scan — is what parallelizes: Options.Parallelism
-// workers shard the flattened candidate list.
+// BitmapEngine counts candidates against a vertical TID-bitmap matrix with a
+// bitmap row per distinct candidate item: one database scan fills the rows a
+// window of transactions at a time, and a candidate's support is the
+// popcount of the AND of its rows, summed over the windows. The window is the
+// widest (a multiple of 64 transactions, at most the whole database, at most
+// maxWindowBytes of rows) that Options.Mem grants; one window — the usual
+// case — is a matrix build followed by one counting loop. The candidate loop
+// — not the scan — is what parallelizes: Options.Parallelism workers shard
+// the flattened candidate list.
 //
-// When Options.Tax is set the matrix is built with ancestor-closure rows
-// (bitmat.FromDBTaxonomy) and all transforms are skipped: the Tax field is
-// the caller's declaration that its installed transforms are taxonomy
-// ancestor extensions (possibly filtered to candidate items), which the
-// closure build reproduces exactly. Without Tax, a shared transform is
-// applied during the build; opaque per-group transforms are an error.
+// When Options.Tax is set the rows are ancestor-closure rows and all
+// transforms are skipped: the Tax field is the caller's declaration that its
+// installed transforms are taxonomy ancestor extensions (possibly filtered
+// to candidate items), which the closure fill reproduces exactly. Without
+// Tax, the shared transform is applied during the fill; opaque per-group
+// transforms are an error.
 type BitmapEngine struct{}
 
 // Name implements Engine.
@@ -235,48 +194,82 @@ func (BitmapEngine) Multi(db txdb.DB, groups [][]item.Itemset, transforms []Tran
 	if transforms != nil && len(transforms) != len(groups) {
 		return nil, fmt.Errorf("count: %d transforms for %d groups", len(transforms), len(groups))
 	}
-	if ix := indexOf(db, opt.Tax); ix != nil {
-		return countRows(ix.Matrix(), groups, opt) // rows built and reserved by db's owner
-	}
-	used := usedItems(groups)
-	reserved := bitmat.EstimateBytes(db.Count(), used.Len())
-	if err := opt.Mem.Reserve(reserved); err != nil {
-		return nil, fmt.Errorf("count: bitmap matrix: %w", err)
-	}
-	defer opt.Mem.Release(reserved)
+	flat := flatten(groups)
 	var (
-		m   *bitmat.Matrix
-		err error
+		totals []int
+		err    error
 	)
-	switch {
-	case opt.Tax != nil:
-		m, err = bitmat.FromDBTaxonomy(db, opt.Tax, used)
-	case hasPerGroup(transforms):
-		return nil, fmt.Errorf("count: bitmap backend cannot honor per-group transforms without Options.Tax")
-	default:
-		m, err = bitmat.FromDB(db, used, sharedBitmapTransform(opt))
+	if ix := indexOf(db, opt.Tax); ix != nil {
+		// Rows built and reserved by db's owner.
+		totals, err = ix.Matrix().Counts(flat, opt.Parallelism)
+	} else {
+		totals, err = countWindows(db, flat, hasPerGroup(transforms), opt)
 	}
-	if err != nil {
-		return nil, err
-	}
-	return countRows(m, groups, opt)
-}
-
-// countRows counts every group's candidates against m's rows.
-func countRows(m *bitmat.Matrix, groups [][]item.Itemset, opt Options) ([][]int, error) {
-	flat := make([]item.Itemset, 0)
-	for _, g := range groups {
-		flat = append(flat, g...)
-	}
-	counts, err := m.Counts(flat, opt.Parallelism)
 	if err != nil {
 		return nil, err
 	}
 	out := make([][]int, len(groups))
 	off := 0
 	for gi, g := range groups {
-		out[gi] = counts[off : off+len(g) : off+len(g)]
+		out[gi] = totals[off : off+len(g) : off+len(g)]
 		off += len(g)
 	}
 	return out, nil
+}
+
+// countWindows scans db once and counts cands window by window.
+func countWindows(db txdb.DB, cands []item.Itemset, perGroup bool, opt Options) ([]int, error) {
+	if perGroup && opt.Tax == nil {
+		return nil, fmt.Errorf("count: bitmap backend cannot honor per-group transforms without Options.Tax")
+	}
+	used := usedItems(cands)
+	width, err := reserveWindow(opt.Mem, db.Count(), used.Len())
+	if err != nil {
+		return nil, fmt.Errorf("count: bitmap window: %w", err)
+	}
+	defer opt.Mem.Release(bitmat.EstimateBytes(width, used.Len()))
+	m := bitmat.New(used, width)
+	var totals []int
+	addWindow := func() error {
+		counts, err := m.Counts(cands, opt.Parallelism)
+		if err != nil {
+			return err
+		}
+		if totals == nil {
+			totals = counts
+			return nil
+		}
+		for i, c := range counts {
+			totals[i] += c
+		}
+		return nil
+	}
+	if err := m.FillWindows(db, opt.Tax, bitmat.Transform(opt.TransformInto), addWindow); err != nil {
+		return nil, err
+	}
+	if err := addWindow(); err != nil {
+		return nil, err
+	}
+	return totals, nil
+}
+
+// reserveWindow reserves against mem the widest window of transactions the
+// bitmap engine may hold rows for — all n when they fit mem and
+// maxWindowBytes, otherwise a multiple of 64 — and returns its width. A
+// reservation lost to a concurrent one is retried at half the width; the
+// floor is 64 transactions, below which the error wraps govern.ErrOverBudget.
+func reserveWindow(mem *govern.Budget, n, rows int) (int, error) {
+	words := (n + 63) / 64
+	if word := int64(rows) * 8; word > 0 { // bytes per 64 transactions
+		fit := min(maxWindowBytes, mem.Available()) / word
+		words = int(min(int64(words), max(fit, 1)))
+	}
+	for {
+		width := min(words*64, n)
+		err := mem.Reserve(bitmat.EstimateBytes(width, rows))
+		if err == nil || words <= 1 {
+			return width, err
+		}
+		words = (words + 1) / 2
+	}
 }

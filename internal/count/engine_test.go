@@ -3,9 +3,12 @@ package count
 import (
 	"errors"
 	"math/rand"
+	"path/filepath"
 	"testing"
+	"time"
 
 	"negmine/internal/bitmat"
+	"negmine/internal/govern"
 	"negmine/internal/hashtree"
 	"negmine/internal/item"
 	"negmine/internal/taxonomy"
@@ -66,12 +69,14 @@ func randomGroups(r *rand.Rand, universe item.Itemset, nGroups int) [][]item.Ite
 }
 
 // TestBackendsAgreeOnRandomDBs is the cross-backend oracle: both engines
-// must return identical counts for the same randomized pass, with and
-// without a shared transform, sequentially and in parallel.
+// must return identical counts for the same randomized pass — the empty
+// database included — with and without a shared transform, sequentially and
+// in parallel.
 func TestBackendsAgreeOnRandomDBs(t *testing.T) {
-	for trial := int64(0); trial < 4; trial++ {
+	for trial, nTx := range []int{0, 150, 187, 224, 261} {
+		trial := int64(trial)
 		r := rand.New(rand.NewSource(100 + trial))
-		db := randomDB(200+trial, 150+int(trial)*37, 40, 10)
+		db := randomDB(200+trial, nTx, 40, 10)
 		universe := make(item.Itemset, 40)
 		for i := range universe {
 			universe[i] = item.Item(i)
@@ -152,6 +157,14 @@ func TestBitmapRejectsOpaquePerGroupTransforms(t *testing.T) {
 
 func TestEngineForSelection(t *testing.T) {
 	db := randomDB(2, 100, 20, 6)
+	path := filepath.Join(t.TempDir(), "db.nmtx")
+	if err := txdb.WriteFile(path, db); err != nil {
+		t.Fatal(err)
+	}
+	file, err := txdb.OpenFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
 	groups := [][]item.Itemset{{item.New(1, 2), item.New(3, 4)}}
 	perGroup := []TransformInto{func(dst []item.Item, s item.Itemset) item.Itemset { return s }}
 	tax, _ := testTax(t, 8)
@@ -165,8 +178,10 @@ func TestEngineForSelection(t *testing.T) {
 		{"auto memdb", db, nil, Options{}, "bitmap"},
 		{"explicit hashtree", db, nil, Options{Backend: BackendHashTree}, "hashtree"},
 		{"explicit bitmap on wrapped db", txdb.Instrument(db), nil, Options{Backend: BackendBitmap}, "bitmap"},
-		{"auto wrapped db", txdb.Instrument(db), nil, Options{}, "hashtree"},
-		{"auto over budget", db, nil, Options{BitmapBudget: 1}, "hashtree"},
+		{"auto file db", file, nil, Options{}, "bitmap"},
+		{"auto instrumented db", txdb.Instrument(db), nil, Options{}, "bitmap"},
+		{"auto throttled db", txdb.Throttle(db, time.Microsecond), nil, Options{}, "bitmap"},
+		{"auto under a tiny budget", db, nil, Options{Mem: govern.NewBudget(1)}, "bitmap"},
 		{"auto per-group no tax", db, perGroup, Options{}, "hashtree"},
 		{"auto per-group with tax", db, perGroup, Options{Tax: tax}, "bitmap"},
 	}

@@ -2,45 +2,12 @@ package count
 
 import (
 	"errors"
-	"reflect"
 	"testing"
 
 	"negmine/internal/fault"
 	"negmine/internal/item"
 	"negmine/internal/txdb"
 )
-
-// TestBudgetTripFallsBackToHashTree arms the bitmap budget failpoint and
-// verifies BackendAuto degrades to the hash-tree engine with identical
-// counts — the graceful-fallback path a real memory trip would take.
-func TestBudgetTripFallsBackToHashTree(t *testing.T) {
-	_, leaves := testTax(t, 12)
-	db := leafDB(7, leaves, 120, 6)
-	groups := [][]item.Itemset{make([]item.Itemset, 0, leaves.Len())}
-	for _, l := range leaves {
-		groups[0] = append(groups[0], item.New(l))
-	}
-
-	want, err := Multi(db, groups, Options{}) // healthy auto pass (bitmap)
-	if err != nil {
-		t.Fatalf("baseline Multi: %v", err)
-	}
-	if eng := EngineFor(db, groups, nil, Options{}); eng.Name() != "bitmap" {
-		t.Fatalf("baseline engine = %s, want bitmap (test premise)", eng.Name())
-	}
-
-	defer fault.Enable(PointBudget, fault.Error("budget tripped"))()
-	if eng := EngineFor(db, groups, nil, Options{}); eng.Name() != "hashtree" {
-		t.Fatalf("engine under budget trip = %s, want hashtree", eng.Name())
-	}
-	got, err := Multi(db, groups, Options{})
-	if err != nil {
-		t.Fatalf("Multi under budget trip: %v", err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("fallback counts differ from bitmap counts:\n got %v\nwant %v", got, want)
-	}
-}
 
 // TestScanFaultPropagatesFromCounting checks a mid-scan read error surfaces
 // as an error from the counting pass instead of partial counts.

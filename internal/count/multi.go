@@ -1,11 +1,9 @@
 package count
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 
-	"negmine/internal/govern"
 	"negmine/internal/hashtree"
 	"negmine/internal/item"
 	"negmine/internal/stats"
@@ -26,27 +24,14 @@ func Multi(db txdb.DB, groups [][]item.Itemset, opt Options) ([][]int, error) {
 // only with the ancestors relevant to that group's candidates) keeps each
 // hash tree's probe width as small as a dedicated pass would, while still
 // paying for only one scan. transforms may be nil (use the shared
-// Options.TransformInto/Transform for every group); individual entries may
-// be nil too. The counting engine is chosen per Options.Backend (see
-// EngineFor).
+// Options.TransformInto for every group); individual entries may be nil too.
+// The pass runs on the one engine EngineFor names; an engine that cannot
+// reserve its floor fails with an error wrapping govern.ErrOverBudget.
 func MultiTransformed(db txdb.DB, groups [][]item.Itemset, transforms []TransformInto, opt Options) ([][]int, error) {
 	if transforms != nil && len(transforms) != len(groups) {
 		return nil, fmt.Errorf("count: %d transforms for %d groups", len(transforms), len(groups))
 	}
-	eng := EngineFor(db, groups, transforms, opt)
-	out, err := eng.Multi(db, groups, transforms, opt)
-	if err != nil && errors.Is(err, govern.ErrOverBudget) {
-		// Degradation ladder: a bitmap matrix that no longer fits the
-		// process memory budget (EngineFor estimates against a racing
-		// ledger, so a reservation can still lose) falls back to the
-		// hash-tree engine, which needs a fraction of the memory. A
-		// hash-tree reservation that fails has nothing cheaper to fall
-		// back to and stays an error.
-		if _, isBitmap := eng.(BitmapEngine); isBitmap {
-			return HashTreeEngine{}.Multi(db, groups, transforms, opt)
-		}
-	}
-	return out, err
+	return EngineFor(db, groups, transforms, opt).Multi(db, groups, transforms, opt)
 }
 
 // HashTreeEngine counts by probing one Agrawal–Srikant hash tree per group
@@ -96,7 +81,7 @@ func (w *hashTreeWorker) addAll(transforms []TransformInto, opt Options, raw ite
 			continue
 		}
 		if !sharedDone {
-			shared, w.buf = applyShared(opt, w.buf, raw)
+			shared, w.buf = opt.Apply(w.buf, raw)
 			sharedDone = true
 		}
 		c.Add(shared)

@@ -75,7 +75,7 @@ type Options struct {
 	// estimated support is at least MinSupport·(1−Margin) are counted in
 	// the current pass. Default 0.25.
 	Margin float64
-	// Count holds pass-level options. Count.Transform must be nil — the
+	// Count holds pass-level options. Count.TransformInto must be nil — the
 	// algorithms install their own taxonomy transforms.
 	Count count.Options
 }
@@ -87,8 +87,8 @@ func (o Options) validate() error {
 	if o.MaxK < 0 {
 		return fmt.Errorf("gen: MaxK = %d, want ≥ 0", o.MaxK)
 	}
-	if o.Count.Transform != nil || o.Count.TransformInto != nil {
-		return fmt.Errorf("gen: Count.Transform must be nil (set by the algorithm)")
+	if o.Count.TransformInto != nil {
+		return fmt.Errorf("gen: Count.TransformInto must be nil (set by the algorithm)")
 	}
 	if o.Margin < 0 || o.Margin >= 1 {
 		return fmt.Errorf("gen: Margin = %v, want [0, 1)", o.Margin)

@@ -311,7 +311,7 @@ func TestOptionsValidation(t *testing.T) {
 		{MinSupport: 0.5, Margin: -0.1},
 		{MinSupport: 0.5, Margin: 1},
 		{MinSupport: 0.5, SampleSize: -5},
-		{MinSupport: 0.5, Count: count.Options{Transform: func(s item.Itemset) item.Itemset { return s }}},
+		{MinSupport: 0.5, Count: count.Options{TransformInto: func(_ []item.Item, s item.Itemset) item.Itemset { return s }}},
 	}
 	for i, opt := range bad {
 		if _, err := Mine(db, tax, opt); err == nil {

@@ -20,8 +20,8 @@
 // 107 B per transaction on the paper's Short data) plus N/8 bytes per large
 // 1-item for the duration of a refresh, all reserved against Options.Count.Mem.
 // When a reservation is refused the index is released and the refresh mines
-// the sealed segments by scanning, down the ordinary batch degradation
-// ladder.
+// the sealed segments by scanning, as a batch mine under the same budget
+// would.
 package incr
 
 import (

@@ -95,7 +95,7 @@ type Options struct {
 	// the ablation benchmarks.
 	DisableTaxonomyCompression bool
 	// Count holds counting options for the negative-candidate passes.
-	// Count.Transform must be nil.
+	// Count.TransformInto must be nil.
 	Count count.Options
 }
 
@@ -109,8 +109,8 @@ func (o Options) validate() error {
 	if o.MaxCandidates < 0 {
 		return fmt.Errorf("negative: MaxCandidates = %d, want ≥ 0", o.MaxCandidates)
 	}
-	if o.Count.Transform != nil || o.Count.TransformInto != nil {
-		return fmt.Errorf("negative: Count.Transform must be nil (set internally)")
+	if o.Count.TransformInto != nil {
+		return fmt.Errorf("negative: Count.TransformInto must be nil (set internally)")
 	}
 	for i, g := range o.Substitutes {
 		if g.Len() < 2 {

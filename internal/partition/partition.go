@@ -60,7 +60,7 @@ type Options struct {
 	// last completed partition, and the manifest is removed when Mine
 	// succeeds. The result is identical to an uninterrupted run.
 	CheckpointPath string
-	// Count holds phase-II counting options. Count.Transform must be nil.
+	// Count holds phase-II counting options. Count.TransformInto must be nil.
 	Count count.Options
 }
 
@@ -74,8 +74,8 @@ func (o Options) validate() error {
 	if o.MaxK < 0 {
 		return fmt.Errorf("partition: MaxK = %d, want ≥ 0", o.MaxK)
 	}
-	if o.Count.Transform != nil || o.Count.TransformInto != nil {
-		return fmt.Errorf("partition: Count.Transform must be nil (set internally)")
+	if o.Count.TransformInto != nil {
+		return fmt.Errorf("partition: Count.TransformInto must be nil (set internally)")
 	}
 	return nil
 }

@@ -184,7 +184,7 @@ func TestValidation(t *testing.T) {
 		{MinSupport: 1.2},
 		{MinSupport: 0.5, NumPartitions: -1},
 		{MinSupport: 0.5, MaxK: -2},
-		{MinSupport: 0.5, Count: count.Options{Transform: func(s item.Itemset) item.Itemset { return s }}},
+		{MinSupport: 0.5, Count: count.Options{TransformInto: func(_ []item.Item, s item.Itemset) item.Itemset { return s }}},
 	} {
 		if _, err := Mine(db, opt); err == nil {
 			t.Errorf("bad options %d accepted", i)

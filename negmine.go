@@ -118,15 +118,15 @@ type (
 	// CountBackend selects the support-counting engine.
 	CountBackend = count.Backend
 	// MemBudget is a process-wide memory ledger that bounds mining's
-	// dominant allocations (bitmap matrices, hash trees, partition buffers).
-	// Set CountOptions.Mem; an exhausted budget degrades counting to
-	// cheaper engines and narrows partitioning before it ever fails.
+	// dominant allocations (bitmap rows, hash trees, partition buffers).
+	// Set CountOptions.Mem; a tight budget narrows the bitmap engine's
+	// transaction window and the partitioning before it ever fails.
 	MemBudget = govern.Budget
 )
 
 // Support-counting backends (set CountOptions.Backend; the default
-// AutoBackend picks the bitmap engine for memory-resident databases whose
-// bitmap matrix fits the budget, the hash tree otherwise).
+// AutoBackend is the bitmap engine, except for a pass whose per-group
+// transforms only the hash tree can honour).
 const (
 	AutoBackend     = count.BackendAuto
 	HashTreeBackend = count.BackendHashTree
@@ -332,9 +332,8 @@ func RuleStoreFromReport(rep *NegativeReport) *RuleStore {
 }
 
 // MineNegativeReport runs the full negative pipeline and returns the
-// exportable report form in one call. It is the hot re-mining entrypoint
-// cmd/negmined invokes on /reload: the daemon builds a fresh snapshot from
-// the returned report and atomically swaps it in.
+// exportable report form in one call — what cmd/negmined does on /reload
+// before it builds a fresh snapshot from the report and swaps it in.
 func MineNegativeReport(db DB, tax *Taxonomy, opt NegativeOptions) (*NegativeReport, error) {
 	res, err := MineNegative(db, tax, opt)
 	if err != nil {
