@@ -7,15 +7,13 @@
 //   - Fig5/Fig6: Better ≤ Naive at every support level, both growing fast
 //     as support falls; Tall slower than Short in absolute terms.
 //   - Fig7: candidates per large itemset higher at fanout 9 than fanout 3.
-//   - Backends: Cumulate < Basic; Partition competitive.
+//   - Backends: Cumulate < Basic.
 package negmine_test
 
 import (
 	"fmt"
 	"sync"
 	"testing"
-
-	"negmine"
 
 	"negmine/internal/bench"
 	"negmine/internal/count"
@@ -138,7 +136,7 @@ func BenchmarkTable12Example(b *testing.B) {
 }
 
 // BenchmarkBackends compares the stage-1 miners (ablation: Basic vs
-// Cumulate vs EstMerge vs Partition) on identical input.
+// Cumulate vs EstMerge) on identical input.
 func BenchmarkBackends(b *testing.B) {
 	short, _ := datasets(b)
 	const minSup = 0.015
@@ -167,15 +165,6 @@ func BenchmarkBackends(b *testing.B) {
 	})
 	run("EstMerge", func() (int, error) {
 		res, err := gen.Mine(short.DB, short.Tax, gen.Options{MinSupport: minSup, Algorithm: gen.EstMerge, MaxK: benchMaxK, SampleSize: 400})
-		if err != nil {
-			return 0, err
-		}
-		return len(res.Large()), nil
-	})
-	run("Partition", func() (int, error) {
-		res, err := negmine.MinePartition(short.DB, negmine.PartitionOptions{
-			MinSupport: minSup, NumPartitions: 4, MaxK: benchMaxK, Taxonomy: short.Tax,
-		})
 		if err != nil {
 			return 0, err
 		}

@@ -457,8 +457,8 @@ func TestGovernanceFlagValidation(t *testing.T) {
 
 // TestDaemonLinksNoBatchOnlyPackages pins the daemon's import graph: it
 // reaches the miner through the internal packages it uses, not through the
-// root facade, which would link the Partition miner and the data generator
-// into a process that runs neither.
+// root facade, which would link the data generator and the experiment
+// harness into a process that runs neither.
 func TestDaemonLinksNoBatchOnlyPackages(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs go list; skipped in -short")
@@ -468,10 +468,9 @@ func TestDaemonLinksNoBatchOnlyPackages(t *testing.T) {
 		t.Fatalf("go list -deps: %v\n%s", err, out)
 	}
 	banned := map[string]bool{
-		"negmine":                    true,
-		"negmine/internal/partition": true,
-		"negmine/internal/datagen":   true,
-		"negmine/internal/bench":     true,
+		"negmine":                  true,
+		"negmine/internal/datagen": true,
+		"negmine/internal/bench":   true,
 	}
 	for _, pkg := range strings.Fields(string(out)) {
 		if banned[pkg] {

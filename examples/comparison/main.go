@@ -1,7 +1,7 @@
 // Comparison: run the paper's two negative-mining drivers (Naive vs the
-// improved "Better") and all four frequent-itemset backends (Basic,
-// Cumulate, EstMerge, Partition) on the same synthetic dataset, confirming
-// they produce identical results while differing in passes and time.
+// improved "Better") and all three generalized frequent-itemset algorithms
+// (Basic, Cumulate, EstMerge) on the same synthetic dataset, confirming they
+// produce identical results while differing in passes and time.
 //
 //	go run ./examples/comparison
 package main
@@ -42,9 +42,6 @@ func main() {
 		}},
 		{"EstMerge", func() (*negmine.MiningResult, error) {
 			return negmine.MineGeneralized(db, tax, negmine.GeneralizedOptions{MinSupport: minSup, Algorithm: negmine.EstMerge, SampleSize: 500})
-		}},
-		{"Partition", func() (*negmine.MiningResult, error) {
-			return negmine.MinePartition(db, negmine.PartitionOptions{MinSupport: minSup, NumPartitions: 4, Taxonomy: tax})
 		}},
 	}
 	var counts []int

@@ -267,57 +267,6 @@ func TestMineWithTransform(t *testing.T) {
 	}
 }
 
-// TestBaselinesHonourTransform: the comparison baselines transform every
-// pass, not just pass 1, so under the same transform they equal Mine.
-func TestBaselinesHonourTransform(t *testing.T) {
-	r := rand.New(rand.NewSource(51))
-	db := &txdb.MemDB{}
-	for i := 0; i < 150; i++ {
-		raw := make([]item.Item, 1+r.Intn(7))
-		for j := range raw {
-			raw[j] = item.Item(r.Intn(30))
-		}
-		db.Append(txdb.Transaction{TID: int64(i + 1), Items: item.New(raw...)})
-	}
-	opt := Options{
-		MinSupport: 0.1,
-		Count: count.Options{TransformInto: func(dst []item.Item, s item.Itemset) item.Itemset {
-			for _, x := range s {
-				dst = append(dst, x/3)
-			}
-			return item.SortDedup(dst)
-		}},
-	}
-	want, err := Mine(db, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(want.Levels) < 2 {
-		t.Fatalf("test premise: only %d levels mined", len(want.Levels))
-	}
-	baselines := map[string]func() (*Result, error){
-		"MineTid":               func() (*Result, error) { return MineTid(db, opt) },
-		"MineHybrid":            func() (*Result, error) { return MineHybrid(db, HybridOptions{Options: opt}) },
-		"MineHybrid(no switch)": func() (*Result, error) { return MineHybrid(db, HybridOptions{Options: opt, SwitchBudget: 1}) },
-		"MineDHP":               func() (*Result, error) { return MineDHP(db, DHPOptions{Options: opt}) },
-	}
-	for name, mine := range baselines {
-		got, err := mine()
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		a, b := want.Large(), got.Large()
-		if len(a) != len(b) {
-			t.Fatalf("%s: %d large itemsets, Mine found %d", name, len(b), len(a))
-		}
-		for i := range a {
-			if !a[i].Set.Equal(b[i].Set) || a[i].Count != b[i].Count {
-				t.Fatalf("%s itemset %d: %v/%d, Mine has %v/%d", name, i, b[i].Set, b[i].Count, a[i].Set, a[i].Count)
-			}
-		}
-	}
-}
-
 func TestGenRulesClassic(t *testing.T) {
 	res, err := Mine(classicDB(), Options{MinSupport: 0.5})
 	if err != nil {
@@ -419,5 +368,24 @@ func TestRuleString(t *testing.T) {
 	}
 	if got := r.Format(name); got != "{bread} => {milk} (sup=0.5000 conf=0.7500)" {
 		t.Errorf("Format = %q", got)
+	}
+}
+
+func BenchmarkMineApriori(b *testing.B) {
+	r := rand.New(rand.NewSource(3))
+	db := &txdb.MemDB{}
+	for i := 0; i < 2000; i++ {
+		n := 2 + r.Intn(8)
+		raw := make([]item.Item, n)
+		for j := range raw {
+			raw[j] = item.Item(r.Intn(60))
+		}
+		db.Append(txdb.Transaction{TID: int64(i + 1), Items: item.New(raw...)})
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Mine(db, Options{MinSupport: 0.05}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -27,7 +27,6 @@ package bitmat
 import (
 	"fmt"
 	"math/bits"
-	"runtime"
 	"sync"
 
 	"negmine/internal/item"
@@ -381,7 +380,3 @@ func (m *Matrix) Counts(cands []item.Itemset, workers int) ([]int, error) {
 	}
 	return out, nil
 }
-
-// DefaultWorkers is the worker count used when callers pass 0 to parallel
-// drivers: every logical CPU.
-func DefaultWorkers() int { return runtime.NumCPU() }

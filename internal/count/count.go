@@ -1,7 +1,7 @@
 // Package count is the support-counting engine shared by every mining
-// algorithm in the library (Apriori, the generalized miners, the Partition
-// algorithm and the negative-itemset pass). Counting runs through a
-// pluggable Engine: the vertical TID-bitmap matrix of internal/bitmat
+// algorithm in the library (Apriori, the generalized miners, the
+// incremental refresh and the negative-itemset pass). Counting runs through
+// a pluggable Engine: the vertical TID-bitmap matrix of internal/bitmat
 // (AND+popcount per candidate, over as wide a window of transactions as the
 // memory budget grants) or the Agrawal–Srikant hash tree (per-transaction
 // subset probing, any transform). Options.Backend selects the engine; the
@@ -10,7 +10,6 @@ package count
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 
 	"negmine/internal/govern"
@@ -51,9 +50,6 @@ type Options struct {
 	// transform that is not such an extension is a caller bug.
 	Tax *taxonomy.Taxonomy
 }
-
-// Auto selects runtime.NumCPU() workers.
-func Auto() int { return runtime.NumCPU() }
 
 // Candidates counts, for every candidate (all of equal size), the number of
 // transactions in db whose (transformed) itemset contains it. The result is

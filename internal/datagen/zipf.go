@@ -180,9 +180,6 @@ func (s *BasketStream) Phase() int {
 	return int(s.event/int64(s.cfg.EventsPerPhase)) % s.cfg.Phases
 }
 
-// Events returns how many baskets the stream has emitted.
-func (s *BasketStream) Events() int64 { return s.event }
-
 // Next appends one basket of distinct item indices to dst and returns the
 // extended slice. Basket length is Poisson(AvgLen) clamped to [1, N];
 // duplicate draws within a basket are rejected and redrawn (bounded, so a

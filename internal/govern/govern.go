@@ -11,12 +11,12 @@
 // opaque failure.
 //
 // The mining half is the memory Budget: a process-wide byte ledger the
-// allocation hot spots (bitmap materialization, hash-tree growth, partition
-// buffers) reserve against before allocating. A failed reservation is a
-// signal to degrade — fall back to a cheaper representation or narrow a
-// partition — never a crash. The default budget comes from GOMEMLIMIT or
-// the cgroup memory limit, mirroring the Partition paper's premise that the
-// miner must size its working set to the memory it actually has.
+// allocation hot spots (bitmap rows, hash trees, the incremental index's
+// posting lists) reserve against before allocating. A failed reservation is
+// a signal to degrade — count over a narrower window of transactions —
+// never a crash. The default budget comes from GOMEMLIMIT or the cgroup
+// memory limit: the miner sizes its working set to the memory it actually
+// has.
 //
 // Both halves follow the same philosophy as internal/fault, which the
 // package integrates with: overload must be a first-class, reproducible
@@ -34,8 +34,9 @@ const (
 
 	// PointBudget fires on every memory-budget reservation; an error action
 	// simulates budget exhaustion and must produce the documented
-	// degradation (bitmap→hashtree fallback, partition narrowing), never a
-	// failure of the whole run.
+	// degradation (the bitmap engine halves its transaction window), or at
+	// the 64-transaction floor an error wrapping ErrOverBudget — never a
+	// crash.
 	PointBudget = "govern.budget"
 
 	// PointLimiterStall fires at the top of every admission attempt, before

@@ -25,9 +25,8 @@ var ErrOverBudget = errors.New("govern: memory budget exceeded")
 // nothing.
 //
 // The ledger tracks intent, not RSS: it bounds the large, predictable
-// allocations (bitmap matrices, hash trees, partition buffers) that dominate
-// mining memory, which is what keeps observed RSS under the limit in
-// practice.
+// allocations (bitmap rows, hash trees, posting lists) that dominate mining
+// memory, which is what keeps observed RSS under the limit in practice.
 type Budget struct {
 	total     int64 // 0 = unlimited (still keeps the ledger and failpoint)
 	used      atomic.Int64

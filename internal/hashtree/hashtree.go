@@ -147,26 +147,14 @@ func (c *Counter) Add(tx item.Itemset) {
 		return
 	}
 	c.seq++
-	c.visit(tx, nil)
-}
-
-// AddCollect is Add, additionally invoking hit with the index of every
-// matched candidate (each exactly once per transaction, ascending order not
-// guaranteed). AprioriHybrid uses it to materialize per-transaction
-// candidate-id lists at its switch-over pass.
-func (c *Counter) AddCollect(tx item.Itemset, hit func(idx int32)) {
-	if c.tree.k == 0 || tx.Len() < c.tree.k {
-		return
-	}
-	c.seq++
-	c.visit(tx, hit)
+	c.visit(tx)
 }
 
 // visit walks the tree iteratively with the counter's reusable stack (the
 // recursive form allocated a call frame per level on the hot path). Node
 // visit order differs from the recursion but counts do not depend on it:
 // the last/seq marks examine each candidate at most once per transaction.
-func (c *Counter) visit(tx item.Itemset, hit func(int32)) {
+func (c *Counter) visit(tx item.Itemset) {
 	k := c.tree.k
 	stack := append(c.stack[:0], frame{n: c.tree.root})
 	for len(stack) > 0 {
@@ -180,9 +168,6 @@ func (c *Counter) visit(tx item.Itemset, hit func(int32)) {
 				c.last[idx] = c.seq
 				if c.tree.cands[idx].SubsetOf(tx) {
 					c.counts[idx]++
-					if hit != nil {
-						hit(idx)
-					}
 				}
 			}
 			continue

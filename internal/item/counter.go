@@ -16,14 +16,8 @@ func NewCounter() *Counter { return &Counter{counts: make(map[Key]int)} }
 // Add increments the count of s by delta.
 func (c *Counter) Add(s Itemset, delta int) { c.counts[s.Key()] += delta }
 
-// AddKey increments the count of the pre-computed key k by delta.
-func (c *Counter) AddKey(k Key, delta int) { c.counts[k] += delta }
-
 // Count returns the accumulated count for s (0 if never added).
 func (c *Counter) Count(s Itemset) int { return c.counts[s.Key()] }
-
-// CountKey returns the accumulated count for key k.
-func (c *Counter) CountKey(k Key) int { return c.counts[k] }
 
 // Len returns the number of distinct itemsets with a recorded count.
 func (c *Counter) Len() int { return len(c.counts) }
@@ -74,9 +68,6 @@ func NewSupportTable(n int) *SupportTable {
 
 // Put records the support count of s. Re-putting an itemset overwrites.
 func (t *SupportTable) Put(s Itemset, count int) { t.counts[s.Key()] = count }
-
-// PutKey records the support count for a pre-computed key.
-func (t *SupportTable) PutKey(k Key, count int) { t.counts[k] = count }
 
 // Count returns the absolute support count of s and whether it is known.
 func (t *SupportTable) Count(s Itemset) (int, bool) {

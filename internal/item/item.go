@@ -38,10 +38,6 @@ func New(items ...Item) Itemset {
 	return SortDedup(s)
 }
 
-// FromSorted adopts a slice that the caller guarantees is already sorted and
-// duplicate-free. It does not copy.
-func FromSorted(items []Item) Itemset { return Itemset(items) }
-
 // SortDedup sorts s in place, removes duplicates in place and returns the
 // (re-sliced) result as an Itemset. Unlike New it never allocates, which
 // makes it the building block for the allocation-free transaction transforms

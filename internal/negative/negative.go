@@ -4,7 +4,7 @@
 //
 // The pipeline has three stages (paper §2.1):
 //
-//  1. Find all generalized large itemsets (package gen or partition).
+//  1. Find all generalized large itemsets (package gen).
 //  2. Generate candidate negative itemsets from each large itemset by
 //     swapping members for their taxonomy children (Cases 1 and 2) or
 //     siblings (Case 3), assign each the expected support implied by the

@@ -783,14 +783,6 @@ func (l *Log) Scan(fn func(txdb.Transaction) error) error {
 	return nil
 }
 
-// ActiveTransactions returns the active segment's transactions. The slice
-// and its elements are shared and must not be modified.
-func (l *Log) ActiveTransactions() []txdb.Transaction {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.active.txs
-}
-
 // ScanFrom streams every transaction with TID > after in TID order, skipping
 // whole sealed segments the cursor has passed. Like Scan, the view is the
 // log state at call time. fn returning an error stops the scan and returns

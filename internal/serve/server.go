@@ -65,11 +65,6 @@ func WithLogger(logf func(format string, args ...any)) Option {
 	return func(s *Server) { s.logf = logf }
 }
 
-// WithMetrics supplies an external metrics set (the default is fresh).
-func WithMetrics(m *Metrics) Option {
-	return func(s *Server) { s.metrics = m }
-}
-
 // WithRequestTimeout bounds every HTTP request: handlers get a context that
 // expires after d, and snapshot queries abort with 503 when it does. Zero
 // (the default) means no per-request deadline.

@@ -40,8 +40,7 @@ type DB interface {
 
 // Sharder is implemented by databases that support partitioned scans:
 // ScanShard(i, n) visits the i-th of n disjoint, jointly-exhaustive subsets
-// of the data. It powers parallel support counting and the Partition mining
-// algorithm.
+// of the data. It powers parallel support counting.
 type Sharder interface {
 	ScanShard(shard, of int, fn func(Transaction) error) error
 }
@@ -108,26 +107,6 @@ func (m *MemDB) ScanShard(shard, of int, fn func(Transaction) error) error {
 			}
 		}
 		if err := fn(m.txs[i]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ScanRange visits transactions with index in [lo, hi). It backs the
-// Partition algorithm's contiguous partitions.
-func (m *MemDB) ScanRange(lo, hi int, fn func(Transaction) error) error {
-	if lo < 0 || hi > len(m.txs) || lo > hi {
-		return fmt.Errorf("txdb: bad range [%d,%d) of %d", lo, hi, len(m.txs))
-	}
-	faulty := fault.Active()
-	for _, tx := range m.txs[lo:hi] {
-		if faulty {
-			if err := fault.Hit(PointScan); err != nil {
-				return fmt.Errorf("txdb: range scan at tid %d: %w", tx.TID, err)
-			}
-		}
-		if err := fn(tx); err != nil {
 			return err
 		}
 	}

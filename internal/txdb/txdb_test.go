@@ -107,26 +107,6 @@ func TestScanShardPartition(t *testing.T) {
 	}
 }
 
-func TestScanRange(t *testing.T) {
-	db := sampleDB()
-	var tids []int64
-	if err := db.ScanRange(1, 3, func(tx Transaction) error {
-		tids = append(tids, tx.TID)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(tids) != 2 || tids[0] != 2 || tids[1] != 3 {
-		t.Errorf("tids = %v", tids)
-	}
-	if err := db.ScanRange(4, 2, func(Transaction) error { return nil }); err == nil {
-		t.Error("inverted range accepted")
-	}
-	if err := db.ScanRange(0, 6, func(Transaction) error { return nil }); err == nil {
-		t.Error("overflow range accepted")
-	}
-}
-
 func TestCollect(t *testing.T) {
 	s, err := Collect(sampleDB())
 	if err != nil {

@@ -26,9 +26,8 @@
 //
 // The building blocks are exported too: classic Apriori (MineFrequent),
 // taxonomy-aware mining with the Basic/Cumulate/EstMerge algorithms
-// (MineGeneralized), the two-pass Partition miner (MinePartition), the
-// paper's synthetic retail data generator (GenerateData), and a binary
-// transaction file format (SaveDB/LoadDB).
+// (MineGeneralized), the paper's synthetic retail data generator
+// (GenerateData), and a binary transaction file format (SaveDB/LoadDB).
 package negmine
 
 import (
@@ -41,7 +40,6 @@ import (
 	"negmine/internal/govern"
 	"negmine/internal/item"
 	"negmine/internal/negative"
-	"negmine/internal/partition"
 	"negmine/internal/report"
 	"negmine/internal/rulestore"
 	"negmine/internal/taxonomy"
@@ -92,9 +90,6 @@ type (
 	// GenAlgorithm selects Basic, Cumulate or EstMerge.
 	GenAlgorithm = gen.Algorithm
 
-	// PartitionOptions configures the two-pass Partition miner.
-	PartitionOptions = partition.Options
-
 	// NegativeOptions configures negative rule mining.
 	NegativeOptions = negative.Options
 	// NegativeAlgorithm selects the Naive or Improved driver.
@@ -118,9 +113,9 @@ type (
 	// CountBackend selects the support-counting engine.
 	CountBackend = count.Backend
 	// MemBudget is a process-wide memory ledger that bounds mining's
-	// dominant allocations (bitmap rows, hash trees, partition buffers).
-	// Set CountOptions.Mem; a tight budget narrows the bitmap engine's
-	// transaction window and the partitioning before it ever fails.
+	// dominant allocations (bitmap rows, hash trees). Set CountOptions.Mem;
+	// a tight budget narrows the bitmap engine's transaction window, and
+	// only below the 64-transaction floor does a pass fail.
 	MemBudget = govern.Budget
 )
 
@@ -220,21 +215,6 @@ func MineFrequent(db DB, opt FrequentOptions) (*MiningResult, error) {
 	return apriori.Mine(db, opt)
 }
 
-// MineFrequentTid runs the AprioriTid variant: after pass 1 the raw data is
-// never rescanned; later levels derive containment from candidate-id lists.
-func MineFrequentTid(db DB, opt FrequentOptions) (*MiningResult, error) {
-	return apriori.MineTid(db, opt)
-}
-
-// HybridOptions configures MineFrequentHybrid.
-type HybridOptions = apriori.HybridOptions
-
-// MineFrequentHybrid runs AprioriHybrid: hash-tree passes until the id-list
-// representation fits the switch budget, then AprioriTid for the rest.
-func MineFrequentHybrid(db DB, opt HybridOptions) (*MiningResult, error) {
-	return apriori.MineHybrid(db, opt)
-}
-
 // PruneInteresting keeps only the R-interesting generalized rules — those
 // not already predicted (within factor r) by a close ancestor rule under
 // the taxonomy's uniformity assumption (Srikant–Agrawal VLDB '95 §3).
@@ -251,12 +231,6 @@ func GenerateRules(res *MiningResult, minConfidence float64) ([]Rule, error) {
 // algorithm (Basic, Cumulate or EstMerge).
 func MineGeneralized(db DB, tax *Taxonomy, opt GeneralizedOptions) (*MiningResult, error) {
 	return gen.Mine(db, tax, opt)
-}
-
-// MinePartition runs the two-pass Partition algorithm (with generalized
-// semantics when opt.Taxonomy is set).
-func MinePartition(db DB, opt PartitionOptions) (*MiningResult, error) {
-	return partition.Mine(db, opt)
 }
 
 // MineNegative runs the paper's full pipeline: generalized large itemsets,

@@ -96,15 +96,6 @@ func TestPublicEndToEnd(t *testing.T) {
 		t.Error("generalized mining missed the soda category")
 	}
 
-	// Partition agrees with Apriori.
-	part, err := negmine.MinePartition(db, negmine.PartitionOptions{MinSupport: 0.25, NumPartitions: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(part.Large()) != len(freq.Large()) {
-		t.Errorf("partition mined %d itemsets, apriori %d", len(part.Large()), len(freq.Large()))
-	}
-
 	// Negative mining: coke dominates soda-with-chips baskets, so pepsi
 	// should be negatively associated with chips.
 	negRes, err := negmine.MineNegative(db, tax, negmine.NegativeOptions{
@@ -182,35 +173,6 @@ func TestPublicDataGeneration(t *testing.T) {
 func TestEstimateExported(t *testing.T) {
 	if negmine.EstimateNegativeCandidates(2, 3) != 19 {
 		t.Error("estimate formula wrong through facade")
-	}
-}
-
-func TestFrequentVariantsAgree(t *testing.T) {
-	_, db, _ := loadExample(t)
-	base, err := negmine.MineFrequent(db, negmine.FrequentOptions{MinSupport: 0.2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tid, err := negmine.MineFrequentTid(db, negmine.FrequentOptions{MinSupport: 0.2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hyb, err := negmine.MineFrequentHybrid(db, negmine.HybridOptions{
-		Options: negmine.FrequentOptions{MinSupport: 0.2},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, res := range map[string]*negmine.MiningResult{"tid": tid, "hybrid": hyb} {
-		a, b := base.Large(), res.Large()
-		if len(a) != len(b) {
-			t.Fatalf("%s mined %d itemsets, apriori %d", name, len(b), len(a))
-		}
-		for i := range a {
-			if !a[i].Set.Equal(b[i].Set) || a[i].Count != b[i].Count {
-				t.Fatalf("%s itemset %d differs", name, i)
-			}
-		}
 	}
 }
 
