@@ -4,7 +4,10 @@
 // generation and load state; the router (cmd/negrouter) maintains a
 // health-checked shard pool and fans POST /score and GET /rules out across
 // the shards, merging the per-shard ranked results into a response that is
-// byte-identical to what one unsharded daemon would have served.
+// byte-identical to what one unsharded daemon would have served. The merge
+// never parses a reply: shards answer the router with frames
+// (internal/ruleframe) that carry each rule's merge key beside its rendered
+// JSON, and the router splices the bytes in serving order (merge.go).
 //
 // # Sharding contract
 //
@@ -107,7 +110,8 @@ func ShardOfAntecedent(antecedent []string, shards int) int {
 // ShardsForBasket returns the sorted, de-duplicated shards of the basket's
 // own items. Rules triggered through an ancestor of a basket item may live
 // on other shards, so this is not the set /score must query (the router
-// queries every shard).
+// queries every shard). Nothing in this module calls it; it stays for the
+// benchmark harness, which reports it as cluster.shards_per_score.
 func ShardsForBasket(basket []string, shards int) []int {
 	if shards <= 1 {
 		return []int{0}
@@ -144,8 +148,8 @@ type Heartbeat struct {
 	// snapshot age on nodes without an ingest watermark — same clock).
 	FreshnessSeconds float64 `json:"freshnessSeconds"`
 	Rules            int     `json:"rules"`                // rules in the served snapshot
-	SourceKind string  `json:"sourceKind,omitempty"` // mined | json | ingest | mmap
-	Degraded   bool    `json:"degraded,omitempty"`   // govern degraded mode (shedding expensive work)
+	SourceKind       string  `json:"sourceKind,omitempty"` // mined | json | ingest | mmap
+	Degraded         bool    `json:"degraded,omitempty"`   // govern degraded mode (shedding expensive work)
 	// IngestRole is the node's write-path role: "primary" (accepts
 	// /ingest), "standby" (replicating, promotable), "fenced" (deposed
 	// primary, rejecting writes), or "replica" (read-only serving node).

@@ -34,6 +34,7 @@ type routerMetrics struct {
 	hedgeWins   atomic.Int64 // responses won by a hedge/retry attempt
 	partials    atomic.Int64 // degraded responses (206, partial:true)
 	noReplica   atomic.Int64 // shard fan-outs that found no routable replica
+	shardBytes  atomic.Int64 // response-body bytes read from shards, all attempts
 
 	ingestForwarded atomic.Int64 // /ingest requests relayed to a primary
 	ingestNoPrimary atomic.Int64 // /ingest requests that found no routable primary
@@ -68,6 +69,7 @@ type routerMetricsJSON struct {
 		HedgeWins   int64 `json:"hedgeWins"`
 		Partials    int64 `json:"partialResponses"`
 		NoReplica   int64 `json:"noReplicaShardMisses"`
+		ShardBytes  int64 `json:"shardBytesRead"`
 	} `json:"fanout"`
 	Ingest struct {
 		Forwarded int64 `json:"forwarded"`
@@ -104,6 +106,7 @@ func (m *routerMetrics) export(pool *Pool) routerMetricsJSON {
 	doc.Fanout.HedgeWins = m.hedgeWins.Load()
 	doc.Fanout.Partials = m.partials.Load()
 	doc.Fanout.NoReplica = m.noReplica.Load()
+	doc.Fanout.ShardBytes = m.shardBytes.Load()
 	doc.Ingest.Forwarded = m.ingestForwarded.Load()
 	doc.Ingest.NoPrimary = m.ingestNoPrimary.Load()
 	doc.Ingest.Rerouted = m.ingestRerouted.Load()

@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"strconv"
@@ -16,14 +17,19 @@ import (
 	"time"
 
 	"negmine/internal/fault"
+	"negmine/internal/ruleframe"
 )
 
 // errNoReplica marks a shard fan-out that found no routable replica: the
 // shard is omitted from the response (partial), never turned into a 5xx.
 var errNoReplica = errors.New("cluster: no routable replica")
 
-// maxShardBody bounds one proxied shard response.
-const maxShardBody = 64 << 20
+// maxShardBody bounds one proxied shard response; presizeShardBody is how
+// much of it is allocated on the strength of a Content-Length alone.
+const (
+	maxShardBody     = 64 << 20
+	presizeShardBody = 1 << 20
+)
 
 // maxAttempts bounds attempts (first try + retries + hedges) per shard per
 // request; it also sizes the result channel so abandoned attempts can
@@ -233,8 +239,9 @@ func (rt *Router) instrument(ep int, next http.Handler) http.Handler {
 	})
 }
 
-// writeJSON mirrors internal/serve's encoder settings exactly — the merged
-// documents must be byte-identical to a single daemon's.
+// writeJSON renders the router's own documents (errors, health, metrics,
+// status) with internal/serve's encoder settings. Merged /rules and /score
+// replies do not pass through it: writeMerged splices them from shard bytes.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
@@ -250,7 +257,9 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 // shardResult is one attempt chain's outcome for one shard.
 type shardResult struct {
 	status  int
+	ctype   string // the response's Content-Type
 	body    []byte
+	frame   ruleframe.Frame // a read's decoded 200 body; aliases body
 	node    string
 	attempt int // 0 = first attempt, >0 = retry or hedge
 	err     error
@@ -274,11 +283,19 @@ func (rt *Router) doAttempt(ctx context.Context, node, addr string, attempt int,
 		return res
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, maxShardBody+1))
+	// Shards declare the length of their replies, so the buffer is sized
+	// once; the declaration is trusted only up to presizeShardBody.
+	var buf bytes.Buffer
+	if n := resp.ContentLength; n > 0 {
+		buf.Grow(int(min(n, presizeShardBody)) + bytes.MinRead)
+	}
+	n, err := buf.ReadFrom(io.LimitReader(resp.Body, maxShardBody+1))
+	rt.metrics.shardBytes.Add(n)
 	if err != nil {
 		res.err = err
 		return res
 	}
+	body := buf.Bytes()
 	if len(body) > maxShardBody {
 		res.err = fmt.Errorf("cluster: shard %s response exceeds %d bytes", node, maxShardBody)
 		return res
@@ -289,7 +306,36 @@ func (rt *Router) doAttempt(ctx context.Context, node, addr string, attempt int,
 		return res
 	}
 	res.status = resp.StatusCode
+	res.ctype = resp.Header.Get("Content-Type")
 	res.body = body
+	return res
+}
+
+// readAttempt is doAttempt for the two read endpoints: it asks the shard
+// for a frame and holds a 200 to the frame contract. A 200 that is not a
+// well-formed frame — torn, corrupt, or a plain document from a shard that
+// does not speak the frame — is a failed attempt like a 5xx: reported to
+// the pool, retried on a sibling, and otherwise a missing shard.
+func (rt *Router) readAttempt(ctx context.Context, node, addr string, attempt int,
+	mkReq func(ctx context.Context, addr string) (*http.Request, error)) shardResult {
+	res := rt.doAttempt(ctx, node, addr, attempt, func(ctx context.Context, addr string) (*http.Request, error) {
+		req, err := mkReq(ctx, addr)
+		if err == nil {
+			req.Header.Set("Accept", ruleframe.MediaType)
+		}
+		return req, err
+	})
+	if res.err != nil || res.status != http.StatusOK {
+		return res
+	}
+	if res.ctype != ruleframe.MediaType {
+		res.err = fmt.Errorf("cluster: shard replica %s answered 200 as %q, want %s", node, res.ctype, ruleframe.MediaType)
+	} else if res.frame, res.err = ruleframe.Decode(res.body); res.err != nil {
+		res.err = fmt.Errorf("cluster: shard replica %s: %w", node, res.err)
+	}
+	if res.err != nil {
+		rt.cfg.Logf("%v", res.err)
+	}
 	return res
 }
 
@@ -320,7 +366,7 @@ func (rt *Router) callShard(ctx context.Context, shard int,
 		attempts++
 		inflight++
 		rt.metrics.attempts.Add(1)
-		go func() { results <- rt.doAttempt(ctx, node, addr, a, mkReq) }()
+		go func() { results <- rt.readAttempt(ctx, node, addr, a, mkReq) }()
 		return true
 	}
 	if !launch() {
@@ -440,12 +486,26 @@ func (rt *Router) handleScore(w http.ResponseWriter, r *http.Request) {
 		return sr, err
 	})
 
+	rt.writeMerged(w, results, req.Limit, func() ([]byte, error) {
+		return ruleframe.AppendScorePrefix(nil, req.Basket, minRI)
+	})
+}
+
+// writeMerged turns a fan-out's outcomes into the reply: the answering
+// shards' frames merged into serving order behind the first one's envelope
+// prefix (every shard serves the same taxonomy and echoes the same request,
+// so the prefixes are identical), 206 with the missing shard ids spliced in
+// when some did not answer. With none answering there is no shard prefix;
+// degradedPrefix renders the router's own.
+func (rt *Router) writeMerged(w http.ResponseWriter, results []shardResult, limit int,
+	degradedPrefix func() ([]byte, error)) {
 	if err := fault.Hit(PointMerge); err != nil {
 		writeError(w, http.StatusInternalServerError, "merge: %v", err)
 		return
 	}
-	lists := make([][]WireMatch, 0, len(results))
+	frames := make([]ruleframe.Frame, 0, len(results))
 	var missing []int
+	size := 0
 	for shard, res := range results {
 		switch {
 		case res.err != nil:
@@ -458,28 +518,33 @@ func (rt *Router) handleScore(w http.ResponseWriter, r *http.Request) {
 			_, _ = w.Write(res.body)
 			return
 		default:
-			var doc ScoreDoc
-			if err := json.Unmarshal(res.body, &doc); err != nil {
-				missing = append(missing, shard)
-				rt.cfg.Logf("shard %d replica %s: bad /score body: %v", shard, res.node, err)
-				continue
-			}
-			lists = append(lists, doc.Matches)
+			frames = append(frames, res.frame)
+			size += len(res.body)
 		}
 	}
-	out := ScoreDoc{
-		Basket:        req.Basket,
-		MinRI:         minRI,
-		Matches:       MergeMatches(lists, req.Limit),
-		Partial:       len(missing) > 0,
-		MissingShards: missing,
+	var prefix []byte
+	if len(frames) > 0 {
+		prefix = frames[0].Prefix
+	} else {
+		var err error
+		if prefix, err = degradedPrefix(); err != nil {
+			writeError(w, http.StatusInternalServerError, "merge: %v", err)
+			return
+		}
 	}
 	status := http.StatusOK
-	if out.Partial {
+	if len(missing) > 0 {
 		status = http.StatusPartialContent
 		rt.metrics.partials.Add(1)
 	}
-	writeJSON(w, status, out)
+	// The frames' bytes bound the document's; only a degraded tail can make
+	// append grow it.
+	out := append(make([]byte, 0, len(prefix)+size), prefix...)
+	out = appendMerged(out, frames, limit, missing)
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(out)))
+	w.WriteHeader(status)
+	_, _ = w.Write(out) // a failed write is the client's disconnect
 }
 
 func (rt *Router) handleRules(w http.ResponseWriter, r *http.Request) {
@@ -500,6 +565,10 @@ func (rt *Router) handleRules(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, "bad minri %q: %v", v, err)
 			return
 		}
+		if math.IsNaN(f) || math.IsInf(f, 0) {
+			writeError(w, http.StatusBadRequest, "bad minri %q: not a finite number", v)
+			return
+		}
 		minRI = f
 	}
 	limit := 0
@@ -518,56 +587,11 @@ func (rt *Router) handleRules(w http.ResponseWriter, r *http.Request) {
 		return http.NewRequestWithContext(ctx, http.MethodGet, "http://"+addr+"/rules?"+rawQuery, nil)
 	})
 
-	if err := fault.Hit(PointMerge); err != nil {
-		writeError(w, http.StatusInternalServerError, "merge: %v", err)
-		return
-	}
-	lists := make([][]WireRule, 0, len(results))
-	var expanded []string
-	var missing []int
-	for shard, res := range results {
-		switch {
-		case res.err != nil:
-			missing = append(missing, shard)
-		case res.status != http.StatusOK:
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(res.status)
-			_, _ = w.Write(res.body)
-			return
-		default:
-			var doc RulesDoc
-			if err := json.Unmarshal(res.body, &doc); err != nil {
-				missing = append(missing, shard)
-				rt.cfg.Logf("shard %d replica %s: bad /rules body: %v", shard, res.node, err)
-				continue
-			}
-			// Every shard serves the same taxonomy, so the expansion is
-			// identical everywhere; keep the first (lowest-shard) answer.
-			if expanded == nil {
-				expanded = doc.Expanded
-			}
-			lists = append(lists, doc.Rules)
-		}
-	}
-	if expanded == nil {
+	rt.writeMerged(w, results, limit, func() ([]byte, error) {
 		// Every shard is missing: the honest degraded expansion is the item
-		// itself (the partial flag below tells the client why).
-		expanded = []string{item}
-	}
-	out := RulesDoc{
-		Item:          item,
-		Expanded:      expanded,
-		MinRI:         minRI,
-		Rules:         MergeRules(lists, limit),
-		Partial:       len(missing) > 0,
-		MissingShards: missing,
-	}
-	status := http.StatusOK
-	if out.Partial {
-		status = http.StatusPartialContent
-		rt.metrics.partials.Add(1)
-	}
-	writeJSON(w, status, out)
+		// itself (the partial flag tells the client why).
+		return ruleframe.AppendRulesPrefix(nil, item, []string{item}, minRI)
+	})
 }
 
 // ingestReq mirrors serve's /ingest request body so the router can

@@ -7,17 +7,19 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"negmine/internal/fault"
+	"negmine/internal/ruleframe"
 )
 
 // pickItems returns one item name per shard id (names whose ShardOfItem is
 // exactly that shard), so tests can aim baskets at specific shards.
-func pickItems(t *testing.T, shards int) []string {
+func pickItems(t testing.TB, shards int) []string {
 	t.Helper()
 	out := make([]string, shards)
 	found := 0
@@ -36,18 +38,22 @@ func pickItems(t *testing.T, shards int) []string {
 }
 
 // shardBackend is a fake negmined shard serving canned /score and /rules
-// documents.
+// results, which must be in serving order.
 type shardBackend struct {
-	t       *testing.T
+	t       testing.TB
 	srv     *httptest.Server
 	matches []WireMatch
 	rules   []WireRule
 	fail    atomic.Bool  // every request answers 500
 	delay   atomic.Int64 // nanoseconds to stall before answering
 	hits    atomic.Int64
+	framed  atomic.Int64 // bytes of /rules and /score replies sent
+	// mangle, when set (before the first request), rewrites a read reply on
+	// its way out: the corrupt and wrong-typed shards of the chaos tests.
+	mangle func(ctype string, body []byte) (string, []byte)
 }
 
-func newShardBackend(t *testing.T) *shardBackend {
+func newShardBackend(t testing.TB) *shardBackend {
 	b := &shardBackend{t: t}
 	b.srv = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		b.hits.Add(1)
@@ -73,22 +79,30 @@ func newShardBackend(t *testing.T) *shardBackend {
 			if req.MinRI != nil {
 				minRI = *req.MinRI
 			}
-			m := b.matches
-			if m == nil {
-				m = []WireMatch{}
+			prefix, err := ruleframe.AppendScorePrefix(nil, req.Basket, minRI)
+			if err != nil {
+				http.Error(w, err.Error(), http.StatusBadRequest)
+				return
 			}
-			writeJSON(w, http.StatusOK, ScoreDoc{Basket: req.Basket, MinRI: minRI, Matches: m})
+			rules := make([]WireRule, len(b.matches))
+			elems := make([]any, len(b.matches))
+			for i, m := range b.matches {
+				rules[i], elems[i] = m.WireRule, m
+			}
+			b.reply(w, r, prefix, rules, elems)
 		case "/rules":
-			rs := b.rules
-			if rs == nil {
-				rs = []WireRule{}
-			}
 			q := r.URL.Query()
-			writeJSON(w, http.StatusOK, RulesDoc{
-				Item:     q.Get("item"),
-				Expanded: []string{q.Get("item")},
-				Rules:    rs,
-			})
+			minRI, _ := strconv.ParseFloat(q.Get("minri"), 64) // absent = 0, as on a real shard
+			prefix, err := ruleframe.AppendRulesPrefix(nil, q.Get("item"), []string{q.Get("item")}, minRI)
+			if err != nil {
+				http.Error(w, err.Error(), http.StatusBadRequest)
+				return
+			}
+			elems := make([]any, len(b.rules))
+			for i, rule := range b.rules {
+				elems[i] = rule
+			}
+			b.reply(w, r, prefix, b.rules, elems)
 		case "/healthz":
 			writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 		default:
@@ -99,11 +113,44 @@ func newShardBackend(t *testing.T) *shardBackend {
 	return b
 }
 
+// reply answers a read with the frame the router must have asked for.
+// rules are the canned results in serving order, elems the value each one
+// renders as.
+func (b *shardBackend) reply(w http.ResponseWriter, r *http.Request, prefix []byte, rules []WireRule, elems []any) {
+	if got := r.Header.Get("Accept"); got != ruleframe.MediaType {
+		b.t.Errorf("the router asked a shard for %q, want %s", got, ruleframe.MediaType)
+	}
+	ctype := ruleframe.MediaType
+	out := ruleframe.AppendHeader(nil, prefix, len(rules))
+	for i := range rules {
+		out = ruleframe.AppendEntry(out, rules[i].RuleInterest, []byte(signature(&rules[i])), elemJSON(b.t, elems[i]))
+	}
+	if b.mangle != nil {
+		ctype, out = b.mangle(ctype, out)
+	}
+	b.framed.Add(int64(len(out)))
+	w.Header().Set("Content-Type", ctype)
+	_, _ = w.Write(out)
+}
+
+// elemJSON renders one rule or match as it stands in a document's list:
+// what the old whole-document encoder emitted two levels deep.
+func elemJSON(t testing.TB, v any) []byte {
+	var buf bytes.Buffer
+	buf.WriteString("    ")
+	enc := json.NewEncoder(&buf)
+	enc.SetIndent("    ", "  ")
+	if err := enc.Encode(v); err != nil {
+		t.Errorf("rendering %+v: %v", v, err)
+	}
+	return bytes.TrimSuffix(buf.Bytes(), []byte("\n"))
+}
+
 func (b *shardBackend) addr() string { return strings.TrimPrefix(b.srv.URL, "http://") }
 
 // testRouter builds a router with the given backends registered, one per
 // shard slot (nil slots stay unregistered).
-func testRouter(t *testing.T, cfg RouterConfig, backends ...[]*shardBackend) *Router {
+func testRouter(t testing.TB, cfg RouterConfig, backends ...[]*shardBackend) *Router {
 	t.Helper()
 	if cfg.Shards == 0 {
 		cfg.Shards = len(backends)
@@ -305,6 +352,128 @@ func TestRouterMergeFailpointIs500(t *testing.T) {
 	rec, _ := postScore(t, h, fmt.Sprintf(`{"basket": [%q]}`, items[0]))
 	if rec.Code != http.StatusInternalServerError {
 		t.Fatalf("status = %d, want 500 (merge is the router's own fault)", rec.Code)
+	}
+}
+
+// TestRouterCorruptFrameIsPartial: a shard that answers 200 with anything
+// but a well-formed frame — torn, garbled, trailing bytes, or a perfectly
+// good document from a daemon that does not speak the frame — is a failed
+// shard. The attempt is reported to the pool like any failure, the shard is
+// listed missing, and the client gets a well-formed 206 with the healthy
+// shard's results, never a 5xx and never the corrupt bytes.
+func TestRouterCorruptFrameIsPartial(t *testing.T) {
+	items := pickItems(t, 2)
+	plainDoc := encodeDoc(t, ScoreDoc{Basket: []string{"x"}, Matches: []WireMatch{match(0.99, items[1], "stolen")}})
+	for name, mangle := range map[string]func(string, []byte) (string, []byte){
+		"torn":            func(ct string, b []byte) (string, []byte) { return ct, b[:len(b)-7] },
+		"torn in header":  func(ct string, b []byte) (string, []byte) { return ct, b[:6] },
+		"empty":           func(ct string, b []byte) (string, []byte) { return ct, nil },
+		"flipped length":  func(ct string, b []byte) (string, []byte) { b[8] ^= 0x40; return ct, b },
+		"trailing bytes":  func(ct string, b []byte) (string, []byte) { return ct, append(b, "\n"...) },
+		"plain document":  func(string, []byte) (string, []byte) { return "application/json", plainDoc },
+		"frame, mistyped": func(_ string, b []byte) (string, []byte) { return "application/json", b },
+		"document, typed": func(ct string, _ []byte) (string, []byte) { return ct, plainDoc },
+	} {
+		t.Run(name, func(t *testing.T) {
+			good, bad := newShardBackend(t), newShardBackend(t)
+			good.matches = []WireMatch{match(0.9, items[0], "x")}
+			good.rules = []WireRule{good.matches[0].WireRule}
+			bad.matches = []WireMatch{match(0.8, items[1], "y")}
+			bad.rules = []WireRule{bad.matches[0].WireRule}
+			bad.mangle = mangle
+			rt := testRouter(t, RouterConfig{Logf: t.Logf}, []*shardBackend{good}, []*shardBackend{bad})
+			h := rt.Handler()
+
+			rec, doc := postScore(t, h, fmt.Sprintf(`{"basket": [%q, %q]}`, items[0], items[1]))
+			if rec.Code != http.StatusPartialContent {
+				t.Fatalf("/score status = %d, want 206\n%s", rec.Code, rec.Body.Bytes())
+			}
+			if !doc.Partial || len(doc.MissingShards) != 1 || doc.MissingShards[0] != 1 {
+				t.Fatalf("/score doc = %+v, want shard 1 missing", doc)
+			}
+			if len(doc.Matches) != 1 || doc.Matches[0].RuleInterest != 0.9 {
+				t.Fatalf("/score matches = %+v, want the healthy shard's only", doc.Matches)
+			}
+			if got := replicaState(t, rt.Pool(), "s1-r0"); got == "healthy" {
+				t.Fatal("the corrupt attempt was not reported to the pool: replica still healthy")
+			}
+			if got := replicaState(t, rt.Pool(), "s0-r0"); got != "healthy" {
+				t.Fatalf("healthy replica is %s", got)
+			}
+
+			rr := httptest.NewRecorder()
+			h.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/rules?item=x", nil))
+			var rules RulesDoc
+			if err := json.Unmarshal(rr.Body.Bytes(), &rules); rr.Code != http.StatusPartialContent || err != nil {
+				t.Fatalf("/rules status = %d (%v), want a well-formed 206\n%s", rr.Code, err, rr.Body.Bytes())
+			}
+			if !rules.Partial || len(rules.MissingShards) != 1 || rules.MissingShards[0] != 1 || len(rules.Rules) != 1 {
+				t.Fatalf("/rules doc = %+v", rules)
+			}
+			if rt.metrics.partials.Load() != 2 {
+				t.Fatalf("partialResponses = %d, want 2", rt.metrics.partials.Load())
+			}
+		})
+	}
+}
+
+// TestRouterCorruptFrameRetriesSibling: a corrupt 200 is retried on a
+// sibling replica within the retry budget, exactly as a 5xx is, so one bad
+// replica does not degrade the answer.
+func TestRouterCorruptFrameRetriesSibling(t *testing.T) {
+	items := pickItems(t, 1)
+	bad, good := newShardBackend(t), newShardBackend(t)
+	bad.mangle = func(ct string, b []byte) (string, []byte) { return ct, b[:len(b)/2] }
+	bad.matches = []WireMatch{match(0.7, items[0], "x")}
+	good.matches = bad.matches
+	rt := testRouter(t, RouterConfig{Logf: t.Logf}, []*shardBackend{bad, good})
+	for i := 0; i < 2; i++ {
+		rec, doc := postScore(t, rt.Handler(), fmt.Sprintf(`{"basket": [%q]}`, items[0]))
+		if rec.Code != http.StatusOK || doc.Partial || len(doc.Matches) != 1 {
+			t.Fatalf("status = %d, doc = %+v", rec.Code, doc)
+		}
+	}
+	if bad.hits.Load() == 0 || rt.metrics.retries.Load() == 0 {
+		t.Fatalf("corrupt replica hit %d times, %d retries: retry path not exercised", bad.hits.Load(), rt.metrics.retries.Load())
+	}
+}
+
+// TestRouterCountsShardBytes: fanout.shardBytesRead rises by exactly the
+// bytes the shards sent in answer to reads.
+func TestRouterCountsShardBytes(t *testing.T) {
+	items := pickItems(t, 2)
+	b0, b1 := newShardBackend(t), newShardBackend(t)
+	b0.matches = []WireMatch{match(0.9, items[0], "x"), match(0.3, items[0], "y")}
+	b0.rules = []WireRule{b0.matches[0].WireRule}
+	b1.matches = []WireMatch{match(0.5, items[1], "z")}
+	rt := testRouter(t, RouterConfig{Logf: t.Logf}, []*shardBackend{b0}, []*shardBackend{b1})
+	h := rt.Handler()
+	read := func() int64 {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+		var doc routerMetricsJSON
+		if err := json.Unmarshal(rec.Body.Bytes(), &doc); err != nil {
+			t.Fatal(err)
+		}
+		return doc.Fanout.ShardBytes
+	}
+	if got := read(); got != 0 {
+		t.Fatalf("shardBytesRead = %d before any read", got)
+	}
+	var last int64
+	for i, do := range []func(){
+		func() { postScore(t, h, fmt.Sprintf(`{"basket": [%q, %q]}`, items[0], items[1])) },
+		func() { h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, "/rules?item=x", nil)) },
+		func() {
+			h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, "/rules?item=nothing&limit=1", nil))
+		},
+	} {
+		do()
+		sent := b0.framed.Load() + b1.framed.Load()
+		if got := read(); got != sent || got <= last {
+			t.Fatalf("after read %d: shardBytesRead = %d, shards sent %d frame bytes (previously %d)", i, got, sent, last)
+		}
+		last = sent
 	}
 }
 

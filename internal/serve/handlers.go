@@ -9,16 +9,18 @@ import (
 	"math"
 	"net/http"
 	"strconv"
-	"sync"
 	"time"
 
 	"negmine/internal/fault"
 	"negmine/internal/govern"
-	"negmine/internal/rulestore"
+	"negmine/internal/ruleframe"
 )
 
-// RuleJSON is the wire form of one served rule (field names match the
-// report JSON format so downstream tooling parses both).
+// RuleJSON is one served rule as /rules and /score documents carry it
+// (field names match the report JSON format so downstream tooling parses
+// both). The handlers do not build it per request: BuildSnapshot renders
+// every rule through it once (render.go), and Go clients and tests decode
+// replies into it.
 type RuleJSON struct {
 	Antecedent      []string `json:"antecedent"`
 	Consequent      []string `json:"consequent"`
@@ -27,44 +29,11 @@ type RuleJSON struct {
 	ActualSupport   float64  `json:"actualSupport"`
 }
 
-func ruleJSON(e rulestore.Entry) RuleJSON {
-	return RuleJSON{
-		Antecedent:      e.Antecedent,
-		Consequent:      e.Consequent,
-		RuleInterest:    e.RI,
-		ExpectedSupport: e.Expected,
-		ActualSupport:   e.Actual,
-	}
-}
-
-// rulesResponse is the /rules payload.
-type rulesResponse struct {
-	Item     string     `json:"item"`
-	Expanded []string   `json:"expanded"` // item + taxonomy ancestors consulted
-	MinRI    float64    `json:"minRI"`
-	Rules    []RuleJSON `json:"rules"`
-}
-
-// MatchJSON is the wire form of one triggered rule.
-type MatchJSON struct {
-	RuleJSON
-	// Triggers maps antecedent items to the basket item that satisfied them.
-	Triggers map[string]string `json:"triggers"`
-}
-
 // scoreRequest is the /score request body.
 type scoreRequest struct {
 	Basket []string `json:"basket"`
 	MinRI  *float64 `json:"minRI,omitempty"` // per-request threshold; nil = serve all
 	Limit  int      `json:"limit,omitempty"`
-}
-
-// scoreResponse is the /score payload: the negative rules the basket
-// triggers — consequents the customer is unlikely to also buy.
-type scoreResponse struct {
-	Basket  []string    `json:"basket"`
-	MinRI   float64     `json:"minRI"`
-	Matches []MatchJSON `json:"matches"`
 }
 
 // healthResponse is the /healthz payload.
@@ -245,22 +214,27 @@ func (s *Server) handleRules(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "use GET /rules?item=NAME")
 		return
 	}
-	item := r.URL.Query().Get("item")
+	q := r.URL.Query()
+	item := q.Get("item")
 	if item == "" {
 		writeError(w, http.StatusBadRequest, "missing required query parameter: item")
 		return
 	}
 	minRI := 0.0
-	if v := r.URL.Query().Get("minri"); v != "" {
+	if v := q.Get("minri"); v != "" {
 		f, err := strconv.ParseFloat(v, 64)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, "bad minri %q: %v", v, err)
 			return
 		}
+		if math.IsNaN(f) || math.IsInf(f, 0) {
+			writeError(w, http.StatusBadRequest, "bad minri %q: not a finite number", v)
+			return
+		}
 		minRI = f
 	}
 	limit := 0
-	if v := r.URL.Query().Get("limit"); v != "" {
+	if v := q.Get("limit"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 0 {
 			writeError(w, http.StatusBadRequest, "bad limit %q", v)
@@ -276,25 +250,15 @@ func (s *Server) handleRules(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, "query aborted: %v", err)
 		return
 	}
-	resp := rulesResponse{
-		Item:     item,
-		Expanded: snap.Expand(nil, item),
-		MinRI:    minRI,
-		Rules:    make([]RuleJSON, len(ids)),
+	sc := renderPool.Get().(*renderScratch)
+	defer putRenderScratch(sc)
+	sc.expanded = snap.Expand(sc.expanded[:0], item)
+	if sc.prefix, err = ruleframe.AppendRulesPrefix(sc.prefix[:0], item, sc.expanded, minRI); err != nil {
+		writeError(w, http.StatusInternalServerError, "%v", err)
+		return
 	}
-	for i, id := range ids {
-		resp.Rules[i] = ruleJSON(snap.Entry(id))
-	}
-	writeJSON(w, http.StatusOK, resp)
+	writeReply(w, r, snap, sc, ids, false)
 }
-
-// idBufPool recycles the RuleID result buffers of /score, so the snapshot's
-// allocation-free score path stays allocation-free across requests (only the
-// JSON rendering allocates).
-var idBufPool = sync.Pool{New: func() any {
-	buf := make([]RuleID, 0, 1024)
-	return &buf
-}}
 
 func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
@@ -324,27 +288,27 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 		minRI = *req.MinRI
 	}
 	snap := s.Snapshot()
-	buf := idBufPool.Get().(*[]RuleID)
-	ids, err := snap.ScoreCtx(r.Context(), (*buf)[:0], req.Basket, minRI, req.Limit)
-	*buf = ids[:0]
+	sc := renderPool.Get().(*renderScratch)
+	defer putRenderScratch(sc)
+	ids, err := snap.ScoreCtx(r.Context(), sc.ids[:0], req.Basket, minRI, req.Limit)
+	sc.ids = ids[:0]
 	if err != nil {
-		idBufPool.Put(buf)
 		writeError(w, http.StatusServiceUnavailable, "scoring aborted: %v", err)
 		return
 	}
-	resp := scoreResponse{
-		Basket:  req.Basket,
-		MinRI:   minRI,
-		Matches: make([]MatchJSON, len(ids)),
-	}
-	for i, id := range ids {
-		resp.Matches[i] = MatchJSON{
-			RuleJSON: ruleJSON(snap.Entry(id)),
-			Triggers: snap.Triggers(id, req.Basket),
+	sc.basketIDs = sc.basketIDs[:0]
+	for _, name := range req.Basket {
+		id, ok := snap.itemID[name]
+		if !ok {
+			id = -1
 		}
+		sc.basketIDs = append(sc.basketIDs, id)
 	}
-	idBufPool.Put(buf)
-	writeJSON(w, http.StatusOK, resp)
+	if sc.prefix, err = ruleframe.AppendScorePrefix(sc.prefix[:0], req.Basket, minRI); err != nil {
+		writeError(w, http.StatusInternalServerError, "%v", err)
+		return
+	}
+	writeReply(w, r, snap, sc, ids, true)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

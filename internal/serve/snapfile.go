@@ -15,9 +15,9 @@ import (
 // arena slices and posting backing arrays are handed to the encoder as-is,
 // and the posting descriptors recorded at compress time locate every row in
 // those arrays. Decoding runs the direction in reverse — the loaded
-// Snapshot's numeric slices alias the validated (typically mmap'd) file
-// bytes, and only the item dictionary (strings, intern map) is
-// materialized on the heap.
+// Snapshot's numeric slices and rendered-rule fragments alias the validated
+// (typically mmap'd) file bytes, and only the item dictionary (strings,
+// intern map) is materialized on the heap.
 
 // image converts the snapshot into a snapfmt.Image for encoding. The
 // image's numeric slices alias the snapshot's arena — valid as long as s is.
@@ -59,6 +59,8 @@ func (s *Snapshot) image(gen uint64) *snapfmt.Image {
 		Ante:     indexOut(&s.anteIdx),
 		Cons:     indexOut(&s.consIdx),
 		Reach:    indexOut(&s.reachIdx),
+		FragOff:  s.fragOff,
+		FragBlob: s.frag,
 	}
 }
 
@@ -114,6 +116,8 @@ func SnapshotFromImage(img *snapfmt.Image, cacheSize int) (*Snapshot, error) {
 		sideIDs:  img.SideIDs,
 		ancOff:   img.AncOff,
 		ancIDs:   img.AncIDs,
+		fragOff:  img.FragOff,
+		frag:     img.FragBlob,
 		itemID:   make(map[string]int32, m),
 		names:    make([]string, m),
 		source:   img.Meta.Source,
@@ -143,7 +147,8 @@ func SnapshotFromImage(img *snapfmt.Image, cacheSize int) (*Snapshot, error) {
 	s.itemWords = (m + 63) / 64
 	s.arenaBytes = int64(n)*(3*8) + int64(len(s.off))*4 +
 		int64(len(s.sideIDs))*4 + int64(len(s.sideNames))*16 +
-		int64(len(s.names))*16 + int64(len(s.ancOff))*4 + int64(len(s.ancIDs))*4
+		int64(len(s.names))*16 + int64(len(s.ancOff))*4 + int64(len(s.ancIDs))*4 +
+		s.renderedBytes()
 	s.indexBytes = int64(len(s.anteIdx.ids)+len(s.consIdx.ids)+len(s.reachIdx.ids))*4 +
 		int64(len(s.anteIdx.words)+len(s.consIdx.words)+len(s.reachIdx.words))*8 +
 		int64(3*m)*postingHeaderBytes

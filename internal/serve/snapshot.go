@@ -13,6 +13,8 @@
 // rulestore.Entry field is packed into parallel slices indexed by RuleID,
 // with item names interned to dense int32 ids and both rule sides stored in
 // two shared flat slices — no per-rule heap objects, no pointer chasing.
+// Beside them sits each rule's JSON, rendered once at build time, so the
+// HTTP handlers answer by concatenating bytes (render.go).
 // RuleID order is serving-rank order (descending RI, ties by signature), so
 // "all rules with RI ≥ t" is the id prefix [0, k) found by one binary
 // search, and enumerating a posting list in ascending id order yields rank
@@ -77,6 +79,11 @@ type Snapshot struct {
 	off       []uint32
 	sideIDs   []int32
 	sideNames []string
+
+	// Rendered rules (render.go), derived from the above and as immutable:
+	// rule i's JSON fragment is frag[fragOff[i]:fragOff[i+1]].
+	frag    []byte
+	fragOff []uint64
 
 	// Item intern table and the flattened taxonomy-ancestor chains:
 	// item id x's ancestors (nearest-first) are ancIDs[ancOff[x]:ancOff[x+1]].
@@ -283,6 +290,8 @@ func BuildSnapshot(st *rulestore.Store, tax *taxonomy.Taxonomy, meta Meta) *Snap
 	}
 
 	s.buildArena(entries)
+	s.buildFragments()
+	s.arenaBytes += s.renderedBytes()
 	s.buildIndexes(entries, m)
 	if size := meta.CacheSize; size >= 0 {
 		if size == 0 {
@@ -910,7 +919,9 @@ type Match struct {
 
 // Triggers maps each antecedent item of rule id to the first basket item
 // (in basket order) that satisfies it — the item itself or a descendant.
-// It allocates; use it on render paths, after Score picked the rule.
+// It allocates a map, for Matches and other callers off the request path;
+// the /score handler renders the same attribution straight from the arena
+// (appendElem) and is tested against this.
 func (s *Snapshot) Triggers(id RuleID, basket []string) map[string]string {
 	lo, hi := s.off[2*id], s.off[2*id+1]
 	trig := make(map[string]string, hi-lo)
@@ -930,9 +941,11 @@ func (s *Snapshot) Triggers(id RuleID, basket []string) map[string]string {
 // or a descendant of a.
 func (s *Snapshot) supports(b string, a int32) bool {
 	id, ok := s.itemID[b]
-	if !ok {
-		return false
-	}
+	return ok && s.supportsID(id, a)
+}
+
+// supportsID is supports for an interned basket item.
+func (s *Snapshot) supportsID(id, a int32) bool {
 	if id == a {
 		return true
 	}

@@ -207,6 +207,8 @@ func Decode(data []byte) (*Image, error) {
 		{SecReachDesc, descSize, func(b []byte) { img.Reach.Descs = bytesDescs(b) }},
 		{SecReachIDs, 4, func(b []byte) { img.Reach.IDs = bytesI32(b) }},
 		{SecReachWords, 8, func(b []byte) { img.Reach.Words = bytesU64(b) }},
+		{SecFragOff, 8, func(b []byte) { img.FragOff = bytesU64(b) }},
+		{SecFragBlob, 1, func(b []byte) { img.FragBlob = b }},
 	}
 	for _, l := range load {
 		b, err := get(l.kind, l.elem)
@@ -281,6 +283,15 @@ func (img *Image) validate() error {
 			return formatErrf("ancestor id %d out of range [0, %d)", a, m)
 		}
 	}
+	if len(img.FragOff) != n+1 {
+		return formatErrf("frag-off has %d entries, want %d for %d rules", len(img.FragOff), n+1, n)
+	}
+	if err := monotonic("frag-off", img.FragOff, len(img.FragBlob)); err != nil {
+		return err
+	}
+	if img.FragOff[0] != 0 || img.FragOff[n] != uint64(len(img.FragBlob)) {
+		return formatErrf("frag-off does not span the fragment blob")
+	}
 	ruleWords := (n + 63) / 64
 	for _, idx := range []struct {
 		name string
@@ -345,10 +356,10 @@ func (img *Image) validate() error {
 }
 
 // monotonic checks a non-decreasing offset array whose values stay ≤ max.
-func monotonic(name string, offs []uint32, max int) error {
-	prev := uint32(0)
+func monotonic[T uint32 | uint64](name string, offs []T, max int) error {
+	prev := T(0)
 	for _, o := range offs {
-		if o < prev || int(o) > max {
+		if o < prev || uint64(o) > uint64(max) {
 			return formatErrf("%s offsets not monotonic within [0, %d]", name, max)
 		}
 		prev = o

@@ -1,7 +1,8 @@
 // Package snapfmt defines the .nsnap binary snapshot format: a versioned,
 // checksummed, little-endian, section-based encoding of the serving layer's
 // flat rule arena (struct-of-arrays rule slices, interned item dictionary,
-// compressed bitmap posting lists) laid out so a file can be mmap'd and
+// compressed bitmap posting lists, pre-rendered rule JSON) laid out so a
+// file can be mmap'd and
 // served zero-copy. Decode validates the header, every section checksum and
 // every structural invariant, then returns an Image whose slices alias the
 // mapped bytes — no per-rule parsing, no copies of the payload. A daemon
@@ -64,8 +65,11 @@ const (
 // uint32.
 const Magic uint32 = 'N' | 'S'<<8 | 'N'<<16 | 'P'<<24
 
-// Version is the current format version written by Encode.
-const Version uint32 = 1
+// Version is the format version Encode writes and the only one Decode
+// reads. Version 2 added the rendered-rule sections (SecFragOff,
+// SecFragBlob) to the required set; a version-1 file is rejected like any
+// other unknown version and rebuilt from its source.
+const Version uint32 = 2
 
 // Header sizes, fixed by the format.
 const (
@@ -80,7 +84,7 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // SectionKind identifies one section's payload type.
 type SectionKind uint32
 
-// The sections of format version 1. Every kind is required (zero length is
+// The sections of format version 2. Every kind is required (zero length is
 // fine); unknown kinds are ignored by readers of the same version.
 const (
 	SecMeta       SectionKind = 1 + iota // JSON Meta document
@@ -102,6 +106,8 @@ const (
 	SecReachDesc                         // []PostingDesc, taxonomy-reach index
 	SecReachIDs                          // []int32
 	SecReachWords                        // []uint64
+	SecFragOff                           // []uint64, n+1 offsets into FragBlob
+	SecFragBlob                          // raw bytes, concatenated rendered rule fragments
 	secKindEnd
 )
 
@@ -112,6 +118,7 @@ var sectionNames = map[SectionKind]string{
 	SecAnteDesc: "ante-desc", SecAnteIDs: "ante-ids", SecAnteWords: "ante-words",
 	SecConsDesc: "cons-desc", SecConsIDs: "cons-ids", SecConsWords: "cons-words",
 	SecReachDesc: "reach-desc", SecReachIDs: "reach-ids", SecReachWords: "reach-words",
+	SecFragOff: "frag-off", SecFragBlob: "frag-blob",
 }
 
 // Name returns the section kind's human-readable name ("kind-N" if unknown).
@@ -205,6 +212,13 @@ type Image struct {
 	AncIDs []int32
 
 	Ante, Cons, Reach PostingIndex
+
+	// Rendered rules: rule i's JSON fragment, exactly as the serving layer
+	// splices it into /rules and /score documents, is
+	// FragBlob[FragOff[i]:FragOff[i+1]]. The format carries the bytes
+	// opaquely; only the offsets are validated.
+	FragOff  []uint64
+	FragBlob []byte
 }
 
 // NumRules returns the rule count.
@@ -272,6 +286,8 @@ func (img *Image) sections() ([]section, error) {
 		{SecReachDesc, descBytes(img.Reach.Descs)},
 		{SecReachIDs, i32Bytes(img.Reach.IDs)},
 		{SecReachWords, u64Bytes(img.Reach.Words)},
+		{SecFragOff, u64Bytes(img.FragOff)},
+		{SecFragBlob, img.FragBlob},
 	}, nil
 }
 

@@ -8,6 +8,7 @@ import (
 	"math"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"negmine/internal/fault"
@@ -64,6 +65,9 @@ func testImage() *Image {
 			IDs:   []int32{0, 1, 1, 2},
 			Words: []uint64{0b011, 0b111},
 		},
+		// Opaque to the format: any bytes, including an empty fragment.
+		FragOff:  []uint64{0, 6, 6, 13},
+		FragBlob: []byte("{rule0{rule 2"),
 	}
 	return img
 }
@@ -136,6 +140,8 @@ func TestRoundTrip(t *testing.T) {
 		{"Reach.Descs", got.Reach.Descs, img.Reach.Descs},
 		{"Reach.IDs", got.Reach.IDs, img.Reach.IDs},
 		{"Reach.Words", got.Reach.Words, img.Reach.Words},
+		{"FragOff", got.FragOff, img.FragOff},
+		{"FragBlob", got.FragBlob, img.FragBlob},
 	}
 	for _, c := range checks {
 		if !reflect.DeepEqual(c.got, c.want) {
@@ -163,6 +169,7 @@ func TestEmptyImageRoundTrip(t *testing.T) {
 		Off:      []uint32{0},
 		NameOffs: []uint32{0},
 		AncOff:   []uint32{0},
+		FragOff:  []uint64{0},
 	}
 	data := encode(t, img)
 	got, err := Decode(data)
@@ -279,6 +286,11 @@ func TestCorruptionMatrix(t *testing.T) {
 		{"dense stray high bit", func(img *Image) { img.Reach.Words[1] = 0b1111 }},
 		{"unknown posting kind", func(img *Image) { img.Cons.Descs[0].Kind = 9 }},
 		{"non-zero empty posting", func(img *Image) { img.Ante.Descs[3].Off = 1 }},
+		{"frag-off not monotonic", func(img *Image) { img.FragOff[1] = 7 }},
+		{"frag-off overshoots", func(img *Image) { img.FragOff[3] = 99 }},
+		{"frag-off does not start at 0", func(img *Image) { img.FragOff[0] = 1 }},
+		{"frag-off one entry short", func(img *Image) { img.FragOff = img.FragOff[:3] }},
+		{"frag blob longer than frag-off spans", func(img *Image) { img.FragBlob = append(img.FragBlob, '!') }},
 	}
 	for _, sc := range structural {
 		img := testImage()
@@ -291,6 +303,25 @@ func TestCorruptionMatrix(t *testing.T) {
 			t.Errorf("structural %s: decoded successfully", sc.name)
 		} else if !errors.Is(err, ErrFormat) {
 			t.Errorf("structural %s: error does not wrap ErrFormat: %v", sc.name, err)
+		}
+	}
+}
+
+// TestVersion1Rejected pins the upgrade story: there is one readable
+// version, and a file written before the rendered-rule sections existed
+// fails the version check — before any section is looked at — like any
+// other version this reader does not speak.
+func TestVersion1Rejected(t *testing.T) {
+	data := encode(t, testImage())
+	binary.LittleEndian.PutUint32(data[4:], 1)
+	reseal(data)
+	for name, decode := range map[string]func([]byte) error{
+		"Decode":       func(b []byte) error { _, err := Decode(b); return err },
+		"DecodeHeader": func(b []byte) error { _, _, err := DecodeHeader(b); return err },
+	} {
+		err := decode(data)
+		if !errors.Is(err, ErrFormat) || !strings.Contains(err.Error(), "unsupported version 1") {
+			t.Errorf("%s of a version-1 header: %v, want the unsupported-version error", name, err)
 		}
 	}
 }
