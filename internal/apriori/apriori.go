@@ -153,6 +153,14 @@ func Gen(prev []item.Itemset) []item.Itemset {
 	if len(prev) == 0 {
 		return nil
 	}
+	if prev[0].Len() == 1 {
+		return genPairs(prev)
+	}
+	return joinPrune(prev)
+}
+
+// joinPrune is apriori-gen as published, for any k.
+func joinPrune(prev []item.Itemset) []item.Itemset {
 	k1 := prev[0].Len() // k-1
 	prevSet := make(map[item.Key]struct{}, len(prev))
 	for _, p := range prev {
@@ -170,6 +178,22 @@ func Gen(prev []item.Itemset) []item.Itemset {
 			if hasAllSubsets(cand, prevSet) {
 				out = append(out, cand)
 			}
+		}
+	}
+	return out
+}
+
+// genPairs is Gen at k = 2: every pair of large 1-itemsets joins (the shared
+// prefix is empty) and nothing is pruned — both 1-subsets of a pair are large
+// by construction — so the pairs are carved from one slab.
+func genPairs(prev []item.Itemset) []item.Itemset {
+	n := len(prev) * (len(prev) - 1) / 2
+	slab := make([]item.Item, 0, 2*n)
+	out := make([]item.Itemset, 0, n)
+	for i, a := range prev {
+		for _, b := range prev[i+1:] {
+			slab = append(slab, a[0], b[0])
+			out = append(out, slab[len(slab)-2:len(slab):len(slab)])
 		}
 	}
 	return out

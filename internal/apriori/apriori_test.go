@@ -2,6 +2,7 @@ package apriori
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"negmine/internal/count"
@@ -386,6 +387,38 @@ func BenchmarkMineApriori(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := Mine(db, Options{MinSupport: 0.05}); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestGenPairsEqualsJoinPrune: at k = 2 the slab-carved pairs are the
+// published join + prune, set for set and in order, on random L1s — of one
+// item, of none, of many.
+func TestGenPairsEqualsJoinPrune(t *testing.T) {
+	r := rand.New(rand.NewSource(19))
+	for trial := 0; trial < 50; trial++ {
+		var l1 []item.Itemset
+		for x := 0; x < 60; x++ { // trial 0: no large item; trial 1: one
+			if trial > 1 && r.Intn(3) == 0 || trial == 1 && x == 7 {
+				l1 = append(l1, item.New(item.Item(x)))
+			}
+		}
+		got := Gen(l1)
+		var want []item.Itemset
+		if len(l1) > 0 {
+			want = joinPrune(l1)
+		}
+		if !slices.EqualFunc(got, want, item.Itemset.Equal) {
+			t.Fatalf("trial %d: %d large items: pairs %v, join+prune %v", trial, len(l1), got, want)
+		}
+		// Carved from a slab, but not sharing it: appending to one pair
+		// must not reach the next.
+		if len(got) > 1 {
+			next := got[1].Clone()
+			_ = append(got[0], 999)
+			if !got[1].Equal(next) {
+				t.Fatalf("trial %d: appending to pair 0 overwrote pair 1", trial)
+			}
 		}
 	}
 }

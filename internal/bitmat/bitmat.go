@@ -89,11 +89,6 @@ func (m *Matrix) Row(x item.Item) []uint64 {
 	return m.bits[int(r)*m.words : (int(r)+1)*m.words]
 }
 
-// set marks transaction position tid as supporting row r.
-func (m *Matrix) set(r int32, tid int) {
-	m.bits[int(r)*m.words+tid>>6] |= 1 << uint(tid&63)
-}
-
 // Set marks position pos in item x's row and reports whether x has a row.
 // It is the position-by-position builder used by callers that assemble a
 // matrix from something other than a database scan — e.g. the serving
@@ -104,7 +99,7 @@ func (m *Matrix) Set(x item.Item, pos int) bool {
 	if !ok {
 		return false
 	}
-	m.set(r, pos)
+	m.bits[int(r)*m.words+pos>>6] |= 1 << uint(pos&63)
 	return true
 }
 
@@ -165,6 +160,7 @@ type Transform func(dst []item.Item, s item.Itemset) item.Itemset
 func (m *Matrix) FillWindows(db txdb.DB, tax *taxonomy.Taxonomy, transform Transform, full func() error) error {
 	n := db.Count()
 	buf := make([]item.Item, 0, 64)
+	start, offs := m.closure(tax)
 	seen, pos := 0, 0
 	return db.Scan(func(tx txdb.Transaction) error {
 		if seen == n {
@@ -182,27 +178,47 @@ func (m *Matrix) FillWindows(db txdb.DB, tax *taxonomy.Taxonomy, transform Trans
 			s = transform(buf[:0], s)
 			buf = s[:0]
 		}
+		word, bit := pos>>6, uint64(1)<<uint(pos&63)
 		for _, x := range s {
-			if r, ok := m.index[x]; ok {
-				m.set(r, pos)
-			}
-			if tax == nil {
-				continue
-			}
-			// The closure is walked directly rather than OR-composed from
-			// child rows so that descendant leaves without rows of their
-			// own (small 1-itemsets pruned from candidate generation) still
-			// contribute to their ancestors' support, as the paper requires.
-			for _, a := range tax.AncestorsOf(x) {
-				if r, ok := m.index[a]; ok {
-					m.set(r, pos)
+			if x >= 0 && int(x) < len(start)-1 {
+				for _, o := range offs[start[x]:start[x+1]] {
+					m.bits[o+word] |= bit
 				}
+			} else if r, ok := m.index[x]; ok {
+				m.bits[int(r)*m.words+word] |= bit
 			}
 		}
 		seen++
 		pos++
 		return nil
 	})
+}
+
+// closure resolves, once per fill, every node x of tax to the word offsets
+// offs[start[x]:start[x+1]] of the rows a transaction holding x sets: x's own
+// and its ancestors', where they have rows. The closure is taken from the
+// taxonomy rather than OR-composed from child rows so that descendant leaves
+// without rows of their own (small 1-itemsets pruned from candidate
+// generation) still contribute to their ancestors' support, as the paper
+// requires. A nil taxonomy resolves nothing.
+func (m *Matrix) closure(tax *taxonomy.Taxonomy) (start []int32, offs []int) {
+	if tax == nil {
+		return nil, nil
+	}
+	start = make([]int32, tax.Size()+1)
+	add := func(x item.Item) {
+		if r, ok := m.index[x]; ok {
+			offs = append(offs, int(r)*m.words)
+		}
+	}
+	for x := 0; x < tax.Size(); x++ {
+		add(item.Item(x))
+		for _, a := range tax.AncestorsOf(item.Item(x)) {
+			add(a)
+		}
+		start[x+1] = int32(len(offs))
+	}
+	return start, offs
 }
 
 // FromDB builds rows for items over one pass of db, applying transform (nil

@@ -5,7 +5,9 @@
 // (AND+popcount per candidate, over as wide a window of transactions as the
 // memory budget grants) or the Agrawal–Srikant hash tree (per-transaction
 // subset probing, any transform). Options.Backend selects the engine; the
-// default is documented on EngineFor.
+// default is documented on EngineFor. A pass is a scan of the database unless
+// the database is Indexed: a level-wise mine takes BuildIndex of its input —
+// two scans — and counts every pass from the index.
 package count
 
 import (
@@ -70,8 +72,13 @@ func Candidates(db txdb.DB, cands []item.Itemset, opt Options) ([]int, error) {
 // pass of every Apriori-family algorithm — and for the same reason it never
 // uses the bitmap engine, which needs the item universe up front: each
 // worker counts into a dense slice indexed by item id, converted to a
-// Counter once at the end. An Indexed database declared under Options.Tax
-// already knows the answer and is not scanned.
+// Counter once at the end. Under Options.Tax — the declaration that the
+// transform is the full ancestor extension — the extension is not built:
+// each item is walked up its ancestor list, nearest first and only as far as
+// the first node this transaction already counted (whose own ancestors were
+// counted with it), so nothing is materialised or sorted. An Indexed
+// database declared under Options.Tax already knows the answer and is not
+// scanned.
 func Singletons(db txdb.DB, opt Options) (*item.Counter, error) {
 	if ix := indexOf(db, opt.Tax); ix != nil {
 		return ix.Singletons(), nil
@@ -81,31 +88,38 @@ func Singletons(db txdb.DB, opt Options) (*item.Counter, error) {
 	if workers < 2 || !canShard {
 		workers = 1
 	}
-	dense := make([][]int, workers)
+	dense := make([]onceCounter, workers)
 	errs := make([]error, workers)
-	counter := func(w int) func(txdb.Transaction) error {
+	counter := func(c *onceCounter) func(txdb.Transaction) error {
 		buf := make([]item.Item, 0, 64)
 		return func(tx txdb.Transaction) error {
-			var s item.Itemset
-			s, buf = opt.Apply(buf, tx.Items)
+			c.tx++
+			s := tx.Items
+			if opt.Tax == nil {
+				s, buf = opt.Apply(buf, s)
+			}
 			for _, x := range s {
-				if int(x) >= len(dense[w]) {
-					dense[w] = append(dense[w], make([]int, int(x)+1-len(dense[w]))...)
+				if !c.add(x) || opt.Tax == nil {
+					continue
 				}
-				dense[w][x]++
+				for _, a := range opt.Tax.AncestorsOf(x) {
+					if !c.add(a) {
+						break
+					}
+				}
 			}
 			return nil
 		}
 	}
 	if workers == 1 {
-		errs[0] = db.Scan(counter(0))
+		errs[0] = db.Scan(counter(&dense[0]))
 	} else {
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
-				if err := sharder.ScanShard(w, workers, counter(w)); err != nil {
+				if err := sharder.ScanShard(w, workers, counter(&dense[w])); err != nil {
 					errs[w] = fmt.Errorf("count: worker %d: %w", w, err)
 				}
 			}(w)
@@ -117,11 +131,32 @@ func Singletons(db txdb.DB, opt Options) (*item.Counter, error) {
 		if err != nil {
 			return nil, err
 		}
-		for x, n := range dense[w] {
+		for x, n := range dense[w].counts {
 			if n > 0 {
 				total.Add(item.Itemset{item.Item(x)}, n)
 			}
 		}
 	}
 	return total, nil
+}
+
+// onceCounter counts items into a dense slice indexed by item id, each at
+// most once per transaction: stamp[x] is the last transaction that counted x.
+type onceCounter struct {
+	counts, stamp []int
+	tx            int // transactions begun; 0 is the "never counted" stamp
+}
+
+// add counts x unless the current transaction already has.
+func (c *onceCounter) add(x item.Item) bool {
+	if int(x) >= len(c.counts) {
+		c.counts = append(c.counts, make([]int, int(x)+1-len(c.counts))...)
+		c.stamp = append(c.stamp, make([]int, int(x)+1-len(c.stamp))...)
+	}
+	if c.stamp[x] == c.tx {
+		return false
+	}
+	c.stamp[x] = c.tx
+	c.counts[x]++
+	return true
 }

@@ -7,7 +7,6 @@ import (
 	"negmine/internal/bitmat"
 	"negmine/internal/govern"
 	"negmine/internal/item"
-	"negmine/internal/taxonomy"
 	"negmine/internal/txdb"
 )
 
@@ -78,29 +77,6 @@ type Engine interface {
 	Multi(db txdb.DB, groups [][]item.Itemset, transforms []TransformInto, opt Options) ([][]int, error)
 }
 
-// Indexed is a txdb.DB that carries a vertical index of itself under the
-// ancestor extension of Taxonomy(): the 1-item counts Singletons would scan
-// for, and the rows bitmat.FromDBTaxonomy would build for every item a
-// counting pass can name (the large 1-items — level-wise candidates and the
-// paper's negative candidates are built from nothing else). Passes declared
-// under the same taxonomy (Options.Tax) are answered from the index: no scan,
-// no matrix build, and Backend — a choice between ways of scanning — does not
-// apply. Every other pass scans the database as usual.
-type Indexed interface {
-	txdb.DB
-	Taxonomy() *taxonomy.Taxonomy
-	Singletons() *item.Counter
-	Matrix() *bitmat.Matrix
-}
-
-// indexOf returns db's index when it answers passes declared under tax.
-func indexOf(db txdb.DB, tax *taxonomy.Taxonomy) Indexed {
-	if ix, ok := db.(Indexed); ok && tax != nil && ix.Taxonomy() == tax {
-		return ix
-	}
-	return nil
-}
-
 // EngineFor selects the engine for a counting pass. An Indexed database
 // counts from its own rows. Otherwise the bitmap engine counts, over any
 // database — it honours memory itself, by narrowing its transaction window —
@@ -108,7 +84,7 @@ func indexOf(db txdb.DB, tax *taxonomy.Taxonomy) Indexed {
 // per-group transform is opaque to it (not declared an ancestor extension
 // via Options.Tax).
 func EngineFor(db txdb.DB, groups [][]item.Itemset, transforms []TransformInto, opt Options) Engine {
-	if indexOf(db, opt.Tax) != nil {
+	if rowsOf(db, opt.Tax) != nil {
 		return BitmapEngine{}
 	}
 	opaque := hasPerGroup(transforms) && opt.Tax == nil
@@ -199,9 +175,9 @@ func (BitmapEngine) Multi(db txdb.DB, groups [][]item.Itemset, transforms []Tran
 		totals []int
 		err    error
 	)
-	if ix := indexOf(db, opt.Tax); ix != nil {
-		// Rows built and reserved by db's owner.
-		totals, err = ix.Matrix().Counts(flat, opt.Parallelism)
+	if rows := rowsOf(db, opt.Tax); rows != nil {
+		// Built and reserved by db's owner.
+		totals, err = rows.Counts(flat, opt.Parallelism)
 	} else {
 		totals, err = countWindows(db, flat, hasPerGroup(transforms), opt)
 	}

@@ -1,0 +1,255 @@
+package count
+
+import (
+	"errors"
+	"math/rand"
+	"slices"
+	"strconv"
+	"sync"
+	"testing"
+
+	"negmine/internal/bitmat"
+	"negmine/internal/fault"
+	"negmine/internal/govern"
+	"negmine/internal/item"
+	"negmine/internal/taxonomy"
+	"negmine/internal/txdb"
+)
+
+// scanOnly hides a database's ScanShard: the non-Sharder every pass must
+// also work over.
+type scanOnly struct{ txdb.DB }
+
+// randomForest draws a taxonomy with several roots, single-child categories
+// and chains of varying depth, and a database over its nodes — leaves and,
+// now and then, a category — plus three ids the taxonomy does not know;
+// some transactions are empty and the count is not a multiple of 64.
+func randomForest(t testing.TB, seed int64) (*taxonomy.Taxonomy, *txdb.MemDB) {
+	t.Helper()
+	r := rand.New(rand.NewSource(seed))
+	b := taxonomy.NewBuilder()
+	nodes := 5 + r.Intn(30)
+	for i := 0; i < nodes; i++ {
+		if name := "n" + strconv.Itoa(i); i < 2 || r.Intn(6) == 0 {
+			b.Node(name)
+		} else {
+			b.Link("n"+strconv.Itoa(r.Intn(i)), name)
+		}
+	}
+	tax, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := &txdb.MemDB{}
+	for i, n := 0, 64*r.Intn(6)+1+r.Intn(63); i < n; i++ {
+		raw := make([]item.Item, r.Intn(7))
+		for j := range raw {
+			raw[j] = item.Item(r.Intn(nodes + 3))
+		}
+		db.Append(txdb.Transaction{TID: int64(i + 1), Items: item.New(raw...)})
+	}
+	return tax, db
+}
+
+// extendCounts is pass 1 by the definition: build every transaction's
+// ancestor extension, count its members.
+func extendCounts(db *txdb.MemDB, tax *taxonomy.Taxonomy) map[item.Item]int {
+	ref := map[item.Item]int{}
+	for _, tx := range db.Transactions() {
+		for _, x := range tax.Extend(tx.Items) {
+			ref[x]++
+		}
+	}
+	return ref
+}
+
+// TestStampPassOneMatchesExtend: counting the ancestor extension node by
+// node with last-seen stamps gives the counts of building it, on a Sharder
+// and on a plain scanner, with one worker or several.
+func TestStampPassOneMatchesExtend(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
+		tax, mem := randomForest(t, seed)
+		ref := extendCounts(mem, tax)
+		for _, db := range []txdb.DB{mem, scanOnly{mem}, &txdb.MemDB{}} {
+			want := ref
+			if db.Count() == 0 {
+				want = nil
+			}
+			for _, workers := range []int{1, 2, 5} {
+				// The transform is declared, not run: Tax says what it is.
+				got, err := Singletons(db, Options{Tax: tax, Parallelism: workers, TransformInto: tax.ExtendInto})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.Len() != len(want) {
+					t.Fatalf("seed %d %T workers %d: %d items counted, reference %d", seed, db, workers, got.Len(), len(want))
+				}
+				for x, n := range want {
+					if c := got.Count(item.Itemset{x}); c != n {
+						t.Fatalf("seed %d %T workers %d: item %d counted %d, reference %d", seed, db, workers, x, c, n)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestBuildIndexMatchesScans: the index BuildIndex takes with two scans
+// answers what the scans it replaces answer — Singletons' counts, and for
+// exactly the items counted minCount times the rows FromDBTaxonomy fills —
+// and holds the rows' bytes, no more, until Release.
+func TestBuildIndexMatchesScans(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
+		tax, mem := randomForest(t, seed)
+		ref := extendCounts(mem, tax)
+		minCount := 1 + int(seed)%(mem.Count()/8+1)
+		var large item.Itemset
+		for x, n := range ref {
+			if n >= minCount {
+				large = append(large, x)
+			}
+		}
+		large = item.SortDedup(large)
+		want, err := bitmat.FromDBTaxonomy(mem, tax, large)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, db := range []txdb.DB{mem, scanOnly{mem}} {
+			ins := txdb.Instrument(db)
+			budget := govern.NewBudget(0)
+			ix, err := BuildIndex(ins, tax, minCount, Options{Parallelism: 1, Mem: budget})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ins.Passes() != 2 {
+				t.Fatalf("seed %d: %d scans, want 2", seed, ins.Passes())
+			}
+			if !ix.Matrix().Items().Equal(large) {
+				t.Fatalf("seed %d: rows for %v, want the large items %v", seed, ix.Matrix().Items(), large)
+			}
+			for _, x := range large {
+				if !slices.Equal(ix.Matrix().Row(x), want.Row(x)) {
+					t.Fatalf("seed %d: row of item %d differs from FromDBTaxonomy's", seed, x)
+				}
+			}
+			if ix.Singletons().Len() != len(ref) {
+				t.Fatalf("seed %d: %d items counted, reference %d", seed, ix.Singletons().Len(), len(ref))
+			}
+			for x, n := range ref {
+				if c := ix.Singletons().Count(item.Itemset{x}); c != n {
+					t.Fatalf("seed %d: item %d counted %d, reference %d", seed, x, c, n)
+				}
+			}
+			if got := budget.InUse(); got != want.Bytes() {
+				t.Fatalf("seed %d: %d bytes reserved, want the rows' %d", seed, got, want.Bytes())
+			}
+			// Indexed now: nothing is built twice.
+			if again, err := BuildIndex(ix, tax, minCount, Options{Mem: budget}); again != nil || err != nil {
+				t.Fatalf("seed %d: an Indexed database was indexed again (%v, %v)", seed, again, err)
+			}
+			ix.Release()
+			if budget.InUse() != 0 {
+				t.Fatalf("seed %d: %d bytes reserved after Release", seed, budget.InUse())
+			}
+		}
+	}
+}
+
+// TestBuildIndexDeclines: no taxonomy and BackendHashTree decline before any
+// scan; a budget short of full-width rows yields the pass-1 half of the
+// index after one scan — Singletons is answered, counting passes scan in
+// windows — with nothing left reserved.
+func TestBuildIndexDeclines(t *testing.T) {
+	tax, leaves := testTax(t, 16)
+	ins := txdb.Instrument(leafDB(3, leaves, 300, 6))
+	for name, build := range map[string]func() (*Index, error){
+		"nil taxonomy": func() (*Index, error) { return BuildIndex(ins, nil, 1, Options{}) },
+		"hash tree":    func() (*Index, error) { return BuildIndex(ins, tax, 1, Options{Backend: BackendHashTree}) },
+	} {
+		if ix, err := build(); ix != nil || err != nil || ins.Passes() != 0 {
+			t.Fatalf("%s: (%v, %v) after %d scans, want a decline without scanning", name, ix, err, ins.Passes())
+		}
+	}
+
+	universe := leaves.Union(tax.Categories())
+	full := bitmat.EstimateBytes(300, universe.Len())
+	for name, total := range map[string]int64{"a third of the rows": full / 3, "below the 64-transaction floor": 16} {
+		ins.Reset()
+		budget := govern.NewBudget(total)
+		ix, err := BuildIndex(ins, tax, 1, Options{Mem: budget})
+		if err != nil || ix == nil || ix.Matrix() != nil {
+			t.Fatalf("%s: BuildIndex = (%v, %v), want an index without rows", name, ix, err)
+		}
+		if ins.Passes() != 1 || budget.InUse() != 0 {
+			t.Fatalf("%s: %d scans, %d bytes reserved; want 1 and 0", name, ins.Passes(), budget.InUse())
+		}
+		opt := Options{Tax: tax, Mem: govern.NewBudget(full / 3)}
+		if singles, err := Singletons(ix, opt); err != nil || singles != ix.Singletons() || ins.Passes() != 1 {
+			t.Fatalf("%s: Singletons scanned again (err %v, %d scans)", name, err, ins.Passes())
+		}
+		groups := randomGroups(rand.New(rand.NewSource(4)), universe, 3)
+		got, err := Multi(ix, groups, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := HashTreeEngine{}.Multi(ins.DB, groups, nil, Options{TransformInto: tax.ExtendInto})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameCounts(t, name, got, want)
+		if ins.Passes() != 2 || opt.Mem.InUse() != 0 {
+			t.Fatalf("%s: windowed pass made %d scans and left %d bytes reserved", name, ins.Passes()-1, opt.Mem.InUse())
+		}
+		ix.Release()
+	}
+}
+
+// TestBuildIndexFaultReleasesBudget tears the read in pass 1 and in the row
+// fill: BuildIndex returns the scan's error and the budget is where it was.
+// Then several builders index one Sharder at once, each with sharded pass-1
+// workers, for the race detector.
+func TestBuildIndexFaultReleasesBudget(t *testing.T) {
+	tax, leaves := testTax(t, 16)
+	db := leafDB(5, leaves, 200, 6)
+	for name, hit := range map[string]int{"pass 1": 150, "fill": 350} {
+		budget := govern.NewBudget(0)
+		off := fault.Enable(txdb.PointScan, fault.Error("torn read"), fault.OnHit(hit))
+		ix, err := BuildIndex(db, tax, 2, Options{Mem: budget})
+		off()
+		if ix != nil || !errors.Is(err, fault.ErrInjected) {
+			t.Fatalf("%s: BuildIndex = (%v, %v), want the injected scan error", name, ix, err)
+		}
+		if budget.InUse() != 0 {
+			t.Fatalf("%s: %d bytes still reserved", name, budget.InUse())
+		}
+	}
+
+	want, err := BuildIndex(db, tax, 2, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	budget := govern.NewBudget(0)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ix, err := BuildIndex(db, tax, 2, Options{Parallelism: 4, Mem: budget})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer ix.Release()
+			for _, x := range want.Matrix().Items() {
+				if !slices.Equal(ix.Matrix().Row(x), want.Matrix().Row(x)) || ix.Singletons().Count(item.Itemset{x}) != want.Singletons().Count(item.Itemset{x}) {
+					t.Errorf("concurrent build: item %d differs from the sequential index", x)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if budget.InUse() != 0 {
+		t.Fatalf("%d bytes still reserved after concurrent builds", budget.InUse())
+	}
+}

@@ -108,6 +108,15 @@ func Mine(db txdb.DB, tax *taxonomy.Taxonomy, opt Options) (*apriori.Result, err
 	if tax == nil {
 		return nil, fmt.Errorf("gen: nil taxonomy")
 	}
+	// Two scans index the database; every level then counts from rows.
+	ix, err := count.BuildIndex(db, tax, apriori.MinCount(opt.MinSupport, db.Count()), opt.Count)
+	if err != nil {
+		return nil, err
+	}
+	if ix != nil {
+		defer ix.Release()
+		db = ix
+	}
 	switch opt.Algorithm {
 	case Basic, Cumulate:
 		return mineLevelwise(db, tax, opt)
@@ -216,8 +225,7 @@ func genLevel(prev []item.Itemset, tax *taxonomy.Taxonomy, k int) []item.Itemset
 // mineL1 runs the first pass: exact counts of every item and category.
 func mineL1(db txdb.DB, tax *taxonomy.Taxonomy, opt Options, res *apriori.Result) ([]item.Itemset, error) {
 	cnt := opt.Count
-	cnt.TransformInto = basicTransform(tax)
-	cnt.Tax = tax // the transform is the full ancestor extension
+	cnt.Tax = tax // count the full ancestor extension
 	singles, err := count.Singletons(db, cnt)
 	if err != nil {
 		return nil, err

@@ -12,7 +12,8 @@ import (
 )
 
 // Stepper runs generalized level-wise mining one level at a time: each Next
-// call performs exactly one pass over the database and returns L_k. The
+// call performs exactly one counting pass — one scan of the database, or
+// none when it is count.Indexed — and returns L_k. The
 // paper's Naive negative algorithm interleaves a negative-candidate pass
 // after each large-itemset pass, which requires this per-level control.
 //
@@ -54,7 +55,7 @@ func NewStepper(db txdb.DB, tax *taxonomy.Taxonomy, opt Options) (*Stepper, erro
 	}, nil
 }
 
-// Next mines the next level with one database pass and returns it. It
+// Next mines the next level with one counting pass and returns it. It
 // returns (nil, nil) once no further level exists (or MaxK is reached).
 func (s *Stepper) Next() ([]item.CountedSet, error) {
 	if s.done {

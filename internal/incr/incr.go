@@ -32,6 +32,7 @@ import (
 	"time"
 
 	"negmine/internal/apriori"
+	"negmine/internal/count"
 	"negmine/internal/fault"
 	"negmine/internal/govern"
 	"negmine/internal/negative"
@@ -126,10 +127,10 @@ func (m *Miner) Refresh(log *seglog.Log) (*negative.Result, error) {
 		return nil, fmt.Errorf("incr: %w", ferr)
 	}
 	if err == nil {
-		var v *view
+		var v *count.Index
 		if v, err = m.idx.view(snap, apriori.MinCount(m.opt.MinSupport, st.N)); err == nil {
-			defer m.idx.mem.Release(v.rows.Bytes())
-			db, st.IndexBytes, st.LargeItems = v, m.idx.bytes, v.rows.Items().Len()
+			defer v.Release()
+			db, st.IndexBytes, st.LargeItems = v, m.idx.bytes, v.Matrix().Items().Len()
 		}
 	}
 	if errors.Is(err, govern.ErrOverBudget) {

@@ -4,6 +4,7 @@ import (
 	"sync/atomic"
 
 	"negmine/internal/bitmat"
+	"negmine/internal/count"
 	"negmine/internal/govern"
 	"negmine/internal/item"
 	"negmine/internal/seglog"
@@ -108,25 +109,14 @@ func (s *sealed) Scan(fn func(txdb.Transaction) error) error {
 	return nil
 }
 
-// view is the database one refresh mines: the sealed snapshot for whatever
-// insists on scanning, and a count.Indexed that answers every counting pass
-// of the batch miner from the index.
-type view struct {
-	*sealed
-	tax     *taxonomy.Taxonomy
-	singles *item.Counter  // pass 1: the posting-list lengths
-	rows    *bitmat.Matrix // dense rows of the large 1-items
-}
-
-func (v *view) Taxonomy() *taxonomy.Taxonomy { return v.tax }
-func (v *view) Singletons() *item.Counter    { return v.singles }
-func (v *view) Matrix() *bitmat.Matrix       { return v.rows }
-
-// view materialises the index for one refresh over db (which it must cover):
-// dense rows only for the items with at least minCount postings, so memory
-// follows the postings of large items, not vocabulary × N. The rows are
-// reserved against mem; the caller releases rows.Bytes() when done with them.
-func (ix *index) view(db *sealed, minCount int) (*view, error) {
+// view materialises the index for one refresh over db (which it must cover)
+// as the count.Indexed that answers every counting pass of the batch miner —
+// db itself remains for whatever insists on scanning: pass 1 is the
+// posting-list lengths, and dense rows exist only for the items with at
+// least minCount postings, so memory follows the postings of large items,
+// not vocabulary × N. The rows are reserved against mem; the caller Releases
+// the view when done with it.
+func (ix *index) view(db *sealed, minCount int) (*count.Index, error) {
 	singles := item.NewCounter()
 	var large item.Itemset
 	for x, p := range ix.posts {
@@ -144,5 +134,5 @@ func (ix *index) view(db *sealed, minCount int) (*view, error) {
 	for _, x := range large {
 		rows.SetAll(x, ix.posts[x])
 	}
-	return &view{sealed: db, tax: ix.tax, singles: singles, rows: rows}, nil
+	return count.NewIndex(db, ix.tax, singles, rows, ix.mem), nil
 }

@@ -1,0 +1,273 @@
+package negative
+
+import (
+	"errors"
+	"fmt"
+	"math/rand"
+	"path/filepath"
+	"strconv"
+	"sync"
+	"testing"
+
+	"negmine/internal/bitmat"
+	"negmine/internal/count"
+	"negmine/internal/datagen"
+	"negmine/internal/fault"
+	"negmine/internal/gen"
+	"negmine/internal/govern"
+	"negmine/internal/item"
+	"negmine/internal/taxonomy"
+	"negmine/internal/txdb"
+)
+
+// scanOnly hides a database's ScanShard.
+type scanOnly struct{ txdb.DB }
+
+// randomMarket draws a forest — several roots, single-child categories,
+// chains — and a database over it in which three leaves are bought together
+// often enough for large 3-itemsets, the other leaves rarely enough that
+// some are small while their categories are large, a few baskets name a
+// category or an item the taxonomy does not know, some are empty, and the
+// transaction count is not a multiple of 64.
+func randomMarket(t testing.TB, seed int64) (*taxonomy.Taxonomy, *txdb.MemDB) {
+	t.Helper()
+	r := rand.New(rand.NewSource(seed))
+	b := taxonomy.NewBuilder()
+	nodes := 12 + r.Intn(25)
+	for i := 0; i < nodes; i++ {
+		if name := "n" + strconv.Itoa(i); i < 3 || r.Intn(8) == 0 {
+			b.Node(name)
+		} else {
+			b.Link("n"+strconv.Itoa(r.Intn(i)), name)
+		}
+	}
+	tax, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	leaves := tax.Leaves()
+	db := &txdb.MemDB{}
+	for i, n := 0, 64*(4+r.Intn(5))+1+r.Intn(63); i < n; i++ {
+		var raw []item.Item
+		switch r.Intn(10) {
+		case 0: // empty
+		case 1, 2, 3:
+			raw = append(raw, leaves[0], leaves[len(leaves)/2], leaves[len(leaves)-1])
+			fallthrough
+		default:
+			for j := r.Intn(4); j > 0; j-- {
+				raw = append(raw, leaves[r.Intn(len(leaves))])
+			}
+			if r.Intn(12) == 0 {
+				raw = append(raw, item.Item(r.Intn(nodes+3)))
+			}
+		}
+		db.Append(txdb.Transaction{TID: int64(i + 1), Items: item.New(raw...)})
+	}
+	return tax, db
+}
+
+// TestIndexedWindowedAndHashTreeMinesAgree is the spec of "same counts":
+// the mine that indexes the database with two scans, the mine whose budget
+// forces every pass through three or more windows, and the hash-tree mine
+// decide the same large itemsets, negatives and rules — under both drivers,
+// with one counting worker or several, over a Sharder in memory, one on
+// disk, a throttled one and a database that can only be scanned whole.
+func TestIndexedWindowedAndHashTreeMinesAgree(t *testing.T) {
+	var triples, smallLeafLargeCategory, negatives int
+	for seed := int64(1); seed <= 12; seed++ {
+		tax, mem := randomMarket(t, seed)
+		path := filepath.Join(t.TempDir(), "db.nmtx")
+		if err := txdb.WriteFile(path, mem); err != nil {
+			t.Fatal(err)
+		}
+		file, err := txdb.OpenFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hash := Options{MinSupport: 0.12, MinRI: 0.3}
+		hash.Count.Backend, hash.Gen.Count.Backend = count.BackendHashTree, count.BackendHashTree
+		want, err := Mine(mem, tax, hash)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want.Large.Levels) >= 3 {
+			triples++
+		}
+		if len(want.Negatives) > 0 {
+			negatives++
+		}
+		for _, leaf := range tax.Leaves() {
+			if p := tax.Parent(leaf); p != item.None && !want.Large.Table.Contains(item.Itemset{leaf}) && want.Large.Table.Contains(item.Itemset{p}) {
+				smallLeafLargeCategory++
+				break
+			}
+		}
+		// Rows for a third of the transactions, rounded down to whole words:
+		// the C2 pass, which names every large 1-item, needs ≥ 3 windows.
+		third := bitmat.EstimateBytes(mem.Count()/3/64*64, len(want.Large.Levels[0]))
+
+		for name, base := range map[string]txdb.DB{"mem": mem, "file": file, "throttled": txdb.Throttle(mem, 0), "scan-only": file} {
+			ins := txdb.Instrument(base)
+			var db txdb.DB = ins
+			if name == "scan-only" {
+				db = scanOnly{ins}
+			}
+			for _, alg := range []Algorithm{Improved, Naive} {
+				for _, workers := range []int{1, 2, 5} {
+					opt := Options{MinSupport: 0.12, MinRI: 0.3, Algorithm: alg}
+					opt.Count.Parallelism, opt.Gen.Count.Parallelism = workers, workers
+					what := fmt.Sprintf("seed %d %s %v workers %d", seed, name, alg, workers)
+
+					ins.Reset()
+					got, err := Mine(db, tax, opt)
+					if err != nil {
+						t.Fatalf("%s: %v", what, err)
+					}
+					sameMined(t, what+" indexed", got, want)
+					if scans := ins.Passes() + ins.ShardScans()/workers; scans != 2 {
+						t.Fatalf("%s: %d scans from the index, want 2", what, scans)
+					}
+
+					budget := govern.NewBudget(third)
+					opt.Count.Mem, opt.Gen.Count.Mem = budget, budget
+					got, err = Mine(db, tax, opt)
+					if err != nil {
+						t.Fatalf("%s windowed: %v", what, err)
+					}
+					sameMined(t, what+" windowed", got, want)
+					if hw := budget.HighWater(); hw == 0 || hw > third || budget.InUse() != 0 {
+						t.Fatalf("%s windowed: high water %d of %d, %d still reserved", what, hw, third, budget.InUse())
+					}
+				}
+			}
+		}
+		hash.Algorithm = Naive
+		if got, err := Mine(scanOnly{mem}, tax, hash); err != nil {
+			t.Fatal(err)
+		} else {
+			sameMined(t, fmt.Sprintf("seed %d hash-tree Naive", seed), got, want)
+		}
+	}
+	if triples < 6 || smallLeafLargeCategory < 6 || negatives < 6 {
+		t.Fatalf("of 12 markets %d reached 3 levels, %d had a small leaf under a large category, %d a negative itemset: the generator lost its corners",
+			triples, smallLeafLargeCategory, negatives)
+	}
+
+	// The empty database: every path agrees there is nothing.
+	tax, _ := randomMarket(t, 1)
+	for _, backend := range []count.Backend{count.BackendAuto, count.BackendHashTree} {
+		opt := Options{MinSupport: 0.1, MinRI: 0.3}
+		opt.Count.Backend, opt.Gen.Count.Backend = backend, backend
+		res, err := Mine(&txdb.MemDB{}, tax, opt)
+		if err != nil || len(res.Large.Levels) != 0 || len(res.Negatives) != 0 || len(res.Rules) != 0 {
+			t.Fatalf("empty database on %v: %+v, %v", backend, res, err)
+		}
+	}
+}
+
+// TestIndexFaultAndBudgetHygiene: a read torn in pass 1 or in the row fill
+// comes back from Mine and gen.Mine as the scan's error, and on every path —
+// success, error, declined — the budget ends where it started. Then several
+// mines index one Sharder at once, for the race detector.
+func TestIndexFaultAndBudgetHygiene(t *testing.T) {
+	tax, db, opt := threeLevels(t)
+	budget := govern.NewBudget(0)
+	held := int64(1000) // somebody else's reservation
+	if err := budget.Reserve(held); err != nil {
+		t.Fatal(err)
+	}
+	opt.Count.Mem, opt.Gen.Count.Mem = budget, budget
+	opt.Count.Parallelism, opt.Gen.Count.Parallelism = 4, 4
+	genOpt := gen.Options{MinSupport: opt.MinSupport, Count: opt.Gen.Count}
+	mines := map[string]func(txdb.DB) error{
+		"Improved": func(db txdb.DB) error { _, err := Mine(db, tax, opt); return err },
+		"Naive": func(db txdb.DB) error {
+			naive := opt
+			naive.Algorithm = Naive
+			_, err := Mine(db, tax, naive)
+			return err
+		},
+		"gen.Mine": func(db txdb.DB) error { _, err := gen.Mine(db, tax, genOpt); return err },
+	}
+	for name, mine := range mines {
+		// scanOnly: one scanner, so hit k is transaction k of pass ⌈k/100⌉.
+		for pass, hit := range map[string]int{"pass 1": 60, "the fill": 160} {
+			off := fault.Enable(txdb.PointScan, fault.Error("torn read"), fault.OnHit(hit))
+			err := mine(scanOnly{db})
+			off()
+			if !errors.Is(err, fault.ErrInjected) {
+				t.Errorf("%s, read torn in %s: err = %v, want the injected error", name, pass, err)
+			}
+			if budget.InUse() != held {
+				t.Fatalf("%s, read torn in %s: %d bytes reserved, want %d", name, pass, budget.InUse(), held)
+			}
+		}
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if err := mine(db); err != nil {
+					t.Errorf("%s, concurrent: %v", name, err)
+				}
+			}()
+		}
+		wg.Wait()
+		if budget.InUse() != held {
+			t.Fatalf("%s: %d bytes reserved after success, want %d", name, budget.InUse(), held)
+		}
+	}
+	// Declined: the hash tree reserves its trees, not rows, and returns them.
+	opt.Count.Backend, opt.Gen.Count.Backend = count.BackendHashTree, count.BackendHashTree
+	if _, err := Mine(db, tax, opt); err != nil || budget.InUse() != held {
+		t.Fatalf("declined: err %v, %d bytes reserved, want %d", err, budget.InUse(), held)
+	}
+}
+
+// BenchmarkMineWide is the benchmark's batch-wide mine at a tenth of its
+// size — 20 000 Short transactions at 1 % — three ways: from the index, in
+// windows under a budget too small for it, and on the hash tree. The three
+// must decide the same thing before anything is timed; scans/op is what the
+// index is for.
+func BenchmarkMineWide(b *testing.B) {
+	p := datagen.Short()
+	p.NumTransactions, p.Seed = 20000, 1
+	tax, db, err := datagen.Generate(p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	base := Options{MinSupport: 0.01, MinRI: 0.5, Gen: gen.Options{Algorithm: gen.Cumulate}}
+	base.Count.Parallelism, base.Gen.Count.Parallelism = 2, 2
+	hash := base
+	hash.Count.Backend, hash.Gen.Count.Backend = count.BackendHashTree, count.BackendHashTree
+	want, err := Mine(db, tax, hash)
+	if err != nil {
+		b.Fatal(err)
+	}
+	windows := base // rows for half the transactions: ≥ 2 windows
+	windows.Count.Mem = govern.NewBudget(bitmat.EstimateBytes(db.Count()/2/64*64, len(want.Large.Levels[0])))
+	windows.Gen.Count.Mem = windows.Count.Mem
+	for _, bc := range []struct {
+		name string
+		opt  Options
+	}{{"index", base}, {"windows", windows}, {"hashtree", hash}} {
+		b.Run(bc.name, func(b *testing.B) {
+			ins := txdb.Instrument(db)
+			got, err := Mine(ins, tax, bc.opt)
+			if err != nil {
+				b.Fatal(err)
+			}
+			sameMined(b, bc.name, got, want)
+			ins.Reset()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := Mine(ins, tax, bc.opt); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(ins.Passes()+ins.ShardScans()/2)/float64(b.N), "scans/op")
+		})
+	}
+}

@@ -17,7 +17,10 @@
 //
 // Two drivers are provided: Naive interleaves stages per level (2n database
 // passes) and Improved counts all candidate sizes in one final pass after
-// compressing the taxonomy (n+1 passes) — the paper's two algorithms.
+// compressing the taxonomy (n+1 passes) — the paper's two algorithms. A pass
+// is a scan on the hash tree only: otherwise Mine first indexes the database
+// with two scans (count.BuildIndex) and every pass of either driver counts
+// from the index's rows.
 package negative
 
 import (
@@ -226,6 +229,11 @@ func (r Rule) Format(name func(item.Item) string) string {
 type Timing struct {
 	// Stage1 is the generalized large-itemset mining time.
 	Stage1 time.Duration
+	// Index is the part of Stage1 spent indexing the database (pass 1 and,
+	// where the budget grants the rows, their fill; see count.BuildIndex).
+	// Zero when the database arrived indexed or the options name the hash
+	// tree.
+	Index time.Duration
 	// Negative covers candidate generation, candidate counting and rule
 	// generation.
 	Negative time.Duration
@@ -269,10 +277,30 @@ func Mine(db txdb.DB, tax *taxonomy.Taxonomy, opt Options) (*Result, error) {
 		return nil, fmt.Errorf("negative: nil taxonomy")
 	}
 	opt.Gen.MinSupport = opt.MinSupport
-	switch opt.Algorithm {
-	case Naive:
-		return mineNaive(db, tax, opt)
-	default:
-		return mineImproved(db, tax, opt)
+	// One index serves every pass of the mine, stage 1's and the negative
+	// ones. Negative passes pinned to the hash tree must be handed the raw
+	// database: an Indexed one answers whatever Backend says.
+	start := time.Now()
+	var index time.Duration
+	if opt.Count.Backend != count.BackendHashTree {
+		ix, err := count.BuildIndex(db, tax, apriori.MinCount(opt.MinSupport, db.Count()), opt.Gen.Count)
+		if err != nil {
+			return nil, err
+		}
+		if ix != nil {
+			defer ix.Release()
+			db, index = ix, time.Since(start)
+		}
 	}
+	mine := mineImproved
+	if opt.Algorithm == Naive {
+		mine = mineNaive
+	}
+	res, err := mine(db, tax, opt)
+	if err != nil {
+		return nil, err
+	}
+	res.Timing.Index = index
+	res.Timing.Stage1 += index
+	return res, nil
 }

@@ -2,12 +2,15 @@ package negative
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"negmine/internal/bitmat"
 	"negmine/internal/count"
 	"negmine/internal/gen"
+	"negmine/internal/govern"
 	"negmine/internal/item"
 	"negmine/internal/taxonomy"
 	"negmine/internal/txdb"
@@ -362,43 +365,150 @@ func TestNaiveAndImprovedAgree(t *testing.T) {
 	}
 }
 
+// threeLevels is a database whose large itemsets reach size 3 and stop
+// there (every large 3-itemset is {a,b,c} with members swapped for their
+// categories, so C4 is empty), with negative itemsets and rules at 25 % /
+// 0.3: the fixture for pass counts, which need n ≥ 3 to tell "n+1" from "2".
+func threeLevels(t testing.TB) (*taxonomy.Taxonomy, *txdb.MemDB, Options) {
+	t.Helper()
+	b := taxonomy.NewBuilder()
+	for _, e := range [][2]string{{"X", "a"}, {"X", "a2"}, {"Y", "b"}, {"Y", "b2"}, {"Z", "c"}, {"Z", "c2"}} {
+		b.Link(e[0], e[1])
+	}
+	tax, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := &txdb.MemDB{}
+	for _, g := range []struct {
+		n     int
+		names []string
+	}{
+		{30, []string{"a", "b", "c"}}, {15, []string{"a2", "b2"}}, {15, []string{"b2", "c2"}},
+		{10, []string{"a2", "c2"}}, {10, []string{"a"}}, {10, []string{"b"}}, {10, []string{"c"}},
+	} {
+		for i := 0; i < g.n; i++ {
+			db.Append(txdb.Transaction{TID: int64(db.Count() + 1), Items: tax.Dictionary().InternSet(g.names...)})
+		}
+	}
+	return tax, db, Options{MinSupport: 0.25, MinRI: 0.3}
+}
+
+// sameMined fails unless two runs decided the same thing: large itemsets
+// with their counts, negative itemsets, rules and every measure on them.
+func sameMined(t testing.TB, what string, got, want *Result) {
+	t.Helper()
+	if !slices.EqualFunc(got.Large.Levels, want.Large.Levels, func(a, b []item.CountedSet) bool {
+		return slices.EqualFunc(a, b, func(x, y item.CountedSet) bool { return x.Set.Equal(y.Set) && x.Count == y.Count })
+	}) {
+		t.Fatalf("%s: large itemsets differ", what)
+	}
+	if !slices.EqualFunc(got.Negatives, want.Negatives, func(x, y Itemset) bool {
+		return x.Set.Equal(y.Set) && x.Expected == y.Expected && x.Count == y.Count && x.N == y.N && x.Source.Equal(y.Source) && x.Via == y.Via
+	}) {
+		t.Fatalf("%s: negative itemsets differ", what)
+	}
+	if !slices.EqualFunc(got.Rules, want.Rules, func(x, y Rule) bool {
+		return x.Antecedent.Equal(y.Antecedent) && x.Consequent.Equal(y.Consequent) && x.RI == y.RI &&
+			x.Expected == y.Expected && x.Actual == y.Actual && x.NegConfidence == y.NegConfidence
+	}) {
+		t.Fatalf("%s: rules differ", what)
+	}
+}
+
 func TestPassComplexity(t *testing.T) {
 	// The paper's claim: Naive = 2n passes, Improved = n+1 passes, where n
 	// is the number of large-itemset levels. Our Naive skips the useless
-	// level-1 negative pass, so it makes 2n−1. The counts must hold for
-	// every backend: the hash tree scans once per counting call, and the
-	// bitmap build is likewise exactly one scan per call (auto on an
-	// instrumented DB resolves to hashtree; the explicit cases pin both).
-	tax, _, db := paperExample(t)
+	// level-1 negative pass, so it makes 2n−1. The hash tree — the paper's
+	// scan engine — keeps that accounting. The bitmap engine indexes the
+	// database with two scans and counts every later pass from rows,
+	// whatever n and whichever driver; when the budget does not grant the
+	// rows it is back to one scan per pass, with the same output.
+	tax, db, base := threeLevels(t)
 	ins := txdb.Instrument(db)
-
-	for _, backend := range []count.Backend{count.BackendAuto, count.BackendHashTree, count.BackendBitmap} {
-		opt := Options{MinSupport: 0.04, MinRI: 0.5, Algorithm: Improved}
-		opt.Count.Backend = backend
-		opt.Gen.Count.Backend = backend
-
-		ins.Reset()
-		res, err := Mine(ins, tax, opt)
-		if err != nil {
-			t.Fatal(err)
+	const n = 3
+	rows := bitmat.EstimateBytes(db.Count(), 9) // all nine nodes are large
+	for _, alg := range []Algorithm{Improved, Naive} {
+		perPass := n + 1
+		if alg == Naive {
+			perPass = 2*n - 1
 		}
-		n := len(res.Large.Levels)
-		if n != 2 {
-			t.Fatalf("levels = %d, want 2 (test setup)", n)
-		}
-		if got := ins.Passes(); got != n+1 {
-			t.Errorf("%v: Improved used %d passes, want n+1 = %d", backend, got, n+1)
-		}
-
-		ins.Reset()
-		opt.Algorithm = Naive
-		if _, err := Mine(ins, tax, opt); err != nil {
-			t.Fatal(err)
-		}
-		if got := ins.Passes(); got != 2*n-1 {
-			t.Errorf("%v: Naive used %d passes, want 2n−1 = %d", backend, got, 2*n-1)
+		var want *Result
+		for _, tc := range []struct {
+			name    string
+			backend count.Backend
+			mem     *govern.Budget
+			passes  int
+		}{
+			{"hashtree", count.BackendHashTree, nil, perPass},
+			{"auto", count.BackendAuto, nil, 2},
+			{"bitmap", count.BackendBitmap, nil, 2},
+			{"auto with room for the rows", count.BackendAuto, govern.NewBudget(rows), 2},
+			{"auto without", count.BackendAuto, govern.NewBudget(rows - 1), perPass},
+		} {
+			opt := base
+			opt.Algorithm = alg
+			opt.Count.Backend, opt.Gen.Count.Backend = tc.backend, tc.backend
+			opt.Count.Mem, opt.Gen.Count.Mem = tc.mem, tc.mem
+			ins.Reset()
+			res, err := Mine(ins, tax, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Large.Levels) != n || len(res.Negatives) == 0 || len(res.Rules) == 0 {
+				t.Fatalf("%d levels, %d negatives, %d rules; want %d levels and some of each (test setup)",
+					len(res.Large.Levels), len(res.Negatives), len(res.Rules), n)
+			}
+			if got := ins.Passes(); got != tc.passes {
+				t.Errorf("%v %s: %d passes, want %d", alg, tc.name, got, tc.passes)
+			}
+			if want == nil {
+				want = res
+			}
+			sameMined(t, alg.String()+" "+tc.name, res, want)
+			// The rows are reserved once — what the C2 pass alone used to
+			// reserve — not once per pass, and given back.
+			if hw := tc.mem.HighWater(); hw > rows || tc.mem.InUse() != 0 {
+				t.Errorf("%v %s: high water %d of %d, %d still reserved", alg, tc.name, hw, rows, tc.mem.InUse())
+			}
 		}
 	}
+}
+
+// TestHashTreeMineBuildsNoIndex: with BackendHashTree in both Count and
+// Gen.Count the mine stays the independent oracle the benchmark's
+// hashtree-oracle check needs — the database is scanned once per pass and no
+// pass is handed an Indexed database, so no count comes from rows.
+func TestHashTreeMineBuildsNoIndex(t *testing.T) {
+	tax, db, opt := threeLevels(t)
+	opt.Count.Backend, opt.Gen.Count.Backend = count.BackendHashTree, count.BackendHashTree
+	ins := txdb.Instrument(db)
+	large, err := gen.Mine(ins, tax, gen.Options{MinSupport: opt.MinSupport, Count: opt.Gen.Count})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ins.Passes() != len(large.Levels) {
+		t.Fatalf("gen.Mine on the hash tree: %d passes for %d levels", ins.Passes(), len(large.Levels))
+	}
+	ins.Reset()
+	res, err := Mine(ins, tax, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ins.Passes() != len(res.Large.Levels)+1 || res.Timing.Index != 0 {
+		t.Fatalf("%d passes for %d levels, Timing.Index %v: an index was built", ins.Passes(), len(res.Large.Levels), res.Timing.Index)
+	}
+	// Pinning only the negative passes keeps them off stage 1's index too.
+	opt.Gen.Count.Backend = count.BackendAuto
+	ins.Reset()
+	mixed, err := Mine(ins, tax, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ins.Passes() != 3 {
+		t.Fatalf("indexed stage 1 + hash-tree negative pass: %d passes, want 2 + 1", ins.Passes())
+	}
+	sameMined(t, "mixed backends", mixed, res)
 }
 
 // TestTimingParts: Timing's per-step durations are what an operator reads to
@@ -421,38 +531,49 @@ func TestTimingParts(t *testing.T) {
 		if sum == 0 || sum > tm.Negative || tm.Negative-sum > time.Millisecond {
 			t.Errorf("%v: parts add up to %v of Negative = %v (%+v)", alg, sum, tm.Negative, tm)
 		}
+		// The index build is the first part of stage 1 — and no part of it
+		// when the pass options ask for scans.
+		if tm.Index <= 0 || tm.Index > tm.Stage1 {
+			t.Errorf("%v: Index = %v of Stage1 = %v", alg, tm.Index, tm.Stage1)
+		}
+		scan := Options{MinSupport: 0.04, MinRI: 0.5, Algorithm: alg}
+		scan.Count.Backend, scan.Gen.Count.Backend = count.BackendHashTree, count.BackendHashTree
+		if res, err = Mine(db, tax, scan); err != nil || res.Timing.Index != 0 || res.Timing.Stage1 <= 0 {
+			t.Errorf("%v on the hash tree: Timing %+v (err %v), want no Index", alg, res.Timing, err)
+		}
 	}
 }
 
 func TestMemoryBoundedCounting(t *testing.T) {
 	// With MaxCandidates=1 the improved algorithm must still produce the
-	// same result, just with more counting passes.
-	tax, _, db := paperExample(t)
-	full, err := Mine(db, tax, Options{MinSupport: 0.04, MinRI: 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bounded, err := Mine(db, tax, Options{MinSupport: 0.04, MinRI: 0.5, MaxCandidates: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(full.Negatives) != len(bounded.Negatives) || len(full.Rules) != len(bounded.Rules) {
-		t.Fatalf("bounded run differs: %d/%d negatives, %d/%d rules",
-			len(bounded.Negatives), len(full.Negatives), len(bounded.Rules), len(full.Rules))
-	}
-	for i := range full.Negatives {
-		if !full.Negatives[i].Set.Equal(bounded.Negatives[i].Set) || full.Negatives[i].Count != bounded.Negatives[i].Count {
-			t.Errorf("negative %d differs under memory bound", i)
-		}
-	}
-	// More passes than the unbounded run.
+	// same result: on the hash tree with one more database pass per batch,
+	// from the index with the same two scans.
+	tax, db, base := threeLevels(t)
 	ins := txdb.Instrument(db)
-	if _, err := Mine(ins, tax, Options{MinSupport: 0.04, MinRI: 0.5, MaxCandidates: 1}); err != nil {
-		t.Fatal(err)
-	}
-	nLevels := len(full.Large.Levels)
-	if got := ins.Passes(); got <= nLevels+1 {
-		t.Errorf("bounded run used %d passes, expected more than %d", got, nLevels+1)
+	for _, backend := range []count.Backend{count.BackendHashTree, count.BackendAuto} {
+		opt := base
+		opt.Count.Backend, opt.Gen.Count.Backend = backend, backend
+		ins.Reset()
+		full, err := Mine(ins, tax, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		unbounded := ins.Passes()
+		opt.MaxCandidates = 1
+		ins.Reset()
+		bounded, err := Mine(ins, tax, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameMined(t, backend.String()+" bounded", bounded, full)
+		want := 2
+		if backend == count.BackendHashTree {
+			want = unbounded - 1 + full.TotalCandidates()
+		}
+		if full.TotalCandidates() < 2 || ins.Passes() != want {
+			t.Errorf("%v: bounded run used %d passes for %d candidates, want %d (unbounded: %d)",
+				backend, ins.Passes(), full.TotalCandidates(), want, unbounded)
+		}
 	}
 }
 

@@ -3,8 +3,10 @@ package txdb
 import "sync/atomic"
 
 // Instrumented wraps a DB and counts completed scan passes. The negative
-// mining tests use it to verify the paper's pass-complexity claims: the
-// naive algorithm makes 2n passes, the improved one n+1 (§2.2).
+// mining tests use it to verify the paper's pass-complexity claims on the
+// hash tree — the naive algorithm makes 2n passes, the improved one n+1
+// (§2.2) — and that a mine on the bitmap engine, which indexes the database
+// first (count.BuildIndex), makes two.
 type Instrumented struct {
 	DB
 	passes     atomic.Int64

@@ -6,7 +6,7 @@
 // All algorithms access data through the DB interface, so they behave
 // identically over memory and disk. The Instrumented wrapper counts scan
 // passes, which lets tests prove the paper's pass-complexity claims (Naive =
-// 2n passes, Improved = n+1).
+// 2n passes, Improved = n+1) and the indexed mine's two.
 package txdb
 
 import (

@@ -154,7 +154,8 @@ const (
 
 // Negative mining drivers.
 const (
-	// Improved is the paper's "Better" algorithm: n+1 database passes.
+	// Improved is the paper's "Better" algorithm: n+1 database passes on
+	// the hash tree, two scans and then rows on the bitmap engine.
 	Improved = negative.Improved
 	// Naive interleaves large-itemset and negative passes per level.
 	Naive = negative.Naive
