@@ -188,8 +188,8 @@ func run(args []string, out io.Writer) error {
 			return report.WriteNegativeCSV(w, res, tax.Name)
 		}
 
-		fmt.Fprintf(w, "\nstage 1 (%v): %d generalized large itemsets in %v (indexing %v)\n",
-			genAlg, len(res.Large.Large()), res.Timing.Stage1.Round(timeUnit), res.Timing.Index.Round(timeUnit))
+		fmt.Fprintf(w, "\nstage 1 (%v): %d generalized large itemsets in %v (indexing %v, of which pass 1 %v)\n",
+			genAlg, len(res.Large.Large()), res.Timing.Stage1.Round(timeUnit), res.Timing.Index.Round(timeUnit), res.Timing.Pass1.Round(timeUnit))
 		fmt.Fprintf(w, "stage 2+3 (%v): %d candidates, %d negative itemsets, %d rules in %v\n",
 			negAlg, res.TotalCandidates(), len(res.Negatives), len(res.Rules),
 			res.Timing.Negative.Round(timeUnit))

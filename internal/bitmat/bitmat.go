@@ -19,9 +19,12 @@
 //
 // A matrix narrower than the database holds one window of transactions at a
 // time (FillWindows); support is a count over transactions, so the windows'
-// counts add up. A filled Matrix is safe for concurrent readers; Counts
-// shards candidates (not transactions) across workers, each with its own
-// scratch row.
+// counts add up. A matrix as wide as the database can be filled by several
+// workers, each scanning its own range of transactions into its own words of
+// every row, and can count while it is filled every pair of rows a
+// transaction sets (CountPairs, Agrawal–Srikant's pass-2 array). A filled
+// Matrix is safe for concurrent readers; Counts shards candidates across
+// workers, each with its own scratch row.
 package bitmat
 
 import (
@@ -42,6 +45,10 @@ type Matrix struct {
 	items item.Itemset
 	index map[item.Item]int32 // item → row number
 	bits  []uint64            // len = len(items)*words
+	// pairs, when the matrix carries it (CountPairs), is the table the fill
+	// counts 2-itemsets into: pairs[a*len(items)+b] + pairs[b*len(items)+a]
+	// transactions set both row a and row b.
+	pairs []int32
 }
 
 // New allocates an all-zero matrix with one row per item over n
@@ -79,6 +86,20 @@ func EstimateBytes(nTx, nItems int) int64 {
 	return int64(nItems) * int64((nTx+63)/64) * 8
 }
 
+// EstimatePairBytes returns the size of the pair table of a matrix with
+// nItems rows, for memory budgeting; a parallel fill holds one per worker.
+func EstimatePairBytes(nItems int) int64 { return int64(nItems) * int64(nItems) * 4 }
+
+// PairBytes returns the size of the pair table m carries, 0 for none.
+func (m *Matrix) PairBytes() int64 { return int64(len(m.pairs)) * 4 }
+
+// CountPairs makes m, still empty and as wide as the database it will be
+// filled from, carry a pair table: FillWindows then counts, transaction by
+// transaction, every pair of rows it sets, and Support answers a 2-itemset
+// from the table instead of ANDing two rows. Counts are int32: N() must not
+// exceed math.MaxInt32.
+func (m *Matrix) CountPairs() { m.pairs = make([]int32, len(m.items)*len(m.items)) }
+
 // Row returns item x's bitmap (shared slice; callers must not modify), or
 // nil if x has no row.
 func (m *Matrix) Row(x item.Item) []uint64 {
@@ -86,8 +107,10 @@ func (m *Matrix) Row(x item.Item) []uint64 {
 	if !ok {
 		return nil
 	}
-	return m.bits[int(r)*m.words : (int(r)+1)*m.words]
+	return m.row(r)
 }
+
+func (m *Matrix) row(r int32) []uint64 { return m.bits[int(r)*m.words : (int(r)+1)*m.words] }
 
 // Set marks position pos in item x's row and reports whether x has a row.
 // It is the position-by-position builder used by callers that assemble a
@@ -152,63 +175,129 @@ type Transform func(dst []item.Item, s item.Itemset) item.Itemset
 // the i-th transaction scanned sets position i mod N() in the row of each of
 // its items that has one — under a taxonomy its items and all their
 // ancestors (transform is not consulted), otherwise the items transform (nil
-// = identity) maps it to. Whenever a window is full and db has more, full is
-// called and the rows are cleared for the next window; the last window —
-// the only one when N() covers db.Count() — is left in m for the caller.
-// Support is a count over transactions, so candidate counts add up across
-// windows. A scan that yields more than db.Count() transactions is an error.
-func (m *Matrix) FillWindows(db txdb.DB, tax *taxonomy.Taxonomy, transform Transform, full func() error) error {
+// = identity) maps it to — and, when m carries a pair table (CountPairs),
+// counts every pair of rows it set. Whenever a window is full and db has
+// more, full is called and the rows are cleared for the next window; the
+// last window — the only one when N() covers db.Count() — is left in m for
+// the caller. Support is a count over transactions, so candidate counts add
+// up across windows.
+//
+// One worker makes the pass unless workers ≥ 2, db is a txdb.Sharder and m
+// is as wide as db: then worker i fills the positions txdb.ShardRange gives
+// shard i — whole words of every row, which no other worker writes — and
+// counts pairs into a table of its own, summed into m's at the end. A scan,
+// or a shard, that yields more or fewer transactions than db.Count() promised
+// it is an error.
+func (m *Matrix) FillWindows(db txdb.DB, tax *taxonomy.Taxonomy, transform Transform, workers int, full func() error) error {
 	n := db.Count()
-	buf := make([]item.Item, 0, 64)
-	start, offs := m.closure(tax)
-	seen, pos := 0, 0
-	return db.Scan(func(tx txdb.Transaction) error {
-		if seen == n {
-			return fmt.Errorf("bitmat: scan produced more than Count() = %d transactions", n)
-		}
-		if pos == m.n {
-			if err := full(); err != nil {
-				return err
+	start, rows := m.closure(tax)
+	// fill is the per-transaction body: scan's transactions take positions
+	// lo, lo+1, … (mod N()), of which there must be hi-lo.
+	fill := func(scan func(func(txdb.Transaction) error) error, lo, hi int, pairs []int32) error {
+		buf := make([]item.Item, 0, 64)
+		// When pairs are counted, set[:k] are the rows the current transaction
+		// has set: each row on its items' lists is written at set[k] and kept
+		// only if its bit was still clear — the bit is its own last-seen
+		// stamp, so an ancestor reached through two items counts once,
+		// without a branch.
+		set, one := make([]int32, len(m.items)+1), make([]int32, 1)
+		seen, pos := lo, lo
+		err := scan(func(tx txdb.Transaction) error {
+			if seen == hi {
+				return fmt.Errorf("bitmat: scan produced more than the %d transactions Count() = %d promised", hi-lo, n)
 			}
-			clear(m.bits)
-			pos = 0
-		}
-		s := tx.Items
-		if tax == nil && transform != nil {
-			s = transform(buf[:0], s)
-			buf = s[:0]
-		}
-		word, bit := pos>>6, uint64(1)<<uint(pos&63)
-		for _, x := range s {
-			if x >= 0 && int(x) < len(start)-1 {
-				for _, o := range offs[start[x]:start[x+1]] {
-					m.bits[o+word] |= bit
+			if pos == m.n {
+				if err := full(); err != nil {
+					return err
 				}
-			} else if r, ok := m.index[x]; ok {
-				m.bits[int(r)*m.words+word] |= bit
+				clear(m.bits)
+				pos = 0
+			}
+			s := tx.Items
+			if tax == nil && transform != nil {
+				s = transform(buf[:0], s)
+				buf = s[:0]
+			}
+			word, shift, k := pos>>6, uint(pos&63), 0
+			for _, x := range s {
+				var list []int32 // the rows x sets
+				if x >= 0 && int(x) < len(start)-1 {
+					list = rows[start[x]:start[x+1]]
+				} else if r, ok := m.index[x]; ok {
+					list = append(one[:0], r)
+				}
+				for _, r := range list {
+					w := &m.bits[int(r)*m.words+word]
+					if pairs != nil {
+						set[k] = r
+						k += int(^*w >> shift & 1)
+					}
+					*w |= 1 << shift
+				}
+			}
+			for i, a := range set[:k] {
+				cells := pairs[int(a)*len(m.items):][:len(m.items)]
+				for _, b := range set[i+1 : k] {
+					cells[b]++
+				}
+			}
+			seen++
+			pos++
+			return nil
+		})
+		if err == nil && seen != hi {
+			err = fmt.Errorf("bitmat: scan produced %d of the %d transactions Count() = %d promised", seen-lo, hi-lo, n)
+		}
+		return err
+	}
+	sharder, ok := db.(txdb.Sharder)
+	if workers < 2 || !ok || m.n < n {
+		return fill(db.Scan, 0, n, m.pairs)
+	}
+	tables := make([][]int32, workers)
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for w := range tables {
+		tables[w] = m.pairs
+		if w > 0 && m.pairs != nil {
+			tables[w] = make([]int32, len(m.pairs))
+		}
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			lo, hi := txdb.ShardRange(n, w, workers)
+			errs[w] = fill(func(fn func(txdb.Transaction) error) error { return sharder.ScanShard(w, workers, fn) }, lo, hi, tables[w])
+		}(w)
+	}
+	wg.Wait()
+	for w, err := range errs {
+		if err != nil {
+			return fmt.Errorf("bitmat: worker %d: %w", w, err)
+		}
+		if w > 0 {
+			for i, c := range tables[w] {
+				m.pairs[i] += c
 			}
 		}
-		seen++
-		pos++
-		return nil
-	})
+	}
+	return nil
 }
 
-// closure resolves, once per fill, every node x of tax to the word offsets
-// offs[start[x]:start[x+1]] of the rows a transaction holding x sets: x's own
-// and its ancestors', where they have rows. The closure is taken from the
-// taxonomy rather than OR-composed from child rows so that descendant leaves
-// without rows of their own (small 1-itemsets pruned from candidate
-// generation) still contribute to their ancestors' support, as the paper
-// requires. A nil taxonomy resolves nothing.
-func (m *Matrix) closure(tax *taxonomy.Taxonomy) (start []int32, offs []int) {
+// closure resolves, once per fill, every node x of tax to the numbers
+// rows[start[x]:start[x+1]] of the rows a transaction holding x sets: x's own
+// and its ancestors', nearest first, where they have rows. The closure is
+// taken from the taxonomy rather than OR-composed from child rows so that
+// descendant leaves without rows of their own (small 1-itemsets pruned from
+// candidate generation) still contribute to their ancestors' support, as the
+// paper requires. A nil taxonomy resolves nothing.
+func (m *Matrix) closure(tax *taxonomy.Taxonomy) (start, rows []int32) {
 	if tax == nil {
 		return nil, nil
 	}
 	start = make([]int32, tax.Size()+1)
 	add := func(x item.Item) {
 		if r, ok := m.index[x]; ok {
-			offs = append(offs, int(r)*m.words)
+			rows = append(rows, r)
 		}
 	}
 	for x := 0; x < tax.Size(); x++ {
@@ -216,9 +305,9 @@ func (m *Matrix) closure(tax *taxonomy.Taxonomy) (start []int32, offs []int) {
 		for _, a := range tax.AncestorsOf(item.Item(x)) {
 			add(a)
 		}
-		start[x+1] = int32(len(offs))
+		start[x+1] = int32(len(rows))
 	}
-	return start, offs
+	return start, rows
 }
 
 // FromDB builds rows for items over one pass of db, applying transform (nil
@@ -240,7 +329,7 @@ func FromDBTaxonomy(db txdb.DB, tax *taxonomy.Taxonomy, items item.Itemset) (*Ma
 
 func fromDB(db txdb.DB, tax *taxonomy.Taxonomy, items item.Itemset, transform Transform) (*Matrix, error) {
 	m := New(items, db.Count())
-	if err := m.FillWindows(db, tax, transform, nil); err != nil {
+	if err := m.FillWindows(db, tax, transform, 1, nil); err != nil {
 		return nil, err
 	}
 	return m, nil
@@ -299,10 +388,12 @@ func AndPopCount(a, b []uint64) int {
 }
 
 // Support returns the number of transactions containing every item of c —
-// the popcount of the AND of c's rows. scratch is a reusable row of at
-// least m.Words() words (nil allocates one); it is only written for
-// candidates of three or more items. An item without a row is an error:
-// the matrix was built over the wrong item set.
+// the popcount of the AND of c's rows; for a 2-itemset two table cells when
+// the fill counted pairs (CountPairs), a pass over both rows when it did not
+// (rows set position by position, a window narrower than the database).
+// scratch is a reusable row of at least m.Words() words (nil allocates one);
+// it is only written for candidates of three or more items. An item without
+// a row is an error: the matrix was built over the wrong item set.
 func (m *Matrix) Support(c item.Itemset, scratch []uint64) (int, error) {
 	switch c.Len() {
 	case 0:
@@ -314,11 +405,15 @@ func (m *Matrix) Support(c item.Itemset, scratch []uint64) (int, error) {
 		}
 		return PopCount(r), nil
 	case 2:
-		a, b := m.Row(c[0]), m.Row(c[1])
-		if a == nil || b == nil {
+		a, aok := m.index[c[0]]
+		b, bok := m.index[c[1]]
+		if !aok || !bok {
 			return 0, fmt.Errorf("bitmat: no row for item in %v", c)
 		}
-		return AndPopCount(a, b), nil
+		if n := len(m.items); m.pairs != nil {
+			return int(m.pairs[int(a)*n+int(b)] + m.pairs[int(b)*n+int(a)]), nil
+		}
+		return AndPopCount(m.row(a), m.row(b)), nil
 	}
 	if scratch == nil {
 		scratch = make([]uint64, m.words)

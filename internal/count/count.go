@@ -7,7 +7,8 @@
 // subset probing, any transform). Options.Backend selects the engine; the
 // default is documented on EngineFor. A pass is a scan of the database unless
 // the database is Indexed: a level-wise mine takes BuildIndex of its input —
-// two scans — and counts every pass from the index.
+// two scans, the second of which also counts every pair of large 1-items, so
+// level 2 costs no counting at all — and counts every pass from the index.
 package count
 
 import (
@@ -22,10 +23,12 @@ import (
 
 // Options controls a counting pass.
 type Options struct {
-	// Parallelism is the number of concurrent workers. For the hash-tree
-	// engine values < 2 (or a database that cannot shard) select a single
-	// sequential scan; the bitmap engine always builds with one scan and
-	// shards candidates across this many workers.
+	// Parallelism is the number of concurrent workers. Values < 2, or a
+	// database that cannot shard (txdb.Sharder), select a single sequential
+	// scan wherever a scan would be sharded over them: the hash-tree engine's
+	// passes, Singletons and BuildIndex's row fill. The bitmap engine's own
+	// window fill is one sequential scan; it shards the candidates of each
+	// window, and those counted from an index, across this many workers.
 	Parallelism int
 	// MaxLeaf is the hash tree leaf capacity (0 = default).
 	MaxLeaf int
@@ -83,11 +86,7 @@ func Singletons(db txdb.DB, opt Options) (*item.Counter, error) {
 	if ix := indexOf(db, opt.Tax); ix != nil {
 		return ix.Singletons(), nil
 	}
-	sharder, canShard := db.(txdb.Sharder)
-	workers := opt.Parallelism
-	if workers < 2 || !canShard {
-		workers = 1
-	}
+	sharder, workers := shardWorkers(db, opt)
 	dense := make([]onceCounter, workers)
 	errs := make([]error, workers)
 	counter := func(c *onceCounter) func(txdb.Transaction) error {
@@ -138,6 +137,16 @@ func Singletons(db txdb.DB, opt Options) (*item.Counter, error) {
 		}
 	}
 	return total, nil
+}
+
+// shardWorkers returns how many workers scan db at once under opt — one
+// unless Parallelism asks for more and db is a txdb.Sharder — and db as the
+// Sharder they scan.
+func shardWorkers(db txdb.DB, opt Options) (txdb.Sharder, int) {
+	if sharder, ok := db.(txdb.Sharder); ok && opt.Parallelism > 1 {
+		return sharder, opt.Parallelism
+	}
+	return nil, 1
 }
 
 // onceCounter counts items into a dense slice indexed by item id, each at

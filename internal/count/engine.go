@@ -150,9 +150,10 @@ const maxWindowBytes = 256 << 20
 // popcount of the AND of its rows, summed over the windows. The window is the
 // widest (a multiple of 64 transactions, at most the whole database, at most
 // maxWindowBytes of rows) that Options.Mem grants; one window — the usual
-// case — is a matrix build followed by one counting loop. The candidate loop
-// — not the scan — is what parallelizes: Options.Parallelism workers shard
-// the flattened candidate list.
+// case — is a matrix build followed by one counting loop. Here the candidate
+// loop, not the scan, is what parallelizes: Options.Parallelism workers shard
+// the flattened candidate list. (BuildIndex, which fills the rows an Indexed
+// database brings, shards its scan too.)
 //
 // When Options.Tax is set the rows are ancestor-closure rows and all
 // transforms are skipped: the Tax field is the caller's declaration that its
@@ -220,7 +221,7 @@ func countWindows(db txdb.DB, cands []item.Itemset, perGroup bool, opt Options) 
 		}
 		return nil
 	}
-	if err := m.FillWindows(db, opt.Tax, bitmat.Transform(opt.TransformInto), addWindow); err != nil {
+	if err := m.FillWindows(db, opt.Tax, bitmat.Transform(opt.TransformInto), 1, addWindow); err != nil {
 		return nil, err
 	}
 	if err := addWindow(); err != nil {

@@ -1,6 +1,8 @@
 package count
 
 import (
+	"time"
+
 	"negmine/internal/bitmat"
 	"negmine/internal/govern"
 	"negmine/internal/item"
@@ -50,6 +52,7 @@ type Index struct {
 	singles *item.Counter
 	rows    *bitmat.Matrix
 	mem     *govern.Budget
+	pass1   time.Duration
 }
 
 // NewIndex wraps db with its index under tax: the 1-item counts and the
@@ -63,26 +66,37 @@ func (ix *Index) Taxonomy() *taxonomy.Taxonomy { return ix.tax }
 func (ix *Index) Singletons() *item.Counter    { return ix.singles }
 func (ix *Index) Matrix() *bitmat.Matrix       { return ix.rows }
 
-// Release returns the rows' reservation; the index must not count afterwards.
+// Pass1 is how long BuildIndex spent in its first scan (zero for NewIndex).
+func (ix *Index) Pass1() time.Duration { return ix.pass1 }
+
+// Release returns the reservation of the rows and of the pair table they may
+// carry; the index must not count afterwards.
 func (ix *Index) Release() {
 	if ix.rows != nil {
-		ix.mem.Release(ix.rows.Bytes())
+		ix.mem.Release(ix.rows.Bytes() + ix.rows.PairBytes())
 	}
 }
 
 // BuildIndex indexes db under tax with two scans, so that a level-wise mine
-// makes no third: pass 1 is Singletons' scan, pass 2 fills closure rows for
-// the items counted at least minCount times — all any later candidate can
-// name — reserved against opt.Mem until Release. It declines with (nil, nil),
-// before scanning, when there is no taxonomy, when db is already Indexed
-// under it, and under BackendHashTree, whose pass accounting is the paper's.
-// When reserveWindow does not grant full-width rows the index is returned
-// without them: pass 1 is not repeated, counting passes scan in windows.
+// makes no third, each sharded over Options.Parallelism workers where db is a
+// txdb.Sharder: pass 1 is Singletons' scan, pass 2 fills closure rows for the
+// items counted at least minCount times — all any later candidate can name —
+// and counts every pair of rows a transaction sets into a table
+// (bitmat.Matrix.CountPairs): all of C2, so level 2 ANDs no rows. Rows and
+// table are reserved against opt.Mem until Release, the further workers'
+// tables until the fill ends. It declines with (nil, nil), before scanning,
+// when there is no taxonomy, when db is already Indexed under it, and under
+// BackendHashTree, whose pass accounting is the paper's. When reserveWindow
+// does not grant full-width rows the index is returned without them: pass 1
+// is not repeated, counting passes scan in windows. When the budget, or
+// maxWindowBytes over rows and tables together, grants the rows but not the
+// tables, the rows carry none and level 2 is counted from rows like the rest.
 func BuildIndex(db txdb.DB, tax *taxonomy.Taxonomy, minCount int, opt Options) (*Index, error) {
 	if tax == nil || opt.Backend == BackendHashTree || indexOf(db, tax) != nil {
 		return nil, nil
 	}
 	opt.Tax = tax
+	start := time.Now()
 	singles, err := Singletons(db, opt)
 	if err != nil {
 		return nil, err
@@ -94,6 +108,7 @@ func BuildIndex(db txdb.DB, tax *taxonomy.Taxonomy, minCount int, opt Options) (
 		}
 	})
 	ix := NewIndex(db, tax, singles, nil, opt.Mem)
+	ix.pass1 = time.Since(start)
 	n := db.Count()
 	width, err := reserveWindow(opt.Mem, n, len(large))
 	if err != nil {
@@ -104,7 +119,14 @@ func BuildIndex(db txdb.DB, tax *taxonomy.Taxonomy, minCount int, opt Options) (
 		return ix, nil
 	}
 	ix.rows = bitmat.New(item.SortDedup(large), n)
-	if err := ix.rows.FillWindows(db, tax, nil, nil); err != nil {
+	_, workers := shardWorkers(db, opt)
+	tables := int64(workers) * bitmat.EstimatePairBytes(len(large))
+	if ix.rows.Bytes()+tables <= maxWindowBytes && opt.Mem.Reserve(tables) == nil {
+		ix.rows.CountPairs()
+		// All but the table the rows keep are summed into it and gone.
+		defer opt.Mem.Release(tables - ix.rows.PairBytes())
+	}
+	if err := ix.rows.FillWindows(db, tax, nil, workers, nil); err != nil {
 		ix.Release()
 		return nil, err
 	}

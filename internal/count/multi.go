@@ -93,11 +93,7 @@ func (HashTreeEngine) Multi(db txdb.DB, groups [][]item.Itemset, transforms []Tr
 	if transforms != nil && len(transforms) != len(groups) {
 		return nil, fmt.Errorf("count: %d transforms for %d groups", len(transforms), len(groups))
 	}
-	sharder, canShard := db.(txdb.Sharder)
-	workers := opt.Parallelism
-	if workers < 2 || !canShard {
-		workers = 1
-	}
+	sharder, workers := shardWorkers(db, opt)
 	var reserved int64
 	for _, g := range groups {
 		reserved += hashtree.EstimateBytes(len(g), workers)

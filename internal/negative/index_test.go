@@ -28,7 +28,8 @@ type scanOnly struct{ txdb.DB }
 // often enough for large 3-itemsets, the other leaves rarely enough that
 // some are small while their categories are large, a few baskets name a
 // category or an item the taxonomy does not know, some are empty, and the
-// transaction count is not a multiple of 64.
+// transaction count is not a multiple of 64 — in every thirteenth market
+// below 128, so that of several workers only two have a shard to fill.
 func randomMarket(t testing.TB, seed int64) (*taxonomy.Taxonomy, *txdb.MemDB) {
 	t.Helper()
 	r := rand.New(rand.NewSource(seed))
@@ -47,7 +48,11 @@ func randomMarket(t testing.TB, seed int64) (*taxonomy.Taxonomy, *txdb.MemDB) {
 	}
 	leaves := tax.Leaves()
 	db := &txdb.MemDB{}
-	for i, n := 0, 64*(4+r.Intn(5))+1+r.Intn(63); i < n; i++ {
+	n := 64*(4+r.Intn(5)) + 1 + r.Intn(63)
+	if seed%13 == 0 {
+		n = 65 + n%63
+	}
+	for i := 0; i < n; i++ {
 		var raw []item.Item
 		switch r.Intn(10) {
 		case 0: // empty
@@ -69,13 +74,14 @@ func randomMarket(t testing.TB, seed int64) (*taxonomy.Taxonomy, *txdb.MemDB) {
 
 // TestIndexedWindowedAndHashTreeMinesAgree is the spec of "same counts":
 // the mine that indexes the database with two scans, the mine whose budget
-// forces every pass through three or more windows, and the hash-tree mine
-// decide the same large itemsets, negatives and rules — under both drivers,
+// forces every pass through several windows, the mine whose budget grants
+// the rows but not the pair tables, and the hash-tree mine decide the same
+// large itemsets, negatives and rules — under both drivers,
 // with one counting worker or several, over a Sharder in memory, one on
 // disk, a throttled one and a database that can only be scanned whole.
 func TestIndexedWindowedAndHashTreeMinesAgree(t *testing.T) {
 	var triples, smallLeafLargeCategory, negatives int
-	for seed := int64(1); seed <= 12; seed++ {
+	for seed := int64(1); seed <= 13; seed++ {
 		tax, mem := randomMarket(t, seed)
 		path := filepath.Join(t.TempDir(), "db.nmtx")
 		if err := txdb.WriteFile(path, mem); err != nil {
@@ -104,8 +110,11 @@ func TestIndexedWindowedAndHashTreeMinesAgree(t *testing.T) {
 			}
 		}
 		// Rows for a third of the transactions, rounded down to whole words:
-		// the C2 pass, which names every large 1-item, needs ≥ 3 windows.
-		third := bitmat.EstimateBytes(mem.Count()/3/64*64, len(want.Large.Levels[0]))
+		// the C2 pass, which names every large 1-item, needs ≥ 3 windows (two
+		// in the small market). Rows for all of them: the index, without the
+		// pair tables.
+		third := bitmat.EstimateBytes(max(mem.Count()/3/64*64, 64), len(want.Large.Levels[0]))
+		rows := bitmat.EstimateBytes(mem.Count(), len(want.Large.Levels[0]))
 
 		for name, base := range map[string]txdb.DB{"mem": mem, "file": file, "throttled": txdb.Throttle(mem, 0), "scan-only": file} {
 			ins := txdb.Instrument(base)
@@ -139,6 +148,18 @@ func TestIndexedWindowedAndHashTreeMinesAgree(t *testing.T) {
 					if hw := budget.HighWater(); hw == 0 || hw > third || budget.InUse() != 0 {
 						t.Fatalf("%s windowed: high water %d of %d, %d still reserved", what, hw, third, budget.InUse())
 					}
+
+					budget = govern.NewBudget(rows)
+					opt.Count.Mem, opt.Gen.Count.Mem = budget, budget
+					ins.Reset()
+					got, err = Mine(db, tax, opt)
+					if err != nil {
+						t.Fatalf("%s rows without tables: %v", what, err)
+					}
+					sameMined(t, what+" rows without tables", got, want)
+					if scans := ins.Passes() + ins.ShardScans()/workers; scans != 2 || budget.HighWater() != rows || budget.InUse() != 0 {
+						t.Fatalf("%s rows without tables: %d scans, high water %d of %d, %d still reserved", what, scans, budget.HighWater(), rows, budget.InUse())
+					}
 				}
 			}
 		}
@@ -150,7 +171,7 @@ func TestIndexedWindowedAndHashTreeMinesAgree(t *testing.T) {
 		}
 	}
 	if triples < 6 || smallLeafLargeCategory < 6 || negatives < 6 {
-		t.Fatalf("of 12 markets %d reached 3 levels, %d had a small leaf under a large category, %d a negative itemset: the generator lost its corners",
+		t.Fatalf("of 13 markets %d reached 3 levels, %d had a small leaf under a large category, %d a negative itemset: the generator lost its corners",
 			triples, smallLeafLargeCategory, negatives)
 	}
 
@@ -166,35 +187,54 @@ func TestIndexedWindowedAndHashTreeMinesAgree(t *testing.T) {
 	}
 }
 
-// TestIndexFaultAndBudgetHygiene: a read torn in pass 1 or in the row fill
-// comes back from Mine and gen.Mine as the scan's error, and on every path —
-// success, error, declined — the budget ends where it started. Then several
-// mines index one Sharder at once, for the race detector.
+// TestIndexFaultAndBudgetHygiene: a read torn in pass 1 or in the row fill —
+// in the one scanner of a database that cannot shard, in any worker of the
+// sharded fill — comes back from Mine and gen.Mine as the scan's error, and
+// on every path — success, error, pair tables declined, rows declined, index
+// declined — the budget ends where it started. Then several mines index one
+// Sharder at once, for the race detector.
 func TestIndexFaultAndBudgetHygiene(t *testing.T) {
 	tax, db, opt := threeLevels(t)
-	budget := govern.NewBudget(0)
-	held := int64(1000) // somebody else's reservation
-	if err := budget.Reserve(held); err != nil {
+	opt.Count.Parallelism, opt.Gen.Count.Parallelism = 4, 4
+	const held = 1000 // somebody else's reservation
+	budgeted := func(total int64) *govern.Budget {
+		budget := govern.NewBudget(total)
+		if err := budget.Reserve(held); err != nil {
+			t.Fatal(err)
+		}
+		opt.Count.Mem, opt.Gen.Count.Mem = budget, budget
+		return budget
+	}
+	budget := budgeted(0)
+	free, err := Mine(db, tax, opt)
+	if err != nil {
 		t.Fatal(err)
 	}
-	opt.Count.Mem, opt.Gen.Count.Mem = budget, budget
-	opt.Count.Parallelism, opt.Gen.Count.Parallelism = 4, 4
-	genOpt := gen.Options{MinSupport: opt.MinSupport, Count: opt.Gen.Count}
-	mines := map[string]func(txdb.DB) error{
-		"Improved": func(db txdb.DB) error { _, err := Mine(db, tax, opt); return err },
-		"Naive": func(db txdb.DB) error {
+	rows := bitmat.EstimateBytes(db.Count(), len(free.Large.Levels[0]))
+	mines := map[string]func(txdb.DB) (*Result, error){
+		"Improved": func(db txdb.DB) (*Result, error) { return Mine(db, tax, opt) },
+		"Naive": func(db txdb.DB) (*Result, error) {
 			naive := opt
 			naive.Algorithm = Naive
-			_, err := Mine(db, tax, naive)
-			return err
+			return Mine(db, tax, naive)
 		},
-		"gen.Mine": func(db txdb.DB) error { _, err := gen.Mine(db, tax, genOpt); return err },
+		"gen.Mine": func(db txdb.DB) (*Result, error) {
+			large, err := gen.Mine(db, tax, gen.Options{MinSupport: opt.MinSupport, Count: opt.Gen.Count})
+			return &Result{Large: large, Negatives: free.Negatives, Rules: free.Rules}, err
+		},
 	}
 	for name, mine := range mines {
 		// scanOnly: one scanner, so hit k is transaction k of pass ⌈k/100⌉.
-		for pass, hit := range map[string]int{"pass 1": 60, "the fill": 160} {
-			off := fault.Enable(txdb.PointScan, fault.Error("torn read"), fault.OnHit(hit))
-			err := mine(scanOnly{db})
+		// Sharded, hits 101–200 are the fill's, whichever worker takes them.
+		for pass, tear := range map[string]struct {
+			db  txdb.DB
+			hit int
+		}{
+			"pass 1": {scanOnly{db}, 60}, "the fill": {scanOnly{db}, 160},
+			"the sharded fill, early": {db, 103}, "the sharded fill, late": {db, 197},
+		} {
+			off := fault.Enable(txdb.PointScan, fault.Error("torn read"), fault.OnHit(tear.hit))
+			_, err := mine(tear.db)
 			off()
 			if !errors.Is(err, fault.ErrInjected) {
 				t.Errorf("%s, read torn in %s: err = %v, want the injected error", name, pass, err)
@@ -208,7 +248,7 @@ func TestIndexFaultAndBudgetHygiene(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				if err := mine(db); err != nil {
+				if _, err := mine(db); err != nil {
 					t.Errorf("%s, concurrent: %v", name, err)
 				}
 			}()
@@ -217,6 +257,18 @@ func TestIndexFaultAndBudgetHygiene(t *testing.T) {
 		if budget.InUse() != held {
 			t.Fatalf("%s: %d bytes reserved after success, want %d", name, budget.InUse(), held)
 		}
+		for declined, total := range map[string]int64{"pair tables": held + rows, "rows": held + rows - 1} {
+			tight := budgeted(total)
+			got, err := mine(db)
+			if err != nil {
+				t.Fatalf("%s, %s declined: %v", name, declined, err)
+			}
+			sameMined(t, name+", "+declined+" declined", got, free)
+			if tight.InUse() != held {
+				t.Fatalf("%s, %s declined: %d bytes reserved, want %d", name, declined, tight.InUse(), held)
+			}
+		}
+		budget = budgeted(0)
 	}
 	// Declined: the hash tree reserves its trees, not rows, and returns them.
 	opt.Count.Backend, opt.Gen.Count.Backend = count.BackendHashTree, count.BackendHashTree

@@ -234,6 +234,9 @@ type Timing struct {
 	// Zero when the database arrived indexed or the options name the hash
 	// tree.
 	Index time.Duration
+	// Pass1 is the part of Index spent in its first scan, the 1-item counts;
+	// Index − Pass1 is the row fill with its pair count.
+	Pass1 time.Duration
 	// Negative covers candidate generation, candidate counting and rule
 	// generation.
 	Negative time.Duration
@@ -281,7 +284,7 @@ func Mine(db txdb.DB, tax *taxonomy.Taxonomy, opt Options) (*Result, error) {
 	// ones. Negative passes pinned to the hash tree must be handed the raw
 	// database: an Indexed one answers whatever Backend says.
 	start := time.Now()
-	var index time.Duration
+	var index, pass1 time.Duration
 	if opt.Count.Backend != count.BackendHashTree {
 		ix, err := count.BuildIndex(db, tax, apriori.MinCount(opt.MinSupport, db.Count()), opt.Gen.Count)
 		if err != nil {
@@ -289,7 +292,7 @@ func Mine(db txdb.DB, tax *taxonomy.Taxonomy, opt Options) (*Result, error) {
 		}
 		if ix != nil {
 			defer ix.Release()
-			db, index = ix, time.Since(start)
+			db, index, pass1 = ix, time.Since(start), ix.Pass1()
 		}
 	}
 	mine := mineImproved
@@ -300,7 +303,7 @@ func Mine(db txdb.DB, tax *taxonomy.Taxonomy, opt Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res.Timing.Index = index
+	res.Timing.Index, res.Timing.Pass1 = index, pass1
 	res.Timing.Stage1 += index
 	return res, nil
 }

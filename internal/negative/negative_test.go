@@ -533,12 +533,12 @@ func TestTimingParts(t *testing.T) {
 		}
 		// The index build is the first part of stage 1 — and no part of it
 		// when the pass options ask for scans.
-		if tm.Index <= 0 || tm.Index > tm.Stage1 {
-			t.Errorf("%v: Index = %v of Stage1 = %v", alg, tm.Index, tm.Stage1)
+		if tm.Pass1 <= 0 || tm.Pass1 > tm.Index || tm.Index > tm.Stage1 {
+			t.Errorf("%v: Pass1 = %v of Index = %v of Stage1 = %v", alg, tm.Pass1, tm.Index, tm.Stage1)
 		}
 		scan := Options{MinSupport: 0.04, MinRI: 0.5, Algorithm: alg}
 		scan.Count.Backend, scan.Gen.Count.Backend = count.BackendHashTree, count.BackendHashTree
-		if res, err = Mine(db, tax, scan); err != nil || res.Timing.Index != 0 || res.Timing.Stage1 <= 0 {
+		if res, err = Mine(db, tax, scan); err != nil || res.Timing.Index != 0 || res.Timing.Pass1 != 0 || res.Timing.Stage1 <= 0 {
 			t.Errorf("%v on the hash tree: Timing %+v (err %v), want no Index", alg, res.Timing, err)
 		}
 	}

@@ -183,9 +183,9 @@ func (f *FileDB) Scan(fn func(Transaction) error) error {
 	return f.ScanShard(0, 1, fn)
 }
 
-// ScanShard streams the shard-th of `of` interleaved subsets. All bytes are
-// still read (the format is not seekable per record), but decode work for
-// foreign shards is skipped.
+// ScanShard streams the records at the positions ShardRange gives the shard.
+// The format is not seekable per record, so the bytes before the range are
+// still read — those records are not handed to fn — but nothing after it is.
 func (f *FileDB) ScanShard(shard, of int, fn func(Transaction) error) error {
 	if of <= 0 || shard < 0 || shard >= of {
 		return fmt.Errorf("txdb: bad shard %d/%d", shard, of)
@@ -201,7 +201,8 @@ func (f *FileDB) ScanShard(shard, of int, fn func(Transaction) error) error {
 	faulty := fault.Active()
 	var items item.Itemset
 	tid := int64(0)
-	for i := 0; i < f.count; i++ {
+	lo, hi := ShardRange(f.count, shard, of)
+	for i := 0; i < hi; i++ {
 		if faulty {
 			if err := fault.Hit(PointScan); err != nil {
 				return fmt.Errorf("txdb: %s: record %d: %w", f.path, i, err)
@@ -219,7 +220,6 @@ func (f *FileDB) ScanShard(shard, of int, fn func(Transaction) error) error {
 		if n > 1<<24 {
 			return fmt.Errorf("txdb: record %d: absurd item count %d", i, n)
 		}
-		mine := i%of == shard
 		if cap(items) < int(n) {
 			items = make(item.Itemset, n)
 		}
@@ -242,7 +242,7 @@ func (f *FileDB) ScanShard(shard, of int, fn func(Transaction) error) error {
 			}
 			items[j] = item.Item(prev)
 		}
-		if mine {
+		if i >= lo {
 			if err := fn(Transaction{TID: tid, Items: items}); err != nil {
 				return err
 			}

@@ -39,10 +39,23 @@ type DB interface {
 }
 
 // Sharder is implemented by databases that support partitioned scans:
-// ScanShard(i, n) visits the i-th of n disjoint, jointly-exhaustive subsets
-// of the data. It powers parallel support counting.
+// ScanShard(i, n) visits, in scan order, the transactions at positions
+// [lo, hi) = ShardRange(Count(), i, n) of Scan's sequence — so the shards,
+// taken in shard order, concatenate to Scan, and a worker per shard knows
+// which positions it holds. It powers parallel support counting and the
+// parallel row fill.
 type Sharder interface {
 	ScanShard(shard, of int, fn func(Transaction) error) error
+}
+
+// ShardRange is the one partition rule of every Sharder: shard i of `of`
+// over n transactions holds positions [lo, hi), contiguous ranges of equal
+// length — a whole number of 64-transaction words, so that two shards never
+// share a word of a bitmap row — of which the last may be short and further
+// ones empty (lo == hi == n; every other lo is a multiple of 64).
+func ShardRange(n, shard, of int) (lo, hi int) {
+	per := ((n+63)/64 + of - 1) / of * 64
+	return min(shard*per, n), min((shard+1)*per, n)
 }
 
 // MemDB is an in-memory transaction database.
@@ -94,19 +107,21 @@ func (m *MemDB) Scan(fn func(Transaction) error) error {
 	return nil
 }
 
-// ScanShard visits transactions whose index ≡ shard (mod of).
+// ScanShard visits, in insertion order, the transactions at the positions
+// ShardRange gives the shard.
 func (m *MemDB) ScanShard(shard, of int, fn func(Transaction) error) error {
 	if of <= 0 || shard < 0 || shard >= of {
 		return fmt.Errorf("txdb: bad shard %d/%d", shard, of)
 	}
 	faulty := fault.Active()
-	for i := shard; i < len(m.txs); i += of {
+	lo, hi := ShardRange(len(m.txs), shard, of)
+	for _, tx := range m.txs[lo:hi] {
 		if faulty {
 			if err := fault.Hit(PointScan); err != nil {
-				return fmt.Errorf("txdb: shard %d/%d scan at tid %d: %w", shard, of, m.txs[i].TID, err)
+				return fmt.Errorf("txdb: shard %d/%d scan at tid %d: %w", shard, of, tx.TID, err)
 			}
 		}
-		if err := fn(m.txs[i]); err != nil {
+		if err := fn(tx); err != nil {
 			return err
 		}
 	}

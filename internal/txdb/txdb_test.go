@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -104,6 +105,69 @@ func TestScanShardPartition(t *testing.T) {
 	}
 	if err := db.ScanShard(3, 3, func(Transaction) error { return nil }); err == nil {
 		t.Error("out-of-range shard accepted")
+	}
+}
+
+// TestShardRangesConcatenateToScan pins the one partition rule: for every
+// Sharder — in memory, on disk, and each through Instrument and Throttle —
+// shard i of n visits exactly the positions ShardRange gives it, so the
+// shards in shard order are Scan; a non-empty shard starts on a multiple of
+// 64; and a shard outside [0, of) is still rejected.
+func TestShardRangesConcatenateToScan(t *testing.T) {
+	type sharderDB interface {
+		DB
+		Sharder
+	}
+	for _, n := range []int{0, 1, 63, 64, 65, 1000} {
+		mem := &MemDB{}
+		for i := 0; i < n; i++ {
+			mem.Append(Transaction{TID: int64(i + 1), Items: item.New(item.Item(i%7), item.Item(7+i%3))})
+		}
+		path := filepath.Join(t.TempDir(), "r.nmtx")
+		if err := WriteFile(path, mem); err != nil {
+			t.Fatal(err)
+		}
+		file, err := OpenFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []int64
+		if err := mem.Scan(func(tx Transaction) error { want = append(want, tx.TID); return nil }); err != nil {
+			t.Fatal(err)
+		}
+		for name, db := range map[string]sharderDB{
+			"mem": mem, "file": file,
+			"instrumented mem": Instrument(mem), "instrumented file": Instrument(file),
+			"throttled mem": Throttle(mem, 0), "throttled file": Throttle(file, 0),
+		} {
+			for _, of := range []int{1, 2, 5, 64} {
+				var got []int64
+				for shard := 0; shard < of; shard++ {
+					lo, hi := ShardRange(n, shard, of)
+					if lo > hi || hi > n || lo < hi && lo%64 != 0 || shard == 0 && lo != 0 || shard == of-1 && hi != n {
+						t.Fatalf("ShardRange(%d, %d, %d) = [%d, %d)", n, shard, of, lo, hi)
+					}
+					if lo != len(got) {
+						t.Fatalf("n %d: shard %d/%d starts at %d after %d transactions", n, shard, of, lo, len(got))
+					}
+					err := db.ScanShard(shard, of, func(tx Transaction) error { got = append(got, tx.TID); return nil })
+					if err != nil {
+						t.Fatal(err)
+					}
+					if hi != len(got) {
+						t.Fatalf("%s n %d: shard %d/%d visited up to %d, want [%d, %d)", name, n, shard, of, len(got), lo, hi)
+					}
+				}
+				if !slices.Equal(got, want) {
+					t.Fatalf("%s n %d: %d shards concatenate to %v, Scan gives %v", name, n, of, got, want)
+				}
+			}
+			for _, bad := range [][2]int{{-1, 2}, {2, 2}, {0, 0}, {0, -1}} {
+				if err := db.ScanShard(bad[0], bad[1], func(Transaction) error { return nil }); err == nil {
+					t.Errorf("%s: shard %d/%d accepted", name, bad[0], bad[1])
+				}
+			}
+		}
 	}
 }
 
