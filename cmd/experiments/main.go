@@ -47,7 +47,7 @@ func run(args []string, out io.Writer) error {
 		minRI    = fs.Float64("minri", 0.5, "minimum rule interest (paper: 0.5)")
 		minsups  = fs.String("minsups", "2,1.5,1,0.75,0.5", "support levels in percent for figures 5/6")
 		maxK     = fs.Int("maxk", 0, "stage-1 level cap (0 = unlimited)")
-		parallel = fs.Int("parallel", 1, "counting workers")
+		parallel = fs.Int("parallel", 1, "workers for scans, counting and candidate generation")
 		backend  = fs.String("backend", "auto", "counting backend: auto, hashtree or bitmap")
 		disk     = fs.Bool("disk", false, "stream transactions from disk on every pass (the paper's setting)")
 		slowIO   = fs.Int("slowio", 0, "simulated scan cost in µs per transaction (0 = off); models the paper's 1995 disk-bound regime")

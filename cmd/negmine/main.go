@@ -17,7 +17,7 @@
 //	-gen name      stage-1 algorithm: basic, cumulate (default), estmerge
 //	-positive      also mine and print positive generalized rules
 //	-negatives     print confirmed negative itemsets as well as rules
-//	-parallel n    counting workers (default 1)
+//	-parallel n    workers for scans, counting and candidate generation (default 1)
 //	-backend name  counting backend: auto (default), hashtree or bitmap
 //	-maxk n        cap large-itemset size (0 = unlimited)
 //	-format name   text (default), json or csv; `-format json` writes the
@@ -65,7 +65,7 @@ func run(args []string, out io.Writer) error {
 		genName   = fs.String("gen", "cumulate", "stage-1 algorithm: basic, cumulate or estmerge")
 		positive  = fs.Bool("positive", false, "also mine positive generalized rules")
 		negatives = fs.Bool("negatives", false, "print negative itemsets too")
-		parallel  = fs.Int("parallel", 1, "counting workers")
+		parallel  = fs.Int("parallel", 1, "workers for scans, counting and candidate generation")
 		backend   = fs.String("backend", "auto", "counting backend: auto, hashtree or bitmap")
 		memBudget = fs.String("mem-budget", "auto", "mining memory budget, e.g. 2GiB (auto = 80% of GOMEMLIMIT/cgroup limit, off = unlimited)")
 		maxK      = fs.Int("maxk", 0, "cap large-itemset size (0 = unlimited)")
@@ -196,6 +196,9 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintf(w, "  (restrict %v, candidate generation %v, counting %v, rule generation %v)\n",
 			res.Timing.Restrict.Round(timeUnit), res.Timing.CandGen.Round(timeUnit),
 			res.Timing.Count.Round(timeUnit), res.Timing.RuleGen.Round(timeUnit))
+		wk := res.Walk
+		fmt.Fprintf(w, "  (walk: %d sources, %d visited, %d floor cuts, %d emitted = %d already large + %d duplicates + %d recorded)\n",
+			wk.Sources, wk.Visited, wk.FloorCuts, wk.Emitted, wk.AlreadyLarge, wk.Duplicates, wk.Recorded)
 
 		if *negatives {
 			fmt.Fprintln(w, "\nnegative itemsets (expected vs actual support):")

@@ -354,7 +354,7 @@ func parseFlags(args []string, out io.Writer) (*config, error) {
 		minRI    = fs.Float64("minri", 0.5, "minimum rule interest (mining mode)")
 		genName  = fs.String("gen", "cumulate", "stage-1 algorithm: basic, cumulate or estmerge")
 		algName  = fs.String("alg", "better", "negative algorithm: better or naive")
-		parallel = fs.Int("parallel", 1, "counting workers (mining mode)")
+		parallel = fs.Int("parallel", 1, "workers for scans, counting and candidate generation (mining mode)")
 		backend  = fs.String("backend", "auto", "counting backend: auto, hashtree or bitmap")
 		maxK     = fs.Int("maxk", 0, "cap large-itemset size (0 = unlimited)")
 		watch    = fs.Bool("watch", false, "poll the source file and reload when it settles")

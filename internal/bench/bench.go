@@ -116,7 +116,7 @@ type TimingConfig struct {
 	MinRI      float64       // paper: 0.5
 	GenAlg     gen.Algorithm // stage-1 algorithm (Basic or Cumulate for Naive)
 	MaxK       int           // optional stage-1 level cap (0 = none)
-	Parallel   int           // counting workers
+	Parallel   int           // workers: scans, counting, candidate generation
 	Backend    count.Backend // counting backend (auto picks per-database)
 }
 

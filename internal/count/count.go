@@ -29,6 +29,8 @@ type Options struct {
 	// passes, Singletons and BuildIndex's row fill. The bitmap engine's own
 	// window fill is one sequential scan; it shards the candidates of each
 	// window, and those counted from an index, across this many workers.
+	// negative's candidate generation reads the same number (from
+	// negative.Options.Count) for the workers that walk the large itemsets.
 	Parallelism int
 	// MaxLeaf is the hash tree leaf capacity (0 = default).
 	MaxLeaf int

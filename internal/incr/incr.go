@@ -67,10 +67,12 @@ type RefreshStats struct {
 	LargeItems int
 	// Duration is the refresh wall time; the stage fields split it: the
 	// index append, stage 1 (row materialisation plus large-itemset mining)
-	// and negative.Timing's four parts of stages 2–3.
+	// and negative.Timing's four parts of stages 2–3. Walk is what candidate
+	// generation did in CandGen.
 	Duration                          time.Duration
 	IndexAppend, Stage1               time.Duration
 	Restrict, CandGen, Count, RuleGen time.Duration
+	Walk                              negative.WalkStats
 }
 
 // Miner incrementally mines a segment log. The zero value is not usable;
@@ -149,7 +151,7 @@ func (m *Miner) Refresh(log *seglog.Log) (*negative.Result, error) {
 	st.OldSegmentScans += int(snap.reads.Load())
 	t := res.Timing
 	st.Stage1 = mineStart.Sub(start) - st.IndexAppend + t.Stage1
-	st.Restrict, st.CandGen, st.Count, st.RuleGen = t.Restrict, t.CandGen, t.Count, t.RuleGen
+	st.Restrict, st.CandGen, st.Count, st.RuleGen, st.Walk = t.Restrict, t.CandGen, t.Count, t.RuleGen, res.Walk
 	st.Duration = time.Since(start)
 	m.stats.Store(&st)
 	return res, nil

@@ -53,7 +53,8 @@ func mineStages23(large *apriori.Result, tax *taxonomy.Taxonomy, opt Options, co
 		gtax = tax.Restrict(func(x item.Item) bool { return sup[x] >= 0 })
 	}
 	restricted := time.Now()
-	cands := generateCandidates(large.Levels, large.Table, gtax, sup, opt.MinSupport, opt.MinRI, opt.Substitutes)
+	cands, walk := generateCandidates(large.Levels, large.Table, gtax, sup, opt)
+	res.Walk = walk
 	for _, c := range cands {
 		res.CandidatesBySize[c.Set.Len()]++
 	}
@@ -108,11 +109,10 @@ func mineNaive(db txdb.DB, tax *taxonomy.Taxonomy, opt Options) (*Result, error)
 		}
 		negStart := time.Now()
 		table := stepper.Result().Table
-		g := newGenerator(tax, table, singleSupports(table, tax.Size()), opt.MinSupport, opt.MinRI, opt.Substitutes)
-		for _, cs := range level {
-			g.fromLarge(cs.Set)
-		}
-		cands := g.candidates()
+		levels := make([][]item.CountedSet, k) // level k alone
+		levels[k-1] = level
+		cands, walk := generateCandidates(levels, table, tax, singleSupports(table, tax.Size()), opt)
+		res.Walk.add(walk)
 		res.CandidatesBySize[k] += len(cands)
 		generated := time.Now()
 		lvlNegs, err := countAndFilter(defaultCount(db, tax, opt), tax, cands, opt, stepper.Result().N)

@@ -147,6 +147,126 @@ func TestGenerateCandidatesMatchesReference(t *testing.T) {
 	}
 }
 
+// tieCase builds the corners where the worker count could show, on counts that
+// are powers of two so that equal expectations are equal float64s: a candidate
+// two sources reach with one expectation; one a single source reaches through
+// its children and, a declared substitute being that child, through its
+// siblings; one a third source reaches through siblings with that same
+// expectation; and one a single source reaches twice within sibling mode.
+func tieCase(t *testing.T) (candgenCase, map[string]item.Item) {
+	t.Helper()
+	b := taxonomy.NewBuilder()
+	for _, e := range [][2]string{{"P", "a"}, {"P", "b"}, {"P", "d"}, {"Q", "c"}, {"Q", "e"}} {
+		b.Link(e[0], e[1])
+	}
+	b.Node("x")
+	b.Node("y")
+	b.Node("z")
+	b.Node("w")
+	tax, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := map[string]item.Item{}
+	table := item.NewSupportTable(1024)
+	levels := make([][]item.CountedSet, 3)
+	put := func(count int, names ...string) {
+		raw := make([]item.Item, len(names))
+		for i, n := range names {
+			raw[i], _ = tax.Dictionary().Lookup(n)
+			ids[n] = raw[i]
+		}
+		set := item.New(raw...)
+		table.Put(set, count)
+		levels[len(set)-1] = append(levels[len(set)-1], item.CountedSet{Set: set, Count: count})
+	}
+	for n, c := range map[string]int{"P": 512, "a": 256, "b": 256, "d": 128, "Q": 512, "c": 512, "e": 64, "x": 256, "y": 256, "z": 128, "w": 512} {
+		put(c, n)
+	}
+	put(128, "a", "c") // → {c d} through a's sibling d: 1/8 · 128/256
+	put(128, "b", "c") // → {c d} through b's sibling d: the same
+	put(256, "P", "e") // → {d e} through P's child d, and through P's substitute d
+	put(128, "b", "e") // → {d e} through b's sibling d: 1/8 · 128/256 = 1/4 · 128/512
+	put(64, "x", "y", "w")
+	subs := []item.Itemset{item.New(ids["P"], ids["d"]), item.New(ids["x"], ids["y"], ids["z"])}
+	return candgenCase{tax, table, levels, subs, 0.01, 0.1}, ids
+}
+
+// TestGenerateCandidatesTieRule pins the path that wins each of tieCase's
+// ties for one worker: the first source, and within a source children before
+// siblings.
+func TestGenerateCandidatesTieRule(t *testing.T) {
+	c, ids := tieCase(t)
+	set := func(names ...string) item.Itemset {
+		raw := make([]item.Item, len(names))
+		for i, n := range names {
+			raw[i] = ids[n]
+		}
+		return item.New(raw...)
+	}
+	got := GenerateCandidates(c.levels, c.table, c.tax, c.minSup, c.minRI, c.substitutes)
+	for _, want := range []Candidate{
+		{Set: set("c", "d"), Expected: 1.0 / 16, Source: set("a", "c"), Via: ViaSiblings},
+		{Set: set("d", "e"), Expected: 1.0 / 16, Source: set("P", "e"), Via: ViaChildren},
+		{Set: set("y", "z", "w"), Expected: 1.0 / 32, Source: set("x", "y", "w"), Via: ViaSiblings},
+	} {
+		i, ok := slices.BinarySearchFunc(got, want.Set, func(c Candidate, s item.Itemset) int { return c.Set.Compare(s) })
+		if !ok || !sameCandidates(got[i:i+1], []Candidate{want}) {
+			t.Errorf("want %+v among %+v", want, got)
+		}
+	}
+}
+
+// TestGenerateCandidatesSameForAnyWorkerCount is the spec of the worker loop:
+// over tieCase and the random corpus the candidates — Set, Expected bit for
+// bit, Source, Via — and the walk's counts are those of the reference
+// generator and of one worker, for any number of workers and for any way the
+// sources fall to them.
+func TestGenerateCandidatesSameForAnyWorkerCount(t *testing.T) {
+	ties, _ := tieCase(t)
+	cases := []candgenCase{ties}
+	for seed := int64(1); seed <= 600; seed++ {
+		cases = append(cases, randomCandgenCase(t, rand.New(rand.NewSource(seed))))
+	}
+	r := rand.New(rand.NewSource(1))
+	for ci, c := range cases {
+		want := referenceCandidates(c.levels, c.table, c.tax, c.minSup, c.minRI, c.substitutes)
+		sup := singleSupports(c.table, c.tax.Size())
+		opt := Options{MinSupport: c.minSup, MinRI: c.minRI, Substitutes: c.substitutes}
+		in := newInputs(c.levels, c.table, c.tax, sup, opt)
+		var one WalkStats
+		for _, workers := range []int{1, 2, 5, len(in.sources) + 3} {
+			opt.Count.Parallelism = workers
+			got, walk := generateCandidates(c.levels, c.table, c.tax, sup, opt)
+			if workers == 1 {
+				one = walk
+			}
+			if !sameCandidates(got, want) || walk != one {
+				t.Fatalf("case %d, %d workers: %+v\n got  %v\n want %v (%+v)", ci, workers, walk, got, want, one)
+			}
+		}
+		if one.Emitted != one.AlreadyLarge+one.Duplicates+one.Recorded || one.Recorded != len(want) {
+			t.Fatalf("case %d: %+v for %d candidates", ci, one, len(want))
+		}
+
+		// The sources dealt at random to three workers, each walking its own in
+		// ascending order as the shared counter makes it, merged in both orders.
+		gens := []*generator{in.newGenerator(), in.newGenerator(), in.newGenerator()}
+		for i := range in.sources {
+			gens[r.Intn(len(gens))].fromLarge(int32(i))
+		}
+		if ci%2 == 0 {
+			slices.Reverse(gens)
+		}
+		for _, o := range gens[1:] {
+			gens[0].merge(o)
+		}
+		if got := gens[0].candidates(); !sameCandidates(got, want) || gens[0].stats != one {
+			t.Fatalf("case %d, sources dealt at random: %+v\n got  %v\n want %v (%+v)", ci, gens[0].stats, got, want, one)
+		}
+	}
+}
+
 // candgenInput mines stage 1 of a generated dataset and compresses the
 // taxonomy, which leaves exactly what mineStages23 hands GenerateCandidates.
 func candgenInput(tb testing.TB, p datagen.Params, txns int, minSup float64) ([][]item.CountedSet, *item.SupportTable, *taxonomy.Taxonomy) {
@@ -166,7 +286,9 @@ func candgenInput(tb testing.TB, p datagen.Params, txns int, minSup float64) ([]
 
 // TestGenerateCandidatesAllocs pins the kernel's allocations to what it
 // records — a key and an itemset per candidate plus amortized growth — so a
-// per-choice allocation cannot come back unnoticed.
+// per-choice allocation cannot come back unnoticed. A further worker adds its
+// own table of the large itemsets (no key is re-encoded) and a key for each
+// candidate it records that another worker records too: at most n + 64.
 func TestGenerateCandidatesAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -181,12 +303,56 @@ func TestGenerateCandidatesAllocs(t *testing.T) {
 		t.Fatalf("GenerateCandidates: %v allocs for %d candidates, want ≤ %v", allocs, n, limit)
 	}
 	t.Logf("%v allocs for %d candidates", allocs, n)
+
+	sup := singleSupports(table, tax.Size())
+	opt := Options{MinSupport: 0.04, MinRI: 0.3}
+	perWorker := func(workers int) float64 {
+		opt.Count.Parallelism = workers
+		return testing.AllocsPerRun(3, func() { generateCandidates(levels, table, tax, sup, opt) })
+	}
+	one, four := perWorker(1), perWorker(4)
+	if limit := one + float64(3*(n+64)); four > limit {
+		t.Fatalf("4 workers: %v allocs against %v for one, want ≤ %v", four, one, limit)
+	}
+	t.Logf("%v allocs with 4 workers, %v with one", four, one)
+}
+
+// TestWalkCountsOnTall reads the walk's counts off a mine of the Tall shape
+// and pins the regression they were added to show: a walk that visits little
+// more than it emits. Trying every sibling of the last member below a prefix
+// with no member kept — sets Case 3 forbids — read 5.7 visits per emission.
+func TestWalkCountsOnTall(t *testing.T) {
+	p := datagen.Tall()
+	p.NumTransactions, p.Seed = 2000, 1
+	tax, db, err := datagen.Generate(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := Options{MinSupport: 0.04, MinRI: 0.3}
+	opt.Count.Parallelism = 2
+	res, err := Mine(db, tax, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, k := res.Walk, len(res.Large.Levels)
+	t.Logf("%+v, k = %d", w, k)
+	if w.Sources != len(res.Large.Large())-len(res.Large.Levels[0]) || w.Recorded != res.TotalCandidates() || w.Recorded < 1000 {
+		t.Fatalf("%+v: %d large itemsets of size ≥ 2, %d candidates", w, len(res.Large.Large())-len(res.Large.Levels[0]), res.TotalCandidates())
+	}
+	if w.Emitted != w.AlreadyLarge+w.Duplicates+w.Recorded {
+		t.Fatalf("%+v: the outcomes do not add up to the emissions", w)
+	}
+	if w.Visited > 2*w.Emitted+w.Sources*k {
+		t.Fatalf("%+v: more than 2 visits per emission + %d per source", w, k)
+	}
 }
 
 var candidateSink []Candidate
 
 // BenchmarkGenerateCandidates runs the kernel on the inputs of the
-// benchmark's batch-tall and batch-wide workloads (benchmark/sizes.go).
+// benchmark's batch-tall and batch-wide workloads (benchmark/sizes.go) and on
+// Tall at the low end of the paper's Figure 6, with one worker and with two.
+// Every result is checked against the one-worker result before it is timed.
 func BenchmarkGenerateCandidates(b *testing.B) {
 	for _, bc := range []struct {
 		name          string
@@ -195,16 +361,31 @@ func BenchmarkGenerateCandidates(b *testing.B) {
 		minSup, minRI float64
 	}{
 		{"tall", datagen.Tall(), 5000, 0.03, 0.3},
+		{"tall-1pct", datagen.Tall(), 5000, 0.01, 0.5},
 		{"short", datagen.Short(), 200000, 0.01, 0.5},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			levels, table, tax := candgenInput(b, bc.params, bc.txns, bc.minSup)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				candidateSink = GenerateCandidates(levels, table, tax, bc.minSup, bc.minRI, nil)
+			sup := singleSupports(table, tax.Size())
+			opt := Options{MinSupport: bc.minSup, MinRI: bc.minRI}
+			want, _ := generateCandidates(levels, table, tax, sup, opt)
+			for _, workers := range []int{1, 2} {
+				b.Run("workers="+strconv.Itoa(workers), func(b *testing.B) {
+					opt.Count.Parallelism = workers
+					got, walk := generateCandidates(levels, table, tax, sup, opt)
+					if !sameCandidates(got, want) {
+						b.Fatalf("%d workers: candidates differ from one worker's", workers)
+					}
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						candidateSink, _ = generateCandidates(levels, table, tax, sup, opt)
+					}
+					b.ReportMetric(float64(len(got)), "candidates")
+					b.ReportMetric(float64(walk.Visited), "visited/op")
+					b.ReportMetric(float64(walk.Emitted), "emitted/op")
+				})
 			}
-			b.ReportMetric(float64(len(candidateSink)), "candidates")
 		})
 	}
 }

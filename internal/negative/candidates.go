@@ -3,6 +3,8 @@ package negative
 import (
 	"math"
 	"slices"
+	"sync"
+	"sync/atomic"
 
 	"negmine/internal/item"
 	"negmine/internal/taxonomy"
@@ -40,20 +42,33 @@ type Candidate struct {
 	Via Mode
 }
 
-// generator accumulates candidate negative itemsets across large itemsets,
-// deduplicating on the itemset and keeping the largest expected support
-// (paper §2.1.1: "In such situations the largest value of the expected
-// support is chosen"); among equal expectations the first path generated
-// wins. The walk touches no map and allocates nothing until a candidate is
-// first recorded: single-item supports come from a dense slice, choice lists
-// are shared or cached, and sets are normalized and keyed in scratch buffers.
-type generator struct {
+// WalkStats counts what candidate generation did: the large itemsets walked,
+// the keep/replace decisions visited, the branches cut at the expectation
+// floor, and the completed sets by outcome — Emitted = AlreadyLarge +
+// Duplicates + Recorded, Recorded being the distinct candidates.
+type WalkStats struct {
+	Sources, Visited, FloorCuts, Emitted, AlreadyLarge, Duplicates, Recorded int
+}
+
+func (s *WalkStats) add(o WalkStats) {
+	s.Sources += o.Sources
+	s.Visited += o.Visited
+	s.FloorCuts += o.FloorCuts
+	s.Emitted += o.Emitted
+	s.AlreadyLarge += o.AlreadyLarge
+	s.Duplicates += o.Duplicates
+	s.Recorded += o.Recorded
+}
+
+// inputs is what the workers of one generateCandidates call share, read-only.
+type inputs struct {
 	tax   *taxonomy.Taxonomy
 	table *item.SupportTable // generalized large-itemset supports
 	// minExpected is MinSup·MinRI: candidates whose expected support does
 	// not exceed it can never yield a rule with RI ≥ MinRI and are pruned
-	// at generation time.
-	minExpected float64
+	// at generation time. cutBelow is the same floor less a relative slack,
+	// for bounds whose factors are not multiplied in the walk's order.
+	minExpected, cutBelow float64
 	// sup is singleSupports(table, tax.Size()). In the Improved driver the
 	// taxonomy is pre-compressed so children/sibling lists contain only
 	// large items, but kept members and replacements are still checked
@@ -62,26 +77,78 @@ type generator struct {
 	// subs maps an item to its declared substitute partners (extra
 	// sibling-like choices beyond the taxonomy).
 	subs map[item.Item][]item.Item
-	sibs [][]item.Item // siblingChoices per taxonomy id; nil = not built yet
+	// sources are the large itemsets to walk, levels ascending. An emitted set
+	// has the size of its source, so large — every large itemset of a walked
+	// size — lists the sets a probe can find large.
+	sources []item.Itemset
+	large   []item.Key
+}
 
-	out     map[item.Key]int32 // candidate → its slot in best
-	best    []prov
-	sources []item.Itemset // the large itemsets walked so far
+func newInputs(levels [][]item.CountedSet, table *item.SupportTable, tax *taxonomy.Taxonomy, sup []float64, opt Options) *inputs {
+	in := &inputs{tax: tax, table: table, minExpected: opt.MinSupport * opt.MinRI, sup: sup, subs: map[item.Item][]item.Item{}}
+	in.cutBelow = in.minExpected * (1 - 1e-9)
+	for _, group := range opt.Substitutes {
+		for _, x := range group {
+			for _, y := range group {
+				if x != y {
+					in.subs[x] = append(in.subs[x], y)
+				}
+			}
+		}
+	}
+	walked := make([]bool, len(levels)+1)
+	for k := 2; k <= len(levels); k++ {
+		for _, cs := range levels[k-1] {
+			in.sources = append(in.sources, cs.Set)
+		}
+		walked[k] = len(levels[k-1]) > 0
+	}
+	table.EachKey(func(k item.Key) {
+		if n := k.Len(); n < len(walked) && walked[n] {
+			in.large = append(in.large, k)
+		}
+	})
+	return in
+}
+
+// generator accumulates candidate negative itemsets across the large itemsets
+// one worker walks, deduplicating on the itemset and keeping the largest
+// expected support (paper §2.1.1: "In such situations the largest value of the
+// expected support is chosen"); among equal expectations the first path
+// generated wins. The walk allocates nothing until a candidate is first
+// recorded: single-item supports come from a dense slice, choice lists are
+// shared or cached, and sets are normalized and keyed in scratch buffers.
+type generator struct {
+	inputs
+	sibs [][]item.Item // siblingChoices per taxonomy id; nil = not built yet
+	grow [2][]float64  // maxGrowth per mode and taxonomy id; 0 = not computed yet
+
+	// out maps a set of a walked size to its slot in best, or to isLarge when
+	// the set is a large itemset: one probe classifies an emitted set.
+	out   map[item.Key]int32
+	best  []prov
+	stats WalkStats
 
 	// The walk in progress, and scratch every walk reuses.
-	l      item.Itemset
-	supL   float64
-	via    Mode
-	picked []item.Item // one choice per position of l
-	set    []item.Item // picked, sorted
-	key    []byte      // set, encoded
+	l       item.Itemset
+	src     int32 // l is sources[src]
+	supL    float64
+	via     Mode
+	suffix  []float64   // suffix[pos]: the most positions pos… of l can multiply the ratio by
+	keepOne []float64   // the same when one of them must keep its member
+	picked  []item.Item // one choice per position of l
+	set     []item.Item // picked, sorted
+	key     []byte      // set, encoded
 }
+
+// isLarge is the slot out holds for a large itemset.
+const isLarge = -1
 
 // prov is the best generation path seen for a candidate so far.
 type prov struct {
 	key      item.Key
 	expected float64
-	source   int32 // index into generator.sources
+	source   int32 // index into inputs.sources
 	via      Mode
 }
 
@@ -103,26 +170,18 @@ func singleSupports(table *item.SupportTable, n int) []float64 {
 	return sup
 }
 
-func newGenerator(tax *taxonomy.Taxonomy, table *item.SupportTable, sup []float64, minSup, minRI float64, substitutes []item.Itemset) *generator {
-	subs := map[item.Item][]item.Item{}
-	for _, group := range substitutes {
-		for _, x := range group {
-			for _, y := range group {
-				if x != y {
-					subs[x] = append(subs[x], y)
-				}
-			}
-		}
+// newGenerator returns a generator for one worker.
+func (in *inputs) newGenerator() *generator {
+	g := &generator{
+		inputs: *in,
+		sibs:   make([][]item.Item, in.tax.Size()),
+		grow:   [2][]float64{make([]float64, len(in.sup)), make([]float64, len(in.sup))},
+		out:    make(map[item.Key]int32, len(in.large)),
 	}
-	return &generator{
-		tax:         tax,
-		table:       table,
-		minExpected: minSup * minRI,
-		sup:         sup,
-		subs:        subs,
-		sibs:        make([][]item.Item, tax.Size()),
-		out:         make(map[item.Key]int32),
+	for _, k := range in.large {
+		g.out[k] = isLarge
 	}
+	return g
 }
 
 // support returns the relative support of the single item x and whether x
@@ -159,6 +218,37 @@ func (g *generator) buildSiblingChoices(x item.Item) []item.Item {
 	return out
 }
 
+// choices lists what may replace x in the mode being walked.
+func (g *generator) choices(x item.Item) []item.Item {
+	if g.via == ViaSiblings {
+		return g.siblingChoices(x)
+	}
+	return g.tax.Children(x)
+}
+
+// maxGrowth is the most the position holding x can multiply the ratio by in
+// the mode being walked: 1 for keeping x, or the largest sup(r)/sup(x) over its
+// large choices — above 1 for a sibling more popular than x, never for a child
+// where the supports were counted.
+func (g *generator) maxGrowth(x item.Item) float64 {
+	dense := x >= 0 && int(x) < len(g.sup)
+	if dense && g.grow[g.via][x] != 0 {
+		return g.grow[g.via][x]
+	}
+	m := 1.0
+	if supX, ok := g.support(x); ok && supX > 0 {
+		for _, r := range g.choices(x) {
+			if supR, ok := g.support(r); ok {
+				m = max(m, supR/supX)
+			}
+		}
+	}
+	if dense {
+		g.grow[g.via][x] = m
+	}
+	return m
+}
+
 // fromLarge generates all candidates derivable from the large itemset l
 // (paper cases 1–3):
 //
@@ -170,33 +260,42 @@ func (g *generator) buildSiblingChoices(x item.Item) []item.Item {
 // In every case the expected support is sup(l) scaled by
 // Π sup(replacement)/sup(original) over the replaced members — the
 // uniformity assumption.
-func (g *generator) fromLarge(l item.Itemset) {
+func (g *generator) fromLarge(src int32) {
+	l := g.sources[src]
 	g.key = l.AppendKey(g.key[:0])
 	supL, ok := g.table.SupportBytes(g.key)
 	if !ok || supL == 0 {
 		return
 	}
-	g.l, g.supL = l, supL
-	g.sources = append(g.sources, l)
+	g.l, g.src, g.supL = l, src, supL
+	g.stats.Sources++
 	if len(g.picked) < len(l) {
-		g.picked = make([]item.Item, len(l))
+		g.picked, g.suffix, g.keepOne = make([]item.Item, len(l)), make([]float64, len(l)+1), make([]float64, len(l)+1)
 	}
-	// Children modes: any non-empty subset replaced (cases 1 and 2 merge).
-	g.via = ViaChildren
-	g.walk(0, 0, 0, 1)
-	// Sibling mode: proper subset replaced (case 3). Choices include
+	// Children mode: any non-empty subset replaced (cases 1 and 2 merge).
+	// Sibling mode: a proper subset replaced (case 3); choices include
 	// declared substitute partners (the §4.1 extension).
-	g.via = ViaSiblings
-	g.walk(0, 0, 0, 1)
+	for _, via := range [...]Mode{ViaChildren, ViaSiblings} {
+		g.via = via
+		g.suffix[len(l)] = 1
+		least := math.Inf(1)
+		for i := len(l) - 1; i > 0; i-- {
+			grow := g.maxGrowth(l[i])
+			least = min(least, grow)
+			g.suffix[i] = g.suffix[i+1] * grow
+			g.keepOne[i] = g.suffix[i] / least
+		}
+		g.walk(0, 0, 0, 1)
+	}
 }
 
 // walk decides keep-vs-replace for position pos of g.l and recurses,
-// multiplying the support ratio of each replacement. Sibling mode forces at
-// least one kept member.
+// multiplying the support ratio of each replacement.
 func (g *generator) walk(pos, kept, replaced int, ratio float64) {
+	g.stats.Visited++
 	if pos == len(g.l) {
-		if replaced > 0 && (kept > 0 || g.via == ViaChildren) {
-			g.emit(g.supL * ratio)
+		if expected := g.supL * ratio; replaced > 0 && expected > g.minExpected {
+			g.emit(expected)
 		}
 		return
 	}
@@ -205,24 +304,32 @@ func (g *generator) walk(pos, kept, replaced int, ratio float64) {
 	if g.place(pos, x) {
 		g.walk(pos+1, kept+1, replaced, ratio)
 	}
+	// A branch is cut when the most the later positions can lift the scaled
+	// expectation to is below the floor. The running product alone is no
+	// bound: a more popular sibling later on lifts it back.
+	most := g.supL * g.suffix[pos+1]
+	if g.via == ViaSiblings && kept == 0 {
+		// Case 3 replaces a proper subset: with no member kept so far the
+		// last one stays — none of its siblings is tried — and before that
+		// one of the later positions keeps its member.
+		if pos == len(g.l)-1 {
+			return
+		}
+		most = g.supL * g.keepOne[pos+1]
+	}
 	// Replace by each large choice with known support.
 	supX, okX := g.support(x)
 	if !okX || supX == 0 {
 		return
 	}
-	choices := g.tax.Children(x)
-	if g.via == ViaSiblings {
-		choices = g.siblingChoices(x)
-	}
-	for _, r := range choices {
+	for _, r := range g.choices(x) {
 		supR, okR := g.support(r)
 		if !okR {
 			continue
 		}
 		next := ratio * supR / supX
-		// The scaled expectation can only shrink further; cut the
-		// whole branch when it is already below the floor.
-		if g.supL*next <= g.minExpected {
+		if next*most <= g.cutBelow {
+			g.stats.FloorCuts++
 			continue
 		}
 		if g.place(pos, r) {
@@ -247,8 +354,8 @@ func (g *generator) place(pos int, y item.Item) bool {
 	return true
 }
 
-// emit normalizes and records the picked set. Its expected support already
-// cleared the floor at the last replacement.
+// emit normalizes the picked set and records it unless it is a large itemset
+// or a candidate already held with at least this expectation.
 func (g *generator) emit(expected float64) {
 	set := g.set[:0]
 	for _, y := range g.picked[:len(g.l)] {
@@ -261,18 +368,43 @@ func (g *generator) emit(expected float64) {
 	}
 	g.set = set
 	g.key = item.Itemset(set).AppendKey(g.key[:0])
-	if _, large := g.table.SupportBytes(g.key); large {
-		return // already found large: not a negative candidate
+	g.stats.Emitted++
+	i, ok := g.out[item.Key(g.key)] // this form of lookup does not copy key
+	switch {
+	case !ok:
+		g.stats.Recorded++
+		key := item.Key(g.key)
+		g.out[key] = int32(len(g.best))
+		g.best = append(g.best, prov{key, expected, g.src, g.via})
+	case i == isLarge:
+		g.stats.AlreadyLarge++ // already found large: not a negative candidate
+	default:
+		g.stats.Duplicates++
+		if expected > g.best[i].expected {
+			g.best[i] = prov{g.best[i].key, expected, g.src, g.via}
+		}
 	}
-	p := prov{expected: expected, source: int32(len(g.sources) - 1), via: g.via}
-	if i, ok := g.out[item.Key(g.key)]; !ok {
-		p.key = item.Key(g.key)
-		g.out[p.key] = int32(len(g.best))
-		g.best = append(g.best, p)
-	} else if expected > g.best[i].expected {
-		p.key = g.best[i].key
-		g.best[i] = p
+}
+
+// merge folds what another worker recorded into g. A larger expectation wins,
+// and an equal one goes to the lower source: a source is walked wholly by one
+// worker, so that is the path a single worker would have generated first.
+func (g *generator) merge(o *generator) {
+	for _, p := range o.best {
+		i, ok := g.out[p.key]
+		if !ok {
+			g.out[p.key] = int32(len(g.best))
+			g.best = append(g.best, p)
+			continue
+		}
+		// Both recorded it: to one worker the second would have been a duplicate.
+		o.stats.Recorded--
+		o.stats.Duplicates++
+		if b := g.best[i]; p.expected > b.expected || p.expected == b.expected && p.source < b.source {
+			g.best[i] = p
+		}
 	}
+	g.stats.add(o.stats)
 }
 
 // candidates returns the accumulated candidates sorted by itemset. Source
@@ -292,19 +424,44 @@ func (g *generator) candidates() []Candidate {
 // candidate-count experiment (Figure 7); the mining drivers use it
 // internally.
 func GenerateCandidates(levels [][]item.CountedSet, table *item.SupportTable, tax *taxonomy.Taxonomy, minSup, minRI float64, substitutes []item.Itemset) []Candidate {
-	return generateCandidates(levels, table, tax, singleSupports(table, tax.Size()), minSup, minRI, substitutes)
+	cands, _ := generateCandidates(levels, table, tax, singleSupports(table, tax.Size()),
+		Options{MinSupport: minSup, MinRI: minRI, Substitutes: substitutes})
+	return cands
 }
 
 // generateCandidates is GenerateCandidates for a caller that already holds
-// singleSupports(table, tax.Size()).
-func generateCandidates(levels [][]item.CountedSet, table *item.SupportTable, tax *taxonomy.Taxonomy, sup []float64, minSup, minRI float64, substitutes []item.Itemset) []Candidate {
-	g := newGenerator(tax, table, sup, minSup, minRI, substitutes)
-	for k := 2; k <= len(levels); k++ {
-		for _, cs := range levels[k-1] {
-			g.fromLarge(cs.Set)
+// sup = singleSupports(table, tax.Size()), on opt.Count.Parallelism workers
+// (at least one, the caller's goroutine). Each walks into its own generator
+// the sources it takes from a shared counter — one at a time, not a share up
+// front: levels ascend, and a source costs more the larger it is and the nearer
+// the roots — and the generators are merged into the first. The candidates are
+// the same whatever the number of workers.
+func generateCandidates(levels [][]item.CountedSet, table *item.SupportTable, tax *taxonomy.Taxonomy, sup []float64, opt Options) ([]Candidate, WalkStats) {
+	in := newInputs(levels, table, tax, sup, opt)
+	gens := make([]*generator, max(1, min(opt.Count.Parallelism, len(in.sources))))
+	var next atomic.Int64
+	run := func(w int) {
+		g := in.newGenerator()
+		gens[w] = g
+		for i := next.Add(1) - 1; i < int64(len(in.sources)); i = next.Add(1) - 1 {
+			g.fromLarge(int32(i))
 		}
 	}
-	return g.candidates()
+	var wg sync.WaitGroup
+	for w := 1; w < len(gens); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			run(w)
+		}()
+	}
+	run(0)
+	wg.Wait()
+	g := gens[0]
+	for _, o := range gens[1:] {
+		g.merge(o)
+	}
+	return g.candidates(), g.stats
 }
 
 // EstimateCandidates evaluates the paper's §2.1.2 closed-form estimate of

@@ -77,8 +77,9 @@ func randomMarket(t testing.TB, seed int64) (*taxonomy.Taxonomy, *txdb.MemDB) {
 // forces every pass through several windows, the mine whose budget grants
 // the rows but not the pair tables, and the hash-tree mine decide the same
 // large itemsets, negatives and rules — under both drivers,
-// with one counting worker or several, over a Sharder in memory, one on
-// disk, a throttled one and a database that can only be scanned whole.
+// with one worker or several (counting, and generating candidates), over a
+// Sharder in memory, one on disk, a throttled one and a database that can only
+// be scanned whole.
 func TestIndexedWindowedAndHashTreeMinesAgree(t *testing.T) {
 	var triples, smallLeafLargeCategory, negatives int
 	for seed := int64(1); seed <= 13; seed++ {
@@ -163,11 +164,20 @@ func TestIndexedWindowedAndHashTreeMinesAgree(t *testing.T) {
 				}
 			}
 		}
-		hash.Algorithm = Naive
-		if got, err := Mine(scanOnly{mem}, tax, hash); err != nil {
-			t.Fatal(err)
-		} else {
-			sameMined(t, fmt.Sprintf("seed %d hash-tree Naive", seed), got, want)
+		// The hash tree again, under both drivers with one worker and with
+		// four — counting, and generating candidates.
+		for _, alg := range []Algorithm{Improved, Naive} {
+			for _, workers := range []int{1, 4} {
+				hash.Algorithm = alg
+				hash.Count.Parallelism, hash.Gen.Count.Parallelism = workers, workers
+				for name, db := range map[string]txdb.DB{"mem": mem, "scan-only": scanOnly{mem}} {
+					got, err := Mine(db, tax, hash)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sameMined(t, fmt.Sprintf("seed %d hash-tree %s %v workers %d", seed, name, alg, workers), got, want)
+				}
+			}
 		}
 	}
 	if triples < 6 || smallLeafLargeCategory < 6 || negatives < 6 {

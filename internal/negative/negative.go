@@ -260,6 +260,8 @@ type Result struct {
 	Rules []Rule
 	// Timing separates stage-1 and negative-stage wall time.
 	Timing Timing
+	// Walk counts what candidate generation did to produce the candidates.
+	Walk WalkStats
 }
 
 // TotalCandidates sums CandidatesBySize.

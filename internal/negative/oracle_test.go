@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"negmine/internal/apriori"
 	"negmine/internal/count"
 	"negmine/internal/gen"
 	"negmine/internal/item"
@@ -37,11 +38,9 @@ func oracleLarge(db *txdb.MemDB, tax *taxonomy.Taxonomy, minCount, maxK int) map
 	counts := map[item.Key]int{}
 	db.Scan(func(tx txdb.Transaction) error {
 		ext := tax.Extend(tx.Items)
-		ext.AllSubsets(false, func(s item.Itemset) {
-			if s.Len() <= maxK {
-				counts[s.Key()]++
-			}
-		})
+		for k := 1; k <= maxK; k++ {
+			ext.Subsets(k, func(s item.Itemset) { counts[s.Key()]++ })
+		}
 		return nil
 	})
 	for k, c := range counts {
@@ -66,8 +65,10 @@ func oracleLarge(db *txdb.MemDB, tax *taxonomy.Taxonomy, minCount, maxK int) map
 
 // oracleCandidates re-derives the candidate set from the §2.1.1 definition:
 // for every large itemset, every combination of keep / child-replace (cases
-// 1–2) and keep / sibling-replace with ≥1 kept (case 3), max-merged.
-func oracleCandidates(large map[item.Key]int, tax *taxonomy.Taxonomy, n int, minSup, minRI float64) map[item.Key]float64 {
+// 1–2) and keep / sibling-replace with ≥1 kept (case 3), max-merged. The
+// members of a substitute group (§4.1) are further siblings of each other.
+// Nothing is pruned before a set is complete.
+func oracleCandidates(large map[item.Key]int, tax *taxonomy.Taxonomy, n int, minSup, minRI float64, substitutes []item.Itemset) map[item.Key]float64 {
 	isLarge := func(x item.Item) bool {
 		_, ok := large[item.Itemset{x}.Key()]
 		return ok
@@ -108,7 +109,15 @@ func oracleCandidates(large map[item.Key]int, tax *taxonomy.Taxonomy, n int, min
 			if mode == "children" {
 				return tax.Children
 			}
-			return tax.Siblings
+			return func(x item.Item) []item.Item {
+				sibs := tax.Siblings(x)
+				for _, group := range substitutes {
+					if group.Contains(x) {
+						sibs = append(sibs, group.Without(x)...)
+					}
+				}
+				return sibs
+			}
 		}
 		for _, mode := range []string{"children", "siblings"} {
 			ch := choices(mode)
@@ -156,24 +165,123 @@ func oracleCandidates(large map[item.Key]int, tax *taxonomy.Taxonomy, n int, min
 	return out
 }
 
-func TestPipelineAgainstOracle(t *testing.T) {
-	const maxK = 3
-	for trial := int64(1); trial <= 4; trial++ {
-		tax, err := taxonomy.Generate(taxonomy.GenSpec{Leaves: 18, Roots: 3, Fanout: 3}, stats.NewSource(trial+7))
+// oracleMarket is trial's input: a three-root taxonomy over 18 leaves and 200
+// transactions of one to four random leaves.
+func oracleMarket(t *testing.T, trial int64) (*taxonomy.Taxonomy, *txdb.MemDB) {
+	t.Helper()
+	tax, err := taxonomy.Generate(taxonomy.GenSpec{Leaves: 18, Roots: 3, Fanout: 3}, stats.NewSource(trial+7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rand.New(rand.NewSource(trial * 17))
+	db := &txdb.MemDB{}
+	lv := tax.Leaves()
+	for i := 0; i < 200; i++ {
+		n := 1 + r.Intn(4)
+		raw := make([]item.Item, n)
+		for j := range raw {
+			raw[j] = lv[r.Intn(len(lv))]
+		}
+		db.Append(txdb.Transaction{TID: int64(i + 1), Items: item.New(raw...)})
+	}
+	return tax, db
+}
+
+// TestCandidatesAgainstOracle holds stage 1 and candidate generation to the
+// definitions over hundreds of markets. The first 400 are the pipeline test's
+// (trial 162 is the one whose {18 23 25}, expectation 0.02451 over a floor of
+// 0.024, a floor cut on the running product lost: 19 → 18 takes the product
+// below the floor, 22 → 23 — a sibling more popular than the member it
+// replaces — lifts it back). The rest go to k = 4 at a lower support, with a
+// substitute group drawn across the taxonomy.
+func TestCandidatesAgainstOracle(t *testing.T) {
+	var fours, viaSubstitute int
+	corners := 20
+	if testing.Short() {
+		corners = 5
+	}
+	for trial := int64(1); trial <= 520; trial++ {
+		if testing.Short() && trial%4 != 2 {
+			continue // the race detector's share: trials 2, 6, … 162, …
+		}
+		tax, db := oracleMarket(t, trial)
+		maxK, minSup, minRI := 3, 0.06, 0.4
+		var subs []item.Itemset
+		if trial > 400 {
+			maxK, minSup, minRI = 4, 0.02, 0.3
+			r := rand.New(rand.NewSource(trial))
+			if g := item.New(item.Item(r.Intn(tax.Size())), item.Item(r.Intn(tax.Size())), item.Item(r.Intn(tax.Size()))); g.Len() >= 2 {
+				subs = append(subs, g)
+			}
+		}
+		large, err := gen.Mine(db, tax, gen.Options{MinSupport: minSup, MaxK: maxK, Algorithm: gen.Cumulate})
 		if err != nil {
 			t.Fatal(err)
 		}
-		r := rand.New(rand.NewSource(trial * 17))
-		db := &txdb.MemDB{}
-		lv := tax.Leaves()
-		for i := 0; i < 200; i++ {
-			n := 1 + r.Intn(4)
-			raw := make([]item.Item, n)
-			for j := range raw {
-				raw[j] = lv[r.Intn(len(lv))]
-			}
-			db.Append(txdb.Transaction{TID: int64(i + 1), Items: item.New(raw...)})
+		want := checkLargeAndCandidates(t, trial, db, tax, large, maxK, minSup, minRI, subs)
+		if len(large.Levels) == 4 {
+			fours++
 		}
+		if len(subs) > 0 && len(want) != len(oracleCandidates(oracleLarge(db, tax, large.MinCount, maxK), tax, db.Count(), minSup, minRI, nil)) {
+			viaSubstitute++
+		}
+	}
+	t.Logf("%d markets reached k = 4, %d owe a candidate to their substitutes", fours, viaSubstitute)
+	if fours < corners || viaSubstitute < corners {
+		t.Fatalf("%d markets reached k = 4, %d owe a candidate to their substitutes: the trials lost their corners", fours, viaSubstitute)
+	}
+}
+
+// checkLargeAndCandidates validates a stage-1 result and the candidates
+// generated from it against the brute-force oracle, and returns the oracle's
+// candidates with their expected supports.
+func checkLargeAndCandidates(t *testing.T, trial int64, db *txdb.MemDB, tax *taxonomy.Taxonomy, large *apriori.Result, maxK int, minSup, minRI float64, subs []item.Itemset) map[item.Key]float64 {
+	t.Helper()
+	// 1. Stage 1 against the oracle.
+	wantLarge := oracleLarge(db, tax, large.MinCount, maxK)
+	gotLarge := map[item.Key]int{}
+	for _, cs := range large.Large() {
+		gotLarge[cs.Set.Key()] = cs.Count
+	}
+	if len(wantLarge) != len(gotLarge) {
+		t.Fatalf("trial %d: %d large itemsets, oracle %d", trial, len(gotLarge), len(wantLarge))
+	}
+	for k, c := range wantLarge {
+		if gotLarge[k] != c {
+			t.Fatalf("trial %d: sup(%v) = %d, oracle %d", trial, k.Itemset(), gotLarge[k], c)
+		}
+	}
+
+	// 2. Candidates against the oracle (regenerate through the public
+	// helper using the *unrestricted* taxonomy — results must match the
+	// restricted generation the driver used).
+	wantCands := oracleCandidates(wantLarge, tax, db.Count(), minSup, minRI, subs)
+	rtax := tax.Restrict(func(x item.Item) bool {
+		return large.Table.Contains(item.Itemset{x})
+	})
+	gotCands := map[item.Key]float64{}
+	for _, c := range GenerateCandidates(large.Levels, large.Table, rtax, minSup, minRI, subs) {
+		gotCands[c.Set.Key()] = c.Expected
+	}
+	for k, e := range wantCands {
+		if g, ok := gotCands[k]; !ok || math.Abs(g-e) > 1e-9 {
+			t.Fatalf("trial %d: candidate %v expected %v, oracle %v (ok=%v)", trial, k.Itemset(), g, e, ok)
+		}
+	}
+	if len(wantCands) != len(gotCands) {
+		t.Fatalf("trial %d: %d candidates, oracle %d", trial, len(gotCands), len(wantCands))
+	}
+	return wantCands
+}
+
+// TestPipelineAgainstOracle takes four of those markets through counting and
+// rule generation. It stays at four: over more, the rule half meets rules the
+// definition admits and Figure 4's schedule drops (first at trial 54,
+// {0} =/=> {19 23}; ROADMAP item 3).
+func TestPipelineAgainstOracle(t *testing.T) {
+	const maxK = 3
+	for trial := int64(1); trial <= 4; trial++ {
+		tax, db := oracleMarket(t, trial)
 		const minSup, minRI = 0.06, 0.4
 		// Every backend must reproduce the oracle exactly — the pipeline's
 		// output is defined by the paper, not by the counting engine.
@@ -188,52 +296,18 @@ func TestPipelineAgainstOracle(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%v: %v", backend, err)
 			}
-			n := db.Count()
-			minCount := res.Large.MinCount
-			checkOracle(t, trial, backend, db, tax, res, n, minCount, maxK, minSup, minRI)
+			wantCands := checkLargeAndCandidates(t, trial, db, tax, res.Large, maxK, minSup, minRI, nil)
+			checkNegativesAndRules(t, trial, db, tax, res, wantCands, minSup, minRI)
 		}
 	}
 }
 
-// checkOracle validates one Mine result against the brute-force oracle.
-func checkOracle(t *testing.T, trial int64, backend count.Backend, db *txdb.MemDB, tax *taxonomy.Taxonomy, res *Result, n, minCount, maxK int, minSup, minRI float64) {
+// checkNegativesAndRules validates the counted half of one Mine result
+// against the brute-force oracle.
+func checkNegativesAndRules(t *testing.T, trial int64, db *txdb.MemDB, tax *taxonomy.Taxonomy, res *Result, wantCands map[item.Key]float64, minSup, minRI float64) {
 	t.Helper()
+	n := db.Count()
 	{
-		// 1. Stage 1 against the oracle.
-		wantLarge := oracleLarge(db, tax, minCount, maxK)
-		gotLarge := map[item.Key]int{}
-		for _, cs := range res.Large.Large() {
-			gotLarge[cs.Set.Key()] = cs.Count
-		}
-		if len(wantLarge) != len(gotLarge) {
-			t.Fatalf("trial %d: %d large itemsets, oracle %d", trial, len(gotLarge), len(wantLarge))
-		}
-		for k, c := range wantLarge {
-			if gotLarge[k] != c {
-				t.Fatalf("trial %d: sup(%v) = %d, oracle %d", trial, k.Itemset(), gotLarge[k], c)
-			}
-		}
-
-		// 2. Candidates against the oracle (regenerate through the public
-		// helper using the *unrestricted* taxonomy — results must match the
-		// restricted generation the driver used).
-		wantCands := oracleCandidates(wantLarge, tax, n, minSup, minRI)
-		rtax := tax.Restrict(func(x item.Item) bool {
-			return res.Large.Table.Contains(item.Itemset{x})
-		})
-		gotCands := map[item.Key]float64{}
-		for _, c := range GenerateCandidates(res.Large.Levels, res.Large.Table, rtax, minSup, minRI, nil) {
-			gotCands[c.Set.Key()] = c.Expected
-		}
-		if len(wantCands) != len(gotCands) {
-			t.Fatalf("trial %d: %d candidates, oracle %d", trial, len(gotCands), len(wantCands))
-		}
-		for k, e := range wantCands {
-			if g, ok := gotCands[k]; !ok || math.Abs(g-e) > 1e-9 {
-				t.Fatalf("trial %d: candidate %v expected %v, oracle %v (ok=%v)", trial, k.Itemset(), g, e, ok)
-			}
-		}
-
 		// 3. Negative itemsets: oracle filter over oracle candidates.
 		threshold := minSup * minRI
 		wantNegs := map[item.Key]struct{}{}

@@ -4,7 +4,10 @@ package negative
 // in candidates.go replaced it — kept verbatim (identifiers prefixed "ref")
 // as the oracle TestGenerateCandidatesMatchesReference compares against. It
 // is deliberately naive: string-keyed map lookups per choice, item.New per
-// emit. Do not optimise it.
+// emit, and the expectation floor applied to completed sets only (it used to
+// cut a branch as soon as the running product fell to the floor, the
+// assumption it shared with the kernel and that Case 3 breaks). Do not
+// optimise it.
 
 import (
 	"sort"
@@ -141,14 +144,8 @@ func (g *refGenerator) enumerate(l item.Itemset, supL float64, choices func(item
 			if !okR {
 				continue
 			}
-			next := ratio * supR / supX
-			// The scaled expectation can only shrink further; cut the
-			// whole branch when it is already below the floor.
-			if supL*next <= g.minExpected {
-				continue
-			}
 			picked[pos] = r
-			rec(pos+1, kept, replaced+1, next)
+			rec(pos+1, kept, replaced+1, ratio*supR/supX)
 		}
 	}
 	rec(0, 0, 0, 1)
