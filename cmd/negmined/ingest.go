@@ -302,6 +302,13 @@ func (c *ingestController) Stats() serve.IngestStats {
 			RuleGenSeconds:     ms.RuleGen.Seconds(),
 			IndexBytes:         ms.IndexBytes,
 			LargeItems:         ms.LargeItems,
+			RowBytes:           ms.RowBytes,
+			GapBytes:           ms.GapBytes,
+			CountBytes:         ms.CountBytes,
+			RowsPromoted:       ms.RowsPromoted,
+			TailSets:           ms.TailSets,
+			FullSets:           ms.FullSets,
+			RowWords:           ms.RowWords,
 		}
 	}
 	st.Role, st.ReplLagSegments = c.RoleLag()

@@ -345,6 +345,9 @@ func TestProbesAnswerDuringRefresh(t *testing.T) {
 	if lr == nil || lr.IndexBytes == 0 || lr.LargeItems == 0 {
 		t.Fatalf("ingest.lastRefresh = %+v", lr)
 	}
+	if lr.IndexBytes != lr.RowBytes+lr.GapBytes || lr.CountBytes == 0 || lr.TailSets+lr.FullSets == 0 || lr.RowWords == 0 {
+		t.Fatalf("ingest.lastRefresh does not say what it counted: %+v", lr)
+	}
 	parts := lr.IndexAppendSeconds + lr.Stage1Seconds + lr.RestrictSeconds + lr.CandGenSeconds + lr.CountSeconds + lr.RuleGenSeconds
 	if m.Ingest.Seconds < 0.3 || math.Abs(parts-m.Ingest.Seconds) > 0.05*m.Ingest.Seconds {
 		t.Fatalf("lastRefresh parts sum to %.4fs, lastRefreshSeconds is %.4fs", parts, m.Ingest.Seconds)

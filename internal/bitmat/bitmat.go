@@ -22,12 +22,15 @@
 // counts add up. A matrix as wide as the database can be filled by several
 // workers, each scanning its own range of transactions into its own words of
 // every row, and can count while it is filled every pair of rows a
-// transaction sets (CountPairs, Agrawal–Srikant's pass-2 array). A filled
-// Matrix is safe for concurrent readers; Counts shards candidates across
-// workers, each with its own scratch row.
+// transaction sets (CountPairs, Agrawal–Srikant's pass-2 array). For the same
+// reason a caller that knows a candidate's support over the first positions of
+// rows that have since grown at their end asks only for the rest (SupportFrom,
+// CountsFrom). A filled Matrix is safe for concurrent readers; Counts shards
+// candidates across workers, each with its own scratch row.
 package bitmat
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 	"sync"
@@ -38,13 +41,15 @@ import (
 )
 
 // Matrix is a set of per-item bitmaps over transaction positions, stored
-// row-major in one contiguous word slice.
+// row-major in one contiguous word slice — or, for OverRows, in rows its
+// caller keeps.
 type Matrix struct {
 	n     int // transactions (bits per row)
 	words int // words per row: ceil(n/64)
 	items item.Itemset
 	index map[item.Item]int32 // item → row number
 	bits  []uint64            // len = len(items)*words
+	kept  [][]uint64          // OverRows: row r is kept[r][:words], bits is nil
 	// pairs, when the matrix carries it (CountPairs), is the table the fill
 	// counts 2-itemsets into: pairs[a*len(items)+b] + pairs[b*len(items)+a]
 	// transactions set both row a and row b.
@@ -68,6 +73,18 @@ func New(items item.Itemset, n int) *Matrix {
 	return m
 }
 
+// OverRows returns a matrix over n transactions whose rows the caller keeps:
+// rows[i] is items[i]'s bitmap, at least ⌈n/64⌉ words long (it may have been
+// grown ahead; words past that are not read) with no bit set at or past
+// position n. Nothing is copied: the matrix is for counting, and for SetGaps
+// into rows still empty (Set, FillWindows and CountPairs are not for it), and
+// is good for as long as the caller leaves those first words alone.
+func OverRows(items item.Itemset, rows [][]uint64, n int) *Matrix {
+	m := New(items, 0)
+	m.n, m.words, m.kept = n, (n+63)/64, rows
+	return m
+}
+
 // N returns the number of transactions (bits per row).
 func (m *Matrix) N() int { return m.n }
 
@@ -78,7 +95,7 @@ func (m *Matrix) Words() int { return m.words }
 func (m *Matrix) Items() item.Itemset { return m.items }
 
 // Bytes returns the size of the bit storage in bytes.
-func (m *Matrix) Bytes() int64 { return int64(len(m.bits)) * 8 }
+func (m *Matrix) Bytes() int64 { return EstimateBytes(m.n, len(m.items)) }
 
 // EstimateBytes returns the bit-storage size of a matrix over nTx
 // transactions and nItems rows, for memory budgeting.
@@ -110,7 +127,12 @@ func (m *Matrix) Row(x item.Item) []uint64 {
 	return m.row(r)
 }
 
-func (m *Matrix) row(r int32) []uint64 { return m.bits[int(r)*m.words : (int(r)+1)*m.words] }
+func (m *Matrix) row(r int32) []uint64 {
+	if m.kept != nil {
+		return m.kept[r][:m.words]
+	}
+	return m.bits[int(r)*m.words : (int(r)+1)*m.words]
+}
 
 // Set marks position pos in item x's row and reports whether x has a row.
 // It is the position-by-position builder used by callers that assemble a
@@ -126,15 +148,29 @@ func (m *Matrix) Set(x item.Item, pos int) bool {
 	return true
 }
 
-// SetAll marks every position of the posting list pos in item x's row — Set
-// for a whole list, with one row lookup — and reports whether x has a row.
-func (m *Matrix) SetAll(x item.Item, pos []uint32) bool {
+// AppendGap appends pos to gaps, an ascending position list kept as uvarint
+// gaps — each position's distance from next, one past the position before it
+// (0 for the first). A list whose positions lie 1/s apart costs one byte a
+// position while s > 1/128 and two while s > 1/16384.
+func AppendGap(gaps []byte, next, pos int) []byte {
+	return binary.AppendUvarint(gaps, uint64(pos-next))
+}
+
+// SetGaps marks every position of the gap list gaps (see AppendGap) in item
+// x's row — Set for a whole list, with one row lookup — and reports whether x
+// has a row.
+func (m *Matrix) SetGaps(x item.Item, gaps []byte) bool {
 	row := m.Row(x)
 	if row == nil {
 		return false
 	}
-	for _, p := range pos {
-		row[p>>6] |= 1 << (p & 63)
+	for pos := 0; len(gaps) > 0; pos++ {
+		gap, k := binary.Uvarint(gaps)
+		if k <= 0 {
+			panic("bitmat: malformed gap list")
+		}
+		gaps, pos = gaps[k:], pos+int(gap)
+		row[pos>>6] |= 1 << uint(pos&63)
 	}
 	return true
 }
@@ -434,26 +470,76 @@ func (m *Matrix) Support(c item.Itemset, scratch []uint64) (int, error) {
 	return PopCount(scratch), nil
 }
 
+// SupportFrom returns the number of transactions at positions from…N()-1
+// that contain every item of c: Support over the rows' tail, the first word
+// masked below from, which reads ⌈N()/64⌉ - from/64 words of each row however
+// long the rows are. It consults no pair table and needs no scratch row.
+func (m *Matrix) SupportFrom(c item.Itemset, from int) (int, error) {
+	var buf [8][]uint64
+	rows := buf[:0]
+	for _, x := range c {
+		r := m.Row(x)
+		if r == nil {
+			return 0, fmt.Errorf("bitmat: no row for item %d", x)
+		}
+		rows = append(rows, r)
+	}
+	from = max(from, 0)
+	if len(rows) == 0 {
+		return max(m.n-from, 0), nil
+	}
+	n, mask := 0, ^uint64(0)<<uint(from&63)
+	for w := from >> 6; w < m.words; w++ {
+		and := mask
+		for _, r := range rows {
+			and &= r[w]
+		}
+		n += bits.OnesCount64(and)
+		mask = ^uint64(0)
+	}
+	return n, nil
+}
+
 // Counts returns the support count of every candidate, sharding candidates
 // across workers (values < 2 count sequentially). The matrix is read-only
 // during counting, so workers share it without synchronization; each keeps
 // its own scratch row and writes disjoint result slots.
 func (m *Matrix) Counts(cands []item.Itemset, workers int) ([]int, error) {
+	return m.CountsFrom(cands, nil, 0, workers)
+}
+
+// CountsFrom is Counts for a caller that has counted some of the candidates
+// before, over the first from positions of rows that have only grown at their
+// end since: prev, when not nil, is indexed like cands, and candidate i with
+// prev[i] ≥ 0 is answered as prev[i] + SupportFrom(from), every other one in
+// full, as Counts answers it.
+func (m *Matrix) CountsFrom(cands []item.Itemset, prev []int32, from, workers int) ([]int, error) {
 	out := make([]int, len(cands))
 	if len(cands) == 0 {
 		return out, nil
+	}
+	// count fills out[lo:hi]; each call has a scratch row of its own.
+	count := func(lo, hi int) error {
+		scratch := make([]uint64, m.words)
+		for i := lo; i < hi; i++ {
+			var err error
+			if prev == nil || prev[i] < 0 {
+				out[i], err = m.Support(cands[i], scratch)
+			} else if out[i], err = m.SupportFrom(cands[i], from); err == nil {
+				out[i] += int(prev[i])
+			}
+			if err != nil {
+				return err
+			}
+		}
+		return nil
 	}
 	if workers > len(cands) {
 		workers = len(cands)
 	}
 	if workers < 2 {
-		scratch := make([]uint64, m.words)
-		for i, c := range cands {
-			n, err := m.Support(c, scratch)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = n
+		if err := count(0, len(cands)); err != nil {
+			return nil, err
 		}
 		return out, nil
 	}
@@ -462,25 +548,14 @@ func (m *Matrix) Counts(cands []item.Itemset, workers int) ([]int, error) {
 	chunk := (len(cands) + workers - 1) / workers
 	for w := 0; w < workers; w++ {
 		lo := w * chunk
-		hi := lo + chunk
-		if hi > len(cands) {
-			hi = len(cands)
-		}
+		hi := min(lo+chunk, len(cands))
 		if lo >= hi {
 			break
 		}
 		wg.Add(1)
 		go func(w, lo, hi int) {
 			defer wg.Done()
-			scratch := make([]uint64, m.words)
-			for i := lo; i < hi; i++ {
-				n, err := m.Support(cands[i], scratch)
-				if err != nil {
-					errs[w] = err
-					return
-				}
-				out[i] = n
-			}
+			errs[w] = count(lo, hi)
 		}(w, lo, hi)
 	}
 	wg.Wait()

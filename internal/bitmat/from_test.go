@@ -1,0 +1,151 @@
+package bitmat
+
+import (
+	"math/rand"
+	"slices"
+	"testing"
+
+	"negmine/internal/item"
+)
+
+// fromFixture is a 203-transaction matrix (not a multiple of 64) over ten
+// items, and a second matrix over the same rows as their owner might keep
+// them: grown ahead by a few words, all-ones, which a matrix over 203
+// transactions must never read.
+func fromFixture(t *testing.T) (filled, kept *Matrix, universe item.Itemset) {
+	t.Helper()
+	const n = 203
+	rng := rand.New(rand.NewSource(11))
+	universe = item.New(0, 1, 2, 3, 4, 5, 6, 7, 8, 9)
+	filled, err := FromDB(randomDB(t, rng, n, len(universe), 0.6), universe, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := make([][]uint64, len(universe))
+	for i, x := range universe {
+		rows[i] = append(slices.Clone(filled.Row(x)), ^uint64(0), ^uint64(0), ^uint64(0))
+	}
+	return filled, OverRows(universe, rows, n), universe
+}
+
+// TestSupportFromCountsTheTail: the support over positions from…N-1 is the
+// full support of the same rows with their first from positions cleared, for
+// every k from 0 to 5 and every from around a word boundary and at both ends.
+func TestSupportFromCountsTheTail(t *testing.T) {
+	filled, kept, universe := fromFixture(t)
+	n := filled.N()
+	if kept.N() != n || kept.Words() != filled.Words() || kept.Bytes() != filled.Bytes() {
+		t.Fatalf("OverRows: N %d, %d words, %d bytes; want %d, %d, %d", kept.N(), kept.Words(), kept.Bytes(), n, filled.Words(), filled.Bytes())
+	}
+	rng := rand.New(rand.NewSource(12))
+	for _, from := range []int{0, 1, 63, 64, 65, n - 1, n} {
+		cleared := New(universe, n)
+		for _, x := range universe {
+			for p := NextSet(filled.Row(x), from); p >= 0; p = NextSet(filled.Row(x), p+1) {
+				cleared.Set(x, p)
+			}
+		}
+		for k := 0; k <= 5; k++ {
+			for trial := 0; trial < 20; trial++ {
+				perm := rng.Perm(len(universe))[:k]
+				c := make(item.Itemset, k)
+				for i, j := range perm {
+					c[i] = universe[j]
+				}
+				c = item.New(c...)
+				want, err := cleared.Support(c, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if k == 0 {
+					want = n - from // Support({}) is N, which clearing bits does not lower
+				}
+				for name, m := range map[string]*Matrix{"filled": filled, "kept rows": kept} {
+					if got, err := m.SupportFrom(c, from); err != nil || got != want {
+						t.Fatalf("%s: SupportFrom(%v, %d) = %d, %v; want %d", name, c, from, got, err, want)
+					}
+				}
+			}
+		}
+	}
+	for k := 1; k <= 5; k++ {
+		want, _ := filled.Support(universe[:k], nil)
+		if got, err := kept.Support(universe[:k], nil); err != nil || got != want {
+			t.Fatalf("Support(%v) over kept rows = %d, %v; want %d (it read their spare words?)", universe[:k], got, err, want)
+		}
+	}
+	if got, err := kept.SupportFrom(universe[:2], n+500); err != nil || got != 0 {
+		t.Fatalf("SupportFrom past the end = %d, %v", got, err)
+	}
+	if _, err := kept.SupportFrom(item.New(1, 77), 64); err == nil {
+		t.Fatal("SupportFrom: no error for an item without a row")
+	}
+}
+
+// TestCountsFromMatchesCounts: handing the counting loop what a prefix of the
+// rows already said — for some candidates, not for others — changes nothing in
+// what it returns, on one worker, on two, and on more workers than
+// candidates, whether or not the matrix carries a pair table (which only the
+// candidates counted in full may read).
+func TestCountsFromMatchesCounts(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	universe := item.New(0, 1, 2, 3, 4, 5, 6, 7)
+	db := randomDB(t, rng, 330, len(universe), 0.5)
+	cands := randomCandidates(rng, universe, 41)
+	for _, table := range []bool{false, true} {
+		whole := New(universe, db.Count())
+		if table {
+			whole.CountPairs()
+		}
+		if err := whole.FillWindows(db, nil, nil, 1, nil); err != nil {
+			t.Fatal(err)
+		}
+		for _, from := range []int{0, 64, 127, 200, 330} {
+			// The first from transactions, as their own matrix, give prev.
+			prefix := New(universe, from)
+			for _, x := range universe {
+				for p := NextSet(whole.Row(x), 0); p >= 0 && p < from; p = NextSet(whole.Row(x), p+1) {
+					prefix.Set(x, p)
+				}
+			}
+			prev := make([]int32, len(cands))
+			for i, c := range cands {
+				prev[i] = -1
+				if i%3 != 0 {
+					n, err := prefix.Support(c, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					prev[i] = int32(n)
+				}
+			}
+			for _, workers := range []int{1, 2, len(cands) + 5} {
+				want, err := whole.Counts(cands, workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := whole.CountsFrom(cands, prev, from, workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(got, want) {
+					t.Fatalf("pair table %v, from %d, %d workers: with previous counts %v, without %v", table, from, workers, got, want)
+				}
+				for i, c := range cands {
+					if brute := bruteSupport(t, db, c, nil); want[i] != brute {
+						t.Fatalf("%v: Counts %d, brute force %d", c, want[i], brute)
+					}
+				}
+			}
+		}
+		if got, err := whole.CountsFrom(nil, nil, 9, 4); err != nil || len(got) != 0 {
+			t.Fatalf("CountsFrom(no candidates) = %v, %v", got, err)
+		}
+		bad := append(slices.Clone(cands), item.New(1, 2, 99))
+		for _, workers := range []int{1, 3} {
+			if _, err := whole.CountsFrom(bad, make([]int32, len(bad)), 64, workers); err == nil {
+				t.Fatalf("%d workers: no error for a candidate without rows", workers)
+			}
+		}
+	}
+}

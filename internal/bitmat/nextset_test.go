@@ -31,23 +31,40 @@ func TestSetMarksPositions(t *testing.T) {
 	}
 }
 
-// TestSetAllEqualsSet: marking a posting list in one call leaves the row
-// exactly as marking its positions one by one does.
+// TestSetAllEqualsSet: marking a posting list in one call — since the index
+// keeps its lists as gaps, SetGaps of the list AppendGap built — leaves the
+// row exactly as marking its positions one by one does, in a matrix of its own
+// rows and in one over rows its caller keeps.
 func TestSetAllEqualsSet(t *testing.T) {
 	posts := []uint32{0, 1, 63, 64, 100, 129}
 	one, all := New(item.New(1, 2), 130), New(item.New(1, 2), 130)
+	kept := OverRows(item.New(1, 2), [][]uint64{make([]uint64, 5), make([]uint64, 3)}, 130)
+	var gaps []byte
+	next := 0
 	for _, p := range posts {
 		one.Set(2, int(p))
+		gaps, next = AppendGap(gaps, next, int(p)), int(p)+1
 	}
-	if !all.SetAll(2, posts) || all.SetAll(9, posts) {
-		t.Fatal("SetAll must report whether the item has a row")
+	if len(gaps) != len(posts) {
+		t.Fatalf("%d positions under 128 apart took %d bytes", len(posts), len(gaps))
 	}
-	for _, x := range []item.Item{1, 2} {
-		for w := range one.Row(x) {
-			if one.Row(x)[w] != all.Row(x)[w] {
-				t.Fatalf("item %d word %d: Set %x, SetAll %x", x, w, one.Row(x)[w], all.Row(x)[w])
+	for _, m := range []*Matrix{all, kept} {
+		if !m.SetGaps(2, gaps) || m.SetGaps(9, gaps) || !m.SetGaps(1, nil) {
+			t.Fatal("SetGaps must report whether the item has a row")
+		}
+		for _, x := range []item.Item{1, 2} {
+			for w := range one.Row(x) {
+				if one.Row(x)[w] != m.Row(x)[w] {
+					t.Fatalf("item %d word %d: Set %x, SetGaps %x", x, w, one.Row(x)[w], m.Row(x)[w])
+				}
 			}
 		}
+	}
+	// Gaps of 128 and more take a second byte, 16384 and more a third.
+	far := AppendGap(AppendGap(AppendGap(nil, 0, 127), 128, 256), 257, 257+16384)
+	wide := New(item.New(7), 20000)
+	if len(far) != 1+2+3 || !wide.SetGaps(7, far) || PopCount(wide.Row(7)) != 3 || NextSet(wide.Row(7), 257) != 257+16384 {
+		t.Fatalf("gap list % x decoded to %d positions", far, PopCount(wide.Row(7)))
 	}
 }
 

@@ -176,9 +176,9 @@ func (BitmapEngine) Multi(db txdb.DB, groups [][]item.Itemset, transforms []Tran
 		totals []int
 		err    error
 	)
-	if rows := rowsOf(db, opt.Tax); rows != nil {
-		// Built and reserved by db's owner.
-		totals, err = rows.Counts(flat, opt.Parallelism)
+	if ix := rowsOf(db, opt.Tax); ix != nil {
+		// Rows built and reserved by db's owner.
+		totals, err = ix.Counts(flat, opt.Parallelism)
 	} else {
 		totals, err = countWindows(db, flat, hasPerGroup(transforms), opt)
 	}

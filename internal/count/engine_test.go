@@ -290,6 +290,9 @@ func (d *indexedDB) Count() int                   { return d.n }
 func (d *indexedDB) Taxonomy() *taxonomy.Taxonomy { return d.tax }
 func (d *indexedDB) Singletons() *item.Counter    { return d.singles }
 func (d *indexedDB) Matrix() *bitmat.Matrix       { return d.rows }
+func (d *indexedDB) Counts(cands []item.Itemset, workers int) ([]int, error) {
+	return d.rows.Counts(cands, workers)
+}
 func (d *indexedDB) Scan(func(txdb.Transaction) error) error {
 	return errors.New("indexedDB: scanned")
 }

@@ -1,6 +1,7 @@
 package count
 
 import (
+	"math"
 	"time"
 
 	"negmine/internal/bitmat"
@@ -19,11 +20,18 @@ import (
 // no matrix build, and Backend — a choice between ways of scanning — does not
 // apply. Every other pass scans the database as usual, and so does every
 // counting pass when Matrix() is nil: the rows did not fit the budget.
+//
+// An index may carry more than rows, as long as Counts answers what
+// Matrix().Counts would: a pair table the fill counted (BuildIndex), or the
+// counts an earlier mine made over a prefix of the same transactions (Carried).
 type Indexed interface {
 	txdb.DB
 	Taxonomy() *taxonomy.Taxonomy
 	Singletons() *item.Counter
 	Matrix() *bitmat.Matrix
+	// Counts is one counting pass over Matrix(), which must not be nil: the
+	// support of every candidate, on up to workers goroutines.
+	Counts(cands []item.Itemset, workers int) ([]int, error)
 }
 
 // indexOf returns db's index when it answers passes declared under tax.
@@ -34,32 +42,71 @@ func indexOf(db txdb.DB, tax *taxonomy.Taxonomy) Indexed {
 	return nil
 }
 
-// rowsOf returns the rows that answer db's counting passes declared under
-// tax, or nil when db has to be scanned.
-func rowsOf(db txdb.DB, tax *taxonomy.Taxonomy) *bitmat.Matrix {
-	if ix := indexOf(db, tax); ix != nil {
-		return ix.Matrix()
+// rowsOf returns db's index when its rows answer the counting passes declared
+// under tax, or nil when db has to be scanned.
+func rowsOf(db txdb.DB, tax *taxonomy.Taxonomy) Indexed {
+	if ix := indexOf(db, tax); ix != nil && ix.Matrix() != nil {
+		return ix
 	}
 	return nil
 }
 
+// Carried is what an Index carries from one mine to the next over a database
+// that only grows at its end: every itemset the counting passes counted, pass
+// by pass and candidate by candidate in the order they came, with its support
+// over the first N transactions. Support is a count over transactions, so the
+// next mine owes such a set only the transactions past N. The arrays are flat
+// and hold no pointers: the collector does not scan them and the candidates
+// they were copied from are not kept alive. The zero value carries nothing.
+type Carried struct {
+	N      int
+	passes []carriedPass
+	bytes  int64
+}
+
+type carriedPass struct {
+	items  []item.Item // the sets' items, one set after the other
+	lens   []uint8     // items per set
+	counts []int32
+}
+
+// Bytes is the size of c's arrays, which the Index that recorded them
+// reserved.
+func (c *Carried) Bytes() int64 { return c.bytes }
+
 // Index is the Indexed every miner counts from, fed one of two ways: from
-// posting lists kept across refreshes (internal/incr, through NewIndex) or
-// from two scans of a database (BuildIndex).
+// rows kept across refreshes (internal/incr, through NewIndex) or from two
+// scans of a database (BuildIndex).
 type Index struct {
 	txdb.DB
 	tax     *taxonomy.Taxonomy
 	singles *item.Counter
 	rows    *bitmat.Matrix
 	mem     *govern.Budget
+	held    int64 // reserved against mem, for Release to give back
 	pass1   time.Duration
+	// prev is what the last mine over a prefix of DB counted and next what
+	// this one has, pass by pass (nil once mem has refused it room); an index
+	// that carries nothing has neither. The rest tallies the passes so far.
+	prev, next         *Carried
+	passes, tail, full int
+	words              int64
 }
 
 // NewIndex wraps db with its index under tax: the 1-item counts and the
-// full-width closure rows of the large 1-items, which the caller has reserved
-// against mem and Release gives back.
-func NewIndex(db txdb.DB, tax *taxonomy.Taxonomy, singles *item.Counter, rows *bitmat.Matrix, mem *govern.Budget) *Index {
-	return &Index{DB: db, tax: tax, singles: singles, rows: rows, mem: mem}
+// full-width closure rows of the large 1-items, which stay the caller's, as
+// does their reservation. A prev that is not nil — the zero Carried before the
+// first mine — makes the index carry counts: every pass looks its candidates
+// up in prev and records them, reserved against mem, for TakeCarried.
+func NewIndex(db txdb.DB, tax *taxonomy.Taxonomy, singles *item.Counter, rows *bitmat.Matrix, prev *Carried, mem *govern.Budget) *Index {
+	ix := &Index{DB: db, tax: tax, singles: singles, rows: rows, mem: mem, prev: prev}
+	if prev != nil {
+		if prev.N > rows.N() {
+			ix.prev = &Carried{} // not counted over a prefix of these rows
+		}
+		ix.next = &Carried{N: rows.N()}
+	}
+	return ix
 }
 
 func (ix *Index) Taxonomy() *taxonomy.Taxonomy { return ix.tax }
@@ -69,12 +116,115 @@ func (ix *Index) Matrix() *bitmat.Matrix       { return ix.rows }
 // Pass1 is how long BuildIndex spent in its first scan (zero for NewIndex).
 func (ix *Index) Pass1() time.Duration { return ix.pass1 }
 
-// Release returns the reservation of the rows and of the pair table they may
-// carry; the index must not count afterwards.
-func (ix *Index) Release() {
-	if ix.rows != nil {
-		ix.mem.Release(ix.rows.Bytes() + ix.rows.PairBytes())
+// Counts implements Indexed: Matrix().Counts, and with counts carried — the
+// passes of one mine must then come one after the other — the candidates prev
+// holds for this pass are owed only the transactions past prev.N, and all of
+// them are recorded with their counts over all of DB.
+func (ix *Index) Counts(cands []item.Itemset, workers int) ([]int, error) {
+	var prev []int32
+	from := 0
+	if ix.prev != nil {
+		prev, from = ix.lookup(cands), ix.prev.N
 	}
+	totals, err := ix.rows.CountsFrom(cands, prev, from, workers)
+	if err == nil {
+		ix.record(cands, totals)
+	}
+	return totals, err
+}
+
+// lookup returns, indexed like cands, what prev carries for this pass: the
+// count of every candidate the same pass of the last mine counted, -1 for any
+// other. Both lists are in (length, lexicographic) order when they come from
+// apriori.Gen or the negative candidate generator, so one merge finds them;
+// it accepts equal sets only, which makes a list in another order, or another
+// pass altogether, a list of misses — a full count, never a wrong one.
+func (ix *Index) lookup(cands []item.Itemset) []int32 {
+	var p carriedPass
+	if ix.passes < len(ix.prev.passes) {
+		p = ix.prev.passes[ix.passes]
+	}
+	ix.passes++
+	prev := make([]int32, len(cands))
+	words := ix.rows.Words()
+	j, at := 0, 0 // carried set j starts at p.items[at]
+	for i, cand := range cands {
+		prev[i] = -1
+		for j < len(p.lens) {
+			cmp := len(cand) - int(p.lens[j])
+			if cmp == 0 {
+				cmp = cand.Compare(p.items[at : at+len(cand)])
+			}
+			if cmp == 0 {
+				prev[i] = p.counts[j]
+			}
+			if cmp <= 0 {
+				break
+			}
+			at += int(p.lens[j])
+			j++
+		}
+		if prev[i] >= 0 {
+			ix.tail++
+			ix.words += int64(len(cand) * (words - ix.prev.N>>6))
+		} else {
+			ix.full++
+			ix.words += int64(len(cand) * words)
+		}
+	}
+	return prev
+}
+
+// record appends one pass to next, reserved against mem — or gives next up,
+// when mem has no room for it or a candidate is too long for a uint8.
+func (ix *Index) record(cands []item.Itemset, totals []int) {
+	if ix.next == nil {
+		return
+	}
+	items, longest := 0, 0
+	for _, c := range cands {
+		items += len(c)
+		longest = max(longest, len(c))
+	}
+	size := 4*int64(items) + 5*int64(len(cands))
+	if longest > math.MaxUint8 || ix.mem.Reserve(size) != nil {
+		ix.mem.Release(ix.next.bytes)
+		ix.held, ix.next = ix.held-ix.next.bytes, nil
+		return
+	}
+	ix.held, ix.next.bytes = ix.held+size, ix.next.bytes+size
+	p := carriedPass{items: make([]item.Item, 0, items), lens: make([]uint8, len(cands)), counts: make([]int32, len(cands))}
+	for i, c := range cands {
+		p.items = append(p.items, c...)
+		p.lens[i], p.counts[i] = uint8(len(c)), int32(totals[i])
+	}
+	ix.next.passes = append(ix.next.passes, p)
+}
+
+// Tally says what the passes so far did with the counts carried in: itemsets
+// answered from the transactions past prev.N, itemsets counted in full, and
+// the row words the two kinds read between them.
+func (ix *Index) Tally() (tail, full int, words int64) { return ix.tail, ix.full, ix.words }
+
+// TakeCarried ends a mine over an index that carries counts: it returns what
+// the passes counted — to be handed to NewIndex once DB has grown — and with
+// it the reservation of its Bytes(). It returns the zero Carried when the
+// index carries nothing or the budget refused.
+func (ix *Index) TakeCarried() *Carried {
+	next := ix.next
+	if next == nil {
+		return &Carried{}
+	}
+	ix.held, ix.next = ix.held-next.bytes, nil
+	return next
+}
+
+// Release returns what the index still has reserved — the rows and pair
+// table BuildIndex built, counts recorded and not taken; the index must not
+// count afterwards.
+func (ix *Index) Release() {
+	ix.mem.Release(ix.held)
+	ix.held = 0
 }
 
 // BuildIndex indexes db under tax with two scans, so that a level-wise mine
@@ -107,7 +257,7 @@ func BuildIndex(db txdb.DB, tax *taxonomy.Taxonomy, minCount int, opt Options) (
 			large = append(large, s[0])
 		}
 	})
-	ix := NewIndex(db, tax, singles, nil, opt.Mem)
+	ix := NewIndex(db, tax, singles, nil, nil, opt.Mem)
 	ix.pass1 = time.Since(start)
 	n := db.Count()
 	width, err := reserveWindow(opt.Mem, n, len(large))
@@ -119,10 +269,12 @@ func BuildIndex(db txdb.DB, tax *taxonomy.Taxonomy, minCount int, opt Options) (
 		return ix, nil
 	}
 	ix.rows = bitmat.New(item.SortDedup(large), n)
+	ix.held = ix.rows.Bytes()
 	_, workers := shardWorkers(db, opt)
 	tables := int64(workers) * bitmat.EstimatePairBytes(len(large))
 	if ix.rows.Bytes()+tables <= maxWindowBytes && opt.Mem.Reserve(tables) == nil {
 		ix.rows.CountPairs()
+		ix.held += ix.rows.PairBytes()
 		// All but the table the rows keep are summed into it and gone.
 		defer opt.Mem.Release(tables - ix.rows.PairBytes())
 	}

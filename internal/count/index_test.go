@@ -401,3 +401,157 @@ func BenchmarkBuildIndex(b *testing.B) {
 		})
 	}
 }
+
+// TestCarriedCountsAnswerOnlyTheTail grows one database through prefixes that
+// end on, before and after word boundaries, builds rows over each and counts
+// the same kind of passes over each through an Index that carries the counts
+// of the one before. Whatever the passes do between one prefix and the next —
+// come again unchanged, lose and gain candidates, come unsorted, come in
+// another number — every count equals the hash tree's over that prefix, and
+// the tally says which candidates were owed only the new transactions.
+func TestCarriedCountsAnswerOnlyTheTail(t *testing.T) {
+	tax, leaves := testTax(t, 16)
+	all := leafDB(21, leaves, 700, 6)
+	universe := leaves.Union(tax.Categories())
+	r := rand.New(rand.NewSource(22))
+	groups := randomGroups(r, universe, 3)
+	for _, g := range groups {
+		slices.SortFunc(g, item.Itemset.Compare)
+	}
+	mem := govern.NewBudget(0)
+	carried := &Carried{}
+	for step, n := range []int{1, 63, 64, 65, 128, 300, 300, 301, 700} {
+		db := &txdb.MemDB{}
+		for _, tx := range all.Transactions()[:n] {
+			db.Append(tx)
+		}
+		rows, err := bitmat.FromDBTaxonomy(db, tax, universe)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ix := NewIndex(db, tax, nil, rows, carried, mem)
+		// Each step's schedule is the last one's, disturbed one way.
+		passes := [][][]item.Itemset{{groups[1]}, {groups[2]}, {groups[0], groups[1], groups[2]}}
+		wantTail := -1
+		switch step {
+		case 0:
+			wantTail = 0 // nothing carried yet
+		case 1, 2, 7:
+			wantTail = 2*(len(groups[1])+len(groups[2])) + len(groups[0])
+		case 3: // a candidate leaves the first pass, and so skips a step
+			passes[0] = [][]item.Itemset{groups[1][1:]}
+			wantTail = 2*(len(groups[1])+len(groups[2])) + len(groups[0]) - 1
+		case 4: // and is back: counted in full
+			wantTail = 2*(len(groups[1])+len(groups[2])) + len(groups[0]) - 1
+		case 5: // the middle pass does not happen: the last one meets its sets only
+			passes = [][][]item.Itemset{passes[0], passes[2]}
+			wantTail = len(groups[1]) + len(groups[2])
+		case 6: // and happens again: the last pass has nothing to meet
+			wantTail = len(groups[1]) + len(groups[2])
+		case 8: // a pass out of order finds what the merge happens to reach, never a wrong count
+			shuffled := slices.Clone(groups[2])
+			r.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+			passes[1] = [][]item.Itemset{shuffled}
+		}
+		total := 0
+		for p, pass := range passes {
+			opt := Options{TransformInto: tax.ExtendInto, Tax: tax, Parallelism: 1 + 3*(p%2)}
+			got, err := Multi(ix, pass, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := HashTreeEngine{}.Multi(db, pass, nil, Options{TransformInto: tax.ExtendInto})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for g := range pass {
+				total += len(pass[g])
+				if !slices.Equal(got[g], want[g]) {
+					t.Fatalf("step %d (n = %d), pass %d, group %d: carried %v, scanned %v", step, n, p, g, got[g], want[g])
+				}
+			}
+		}
+		tail, full, words := ix.Tally()
+		if tail+full != total || wantTail >= 0 && tail != wantTail || words <= 0 {
+			t.Fatalf("step %d (n = %d): %d from the tail and %d in full (%d words) of %d candidates, want %d from the tail", step, n, tail, full, words, total, wantTail)
+		}
+		before := carried.Bytes()
+		carried = ix.TakeCarried()
+		if carried.N != n || mem.InUse() != before+carried.Bytes() {
+			t.Fatalf("step %d: took %+v with %d bytes in use (%d held before)", step, carried, mem.InUse(), before)
+		}
+		ix.Release() // nothing left to give back: what was taken stays reserved
+		mem.Release(before)
+		if mem.InUse() != carried.Bytes() {
+			t.Fatalf("step %d: %d bytes in use for %d carried", step, mem.InUse(), carried.Bytes())
+		}
+	}
+
+	// An index that carries nothing counts as its rows do and has nothing to
+	// hand on; counts recorded over more transactions than the rows hold are
+	// not used.
+	db := all
+	rows, err := bitmat.FromDBTaxonomy(db, tax, universe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain := NewIndex(db, tax, nil, rows, nil, mem)
+	if got, err := plain.Counts(groups[2], 2); err != nil {
+		t.Fatal(err)
+	} else if want, _ := rows.Counts(groups[2], 1); !slices.Equal(got, want) || plain.TakeCarried().Bytes() != 0 {
+		t.Fatalf("an index without counts: %v, want %v", got, want)
+	}
+	ahead := NewIndex(db, tax, nil, rows, &Carried{N: db.Count() + 1, passes: carried.passes}, mem)
+	if _, err := ahead.Counts(groups[1], 1); err != nil {
+		t.Fatal(err)
+	} else if tail, _, _ := ahead.Tally(); tail != 0 {
+		t.Fatalf("%d counts from beyond the rows' end were used", tail)
+	}
+	ahead.Release()
+}
+
+// TestCarriedCountsFaultAndBudget: a pass that fails — a candidate names an
+// item without a row — or a budget that stops admitting the counts leaves the
+// index nothing to hand on and nothing reserved, and every count it did
+// return is still the rows' own.
+func TestCarriedCountsFaultAndBudget(t *testing.T) {
+	tax, leaves := testTax(t, 12)
+	db := leafDB(23, leaves, 200, 5)
+	universe := leaves.Union(tax.Categories())
+	rows, err := bitmat.FromDBTaxonomy(db, tax, universe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	groups := randomGroups(rand.New(rand.NewSource(24)), universe, 3)
+
+	mem := govern.NewBudget(0)
+	ix := NewIndex(db, tax, nil, rows, &Carried{}, mem)
+	if _, err := ix.Counts(groups[1], 2); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ix.Counts(append(slices.Clone(groups[2]), item.New(0, 1, 9999)), 2); err == nil {
+		t.Fatal("a candidate without rows counted")
+	}
+	if mem.InUse() == 0 {
+		t.Fatal("the first pass reserved nothing")
+	}
+	if ix.Release(); mem.InUse() != 0 {
+		t.Fatalf("%d bytes reserved after Release", mem.InUse())
+	}
+
+	first := 4*int64(2*len(groups[1])) + 5*int64(len(groups[1]))
+	mem = govern.NewBudget(first + 1) // room for the first pass, not the second
+	ix = NewIndex(db, tax, nil, rows, &Carried{}, mem)
+	for _, g := range [][]item.Itemset{groups[1], groups[2], groups[1]} {
+		got, err := ix.Counts(g, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if wantG, _ := rows.Counts(g, 1); !slices.Equal(got, wantG) {
+			t.Fatalf("counts under a refusing budget: %v, want %v", got, wantG)
+		}
+	}
+	if c := ix.TakeCarried(); c.N != 0 || c.Bytes() != 0 || mem.InUse() != 0 || mem.Denials() != 1 {
+		t.Fatalf("after a refusal: %d bytes in use, %d denials", mem.InUse(), mem.Denials())
+	}
+}

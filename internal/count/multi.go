@@ -4,11 +4,16 @@ import (
 	"fmt"
 	"sync"
 
+	"negmine/internal/fault"
 	"negmine/internal/hashtree"
 	"negmine/internal/item"
 	"negmine/internal/stats"
 	"negmine/internal/txdb"
 )
+
+// PointPass is the failpoint (see internal/fault) evaluated at the start of
+// every counting pass, whichever engine runs it.
+const PointPass = "count.pass"
 
 // Multi counts several candidate groups — each group of uniform itemset
 // size, sizes may differ across groups — in a single scan of db. This is the
@@ -30,6 +35,9 @@ func Multi(db txdb.DB, groups [][]item.Itemset, opt Options) ([][]int, error) {
 func MultiTransformed(db txdb.DB, groups [][]item.Itemset, transforms []TransformInto, opt Options) ([][]int, error) {
 	if transforms != nil && len(transforms) != len(groups) {
 		return nil, fmt.Errorf("count: %d transforms for %d groups", len(transforms), len(groups))
+	}
+	if err := fault.Hit(PointPass); err != nil {
+		return nil, fmt.Errorf("count: %w", err)
 	}
 	return EngineFor(db, groups, transforms, opt).Multi(db, groups, transforms, opt)
 }

@@ -1,27 +1,43 @@
 // Package incr keeps negative-rule results fresh over a segmented
-// transaction log (internal/seglog) without re-reading old data.
+// transaction log (internal/seglog) at a cost that follows what arrived, not
+// the log.
 //
 // A Miner owns one append-only vertical index of the sealed log (see index):
-// per taxonomy node, the positions of the transactions that support it.
-// Sealed segments are immutable and new ones only arrive at the end, so a
-// refresh reads just the segments past the (ID, CRC) prefix the index
-// already covers; a compaction or a recycled ID drops the index and rebuilds
-// it with one scan. Nothing is persisted: a restarted daemon's first refresh
-// builds the index with the scan a batch mine would have made anyway.
+// per taxonomy node, the positions of the transactions that support it — a
+// dense row for a node that has been large, uvarint gaps for every other —
+// and every itemset the last refresh counted, with its count. Sealed segments
+// are immutable and new ones only arrive at the end, so a refresh reads just
+// the segments past the (ID, CRC) prefix the index already covers and sets
+// their bits at the end of the rows. Nothing is persisted: a restarted
+// daemon's first refresh builds the index with the scan a batch mine would
+// have made anyway.
 //
 // The refresh then runs the batch miner itself — negative.Mine — over a
 // database that answers every counting pass from the index (count.Indexed):
-// pass 1 is the posting-list lengths, every later pass is AND + popcount over
-// dense rows materialised for the large 1-items only. The result is
-// byte-identical to a batch mine of the same transactions because it is that
-// batch mine, minus the data passes.
+// pass 1 is the nodes' position counts; every later pass finds the itemsets it
+// was handed last time among the carried counts and ANDs only the words of
+// their rows that hold the new transactions, and counts an itemset it has not
+// seen over the whole rows. Support is a count over transactions, so the two
+// add up, and the result is byte-identical to a batch mine of the same
+// transactions because it is that batch mine: the same candidates in the same
+// passes, minus the data passes and minus the words already counted.
+// Candidate generation is not incremental; it runs whole, every refresh.
 //
-// Index memory is 4 bytes per posting (Σ |extended transaction|, about
-// 107 B per transaction on the paper's Short data) plus N/8 bytes per large
-// 1-item for the duration of a refresh, all reserved against Options.Count.Mem.
-// When a reservation is refused the index is released and the refresh mines
-// the sealed segments by scanning, as a batch mine under the same budget
-// would.
+// One rule invalidates: rows, gap lists and counts describe a prefix of the
+// log by position, so whatever makes the sealed log anything but that prefix
+// plus new segments — a compaction, a recycled segment ID, a rebuilt log — or
+// leaves the index half-extended — a failed read, a refused reservation —
+// drops all three together, and the next refresh rebuilds with one scan.
+// Counts are replaced only by a refresh that ran to its end; one that fails
+// after extending the rows leaves the previous counts, which still describe
+// the prefix they were made over.
+//
+// Index memory is N/8 bytes per node that has been large, one to two bytes per
+// posting of the others, and about 5 + 4k bytes per counted k-itemset, all
+// reserved against Options.Count.Mem. When the rows or lists are refused the
+// index is released and the refresh mines the sealed segments by scanning, as
+// a batch mine under the same budget would; when only the counts are refused
+// the next refresh counts every itemset in full, from the rows.
 package incr
 
 import (
@@ -60,13 +76,24 @@ type RefreshStats struct {
 	// every segment scan of a refresh that mined without the index. Zero is
 	// the "only new segments read" steady state.
 	OldSegmentScans int
-	// IndexBytes is the index's posting storage after the refresh and
-	// LargeItems the number of large 1-items it materialised rows for (both
-	// zero when the refresh fell back to scanning).
-	IndexBytes int64
-	LargeItems int
+	// LargeItems is the number of large 1-items, whose rows the refresh
+	// counted from, and IndexBytes what must fit for the index to exist:
+	// RowBytes in the rows of every node that has been large plus GapBytes in
+	// the gap lists of the others. CountBytes is what the counts carried to
+	// the next refresh hold beside it (all zero when the refresh fell back to
+	// scanning). RowsPromoted is how many nodes went from a gap list to a row
+	// this refresh.
+	LargeItems                     int
+	IndexBytes                     int64
+	RowBytes, GapBytes, CountBytes int64
+	RowsPromoted                   int
+	// TailSets is how many itemsets the counting passes answered from the
+	// transactions that arrived since the last refresh, FullSets how many
+	// they counted over the whole log, RowWords the row words both read.
+	TailSets, FullSets int
+	RowWords           int64
 	// Duration is the refresh wall time; the stage fields split it: the
-	// index append, stage 1 (row materialisation plus large-itemset mining)
+	// index append, stage 1 (row promotion plus large-itemset mining)
 	// and negative.Timing's four parts of stages 2–3. Walk is what candidate
 	// generation did in CandGen.
 	Duration                          time.Duration
@@ -93,7 +120,7 @@ type Miner struct {
 // (the same Options a batch negative.Mine call would take; the Algorithm
 // field is ignored — a refresh always follows the Improved schedule).
 func New(tax *taxonomy.Taxonomy, opt negative.Options) *Miner {
-	return &Miner{tax: tax, opt: opt, idx: index{mem: opt.Count.Mem, tax: tax}}
+	return &Miner{tax: tax, opt: opt, idx: newIndex(opt.Count.Mem, tax)}
 }
 
 // LastStats returns the statistics of the most recent completed Refresh. It
@@ -128,15 +155,16 @@ func (m *Miner) Refresh(log *seglog.Log) (*negative.Result, error) {
 	if ferr := fault.Hit(PointMerge); ferr != nil {
 		return nil, fmt.Errorf("incr: %w", ferr)
 	}
+	var v *count.Index
 	if err == nil {
-		var v *count.Index
-		if v, err = m.idx.view(snap, apriori.MinCount(m.opt.MinSupport, st.N)); err == nil {
-			defer v.Release()
-			db, st.IndexBytes, st.LargeItems = v, m.idx.bytes, v.Matrix().Items().Len()
+		if v, err = m.idx.view(snap, apriori.MinCount(m.opt.MinSupport, st.N), &st); err == nil {
+			defer v.Release() // counts recorded by a mine that does not finish
+			db, st.LargeItems = v, v.Matrix().Items().Len()
 		}
 	}
 	if errors.Is(err, govern.ErrOverBudget) {
 		m.idx.drop() // no room for the index: mine the segments by scanning
+		st.RowsPromoted = 0
 	} else if err != nil {
 		return nil, err
 	}
@@ -149,6 +177,12 @@ func (m *Miner) Refresh(log *seglog.Log) (*negative.Result, error) {
 		return nil, err
 	}
 	st.OldSegmentScans += int(snap.reads.Load())
+	if v != nil {
+		m.idx.keep(v.TakeCarried())
+		st.TailSets, st.FullSets, st.RowWords = v.Tally()
+		st.RowBytes, st.GapBytes, st.CountBytes = m.idx.rowBytes, m.idx.gapBytes, m.idx.counts.Bytes()
+		st.IndexBytes = st.RowBytes + st.GapBytes
+	}
 	t := res.Timing
 	st.Stage1 = mineStart.Sub(start) - st.IndexAppend + t.Stage1
 	st.Restrict, st.CandGen, st.Count, st.RuleGen, st.Walk = t.Restrict, t.CandGen, t.Count, t.RuleGen, res.Walk

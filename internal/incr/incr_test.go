@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
+	"negmine/internal/count"
 	"negmine/internal/datagen"
 	"negmine/internal/item"
 	"negmine/internal/negative"
@@ -68,6 +70,38 @@ func batchMineWith(t *testing.T, log *seglog.Log, tax *taxonomy.Taxonomy, opt ne
 		t.Fatal(err)
 	}
 	return res
+}
+
+// checkAgainstBatch fails unless got — a refresh with opt over what log holds
+// now — is what the batch miner finds in the same transactions, counting
+// with whatever auto picks, with the bitmap engine and with the hash tree.
+func checkAgainstBatch(t *testing.T, where string, log *seglog.Log, tax *taxonomy.Taxonomy, opt negative.Options, got *negative.Result) {
+	t.Helper()
+	for _, backend := range []count.Backend{count.BackendAuto, count.BackendBitmap, count.BackendHashTree} {
+		opt.Count.Backend, opt.Gen.Count.Backend = backend, backend
+		checkSameMine(t, fmt.Sprintf("%s, against the %v batch mine", where, backend), got, batchMineWith(t, log, tax, opt))
+	}
+}
+
+// checkSameMine fails unless two mines found the same large itemsets,
+// negative itemsets and rules, every count and expectation included, and
+// render the same report bytes.
+func checkSameMine(t *testing.T, where string, got, want *negative.Result) {
+	t.Helper()
+	for what, pair := range map[string][2]any{
+		"large itemsets":     {got.Large.Levels, want.Large.Levels},
+		"N, MinCount":        {[2]int{got.Large.N, got.Large.MinCount}, [2]int{want.Large.N, want.Large.MinCount}},
+		"candidates by size": {got.CandidatesBySize, want.CandidatesBySize},
+		"negative itemsets":  {got.Negatives, want.Negatives},
+		"rules":              {got.Rules, want.Rules},
+	} {
+		if !reflect.DeepEqual(pair[0], pair[1]) {
+			t.Fatalf("%s: %s differ:\ngot:  %v\nwant: %v", where, what, pair[0], pair[1])
+		}
+	}
+	if !bytes.Equal(reportBytes(t, got), reportBytes(t, want)) {
+		t.Fatalf("%s: reports differ", where)
+	}
 }
 
 // reportBytes renders a result to the canonical JSON report.
@@ -137,8 +171,10 @@ func TestRefreshMatchesBatchMine(t *testing.T) {
 }
 
 // TestRefreshPropertyRandomSplits replays random base+delta splits of the
-// same stream: whatever the segment boundaries and refresh schedule, every
-// refresh must match the batch report for the data so far.
+// same stream: whatever the segment boundaries and refresh schedule, on one
+// counting worker or four, every refresh must match the batch mine of the
+// data so far — and so must a second refresh with nothing new, which counts
+// no itemset in full.
 func TestRefreshPropertyRandomSplits(t *testing.T) {
 	tax, baskets := testData(t, 400, 2)
 	rng := rand.New(rand.NewSource(7))
@@ -147,7 +183,10 @@ func TestRefreshPropertyRandomSplits(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m := New(tax, miningOpts())
+		opt := miningOpts()
+		opt.Count.Parallelism = 1 + 3*(trial%2)
+		opt.Gen.Count.Parallelism = opt.Count.Parallelism
+		m := New(tax, opt)
 		// Random split into 2–4 chunks with random batch/seal cadence.
 		cuts := []int{0, len(baskets)}
 		for c := rng.Intn(3); c > 0; c-- {
@@ -164,11 +203,17 @@ func TestRefreshPropertyRandomSplits(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := batchMine(t, log, tax)
-			gb, wb := reportBytes(t, got), reportBytes(t, want)
-			if !bytes.Equal(gb, wb) {
-				t.Fatalf("trial %d, chunk %d: incremental report differs from batch", trial, i)
+			where := fmt.Sprintf("trial %d, chunk %d", trial, i)
+			checkAgainstBatch(t, where, log, tax, opt, got)
+			again, err := m.Refresh(log)
+			if err != nil {
+				t.Fatal(err)
 			}
+			checkSameMine(t, where+", refreshed again", again, got)
+			if st := m.LastStats(); st.NewSegments != 0 || st.FullSets != 0 || st.TailSets == 0 {
+				t.Fatalf("%s: a refresh with nothing new: %+v", where, st)
+			}
+			checkIndex(t, m)
 		}
 		log.Close()
 	}

@@ -24,30 +24,105 @@ type segKey struct {
 func segKeyOf(e seglog.SegmentEntry) segKey { return segKey{id: e.ID, crc: e.CRC} }
 
 // index is the vertical index of the sealed log: for every taxonomy node,
-// leaf and category alike, the ascending positions (in log order) of the
-// transactions whose ancestor extension contains it. Sealed segments are
-// immutable and the log grows at its end, so the index only ever appends.
-// Its 4 bytes per posting are reserved against mem.
+// leaf and category alike, the positions (in log order) of the transactions
+// whose ancestor extension contains it — see node for the two forms — and the
+// counts the last completed refresh made over them. Sealed segments are
+// immutable and the log grows at its end, so the index only ever appends;
+// whatever else happens to the log drops all of it at once (extend). Rows,
+// gap lists and counts are reserved against mem.
 type index struct {
 	mem     *govern.Budget
 	tax     *taxonomy.Taxonomy
-	covered []segKey   // the prefix of the sealed log the postings cover
-	n       int        // transactions covered; the next position
-	posts   [][]uint32 // by item id
-	bytes   int64      // reserved
+	covered []segKey      // the prefix of the sealed log the nodes cover
+	n       int           // transactions covered; the next position
+	nodes   []node        // by item id
+	touched []item.Item   // nodes with fresh positions
+	singles *item.Counter // every seen node's n, kept from refresh to refresh
+	// counts is every itemset the last completed refresh counted, with its
+	// support over the counts.N transactions there were then; it came with
+	// its Bytes() reserved.
+	counts *count.Carried
+	// rowBytes and gapBytes are what the nodes hold, held what of it has been
+	// reserved (settle).
+	rowBytes, gapBytes, held int64
 }
 
-// drop empties the index and returns its reservation.
+// node is one taxonomy node's positions. A node that has never been large
+// keeps them as uvarint gaps (bitmat.AppendGap) — it is below MinSup, so the
+// typical gap is 1/MinSup or more and costs one or two bytes. The first
+// refresh that finds it large decodes them, once, into a dense row, which
+// extend from then on sets bits in and grows in place, whether the node stays
+// large or not.
+type node struct {
+	row   []uint64 // bit p set: position p
+	gaps  []byte   // until the node is promoted; row is nil till then
+	next  int32    // one past the last position in gaps
+	n     int32    // positions, as singles has them
+	fresh int32    // positions since, not yet in n and singles
+}
+
+// newIndex returns an index of nothing.
+func newIndex(mem *govern.Budget, tax *taxonomy.Taxonomy) index {
+	return index{mem: mem, tax: tax, singles: item.NewCounter(), counts: &count.Carried{}}
+}
+
+// drop empties the index and returns its reservations.
 func (ix *index) drop() {
-	ix.mem.Release(ix.bytes)
-	*ix = index{mem: ix.mem, tax: ix.tax}
+	ix.mem.Release(ix.held + ix.counts.Bytes())
+	*ix = newIndex(ix.mem, ix.tax)
+}
+
+// settle brings the reservation for rows and gap lists to what they hold.
+func (ix *index) settle() error {
+	want := ix.rowBytes + ix.gapBytes
+	if want > ix.held {
+		if err := ix.mem.Reserve(want - ix.held); err != nil {
+			return err
+		}
+	} else {
+		ix.mem.Release(ix.held - want)
+	}
+	ix.held = want
+	return nil
+}
+
+// add records position pos, the highest so far, for node x.
+func (ix *index) add(x item.Item, pos int) {
+	if int(x) >= len(ix.nodes) {
+		ix.nodes = append(ix.nodes, make([]node, int(x)+1-len(ix.nodes))...)
+	}
+	nd := &ix.nodes[x]
+	if nd.fresh == 0 {
+		ix.touched = append(ix.touched, x)
+	}
+	nd.fresh++
+	if nd.row == nil {
+		had := cap(nd.gaps)
+		nd.gaps = bitmat.AppendGap(nd.gaps, int(nd.next), pos)
+		nd.next = int32(pos) + 1
+		ix.gapBytes += int64(cap(nd.gaps) - had)
+		return
+	}
+	ix.grow(nd, pos>>6+1)
+	nd.row[pos>>6] |= 1 << uint(pos&63)
+}
+
+// grow lengthens nd's row to at least words words, in place when its capacity
+// allows; append's growth keeps the copies amortised.
+func (ix *index) grow(nd *node, words int) {
+	if words <= len(nd.row) {
+		return
+	}
+	had := cap(nd.row)
+	nd.row = append(nd.row, make([]uint64, words-len(nd.row))...)
+	ix.rowBytes += 8 * int64(cap(nd.row)-had)
 }
 
 // extend brings the index up to views by reading only the segments past the
 // covered prefix. Any other history — a compaction, a recycled ID, a rebuilt
-// log — drops the index and re-reads the whole log; those reads are the
-// refresh's OldSegmentScans. A failed read or a refused reservation leaves
-// the index empty.
+// log — drops the index, counts included, and re-reads the whole log; those
+// reads are the refresh's OldSegmentScans. A failed read or a refused
+// reservation leaves the index empty.
 func (ix *index) extend(views []seglog.SegmentView, st *RefreshStats) error {
 	prefix := len(ix.covered) <= len(views)
 	for i := 0; prefix && i < len(ix.covered); i++ {
@@ -58,33 +133,33 @@ func (ix *index) extend(views []seglog.SegmentView, st *RefreshStats) error {
 	}
 	var buf []item.Item
 	for _, v := range views[len(ix.covered):] {
-		var added int64
 		err := v.DB.Scan(func(tx txdb.Transaction) error {
 			buf = ix.tax.ExtendInto(buf[:0], tx.Items)
 			for _, x := range buf {
-				if int(x) >= len(ix.posts) {
-					ix.posts = append(ix.posts, make([][]uint32, int(x)+1-len(ix.posts))...)
-				}
-				ix.posts[x] = append(ix.posts[x], uint32(ix.n))
+				ix.add(x, ix.n)
 			}
-			added += 4 * int64(len(buf))
 			ix.n++
 			return nil
 		})
 		if err == nil {
-			err = ix.mem.Reserve(added)
+			err = ix.settle()
 		}
 		if err != nil {
 			ix.drop()
 			return err
 		}
-		ix.bytes += added
 		ix.covered = append(ix.covered, segKeyOf(v.Entry))
 		st.NewSegments++
 		if !prefix {
 			st.OldSegmentScans++
 		}
 	}
+	for _, x := range ix.touched {
+		nd := &ix.nodes[x]
+		ix.singles.Add(item.Itemset{x}, int(nd.fresh))
+		nd.n, nd.fresh = nd.n+nd.fresh, 0
+	}
+	ix.touched = ix.touched[:0]
 	return nil
 }
 
@@ -109,30 +184,41 @@ func (s *sealed) Scan(fn func(txdb.Transaction) error) error {
 	return nil
 }
 
-// view materialises the index for one refresh over db (which it must cover)
-// as the count.Indexed that answers every counting pass of the batch miner —
-// db itself remains for whatever insists on scanning: pass 1 is the
-// posting-list lengths, and dense rows exist only for the items with at
-// least minCount postings, so memory follows the postings of large items,
-// not vocabulary × N. The rows are reserved against mem; the caller Releases
-// the view when done with it.
-func (ix *index) view(db *sealed, minCount int) (*count.Index, error) {
-	singles := item.NewCounter()
+// view presents the index for one refresh over db (which it must cover) as
+// the count.Indexed that answers every counting pass of the batch miner — db
+// itself remains for whatever insists on scanning: pass 1 is the nodes'
+// position counts, and the rows handed over, uncopied, are those of the nodes
+// with at least minCount positions, so memory follows the large items, not
+// vocabulary × N. A node large for the first time is promoted from its gap
+// list here. The index carries counts in and, through keep, out.
+func (ix *index) view(db *sealed, minCount int, st *RefreshStats) (*count.Index, error) {
+	words := (ix.n + 63) / 64
 	var large item.Itemset
-	for x, p := range ix.posts {
-		if len(p) > 0 {
-			singles.Add(item.Itemset{item.Item(x)}, len(p))
-		}
-		if len(p) >= minCount {
-			large = append(large, item.Item(x))
+	var rows [][]uint64
+	for x := range ix.nodes {
+		if nd := &ix.nodes[x]; int(nd.n) >= minCount {
+			ix.grow(nd, words)
+			large, rows = append(large, item.Item(x)), append(rows, nd.row)
 		}
 	}
-	if err := ix.mem.Reserve(bitmat.EstimateBytes(ix.n, large.Len())); err != nil {
+	m := bitmat.OverRows(large, rows, ix.n)
+	for _, x := range large {
+		if nd := &ix.nodes[x]; nd.gaps != nil {
+			m.SetGaps(x, nd.gaps)
+			nd.gaps, ix.gapBytes = nil, ix.gapBytes-int64(cap(nd.gaps))
+			st.RowsPromoted++
+		}
+	}
+	if err := ix.settle(); err != nil {
 		return nil, err
 	}
-	rows := bitmat.New(large, ix.n)
-	for _, x := range large {
-		rows.SetAll(x, ix.posts[x])
-	}
-	return count.NewIndex(db, ix.tax, singles, rows, ix.mem), nil
+	return count.NewIndex(db, ix.tax, ix.singles, m, ix.counts, ix.mem), nil
+}
+
+// keep makes c, which a refresh that ran to its end counted over all ix.n
+// transactions and reserved, the counts the next one starts from; the zero
+// Carried — the budget refused them — makes the next one count in full.
+func (ix *index) keep(c *count.Carried) {
+	ix.mem.Release(ix.counts.Bytes())
+	ix.counts = c
 }

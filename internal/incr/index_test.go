@@ -2,15 +2,20 @@ package incr
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
-	"negmine/internal/count"
+	"negmine/internal/bitmat"
 	"negmine/internal/datagen"
 	"negmine/internal/fault"
 	"negmine/internal/govern"
 	"negmine/internal/item"
+	"negmine/internal/negative"
 	"negmine/internal/seglog"
 	"negmine/internal/taxonomy"
 )
@@ -45,7 +50,9 @@ func openLog(t testing.TB) *seglog.Log {
 // are cut at random into 1–40 segments and refreshed after every one. Every
 // refresh must equal a batch mine of the log so far, under both scanning
 // backends, and every refresh after the first must read exactly the one new
-// segment — never an old one.
+// segment — never an old one. A scripted stream then walks the carried state
+// through everything that can make it stale (crossingStream), under two
+// refresh schedules.
 func TestDriftingStreamReadsOnlyNewSegments(t *testing.T) {
 	// MaxK keeps the first refreshes tractable: over a handful of
 	// transactions the support floor is one transaction and every subset of
@@ -59,6 +66,8 @@ func TestDriftingStreamReadsOnlyNewSegments(t *testing.T) {
 		cuts := append(rng.Perm(len(baskets) - 1)[:rng.Intn(40)], len(baskets)-1)
 		sortInts(cuts)
 		log := openLog(t)
+		base.Count.Mem = govern.NewBudget(0) // unlimited; checkIndex reads this miner's ledger
+		base.Gen.Count.Mem = base.Count.Mem
 		m := New(tax, base)
 		lo := 0
 		for i, cut := range cuts {
@@ -73,18 +82,239 @@ func TestDriftingStreamReadsOnlyNewSegments(t *testing.T) {
 			if st.NewSegments != 1 || st.OldSegmentScans != 0 || st.Segments != i+1 || st.N != lo {
 				t.Fatalf("seed %d, refresh %d of %d: stats %+v", seed, i+1, len(cuts), st)
 			}
-			for _, backend := range []count.Backend{count.BackendBitmap, count.BackendHashTree} {
-				opt := base
-				opt.Count.Backend, opt.Gen.Count.Backend = backend, backend
-				want := batchMineWith(t, log, tax, opt)
-				if !bytes.Equal(reportBytes(t, got), reportBytes(t, want)) {
-					t.Fatalf("seed %d, refresh %d of %d: report differs from the %v batch mine", seed, i+1, len(cuts), backend)
-				}
-			}
+			checkAgainstBatch(t, fmt.Sprintf("seed %d, refresh %d of %d", seed, i+1, len(cuts)), log, tax, base, got)
+			checkIndex(t, m)
 		}
 	}
 	if rules == 0 {
 		t.Fatal("no refresh mined a rule — the equivalence check is vacuous")
+	}
+
+	for _, sched := range []struct {
+		workers int
+		rounds  []int
+		nPrev   []int // each must start some refresh's tail
+	}{
+		// One transaction, two, a multiple of 64, one short of the next and
+		// on it, nothing, then rounds of 50–150 and one of 10 000.
+		{1, []int{1, 1, 62, 63, 1, 0, 72}, []int{1, 2, 64, 127, 128}},
+		// First refresh at 200: z1, seen at 0, 64 and 128, is still a gap
+		// list when phase two makes it large.
+		{4, []int{200}, nil},
+	} {
+		base.Count.Parallelism, base.Gen.Count.Parallelism = sched.workers, sched.workers
+		rounds := sched.rounds
+		for n, i := 200, 0; n < 2500; i++ {
+			round := min([]int{100, 150, 50}[i%3], 2500-n)
+			rounds, n = append(rounds, round), n+round
+		}
+		seen := runCrossingStream(t, base, append(rounds, 10000))
+		t.Logf("crossing stream, %d workers, %d refreshes: %+v", sched.workers, len(rounds)+1, seen)
+		fine := sched.nPrev != nil
+		for _, c := range []struct {
+			what string
+			ok   bool
+		}{
+			{"z1 was promoted from its gap list after the first refresh", seen.promotedLate || fine},
+			{"a refresh with nothing new counted nothing in full", seen.zeroRound || !fine},
+			{"a1 was large, went small and came back", seen.a1 >= 3},
+			{"{a1, b1} was large, left and came back", seen.pair >= 3},
+			{"{a1, b1, c1} was large, left and came back", seen.triple >= 3},
+			{"level 3, and its counting passes, came, went and came", seen.level3 >= 3},
+			{"most refreshes answered itemsets from the tail", seen.tailed >= len(rounds)/2},
+		} {
+			if !c.ok {
+				t.Fatalf("%d workers: the crossing stream did not cross — not true: %s (%+v)", sched.workers, c.what, seen)
+			}
+		}
+		for _, nPrev := range sched.nPrev {
+			if !slices.Contains(seen.tailFrom, nPrev) {
+				t.Fatalf("no refresh answered an itemset from the transactions past %d: %v", nPrev, seen.tailFrom)
+			}
+		}
+	}
+}
+
+// crossed is what runCrossingStream saw happen. a1, pair, triple and level3
+// count the changes of state — large or not — of node a1, of {a1, b1}, of
+// {a1, b1, c1} and of level 3, the first appearance included: 3 is there,
+// gone, back.
+type crossed struct {
+	promotedLate, zeroRound  bool
+	a1, pair, triple, level3 int
+	tailed                   int
+	tailFrom                 []int // N_prev of the refreshes that used the tail
+}
+
+// runCrossingStream refreshes over crossingStream in the given rounds, checks
+// every refresh against the batch miner and the index against itself, and
+// reports what the stream exercised.
+func runCrossingStream(t *testing.T, opt negative.Options, rounds []int) crossed {
+	t.Helper()
+	tax, id, baskets := crossingStream(t)
+	log := openLog(t)
+	opt.Count.Mem = govern.NewBudget(0) // unlimited; checkIndex reads its ledger
+	opt.Gen.Count.Mem = opt.Count.Mem
+	m := New(tax, opt)
+	var seen crossed
+	var hadA1, hadPair, hadTriple, hadLevel3 bool
+	lo := 0
+	for i, round := range rounds {
+		if round > 0 {
+			fillLog(t, log, baskets[lo:lo+round], round, 0)
+		}
+		nPrev := lo
+		lo += round
+		// z1's list before this refresh has a chance to promote it.
+		var z1 []int
+		if nd := m.idx.nodes; int(id["z1"]) < len(nd) && nd[id["z1"]].row == nil {
+			z1 = positionsOf(&nd[id["z1"]], nPrev)
+		}
+		got, err := m.Refresh(log)
+		if err != nil {
+			t.Fatal(err)
+		}
+		where := fmt.Sprintf("crossing stream, refresh %d (N = %d)", i+1, lo)
+		st := m.LastStats()
+		if want := min(round, 1); st.NewSegments != want || st.OldSegmentScans != 0 || st.N != lo {
+			t.Fatalf("%s: stats %+v", where, st)
+		}
+		checkAgainstBatch(t, where, log, tax, opt, got)
+		checkIndex(t, m)
+
+		if i > 0 && st.RowsPromoted > 0 && m.idx.nodes[id["z1"]].row != nil && len(z1) >= 3 {
+			if !slices.Equal(z1[:3], []int{0, 64, 128}) {
+				t.Fatalf("%s: z1 promoted from a list starting %v", where, z1[:3])
+			}
+			seen.promotedLate = true
+		}
+		// flip notes a change of state and reports an arrival.
+		flip := func(had *bool, n *int, has bool) bool {
+			if has == *had {
+				return false
+			}
+			*had, *n = has, *n+1
+			return has
+		}
+		large := func(names ...string) bool {
+			var s []item.Item
+			for _, n := range names {
+				s = append(s, id[n])
+			}
+			_, ok := got.Large.Table.Count(item.New(s...))
+			return ok
+		}
+		flip(&hadA1, &seen.a1, large("a1"))
+		flip(&hadLevel3, &seen.level3, len(got.Large.Levels) >= 3)
+		// An itemset back among the candidates was last counted some
+		// refreshes ago, if ever: its carried count is gone, not stale.
+		pair, triple := flip(&hadPair, &seen.pair, large("a1", "b1")), flip(&hadTriple, &seen.triple, large("a1", "b1", "c1"))
+		if (pair || triple) && st.FullSets == 0 {
+			t.Fatalf("%s: an itemset came back and nothing was counted in full: %+v", where, st)
+		}
+		seen.zeroRound = seen.zeroRound || i > 0 && round == 0 && st.FullSets == 0 && st.TailSets > 0
+		if st.TailSets > 0 {
+			seen.tailed++
+			seen.tailFrom = append(seen.tailFrom, nPrev)
+		}
+	}
+	return seen
+}
+
+// crossingStream scripts the stream that exercises what a refresh carries. Its
+// phases move single nodes across MinSup (0.15) upward — z1, which the first
+// 200 transactions hold at positions 0, 64 and 128 only — downward and back
+// (a1, z1), which takes the pair {a1, b1} and the triple {a1, b1, c1} out of
+// the candidate lists for a few refreshes and back in; baskets of two
+// categories, then three, then two again make level 3, and with it two of the
+// four counting passes, appear, disappear and reappear. The last 10 000 are
+// for one round.
+func crossingStream(t *testing.T) (*taxonomy.Taxonomy, map[string]item.Item, []item.Itemset) {
+	t.Helper()
+	b := taxonomy.NewBuilder()
+	id := map[string]item.Item{}
+	for _, cat := range []string{"A", "B", "C", "Z"} {
+		for i := 1; i <= 3; i++ {
+			name := strings.ToLower(cat) + strconv.Itoa(i)
+			_, id[name] = b.Link(cat, name)
+		}
+	}
+	tax, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	set := func(names string) item.Itemset {
+		var s []item.Item
+		for _, n := range strings.Fields(names) {
+			s = append(s, id[n])
+		}
+		return item.New(s...)
+	}
+	phases := []struct {
+		n     int
+		kinds []string // drawn uniformly
+	}{
+		{200, []string{"a1 b1", "a1 b1", "a1 b1", "a2", "b2", "c2", "a3 b3"}},       // two categories a basket: no level 3
+		{300, []string{"a1 b1 c1", "a1 b1 c1", "a1 b1", "c2 z1", "c2 z1", "a2 c3"}}, // level 3 appears; z1 goes large
+		{1300, []string{"a2 b2", "a2 b2", "b3", "a3", "a2"}},                        // a1, z1, c-anything go small; level 3 goes
+		{700, []string{"a1 b1 c1", "a1 b1 c1", "a1 b1 c1", "z1 c2", "a1 b1"}},       // and all come back
+		{10000, []string{"a1 b1 c1", "a1 b1", "a2 b2", "z1 c2", "a3", "b3 c3 z2"}},  // one round
+	}
+	rng := rand.New(rand.NewSource(23))
+	var baskets []item.Itemset
+	for _, ph := range phases {
+		for i := 0; i < ph.n; i++ {
+			baskets = append(baskets, set(ph.kinds[rng.Intn(len(ph.kinds))]))
+		}
+	}
+	for _, pos := range []int{0, 64, 128} {
+		baskets[pos] = baskets[pos].With(id["z1"])
+	}
+	return tax, id, baskets
+}
+
+// positionsOf lists the positions a node holds among the first n, from its
+// row or, through the decoder a promotion uses, from its gap list.
+func positionsOf(nd *node, n int) []int {
+	row := nd.row
+	if row == nil {
+		row = make([]uint64, (n+63)/64)
+		bitmat.OverRows(item.New(0), [][]uint64{row}, n).SetGaps(0, nd.gaps)
+	}
+	var pos []int
+	for p := bitmat.NextSet(row, 0); p >= 0; p = bitmat.NextSet(row, p+1) {
+		pos = append(pos, p)
+	}
+	return pos
+}
+
+// checkIndex checks what the index keeps against itself: a node's row, or its
+// gap list decoded, holds exactly the positions its count says, all below n;
+// the carried counts, if the budget had room for any, are those of the
+// transactions indexed so far; and the bytes the index says it holds are the
+// capacity of what it holds and what the budget's ledger has reserved.
+func checkIndex(t *testing.T, m *Miner) {
+	t.Helper()
+	ix := &m.idx
+	var rowBytes, gapBytes int64
+	for x := range ix.nodes {
+		nd := &ix.nodes[x]
+		pos := positionsOf(nd, ix.n)
+		rowBytes, gapBytes = rowBytes+8*int64(cap(nd.row)), gapBytes+int64(cap(nd.gaps))
+		single := ix.singles.Count(item.Itemset{item.Item(x)})
+		if nd.row != nil && nd.gaps != nil || len(pos) != int(nd.n) || nd.fresh != 0 || single != int(nd.n) ||
+			len(pos) > 0 && (pos[len(pos)-1] >= ix.n || nd.row == nil && pos[len(pos)-1] != int(nd.next)-1) {
+			t.Fatalf("node %d: positions %v of %d, count %d (fresh %d, next %d), singles %d", x, pos, ix.n, nd.n, nd.fresh, nd.next, single)
+		}
+	}
+	if ix.counts.N != ix.n && ix.counts.Bytes() != 0 {
+		t.Fatalf("index over %d transactions carries %d bytes of counts over %d", ix.n, ix.counts.Bytes(), ix.counts.N)
+	}
+	if ix.rowBytes != rowBytes || ix.gapBytes != gapBytes || ix.held != rowBytes+gapBytes {
+		t.Fatalf("index says %d + %d bytes of rows and gaps, %d reserved; it holds %d + %d", ix.rowBytes, ix.gapBytes, ix.held, rowBytes, gapBytes)
+	}
+	if ix.mem != nil && ix.mem.InUse() != ix.held+ix.counts.Bytes() {
+		t.Fatalf("ledger has %d bytes in use; the index holds %d of rows and gaps and %d of counts", ix.mem.InUse(), ix.held, ix.counts.Bytes())
 	}
 }
 
@@ -126,8 +356,10 @@ func TestRecycledSegmentIDForcesRebuild(t *testing.T) {
 }
 
 // TestIndexOverBudgetFallsBackToScanning gives the miner a memory budget the
-// index does not fit: the refresh must release it, mine the segments by
-// scanning with an identical result, and leave nothing reserved.
+// index — its rows and gap lists — does not fit: the refresh must release it,
+// mine the segments by scanning with an identical result, and leave nothing
+// reserved. (With room, rows, lists and the carried counts stay reserved from
+// one refresh to the next.)
 func TestIndexOverBudgetFallsBackToScanning(t *testing.T) {
 	tax, baskets := testData(t, 3000, 6)
 	log := openLog(t)
@@ -142,8 +374,8 @@ func TestIndexOverBudgetFallsBackToScanning(t *testing.T) {
 		t.Fatal(err)
 	}
 	need := m.LastStats().IndexBytes
-	if need == 0 || opt.Count.Mem.InUse() != need {
-		t.Fatalf("index holds %d bytes, ledger says %d in use", need, opt.Count.Mem.InUse())
+	if held := need + m.LastStats().CountBytes; need == 0 || opt.Count.Mem.InUse() != held {
+		t.Fatalf("index and counts hold %d bytes, ledger says %d in use", held, opt.Count.Mem.InUse())
 	}
 
 	opt.Count.Mem = govern.NewBudget(need - 1)
@@ -240,5 +472,61 @@ func TestLastStatsDoesNotWaitForRefresh(t *testing.T) {
 	}
 	if err := <-done; err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRefreshWorkTracksDelta is the gate on what a refresh costs, in counts
+// rather than time: one log grown tenfold, 250 transactions a refresh, with
+// stream-mixed's options. The words the counting passes read must follow the
+// 250 — all but a few itemsets were counted one refresh ago and are owed only
+// the new positions — and no refresh after the first reads an old segment.
+func TestRefreshWorkTracksDelta(t *testing.T) {
+	const from, round = 5000, 250
+	to := 50000
+	if testing.Short() {
+		to = 20000
+	}
+	tax, baskets := shortBaskets(t, to)
+	log := openLog(t)
+	fillLog(t, log, baskets[:from], 1000, 0)
+	m := New(tax, streamOpts(2))
+	if _, err := m.Refresh(log); err != nil {
+		t.Fatal(err)
+	}
+	if st := m.LastStats(); st.TailSets != 0 || st.FullSets == 0 || st.RowWords == 0 || st.RowsPromoted != st.LargeItems {
+		t.Fatalf("first refresh: %+v", st)
+	}
+	var words, tail, full []int64
+	for lo := from; lo < to; lo += round {
+		fillLog(t, log, baskets[lo:lo+round], round, 0)
+		if _, err := m.Refresh(log); err != nil {
+			t.Fatal(err)
+		}
+		st := m.LastStats()
+		if st.NewSegments != 1 || st.OldSegmentScans != 0 || st.N != lo+round {
+			t.Fatalf("refresh at %d: %+v", lo, st)
+		}
+		if st.IndexBytes != st.RowBytes+st.GapBytes || st.RowBytes == 0 || st.GapBytes == 0 || st.CountBytes == 0 {
+			t.Fatalf("refresh at %d: index bytes %+v", lo, st)
+		}
+		words, tail, full = append(words, st.RowWords), append(tail, int64(st.TailSets)), append(full, int64(st.FullSets))
+	}
+	sum := func(w []int64) (s int64) {
+		for _, x := range w {
+			s += x
+		}
+		return s
+	}
+	// A node that crosses MinSup brings its pairs with it, a few hundred
+	// itemsets counted in full; steady state is any ten refreshes in a row.
+	for i := 0; i+10 <= len(tail); i += 10 {
+		if t10, f10 := sum(tail[i:i+10]), sum(full[i:i+10]); float64(t10) < 0.95*float64(t10+f10) {
+			t.Fatalf("refreshes %d–%d answered %d of %d itemsets from the tail", i+1, i+10, t10, t10+f10)
+		}
+	}
+	first, last := sum(words[:10]), sum(words[len(words)-10:])
+	t.Logf("row words read: first ten refreshes %d, last ten %d (%.2f×)", first, last, float64(last)/float64(first))
+	if float64(last) > 1.5*float64(first) {
+		t.Fatalf("the last ten refreshes read %d row words, the first ten %d: the cost follows the log", last, first)
 	}
 }

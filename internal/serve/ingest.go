@@ -85,7 +85,11 @@ type IngestStats struct {
 }
 
 // RefreshBreakdown says where the last refresh's wall time went — the parts
-// add up to IngestStats.LastRefreshSeconds — and what its index held.
+// add up to IngestStats.LastRefreshSeconds — what its index held (IndexBytes
+// is rows + gap lists, what must fit for it to exist; the carried counts are
+// CountBytes beside it) and what its counting passes did: itemsets answered
+// from the transactions new since the refresh before, itemsets counted over
+// the whole log, and the row words both read.
 type RefreshBreakdown struct {
 	IndexAppendSeconds float64 `json:"indexAppendSeconds"`
 	Stage1Seconds      float64 `json:"stage1Seconds"`
@@ -95,6 +99,13 @@ type RefreshBreakdown struct {
 	RuleGenSeconds     float64 `json:"rulegenSeconds"`
 	IndexBytes         int64   `json:"indexBytes"`
 	LargeItems         int     `json:"largeItems"`
+	RowBytes           int64   `json:"rowBytes"`
+	GapBytes           int64   `json:"gapBytes"`
+	CountBytes         int64   `json:"countBytes"`
+	RowsPromoted       int     `json:"rowsPromoted"`
+	TailSets           int     `json:"tailSets"`
+	FullSets           int     `json:"fullSets"`
+	RowWords           int64   `json:"rowWords"`
 }
 
 // IngestSink accepts batches of named baskets from POST /ingest. The serve
