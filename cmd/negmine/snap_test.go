@@ -28,7 +28,7 @@ func TestSnapFlagWritesServableSnapshot(t *testing.T) {
 		t.Fatalf("missing snapshot confirmation:\n%s", out.String())
 	}
 
-	snap, err := serve.OpenSnapshotFile(snapPath, -1)
+	snap, err := serve.OpenSnapshotFile(snapPath, 0)
 	if err != nil {
 		t.Fatalf("OpenSnapshotFile: %v", err)
 	}
@@ -75,7 +75,7 @@ func TestSnapFlagKeepsJSONStdoutClean(t *testing.T) {
 	if err := json.Unmarshal(out.Bytes(), &doc); err != nil {
 		t.Fatalf("stdout is not clean JSON after -snap: %v\n%s", err, out.String())
 	}
-	if _, err := serve.OpenSnapshotFile(snapPath, -1); err != nil {
+	if _, err := serve.OpenSnapshotFile(snapPath, 0); err != nil {
 		t.Fatalf("snapshot alongside JSON report: %v", err)
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"negmine/internal/incr"
 	"negmine/internal/item"
 	"negmine/internal/negative"
-	"negmine/internal/report"
 	"negmine/internal/rulestore"
 	"negmine/internal/seglog"
 	"negmine/internal/serve"
@@ -37,7 +36,6 @@ type ingestController struct {
 	refreshes  atomic.Int64                 // completed refreshes
 	wm         atomic.Pointer[watermark]    // newest append (tid, wall time)
 	remineTxns int64                        // pending threshold that triggers a re-mine (0 = off)
-	cacheSize  int                          // hot-item query cache bound (serve.Meta.CacheSize)
 
 	// ha, when non-nil, routes writes through the primary/standby protocol
 	// (fencing token, replication ack) instead of plain appends. Set once in
@@ -52,7 +50,7 @@ type ingestController struct {
 // newIngestController opens (or creates) the segment log, seeds it from
 // dataPath when the log is empty and a seed is given, and returns the
 // controller ready to be wired into a Server.
-func newIngestController(dir, dataPath, taxPath string, opt negative.Options, remineTxns, cacheSize, dedupWindow int, keep func(ante, cons []string) bool) (*ingestController, error) {
+func newIngestController(dir, dataPath, taxPath string, opt negative.Options, remineTxns, dedupWindow int, keep func(ante, cons []string) bool) (*ingestController, error) {
 	tax, err := loadTaxonomy(taxPath)
 	if err != nil {
 		return nil, err
@@ -67,7 +65,6 @@ func newIngestController(dir, dataPath, taxPath string, opt negative.Options, re
 		tax:        tax,
 		opt:        opt,
 		remineTxns: int64(remineTxns),
-		cacheSize:  cacheSize,
 		keep:       keep,
 	}
 	if dataPath != "" && log.Count() == 0 {
@@ -164,17 +161,14 @@ func (c *ingestController) load(ctx context.Context) (*serve.Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	rep := report.BuildNegative(res, c.opt.MinSupport, c.opt.MinRI, c.tax.Name)
-	st := rulestore.FromReport(rep)
 	c.refreshes.Add(1)
 	meta := serve.Meta{
 		Source:     "ingest " + c.log.Dir(),
 		MinSupport: c.opt.MinSupport,
 		MinRI:      c.opt.MinRI,
-		CacheSize:  c.cacheSize,
 		Keep:       c.keep,
 	}
-	snap := serve.BuildSnapshot(st, c.tax, meta)
+	snap := serve.BuildSnapshot(rulestore.New(res, c.tax.Name), c.tax, meta)
 	snap.SetProvenance(0, "ingest")
 	if wm != nil {
 		snap.SetWatermark(wm.tid, wm.at)

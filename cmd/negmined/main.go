@@ -65,7 +65,6 @@
 //	-max-queue n      bounded admission queue (requires -max-concurrent)
 //	-max-rps f        per-endpoint token-bucket rate limit
 //	-max-body size    POST body bound (default 1MiB; "off" disables)
-//	-cache n          hot-item query cache entries (default 4096; -1 disables)
 //	-mem-budget size  re-mining memory budget (default auto: 80% of the
 //	                  GOMEMLIMIT/cgroup limit; "off" disables)
 //	-ingest-dir dir   segment-log directory; enables streaming mode
@@ -369,7 +368,6 @@ func parseFlags(args []string, out io.Writer) (*config, error) {
 		maxConc   = fs.Int("max-concurrent", 0, "adaptive concurrency ceiling; enables admission control (0 = off unless -max-rps is set)")
 		maxQueue  = fs.Int("max-queue", 0, "bounded admission-queue depth; requires -max-concurrent (0 = 4x -max-concurrent)")
 		maxBody   = fs.String("max-body", "", "POST body size bound, e.g. 1MiB (empty = 1MiB, off = unbounded)")
-		cache     = fs.Int("cache", 0, "hot-item query cache entries (0 = default 4096, negative = disabled)")
 		memBudget = fs.String("mem-budget", "auto", "re-mining memory budget, e.g. 2GiB (auto = 80% of GOMEMLIMIT/cgroup limit, off = unlimited)")
 
 		ingestDir   = fs.String("ingest-dir", "", "segment-log directory; enables streaming mode with POST /ingest")
@@ -577,7 +575,7 @@ func parseFlags(args []string, out io.Writer) (*config, error) {
 		if err != nil {
 			return nil, fmt.Errorf("opening snapshot store %s: %w", *snapDir, err)
 		}
-		sc := &snapController{store: store, inner: cfg.loadFunc, save: *snapSave, cache: *cache, out: out}
+		sc := &snapController{store: store, inner: cfg.loadFunc, save: *snapSave, out: out}
 		cfg.loadFunc = sc.load
 		return cfg, nil
 	}
@@ -604,7 +602,7 @@ func parseFlags(args []string, out io.Writer) (*config, error) {
 		if err != nil {
 			return nil, fmt.Errorf("opening snapshot store %s: %w", *snapDir, err)
 		}
-		sc := &snapController{store: store, cache: *cache, out: out}
+		sc := &snapController{store: store, out: out}
 		cfg.source = store.ManifestPath() // what -watch polls: changes on every Put
 		cfg.loadFunc = sc.load
 		return withShard(cfg, nil)
@@ -612,7 +610,7 @@ func parseFlags(args []string, out io.Writer) (*config, error) {
 
 	if *repPath != "" {
 		cfg.source = *repPath
-		cfg.loadFunc = reportLoader(*repPath, *taxPath, *cache, keep)
+		cfg.loadFunc = reportLoader(*repPath, *taxPath, keep)
 		return withShard(withSnapshots(cfg))
 	}
 
@@ -648,7 +646,7 @@ func parseFlags(args []string, out io.Writer) (*config, error) {
 	opt.Gen.Count.Mem = mem
 
 	if *ingestDir != "" {
-		ctrl, err := newIngestController(*ingestDir, *dataPath, *taxPath, opt, *remineTxns, *cache, *dedupWindow, keep)
+		ctrl, err := newIngestController(*ingestDir, *dataPath, *taxPath, opt, *remineTxns, *dedupWindow, keep)
 		if err != nil {
 			return nil, err
 		}
@@ -669,7 +667,7 @@ func parseFlags(args []string, out io.Writer) (*config, error) {
 	}
 
 	cfg.source = *dataPath
-	cfg.loadFunc = mineLoader(*dataPath, *taxPath, opt, *cache, keep)
+	cfg.loadFunc = mineLoader(*dataPath, *taxPath, opt, keep)
 	return withShard(withSnapshots(cfg))
 }
 
@@ -677,7 +675,7 @@ func parseFlags(args []string, out io.Writer) (*config, error) {
 // is also re-read so a snapshot always pairs the report with the hierarchy
 // it was mined under. keep, when non-nil, is the cluster shard predicate:
 // only rules it accepts are indexed.
-func reportLoader(repPath, taxPath string, cacheSize int, keep func(ante, cons []string) bool) serve.LoadFunc {
+func reportLoader(repPath, taxPath string, keep func(ante, cons []string) bool) serve.LoadFunc {
 	return func(ctx context.Context) (*serve.Snapshot, error) {
 		tax, err := loadTaxonomy(taxPath)
 		if err != nil {
@@ -697,7 +695,6 @@ func reportLoader(repPath, taxPath string, cacheSize int, keep func(ante, cons [
 			Source:     "report " + repPath,
 			MinSupport: rep.MinSupport,
 			MinRI:      rep.MinRI,
-			CacheSize:  cacheSize,
 			Keep:       keep,
 		}
 		snap := serve.BuildSnapshot(st, tax, meta)
@@ -709,7 +706,7 @@ func reportLoader(repPath, taxPath string, cacheSize int, keep func(ante, cons [
 // mineLoader runs the full mining pipeline on every (re)load — hot
 // re-mining. Data and taxonomy are re-read each time so dropping a fresh
 // file in place plus /reload (or -watch) picks it up.
-func mineLoader(dataPath, taxPath string, opt negative.Options, cacheSize int, keep func(ante, cons []string) bool) serve.LoadFunc {
+func mineLoader(dataPath, taxPath string, opt negative.Options, keep func(ante, cons []string) bool) serve.LoadFunc {
 	return func(ctx context.Context) (*serve.Snapshot, error) {
 		tax, err := loadTaxonomy(taxPath)
 		if err != nil {
@@ -723,16 +720,13 @@ func mineLoader(dataPath, taxPath string, opt negative.Options, cacheSize int, k
 		if err != nil {
 			return nil, fmt.Errorf("mining %s: %w", dataPath, err)
 		}
-		rep := report.BuildNegative(res, opt.MinSupport, opt.MinRI, tax.Name)
-		st := rulestore.FromReport(rep)
 		meta := serve.Meta{
 			Source:     "mined " + dataPath,
 			MinSupport: opt.MinSupport,
 			MinRI:      opt.MinRI,
-			CacheSize:  cacheSize,
 			Keep:       keep,
 		}
-		snap := serve.BuildSnapshot(st, tax, meta)
+		snap := serve.BuildSnapshot(rulestore.New(res, tax.Name), tax, meta)
 		snap.SetProvenance(0, "mined")
 		return snap, nil
 	}

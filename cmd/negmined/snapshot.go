@@ -33,7 +33,6 @@ type snapController struct {
 	store *artifact.FS
 	inner serve.LoadFunc // nil in replica mode
 	save  bool
-	cache int
 	out   io.Writer
 
 	mu     sync.Mutex
@@ -83,7 +82,7 @@ func (c *snapController) loadStore() (*serve.Snapshot, error) {
 		path, _, err := c.store.Localize(gen)
 		if err == nil {
 			var snap *serve.Snapshot
-			if snap, err = serve.OpenSnapshotFile(path, c.cache); err == nil {
+			if snap, err = serve.OpenSnapshotFile(path, 0); err == nil {
 				return snap, nil
 			}
 		}

@@ -105,13 +105,18 @@ func FromReport(rep *report.NegativeReport) *Store {
 // Len returns the number of stored rules.
 func (s *Store) Len() int { return len(s.rules) }
 
-// All returns the rules sorted by signature (deterministic).
+// All returns the rules sorted by signature (deterministic). Every rule is
+// stored under its own signature, so sorting the keys sorts the rules.
 func (s *Store) All() []Entry {
-	out := make([]Entry, 0, len(s.rules))
-	for _, e := range s.rules {
-		out = append(out, e)
+	sigs := make([]string, 0, len(s.rules))
+	for sig := range s.rules {
+		sigs = append(sigs, sig)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Signature() < out[j].Signature() })
+	sort.Strings(sigs)
+	out := make([]Entry, len(sigs))
+	for i, sig := range sigs {
+		out[i] = s.rules[sig]
+	}
 	return out
 }
 

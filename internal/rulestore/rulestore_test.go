@@ -2,9 +2,11 @@ package rulestore
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
+	"negmine/internal/datagen"
 	"negmine/internal/item"
 	"negmine/internal/negative"
 	"negmine/internal/report"
@@ -238,6 +240,50 @@ func TestFromReport(t *testing.T) {
 	d := Compare(viaJSON, direct, 0)
 	if len(d.Appeared) != 0 || len(d.Disappeared) != 0 || len(d.Changed) != 0 || d.Unchanged != 2 {
 		t.Fatalf("FromReport diverges from Load: %+v", d)
+	}
+}
+
+// TestAllAllocs pins All at its two slices: sorting the stored signatures
+// builds no signature per comparison.
+func TestAllAllocs(t *testing.T) {
+	res := &negative.Result{}
+	for i := 0; i < 500; i++ {
+		res.Rules = append(res.Rules, negative.Rule{
+			Antecedent: item.New(item.Item(i), item.Item(1000+i%13)),
+			Consequent: item.New(item.Item(2000 + i%29)),
+			RI:         float64(i%7) / 7,
+		})
+	}
+	s := New(res, func(i item.Item) string { return "item-" + itoa(int(i)) })
+	if allocs := testing.AllocsPerRun(20, func() { s.All() }); allocs > 2 {
+		t.Fatalf("All: %v allocs/op, want ≤ 2", allocs)
+	}
+}
+
+// TestNewMatchesFromReport pins that a store built straight from a mine
+// holds exactly what the report path builds from it.
+func TestNewMatchesFromReport(t *testing.T) {
+	for seed := int64(1); seed <= 6; seed++ {
+		p := datagen.Scaled(datagen.Short(), 50)
+		p.NumTransactions = 600 + 100*int(seed)
+		p.Seed = seed
+		tax, db, err := datagen.Generate(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt := negative.Options{MinSupport: 0.15, MinRI: 0.3}
+		res, err := negative.Mine(db, tax, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Rules) == 0 {
+			t.Fatalf("seed %d: the mine found no rules", seed)
+		}
+		got := New(res, tax.Name).All()
+		want := FromReport(report.BuildNegative(res, opt.MinSupport, opt.MinRI, tax.Name)).All()
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d: New holds %d rules, FromReport∘BuildNegative %d, or they differ", seed, len(got), len(want))
+		}
 	}
 }
 

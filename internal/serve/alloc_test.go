@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -26,41 +27,47 @@ func TestQueryItemZeroAllocs(t *testing.T) {
 	skipUnderRace(t)
 	snap := testSnapshot(t)
 	dst := make([]RuleID, 0, snap.Len())
-	// Warm the cache: the first lookup per key computes and stores.
-	dst = snap.QueryItem(dst[:0], "pepsi", 0, 0)
 	if allocs := testing.AllocsPerRun(100, func() {
 		dst = snap.QueryItem(dst[:0], "pepsi", 0, 0)
 	}); allocs != 0 {
-		t.Fatalf("QueryItem (cache hit): %v allocs/op, want 0", allocs)
+		t.Fatalf("QueryItem: %v allocs/op, want 0", allocs)
 	}
 }
 
+// TestQuerySharedZeroAllocs pins the call /rules serves from: QueryItemCtx
+// into a buffer a previous request has grown.
 func TestQuerySharedZeroAllocs(t *testing.T) {
 	skipUnderRace(t)
 	snap := testSnapshot(t)
 	ctx := context.Background()
-	if _, err := snap.QueryShared(ctx, "pepsi", 0, 0); err != nil { // warm the cache
-		t.Fatal(err)
+	ids, err := snap.QueryItemCtx(ctx, nil, "pepsi", 0, 0)
+	if err != nil || len(ids) == 0 {
+		t.Fatalf("QueryItemCtx = %v, %v", ids, err)
 	}
 	if allocs := testing.AllocsPerRun(100, func() {
-		ids, _ := snap.QueryShared(ctx, "pepsi", 0, 0)
-		if len(ids) == 0 {
-			t.Error("no rules")
-		}
+		ids, _ = snap.QueryItemCtx(ctx, ids[:0], "pepsi", 0, 0)
 	}); allocs != 0 {
-		t.Fatalf("QueryShared (cache hit): %v allocs/op, want 0", allocs)
+		t.Fatalf("QueryItemCtx into a warm buffer: %v allocs/op, want 0", allocs)
 	}
 }
 
+// TestQueryItemComputeZeroAllocs pins QueryItem on a snapshot opened from a
+// .nsnap file, whose postings are the file's bytes rather than the heap's.
 func TestQueryItemComputeZeroAllocs(t *testing.T) {
 	skipUnderRace(t)
-	snap := BuildSnapshot(testStore(), testTaxonomy(t), Meta{CacheSize: -1})
+	path := filepath.Join(t.TempDir(), "snap.nsnap")
+	if err := WriteSnapshotFile(path, testSnapshot(t), 1); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := OpenSnapshotFile(path, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	dst := make([]RuleID, 0, snap.Len())
-	dst = snap.QueryItem(dst[:0], "pepsi", 0, 0)
 	if allocs := testing.AllocsPerRun(100, func() {
 		dst = snap.QueryItem(dst[:0], "pepsi", 0, 0)
 	}); allocs != 0 {
-		t.Fatalf("QueryItem (cache disabled, compute path): %v allocs/op, want 0", allocs)
+		t.Fatalf("QueryItem on an opened snapshot: %v allocs/op, want 0", allocs)
 	}
 }
 
@@ -117,7 +124,7 @@ func handlerAllocs(t *testing.T, method, target, body string) float64 {
 		clear(w.header)
 		h.ServeHTTP(w, req)
 	}
-	run() // warm the cache and the pools
+	run() // warm the pools
 	if got := w.header.Get("Content-Length"); got == "" || got == "0" {
 		t.Fatalf("%s %s answered no body (Content-Length %q)", method, target, got)
 	}
@@ -136,7 +143,7 @@ func handlerAllocs(t *testing.T, method, target, body string) float64 {
 func TestHandlerRulesAllocCeiling(t *testing.T) {
 	const ceiling = 7
 	if allocs := handlerAllocs(t, http.MethodGet, "/rules?item=pepsi", ""); allocs > ceiling {
-		t.Fatalf("GET /rules (cache hit): %v allocs/op, ceiling %d", allocs, ceiling)
+		t.Fatalf("GET /rules: %v allocs/op, ceiling %d", allocs, ceiling)
 	}
 }
 

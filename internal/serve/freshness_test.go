@@ -56,7 +56,7 @@ func TestReplicaFreshnessClockAgreement(t *testing.T) {
 	if err := os.Chtimes(path, mtime, mtime); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := OpenSnapshotFile(path, -1)
+	loaded, err := OpenSnapshotFile(path, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestReplicaFreshnessClockAgreement(t *testing.T) {
 	if err := os.Chtimes(path2, mtime, mtime); err != nil {
 		t.Fatal(err)
 	}
-	loaded2, err := OpenSnapshotFile(path2, -1)
+	loaded2, err := OpenSnapshotFile(path2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -243,15 +243,14 @@ func (s *Server) handleRules(w http.ResponseWriter, r *http.Request) {
 		limit = n
 	}
 	snap := s.Snapshot()
-	// Zero-copy read of the cached result: ids is shared with the snapshot's
-	// cache and only iterated here, never retained or modified.
-	ids, err := snap.QueryShared(r.Context(), item, minRI, limit)
+	sc := renderPool.Get().(*renderScratch)
+	defer putRenderScratch(sc)
+	ids, err := snap.QueryItemCtx(r.Context(), sc.ids[:0], item, minRI, limit)
+	sc.ids = ids[:0]
 	if err != nil {
 		writeError(w, http.StatusServiceUnavailable, "query aborted: %v", err)
 		return
 	}
-	sc := renderPool.Get().(*renderScratch)
-	defer putRenderScratch(sc)
 	sc.expanded = snap.Expand(sc.expanded[:0], item)
 	if sc.prefix, err = ruleframe.AppendRulesPrefix(sc.prefix[:0], item, sc.expanded, minRI); err != nil {
 		writeError(w, http.StatusInternalServerError, "%v", err)

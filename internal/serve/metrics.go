@@ -152,10 +152,8 @@ type metricsJSON struct {
 		// freshness a client actually experiences. Without a watermark it
 		// equals the snapshot age (same clock, see Snapshot.Freshness).
 		FreshnessSeconds float64 `json:"freshness_seconds"`
-		// Layout describes the arena + posting-list memory layout; Cache is
-		// the hot-item result cache (absent when caching is disabled).
+		// Layout describes the arena + posting-list memory layout.
 		Layout *LayoutInfo `json:"layout,omitempty"`
-		Cache  *CacheStats `json:"cache,omitempty"`
 	} `json:"snapshot"`
 	// Govern is the admission-controller block: AIMD window, queue depth,
 	// degraded state and per-reason shed counters. Absent when no governor
@@ -175,6 +173,13 @@ type ingestJSON struct {
 	// VisibleWatermark is the last ingested TID whose effect is visible in
 	// the served rules (0 until the first ingest-built snapshot).
 	VisibleWatermark int64 `json:"visible_watermark"`
+}
+
+// CacheStats is a /metrics block no snapshot reports any more.
+// Kept only because benchmark/serveread.go decodes into it; ROADMAP item 1 deletes it.
+type CacheStats struct {
+	Hits   int64 `json:"hits"`
+	Misses int64 `json:"misses"`
 }
 
 // governJSON is the admission block of the /metrics document.
@@ -220,7 +225,6 @@ func (m *Metrics) WriteJSON(w io.Writer, snap *Snapshot) error {
 		doc.Snapshot.FreshnessSeconds = snap.Freshness().Seconds()
 		layout := snap.Layout()
 		doc.Snapshot.Layout = &layout
-		doc.Snapshot.Cache = snap.CacheStats()
 	}
 	if m.governStats != nil {
 		st := m.governStats()

@@ -177,15 +177,13 @@ func randomWorld(t *testing.T, rng *rand.Rand) (*rulestore.Store, *taxonomy.Taxo
 
 // TestSnapshotMatchesNaiveReference cross-checks the arena/bitmap snapshot
 // against the naive reference on randomized stores: every QueryItem, Score,
-// and Expand answer must be identical, with the cache enabled (asked twice,
-// so the second answer is served from cache) and disabled.
+// and Expand answer must be identical, and stay so when asked again.
 func TestSnapshotMatchesNaiveReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 30; trial++ {
 		st, tax, parent, pool := randomWorld(t, rng)
 		ref := newReference(st, parent)
-		cached := BuildSnapshot(st, tax, Meta{})
-		uncached := BuildSnapshot(st, tax, Meta{CacheSize: -1})
+		snap := BuildSnapshot(st, tax, Meta{})
 
 		minRIs := []float64{0, 0.2, 0.4, 0.5, 0.8, 1.1}
 		limits := []int{0, 1, 3, 1000}
@@ -194,18 +192,11 @@ func TestSnapshotMatchesNaiveReference(t *testing.T) {
 			minRI := minRIs[rng.Intn(len(minRIs))]
 			limit := limits[rng.Intn(len(limits))]
 			want := ref.query(name, minRI, limit)
-			for pass := 0; pass < 2; pass++ { // second pass hits the cache
-				if got := cached.QueryEntries(name, minRI, limit); !entriesEqual(got, want) {
+			for pass := 0; pass < 2; pass++ {
+				if got := snap.QueryEntries(name, minRI, limit); !entriesEqual(got, want) {
 					t.Fatalf("trial %d pass %d: QueryEntries(%q, %v, %d) =\n%v\nwant\n%v",
 						trial, pass, name, minRI, limit, got, want)
 				}
-			}
-			if got := uncached.QueryEntries(name, minRI, limit); !entriesEqual(got, want) {
-				t.Fatalf("trial %d: uncached QueryEntries(%q, %v, %d) =\n%v\nwant\n%v",
-					trial, name, minRI, limit, got, want)
-			}
-			// The zero-copy path must agree too, on both layouts.
-			for _, snap := range []*Snapshot{cached, uncached} {
 				ids, err := snap.QueryShared(context.Background(), name, minRI, limit)
 				if err != nil {
 					t.Fatal(err)
@@ -215,11 +206,11 @@ func TestSnapshotMatchesNaiveReference(t *testing.T) {
 					got[i] = snap.Entry(id)
 				}
 				if !entriesEqual(got, want) {
-					t.Fatalf("trial %d: QueryShared(%q, %v, %d) =\n%v\nwant\n%v",
-						trial, name, minRI, limit, got, want)
+					t.Fatalf("trial %d pass %d: QueryShared(%q, %v, %d) =\n%v\nwant\n%v",
+						trial, pass, name, minRI, limit, got, want)
 				}
 			}
-			if got, want := cached.Expand(nil, name), ref.expand(name); !reflect.DeepEqual(got, want) {
+			if got, want := snap.Expand(nil, name), ref.expand(name); !reflect.DeepEqual(got, want) {
 				t.Fatalf("trial %d: Expand(%q) = %v, want %v", trial, name, got, want)
 			}
 		}
@@ -235,12 +226,9 @@ func TestSnapshotMatchesNaiveReference(t *testing.T) {
 			minRI := minRIs[rng.Intn(len(minRIs))]
 			limit := limits[rng.Intn(len(limits))]
 			want := ref.score(basket, minRI, limit)
-			for _, snap := range []*Snapshot{cached, uncached} {
-				got := snap.Matches(basket, minRI, limit)
-				if !matchesEqual(got, want) {
-					t.Fatalf("trial %d: Matches(%v, %v, %d) =\n%v\nwant\n%v",
-						trial, basket, minRI, limit, got, want)
-				}
+			if got := snap.Matches(basket, minRI, limit); !matchesEqual(got, want) {
+				t.Fatalf("trial %d: Matches(%v, %v, %d) =\n%v\nwant\n%v",
+					trial, basket, minRI, limit, got, want)
 			}
 		}
 	}

@@ -124,7 +124,7 @@ type renderScratch struct {
 	prefix    []byte
 	sig, elem []byte   // one frame entry being assembled
 	expanded  []string // /rules: item + ancestors
-	ids       []RuleID // /score: matched rules
+	ids       []RuleID // the rules the reply carries
 	basketIDs []int32  // /score: the basket, interned
 }
 

@@ -330,6 +330,76 @@ func TestConcurrentSwapUnderLoad(t *testing.T) {
 	}
 }
 
+// TestSwapUnderLoad hammers a Server with concurrent QueryItem/Score readers
+// while reloads swap versioned snapshots underneath them. Every observed
+// result must be internally consistent with exactly one snapshot version —
+// the atomic-swap contract. Run with -race.
+func TestSwapUnderLoad(t *testing.T) {
+	// Version v's store has one rule {item} =/=> {v-consequent} per item, so
+	// any query result self-identifies its snapshot version.
+	buildVersion := func(v int) *rulestore.Store {
+		rep := &report.NegativeReport{}
+		for i := 0; i < 8; i++ {
+			rep.Rules = append(rep.Rules, report.NegativeRuleRecord{
+				Antecedent:   []string{fmt.Sprintf("item%d", i)},
+				Consequent:   []string{fmt.Sprintf("v%d", v)},
+				RuleInterest: 0.5,
+			})
+		}
+		return rulestore.FromReport(rep)
+	}
+	var version atomic.Int64
+	srv := newTestServer(t, func(ctx context.Context) (*Snapshot, error) {
+		v := version.Load()
+		return BuildSnapshot(buildVersion(int(v)), nil, Meta{Source: fmt.Sprintf("v%d", v)}), nil
+	})
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			dst := make([]RuleID, 0, 16)
+			basket := []string{"item0", "item3"}
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				snap := srv.Snapshot()
+				want := snap.Info().Source // "vN"
+				item := fmt.Sprintf("item%d", i%8)
+				dst = snap.QueryItem(dst[:0], item, 0, 0)
+				if len(dst) != 1 {
+					t.Errorf("reader %d: QueryItem(%s) returned %d rules, want 1", g, item, len(dst))
+					return
+				}
+				if got := snap.Entry(dst[0]).Consequent[0]; got != want {
+					t.Errorf("reader %d: rule from snapshot %s has consequent %s (torn snapshot)", g, want, got)
+					return
+				}
+				dst = snap.Score(dst[:0], basket, 0, 0)
+				for _, id := range dst {
+					if got := snap.Entry(id).Consequent[0]; got != want {
+						t.Errorf("reader %d: Score on snapshot %s saw %s", g, want, got)
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	for v := 1; v <= 30; v++ {
+		version.Store(int64(v))
+		if err := srv.Reload(context.Background()); err != nil {
+			t.Fatalf("reload v%d: %v", v, err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+}
+
 func TestTriggerReloadAsync(t *testing.T) {
 	var gen atomic.Int64
 	release := make(chan struct{})

@@ -105,8 +105,7 @@ func indexIn(pi *snapfmt.PostingIndex) ([]posting, postingBacking) {
 // SnapshotFromImage builds a serving snapshot over a decoded image. The
 // snapshot's numeric slices alias the image (and therefore the file bytes
 // behind it); only the item dictionary and intern map are materialized.
-// cacheSize follows Meta.CacheSize semantics (0 = default, < 0 = disabled).
-func SnapshotFromImage(img *snapfmt.Image, cacheSize int) (*Snapshot, error) {
+func SnapshotFromImage(img *snapfmt.Image) (*Snapshot, error) {
 	m := img.NumItems()
 	s := &Snapshot{
 		ri:       img.RI,
@@ -153,12 +152,6 @@ func SnapshotFromImage(img *snapfmt.Image, cacheSize int) (*Snapshot, error) {
 		int64(len(s.anteIdx.words)+len(s.consIdx.words)+len(s.reachIdx.words))*8 +
 		int64(3*m)*postingHeaderBytes
 
-	if cacheSize >= 0 {
-		if cacheSize == 0 {
-			cacheSize = DefaultCacheSize
-		}
-		s.cache = newQueryCache(cacheSize)
-	}
 	s.scratch.New = newScratch(s.ruleWords, s.itemWords)
 	// built reflects when the rules were produced, not when this process
 	// loaded them, so Age() keeps measuring rule staleness.
@@ -172,13 +165,14 @@ func SnapshotFromImage(img *snapfmt.Image, cacheSize int) (*Snapshot, error) {
 // unreachable (e.g. after an atomic swap retires it and every in-flight
 // query drains), a finalizer releases the map. BuildSeconds in the
 // snapshot's Info reports the load duration.
-func OpenSnapshotFile(path string, cacheSize int) (*Snapshot, error) {
+// The int is ignored: benchmark/batch.go passes one; ROADMAP item 1 deletes it.
+func OpenSnapshotFile(path string, _ int) (*Snapshot, error) {
 	start := time.Now()
 	f, err := snapfmt.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	s, err := SnapshotFromImage(f.Image, cacheSize)
+	s, err := SnapshotFromImage(f.Image)
 	if err != nil {
 		f.Close()
 		return nil, err

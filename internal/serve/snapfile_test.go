@@ -22,13 +22,13 @@ func TestSnapshotFileRoundTripOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 12; trial++ {
 		st, tax, _, pool := randomWorld(t, rng)
-		built := BuildSnapshot(st, tax, Meta{Source: "oracle world", MinSupport: 0.01, MinRI: 0.1, CacheSize: -1})
+		built := BuildSnapshot(st, tax, Meta{Source: "oracle world", MinSupport: 0.01, MinRI: 0.1})
 
 		path := filepath.Join(t.TempDir(), "snap.nsnap")
 		if err := WriteSnapshotFile(path, built, 42); err != nil {
 			t.Fatalf("trial %d: WriteSnapshotFile: %v", trial, err)
 		}
-		loaded, err := OpenSnapshotFile(path, -1)
+		loaded, err := OpenSnapshotFile(path, 0)
 		if err != nil {
 			t.Fatalf("trial %d: OpenSnapshotFile: %v", trial, err)
 		}
@@ -108,29 +108,33 @@ func TestSnapshotFileRoundTripOracle(t *testing.T) {
 	}
 }
 
-// TestSnapshotFileCache checks that a loaded snapshot's cache behaves like a
-// built one's: cached and uncached answers agree.
+// TestSnapshotFileCache checks that a loaded snapshot, which keeps no query
+// cache, answers repeated queries from the mapped file with the same ids as
+// the in-heap original, and that reusing the destination slice across
+// queries does not leak one answer into the next.
 func TestSnapshotFileCache(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	st, tax, _, pool := randomWorld(t, rng)
-	built := BuildSnapshot(st, tax, Meta{CacheSize: -1})
+	built := BuildSnapshot(st, tax, Meta{})
 	path := filepath.Join(t.TempDir(), "snap.nsnap")
 	if err := WriteSnapshotFile(path, built, 1); err != nil {
 		t.Fatal(err)
 	}
-	cached, err := OpenSnapshotFile(path, 0) // default cache
+	loaded, err := OpenSnapshotFile(path, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cached.CacheStats() == nil {
-		t.Fatal("loaded snapshot has no cache")
-	}
+	var dst []RuleID
 	for _, name := range pool {
 		want := built.QueryItem(nil, name, 0, 0)
-		for pass := 0; pass < 2; pass++ { // second pass hits the cache
-			got := cached.QueryItem(nil, name, 0, 0)
+		for pass := 0; pass < 2; pass++ { // a repeat answers from the file again
+			got := loaded.QueryItem(nil, name, 0, 0)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("pass %d: QueryItem(%q) = %v, want %v", pass, name, got, want)
+			}
+			dst = loaded.QueryItem(dst[:0], name, 0, 0)
+			if len(dst) != len(want) || (len(want) > 0 && !reflect.DeepEqual(dst, want)) {
+				t.Fatalf("pass %d: QueryItem(dst, %q) = %v, want %v", pass, name, dst, want)
 			}
 		}
 	}
@@ -158,7 +162,7 @@ func TestOpenSnapshotFileRejectsCorruption(t *testing.T) {
 		if err := os.WriteFile(p, bad, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if snap, err := OpenSnapshotFile(p, -1); err == nil {
+		if snap, err := OpenSnapshotFile(p, 0); err == nil {
 			t.Fatalf("bit flip at %d: loaded %d rules from corrupt file", pos, snap.Len())
 		}
 	}
@@ -168,7 +172,7 @@ func TestOpenSnapshotFileRejectsCorruption(t *testing.T) {
 		if err := os.WriteFile(p, pristine[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := OpenSnapshotFile(p, -1); err == nil {
+		if _, err := OpenSnapshotFile(p, 0); err == nil {
 			t.Fatalf("truncation at %d loaded successfully", cut)
 		}
 	}
@@ -193,7 +197,7 @@ func TestOpenSnapshotFileMtimeFallback(t *testing.T) {
 	if err := os.Chtimes(path, want, want); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := OpenSnapshotFile(path, -1)
+	loaded, err := OpenSnapshotFile(path, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +217,7 @@ func TestOpenSnapshotFileMtimeFallback(t *testing.T) {
 	if err := os.Chtimes(path2, want, want); err != nil {
 		t.Fatal(err)
 	}
-	loaded2, err := OpenSnapshotFile(path2, -1)
+	loaded2, err := OpenSnapshotFile(path2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -112,8 +112,7 @@ type Snapshot struct {
 	arenaBytes int64 // arena slice footprint (headers + payload, excl. string bytes)
 	indexBytes int64 // posting-list footprint
 
-	scratch sync.Pool   // *queryScratch
-	cache   *queryCache // hot-item result cache; nil when disabled
+	scratch sync.Pool // *queryScratch
 
 	built    time.Time     // when the snapshot finished building
 	buildDur time.Duration // how long indexing (or snapshot loading) took
@@ -216,9 +215,6 @@ type Meta struct {
 	Source     string  // where the rules came from
 	MinSupport float64 // mining thresholds, if known
 	MinRI      float64
-	// CacheSize bounds the hot-item result cache in entries: 0 selects
-	// DefaultCacheSize, negative disables caching entirely.
-	CacheSize int
 	// Keep filters rules into the snapshot: a rule is indexed only when
 	// Keep(antecedent, consequent) returns true; nil keeps everything.
 	// Cluster sharding passes the shard-ownership predicate here so each
@@ -227,10 +223,6 @@ type Meta struct {
 	// identical on every shard).
 	Keep func(antecedent, consequent []string) bool
 }
-
-// DefaultCacheSize is the hot-item result cache bound used when
-// Meta.CacheSize is zero.
-const DefaultCacheSize = 4096
 
 // BuildSnapshot indexes a rule store into the flat arena + posting-list
 // layout. tax supplies the ancestor index and may be nil (queries then match
@@ -293,12 +285,6 @@ func BuildSnapshot(st *rulestore.Store, tax *taxonomy.Taxonomy, meta Meta) *Snap
 	s.buildFragments()
 	s.arenaBytes += s.renderedBytes()
 	s.buildIndexes(entries, m)
-	if size := meta.CacheSize; size >= 0 {
-		if size == 0 {
-			size = DefaultCacheSize
-		}
-		s.cache = newQueryCache(size)
-	}
 	s.scratch.New = newScratch(s.ruleWords, s.itemWords)
 	s.buildDur = time.Since(start)
 	s.built = time.Now()
@@ -604,16 +590,6 @@ func (s *Snapshot) Layout() LayoutInfo {
 	}
 }
 
-// CacheStats reports the hot-item cache counters, or nil when caching is
-// disabled.
-func (s *Snapshot) CacheStats() *CacheStats {
-	if s.cache == nil {
-		return nil
-	}
-	st := s.cache.stats()
-	return &st
-}
-
 // Age returns how long ago the snapshot was built.
 func (s *Snapshot) Age() time.Duration { return time.Since(s.built) }
 
@@ -689,49 +665,12 @@ func (s *Snapshot) QueryItem(dst []RuleID, name string, minRI float64, limit int
 
 // QueryItemCtx is QueryItem honoring a request deadline: a query over a huge
 // snapshot checks ctx periodically and aborts with ctx.Err() instead of
-// holding a handler goroutine past its budget.
+// holding a handler goroutine past its budget. It is one rank-select walk
+// over the item's reach posting, bounded by the RI prefix.
 func (s *Snapshot) QueryItemCtx(ctx context.Context, dst []RuleID, name string, minRI float64, limit int) ([]RuleID, error) {
 	if err := ctx.Err(); err != nil {
 		return dst, err
 	}
-	if s.cache == nil {
-		return s.queryCompute(ctx, dst, name, minRI, limit)
-	}
-	key := queryKey{name: name, minRI: minRI, limit: limit}
-	if ids, ok := s.cache.get(key); ok {
-		return append(dst, ids...), nil
-	}
-	return s.cache.do(ctx, key, dst, func(buf []RuleID) ([]RuleID, error) {
-		return s.queryCompute(ctx, buf, name, minRI, limit)
-	})
-}
-
-// QueryShared is QueryItemCtx without the result copy: the returned slice is
-// shared and immutable — owned by the snapshot's cache, valid for the
-// snapshot's lifetime, and must not be modified or appended to. It is the
-// zero-copy hot path the /rules handler serves from: a cache hit costs one
-// map lookup regardless of result size, so a heavily-ruled taxonomy (Tall)
-// answers as fast as a sparse one (Short). With caching disabled the result
-// is computed into a fresh slice per call.
-func (s *Snapshot) QueryShared(ctx context.Context, name string, minRI float64, limit int) ([]RuleID, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if s.cache == nil {
-		return s.queryCompute(ctx, nil, name, minRI, limit)
-	}
-	key := queryKey{name: name, minRI: minRI, limit: limit}
-	if ids, ok := s.cache.get(key); ok {
-		return ids, nil
-	}
-	return s.cache.doShared(ctx, key, func() ([]RuleID, error) {
-		return s.queryCompute(ctx, nil, name, minRI, limit)
-	})
-}
-
-// queryCompute is the uncached query path: one rank-select walk over the
-// item's reach posting, bounded by the RI prefix.
-func (s *Snapshot) queryCompute(ctx context.Context, dst []RuleID, name string, minRI float64, limit int) ([]RuleID, error) {
 	id, ok := s.itemID[name]
 	if !ok {
 		return dst, nil
@@ -966,6 +905,12 @@ func (s *Snapshot) QueryEntries(name string, minRI float64, limit int) []rulesto
 		out[i] = s.Entry(id)
 	}
 	return out
+}
+
+// QueryShared is QueryItemCtx into a fresh slice.
+// Kept only because benchmark/serveread.go calls it; ROADMAP item 1 deletes it.
+func (s *Snapshot) QueryShared(ctx context.Context, name string, minRI float64, limit int) ([]RuleID, error) {
+	return s.QueryItemCtx(ctx, nil, name, minRI, limit)
 }
 
 // Matches is Score materialized as Match values with trigger attribution —
