@@ -288,6 +288,7 @@ func (c *ingestController) Stats() serve.IngestStats {
 	}
 	if ms.Duration > 0 {
 		st.LastRefresh = &serve.RefreshBreakdown{
+			SealSeconds:        ms.Seal.Seconds(),
 			IndexAppendSeconds: ms.IndexAppend.Seconds(),
 			Stage1Seconds:      ms.Stage1.Seconds(),
 			RestrictSeconds:    ms.Restrict.Seconds(),

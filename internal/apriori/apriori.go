@@ -100,13 +100,7 @@ func Mine(db txdb.DB, opt Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	var l1 []item.CountedSet
-	singles.Each(func(s item.Itemset, c int) {
-		if c >= res.MinCount {
-			l1 = append(l1, item.CountedSet{Set: s, Count: c})
-		}
-	})
-	sort.Slice(l1, func(i, j int) bool { return l1[i].Set.Compare(l1[j].Set) < 0 })
+	l1 := Level1(singles, res.MinCount)
 	if len(l1) == 0 {
 		return res, nil
 	}
@@ -144,6 +138,28 @@ func Mine(db txdb.DB, opt Options) (*Result, error) {
 		}
 	}
 	return res, nil
+}
+
+// Level1 is the large 1-itemsets of counts — item x's support is counts[x],
+// as count.Singletons returns them: every item counted at least minCount
+// (≥ 1) times, in id order, which is itemset order. The sets are carved from
+// one slab.
+func Level1(counts []int, minCount int) []item.CountedSet {
+	n := 0
+	for _, c := range counts {
+		if c >= minCount {
+			n++
+		}
+	}
+	slab := make([]item.Item, 0, n)
+	l1 := make([]item.CountedSet, 0, n)
+	for x, c := range counts {
+		if c >= minCount {
+			slab = append(slab, item.Item(x))
+			l1 = append(l1, item.CountedSet{Set: slab[len(slab)-1 : len(slab) : len(slab)], Count: c})
+		}
+	}
+	return l1
 }
 
 // Gen is apriori-gen: given the sorted large (k-1)-itemsets, it returns the

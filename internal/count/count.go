@@ -73,18 +73,19 @@ func Candidates(db txdb.DB, cands []item.Itemset, opt Options) ([]int, error) {
 }
 
 // Singletons counts every distinct item appearing in db's (transformed)
-// transactions. Unlike Candidates it needs no candidate list — it is the L1
+// transactions: the result is indexed by item id, and an id past its end was
+// never seen. Unlike Candidates it needs no candidate list — it is the L1
 // pass of every Apriori-family algorithm — and for the same reason it never
 // uses the bitmap engine, which needs the item universe up front: each
-// worker counts into a dense slice indexed by item id, converted to a
-// Counter once at the end. Under Options.Tax — the declaration that the
+// worker counts into a dense slice of its own, summed into the longest at
+// the end. Under Options.Tax — the declaration that the
 // transform is the full ancestor extension — the extension is not built:
 // each item is walked up its ancestor list, nearest first and only as far as
 // the first node this transaction already counted (whose own ancestors were
 // counted with it), so nothing is materialised or sorted. An Indexed
 // database declared under Options.Tax already knows the answer and is not
 // scanned.
-func Singletons(db txdb.DB, opt Options) (*item.Counter, error) {
+func Singletons(db txdb.DB, opt Options) ([]int, error) {
 	if ix := indexOf(db, opt.Tax); ix != nil {
 		return ix.Singletons(), nil
 	}
@@ -127,15 +128,17 @@ func Singletons(db txdb.DB, opt Options) (*item.Counter, error) {
 		}
 		wg.Wait()
 	}
-	total := item.NewCounter()
+	var total []int
 	for w, err := range errs {
 		if err != nil {
 			return nil, err
 		}
-		for x, n := range dense[w].counts {
-			if n > 0 {
-				total.Add(item.Itemset{item.Item(x)}, n)
-			}
+		c := dense[w].counts
+		if len(c) > len(total) {
+			total, c = c, total
+		}
+		for x, n := range c {
+			total[x] += n
 		}
 	}
 	return total, nil

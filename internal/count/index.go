@@ -13,9 +13,10 @@ import (
 
 // Indexed is a txdb.DB that carries a vertical index of itself under the
 // ancestor extension of Taxonomy(): the 1-item counts Singletons would scan
-// for, and the rows bitmat.FromDBTaxonomy would build for every item a
-// counting pass can name (the large 1-items — level-wise candidates and the
-// paper's negative candidates are built from nothing else). Passes declared
+// for (indexed by item id, like its result), and the rows
+// bitmat.FromDBTaxonomy would build for every item a counting pass can name
+// (the large 1-items — level-wise candidates and the paper's negative
+// candidates are built from nothing else). Passes declared
 // under the same taxonomy (Options.Tax) are answered from the index: no scan,
 // no matrix build, and Backend — a choice between ways of scanning — does not
 // apply. Every other pass scans the database as usual, and so does every
@@ -27,7 +28,7 @@ import (
 type Indexed interface {
 	txdb.DB
 	Taxonomy() *taxonomy.Taxonomy
-	Singletons() *item.Counter
+	Singletons() []int
 	Matrix() *bitmat.Matrix
 	// Counts is one counting pass over Matrix(), which must not be nil: the
 	// support of every candidate, on up to workers goroutines.
@@ -80,7 +81,7 @@ func (c *Carried) Bytes() int64 { return c.bytes }
 type Index struct {
 	txdb.DB
 	tax     *taxonomy.Taxonomy
-	singles *item.Counter
+	singles []int
 	rows    *bitmat.Matrix
 	mem     *govern.Budget
 	held    int64 // reserved against mem, for Release to give back
@@ -98,7 +99,7 @@ type Index struct {
 // does their reservation. A prev that is not nil — the zero Carried before the
 // first mine — makes the index carry counts: every pass looks its candidates
 // up in prev and records them, reserved against mem, for TakeCarried.
-func NewIndex(db txdb.DB, tax *taxonomy.Taxonomy, singles *item.Counter, rows *bitmat.Matrix, prev *Carried, mem *govern.Budget) *Index {
+func NewIndex(db txdb.DB, tax *taxonomy.Taxonomy, singles []int, rows *bitmat.Matrix, prev *Carried, mem *govern.Budget) *Index {
 	ix := &Index{DB: db, tax: tax, singles: singles, rows: rows, mem: mem, prev: prev}
 	if prev != nil {
 		if prev.N > rows.N() {
@@ -110,7 +111,7 @@ func NewIndex(db txdb.DB, tax *taxonomy.Taxonomy, singles *item.Counter, rows *b
 }
 
 func (ix *Index) Taxonomy() *taxonomy.Taxonomy { return ix.tax }
-func (ix *Index) Singletons() *item.Counter    { return ix.singles }
+func (ix *Index) Singletons() []int            { return ix.singles }
 func (ix *Index) Matrix() *bitmat.Matrix       { return ix.rows }
 
 // Pass1 is how long BuildIndex spent in its first scan (zero for NewIndex).
@@ -251,12 +252,12 @@ func BuildIndex(db txdb.DB, tax *taxonomy.Taxonomy, minCount int, opt Options) (
 	if err != nil {
 		return nil, err
 	}
-	var large []item.Item
-	singles.Each(func(s item.Itemset, c int) {
+	var large item.Itemset
+	for x, c := range singles {
 		if c >= minCount {
-			large = append(large, s[0])
+			large = append(large, item.Item(x))
 		}
-	})
+	}
 	ix := NewIndex(db, tax, singles, nil, nil, opt.Mem)
 	ix.pass1 = time.Since(start)
 	n := db.Count()
@@ -268,7 +269,7 @@ func BuildIndex(db txdb.DB, tax *taxonomy.Taxonomy, minCount int, opt Options) (
 		opt.Mem.Release(bitmat.EstimateBytes(width, len(large)))
 		return ix, nil
 	}
-	ix.rows = bitmat.New(item.SortDedup(large), n)
+	ix.rows = bitmat.New(large, n)
 	ix.held = ix.rows.Bytes()
 	_, workers := shardWorkers(db, opt)
 	tables := int64(workers) * bitmat.EstimatePairBytes(len(large))

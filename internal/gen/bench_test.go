@@ -43,11 +43,11 @@ func BenchmarkTransforms(b *testing.B) {
 	tax, db := randomTaxDB(97, 120, 500, 8)
 	txs := db.Transactions()
 	basic := basicTransform(tax)
-	all := map[item.Item]struct{}{}
-	for x := 0; x < tax.Size(); x++ {
-		all[item.Item(x)] = struct{}{}
+	all := make(item.Itemset, tax.Size())
+	for x := range all {
+		all[x] = item.Item(x)
 	}
-	cum := cumulateTransform(tax, all)
+	cum := cumulateTransform(tax, []item.Itemset{all})
 	buf := make([]item.Item, 0, 256)
 	b.Run("basic-walk", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {

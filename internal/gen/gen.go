@@ -24,7 +24,7 @@ package gen
 
 import (
 	"fmt"
-	"sort"
+	"sync"
 
 	"negmine/internal/apriori"
 	"negmine/internal/count"
@@ -143,9 +143,12 @@ func basicTransform(tax *taxonomy.Taxonomy) count.TransformInto {
 }
 
 // cumulateTransform extends a transaction using the precomputed ancestor
-// closure, keeping only items that occur in some current candidate.
-func cumulateTransform(tax *taxonomy.Taxonomy, used map[item.Item]struct{}) count.TransformInto {
+// closure, keeping only items that occur in some current candidate. That
+// filter is built on the first call: a pass counted from an index makes none.
+func cumulateTransform(tax *taxonomy.Taxonomy, groups ...[]item.Itemset) count.TransformInto {
+	filter := sync.OnceValue(func() map[item.Item]struct{} { return usedItems(groups...) })
 	return func(dst []item.Item, s item.Itemset) item.Itemset {
+		used := filter()
 		for _, x := range s {
 			if _, ok := used[x]; ok {
 				dst = append(dst, x)
@@ -179,7 +182,7 @@ func transformFor(alg Algorithm, tax *taxonomy.Taxonomy, groups ...[]item.Itemse
 	if alg == Basic {
 		return basicTransform(tax)
 	}
-	return cumulateTransform(tax, usedItems(groups...))
+	return cumulateTransform(tax, groups...)
 }
 
 // installTransform configures cnt for a pass over the given candidate
@@ -199,7 +202,7 @@ func installTransform(cnt *count.Options, alg Algorithm, tax *taxonomy.Taxonomy,
 // should also set count.Options.Tax so the bitmap backend can honor the
 // transform (it is an ancestor extension by construction).
 func ExtendTransform(tax *taxonomy.Taxonomy, groups ...[]item.Itemset) count.TransformInto {
-	return cumulateTransform(tax, usedItems(groups...))
+	return cumulateTransform(tax, groups...)
 }
 
 // genLevel produces the generalized candidate k-itemsets from the sorted
@@ -230,16 +233,10 @@ func mineL1(db txdb.DB, tax *taxonomy.Taxonomy, opt Options, res *apriori.Result
 	if err != nil {
 		return nil, err
 	}
-	var l1 []item.CountedSet
-	singles.Each(func(s item.Itemset, c int) {
-		if c >= res.MinCount {
-			l1 = append(l1, item.CountedSet{Set: s, Count: c})
-		}
-	})
+	l1 := apriori.Level1(singles, res.MinCount)
 	if len(l1) == 0 {
 		return nil, nil
 	}
-	sort.Slice(l1, func(i, j int) bool { return l1[i].Set.Compare(l1[j].Set) < 0 })
 	res.Levels = append(res.Levels, l1)
 	sets := make([]item.Itemset, len(l1))
 	for i, cs := range l1 {

@@ -395,3 +395,22 @@ func TestParallelGeneralized(t *testing.T) {
 		}
 	}
 }
+
+// TestCumulateFilterBuiltOnFirstCall: Cumulate's transform reads its
+// candidate groups into the item filter when it is first called, not when it
+// is made, and only then — so a pass counted from an index, which never calls
+// it, never builds the filter.
+func TestCumulateFilterBuiltOnFirstCall(t *testing.T) {
+	tax, _ := randomTaxDB(5, 40, 1, 1)
+	leaves := tax.Leaves()
+	group := []item.Itemset{{leaves[0]}}
+	tr := cumulateTransform(tax, group)
+	group[0][0] = leaves[1] // before the first call: this is the filter
+	if got := tr(nil, item.Itemset{leaves[1]}); !got.Contains(leaves[1]) {
+		t.Fatalf("first call kept %v of {%d}: the filter was built when the transform was made", got, leaves[1])
+	}
+	group[0][0] = leaves[0] // after it: too late
+	if got := tr(nil, item.Itemset{leaves[0]}); got.Contains(leaves[0]) {
+		t.Fatalf("second call kept %v of {%d}: the filter was built again", got, leaves[0])
+	}
+}

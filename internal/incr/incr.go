@@ -92,12 +92,12 @@ type RefreshStats struct {
 	// they counted over the whole log, RowWords the row words both read.
 	TailSets, FullSets int
 	RowWords           int64
-	// Duration is the refresh wall time; the stage fields split it: the
-	// index append, stage 1 (row promotion plus large-itemset mining)
-	// and negative.Timing's four parts of stages 2–3. Walk is what candidate
-	// generation did in CandGen.
+	// Duration is the refresh wall time; the stage fields split it: the seal
+	// of the log's active segment, the index append, stage 1 (row promotion
+	// plus large-itemset mining) and negative.Timing's four parts of stages
+	// 2–3. Walk is what candidate generation did in CandGen.
 	Duration                          time.Duration
-	IndexAppend, Stage1               time.Duration
+	Seal, IndexAppend, Stage1         time.Duration
 	Restrict, CandGen, Count, RuleGen time.Duration
 	Walk                              negative.WalkStats
 }
@@ -136,14 +136,16 @@ func (m *Miner) LastStats() RefreshStats {
 // sealed segments and mines the complete sealed log. The returned Result is
 // identical to negative.Mine over the same transactions.
 func (m *Miner) Refresh(log *seglog.Log) (*negative.Result, error) {
+	sealStart := time.Now()
 	if err := log.Seal(); err != nil {
 		return nil, err
 	}
+	seal := time.Since(sealStart)
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	start := time.Now()
 	views := log.SealedViews()
-	st := RefreshStats{Segments: len(views)}
+	st := RefreshStats{Segments: len(views), Seal: seal}
 	for _, v := range views {
 		st.N += v.Entry.Txns
 	}
@@ -186,7 +188,7 @@ func (m *Miner) Refresh(log *seglog.Log) (*negative.Result, error) {
 	t := res.Timing
 	st.Stage1 = mineStart.Sub(start) - st.IndexAppend + t.Stage1
 	st.Restrict, st.CandGen, st.Count, st.RuleGen, st.Walk = t.Restrict, t.CandGen, t.Count, t.RuleGen, res.Walk
-	st.Duration = time.Since(start)
+	st.Duration = seal + time.Since(start)
 	m.stats.Store(&st)
 	return res, nil
 }

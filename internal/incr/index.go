@@ -33,11 +33,13 @@ func segKeyOf(e seglog.SegmentEntry) segKey { return segKey{id: e.ID, crc: e.CRC
 type index struct {
 	mem     *govern.Budget
 	tax     *taxonomy.Taxonomy
-	covered []segKey      // the prefix of the sealed log the nodes cover
-	n       int           // transactions covered; the next position
-	nodes   []node        // by item id
-	touched []item.Item   // nodes with fresh positions
-	singles *item.Counter // every seen node's n, kept from refresh to refresh
+	covered []segKey    // the prefix of the sealed log the nodes cover
+	n       int         // transactions covered; the next position
+	nodes   []node      // by item id
+	touched []item.Item // nodes with fresh positions
+	// singles is every node's positions counted, by item id — the pass-1
+	// counts the view hands the miner — kept from refresh to refresh.
+	singles []int
 	// counts is every itemset the last completed refresh counted, with its
 	// support over the counts.N transactions there were then; it came with
 	// its Bytes() reserved.
@@ -57,13 +59,12 @@ type node struct {
 	row   []uint64 // bit p set: position p
 	gaps  []byte   // until the node is promoted; row is nil till then
 	next  int32    // one past the last position in gaps
-	n     int32    // positions, as singles has them
-	fresh int32    // positions since, not yet in n and singles
+	fresh int32    // positions since, not yet in singles
 }
 
 // newIndex returns an index of nothing.
 func newIndex(mem *govern.Budget, tax *taxonomy.Taxonomy) index {
-	return index{mem: mem, tax: tax, singles: item.NewCounter(), counts: &count.Carried{}}
+	return index{mem: mem, tax: tax, counts: &count.Carried{}}
 }
 
 // drop empties the index and returns its reservations.
@@ -90,6 +91,7 @@ func (ix *index) settle() error {
 func (ix *index) add(x item.Item, pos int) {
 	if int(x) >= len(ix.nodes) {
 		ix.nodes = append(ix.nodes, make([]node, int(x)+1-len(ix.nodes))...)
+		ix.singles = append(ix.singles, make([]int, int(x)+1-len(ix.singles))...)
 	}
 	nd := &ix.nodes[x]
 	if nd.fresh == 0 {
@@ -155,9 +157,8 @@ func (ix *index) extend(views []seglog.SegmentView, st *RefreshStats) error {
 		}
 	}
 	for _, x := range ix.touched {
-		nd := &ix.nodes[x]
-		ix.singles.Add(item.Itemset{x}, int(nd.fresh))
-		nd.n, nd.fresh = nd.n+nd.fresh, 0
+		ix.singles[x] += int(ix.nodes[x].fresh)
+		ix.nodes[x].fresh = 0
 	}
 	ix.touched = ix.touched[:0]
 	return nil
@@ -195,8 +196,8 @@ func (ix *index) view(db *sealed, minCount int, st *RefreshStats) (*count.Index,
 	words := (ix.n + 63) / 64
 	var large item.Itemset
 	var rows [][]uint64
-	for x := range ix.nodes {
-		if nd := &ix.nodes[x]; int(nd.n) >= minCount {
+	for x, n := range ix.singles {
+		if nd := &ix.nodes[x]; n >= minCount {
 			ix.grow(nd, words)
 			large, rows = append(large, item.Item(x)), append(rows, nd.row)
 		}

@@ -289,7 +289,8 @@ func positionsOf(nd *node, n int) []int {
 }
 
 // checkIndex checks what the index keeps against itself: a node's row, or its
-// gap list decoded, holds exactly the positions its count says, all below n;
+// gap list decoded, holds exactly the positions its dense count (the pass-1
+// count the view hands the miner) says, all below n;
 // the carried counts, if the budget had room for any, are those of the
 // transactions indexed so far; and the bytes the index says it holds are the
 // capacity of what it holds and what the budget's ledger has reserved.
@@ -297,14 +298,16 @@ func checkIndex(t *testing.T, m *Miner) {
 	t.Helper()
 	ix := &m.idx
 	var rowBytes, gapBytes int64
+	if len(ix.singles) != len(ix.nodes) {
+		t.Fatalf("%d dense counts for %d nodes", len(ix.singles), len(ix.nodes))
+	}
 	for x := range ix.nodes {
 		nd := &ix.nodes[x]
 		pos := positionsOf(nd, ix.n)
 		rowBytes, gapBytes = rowBytes+8*int64(cap(nd.row)), gapBytes+int64(cap(nd.gaps))
-		single := ix.singles.Count(item.Itemset{item.Item(x)})
-		if nd.row != nil && nd.gaps != nil || len(pos) != int(nd.n) || nd.fresh != 0 || single != int(nd.n) ||
+		if nd.row != nil && nd.gaps != nil || len(pos) != ix.singles[x] || nd.fresh != 0 ||
 			len(pos) > 0 && (pos[len(pos)-1] >= ix.n || nd.row == nil && pos[len(pos)-1] != int(nd.next)-1) {
-			t.Fatalf("node %d: positions %v of %d, count %d (fresh %d, next %d), singles %d", x, pos, ix.n, nd.n, nd.fresh, nd.next, single)
+			t.Fatalf("node %d: positions %v of %d, count %d (fresh %d, next %d)", x, pos, ix.n, ix.singles[x], nd.fresh, nd.next)
 		}
 	}
 	if ix.counts.N != ix.n && ix.counts.Bytes() != 0 {
@@ -420,12 +423,12 @@ func TestRefreshEmptyLog(t *testing.T) {
 }
 
 // TestRefreshStatsPartsSumToDuration checks the stage breakdown accounts for
-// the refresh: index append, stage 1 and the four negative stages add up to
-// the wall time within 5 %.
+// the refresh: the seal of the active segment, index append, stage 1 and the
+// four negative stages add up to the wall time within 5 %.
 func TestRefreshStatsPartsSumToDuration(t *testing.T) {
 	tax, baskets := testData(t, 2000, 8)
 	log := openLog(t)
-	fillLog(t, log, baskets, 500, 1)
+	fillLog(t, log, baskets, 500, 0) // all in the active segment: the refresh seals it
 	opt := miningOpts()
 	opt.MinSupport, opt.Gen.MaxK = 0.08, 3
 	m := New(tax, opt)
@@ -433,12 +436,12 @@ func TestRefreshStatsPartsSumToDuration(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := m.LastStats()
-	parts := st.IndexAppend + st.Stage1 + st.Restrict + st.CandGen + st.Count + st.RuleGen
+	parts := st.Seal + st.IndexAppend + st.Stage1 + st.Restrict + st.CandGen + st.Count + st.RuleGen
 	t.Logf("parts %v of %v: %+v", parts, st.Duration, st)
 	if diff := (st.Duration - parts).Abs(); diff > st.Duration/20 {
 		t.Fatalf("parts sum to %v, Duration is %v (stats %+v)", parts, st.Duration, st)
 	}
-	if st.IndexAppend <= 0 || st.Stage1 <= 0 || st.IndexBytes <= 0 || st.LargeItems <= 0 {
+	if st.Seal <= 0 || st.IndexAppend <= 0 || st.Stage1 <= 0 || st.IndexBytes <= 0 || st.LargeItems <= 0 {
 		t.Fatalf("unset stage fields: %+v", st)
 	}
 }

@@ -1,61 +1,13 @@
 package item
 
-import "sort"
-
-// Counter accumulates support counts for itemsets keyed by their Key. It is
-// the simple (non-hash-tree) counting structure; algorithms use it for
-// 1-itemsets, for merging per-worker partial counts, and as the reference
-// implementation the hash tree is tested against.
-type Counter struct {
-	counts map[Key]int
-}
-
-// NewCounter returns an empty counter.
-func NewCounter() *Counter { return &Counter{counts: make(map[Key]int)} }
-
-// Add increments the count of s by delta.
-func (c *Counter) Add(s Itemset, delta int) { c.counts[s.Key()] += delta }
-
-// Count returns the accumulated count for s (0 if never added).
-func (c *Counter) Count(s Itemset) int { return c.counts[s.Key()] }
-
-// Len returns the number of distinct itemsets with a recorded count.
-func (c *Counter) Len() int { return len(c.counts) }
-
-// Merge folds other's counts into c.
-func (c *Counter) Merge(other *Counter) {
-	for k, n := range other.counts {
-		c.counts[k] += n
-	}
-}
-
-// Each calls fn for every (itemset, count) pair in unspecified order.
-func (c *Counter) Each(fn func(Itemset, int)) {
-	for k, n := range c.counts {
-		fn(k.Itemset(), n)
-	}
-}
-
-// Sorted returns all (itemset, count) pairs ordered lexicographically by
-// itemset — deterministic output for tests and reports.
-func (c *Counter) Sorted() []CountedSet {
-	out := make([]CountedSet, 0, len(c.counts))
-	for k, n := range c.counts {
-		out = append(out, CountedSet{Set: k.Itemset(), Count: n})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Set.Compare(out[j].Set) < 0 })
-	return out
-}
-
 // CountedSet pairs an itemset with its support count.
 type CountedSet struct {
 	Set   Itemset
 	Count int
 }
 
-// SupportTable is an immutable itemset → support-count lookup built from the
-// output of a mining pass. Mining algorithms hand it around instead of the
-// mutable Counter.
+// SupportTable is an itemset → support-count lookup built from the output of
+// a mining pass, which mining algorithms hand around.
 type SupportTable struct {
 	counts map[Key]int
 	total  int // number of transactions the counts are relative to

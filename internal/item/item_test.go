@@ -394,46 +394,6 @@ func TestDictionary(t *testing.T) {
 	}
 }
 
-func TestCounter(t *testing.T) {
-	c := NewCounter()
-	a, b := New(1, 2), New(3)
-	c.Add(a, 1)
-	c.Add(a, 2)
-	c.Add(b, 5)
-	if got := c.Count(a); got != 3 {
-		t.Errorf("Count(a) = %d, want 3", got)
-	}
-	if got := c.Count(New(9)); got != 0 {
-		t.Errorf("Count(absent) = %d, want 0", got)
-	}
-	if c.Len() != 2 {
-		t.Errorf("Len = %d, want 2", c.Len())
-	}
-
-	other := NewCounter()
-	other.Add(a, 10)
-	other.Add(New(7), 1)
-	c.Merge(other)
-	if got := c.Count(a); got != 13 {
-		t.Errorf("after Merge Count(a) = %d, want 13", got)
-	}
-	if c.Len() != 3 {
-		t.Errorf("after Merge Len = %d, want 3", c.Len())
-	}
-
-	sorted := c.Sorted()
-	for i := 1; i < len(sorted); i++ {
-		if sorted[i-1].Set.Compare(sorted[i].Set) >= 0 {
-			t.Errorf("Sorted out of order at %d", i)
-		}
-	}
-	total := 0
-	c.Each(func(_ Itemset, n int) { total += n })
-	if total != 13+5+1 {
-		t.Errorf("Each total = %d", total)
-	}
-}
-
 func TestSupportTable(t *testing.T) {
 	st := NewSupportTable(200)
 	a := New(1, 2)

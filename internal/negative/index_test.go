@@ -7,8 +7,10 @@ import (
 	"path/filepath"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 
+	"negmine/internal/apriori"
 	"negmine/internal/bitmat"
 	"negmine/internal/count"
 	"negmine/internal/datagen"
@@ -331,5 +333,66 @@ func BenchmarkMineWide(b *testing.B) {
 			}
 			b.ReportMetric(float64(ins.Passes()+ins.ShardScans()/2)/float64(b.N), "scans/op")
 		})
+	}
+}
+
+// TestIndexedMineCallsNoTransform: a mine over an indexed database calls no
+// counting transform — so none builds Cumulate's item filter, which a
+// transform builds on its first call — and the same mine on the hash tree
+// calls them and decides the same. The negative pass's transforms are counted
+// call by call, through MineWithCounts over the same CountFunc Mine uses; the
+// level passes' transforms only ever see a transaction a scan delivers, so
+// for them the scans are the count.
+func TestIndexedMineCallsNoTransform(t *testing.T) {
+	for seed := int64(1); seed <= 6; seed++ {
+		tax, mem := randomMarket(t, seed)
+		ins := txdb.Instrument(mem)
+		opt := Options{MinSupport: 0.12, MinRI: 0.3, Gen: gen.Options{MinSupport: 0.12}}
+		ix, err := count.BuildIndex(ins, tax, apriori.MinCount(opt.MinSupport, mem.Count()), opt.Gen.Count)
+		if err != nil || ix == nil || ix.Matrix() == nil {
+			t.Fatalf("seed %d: BuildIndex = %v, %v", seed, ix, err)
+		}
+		hash := opt
+		hash.Count.Backend, hash.Gen.Count.Backend = count.BackendHashTree, count.BackendHashTree
+		var mined [2]*Result
+		for i, c := range []struct {
+			name string
+			db   txdb.DB
+			opt  Options
+		}{{"indexed", ix, opt}, {"hash tree", ins, hash}} {
+			what := fmt.Sprintf("seed %d %s", seed, c.name)
+			ins.Reset()
+			res, err := Mine(c.db, tax, c.opt)
+			if err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+			scans := ins.Passes()
+			large, err := gen.Mine(c.db, tax, c.opt.Gen)
+			if err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+			var calls atomic.Int64
+			countFn := func(groups [][]item.Itemset, transforms []count.TransformInto) ([][]int, error) {
+				counted := make([]count.TransformInto, len(transforms))
+				for gi, tr := range transforms {
+					counted[gi] = func(dst []item.Item, s item.Itemset) item.Itemset {
+						calls.Add(1)
+						return tr(dst, s)
+					}
+				}
+				return defaultCount(c.db, tax, c.opt)(groups, counted)
+			}
+			again, err := MineWithCounts(large, tax, c.opt, countFn)
+			if err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+			sameMined(t, what+" through MineWithCounts", again, res)
+			if indexed := c.db == ix; indexed && (scans != 0 || calls.Load() != 0) || !indexed && (scans == 0 || calls.Load() == 0) {
+				t.Fatalf("%s: %d scans, %d negative-pass transform calls", what, scans, calls.Load())
+			}
+			mined[i] = res
+		}
+		sameMined(t, fmt.Sprintf("seed %d indexed vs hash tree", seed), mined[0], mined[1])
+		ix.Release()
 	}
 }

@@ -20,7 +20,7 @@ import (
 // benchmark harness does (model seed 1, Improved over Cumulate, every core),
 // so Short 5 000 at 1 % / 0.5 is serve-read's rule set and Short 5 000 at
 // 1.25 % / 0.5 with itemsets of at most 3 is stream-mixed's first one.
-func benchStore(b *testing.B, p datagen.Params, n int, minSup, minRI float64, maxK int) (*rulestore.Store, *taxonomy.Taxonomy) {
+func benchStore(b testing.TB, p datagen.Params, n int, minSup, minRI float64, maxK int) (*rulestore.Store, *taxonomy.Taxonomy) {
 	b.Helper()
 	p.NumTransactions = n
 	p.Seed = 1
@@ -106,8 +106,9 @@ func BenchmarkHandlerRules(b *testing.B) {
 var benchSnapshot *Snapshot
 
 // BenchmarkBuildSnapshot builds serve-read's rule set and a stream-sized one:
-// a handful of rules over Short's full taxonomy, which every refresh of a
-// streaming daemon re-interns.
+// a handful of rules over Short's full taxonomy, whose vocabulary every
+// refresh of a streaming daemon shares (TestBuildSnapshotStreamBytes pins
+// what the rest allocates).
 func BenchmarkBuildSnapshot(b *testing.B) {
 	for _, set := range []struct {
 		name          string

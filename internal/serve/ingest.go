@@ -91,6 +91,7 @@ type IngestStats struct {
 // from the transactions new since the refresh before, itemsets counted over
 // the whole log, and the row words both read.
 type RefreshBreakdown struct {
+	SealSeconds        float64 `json:"sealSeconds"`
 	IndexAppendSeconds float64 `json:"indexAppendSeconds"`
 	Stage1Seconds      float64 `json:"stage1Seconds"`
 	RestrictSeconds    float64 `json:"restrictSeconds"`

@@ -35,7 +35,9 @@ package serve
 import (
 	"context"
 	"fmt"
+	"maps"
 	"math/bits"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -242,64 +244,52 @@ func BuildSnapshot(st *rulestore.Store, tax *taxonomy.Taxonomy, meta Meta) *Snap
 	sort.SliceStable(entries, func(i, j int) bool { return entries[i].RI > entries[j].RI })
 
 	s := &Snapshot{
-		itemID: map[string]int32{},
 		source: meta.Source,
 		minSup: meta.MinSupport,
 		minRI:  meta.MinRI,
 	}
-
-	// Intern taxonomy names first, in taxonomy id order, so expansion works
-	// for every node the hierarchy knows (a leaf with no rules of its own
-	// still reaches its category's rules); rule-only names follow.
-	if tax != nil {
-		for id := 0; id < tax.Size(); id++ {
-			s.intern(tax.Name(item.Item(id)))
-		}
-	}
-	for _, e := range entries {
-		for _, n := range e.Antecedent {
-			s.intern(n)
-		}
-		for _, n := range e.Consequent {
-			s.intern(n)
-		}
-	}
-
-	// Flattened ancestor chains. Interning in taxonomy id order above makes
-	// interned id == taxonomy id for every taxonomy member, so chains map 1:1.
-	m := len(s.names)
-	s.ancOff = make([]uint32, m+1)
-	if tax != nil {
-		for id := 0; id < tax.Size(); id++ {
-			s.ancOff[id] = uint32(len(s.ancIDs))
-			for _, a := range tax.AncestorsOf(item.Item(id)) {
-				s.ancIDs = append(s.ancIDs, int32(a))
-			}
-		}
-		for id := tax.Size(); id <= m; id++ {
-			s.ancOff[id] = uint32(len(s.ancIDs))
-		}
-	}
-
+	s.vocabulary(tax, entries)
 	s.buildArena(entries)
 	s.buildFragments()
 	s.arenaBytes += s.renderedBytes()
-	s.buildIndexes(entries, m)
+	s.buildIndexes(entries, len(s.names))
 	s.scratch.New = newScratch(s.ruleWords, s.itemWords)
 	s.buildDur = time.Since(start)
 	s.built = time.Now()
 	return s
 }
 
-// intern assigns (or returns) the dense id of an item name.
-func (s *Snapshot) intern(name string) int32 {
-	if id, ok := s.itemID[name]; ok {
-		return id
+// vocabulary sets the item ids the snapshot indexes by: the taxonomy's nodes
+// first, in taxonomy id order, so expansion works for every node the
+// hierarchy knows (a leaf with no rules of its own still reaches its
+// category's rules) and interned id == taxonomy id; then any name only a rule
+// knows, without ancestors. The taxonomy's part is tax.Interned(), shared
+// read-only by every snapshot built against tax; only a rule set naming an
+// item outside it copies it to extend the copy.
+func (s *Snapshot) vocabulary(tax *taxonomy.Taxonomy, entries []rulestore.Entry) {
+	shared := tax != nil
+	if shared {
+		v := tax.Interned()
+		s.itemID, s.names, s.ancOff, s.ancIDs = v.ID, v.Names, v.AncOff, v.AncIDs
+	} else {
+		s.itemID, s.ancOff = map[string]int32{}, []uint32{0}
 	}
-	id := int32(len(s.names))
-	s.itemID[name] = id
-	s.names = append(s.names, name)
-	return id
+	for _, e := range entries {
+		for _, side := range [2][]string{e.Antecedent, e.Consequent} {
+			for _, name := range side {
+				if _, ok := s.itemID[name]; ok {
+					continue
+				}
+				if shared {
+					s.itemID, s.names, s.ancOff = maps.Clone(s.itemID), slices.Clip(s.names), slices.Clip(s.ancOff)
+					shared = false
+				}
+				s.itemID[name] = int32(len(s.names))
+				s.names = append(s.names, name)
+				s.ancOff = append(s.ancOff, uint32(len(s.ancIDs)))
+			}
+		}
+	}
 }
 
 // ancChain returns item id x's interned ancestor ids, nearest-first

@@ -18,7 +18,9 @@ package taxonomy
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"sync"
 
 	"negmine/internal/item"
 )
@@ -35,6 +37,40 @@ type Taxonomy struct {
 	anc      [][]item.Item
 	dict     *item.Dictionary
 	height   int
+
+	internOnce sync.Once
+	interned   *Interned
+}
+
+// Interned is a taxonomy laid out for lookup by name, the form a serving
+// snapshot indexes items by: Names in id order, ID the reverse, and the
+// ancestor chains flattened — node x's, nearest first, are
+// AncIDs[AncOff[x]:AncOff[x+1]]. AncOff has Size()+1 entries.
+type Interned struct {
+	Names  []string
+	ID     map[string]int32
+	AncOff []uint32
+	AncIDs []int32
+}
+
+// Interned returns t laid out for lookup by name. It is built on the first
+// call and shared by every later one, so callers must not modify it.
+func (t *Taxonomy) Interned() *Interned {
+	t.internOnce.Do(func() {
+		n := t.Size()
+		in := &Interned{Names: make([]string, n), ID: make(map[string]int32, n), AncOff: make([]uint32, n+1)}
+		for i := 0; i < n; i++ {
+			in.Names[i] = t.dict.Name(item.Item(i))
+			in.ID[in.Names[i]] = int32(i)
+			in.AncOff[i] = uint32(len(in.AncIDs))
+			for _, a := range t.anc[i] {
+				in.AncIDs = append(in.AncIDs, int32(a))
+			}
+		}
+		in.AncOff[n] = uint32(len(in.AncIDs))
+		t.interned = in
+	})
+	return t.interned
 }
 
 // Builder constructs a Taxonomy incrementally, interning node names.
@@ -97,7 +133,7 @@ func (b *Builder) Build() (*Taxonomy, error) {
 	return finish(t)
 }
 
-// finish computes the derived structures shared by Build and Restrict.
+// finish computes the derived structures of a built forest.
 func finish(t *Taxonomy) (*Taxonomy, error) {
 	n := len(t.parent)
 	for c := 0; c < n; c++ {
@@ -211,7 +247,7 @@ func (t *Taxonomy) Siblings(i item.Item) []item.Item {
 	} else {
 		pool = t.roots
 	}
-	out := make([]item.Item, 0, len(pool)-1)
+	out := make([]item.Item, 0, max(len(pool)-1, 0)) // a node a restriction dropped is in no pool
 	for _, s := range pool {
 		if s != i {
 			out = append(out, s)
@@ -327,8 +363,17 @@ func (t *Taxonomy) Extend(tx item.Itemset) item.Itemset {
 // sibling lists, and its own subtree is re-rooted (its children become
 // roots). This implements the paper's "delete all small 1-itemsets from the
 // taxonomy" optimization. Node ids and names are preserved.
+//
+// Nothing is re-derived: a kept node's ancestors are the prefix of its
+// original chain up to the first dropped one (a subslice of it), and a child
+// list is its original filtered (the original itself when nothing in it is
+// dropped), so both stay sorted and the copy shares what did not change.
 func (t *Taxonomy) Restrict(keep func(item.Item) bool) *Taxonomy {
 	n := t.Size()
+	kept := make([]bool, n)
+	for i := range kept {
+		kept[i] = keep(item.Item(i))
+	}
 	nt := &Taxonomy{
 		parent:   make([]item.Item, n),
 		children: make([][]item.Item, n),
@@ -337,40 +382,40 @@ func (t *Taxonomy) Restrict(keep func(item.Item) bool) *Taxonomy {
 		dict:     t.dict,
 	}
 	for i := 0; i < n; i++ {
-		p := t.parent[i]
-		if !keep(item.Item(i)) || p == item.None || !keep(p) {
-			nt.parent[i] = item.None
+		nt.parent[i] = item.None
+		if !kept[i] {
 			continue
 		}
-		nt.parent[i] = p
-	}
-	res, err := finish(nt)
-	if err != nil {
-		// The input had no cycles and unlinking cannot create one.
-		panic("taxonomy: Restrict broke acyclicity: " + err.Error())
-	}
-	// Dropped nodes must not be reported as roots or leaves.
-	var roots []item.Item
-	for _, r := range res.roots {
-		if keep(r) {
-			roots = append(roots, r)
+		a := t.anc[i]
+		d := 0
+		for d < len(a) && kept[a[d]] {
+			d++
+		}
+		nt.anc[i], nt.depth[i] = a[:d:d], d
+		nt.height = max(nt.height, d)
+		if d > 0 {
+			nt.parent[i] = t.parent[i]
+		} else {
+			nt.roots = append(nt.roots, item.Item(i))
+		}
+		ch := t.children[i]
+		if slices.ContainsFunc(ch, func(c item.Item) bool { return !kept[c] }) {
+			filtered := make([]item.Item, 0, len(ch))
+			for _, c := range ch {
+				if kept[c] {
+					filtered = append(filtered, c)
+				}
+			}
+			ch = filtered
+		}
+		if len(ch) == 0 {
+			nt.leaves = append(nt.leaves, item.Item(i))
+		} else {
+			nt.children[i] = ch
+			nt.cats = append(nt.cats, item.Item(i))
 		}
 	}
-	res.roots = roots
-	var leaves, cats []item.Item
-	for _, l := range res.leaves {
-		if keep(l) {
-			leaves = append(leaves, l)
-		}
-	}
-	for _, c := range res.cats {
-		if keep(c) {
-			cats = append(cats, c)
-		}
-	}
-	res.leaves = item.New(leaves...)
-	res.cats = item.New(cats...)
-	return res
+	return nt
 }
 
 func (t *Taxonomy) valid(i item.Item) bool { return i >= 0 && int(i) < len(t.parent) }
