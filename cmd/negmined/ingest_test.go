@@ -359,6 +359,7 @@ func TestStreamingFlagValidation(t *testing.T) {
 	bad := [][]string{
 		{"-tax", "t", "-ingest-dir", "d", "-report", "r.json"}, // report + streaming
 		{"-tax", "t", "-ingest-dir", "d", "-watch"},            // watch polls our own writes
+		{"-tax", "t", "-ingest-dir", "d", "-alg", "naive"},     // refreshes run Improved only
 		{"-tax", "t", "-ingest-dir", "d", "-remine-every", "-1s"},
 		{"-tax", "t", "-ingest-dir", "d", "-remine-txns", "-2"},
 		{"-tax", "t", "-data", "d.txt", "-remine-txns", "5"},   // trigger without streaming

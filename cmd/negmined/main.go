@@ -18,6 +18,7 @@
 //	    /ingest appends to it, and /reload (or the -remine-every /
 //	    -remine-txns triggers) re-mines incrementally — only segments new
 //	    since the last refresh are scanned. -data seeds an empty log once.
+//	    Refreshes always run the improved algorithm, so -alg is refused.
 //
 //	negmined -snapshot-dir ./snaps
 //	    replica mode: serve the newest .nsnap generation from a snapshot
@@ -394,9 +395,9 @@ func parseFlags(args []string, out io.Writer) (*config, error) {
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	if *snapDir == "" {
-		set := map[string]bool{}
-		fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 		if set["snapshot-save"] || set["snapshot-keep"] {
 			return nil, usageErrf(fs, "-snapshot-save/-snapshot-keep require -snapshot-dir")
 		}
@@ -421,6 +422,9 @@ func parseFlags(args []string, out io.Writer) (*config, error) {
 		}
 		if *watch {
 			return nil, usageErrf(fs, "-watch cannot be combined with -ingest-dir (use -remine-every)")
+		}
+		if set["alg"] {
+			return nil, usageErrf(fs, "-alg cannot be combined with -ingest-dir (refreshes always run the improved algorithm)")
 		}
 		if *remineEvery < 0 {
 			return nil, usageErrf(fs, "-remine-every = %v, want ≥ 0", *remineEvery)

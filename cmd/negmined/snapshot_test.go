@@ -3,8 +3,10 @@ package main
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -266,6 +268,72 @@ func TestSnapshotReplicaMode(t *testing.T) {
 	}
 	if filepath.Base(cfg.source) != artifact.ManifestName {
 		t.Fatalf("replica watch source = %q, want the store manifest", cfg.source)
+	}
+}
+
+// TestSnapshotStoreVersion2: a store whose only generation is
+// testdata/paper-v2.nsnap — the paper report's snapshot as the version-2
+// encoder wrote it — boots a -snapshot-dir-only replica and a daemon with a
+// source alike, from the file (no parse, no mine), and both answer every
+// /rules and /score request with the bytes the report itself gives.
+func TestSnapshotStoreVersion2(t *testing.T) {
+	dir := t.TempDir()
+	repPath := filepath.Join(dir, "rules.json")
+	taxPath := filepath.Join(dir, "tax.txt")
+	writePaperReport(t, repPath, taxPath)
+	ref, hRef := newSnapDaemon(t, io.Discard, "-report", repPath, "-tax", taxPath)
+
+	v2, err := os.ReadFile(filepath.Join("testdata", "paper-v2.nsnap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	snapDir := filepath.Join(dir, "snaps")
+	store, err := artifact.OpenFS(snapDir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := store.Put("json", func(_ uint64, w io.Writer) error { _, err := w.Write(v2); return err }); err != nil {
+		t.Fatal(err)
+	}
+
+	var targets []string
+	for _, e := range ref.Snapshot().Rules() {
+		for _, name := range append(append([]string(nil), e.Antecedent...), e.Consequent...) {
+			for _, x := range ref.Snapshot().Expand(nil, name) {
+				targets = append(targets, "/rules?item="+x, "/rules?item="+x+"&limit=1")
+			}
+		}
+	}
+	body := func(h http.Handler, method, target, in string) string {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(method, target, strings.NewReader(in)))
+		return fmt.Sprint(rec.Code, " ", rec.Body.String())
+	}
+	for _, args := range [][]string{
+		{"-snapshot-dir", snapDir},
+		{"-report", repPath, "-tax", taxPath, "-snapshot-dir", snapDir, "-snapshot-save=false"},
+	} {
+		srv, h := newSnapDaemon(t, io.Discard, args...)
+		if info := srv.Snapshot().Info(); info.SourceKind != "mmap" || info.Generation != 1 || info.Rules != ref.Snapshot().Len() {
+			t.Fatalf("%v: booted %+v, want the version-2 generation 1 via mmap", args, info)
+		}
+		for _, target := range targets {
+			if got, want := body(h, http.MethodGet, target, ""), body(hRef, http.MethodGet, target, ""); got != want {
+				t.Fatalf("%v GET %s: %s, report gives %s", args, target, got, want)
+			}
+		}
+		matched := 0
+		for _, basket := range []string{`["bryers","perrier"]`, `["evian","healthychoice","bryers"]`, `["frozenyogurt"]`} {
+			in := `{"basket":` + basket + `}`
+			got, want := body(h, http.MethodPost, "/score", in), body(hRef, http.MethodPost, "/score", in)
+			if got != want {
+				t.Fatalf("%v POST /score %s: %s, report gives %s", args, in, got, want)
+			}
+			matched += strings.Count(got, `"antecedent"`)
+		}
+		if len(targets) == 0 || matched == 0 {
+			t.Fatalf("%v: %d /rules targets, %d /score matches: nothing compared", args, len(targets), matched)
+		}
 	}
 }
 

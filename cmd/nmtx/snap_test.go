@@ -48,11 +48,12 @@ func TestSnapInfo(t *testing.T) {
 	}
 	s := out.String()
 	for _, want := range []string{
+		"version:    3",
 		"generation: 7",
 		"rules:      2",
 		"thresholds: minsup 0.02, minri 0.5",
 		"sections:",
-		"meta", "ri", "name-blob", "reach-words",
+		"meta", "ri", "name-blob", "frag-blob",
 	} {
 		if !strings.Contains(s, want) {
 			t.Errorf("snap info output missing %q:\n%s", want, s)

@@ -121,8 +121,8 @@ func TestScriptBurstShaping(t *testing.T) {
 			outside++
 		}
 	}
-	wantBurst := cfg.BurstAmp * cfg.RPS * cfg.BurstLen.Seconds()        // 800
-	wantOut := cfg.RPS * (cfg.Duration - cfg.BurstLen).Seconds()        // 800
+	wantBurst := cfg.BurstAmp * cfg.RPS * cfg.BurstLen.Seconds() // 800
+	wantOut := cfg.RPS * (cfg.Duration - cfg.BurstLen).Seconds() // 800
 	for _, c := range []struct {
 		name string
 		got  int
@@ -247,7 +247,7 @@ func TestRunFreshnessBetweenPolls(t *testing.T) {
 
 	cfg := Config{Target: srv.URL, Seed: 5, Duration: 100 * time.Millisecond,
 		RPS: 50, Workers: 2, Tracers: 1,
-		MixScore: 1, // keep scripted load off /ingest so only plants move the clock
+		MixScore:   1, // keep scripted load off /ingest so only plants move the clock
 		MinSupport: 0.01, SeedTxns: 100,
 		PollEvery: 50 * time.Millisecond, PollTimeout: 5 * time.Second}
 	res, err := Run(context.Background(), cfg, dict)
@@ -321,5 +321,31 @@ func TestPlantSize(t *testing.T) {
 	}
 	if _, err := plantSize(Config{MinSupport: 0.2}.withDefaults(), 0, 0, 10); err == nil {
 		t.Fatal("infeasible tracer count accepted")
+	}
+}
+
+// TestRunLatencyIncludesQueueing: latency runs from when an op was due, not
+// from when the one worker got to send it. The target holds its first request
+// 50 ms while an op falls due every millisecond, so the ops queued behind it
+// waited up to 50 ms, and p99 must show that wait.
+func TestRunLatencyIncludesQueueing(t *testing.T) {
+	var stall sync.Once
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		stall.Do(func() { time.Sleep(50 * time.Millisecond) })
+		fmt.Fprint(w, `{"rules":[]}`)
+	}))
+	defer srv.Close()
+	cfg := Config{Target: srv.URL, Seed: 1, Duration: 500 * time.Millisecond,
+		RPS: 1000, Workers: 1, MixRules: 1}
+	res, err := Run(context.Background(), cfg, testDict())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ep := res.Endpoint("rules")
+	if ep.OK != int64(res.Ops) {
+		t.Fatalf("%d of %d ops answered", ep.OK, res.Ops)
+	}
+	if ep.P99Ms < 25 {
+		t.Fatalf("p99 %.2f ms over %d ops: the ops queued behind a 50 ms stall report no wait", ep.P99Ms, res.Ops)
 	}
 }

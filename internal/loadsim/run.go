@@ -85,7 +85,7 @@ func Run(ctx context.Context, cfg Config, dict Dict) (*Result, error) {
 		go func(ws *workerStats) {
 			defer wg.Done()
 			for op := range opCh {
-				execOp(client, cfg.Target, op, ws)
+				execOp(client, cfg.Target, op, start.Add(op.At), ws)
 			}
 		}(&stats[w])
 	}
@@ -112,14 +112,16 @@ produce:
 	return assemble(cfg, ops, stats, elapsed, tc, seedTxns), nil
 }
 
-// execOp issues one scripted request and classifies the outcome.
-func execOp(client *http.Client, target string, op Op, ws *workerStats) {
+// execOp issues one scripted request and classifies the outcome. Its
+// latency runs from due, when the script says the request is sent, not from
+// when a worker got to send it: a request queued behind a stalled target
+// waited as long as a user would have (no coordinated omission).
+func execOp(client *http.Client, target string, op Op, due time.Time, ws *workerStats) {
 	var (
 		resp *http.Response
 		err  error
 	)
 	ws.sent[op.Kind]++
-	t0 := time.Now()
 	switch op.Kind {
 	case OpIngest:
 		resp, err = client.Post(target+"/ingest", "application/json", bytes.NewReader(op.Body))
@@ -128,7 +130,7 @@ func execOp(client *http.Client, target string, op Op, ws *workerStats) {
 	case OpRules:
 		resp, err = client.Get(target + "/rules?item=" + url.QueryEscape(op.Item))
 	}
-	d := time.Since(t0)
+	d := time.Since(due)
 	if err != nil {
 		ws.netErr[op.Kind]++
 		return

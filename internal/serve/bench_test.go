@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"path/filepath"
 	"runtime"
 	"sort"
 	"testing"
@@ -124,6 +125,39 @@ func BenchmarkBuildSnapshot(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				benchSnapshot = BuildSnapshot(st, tax, Meta{})
+			}
+		})
+	}
+}
+
+// BenchmarkOpenSnapshotFile opens serve-read's rule set and Tall 10 000 at
+// 2 % / 0.3 from .nsnap files: validate, copy out the item names and derive
+// the two indexes from the arena — what a replica or a restart pays instead
+// of a mine.
+func BenchmarkOpenSnapshotFile(b *testing.B) {
+	for _, set := range []struct {
+		name          string
+		p             datagen.Params
+		n             int
+		minSup, minRI float64
+	}{
+		{"short", datagen.Short(), 5000, 0.01, 0.5},
+		{"tall", datagen.Tall(), 10000, 0.02, 0.3},
+	} {
+		st, tax := benchStore(b, set.p, set.n, set.minSup, set.minRI, 0)
+		path := filepath.Join(b.TempDir(), set.name+".nsnap")
+		if err := WriteSnapshotFile(path, BuildSnapshot(st, tax, Meta{}), 1); err != nil {
+			b.Fatal(err)
+		}
+		b.Logf("%s: %d rules, %d taxonomy nodes", set.name, st.Len(), tax.Size())
+		b.Run(set.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				s, err := OpenSnapshotFile(path, 0)
+				if err != nil {
+					b.Fatal(err)
+				}
+				benchSnapshot = s
 			}
 		})
 	}

@@ -107,7 +107,7 @@ var hostileMeasures = []float64{
 // hostileWorld builds a random taxonomy and rule store over hostileNames
 // (plus a few plain ones), with measures from hostileMeasures, so RI ties
 // are frequent. It returns the name pool too.
-func hostileWorld(t *testing.T, rng *rand.Rand) (*rulestore.Store, *taxonomy.Taxonomy, []string) {
+func hostileWorld(t testing.TB, rng *rand.Rand) (*rulestore.Store, *taxonomy.Taxonomy, []string) {
 	t.Helper()
 	pool := append([]string(nil), hostileNames...)
 	for i := 0; i < 6; i++ {
@@ -334,7 +334,7 @@ func TestFrameCarriesMergeKeys(t *testing.T) {
 	}
 }
 
-// TestSnapshotFileKeepsHandlerBytes: a snapshot written as .nsnap v2 and
+// TestSnapshotFileKeepsHandlerBytes: a snapshot written as .nsnap and
 // opened again (fragments served from the mapping, never re-rendered)
 // answers every request with the bytes of the snapshot it was written from.
 func TestSnapshotFileKeepsHandlerBytes(t *testing.T) {

@@ -172,9 +172,6 @@ func (s *Server) Snapshot() *Snapshot { return s.snap.Load() }
 // Metrics exposes the server's metrics set.
 func (s *Server) Metrics() *Metrics { return s.metrics }
 
-// NodeID returns the cluster node identity ("" when unnamed).
-func (s *Server) NodeID() string { return s.nodeID }
-
 // Governor exposes the installed admission controller (nil without one).
 func (s *Server) Governor() *govern.Controller { return s.gov }
 
@@ -217,12 +214,4 @@ func (s *Server) TriggerReload(ctx context.Context) bool {
 	}
 	go func() { _ = s.Reload(ctx) }()
 	return true
-}
-
-// Watch polls path for changes and reloads when it settles — the "drop a
-// fresh report/data file in place" workflow. It blocks until ctx is
-// cancelled, so callers run it in a goroutine. See WatchWith for the full
-// behavior (debounce, backoff, circuit breaker); Watch uses the defaults.
-func (s *Server) Watch(ctx context.Context, path string, interval time.Duration) {
-	s.WatchWith(ctx, path, WatchConfig{Interval: interval})
 }

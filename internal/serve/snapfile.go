@@ -11,13 +11,12 @@ import (
 )
 
 // This file bridges the in-memory Snapshot and the .nsnap on-disk format
-// (internal/snapfmt). Encoding is a re-labelling, not a re-indexing: the
-// arena slices and posting backing arrays are handed to the encoder as-is,
-// and the posting descriptors recorded at compress time locate every row in
-// those arrays. Decoding runs the direction in reverse — the loaded
-// Snapshot's numeric slices and rendered-rule fragments alias the validated
-// (typically mmap'd) file bytes, and only the item dictionary (strings,
-// intern map) is materialized on the heap.
+// (internal/snapfmt). A file holds the arena and the rendered rules, handed
+// to the encoder as-is. Opening one runs the direction in reverse — the
+// loaded Snapshot's numeric slices and rendered-rule fragments alias the
+// validated (typically mmap'd) file bytes — then materializes the item
+// dictionary (strings, intern map) and derives the posting indexes from the
+// arena (index), exactly as BuildSnapshot does.
 
 // image converts the snapshot into a snapfmt.Image for encoding. The
 // image's numeric slices alias the snapshot's arena — valid as long as s is.
@@ -56,20 +55,9 @@ func (s *Snapshot) image(gen uint64) *snapfmt.Image {
 		NameBlob: blob,
 		AncOff:   s.ancOff,
 		AncIDs:   s.ancIDs,
-		Ante:     indexOut(&s.anteIdx),
-		Cons:     indexOut(&s.consIdx),
-		Reach:    indexOut(&s.reachIdx),
 		FragOff:  s.fragOff,
 		FragBlob: s.frag,
 	}
-}
-
-func indexOut(pb *postingBacking) snapfmt.PostingIndex {
-	descs := make([]snapfmt.PostingDesc, len(pb.descs))
-	for i, d := range pb.descs {
-		descs[i] = snapfmt.PostingDesc{Off: d.off, Len: d.length, N: d.n, Kind: d.kind}
-	}
-	return snapfmt.PostingIndex{Descs: descs, IDs: pb.ids, Words: pb.words}
 }
 
 // EncodeSnapshot writes s to w in the .nsnap format under the given
@@ -83,28 +71,10 @@ func WriteSnapshotFile(path string, s *Snapshot, gen uint64) error {
 	return snapfmt.WriteFile(path, s.image(gen))
 }
 
-// indexIn reconstructs one posting index from its decoded form. The posting
-// subslices alias the image's backing arrays.
-func indexIn(pi *snapfmt.PostingIndex) ([]posting, postingBacking) {
-	m := len(pi.Descs)
-	ps := make([]posting, m)
-	pb := postingBacking{descs: make([]pdesc, m), ids: pi.IDs, words: pi.Words}
-	for i, d := range pi.Descs {
-		pb.descs[i] = pdesc{off: d.Off, length: d.Len, n: d.N, kind: d.Kind}
-		end := d.Off + d.Len
-		switch d.Kind {
-		case snapfmt.PostingSparse:
-			ps[i] = posting{ids: pi.IDs[d.Off:end:end], n: int32(d.N)}
-		case snapfmt.PostingDense:
-			ps[i] = posting{bits: pi.Words[d.Off:end:end], n: int32(d.N)}
-		}
-	}
-	return ps, pb
-}
-
 // SnapshotFromImage builds a serving snapshot over a decoded image. The
 // snapshot's numeric slices alias the image (and therefore the file bytes
-// behind it); only the item dictionary and intern map are materialized.
+// behind it); the item dictionary and intern map are materialized and the
+// posting indexes derived.
 func SnapshotFromImage(img *snapfmt.Image) (*Snapshot, error) {
 	m := img.NumItems()
 	s := &Snapshot{
@@ -137,22 +107,7 @@ func SnapshotFromImage(img *snapfmt.Image) (*Snapshot, error) {
 	for i, id := range s.sideIDs {
 		s.sideNames[i] = s.names[id]
 	}
-	s.ante, s.anteIdx = indexIn(&img.Ante)
-	s.cons, s.consIdx = indexIn(&img.Cons)
-	s.reach, s.reachIdx = indexIn(&img.Reach)
-
-	n := len(s.ri)
-	s.ruleWords = (n + 63) / 64
-	s.itemWords = (m + 63) / 64
-	s.arenaBytes = int64(n)*(3*8) + int64(len(s.off))*4 +
-		int64(len(s.sideIDs))*4 + int64(len(s.sideNames))*16 +
-		int64(len(s.names))*16 + int64(len(s.ancOff))*4 + int64(len(s.ancIDs))*4 +
-		s.renderedBytes()
-	s.indexBytes = int64(len(s.anteIdx.ids)+len(s.consIdx.ids)+len(s.reachIdx.ids))*4 +
-		int64(len(s.anteIdx.words)+len(s.consIdx.words)+len(s.reachIdx.words))*8 +
-		int64(3*m)*postingHeaderBytes
-
-	s.scratch.New = newScratch(s.ruleWords, s.itemWords)
+	s.index()
 	// built reflects when the rules were produced, not when this process
 	// loaded them, so Age() keeps measuring rule staleness.
 	s.built = img.Header.Created()

@@ -2,14 +2,19 @@ package serve
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
+
+	"negmine/internal/report"
+	"negmine/internal/rulestore"
 )
 
 // TestSnapshotFileRoundTripOracle is the snapshot-format oracle: build a
@@ -87,7 +92,7 @@ func TestSnapshotFileRoundTripOracle(t *testing.T) {
 		}
 
 		// Re-encoding the loaded snapshot must reproduce the file byte for
-		// byte — proof that descriptors and backing arrays survive the trip.
+		// byte — proof that the arena survives the trip.
 		var first, second bytes.Buffer
 		if err := EncodeSnapshot(&first, built, 42); err != nil {
 			t.Fatal(err)
@@ -277,4 +282,119 @@ func TestOpenSnapshotFileReleasedWhenDropped(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	t.Fatalf("after dropping 50 opened snapshots: heap grew by %d KiB, %d mappings of the file remain", grown>>10, mapped)
+}
+
+// sameIndexes fails unless got derived exactly want's posting indexes:
+// descriptor for descriptor, over the same backing arrays.
+func sameIndexes(t *testing.T, what string, got, want *Snapshot) {
+	t.Helper()
+	for _, idx := range []struct {
+		name      string
+		got, want *postingIndex
+	}{{"ante", &got.ante, &want.ante}, {"reach", &got.reach, &want.reach}} {
+		if !reflect.DeepEqual(idx.got.items, idx.want.items) ||
+			!slices.Equal(idx.got.ids, idx.want.ids) || !slices.Equal(idx.got.words, idx.want.words) {
+			t.Fatalf("%s: %s index differs from the built snapshot's", what, idx.name)
+		}
+	}
+	if got.Info().IndexedItems != want.Info().IndexedItems || got.indexBytes != want.indexBytes ||
+		!reflect.DeepEqual(got.Layout(), want.Layout()) {
+		t.Fatalf("%s: info %+v / layout %+v, built %+v / %+v", what, got.Info(), got.Layout(), want.Info(), want.Layout())
+	}
+}
+
+// TestOpenedIndexesMatchBuild: a snapshot opened from its file derives the
+// very indexes its build did, over random and hostile worlds.
+func TestOpenedIndexesMatchBuild(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for trial := 0; trial < 12; trial++ {
+		st, tax, _, _ := randomWorld(t, rng)
+		if trial%2 == 1 {
+			st, tax, _ = hostileWorld(t, rng)
+		}
+		built := BuildSnapshot(st, tax, Meta{})
+		path := filepath.Join(t.TempDir(), "snap.nsnap")
+		if err := WriteSnapshotFile(path, built, 1); err != nil {
+			t.Fatal(err)
+		}
+		opened, err := OpenSnapshotFile(path, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameIndexes(t, fmt.Sprintf("trial %d", trial), opened, built)
+	}
+}
+
+// TestRepeatedSideItemListedOnce: a rule naming an item twice on one side —
+// which a -report file may hold — is one entry of that item's postings, built
+// or opened.
+func TestRepeatedSideItemListedOnce(t *testing.T) {
+	st := rulestore.FromReport(&report.NegativeReport{Rules: []report.NegativeRuleRecord{
+		{Antecedent: []string{"pepsi", "pepsi"}, Consequent: []string{"chips", "chips"}, RuleInterest: 0.9},
+		{Antecedent: []string{"coke"}, Consequent: []string{"pepsi", "juice", "pepsi"}, RuleInterest: 0.5},
+	}})
+	built := BuildSnapshot(st, testTaxonomy(t), Meta{})
+	path := filepath.Join(t.TempDir(), "dup.nsnap")
+	if err := WriteSnapshotFile(path, built, 1); err != nil {
+		t.Fatal(err)
+	}
+	opened, err := OpenSnapshotFile(path, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []*Snapshot{built, opened} {
+		for _, c := range []struct {
+			name string
+			want []RuleID
+		}{{"pepsi", []RuleID{0, 1}}, {"soft-drinks", nil}, {"chips", []RuleID{0}}, {"coke", []RuleID{1}}} {
+			if got := s.QueryItem(nil, c.name, 0, 0); !slices.Equal(got, c.want) {
+				t.Fatalf("%s: QueryItem(%s) = %v, want %v", s.SourceKind(), c.name, got, c.want)
+			}
+		}
+		if got := s.Score(nil, []string{"pepsi", "coke"}, 0, 0); !slices.Equal(got, []RuleID{0, 1}) {
+			t.Fatalf("%s: Score = %v, want [0 1]", s.SourceKind(), got)
+		}
+	}
+	sameIndexes(t, "repeated items", opened, built)
+}
+
+// TestVersion2FileAnswersLikeBuild opens testdata/hostile-v2.nsnap — written
+// by the version-2 encoder, posting sections and all, from hostileWorld's
+// seed-10 world — and requires what building that world gives: the same
+// derived indexes, the same /rules and /score bytes as documents and as
+// frames, and, re-encoded, the same version-3 file.
+func TestVersion2FileAnswersLikeBuild(t *testing.T) {
+	opened, err := OpenSnapshotFile(filepath.Join("testdata", "hostile-v2.nsnap"), 0)
+	if err != nil {
+		t.Fatalf("opening a version-2 file: %v", err)
+	}
+	rng := rand.New(rand.NewSource(10))
+	st, tax, pool := hostileWorld(t, rng)
+	built := BuildSnapshot(st, tax, Meta{Source: "hostile", MinSupport: 0.01, MinRI: 0.25})
+	built.built = time.Unix(1_700_000_000, 0)
+	if opened.Generation() != 3 || !opened.Info().Built.Equal(built.built) || opened.Len() != built.Len() {
+		t.Fatalf("opened %+v, want generation 3, built %v, %d rules", opened.Info(), built.built, built.Len())
+	}
+	sameIndexes(t, "version-2 file", opened, built)
+
+	hb, ho := serveSnapshot(t, built), serveSnapshot(t, opened)
+	for _, q := range randomQueries(rng, pool) {
+		for _, framed := range []bool{false, true} {
+			want, got := q.send(t, hb, framed), q.send(t, ho, framed)
+			if got.Code != want.Code || !bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
+				t.Fatalf("%+v framed=%v: version-2 file answers\n%q\nbuilt snapshot\n%q", q, framed, got.Body.Bytes(), want.Body.Bytes())
+			}
+		}
+	}
+
+	var a, b bytes.Buffer
+	if err := EncodeSnapshot(&a, opened, 3); err != nil {
+		t.Fatal(err)
+	}
+	if err := EncodeSnapshot(&b, built, 3); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Fatal("a version-2 file re-encodes to a different version-3 file than its build")
+	}
 }

@@ -20,16 +20,16 @@
 // search, and enumerating a posting list in ascending id order yields rank
 // order for free.
 //
-// The three per-item indexes — antecedent, consequent, and the
-// taxonomy-ancestor "reach" index (ante ∪ cons closed over ancestor
-// chains) — are compressed bitmap posting lists over RuleIDs built with
-// internal/bitmat: dense word-packed rows for frequent items, sorted id
-// arrays for rare ones, and structure-shared rows for taxonomy nodes whose
-// reach equals an ancestor's. QueryItem is a rank-select walk of one reach
-// posting; Score ORs antecedent postings into a pooled scratch bitmap and
-// subset-checks candidates against a bitset of basket-satisfied items. Both
-// paths are allocation-free in steady state: callers supply result buffers
-// and scratch comes from a sync.Pool.
+// The two per-item indexes — antecedent, and the taxonomy-ancestor "reach"
+// index (rules naming the item or an ancestor on either side) — are derived
+// from the arena, the same way on build and on open (index). They are
+// compressed posting lists over RuleIDs: dense word-packed rows for frequent
+// items, sorted id arrays for rare ones, and shared rows for taxonomy nodes
+// whose reach equals an ancestor's. QueryItem is a rank-select walk of one
+// reach posting; Score ORs antecedent postings into a pooled scratch bitmap
+// and subset-checks candidates against a bitset of basket-satisfied items.
+// Both paths are allocation-free in steady state: callers supply result
+// buffers and scratch comes from a sync.Pool.
 package serve
 
 import (
@@ -53,19 +53,25 @@ import (
 // signature, so sorting ids is sorting by rank.
 type RuleID int32
 
-// posting is one item's compressed posting list over RuleIDs: either a
-// sorted id array (sparse) or a word-packed bitmap trimmed of trailing zero
-// words (dense), whichever is smaller. Both forms are subslices of shared
-// per-index backing arrays; taxonomy nodes without rules of their own share
-// their nearest indexed ancestor's posting outright (same subslice).
+// posting locates one item's list of rule ids in its index's backing
+// arrays, in the smaller of two forms: n ascending ids at ids[off:off+n]
+// (sparse, words == 0), or a word-packed bitmap trimmed of trailing zero
+// words at words[off:off+words] (dense). n == 0 is the empty list.
 type posting struct {
-	ids  []int32  // sparse form: ascending rule ids; nil when dense
-	bits []uint64 // dense form: trimmed word-packed bitmap; nil when sparse
-	n    int32    // set bits (list length)
+	off, n, words uint32
 }
 
-// empty reports whether the posting matches no rules.
-func (p posting) empty() bool { return p.n == 0 }
+// postingBytes is the size of a posting, for the /metrics byte counts.
+const postingBytes = 12
+
+// postingIndex is one posting per interned item id over two shared backing
+// arrays. A taxonomy node that shares an ancestor's reach holds a copy of
+// that ancestor's posting.
+type postingIndex struct {
+	items []posting
+	ids   []int32
+	words []uint64
+}
 
 // Snapshot is one immutable, fully-indexed rule set. All methods are safe
 // for concurrent use; none mutate the receiver.
@@ -94,20 +100,11 @@ type Snapshot struct {
 	ancOff []uint32
 	ancIDs []int32
 
-	// Posting-list indexes, all indexed by interned item id:
-	// ante/cons match rules mentioning the item on that side; reach is the
-	// taxonomy-ancestor index (ante ∪ cons of the item and every ancestor),
-	// making QueryItem a single-posting walk.
-	ante  []posting
-	cons  []posting
-	reach []posting
-
-	// Per-index posting descriptors plus the final shared backing arrays,
-	// retained for serialization (internal/snapfmt): a posting compressed
-	// before a backing-array reallocation aliases a stale (value-identical)
-	// copy, so the offsets recorded at compress time are the only reliable
-	// map into the final arrays.
-	anteIdx, consIdx, reachIdx postingBacking
+	// Posting-list indexes derived from the above (index): ante matches the
+	// rules naming the item in their antecedent; reach those naming the item
+	// or any ancestor of it on either side, making QueryItem one walk.
+	ante, reach postingIndex
+	named       int // items some rule names
 
 	ruleWords  int   // words per rule bitmap: ceil(len(ri)/64)
 	itemWords  int   // words per item bitset: ceil(len(names)/64)
@@ -131,25 +128,6 @@ type Snapshot struct {
 	// for snapshots not built from a live log (batch mines, mmap boots).
 	wmTID int64
 	wmAt  time.Time
-}
-
-// pdesc mirrors snapfmt.PostingDesc (same field meaning and kind values)
-// without importing the format package into the query path.
-type pdesc struct{ off, length, n, kind uint32 }
-
-// Posting kinds in a pdesc, numerically identical to the snapfmt constants.
-const (
-	pdEmpty  uint32 = 0
-	pdSparse uint32 = 1
-	pdDense  uint32 = 2
-)
-
-// postingBacking is one index's encoded form: m descriptors over the two
-// shared backing arrays.
-type postingBacking struct {
-	descs []pdesc
-	ids   []int32
-	words []uint64
 }
 
 // queryScratch is the pooled per-query working set: a rule bitmap for
@@ -208,8 +186,10 @@ type IndexInfo struct {
 type LayoutInfo struct {
 	ArenaBytes int64     `json:"arenaBytes"`
 	Antecedent IndexInfo `json:"antecedent"`
-	Consequent IndexInfo `json:"consequent"`
 	Reach      IndexInfo `json:"reach"`
+	// Consequent is always zero: no snapshot has a consequent index.
+	// Kept only because benchmark/batch.go:328 reads it; ROADMAP item 1 deletes it.
+	Consequent IndexInfo `json:"-"`
 }
 
 // Meta carries snapshot provenance recorded at build time.
@@ -251,9 +231,7 @@ func BuildSnapshot(st *rulestore.Store, tax *taxonomy.Taxonomy, meta Meta) *Snap
 	s.vocabulary(tax, entries)
 	s.buildArena(entries)
 	s.buildFragments()
-	s.arenaBytes += s.renderedBytes()
-	s.buildIndexes(entries, len(s.names))
-	s.scratch.New = newScratch(s.ruleWords, s.itemWords)
+	s.index()
 	s.buildDur = time.Since(start)
 	s.built = time.Now()
 	return s
@@ -327,165 +305,133 @@ func (s *Snapshot) buildArena(entries []rulestore.Entry) {
 		}
 	}
 	s.off[2*n] = uint32(len(s.sideIDs))
-	s.arenaBytes = int64(n)*(3*8) + int64(len(s.off))*4 +
-		int64(len(s.sideIDs))*4 + int64(len(s.sideNames))*16 +
-		int64(len(s.names))*16 + int64(len(s.ancOff))*4 + int64(len(s.ancIDs))*4
 }
 
-// buildIndexes stages the three posting-list indexes as uncompressed bitmat
-// rows over RuleIDs, then compresses every row into its smaller form.
-// m is the interned item count.
-func (s *Snapshot) buildIndexes(entries []rulestore.Entry, m int) {
-	n := len(entries)
-	s.ruleWords = (n + 63) / 64
-	s.itemWords = (m + 63) / 64
+// index derives what a snapshot computes from its arena rather than
+// storing: the two posting indexes, the byte counts /metrics reports and the
+// query scratch pool. BuildSnapshot and SnapshotFromImage both end here, so a
+// built snapshot and the same one opened from its file index alike. It reads
+// only off, sideIDs and the ancestor chains, and does not panic on any arena
+// snapfmt.Decode accepts (FuzzOpenSnapshot).
+//
+// Only the items some rule names get rows, staged as bitmaps over RuleIDs:
+// one of the rules naming the item in their antecedent, one of those naming
+// it on either side. An item's reach is its either-side row ORed with its
+// named ancestors'; a node no rule names reaches exactly what its nearest
+// named ancestor does, and shares that posting.
+func (s *Snapshot) index() {
+	n, m := len(s.ri), len(s.names)
+	s.ruleWords, s.itemWords = (n+63)/64, (m+63)/64
 
-	// Vocabulary: items that appear in at least one rule side. Only they get
-	// staged bitmap rows; everything else shares or stays empty.
-	inVocab := make([]bool, m)
+	isNamed := make([]bool, m)
 	for _, id := range s.sideIDs {
-		inVocab[id] = true
+		isNamed[id] = true
 	}
-	vocab := make(item.Itemset, 0, m)
-	for id := 0; id < m; id++ {
-		if inVocab[id] {
-			vocab = append(vocab, item.Item(id))
+	var named item.Itemset
+	for id, ok := range isNamed {
+		if ok {
+			named = append(named, item.Item(id))
 		}
 	}
-	anteM := bitmat.New(vocab, n)
-	consM := bitmat.New(vocab, n)
+	s.named = len(named)
+	anteM, sideM := bitmat.New(named, n), bitmat.New(named, n)
 	for i := 0; i < n; i++ {
 		for _, id := range s.sideIDs[s.off[2*i]:s.off[2*i+1]] {
 			anteM.Set(item.Item(id), i)
 		}
-		for _, id := range s.sideIDs[s.off[2*i+1]:s.off[2*i+2]] {
-			consM.Set(item.Item(id), i)
+		for _, id := range s.sideIDs[s.off[2*i]:s.off[2*i+2]] {
+			sideM.Set(item.Item(id), i)
 		}
 	}
 
-	// Compress ante/cons rows. Postings share two flat backing arrays per
-	// index (one for sparse ids, one for dense words) — the compressed form
-	// of the paper-scale reality that a few category-level items are dense
-	// while the long tail of leaves is sparse.
-	s.ante = make([]posting, m)
-	s.cons = make([]posting, m)
-	s.anteIdx.descs = make([]pdesc, m)
-	s.consIdx.descs = make([]pdesc, m)
-	s.reachIdx.descs = make([]pdesc, m)
-	var anteC, consC, reachC compressor
-	for _, x := range vocab {
-		s.ante[x], s.anteIdx.descs[x] = anteC.compress(anteM.Row(x))
-		s.cons[x], s.consIdx.descs[x] = consC.compress(consM.Row(x))
-	}
-
-	// Reach index: item x's posting is the union of ante|cons over x and all
-	// its ancestors. Only vocabulary items produce distinct rows; a taxonomy
-	// node with no rules of its own has exactly its nearest in-vocabulary
-	// ancestor's reach, so it shares that posting (no copied bits).
-	s.reach = make([]posting, m)
-	scratchRow := make([]uint64, s.ruleWords)
-	for _, x := range vocab {
-		copy(scratchRow, anteM.Row(x))
-		bitmat.OrInto(scratchRow, consM.Row(x))
+	s.ante = postingIndex{items: make([]posting, m)}
+	s.reach = postingIndex{items: make([]posting, m)}
+	row := make([]uint64, s.ruleWords)
+	for _, x := range named {
+		s.ante.items[x] = s.ante.add(anteM.Row(x))
+		copy(row, sideM.Row(x))
 		for _, a := range s.ancChain(int32(x)) {
-			if inVocab[a] {
-				bitmat.OrInto(scratchRow, anteM.Row(item.Item(a)))
-				bitmat.OrInto(scratchRow, consM.Row(item.Item(a)))
+			if isNamed[a] {
+				bitmat.OrInto(row, sideM.Row(item.Item(a)))
 			}
 		}
-		s.reach[x], s.reachIdx.descs[x] = reachC.compress(scratchRow)
+		s.reach.items[x] = s.reach.add(row)
 	}
-	for id := 0; id < m; id++ {
-		if inVocab[id] {
+	for id, ok := range isNamed {
+		if ok {
 			continue
 		}
 		for _, a := range s.ancChain(int32(id)) {
-			if inVocab[a] {
-				s.reach[id] = s.reach[a]
-				s.reachIdx.descs[id] = s.reachIdx.descs[a]
+			if isNamed[a] {
+				s.reach.items[id] = s.reach.items[a]
 				break
 			}
 		}
 	}
-	// Retain the final backing arrays: the descriptors recorded above index
-	// into exactly these, regardless of interim reallocations.
-	s.anteIdx.ids, s.anteIdx.words = anteC.ids, anteC.words
-	s.consIdx.ids, s.consIdx.words = consC.ids, consC.words
-	s.reachIdx.ids, s.reachIdx.words = reachC.ids, reachC.words
-	s.indexBytes = anteC.bytes() + consC.bytes() + reachC.bytes() + int64(3*m)*postingHeaderBytes
+
+	s.indexBytes = s.ante.bytes() + s.reach.bytes()
+	s.arenaBytes = int64(n)*(3*8) + int64(len(s.off))*4 +
+		int64(len(s.sideIDs))*4 + int64(len(s.sideNames))*16 +
+		int64(m)*16 + int64(len(s.ancOff))*4 + int64(len(s.ancIDs))*4 +
+		s.renderedBytes()
+	s.scratch.New = newScratch(s.ruleWords, s.itemWords)
 }
 
-// postingHeaderBytes is the resident size of one posting struct (two slice
-// headers + count), used for the /metrics byte accounting.
-const postingHeaderBytes = 2*24 + 8
-
-// compressor packs posting lists for one index into shared flat backing
-// arrays, choosing the smaller of the sparse (sorted ids) and dense
-// (trimmed word-packed bitmap) forms per row.
-type compressor struct {
-	ids   []int32
-	words []uint64
-}
-
-// compress packs one bitmap row into the smaller of its sparse and dense
-// forms, appending to the shared backing arrays. Alongside the posting it
-// returns the row's descriptor — the (offset, length, kind) triple into the
-// final backing arrays that serialization uses, since the posting's own
-// subslice may alias a pre-reallocation copy of the backing.
-func (c *compressor) compress(row []uint64) (posting, pdesc) {
+// add appends a bitmap row's list to the backing arrays in whichever form
+// is smaller — the paper-scale reality is a few dense category-level items
+// over a long sparse tail of leaves — and returns its posting.
+func (x *postingIndex) add(row []uint64) posting {
 	n := bitmat.PopCount(row)
 	if n == 0 {
-		return posting{}, pdesc{}
+		return posting{}
 	}
 	last := len(row) - 1
 	for row[last] == 0 {
 		last--
 	}
-	trimmed := last + 1
-	if 4*n < 8*trimmed {
-		// Sparse: the id array is smaller than the trimmed bitmap.
-		lo := len(c.ids)
+	if 4*n < 8*(last+1) {
+		p := posting{off: uint32(len(x.ids)), n: uint32(n)}
 		for i := bitmat.NextSet(row, 0); i >= 0; i = bitmat.NextSet(row, i+1) {
-			c.ids = append(c.ids, int32(i))
+			x.ids = append(x.ids, int32(i))
 		}
-		return posting{ids: c.ids[lo:len(c.ids):len(c.ids)], n: int32(n)},
-			pdesc{off: uint32(lo), length: uint32(n), n: uint32(n), kind: pdSparse}
+		return p
 	}
-	lo := len(c.words)
-	c.words = append(c.words, row[:trimmed]...)
-	return posting{bits: c.words[lo:len(c.words):len(c.words)], n: int32(n)},
-		pdesc{off: uint32(lo), length: uint32(trimmed), n: uint32(n), kind: pdDense}
+	p := posting{off: uint32(len(x.words)), n: uint32(n), words: uint32(last + 1)}
+	x.words = append(x.words, row[:last+1]...)
+	return p
 }
 
-func (c *compressor) bytes() int64 { return int64(len(c.ids))*4 + int64(len(c.words))*8 }
+// sparse and dense return posting p's elements (p must be of that form).
+func (x *postingIndex) sparse(p posting) []int32 { return x.ids[p.off : p.off+p.n] }
+func (x *postingIndex) dense(p posting) []uint64 { return x.words[p.off : p.off+p.words] }
 
-// indexInfo summarizes one posting-list index (indexed by item id) for
-// /metrics. Rows that share a backing subslice (taxonomy nodes reusing an
-// ancestor's reach) are counted once as dense/sparse and thereafter as
-// shared, so Bytes reflects resident memory, not the sum over items.
-func indexInfo(ps []posting) IndexInfo {
+func (x *postingIndex) bytes() int64 {
+	return int64(len(x.ids))*4 + int64(len(x.words))*8 + int64(len(x.items))*postingBytes
+}
+
+// info summarizes the index for /metrics. A shared posting is counted once
+// as dense or sparse and thereafter as shared, so Bytes is resident memory,
+// not the sum over items.
+func (x *postingIndex) info() IndexInfo {
 	var out IndexInfo
-	seenSparse := map[*int32]bool{}
-	seenDense := map[*uint64]bool{}
-	for i := range ps {
-		p := &ps[i]
-		if p.empty() {
+	seen := map[posting]bool{}
+	for _, p := range x.items {
+		if p.n == 0 {
 			continue
 		}
 		out.Items++
 		out.Postings += int64(p.n)
 		switch {
-		case p.ids != nil && seenSparse[&p.ids[0]], p.bits != nil && seenDense[&p.bits[0]]:
+		case seen[p]:
 			out.SharedRows++
-		case p.ids != nil:
-			seenSparse[&p.ids[0]] = true
+		case p.words == 0:
 			out.SparseRows++
-			out.Bytes += int64(len(p.ids)) * 4
+			out.Bytes += int64(p.n) * 4
 		default:
-			seenDense[&p.bits[0]] = true
 			out.DenseRows++
-			out.Bytes += int64(len(p.bits)) * 8
+			out.Bytes += int64(p.words) * 8
 		}
+		seen[p] = true
 	}
 	return out
 }
@@ -523,15 +469,9 @@ func (s *Snapshot) Rules() []rulestore.Entry {
 
 // Info summarizes the snapshot for health and metrics endpoints.
 func (s *Snapshot) Info() SnapshotInfo {
-	items := 0
-	for id := range s.ante {
-		if !s.ante[id].empty() || !s.cons[id].empty() {
-			items++
-		}
-	}
 	return SnapshotInfo{
 		Rules:        s.Len(),
-		IndexedItems: items,
+		IndexedItems: s.named,
 		ArenaBytes:   s.arenaBytes,
 		IndexBytes:   s.indexBytes,
 		Built:        s.built,
@@ -574,9 +514,8 @@ func (s *Snapshot) SourceKind() string { return s.sourceKind }
 func (s *Snapshot) Layout() LayoutInfo {
 	return LayoutInfo{
 		ArenaBytes: s.arenaBytes,
-		Antecedent: indexInfo(s.ante),
-		Consequent: indexInfo(s.cons),
-		Reach:      indexInfo(s.reach),
+		Antecedent: s.ante.info(),
+		Reach:      s.reach.info(),
 	}
 }
 
@@ -669,13 +608,13 @@ func (s *Snapshot) QueryItemCtx(ctx context.Context, dst []RuleID, name string, 
 	if k == 0 {
 		return dst, nil
 	}
-	p := s.reach[id]
-	if p.empty() {
+	p := s.reach.items[id]
+	if p.n == 0 {
 		return dst, nil
 	}
 	count := 0
-	if p.ids != nil {
-		for j, i := range p.ids {
+	if p.words == 0 {
+		for j, i := range s.reach.sparse(p) {
 			if int(i) >= k || (limit > 0 && count >= limit) {
 				break
 			}
@@ -689,17 +628,15 @@ func (s *Snapshot) QueryItemCtx(ctx context.Context, dst []RuleID, name string, 
 		}
 		return dst, nil
 	}
-	kw := (k + 63) / 64
-	if kw > len(p.bits) {
-		kw = len(p.bits)
-	}
+	words := s.reach.dense(p)
+	kw := min((k+63)/64, len(words))
 	for w := 0; w < kw; w++ {
 		if w&(ctxCheckEvery-1) == ctxCheckEvery-1 {
 			if err := ctx.Err(); err != nil {
 				return dst, err
 			}
 		}
-		word := p.bits[w]
+		word := words[w]
 		for word != 0 {
 			i := w<<6 + bits.TrailingZeros64(word)
 			if i >= k || (limit > 0 && count >= limit) {
@@ -767,7 +704,7 @@ func (s *Snapshot) ScoreCtx(ctx context.Context, dst []RuleID, basket []string, 
 	acc := sc.rules[:kw]
 	clear(acc)
 	for _, id := range sc.ids {
-		orPostingInto(acc, s.ante[id], k)
+		s.ante.orInto(acc, id, k)
 	}
 
 	// Walk candidates in ascending id (= rank) order; a candidate matches
@@ -809,14 +746,12 @@ func (s *Snapshot) covered(id RuleID, items []uint64) bool {
 	return true
 }
 
-// orPostingInto folds posting p into the accumulator bitmap, ignoring rule
+// orInto folds item id's posting into the accumulator bitmap, ignoring rule
 // ids ≥ k (acc has ceil(k/64) words).
-func orPostingInto(acc []uint64, p posting, k int) {
-	if p.empty() {
-		return
-	}
-	if p.ids != nil {
-		for _, i := range p.ids {
+func (x *postingIndex) orInto(acc []uint64, id int32, k int) {
+	p := x.items[id]
+	if p.words == 0 {
+		for _, i := range x.sparse(p) {
 			if int(i) >= k {
 				return
 			}
@@ -824,12 +759,9 @@ func orPostingInto(acc []uint64, p posting, k int) {
 		}
 		return
 	}
-	n := len(p.bits)
-	if n > len(acc) {
-		n = len(acc)
-	}
-	for w := 0; w < n; w++ {
-		acc[w] |= p.bits[w]
+	words := x.dense(p)
+	for w := range min(len(words), len(acc)) {
+		acc[w] |= words[w]
 	}
 	// Bits of the last word beyond k are cleared lazily: the candidate walk
 	// stops at k, so stray high bits in word k/64 are never emitted.

@@ -15,7 +15,7 @@ import (
 //	           │               └─ coke
 //	           └─ juice
 //	snacks ──── chips
-func testTaxonomy(t *testing.T) *taxonomy.Taxonomy {
+func testTaxonomy(t testing.TB) *taxonomy.Taxonomy {
 	t.Helper()
 	b := taxonomy.NewBuilder()
 	b.Link("beverages", "soft-drinks")

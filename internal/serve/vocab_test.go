@@ -54,9 +54,7 @@ func scratchSnapshot(st *rulestore.Store, tax *taxonomy.Taxonomy) *Snapshot {
 	}
 	s.buildArena(entries)
 	s.buildFragments()
-	s.arenaBytes += s.renderedBytes()
-	s.buildIndexes(entries, m)
-	s.scratch.New = newScratch(s.ruleWords, s.itemWords)
+	s.index()
 	return s
 }
 
@@ -202,8 +200,9 @@ func TestSnapshotsShareTaxonomyVocabulary(t *testing.T) {
 
 // TestBuildSnapshotStreamBytes pins what a stream-sized build (stream-mixed's
 // first rule set over Short's 8 981-node taxonomy) allocates once its
-// taxonomy's vocabulary exists: at most 2.5 MB. Interning the taxonomy on
-// every build cost 3.9 MB.
+// taxonomy's vocabulary exists: at most 0.3 MB, nearly all of it the two
+// indexes' postings, one per node. Interning the taxonomy on every build cost
+// 3.9 MB; three indexes keeping every posting in two forms, 2.0 MB.
 func TestBuildSnapshotStreamBytes(t *testing.T) {
 	skipUnderRace(t)
 	st, tax := benchStore(t, datagen.Short(), 5000, 0.0125, 0.5, 3)
@@ -217,7 +216,7 @@ func TestBuildSnapshotStreamBytes(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	perBuild := (after.TotalAlloc - before.TotalAlloc) / builds
 	t.Logf("%d rules over %d nodes: %d bytes a build", st.Len(), tax.Size(), perBuild)
-	if perBuild > 2_500_000 {
-		t.Fatalf("a stream-sized build allocates %d bytes, want ≤ 2.5 MB", perBuild)
+	if perBuild > 300_000 {
+		t.Fatalf("a stream-sized build allocates %d bytes, want ≤ 0.3 MB", perBuild)
 	}
 }

@@ -21,9 +21,6 @@ func aligned8(b []byte) bool {
 	return uintptr(unsafe.Pointer(unsafe.SliceData(b)))%8 == 0
 }
 
-// descSize is the wire (and in-memory) size of a PostingDesc.
-const descSize = 16
-
 // ---- encode views: []T → []byte ------------------------------------------
 //
 // On little-endian hosts these return a zero-copy view of the slice memory;
@@ -81,24 +78,6 @@ func i32Bytes(v []int32) []byte {
 	out := make([]byte, len(v)*4)
 	for i, x := range v {
 		binary.LittleEndian.PutUint32(out[i*4:], uint32(x))
-	}
-	return out
-}
-
-func descBytes(v []PostingDesc) []byte {
-	if len(v) == 0 {
-		return nil
-	}
-	if hostLittle {
-		return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(v))), len(v)*descSize)
-	}
-	out := make([]byte, len(v)*descSize)
-	for i, d := range v {
-		b := out[i*descSize:]
-		binary.LittleEndian.PutUint32(b[0:], d.Off)
-		binary.LittleEndian.PutUint32(b[4:], d.Len)
-		binary.LittleEndian.PutUint32(b[8:], d.N)
-		binary.LittleEndian.PutUint32(b[12:], d.Kind)
 	}
 	return out
 }
@@ -165,27 +144,6 @@ func bytesI32(b []byte) []int32 {
 	out := make([]int32, n)
 	for i := range out {
 		out[i] = int32(binary.LittleEndian.Uint32(b[i*4:]))
-	}
-	return out
-}
-
-func bytesDescs(b []byte) []PostingDesc {
-	n := len(b) / descSize
-	if n == 0 {
-		return nil
-	}
-	if hostLittle && aligned8(b) {
-		return unsafe.Slice((*PostingDesc)(unsafe.Pointer(unsafe.SliceData(b))), n)
-	}
-	out := make([]PostingDesc, n)
-	for i := range out {
-		d := b[i*descSize:]
-		out[i] = PostingDesc{
-			Off:  binary.LittleEndian.Uint32(d[0:]),
-			Len:  binary.LittleEndian.Uint32(d[4:]),
-			N:    binary.LittleEndian.Uint32(d[8:]),
-			Kind: binary.LittleEndian.Uint32(d[12:]),
-		}
 	}
 	return out
 }

@@ -40,8 +40,8 @@ func DecodeHeader(data []byte) (Header, []SectionInfo, error) {
 		FileSize:   binary.LittleEndian.Uint64(data[24:]),
 		Sections:   int(binary.LittleEndian.Uint32(data[32:])),
 	}
-	if h.Version != Version {
-		return Header{}, nil, formatErrf("unsupported version %d (this reader speaks %d)", h.Version, Version)
+	if h.Version < oldestVersion || h.Version > Version {
+		return Header{}, nil, formatErrf("unsupported version %d (this reader speaks %d to %d)", h.Version, oldestVersion, Version)
 	}
 	if h.FileSize != uint64(len(data)) {
 		return Header{}, nil, formatErrf("header says %d bytes, file has %d (truncated or grown)", h.FileSize, len(data))
@@ -148,7 +148,7 @@ func Decode(data []byte) (*Image, error) {
 	// ignored (additive evolution); duplicate known kinds are an error.
 	secs := map[SectionKind][]byte{}
 	for _, e := range table {
-		if e.Kind == 0 || e.Kind >= secKindEnd {
+		if _, known := sectionNames[e.Kind]; !known {
 			continue
 		}
 		if _, dup := secs[e.Kind]; dup {
@@ -198,15 +198,6 @@ func Decode(data []byte) (*Image, error) {
 		{SecNameBlob, 1, func(b []byte) { img.NameBlob = b }},
 		{SecAncOff, 4, func(b []byte) { img.AncOff = bytesU32(b) }},
 		{SecAncIDs, 4, func(b []byte) { img.AncIDs = bytesI32(b) }},
-		{SecAnteDesc, descSize, func(b []byte) { img.Ante.Descs = bytesDescs(b) }},
-		{SecAnteIDs, 4, func(b []byte) { img.Ante.IDs = bytesI32(b) }},
-		{SecAnteWords, 8, func(b []byte) { img.Ante.Words = bytesU64(b) }},
-		{SecConsDesc, descSize, func(b []byte) { img.Cons.Descs = bytesDescs(b) }},
-		{SecConsIDs, 4, func(b []byte) { img.Cons.IDs = bytesI32(b) }},
-		{SecConsWords, 8, func(b []byte) { img.Cons.Words = bytesU64(b) }},
-		{SecReachDesc, descSize, func(b []byte) { img.Reach.Descs = bytesDescs(b) }},
-		{SecReachIDs, 4, func(b []byte) { img.Reach.IDs = bytesI32(b) }},
-		{SecReachWords, 8, func(b []byte) { img.Reach.Words = bytesU64(b) }},
 		{SecFragOff, 8, func(b []byte) { img.FragOff = bytesU64(b) }},
 		{SecFragBlob, 1, func(b []byte) { img.FragBlob = b }},
 	}
@@ -292,66 +283,6 @@ func (img *Image) validate() error {
 	if img.FragOff[0] != 0 || img.FragOff[n] != uint64(len(img.FragBlob)) {
 		return formatErrf("frag-off does not span the fragment blob")
 	}
-	ruleWords := (n + 63) / 64
-	for _, idx := range []struct {
-		name string
-		pi   *PostingIndex
-	}{{"ante", &img.Ante}, {"cons", &img.Cons}, {"reach", &img.Reach}} {
-		if len(idx.pi.Descs) != m {
-			return formatErrf("%s index has %d descriptors, want %d", idx.name, len(idx.pi.Descs), m)
-		}
-		for i, d := range idx.pi.Descs {
-			switch d.Kind {
-			case PostingEmpty:
-				if d.Off != 0 || d.Len != 0 || d.N != 0 {
-					return formatErrf("%s[%d]: non-zero empty posting", idx.name, i)
-				}
-			case PostingSparse:
-				end := uint64(d.Off) + uint64(d.Len)
-				if end > uint64(len(idx.pi.IDs)) {
-					return formatErrf("%s[%d]: sparse posting [%d, %d) exceeds backing (%d ids)",
-						idx.name, i, d.Off, end, len(idx.pi.IDs))
-				}
-				if d.N != d.Len || d.Len == 0 {
-					return formatErrf("%s[%d]: sparse posting n=%d len=%d", idx.name, i, d.N, d.Len)
-				}
-				ids := idx.pi.IDs[d.Off:end]
-				prev := int32(-1)
-				for _, id := range ids {
-					if id <= prev || int(id) >= n {
-						return formatErrf("%s[%d]: sparse ids not ascending in [0, %d)", idx.name, i, n)
-					}
-					prev = id
-				}
-			case PostingDense:
-				end := uint64(d.Off) + uint64(d.Len)
-				if end > uint64(len(idx.pi.Words)) {
-					return formatErrf("%s[%d]: dense posting [%d, %d) exceeds backing (%d words)",
-						idx.name, i, d.Off, end, len(idx.pi.Words))
-				}
-				if int(d.Len) > ruleWords || d.Len == 0 {
-					return formatErrf("%s[%d]: dense posting %d words, max %d", idx.name, i, d.Len, ruleWords)
-				}
-				var pop uint32
-				words := idx.pi.Words[d.Off:end]
-				for _, w := range words {
-					pop += uint32(popcount(w))
-				}
-				// The last word's bits beyond rule n-1 must be clear: queries
-				// rely on never selecting a rule id ≥ n.
-				if hi := n - int(d.Len-1)*64; hi < 64 {
-					if words[len(words)-1]>>uint(hi) != 0 {
-						return formatErrf("%s[%d]: dense posting has bits beyond rule %d", idx.name, i, n-1)
-					}
-				}
-				if pop != d.N || words[len(words)-1] == 0 {
-					return formatErrf("%s[%d]: dense posting popcount %d ≠ n %d (or untrimmed)", idx.name, i, pop, d.N)
-				}
-			default:
-				return formatErrf("%s[%d]: unknown posting kind %d", idx.name, i, d.Kind)
-			}
-		}
-	}
 	return nil
 }
 
@@ -365,12 +296,4 @@ func monotonic[T uint32 | uint64](name string, offs []T, max int) error {
 		prev = o
 	}
 	return nil
-}
-
-func popcount(w uint64) int {
-	c := 0
-	for ; w != 0; w &= w - 1 {
-		c++
-	}
-	return c
 }

@@ -49,29 +49,6 @@ func FuzzSnapshotDecode(f *testing.F) {
 				_ = img.Name(int(a))
 			}
 		}
-		for _, idx := range []*PostingIndex{&img.Ante, &img.Cons, &img.Reach} {
-			for _, d := range idx.Descs {
-				switch d.Kind {
-				case PostingSparse:
-					for _, id := range idx.IDs[d.Off : d.Off+d.Len] {
-						_ = img.RI[id]
-					}
-				case PostingDense:
-					words := idx.Words[d.Off : d.Off+d.Len]
-					for wi, w := range words {
-						for ; w != 0; w &= w - 1 {
-							// lowest set bit index must be a valid rule id
-							bit := 0
-							for m := w & (^w + 1); m > 1; m >>= 1 {
-								bit++
-							}
-							id := wi*64 + bit
-							_ = img.RI[id]
-						}
-					}
-				}
-			}
-		}
 		_, _ = img.RIRange()
 		if _, _, err := DecodeHeader(data); err != nil {
 			t.Fatalf("Decode accepted but DecodeHeader rejects: %v", err)

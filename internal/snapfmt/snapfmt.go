@@ -1,14 +1,15 @@
 // Package snapfmt defines the .nsnap binary snapshot format: a versioned,
 // checksummed, little-endian, section-based encoding of the serving layer's
 // flat rule arena (struct-of-arrays rule slices, interned item dictionary,
-// compressed bitmap posting lists, pre-rendered rule JSON) laid out so a
-// file can be mmap'd and
-// served zero-copy. Decode validates the header, every section checksum and
-// every structural invariant, then returns an Image whose slices alias the
-// mapped bytes — no per-rule parsing, no copies of the payload. A daemon
-// restart therefore costs one mmap plus one checksum pass instead of a full
-// re-mine, and any number of replicas mapping the same file share its page
-// cache.
+// taxonomy-ancestor chains, pre-rendered rule JSON) laid out so a file can
+// be mmap'd and served zero-copy. Decode validates the header, every section
+// checksum and every structural invariant, then returns an Image whose
+// slices alias the mapped bytes, with no copies of the payload. The file
+// carries no posting lists: opening one (internal/serve) copies out the item
+// names and derives the two per-item indexes from the arena, a pass over the
+// rule sides, and renders nothing. A daemon restart therefore costs one mmap,
+// one checksum pass and that derivation instead of a full re-mine, and any
+// number of replicas mapping the same file share its page cache.
 //
 // # File layout
 //
@@ -19,7 +20,7 @@
 //	then        section payloads, each 8-byte aligned, zero-padded between
 //
 // All integers are little-endian. Section payloads are raw element arrays
-// ([]float64, []uint32, []int32, []uint64, posting descriptors) exactly as
+// ([]float64, []uint32, []int32, []uint64) exactly as
 // the serving arena holds them in memory, which is what makes aliasing
 // possible on little-endian hosts; big-endian hosts transparently fall back
 // to a copying decode.
@@ -27,11 +28,10 @@
 // # Versioning and compatibility
 //
 // The header carries a single format version. A reader rejects files whose
-// version it does not know. Within a version, unknown section kinds are
-// ignored (additive evolution: a newer writer may append new sections that
-// an older reader skips), while the required sections of the version must
-// each appear exactly once. Any layout change that would misparse old
-// readers bumps the version.
+// version it does not know. Unknown section kinds are ignored (additive
+// evolution: a newer writer may append new sections that an older reader
+// skips), while the required sections must each appear exactly once. Any
+// layout change that would misparse old readers bumps the version.
 package snapfmt
 
 import (
@@ -65,11 +65,15 @@ const (
 // uint32.
 const Magic uint32 = 'N' | 'S'<<8 | 'N'<<16 | 'P'<<24
 
-// Version is the format version Encode writes and the only one Decode
-// reads. Version 2 added the rendered-rule sections (SecFragOff,
-// SecFragBlob) to the required set; a version-1 file is rejected like any
-// other unknown version and rebuilt from its source.
-const Version uint32 = 2
+// Version is the format version Encode writes. Decode also reads version 2,
+// which holds every version-3 section plus the posting lists of kinds 11–19,
+// skipped like any unknown kind. Version 1, from before the rendered-rule
+// sections, is rejected like any other unknown version and rebuilt from its
+// source.
+const Version uint32 = 3
+
+// oldestVersion is the oldest format version Decode reads.
+const oldestVersion uint32 = 2
 
 // Header sizes, fixed by the format.
 const (
@@ -84,40 +88,32 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // SectionKind identifies one section's payload type.
 type SectionKind uint32
 
-// The sections of format version 2. Every kind is required (zero length is
-// fine); unknown kinds are ignored by readers of the same version.
+// The sections of format version 3. Every kind is required (zero length is
+// fine); unknown kinds are ignored. Kinds 11–19 are reserved: version 2 kept
+// posting lists there, which a reader derives from the arena instead.
 const (
-	SecMeta       SectionKind = 1 + iota // JSON Meta document
-	SecRI                                // []float64, rule interest per rule, descending
-	SecExpected                          // []float64, expected support per rule
-	SecActual                            // []float64, actual support per rule
-	SecOff                               // []uint32, 2n+1 side offsets into SideIDs
-	SecSideIDs                           // []int32, flattened rule sides (interned ids)
-	SecNameOffs                          // []uint32, m+1 offsets into NameBlob
-	SecNameBlob                          // raw bytes, concatenated item names
-	SecAncOff                            // []uint32, m+1 offsets into AncIDs
-	SecAncIDs                            // []int32, flattened ancestor chains
-	SecAnteDesc                          // []PostingDesc, antecedent index
-	SecAnteIDs                           // []int32, antecedent sparse backing
-	SecAnteWords                         // []uint64, antecedent dense backing
-	SecConsDesc                          // []PostingDesc, consequent index
-	SecConsIDs                           // []int32
-	SecConsWords                         // []uint64
-	SecReachDesc                         // []PostingDesc, taxonomy-reach index
-	SecReachIDs                          // []int32
-	SecReachWords                        // []uint64
-	SecFragOff                           // []uint64, n+1 offsets into FragBlob
-	SecFragBlob                          // raw bytes, concatenated rendered rule fragments
-	secKindEnd
+	SecMeta     SectionKind = 1 + iota // JSON Meta document
+	SecRI                              // []float64, rule interest per rule, descending
+	SecExpected                        // []float64, expected support per rule
+	SecActual                          // []float64, actual support per rule
+	SecOff                             // []uint32, 2n+1 side offsets into SideIDs
+	SecSideIDs                         // []int32, flattened rule sides (interned ids)
+	SecNameOffs                        // []uint32, m+1 offsets into NameBlob
+	SecNameBlob                        // raw bytes, concatenated item names
+	SecAncOff                          // []uint32, m+1 offsets into AncIDs
+	SecAncIDs                          // []int32, flattened ancestor chains
 )
 
+const (
+	SecFragOff  SectionKind = 20 + iota // []uint64, n+1 offsets into FragBlob
+	SecFragBlob                         // raw bytes, concatenated rendered rule fragments
+)
+
+// sectionNames names the known kinds; Decode skips every other one.
 var sectionNames = map[SectionKind]string{
 	SecMeta: "meta", SecRI: "ri", SecExpected: "expected", SecActual: "actual",
 	SecOff: "off", SecSideIDs: "side-ids", SecNameOffs: "name-offs",
 	SecNameBlob: "name-blob", SecAncOff: "anc-off", SecAncIDs: "anc-ids",
-	SecAnteDesc: "ante-desc", SecAnteIDs: "ante-ids", SecAnteWords: "ante-words",
-	SecConsDesc: "cons-desc", SecConsIDs: "cons-ids", SecConsWords: "cons-words",
-	SecReachDesc: "reach-desc", SecReachIDs: "reach-ids", SecReachWords: "reach-words",
 	SecFragOff: "frag-off", SecFragBlob: "frag-blob",
 }
 
@@ -161,32 +157,6 @@ type Meta struct {
 	Items      int     `json:"items"`
 }
 
-// Posting kinds in a PostingDesc.
-const (
-	PostingEmpty  uint32 = 0 // no rules; Off/Len/N are zero
-	PostingSparse uint32 = 1 // Len ascending rule ids in the index's IDs array
-	PostingDense  uint32 = 2 // Len trimmed bitmap words in the index's Words array
-)
-
-// PostingDesc locates one item's posting list inside its index's shared
-// backing arrays. The 16-byte little-endian struct is stored verbatim in
-// the desc sections. Rows that share a backing subslice (taxonomy nodes
-// reusing an ancestor's reach) simply repeat the same Off/Len.
-type PostingDesc struct {
-	Off  uint32 // element offset into IDs (sparse) or Words (dense)
-	Len  uint32 // element count of the subslice
-	N    uint32 // set bits (list length); == Len for sparse rows
-	Kind uint32 // PostingEmpty, PostingSparse or PostingDense
-}
-
-// PostingIndex is one per-item posting-list index: m descriptors over two
-// shared backing arrays.
-type PostingIndex struct {
-	Descs []PostingDesc
-	IDs   []int32
-	Words []uint64
-}
-
 // Image is the decoded (or to-be-encoded) snapshot payload. After Decode
 // the slices alias the input buffer — callers must keep the buffer (or the
 // mapping) alive for as long as the Image or anything derived from it is in
@@ -210,8 +180,6 @@ type Image struct {
 	// Flattened taxonomy-ancestor chains, nearest-first.
 	AncOff []uint32
 	AncIDs []int32
-
-	Ante, Cons, Reach PostingIndex
 
 	// Rendered rules: rule i's JSON fragment, exactly as the serving layer
 	// splices it into /rules and /score documents, is
@@ -277,15 +245,6 @@ func (img *Image) sections() ([]section, error) {
 		{SecNameBlob, img.NameBlob},
 		{SecAncOff, u32Bytes(img.AncOff)},
 		{SecAncIDs, i32Bytes(img.AncIDs)},
-		{SecAnteDesc, descBytes(img.Ante.Descs)},
-		{SecAnteIDs, i32Bytes(img.Ante.IDs)},
-		{SecAnteWords, u64Bytes(img.Ante.Words)},
-		{SecConsDesc, descBytes(img.Cons.Descs)},
-		{SecConsIDs, i32Bytes(img.Cons.IDs)},
-		{SecConsWords, u64Bytes(img.Cons.Words)},
-		{SecReachDesc, descBytes(img.Reach.Descs)},
-		{SecReachIDs, i32Bytes(img.Reach.IDs)},
-		{SecReachWords, u64Bytes(img.Reach.Words)},
 		{SecFragOff, u64Bytes(img.FragOff)},
 		{SecFragBlob, img.FragBlob},
 	}, nil
@@ -293,19 +252,6 @@ func (img *Image) sections() ([]section, error) {
 
 // pad8 rounds n up to the next multiple of 8.
 func pad8(n uint64) uint64 { return (n + 7) &^ 7 }
-
-// EncodedSize returns the exact file size Encode will produce for img.
-func EncodedSize(img *Image) (int64, error) {
-	secs, err := img.sections()
-	if err != nil {
-		return 0, err
-	}
-	size := uint64(headerSize) + uint64(len(secs))*sectionSize
-	for _, s := range secs {
-		size = pad8(size) + uint64(len(s.payload))
-	}
-	return int64(size), nil
-}
 
 // Encode writes img to w in the .nsnap format. The writer sees the bytes in
 // file order (header, table, payloads), so Encode composes directly with
