@@ -83,7 +83,7 @@ type Engine interface {
 // unless BackendHashTree asks for the hash tree or, under BackendAuto, a
 // per-group transform is opaque to it (not declared an ancestor extension
 // via Options.Tax).
-func EngineFor(db txdb.DB, groups [][]item.Itemset, transforms []TransformInto, opt Options) Engine {
+func EngineFor(db txdb.DB, transforms []TransformInto, opt Options) Engine {
 	if rowsOf(db, opt.Tax) != nil {
 		return BitmapEngine{}
 	}

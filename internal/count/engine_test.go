@@ -166,7 +166,6 @@ func TestEngineForSelection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	groups := [][]item.Itemset{{item.New(1, 2), item.New(3, 4)}}
 	perGroup := []TransformInto{func(dst []item.Item, s item.Itemset) item.Itemset { return s }}
 	tax, _ := testTax(t, 8)
 	cases := []struct {
@@ -187,7 +186,7 @@ func TestEngineForSelection(t *testing.T) {
 		{"auto per-group with tax", db, perGroup, Options{Tax: tax}, "bitmap"},
 	}
 	for _, tc := range cases {
-		if got := EngineFor(tc.db, groups, tc.transforms, tc.opt).Name(); got != tc.want {
+		if got := EngineFor(tc.db, tc.transforms, tc.opt).Name(); got != tc.want {
 			t.Errorf("%s: EngineFor = %s, want %s", tc.name, got, tc.want)
 		}
 	}

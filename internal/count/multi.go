@@ -39,7 +39,7 @@ func MultiTransformed(db txdb.DB, groups [][]item.Itemset, transforms []Transfor
 	if err := fault.Hit(PointPass); err != nil {
 		return nil, fmt.Errorf("count: %w", err)
 	}
-	return EngineFor(db, groups, transforms, opt).Multi(db, groups, transforms, opt)
+	return EngineFor(db, transforms, opt).Multi(db, groups, transforms, opt)
 }
 
 // HashTreeEngine counts by probing one Agrawal–Srikant hash tree per group

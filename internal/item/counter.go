@@ -67,14 +67,6 @@ func (t *SupportTable) Each(fn func(Itemset, int)) {
 	}
 }
 
-// EachKey calls fn with the key of every recorded itemset, in unspecified
-// order, without decoding it.
-func (t *SupportTable) EachKey(fn func(Key)) {
-	for k := range t.counts {
-		fn(k)
-	}
-}
-
 // Merge folds other's entries into t (overwriting duplicates).
 func (t *SupportTable) Merge(other *SupportTable) {
 	for k, n := range other.counts {

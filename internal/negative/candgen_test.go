@@ -235,7 +235,7 @@ func TestGenerateCandidatesSameForAnyWorkerCount(t *testing.T) {
 		opt := Options{MinSupport: c.minSup, MinRI: c.minRI, Substitutes: c.substitutes}
 		in := newInputs(c.levels, c.table, c.tax, sup, opt)
 		var one WalkStats
-		for _, workers := range []int{1, 2, 5, len(in.sources) + 3} {
+		for _, workers := range []int{1, 2, 5, len(in.sources) + len(in.anchors) + 3} {
 			opt.Count.Parallelism = workers
 			got, walk := generateCandidates(c.levels, c.table, c.tax, sup, opt)
 			if workers == 1 {
@@ -249,11 +249,14 @@ func TestGenerateCandidatesSameForAnyWorkerCount(t *testing.T) {
 			t.Fatalf("case %d: %+v for %d candidates", ci, one, len(want))
 		}
 
-		// The sources dealt at random to three workers, each walking its own in
+		// The tasks dealt at random to three workers, each running its own in
 		// ascending order as the shared counter makes it, merged in both orders.
 		gens := []*generator{in.newGenerator(), in.newGenerator(), in.newGenerator()}
-		for i := range in.sources {
-			gens[r.Intn(len(gens))].fromLarge(int32(i))
+		for i := range len(in.sources) + len(in.anchors) {
+			gens[r.Intn(len(gens))].run(i)
+		}
+		for _, g := range gens {
+			g.finish()
 		}
 		if ci%2 == 0 {
 			slices.Reverse(gens)
@@ -267,16 +270,163 @@ func TestGenerateCandidatesSameForAnyWorkerCount(t *testing.T) {
 	}
 }
 
-// candgenInput mines stage 1 of a generated dataset and compresses the
-// taxonomy, which leaves exactly what mineStages23 hands GenerateCandidates.
-func candgenInput(tb testing.TB, p datagen.Params, txns int, minSup float64) ([][]item.CountedSet, *item.SupportTable, *taxonomy.Taxonomy) {
+// hostileCase builds the inputs a sibling-class Case 3 can get wrong: a root
+// class of 20–25 roots with sources of 2, 3 and, in every third case, 4
+// members; two members of one group whose counts are not powers of two, so
+// that the walk's products round; off-taxonomy ids in sources beside roots,
+// each its own group; substitutes that are also a sibling or a child, or that
+// tie a root to another root's child, so that sources of one class split
+// between the walk and the class; and otherwise counts that are powers of two,
+// so that many sources share w exactly. Large itemsets may pair an item with
+// its own ancestor, as in randomCandgenCase.
+func hostileCase(t *testing.T, r *rand.Rand) candgenCase {
+	t.Helper()
+	b := taxonomy.NewBuilder()
+	roots := 20 + r.Intn(6)
+	for i := 0; i < roots; i++ {
+		b.Node("r" + strconv.Itoa(i))
+	}
+	for i := 0; i < 3; i++ {
+		for j := 3 + r.Intn(3); j > 0; j-- {
+			b.Link("r"+strconv.Itoa(i), "c"+strconv.Itoa(i)+"_"+strconv.Itoa(j))
+		}
+	}
+	b.Link("c0_1", "g0")
+	b.Link("c0_1", "g1")
+	tax, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := func(name string) item.Item {
+		x, ok := tax.Dictionary().Lookup(name)
+		if !ok {
+			t.Fatalf("no node %s", name)
+		}
+		return x
+	}
+	n := tax.Size()
+	table := item.NewSupportTable(1024)
+	pow := []int{64, 128, 256, 512}
+	var l1 []item.CountedSet
+	for x := item.Item(0); int(x) < n+2; x++ { // n and n+1 are off-taxonomy
+		c := pow[r.Intn(len(pow))]
+		if x == id("r3") || x == id("r4") || x == id("c1_1") || x == id("c1_2") {
+			c = 101 + 2*r.Intn(400) // two roots and two siblings that round
+		}
+		table.Put(item.Itemset{x}, c)
+		l1 = append(l1, item.CountedSet{Set: item.Itemset{x}, Count: c})
+	}
+	levels := [][]item.CountedSet{l1, nil, nil, nil}
+	put := func(raw ...item.Item) {
+		set := item.New(raw...)
+		if set.Len() != len(raw) || table.Contains(set) {
+			return
+		}
+		c := pow[r.Intn(len(pow))] / 4
+		if r.Intn(4) == 0 {
+			c = 7 + r.Intn(90)
+		}
+		table.Put(set, c)
+		levels[len(raw)-1] = append(levels[len(raw)-1], item.CountedSet{Set: set, Count: c})
+	}
+	root := func() item.Item { return item.Item(r.Intn(roots)) }
+	off := func() item.Item { return item.Item(n + r.Intn(2)) }
+	child := func(i int) item.Item { return tax.Children(item.Item(i))[r.Intn(len(tax.Children(item.Item(i))))] }
+	for i := 6 + r.Intn(6); i > 0; i-- {
+		put(root(), root())
+		put(root(), root(), root())
+	}
+	for i := 2 + r.Intn(3); i > 0; i-- {
+		put(root(), off())
+		put(root(), root(), off())
+		put(child(0), child(0), root())
+		put(child(1), child(1))
+		put(child(0), child(1), child(2))
+		put(root(), child(r.Intn(3)))
+	}
+	if r.Intn(3) == 0 {
+		put(root(), root(), root(), root())
+		put(root(), root(), off(), child(2))
+	}
+	subs := []item.Itemset{item.New(id("c0_1"), id("c0_2")), item.New(id("c0_1"), id("g0"))}
+	if r.Intn(2) == 0 {
+		subs = append(subs, item.New(id("r2"), id("c1_1")))
+	}
+	return candgenCase{tax, table, levels, subs, 0.01, []float64{0.1, 0.5}[r.Intn(2)]}
+}
+
+// TestHostileCase3 holds the generator to the reference on hostileCase for 1,
+// 2 and 5 workers, on the restricted taxonomy and the full one.
+func TestHostileCase3(t *testing.T) {
+	var total, siblings, roots4, offTaxonomy, ties int
+	for seed := int64(1); seed <= 12; seed++ {
+		c := hostileCase(t, rand.New(rand.NewSource(seed)))
+		restricted := c.tax.Restrict(func(x item.Item) bool { return c.table.Contains(item.Itemset{x}) })
+		for _, tax := range []*taxonomy.Taxonomy{restricted, c.tax} {
+			want := referenceCandidates(c.levels, c.table, tax, c.minSup, c.minRI, c.substitutes)
+			sup := singleSupports(c.table, tax.Size())
+			opt := Options{MinSupport: c.minSup, MinRI: c.minRI, Substitutes: c.substitutes}
+			var one WalkStats
+			for _, workers := range []int{1, 2, 5} {
+				opt.Count.Parallelism = workers
+				got, walk := generateCandidates(c.levels, c.table, tax, sup, opt)
+				if workers == 1 {
+					one = walk
+				}
+				if !sameCandidates(got, want) || walk != one {
+					for i := range min(len(got), len(want)) {
+						if !sameCandidates(got[i:i+1], want[i:i+1]) {
+							t.Errorf("first difference: got %+v, want %+v", got[i], want[i])
+							break
+						}
+					}
+					t.Fatalf("seed %d, %d workers: %d candidates, want %d (%+v, one worker %+v)", seed, workers, len(got), len(want), walk, one)
+				}
+			}
+			if tax != c.tax {
+				continue
+			}
+			flipped := make([][]item.CountedSet, len(c.levels))
+			for i, lvl := range c.levels {
+				flipped[i] = slices.Clone(lvl)
+				slices.Reverse(flipped[i])
+			}
+			for i, f := range referenceCandidates(flipped, c.table, c.tax, c.minSup, c.minRI, c.substitutes) {
+				if f.Expected == want[i].Expected && !f.Source.Equal(want[i].Source) {
+					ties++
+				}
+			}
+			for _, w := range want {
+				total++
+				if w.Via == ViaSiblings {
+					siblings++
+					if len(w.Set) == 4 && c.tax.IsRoot(w.Set[0]) && c.tax.IsRoot(w.Set[3]) {
+						roots4++
+					}
+				}
+				if int(w.Set[len(w.Set)-1]) >= c.tax.Size() {
+					offTaxonomy++
+				}
+			}
+		}
+	}
+	t.Logf("%d candidates: %d via siblings, %d of them four roots, %d with an off-taxonomy member, %d tied between sources", total, siblings, roots4, offTaxonomy, ties)
+	if siblings < total/2 || roots4 == 0 || offTaxonomy == 0 || ties == 0 {
+		t.Fatal("the hostile corpus no longer reaches what it was built for")
+	}
+}
+
+// candgenInput mines stage 1 of a generated dataset, up to maxK (0: no
+// limit), and compresses the taxonomy, which leaves exactly what
+// mineStages23 hands GenerateCandidates.
+func candgenInput(tb testing.TB, p datagen.Params, txns int, minSup float64, maxK int) ([][]item.CountedSet, *item.SupportTable, *taxonomy.Taxonomy) {
 	tb.Helper()
 	p.NumTransactions, p.Seed = txns, 1
 	tax, db, err := datagen.Generate(p)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	large, err := gen.Mine(db, tax, gen.Options{MinSupport: minSup, Algorithm: gen.Cumulate})
+	large, err := gen.Mine(db, tax, gen.Options{MinSupport: minSup, MaxK: maxK, Algorithm: gen.Cumulate})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -284,16 +434,16 @@ func candgenInput(tb testing.TB, p datagen.Params, txns int, minSup float64) ([]
 	return large.Levels, large.Table, gtax
 }
 
-// TestGenerateCandidatesAllocs pins the kernel's allocations to what it
-// records — a key and an itemset per candidate plus amortized growth — so a
-// per-choice allocation cannot come back unnoticed. A further worker adds its
-// own table of the large itemsets (no key is re-encoded) and a key for each
-// candidate it records that another worker records too: at most n + 64.
+// TestGenerateCandidatesAllocs pins the kernel's allocations under 8 per
+// candidate, so that a per-choice allocation cannot come back unnoticed:
+// the classes are built in a few flat tables, and a worker records into two
+// growing slices, sorted and copied out once. A further worker adds its own
+// scratch and records: at most 3(n + 64).
 func TestGenerateCandidatesAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	levels, table, tax := candgenInput(t, datagen.Tall(), 2000, 0.04)
+	levels, table, tax := candgenInput(t, datagen.Tall(), 2000, 0.04, 0)
 	n := len(GenerateCandidates(levels, table, tax, 0.04, 0.3, nil))
 	if n < 1000 {
 		t.Fatalf("only %d candidates: input too small to mean anything", n)
@@ -318,9 +468,13 @@ func TestGenerateCandidatesAllocs(t *testing.T) {
 }
 
 // TestWalkCountsOnTall reads the walk's counts off a mine of the Tall shape
-// and pins the regression they were added to show: a walk that visits little
-// more than it emits. Trying every sibling of the last member below a prefix
-// with no member kept — sets Case 3 forbids — read 5.7 visits per emission.
+// and pins the regressions they were added to show. Case 3 derived each
+// candidate from every large itemset of its class, 66 completed sets per
+// candidate on batch-tall's input; a class set is now completed once, so
+// Case 3 completes at most 1.5 per candidate. And a generator that visits
+// little more than it records: trying every sibling of the last member below
+// a prefix with no member kept — sets Case 3 forbids — read 5.7 visits per
+// emission.
 func TestWalkCountsOnTall(t *testing.T) {
 	p := datagen.Tall()
 	p.NumTransactions, p.Seed = 2000, 1
@@ -334,38 +488,45 @@ func TestWalkCountsOnTall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, k := res.Walk, len(res.Large.Levels)
-	t.Logf("%+v, k = %d", w, k)
+	w := res.Walk
+	t.Logf("%+v", w)
 	if w.Sources != len(res.Large.Large())-len(res.Large.Levels[0]) || w.Recorded != res.TotalCandidates() || w.Recorded < 1000 {
 		t.Fatalf("%+v: %d large itemsets of size ≥ 2, %d candidates", w, len(res.Large.Large())-len(res.Large.Levels[0]), res.TotalCandidates())
 	}
 	if w.Emitted != w.AlreadyLarge+w.Duplicates+w.Recorded {
 		t.Fatalf("%+v: the outcomes do not add up to the emissions", w)
 	}
-	if w.Visited > 2*w.Emitted+w.Sources*k {
-		t.Fatalf("%+v: more than 2 visits per emission + %d per source", w, k)
+	if 2*w.Case3 > 3*w.Recorded {
+		t.Fatalf("%+v: Case 3 completed more than 1.5 sets per candidate", w)
+	}
+	if w.Visited > 3*w.Recorded {
+		t.Fatalf("%+v: more than 3 visits per candidate", w)
 	}
 }
 
 var candidateSink []Candidate
 
 // BenchmarkGenerateCandidates runs the kernel on the inputs of the
-// benchmark's batch-tall and batch-wide workloads (benchmark/sizes.go) and on
-// Tall at the low end of the paper's Figure 6, with one worker and with two.
-// Every result is checked against the one-worker result before it is timed.
+// benchmark's workloads (benchmark/sizes.go) — batch-tall, batch-wide, the
+// mine serve-read serves and stream-mixed's options — and on Tall at the low
+// end of the paper's Figure 6, with one worker and with two. Every result is
+// checked against the one-worker result before it is timed.
 func BenchmarkGenerateCandidates(b *testing.B) {
 	for _, bc := range []struct {
 		name          string
 		params        datagen.Params
 		txns          int
 		minSup, minRI float64
+		maxK          int
 	}{
-		{"tall", datagen.Tall(), 5000, 0.03, 0.3},
-		{"tall-1pct", datagen.Tall(), 5000, 0.01, 0.5},
-		{"short", datagen.Short(), 200000, 0.01, 0.5},
+		{"tall", datagen.Tall(), 5000, 0.03, 0.3, 0},
+		{"tall-1pct", datagen.Tall(), 5000, 0.01, 0.5, 0},
+		{"short", datagen.Short(), 200000, 0.01, 0.5, 0},
+		{"short-5k", datagen.Short(), 5000, 0.01, 0.5, 0},
+		{"stream", datagen.Short(), 25000, 0.0125, 0.5, 3},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
-			levels, table, tax := candgenInput(b, bc.params, bc.txns, bc.minSup)
+			levels, table, tax := candgenInput(b, bc.params, bc.txns, bc.minSup, bc.maxK)
 			sup := singleSupports(table, tax.Size())
 			opt := Options{MinSupport: bc.minSup, MinRI: bc.minRI}
 			want, _ := generateCandidates(levels, table, tax, sup, opt)
