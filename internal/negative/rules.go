@@ -11,10 +11,12 @@ import (
 // Figure 4). For each negative itemset n it emits every rule
 // (n − h) =/=> h whose antecedent and consequent are both large and whose
 // rule interest RI = (E[sup(n)] − sup(n))/sup(n − h) reaches minRI.
-// Consequents h grow level-wise via apriori-gen; a failed consequent is
-// dropped from its level, which — because growing h shrinks the antecedent
-// and can only lower RI — prunes all its supersets, exactly as the paper's
-// genrules procedure does.
+// Consequents h grow level-wise via apriori-gen. A consequent that is small
+// or whose RI falls short is dropped from its level: growing h keeps it
+// small and shrinks the antecedent, which can only lower RI, so none of its
+// supersets qualifies. A consequent whose antecedent is small yields no rule
+// but stays: a larger consequent leaves a smaller antecedent, which may be
+// large. Figure 4 drops it too, and so loses rules the definition admits.
 func generateRules(negs []Itemset, table *item.SupportTable, minRI float64) []Rule {
 	var rules []Rule
 	for _, n := range negs {
@@ -33,7 +35,7 @@ func generateRules(negs []Itemset, table *item.SupportTable, minRI float64) []Ru
 			ante := n.Set.Minus(consequent)
 			supA, ok := table.Support(ante)
 			if !ok || supA == 0 {
-				return false // antecedent small (paper's Figure 4 prune)
+				return true // antecedent small: no rule, but a larger consequent may give one
 			}
 			ri := deviation / supA
 			if ri < minRI {
