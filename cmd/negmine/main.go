@@ -198,9 +198,10 @@ func run(args []string, out io.Writer) error {
 			res.Timing.Count.Round(timeUnit), res.Timing.RuleGen.Round(timeUnit))
 		// A visit is a keep/replace decision of a source's walk or a member
 		// placed by a Case-3 class enumeration; an emission is a completed set,
-		// probed once (negative.WalkStats).
+		// probed once, and recorded unless another path to it beats it
+		// (negative.WalkStats).
 		wk := res.Walk
-		fmt.Fprintf(w, "  (walk: %d sources, %d visited, %d floor cuts, %d emitted = %d already large + %d duplicates + %d recorded; %d emitted by Case 3)\n",
+		fmt.Fprintf(w, "  (walk: %d sources, %d visited, %d floor cuts, %d emitted = %d already large + %d beaten by another path + %d recorded; %d emitted by Case 3)\n",
 			wk.Sources, wk.Visited, wk.FloorCuts, wk.Emitted, wk.AlreadyLarge, wk.Duplicates, wk.Recorded, wk.Case3)
 
 		if *negatives {

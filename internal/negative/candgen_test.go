@@ -147,74 +147,95 @@ func TestGenerateCandidatesMatchesReference(t *testing.T) {
 	}
 }
 
+// namedSet is a large itemset of named members with its count.
+type namedSet struct {
+	count int
+	names []string
+}
+
+// namedCase builds a case over 1 024 transactions from named nodes: links
+// parent → child, further roots, the large itemsets in level order and the
+// substitute groups. set returns the itemset of the named members.
+func namedCase(t *testing.T, links [][2]string, roots []string, large []namedSet, subs [][]string) (c candgenCase, set func(...string) item.Itemset) {
+	t.Helper()
+	b := taxonomy.NewBuilder()
+	for _, e := range links {
+		b.Link(e[0], e[1])
+	}
+	for _, r := range roots {
+		b.Node(r)
+	}
+	tax, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	set = func(names ...string) item.Itemset {
+		raw := make([]item.Item, len(names))
+		for i, n := range names {
+			x, ok := tax.Dictionary().Lookup(n)
+			if !ok {
+				t.Fatalf("no node %s", n)
+			}
+			raw[i] = x
+		}
+		return item.New(raw...)
+	}
+	c = candgenCase{tax: tax, table: item.NewSupportTable(1024), minSup: 0.01, minRI: 0.1}
+	for _, l := range large {
+		s := set(l.names...)
+		c.table.Put(s, l.count)
+		for len(c.levels) < len(s) {
+			c.levels = append(c.levels, nil)
+		}
+		c.levels[len(s)-1] = append(c.levels[len(s)-1], item.CountedSet{Set: s, Count: l.count})
+	}
+	for _, g := range subs {
+		c.substitutes = append(c.substitutes, set(g...))
+	}
+	return c, set
+}
+
 // tieCase builds the corners where the worker count could show, on counts that
 // are powers of two so that equal expectations are equal float64s: a candidate
 // two sources reach with one expectation; one a single source reaches through
 // its children and, a declared substitute being that child, through its
 // siblings; one a third source reaches through siblings with that same
 // expectation; and one a single source reaches twice within sibling mode.
-func tieCase(t *testing.T) (candgenCase, map[string]item.Item) {
+func tieCase(t *testing.T) (candgenCase, func(...string) item.Itemset) {
 	t.Helper()
-	b := taxonomy.NewBuilder()
-	for _, e := range [][2]string{{"P", "a"}, {"P", "b"}, {"P", "d"}, {"Q", "c"}, {"Q", "e"}} {
-		b.Link(e[0], e[1])
-	}
-	b.Node("x")
-	b.Node("y")
-	b.Node("z")
-	b.Node("w")
-	tax, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ids := map[string]item.Item{}
-	table := item.NewSupportTable(1024)
-	levels := make([][]item.CountedSet, 3)
-	put := func(count int, names ...string) {
-		raw := make([]item.Item, len(names))
-		for i, n := range names {
-			raw[i], _ = tax.Dictionary().Lookup(n)
-			ids[n] = raw[i]
+	return namedCase(t, [][2]string{{"P", "a"}, {"P", "b"}, {"P", "d"}, {"Q", "c"}, {"Q", "e"}}, []string{"x", "y", "z", "w"},
+		[]namedSet{
+			{512, []string{"P"}}, {256, []string{"a"}}, {256, []string{"b"}}, {128, []string{"d"}}, {512, []string{"Q"}}, {512, []string{"c"}},
+			{64, []string{"e"}}, {256, []string{"x"}}, {256, []string{"y"}}, {128, []string{"z"}}, {512, []string{"w"}},
+			{128, []string{"a", "c"}}, // → {c d} through a's sibling d: 1/8 · 128/256
+			{128, []string{"b", "c"}}, // → {c d} through b's sibling d: the same
+			{256, []string{"P", "e"}}, // → {d e} through P's child d, and through P's substitute d
+			{128, []string{"b", "e"}}, // → {d e} through b's sibling d: 1/8 · 128/256 = 1/4 · 128/512
+			{64, []string{"x", "y", "w"}},
+		},
+		[][]string{{"P", "d"}, {"x", "y", "z"}})
+}
+
+// checkPinned fails t unless got, sorted by set, holds each of want.
+func checkPinned(t *testing.T, label string, got []Candidate, want ...Candidate) {
+	t.Helper()
+	for _, w := range want {
+		i, ok := slices.BinarySearchFunc(got, w.Set, func(c Candidate, s item.Itemset) int { return c.Set.Compare(s) })
+		if !ok || !sameCandidates(got[i:i+1], []Candidate{w}) {
+			t.Errorf("%s: want %+v among %+v", label, w, got)
 		}
-		set := item.New(raw...)
-		table.Put(set, count)
-		levels[len(set)-1] = append(levels[len(set)-1], item.CountedSet{Set: set, Count: count})
 	}
-	for n, c := range map[string]int{"P": 512, "a": 256, "b": 256, "d": 128, "Q": 512, "c": 512, "e": 64, "x": 256, "y": 256, "z": 128, "w": 512} {
-		put(c, n)
-	}
-	put(128, "a", "c") // → {c d} through a's sibling d: 1/8 · 128/256
-	put(128, "b", "c") // → {c d} through b's sibling d: the same
-	put(256, "P", "e") // → {d e} through P's child d, and through P's substitute d
-	put(128, "b", "e") // → {d e} through b's sibling d: 1/8 · 128/256 = 1/4 · 128/512
-	put(64, "x", "y", "w")
-	subs := []item.Itemset{item.New(ids["P"], ids["d"]), item.New(ids["x"], ids["y"], ids["z"])}
-	return candgenCase{tax, table, levels, subs, 0.01, 0.1}, ids
 }
 
 // TestGenerateCandidatesTieRule pins the path that wins each of tieCase's
 // ties for one worker: the first source, and within a source children before
 // siblings.
 func TestGenerateCandidatesTieRule(t *testing.T) {
-	c, ids := tieCase(t)
-	set := func(names ...string) item.Itemset {
-		raw := make([]item.Item, len(names))
-		for i, n := range names {
-			raw[i] = ids[n]
-		}
-		return item.New(raw...)
-	}
-	got := GenerateCandidates(c.levels, c.table, c.tax, c.minSup, c.minRI, c.substitutes)
-	for _, want := range []Candidate{
-		{Set: set("c", "d"), Expected: 1.0 / 16, Source: set("a", "c"), Via: ViaSiblings},
-		{Set: set("d", "e"), Expected: 1.0 / 16, Source: set("P", "e"), Via: ViaChildren},
-		{Set: set("y", "z", "w"), Expected: 1.0 / 32, Source: set("x", "y", "w"), Via: ViaSiblings},
-	} {
-		i, ok := slices.BinarySearchFunc(got, want.Set, func(c Candidate, s item.Itemset) int { return c.Set.Compare(s) })
-		if !ok || !sameCandidates(got[i:i+1], []Candidate{want}) {
-			t.Errorf("want %+v among %+v", want, got)
-		}
-	}
+	c, set := tieCase(t)
+	checkPinned(t, "one worker", GenerateCandidates(c.levels, c.table, c.tax, c.minSup, c.minRI, c.substitutes),
+		Candidate{Set: set("c", "d"), Expected: 1.0 / 16, Source: set("a", "c"), Via: ViaSiblings},
+		Candidate{Set: set("d", "e"), Expected: 1.0 / 16, Source: set("P", "e"), Via: ViaChildren},
+		Candidate{Set: set("y", "z", "w"), Expected: 1.0 / 32, Source: set("x", "y", "w"), Via: ViaSiblings})
 }
 
 // TestGenerateCandidatesSameForAnyWorkerCount is the spec of the worker loop:
@@ -250,22 +271,17 @@ func TestGenerateCandidatesSameForAnyWorkerCount(t *testing.T) {
 		}
 
 		// The tasks dealt at random to three workers, each running its own in
-		// ascending order as the shared counter makes it, merged in both orders.
+		// ascending order as the shared counter makes it, gathered in both
+		// orders.
 		gens := []*generator{in.newGenerator(), in.newGenerator(), in.newGenerator()}
 		for i := range len(in.sources) + len(in.anchors) {
 			gens[r.Intn(len(gens))].run(i)
 		}
-		for _, g := range gens {
-			g.finish()
-		}
 		if ci%2 == 0 {
 			slices.Reverse(gens)
 		}
-		for _, o := range gens[1:] {
-			gens[0].merge(o)
-		}
-		if got := gens[0].candidates(); !sameCandidates(got, want) || gens[0].stats != one {
-			t.Fatalf("case %d, sources dealt at random: %+v\n got  %v\n want %v (%+v)", ci, gens[0].stats, got, want, one)
+		if got, walk := candidates(gens); !sameCandidates(got, want) || walk != one {
+			t.Fatalf("case %d, sources dealt at random: %+v\n got  %v\n want %v (%+v)", ci, walk, got, want, one)
 		}
 	}
 }
@@ -356,8 +372,36 @@ func hostileCase(t *testing.T, r *rand.Rand) candgenCase {
 }
 
 // TestHostileCase3 holds the generator to the reference on hostileCase for 1,
-// 2 and 5 workers, on the restricted taxonomy and the full one.
+// 2, 5 and more workers than tasks, on the restricted taxonomy and the full
+// one. First it pins two winners on counts that are powers of two, so that
+// equal expectations are equal float64s. {b c} is reached three ways at 1/16:
+// by its class, from {b e} (e → c), which is the lowest source and wins; by a
+// substitute source's sibling walk, from {x b} (x → c, c being x's
+// substitute); and by a children path, from {P c} (P → b). {y z w} is reached
+// from {x y w}, whose members have substitutes, by three permutations of
+// 1/32: x → z; x → y and y → z; x → w and w → z.
 func TestHostileCase3(t *testing.T) {
+	c, set := namedCase(t, [][2]string{{"P", "a"}, {"P", "b"}, {"P", "d"}, {"Q", "c"}, {"Q", "e"}}, []string{"x", "y", "z", "w"},
+		[]namedSet{
+			{512, []string{"P"}}, {512, []string{"Q"}}, {256, []string{"a"}}, {256, []string{"b"}}, {256, []string{"c"}},
+			{128, []string{"d"}}, {256, []string{"e"}}, {256, []string{"x"}}, {256, []string{"y"}}, {128, []string{"z"}}, {512, []string{"w"}},
+			{64, []string{"b", "e"}}, {64, []string{"x", "b"}}, {128, []string{"P", "c"}}, {64, []string{"x", "y", "w"}},
+		},
+		[][]string{{"x", "c"}, {"x", "y", "z"}})
+	want := referenceCandidates(c.levels, c.table, c.tax, c.minSup, c.minRI, c.substitutes)
+	sup := singleSupports(c.table, c.tax.Size())
+	opt := Options{MinSupport: c.minSup, MinRI: c.minRI, Substitutes: c.substitutes}
+	for _, workers := range []int{1, 2, 5, 1000} {
+		opt.Count.Parallelism = workers
+		got, _ := generateCandidates(c.levels, c.table, c.tax, sup, opt)
+		if !sameCandidates(got, want) {
+			t.Fatalf("%d workers: got %v, want %v", workers, got, want)
+		}
+		checkPinned(t, strconv.Itoa(workers)+" workers", got,
+			Candidate{Set: set("b", "c"), Expected: 1.0 / 16, Source: set("b", "e"), Via: ViaSiblings},
+			Candidate{Set: set("y", "z", "w"), Expected: 1.0 / 32, Source: set("x", "y", "w"), Via: ViaSiblings})
+	}
+
 	var total, siblings, roots4, offTaxonomy, ties int
 	for seed := int64(1); seed <= 12; seed++ {
 		c := hostileCase(t, rand.New(rand.NewSource(seed)))
@@ -367,7 +411,7 @@ func TestHostileCase3(t *testing.T) {
 			sup := singleSupports(c.table, tax.Size())
 			opt := Options{MinSupport: c.minSup, MinRI: c.minRI, Substitutes: c.substitutes}
 			var one WalkStats
-			for _, workers := range []int{1, 2, 5} {
+			for _, workers := range []int{1, 2, 5, 1000} {
 				opt.Count.Parallelism = workers
 				got, walk := generateCandidates(c.levels, c.table, tax, sup, opt)
 				if workers == 1 {
@@ -416,6 +460,39 @@ func TestHostileCase3(t *testing.T) {
 	}
 }
 
+// TestCandidatesSortedBySet gathers the records of two generators whose item
+// ids are so large that a sort key holds only two members of a set, so that
+// the sets of three to five members that share their first two are ordered
+// by the comparison that follows the integer sort.
+func TestCandidatesSortedBySet(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	var sources []item.Itemset
+	for len(sources) < 3000 {
+		raw := make([]item.Item, 3+r.Intn(3))
+		for j := range raw {
+			raw[j] = item.Item(1<<20 + r.Intn(6)*r.Intn(1<<10))
+		}
+		if s := item.New(raw...); s.Len() == len(raw) && !slices.ContainsFunc(sources, s.Equal) {
+			sources = append(sources, s)
+		}
+	}
+	in := &inputs{sources: sources}
+	gens := []*generator{{inputs: *in}, {inputs: *in}}
+	for i, s := range sources {
+		g := gens[i%2]
+		g.recs, g.items = append(g.recs, prov{float64(i), int32(i), ViaChildren}), append(g.items, s...)
+	}
+	got, _ := candidates(gens)
+	if len(got) != len(sources) || !slices.IsSortedFunc(got, func(a, b Candidate) int { return a.Set.Compare(b.Set) }) {
+		t.Fatalf("%d candidates from %d records, sorted: %v", len(got), len(sources), slices.IsSortedFunc(got, func(a, b Candidate) int { return a.Set.Compare(b.Set) }))
+	}
+	for _, c := range got {
+		if !c.Set.Equal(sources[int(c.Expected)]) || !c.Source.Equal(c.Set) {
+			t.Fatalf("%v recorded for %v", c.Set, sources[int(c.Expected)])
+		}
+	}
+}
+
 // candgenInput mines stage 1 of a generated dataset, up to maxK (0: no
 // limit), and compresses the taxonomy, which leaves exactly what
 // mineStages23 hands GenerateCandidates.
@@ -437,7 +514,7 @@ func candgenInput(tb testing.TB, p datagen.Params, txns int, minSup float64, max
 // TestGenerateCandidatesAllocs pins the kernel's allocations under 8 per
 // candidate, so that a per-choice allocation cannot come back unnoticed:
 // the classes are built in a few flat tables, and a worker records into two
-// growing slices, sorted and copied out once. A further worker adds its own
+// growing slices, gathered and sorted once. A further worker adds its own
 // scratch and records: at most 3(n + 64).
 func TestGenerateCandidatesAllocs(t *testing.T) {
 	if raceEnabled {

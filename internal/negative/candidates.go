@@ -3,7 +3,9 @@ package negative
 import (
 	"cmp"
 	"math"
+	"math/bits"
 	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -15,12 +17,8 @@ import (
 type Mode int
 
 const (
-	// ViaChildren covers cases 1 and 2: members replaced by taxonomy
-	// children.
-	ViaChildren Mode = iota
-	// ViaSiblings is case 3: members replaced by siblings (or declared
-	// substitutes).
-	ViaSiblings
+	ViaChildren Mode = iota // cases 1 and 2: members replaced by taxonomy children
+	ViaSiblings             // case 3: members replaced by siblings or declared substitutes
 )
 
 // String names the mode.
@@ -31,9 +29,8 @@ func (m Mode) String() string {
 	return "siblings"
 }
 
-// Candidate is a candidate negative itemset with its expected support and
-// the provenance of the generation path that assigned it (the
-// highest-expectation path when several produce the same candidate).
+// Candidate is a candidate negative itemset with its expected support and the
+// provenance of the path that assigned it, the best of those that reach it.
 type Candidate struct {
 	Set      item.Itemset
 	Expected float64
@@ -44,71 +41,113 @@ type Candidate struct {
 }
 
 // WalkStats counts what candidate generation did. Sources is the large
-// itemsets walked: each through its children (Cases 1–2), and through its
-// siblings (Case 3) only when its sibling class cannot stand for it — when a
-// member has declared substitutes, say; every other Case-3 set is enumerated
-// once for its class. A visit is a keep/replace decision of a walk or a
-// member placed by a class enumeration; a floor cut is a branch either of
-// them cut at the expectation floor, or a completed class set whose exact
-// expectation did not clear it. An emission is a completed set, probed once:
-// Emitted = AlreadyLarge + Duplicates + Recorded, Recorded being the distinct
-// candidates, and Case3 counts the emissions Case 3 made.
+// itemsets walked: through their children (Cases 1–2), and through their
+// siblings (Case 3) only when their class cannot stand for them. A visit is a
+// keep/replace decision of a walk or a member placed by a class enumeration;
+// a floor cut is a branch of either cut at the floor, or a class set whose
+// exact expectation does not clear it. An emission is a completed set:
+// Emitted = AlreadyLarge + Duplicates (another path to the set beats it) +
+// Recorded (the candidates); Case3 counts the emissions Case 3 made.
 type WalkStats struct {
 	Sources, Visited, FloorCuts, Emitted, AlreadyLarge, Duplicates, Recorded, Case3 int
 }
 
 func (s *WalkStats) add(o WalkStats) {
-	s.Sources += o.Sources
-	s.Visited += o.Visited
-	s.FloorCuts += o.FloorCuts
-	s.Emitted += o.Emitted
-	s.AlreadyLarge += o.AlreadyLarge
-	s.Duplicates += o.Duplicates
-	s.Recorded += o.Recorded
-	s.Case3 += o.Case3
+	*s = WalkStats{s.Sources + o.Sources, s.Visited + o.Visited, s.FloorCuts + o.FloorCuts, s.Emitted + o.Emitted,
+		s.AlreadyLarge + o.AlreadyLarge, s.Duplicates + o.Duplicates, s.Recorded + o.Recorded, s.Case3 + o.Case3}
 }
 
 // inputs is what the workers of one generateCandidates call share, read-only.
 type inputs struct {
 	tax   *taxonomy.Taxonomy
 	table *item.SupportTable // generalized large-itemset supports
-	// minExpected is MinSup·MinRI: candidates whose expected support does
-	// not exceed it can never yield a rule with RI ≥ MinRI and are pruned
-	// at generation time. cutBelow is the same floor less a relative slack,
-	// for bounds whose factors are not multiplied in the walk's order, and
-	// nearFloor the same floor plus that slack: a class set whose estimate
-	// exceeds it has an exact expectation above the floor.
-	minExpected, cutBelow, nearFloor float64
-	// sup is singleSupports(table, tax.Size()). In the Improved driver the
-	// taxonomy is pre-compressed so children/sibling lists contain only
-	// large items, but kept members and replacements are still checked
-	// against it for safety.
-	sup []float64
-	// subs maps an item to its declared substitute partners (extra
-	// sibling-like choices beyond the taxonomy).
-	subs map[item.Item][]item.Item
-	// sources are the large itemsets to walk, levels ascending, and sourceSup
-	// their supports (0 for one without: it is not walked). An emitted set
-	// has the size of its source, so it is large exactly when table holds it.
+	// minExpected is MinSup·MinRI: a candidate whose expected support does
+	// not exceed it can yield no rule with RI ≥ MinRI. cutBelow is the same
+	// floor less the slack, for bounds not multiplied in the walk's order.
+	minExpected, cutBelow float64
+	sup                   []float64                 // singleSupports(table, tax.Size())
+	subs                  map[item.Item][]item.Item // an item's declared substitute partners
+	// sources are the large itemsets to walk, levels ascending — the table's
+	// itemsets of two members or more, so an emitted set is large exactly when
+	// it is one — and sourceSup their supports (0: not walked).
 	sources   []item.Itemset
 	sourceSup []float64
+	// byHash holds the sources open-addressed by hashOf, walked the irregular
+	// sources of positive support by kinHash and w descending, and kin a group
+	// that substitutes join to a lower one.
+	byHash []slot
+	walked map[uint64][]weighted
+	kin    map[int64]int64
 
 	// regular[s] tells that Case 3 of sources[s] is left to its sibling
 	// class. The tasks are the sources, then the anchors of every class.
 	regular []bool
-	classes []class
+	classes []class // ascending by gids
 	anchors []anchor
 	idBound int // every item a class set may hold is below it
 }
 
+// slot is a source in inputs.byHash: its hash, and its index + 1 (0: empty).
+type slot struct {
+	h   uint64
+	src int32
+}
+
+// hashOf sums SplitMix64's finalizer over the members, in any order, and
+// kinHash over their kin, which a sibling walk keeps.
+func hashOf(s []item.Item) (h uint64) {
+	for _, x := range s {
+		h += mix(uint64(x))
+	}
+	return h
+}
+
+func (in *inputs) kinHash(s []item.Item) (h uint64) {
+	for _, x := range s {
+		h += mix(uint64(in.kinOf(x)))
+	}
+	return h
+}
+
+func mix(z uint64) uint64 {
+	z += 0x9e3779b97f4a7c15
+	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	return z ^ z>>31
+}
+
+// kinOf names the groups whose members a sibling walk can put in x's place:
+// x's group and those declared substitutes join to it, by the lowest.
+func (in *inputs) kinOf(x item.Item) int64 {
+	k := in.groupOf(x)
+	for next, ok := in.kin[k]; ok; next, ok = in.kin[k] {
+		k = next
+	}
+	return k
+}
+
+// find returns the first source equal to set, or -1.
+func (in *inputs) find(set []item.Item) int32 {
+	h, mask := hashOf(set), uint64(len(in.byHash)-1)
+	for i := h & mask; in.byHash[i].src != 0; i = (i + 1) & mask {
+		if s := in.byHash[i].src - 1; in.byHash[i].h == h && slices.Equal(in.sources[s], set) {
+			return s
+		}
+	}
+	return -1
+}
+
 func newInputs(levels [][]item.CountedSet, table *item.SupportTable, tax *taxonomy.Taxonomy, sup []float64, opt Options) *inputs {
-	in := &inputs{tax: tax, table: table, minExpected: opt.MinSupport * opt.MinRI, sup: sup, subs: map[item.Item][]item.Item{}}
-	in.cutBelow, in.nearFloor = in.minExpected*(1-floorSlack), in.minExpected*(1+floorSlack)
+	in := &inputs{tax: tax, table: table, minExpected: opt.MinSupport * opt.MinRI, sup: sup, subs: map[item.Item][]item.Item{}, kin: map[int64]int64{}}
+	in.cutBelow = in.minExpected * (1 - floorSlack)
 	for _, group := range opt.Substitutes {
 		for _, x := range group {
 			for _, y := range group {
 				if x != y {
 					in.subs[x] = append(in.subs[x], y)
+					if a, b := in.kinOf(x), in.kinOf(y); a != b {
+						in.kin[max(a, b)] = min(a, b)
+					}
 				}
 			}
 		}
@@ -122,25 +161,21 @@ func newInputs(levels [][]item.CountedSet, table *item.SupportTable, tax *taxono
 	return in
 }
 
-// floorSlack is the relative error allowed for an expectation whose factors
-// are not multiplied in the walk's order: a few ulps per factor, many times
-// over.
+// floorSlack is the relative error allowed for an expectation not multiplied
+// in the walk's order: a few ulps per factor, many times over.
 const floorSlack = 1e-9
 
-// Case 3 by sibling class. On any Case-3 path from a source l to a set C the
-// kept members cancel, so its expectation is w(l)·Π_{c∈C} sup(c) with
-// w(l) = sup(l)/Π_{x∈l} sup(x). A member's group is its parent, the roots
-// for a root, and itself alone for an id the taxonomy lacks; a class is the
-// sources whose members fill the same groups, as many each. From one of
-// them the walk reaches exactly the sets of the class — a large member of
-// each group per slot — that share a member with it and are not it, so a
-// set's expectation is Π sup(c) times the largest W(x) over its members x,
-// W(x) being the largest w over the class sources holding x. Each set is
-// enumerated once, from its member of highest W (its anchor), and its
-// expectation is then recomputed exactly as the walk would multiply it.
+// Case 3 by sibling class (DESIGN §6). On a Case-3 path from a source l to a
+// set C the kept members cancel: its expectation is w(l)·Π_{c∈C} sup(c), with
+// w(l) = sup(l)/Π_{x∈l} sup(x). A class is the sources whose members fill the
+// same groups (parent; the roots; an id the taxonomy lacks alone), as many
+// each; a set's expectation is Π sup(c) times the largest w of a class source
+// holding one of its members. Each set is enumerated once, from its member of
+// highest W (its anchor), and its expectation recomputed as the walk does.
 
 // class is one sibling class.
 type class struct {
+	gids    []int64  // its sources' members' groups, ascending
 	groups  []group  // ascending by group id
 	anchors []anchor // the members of its sources, by W descending, then item
 }
@@ -159,7 +194,6 @@ type anchor struct {
 	x    item.Item
 	cls  int32 // index into inputs.classes
 	rank int32 // index into the class's anchors
-	grp  int32 // index into the class's groups
 	w    float64
 	srcs []weighted
 }
@@ -185,42 +219,32 @@ func (in *inputs) groupOf(x item.Item) int64 {
 	return int64(in.tax.Parent(x))
 }
 
-// weight returns w(l) and whether l is regular: its support and its
-// members' are positive, no member has declared substitutes, and each
-// member is a sibling of exactly the other members of its group — not so
-// for a node a restriction dropped, which has no parent and is no root, so
-// that the roots are its siblings but it is none of theirs. Class sets are
-// tracked in a 64-bit mask, so no more than 64 members.
-func (in *inputs) weight(l item.Itemset, supL float64, root []bool) (float64, bool) {
-	if supL <= 0 || len(l) > 64 {
-		return 0, false
-	}
-	prod := 1.0
+// weight returns w(l), +Inf if a member's support is not positive, and
+// whether l is regular: its support and its members' are positive and none has
+// declared substitutes, so that each is a sibling of exactly the others of its
+// group (a node Restrict dropped is not large). Masks hold 64 members.
+func (in *inputs) weight(l item.Itemset, supL float64) (float64, bool) {
+	prod, regular := 1.0, supL > 0 && len(l) <= 64
 	for _, x := range l {
-		if x < 0 || len(in.subs[x]) > 0 || int(x) < len(root) && !root[x] && in.tax.Parent(x) == item.None {
-			return 0, false
-		}
 		s, ok := in.support(x)
 		if !ok || s <= 0 {
-			return 0, false
+			return math.Inf(1), false
 		}
 		prod *= s
+		regular = regular && x >= 0 && len(in.subs[x]) == 0
 	}
-	return supL / prod, true
+	return supL / prod, regular
 }
 
-// classify reads each source's support, marks the regular ones and builds
-// their classes, one allocation per table rather than per class.
+// classify reads each source's support, indexes the sources, marks the
+// regular ones and builds their classes, one allocation per table.
 func (in *inputs) classify() {
 	n, members := len(in.sources), 0
 	for _, l := range in.sources {
 		members += len(l)
 	}
 	in.sourceSup, in.regular = make([]float64, n), make([]bool, n)
-	root := make([]bool, in.tax.Size())
-	for _, r := range in.tax.Roots() {
-		root[r] = true
-	}
+	in.byHash, in.walked = make([]slot, 2<<bits.Len(uint(n))), map[uint64][]weighted{}
 	type regularSource struct {
 		src  int32
 		w    float64
@@ -232,8 +256,15 @@ func (in *inputs) classify() {
 	for s, l := range in.sources {
 		key = l.AppendKey(key[:0])
 		in.sourceSup[s], _ = in.table.SupportBytes(key)
-		w, ok := in.weight(l, in.sourceSup[s], root)
+		i, h := uint64(0), hashOf(l)
+		for i = h & uint64(len(in.byHash)-1); in.byHash[i].src != 0; i = (i + 1) & uint64(len(in.byHash)-1) {
+		}
+		in.byHash[i] = slot{h, int32(s) + 1}
+		w, ok := in.weight(l, in.sourceSup[s])
 		if !ok {
+			if k := in.kinHash(l); in.sourceSup[s] > 0 {
+				in.walked[k] = append(in.walked[k], weighted{src: int32(s), w: w})
+			}
 			continue
 		}
 		in.regular[s] = true
@@ -246,14 +277,11 @@ func (in *inputs) classify() {
 		reg = append(reg, regularSource{int32(s), w, gids[start:len(gids):len(gids)]})
 	}
 	in.idBound = max(in.idBound, in.tax.Size())
-	slices.SortFunc(reg, func(a, b regularSource) int {
-		if c := slices.Compare(a.gids, b.gids); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.src, b.src)
-	})
+	for _, b := range in.walked {
+		slices.SortFunc(b, func(a, b weighted) int { return cmp.Or(cmp.Compare(b.w, a.w), cmp.Compare(a.src, b.src)) })
+	}
+	slices.SortFunc(reg, func(a, b regularSource) int { return cmp.Or(slices.Compare(a.gids, b.gids), cmp.Compare(a.src, b.src)) })
 
-	pools := map[int64][]item.Item{}
 	poolBuf := make([]item.Item, 0, in.tax.Size()+members)
 	groups := make([]group, 0, members)
 	entries := make([]weighted, 0, members)
@@ -269,14 +297,11 @@ func (in *inputs) classify() {
 				groups[last].n++
 				continue
 			}
-			pool, ok := pools[id]
-			if !ok {
-				pool, poolBuf = in.pool(id, poolBuf)
-				pools[id] = pool
-			}
+			var pool []item.Item
+			pool, poolBuf = in.pool(id, poolBuf)
 			groups = append(groups, group{id: id, pool: pool, n: 1})
 		}
-		c := class{groups: groups[g0:len(groups):len(groups)]}
+		c := class{gids: reg[i].gids, groups: groups[g0:len(groups):len(groups)]}
 
 		e0 := len(entries)
 		for _, r := range reg[i:j] {
@@ -289,10 +314,7 @@ func (in *inputs) classify() {
 			if a.x != b.x {
 				return cmp.Compare(a.x, b.x)
 			}
-			if a.w != b.w {
-				return cmp.Compare(b.w, a.w)
-			}
-			return cmp.Compare(a.src, b.src)
+			return cmp.Or(cmp.Compare(b.w, a.w), cmp.Compare(a.src, b.src))
 		})
 		a0 := len(in.anchors)
 		for e := 0; e < len(seg); {
@@ -301,17 +323,11 @@ func (in *inputs) classify() {
 				f++
 			}
 			x := seg[e].x
-			grp := slices.IndexFunc(c.groups, func(g group) bool { return g.id == in.groupOf(x) })
-			in.anchors = append(in.anchors, anchor{x: x, cls: int32(len(in.classes)), grp: int32(grp), w: seg[e].w, srcs: seg[e:f:f]})
+			in.anchors = append(in.anchors, anchor{x: x, cls: int32(len(in.classes)), w: seg[e].w, srcs: seg[e:f:f]})
 			e = f
 		}
 		c.anchors = in.anchors[a0:len(in.anchors):len(in.anchors)]
-		slices.SortFunc(c.anchors, func(a, b anchor) int {
-			if a.w != b.w {
-				return cmp.Compare(b.w, a.w)
-			}
-			return cmp.Compare(a.x, b.x)
-		})
+		slices.SortFunc(c.anchors, func(a, b anchor) int { return cmp.Or(cmp.Compare(b.w, a.w), cmp.Compare(a.x, b.x)) })
 		for r := range c.anchors {
 			c.anchors[r].rank = int32(r)
 		}
@@ -339,32 +355,21 @@ func (in *inputs) pool(id int64, buf []item.Item) ([]item.Item, []item.Item) {
 		}
 	}
 	pool := buf[start:len(buf):len(buf)]
-	slices.SortFunc(pool, func(a, b item.Item) int {
-		sa, _ := in.support(a)
-		sb, _ := in.support(b)
-		if sa != sb {
-			return cmp.Compare(sb, sa)
-		}
-		return cmp.Compare(a, b)
-	})
+	slices.SortFunc(pool, func(a, b item.Item) int { return cmp.Or(cmp.Compare(in.sup[b], in.sup[a]), cmp.Compare(a, b)) })
 	return pool, buf
 }
 
-// generator accumulates candidate negative itemsets across the tasks one
-// worker runs. Every emitted set that is not large is recorded with its path;
-// finish then keeps one path per set, the largest expected support (paper
-// §2.1.1: "In such situations the largest value of the expected support is
-// chosen") and, among equal expectations, the path the reference order
-// generates first — see beats. A task allocates nothing but the growth of
-// what it records: single-item supports come from a dense slice, choice lists
-// are shared or cached, and sets are normalized and keyed in scratch buffers.
+// generator records candidate negative itemsets across the tasks one worker
+// runs. A set reached by several paths takes the largest expected support
+// (paper §2.1.1), and every path's expectation is arithmetic over the
+// support table, so a set is recorded by the one path that wins it, in
+// whatever task or worker runs that. A task allocates nothing but the growth
+// of its records.
 type generator struct {
 	inputs
 	sibs [][]item.Item // siblingChoices per taxonomy id; nil = not built yet
-	grow [2][]float64  // maxGrowth per mode and taxonomy id; 0 = not computed yet
 
-	// recs are the recorded paths, their sets back to back in items; after
-	// finish, one per set, sorted by set.
+	// recs are the recorded paths, and items their sets back to back.
 	recs  []prov
 	items []item.Item
 	stats WalkStats
@@ -372,44 +377,47 @@ type generator struct {
 	// The walk in progress, and scratch every walk reuses.
 	l       item.Itemset
 	src     int32 // l is sources[src]
+	start   int   // the first of items the walk recorded
 	supL    float64
 	via     Mode
 	suffix  []float64   // suffix[pos]: the most positions pos… of l can multiply the ratio by
 	keepOne []float64   // the same when one of them must keep its member
 	picked  []item.Item // one choice per position of l, or the class set being enumerated
 	set     []item.Item // picked, sorted
-	key     []byte      // set, encoded
 
 	// The class enumeration in progress: its anchor and class, W(x)·sup(x) of
-	// the anchor x, and rest[j], the most groups j… can multiply it by.
-	// mark[y] == epoch marks the anchors ranked above this one.
+	// the anchor x, rest[j], the most groups j… can multiply it by, and the
+	// anchors ranked above x, those y with mark[y] == epoch.
 	anc    *anchor
 	cls    *class
 	base   float64
 	rest   []float64
 	mark   []int32
 	epoch  int32
-	xs, ys []member // a source and the class set, for pathRatio
+	xs, ys []member    // a source and a set, for pathRatio
+	lifted []item.Item // the source of a children path, for wins
+	gids   []int64     // a set's groups, for classOf
 }
 
-// prov is a generation path to a candidate. Its set, as long as its source,
-// is items[off:] of the generator that recorded it.
+// prov is a generation path to a candidate: its expectation, source (an
+// index into inputs.sources) and mode.
 type prov struct {
 	expected float64
-	off      int32
-	source   int32 // index into inputs.sources
+	source   int32
 	via      Mode
 }
 
-// setOf returns the set of path p, which g recorded.
-func (g *generator) setOf(p prov) item.Itemset {
-	return g.items[p.off : int(p.off)+len(g.sources[p.source])]
+// outranks reports whether path p wins over path q to one set: a larger
+// expectation, then a lower source, then children over siblings — of equal
+// paths, the first in the reference's order (sources ascending, each through
+// its children before its siblings).
+func (p prov) outranks(q prov) bool {
+	return p.expected > q.expected || p.expected == q.expected && (p.source < q.source || p.source == q.source && p.via < q.via)
 }
 
 // singleSupports is the dense view of table's 1-itemsets over the item ids
-// [0, n): the relative support of {x}, or -1 when {x} is not large. One
-// item's support is read at every keep/replace choice of the walk and by the
-// taxonomy-compression predicate, so it is looked up by id, not by key.
+// [0, n): the relative support of {x}, or -1 when {x} is not large, read by
+// id at every choice of a walk and by the taxonomy-compression predicate.
 func singleSupports(table *item.SupportTable, n int) []float64 {
 	sup := make([]float64, n)
 	var key []byte
@@ -426,47 +434,36 @@ func singleSupports(table *item.SupportTable, n int) []float64 {
 
 // newGenerator returns a generator for one worker.
 func (in *inputs) newGenerator() *generator {
-	g := &generator{
-		inputs: *in,
-		sibs:   make([][]item.Item, in.tax.Size()),
-		grow:   [2][]float64{make([]float64, len(in.sup)), make([]float64, len(in.sup))},
-	}
-	if len(in.anchors) > 0 {
-		g.mark = make([]int32, in.idBound)
-	}
-	return g
+	return &generator{inputs: *in, sibs: make([][]item.Item, in.tax.Size()), mark: make([]int32, in.idBound)}
 }
 
-// support returns the relative support of the single item x and whether x
-// is large. Ids the taxonomy does not cover fall back to the table.
+// support returns the relative support of the single item x, or -1, and
+// whether x is large. Ids the taxonomy does not cover fall back to the table.
 func (in *inputs) support(x item.Item) (float64, bool) {
+	s := -1.0
 	if x >= 0 && int(x) < len(in.sup) {
-		s := in.sup[x]
-		return s, s >= 0
+		s = in.sup[x]
+	} else if t, ok := in.table.Support(item.Itemset{x}); ok {
+		s = t
 	}
-	return in.table.Support(item.Itemset{x})
+	return s, s >= 0
 }
 
 // siblingChoices returns the taxonomy siblings of x plus its declared
-// substitute partners, deduplicated. The list is built once per item.
+// substitute partners, deduplicated, built once per taxonomy id.
 func (g *generator) siblingChoices(x item.Item) []item.Item {
-	if x < 0 || int(x) >= len(g.sibs) {
-		return g.buildSiblingChoices(x)
+	dense := x >= 0 && int(x) < len(g.sibs)
+	if dense && g.sibs[x] != nil {
+		return g.sibs[x]
 	}
-	if g.sibs[x] == nil {
-		g.sibs[x] = g.buildSiblingChoices(x)
-	}
-	return g.sibs[x]
-}
-
-func (g *generator) buildSiblingChoices(x item.Item) []item.Item {
-	sibs := g.tax.Siblings(x)
-	out := make([]item.Item, 0, len(sibs)+len(g.subs[x]))
-	out = append(out, sibs...)
+	out := g.tax.Siblings(x)
 	for _, s := range g.subs[x] {
 		if s != x && !slices.Contains(out, s) {
 			out = append(out, s)
 		}
+	}
+	if dense {
+		g.sibs[x] = out
 	}
 	return out
 }
@@ -484,10 +481,6 @@ func (g *generator) choices(x item.Item) []item.Item {
 // large choices — above 1 for a sibling more popular than x, never for a child
 // where the supports were counted.
 func (g *generator) maxGrowth(x item.Item) float64 {
-	dense := x >= 0 && int(x) < len(g.sup)
-	if dense && g.grow[g.via][x] != 0 {
-		return g.grow[g.via][x]
-	}
 	m := 1.0
 	if supX, ok := g.support(x); ok && supX > 0 {
 		for _, r := range g.choices(x) {
@@ -496,41 +489,24 @@ func (g *generator) maxGrowth(x item.Item) float64 {
 			}
 		}
 	}
-	if dense {
-		g.grow[g.via][x] = m
-	}
 	return m
 }
 
-// fromLarge generates the candidates derivable from the large itemset l
-// (paper cases 1–3):
-//
-//	Case 1: every member replaced by one of its children.
-//	Case 2: a proper non-empty subset of members replaced by children.
-//	Case 3: a proper non-empty subset of members replaced by siblings
-//	        (at least one member kept; all-sibling sets are excluded).
-//
-// In every case the expected support is sup(l) scaled by
-// Π sup(replacement)/sup(original) over the replaced members — the
-// uniformity assumption. Case 3 of a regular source is its class's, done by
-// fromAnchor.
+// fromLarge generates the candidates derivable from the large itemset l:
+// Cases 1–2 replace a non-empty subset of its members by children, Case 3 a
+// proper one by siblings or declared substitutes (the §4.1 extension). The
+// expected support is sup(l) scaled by Π sup(replacement)/sup(original) over
+// the replaced members — the uniformity assumption. Case 3 of a regular
+// source is its class's, done by fromAnchor.
 func (g *generator) fromLarge(src int32) {
 	l, supL := g.sources[src], g.sourceSup[src]
 	if supL == 0 {
 		return
 	}
-	g.l, g.src, g.supL = l, src, supL
+	g.l, g.src, g.supL, g.start = l, src, supL, len(g.items)
 	g.stats.Sources++
 	g.scratch(len(l))
-	// Children mode: any non-empty subset replaced (cases 1 and 2 merge).
-	// Sibling mode: a proper subset replaced (case 3); choices include
-	// declared substitute partners (the §4.1 extension).
-	modes := [...]Mode{ViaChildren, ViaSiblings}
-	walked := modes[:]
-	if g.regular[src] {
-		walked = modes[:1]
-	}
-	for _, via := range walked {
+	for via := ViaChildren; via == ViaChildren || via == ViaSiblings && !g.regular[src]; via++ {
 		g.via = via
 		g.suffix[len(l)] = 1
 		least := math.Inf(1)
@@ -563,24 +539,19 @@ func (g *generator) walk(pos, kept, replaced int, ratio float64) {
 		return
 	}
 	x := g.l[pos]
-	// Keep.
 	if g.place(pos, x) {
 		g.walk(pos+1, kept+1, replaced, ratio)
 	}
-	// A branch is cut when the most the later positions can lift the scaled
-	// expectation to is below the floor. The running product alone is no
-	// bound: a more popular sibling later on lifts it back.
+	// A branch is cut when the most the later positions can lift it to is
+	// below the floor (a more popular sibling can lift the running product).
 	most := g.supL * g.suffix[pos+1]
 	if g.via == ViaSiblings && kept == 0 {
-		// Case 3 replaces a proper subset: with no member kept so far the
-		// last one stays — none of its siblings is tried — and before that
-		// one of the later positions keeps its member.
+		// Case 3 keeps a member: the last one, or one of the later ones.
 		if pos == len(g.l)-1 {
 			return
 		}
 		most = g.supL * g.keepOne[pos+1]
 	}
-	// Replace by each large choice with known support.
 	supX, okX := g.support(x)
 	if !okX || supX == 0 {
 		return
@@ -601,12 +572,9 @@ func (g *generator) walk(pos, kept, replaced int, ratio float64) {
 	}
 }
 
-// place puts y at position pos of the set being assembled, unless y makes
-// every completion of it invalid: y equals an earlier pick (a replacement
-// collided with another member), or is an ancestor or descendant of one — a
-// member paired with its own ancestor has degenerate support semantics, and
-// such sets never appear among large itemsets either. Any offending pair is
-// caught when its later member is placed.
+// place puts y at position pos of the set being assembled, unless it equals
+// an earlier pick or is an ancestor or descendant of one: such a set is no
+// candidate (a member paired with its own ancestor has degenerate support).
 func (g *generator) place(pos int, y item.Item) bool {
 	for _, p := range g.picked[:pos] {
 		if p == y || g.tax.IsAncestor(p, y) || g.tax.IsAncestor(y, p) {
@@ -617,32 +585,40 @@ func (g *generator) place(pos int, y item.Item) bool {
 	return true
 }
 
-// emit records the set the walk completed unless it is a large itemset.
+// emit records the set the walk completed if it is not large and the walk's
+// path wins it: the first, if a sibling walk reaches it by several.
 func (g *generator) emit(expected float64) {
-	if !g.probe(g.picked[:len(g.l)], g.via) {
-		g.record(prov{expected: expected, source: g.src, via: g.via})
+	if g.probe(g.picked[:len(g.l)], g.via) {
+		return
 	}
+	p := prov{expected, g.src, g.via}
+	if g.wins(g.set, g.members(g.set), p) && (g.via == ViaChildren || !g.recorded()) {
+		g.record(p)
+		return
+	}
+	g.stats.Duplicates++
+}
+
+// recorded reports whether the walk in progress recorded g.set already.
+func (g *generator) recorded() bool {
+	for off := g.start; off < len(g.items); off += len(g.set) {
+		if slices.Equal(g.items[off:off+len(g.set)], g.set) {
+			return true
+		}
+	}
+	return false
 }
 
 // probe counts one emission: it normalizes picked into g.set and reports
 // whether that is a large itemset.
 func (g *generator) probe(picked []item.Item, via Mode) bool {
-	set := g.set[:0]
-	for _, y := range picked {
-		i := len(set)
-		set = append(set, y)
-		for ; i > 0 && set[i-1] > y; i-- {
-			set[i] = set[i-1]
-		}
-		set[i] = y
-	}
-	g.set = set
-	g.key = item.Itemset(set).AppendKey(g.key[:0])
+	g.set = append(g.set[:0], picked...)
+	slices.Sort(g.set)
 	g.stats.Emitted++
 	if via == ViaSiblings {
 		g.stats.Case3++
 	}
-	if _, large := g.table.SupportBytes(g.key); large {
+	if g.find(g.set) >= 0 {
 		g.stats.AlreadyLarge++ // already found large: not a negative candidate
 		return true
 	}
@@ -651,35 +627,21 @@ func (g *generator) probe(picked []item.Item, via Mode) bool {
 
 // record keeps path p to the set probe just normalized.
 func (g *generator) record(p prov) {
-	p.off = int32(len(g.items))
 	g.items = append(g.items, g.set...)
 	g.recs = append(g.recs, p)
+	g.stats.Recorded++
 }
 
-// beats reports whether path p wins over path q to the same set: a larger
-// expectation, then a lower source, then children over siblings — of equal
-// paths, the first in the reference order (sources ascending, each through
-// its children before its siblings), in whatever order the tasks ran.
-func (p prov) beats(q prov) bool {
-	return p.expected > q.expected || p.expected == q.expected && (p.source < q.source || p.source == q.source && p.via < q.via)
-}
-
-// fromAnchor enumerates the sets of anchor a's class whose highest-ranked
-// anchor is a: a's group gives a and n−1 more members, every other group n,
-// none of them ranked above a, each group's in pool order — support
-// descending, so that a pick whose bound falls to the floor ends its group's
-// loop.
+// fromAnchor enumerates the sets of a's class whose top anchor is a: a's group
+// gives a and n−1 more members, every other group n, none ranked above a, in
+// pool order — support descending, so that a pick cut at the floor ends it.
 func (g *generator) fromAnchor(a *anchor) {
 	c := &g.classes[a.cls]
 	g.epoch++
 	for _, b := range c.anchors[:a.rank] {
 		g.mark[b.x] = g.epoch
 	}
-	k := 0
-	for _, gr := range c.groups {
-		k += gr.n
-	}
-	g.scratch(k)
+	g.scratch(len(c.gids))
 	g.anc, g.cls = a, c
 	supA, _ := g.support(a.x)
 	g.base = a.w * supA
@@ -698,7 +660,7 @@ func (g *generator) fromAnchor(a *anchor) {
 
 // owed is how many members group j of the class adds to the anchor.
 func (g *generator) owed(j int) int {
-	if j == int(g.anc.grp) {
+	if g.cls.groups[j].id == g.groupOf(g.anc.x) {
 		return g.cls.groups[j].n - 1
 	}
 	return g.cls.groups[j].n
@@ -739,54 +701,140 @@ func (g *generator) enumerate(j, start, left, placed int, prod float64) {
 	}
 }
 
-// complete emits the class set in g.picked[:k], with the exact expectation
-// and source of its best path, unless that falls to the floor.
+// complete emits the class set in g.picked[:k] unless its exact expectation
+// falls to the floor, and records it with its class's best path if that wins
+// it.
 func (g *generator) complete(k int, prod float64) {
-	picked := g.picked[:k]
-	var best prov
-	near := g.base*prod <= g.nearFloor
+	ys, p := g.members(g.picked[:k]), prov{}
+	near := g.base*prod <= g.minExpected*(1+floorSlack) // else the exact one clears the floor
 	if near {
-		if best = g.exact(picked); !(best.expected > g.minExpected) {
+		if p = g.exact(g.cls, int(g.anc.rank), ys); !(p.expected > g.minExpected) {
 			g.stats.FloorCuts++
 			return
 		}
 	}
-	if g.probe(picked, ViaSiblings) {
+	if g.probe(g.picked[:k], ViaSiblings) {
 		return
 	}
 	if !near {
-		best = g.exact(picked)
+		p = g.exact(g.cls, int(g.anc.rank), ys)
 	}
-	g.record(best)
+	if g.wins(g.set, ys, p) {
+		g.record(p)
+		return
+	}
+	g.stats.Duplicates++
 }
 
-// exact returns the best path to set from the class's sources: every source
-// whose estimate is within the slack of the best one's is recomputed as the
-// walk multiplies it, and the largest expectation wins, then the lower
-// source.
-func (g *generator) exact(set []item.Item) prov {
-	for j, y := range set {
-		g.ys[j] = g.member(y)
+// wins reports whether no path beats p, the path an emitter took to set (not
+// large; ys as pathRatio reads it), of its class's path (unless p is it),
+// irregular sources' sibling walks and children paths.
+func (g *generator) wins(set []item.Item, ys []member, p prov) bool {
+	if p.via == ViaChildren || !g.regular[p.source] {
+		// The class path's expectation is its estimate to within the slack.
+		if c, r, est := g.classOf(ys); est > p.expected*(1+floorSlack) || est >= p.expected*(1-floorSlack) && g.exact(c, r, ys).outranks(p) {
+			return false
+		}
 	}
-	best := prov{expected: math.Inf(-1), source: math.MaxInt32, via: ViaSiblings}
-	band := g.anc.w * (1 - floorSlack)
-	for _, b := range g.cls.anchors[g.anc.rank:] {
+	if len(g.walked) > 0 {
+		// A path's expectation is w·Π sup(c) to within the slack, unless a
+		// member's support is not positive.
+		prod := 1.0
+		for _, y := range ys {
+			prod *= max(y.sup, 0)
+		}
+		for _, e := range g.walked[g.kinHash(set)] {
+			if prod > 0 && e.w*prod < p.expected*(1-floorSlack) {
+				break
+			}
+			if l := g.sources[e.src]; len(l) == len(set) && (prov{g.sourceSup[e.src] * pathRatio(g.sourceMembers(l, ys, true), ys, 0, false, false, 1), e.src, ViaSiblings}).outranks(p) {
+				return false
+			}
+		}
+	}
+	// A children path's source is set with a non-empty subset of its members
+	// put back to their parents (their groups), each member large and its
+	// parent of positive support.
+	var up uint64
+	for i, y := range ys {
+		if y.sup >= 0 && y.group >= 0 && y.group < offGroup {
+			if s, ok := g.support(item.Item(y.group)); ok && s > 0 {
+				up |= 1 << i
+			}
+		}
+	}
+	for m := up; m != 0; m = (m - 1) & up {
+		g.lifted = g.lifted[:0]
+		for i, y := range ys {
+			if m&(1<<i) != 0 {
+				y.x = item.Item(y.group)
+			}
+			g.lifted = append(g.lifted, y.x)
+		}
+		slices.Sort(g.lifted)
+		s := g.find(g.lifted)
+		if s < 0 {
+			continue
+		}
+		ratio := 1.0 // multiplied position by position, as walk does
+		for _, x := range g.lifted {
+			for i, y := range ys {
+				if m&(1<<i) != 0 && item.Item(y.group) == x {
+					supX, _ := g.support(x)
+					ratio = ratio * y.sup / supX
+				}
+			}
+		}
+		if (prov{g.sourceSup[s] * ratio, s, ViaChildren}).outranks(p) {
+			return false
+		}
+	}
+	return true
+}
+
+// classOf returns set's class, the rank there of set's top anchor, and the
+// class path's estimate, that anchor's W times the set's supports, or -Inf if
+// no class path reaches set (no class, a member of no positive support).
+func (g *generator) classOf(set []member) (*class, int, float64) {
+	g.gids = g.gids[:0]
+	est := 1.0
+	for _, y := range set {
+		if !(y.sup > 0) {
+			return nil, 0, math.Inf(-1)
+		}
+		g.gids, est = append(g.gids, y.group), est*y.sup
+	}
+	slices.Sort(g.gids)
+	i := sort.Search(len(g.classes), func(i int) bool { return slices.Compare(g.classes[i].gids, g.gids) >= 0 })
+	if i < len(g.classes) && slices.Equal(g.classes[i].gids, g.gids) {
+		c := &g.classes[i]
+		for r, a := range c.anchors {
+			if slices.ContainsFunc(set, func(y member) bool { return y.x == a.x }) {
+				return c, r, a.w * est
+			}
+		}
+	}
+	return nil, 0, math.Inf(-1)
+}
+
+// exact returns the best path to set from its class c, whose top anchor in
+// set is ranked from: every source whose estimate is within the slack of that
+// anchor's is recomputed as the walk multiplies it, and the best one wins.
+func (g *generator) exact(c *class, from int, set []member) prov {
+	best := prov{math.Inf(-1), math.MaxInt32, ViaSiblings}
+	band := c.anchors[from].w * (1 - floorSlack)
+	for _, b := range c.anchors[from:] {
 		if b.w < band {
 			break
 		}
-		if !slices.Contains(set, b.x) {
+		if !slices.ContainsFunc(set, func(y member) bool { return y.x == b.x }) {
 			continue
 		}
 		for _, s := range b.srcs {
 			if s.w < band {
 				break
 			}
-			l := g.sources[s.src]
-			for i, x := range l {
-				g.xs[i] = g.member(x)
-			}
-			p := prov{expected: g.sourceSup[s.src] * pathRatio(g.xs[:len(l)], g.ys[:len(set)], 0, false, false, 1), source: s.src, via: ViaSiblings}
-			if p.beats(best) {
+			if p := (prov{g.sourceSup[s.src] * pathRatio(g.sourceMembers(g.sources[s.src], set, false), set, 0, false, false, 1), s.src, ViaSiblings}); p.outranks(best) {
 				best = p
 			}
 		}
@@ -794,22 +842,47 @@ func (g *generator) exact(set []item.Item) prov {
 	return best
 }
 
-// member is an item of a source or a class set as pathRatio reads it.
+// member is an item of a source or a set as pathRatio reads it. For a source
+// member, can marks the members of the set that may replace it.
 type member struct {
 	x     item.Item
 	group int64
-	sup   float64
+	sup   float64 // -1: x is not large
+	can   uint64
 }
 
 func (g *generator) member(x item.Item) member {
 	s, _ := g.support(x)
-	return member{x, g.groupOf(x), s}
+	return member{x: x, group: g.groupOf(x), sup: s}
 }
 
-// pathRatio returns the largest support ratio a Case-3 path from the source
-// l to set multiplies, position by position as walk does: each position of l
-// keeps its member or takes an unused member of set from its group, at least
-// one keeps and one replaces. used marks the members of set taken.
+// members returns set as pathRatio reads it, in g.ys.
+func (g *generator) members(set []item.Item) []member {
+	for j, y := range set {
+		g.ys[j] = g.member(y)
+	}
+	return g.ys[:len(set)]
+}
+
+// sourceMembers returns the source l as pathRatio reads it against set: what
+// may replace a member is the others of its group for a class source, its
+// large sibling choices for an irregular one, if its support is positive.
+func (g *generator) sourceMembers(l item.Itemset, set []member, walked bool) []member {
+	for i, x := range l {
+		g.xs[i] = g.member(x)
+		for j, y := range set {
+			if !walked && y.group == g.xs[i].group || walked && g.xs[i].sup > 0 && y.sup >= 0 && slices.Contains(g.siblingChoices(x), y.x) {
+				g.xs[i].can |= 1 << j
+			}
+		}
+	}
+	return g.xs[:len(l)]
+}
+
+// pathRatio returns the largest ratio a Case-3 path from the source l to set
+// multiplies, position by position as walk does: each position keeps its
+// member or takes an unused one of set (used marks them) that may replace it,
+// at least one keeps and one replaces.
 func pathRatio(l, set []member, used uint64, kept, replaced bool, ratio float64) float64 {
 	if len(l) == 0 {
 		if kept && replaced {
@@ -817,159 +890,104 @@ func pathRatio(l, set []member, used uint64, kept, replaced bool, ratio float64)
 		}
 		return math.Inf(-1)
 	}
-	x := l[0]
+	x := &l[0]
 	best := math.Inf(-1)
-	for j, y := range set {
-		switch {
-		case used&(1<<j) != 0 || y.group != x.group:
+	for j := range set {
+		switch y := &set[j]; {
+		case used&(1<<j) != 0:
 		case y.x == x.x:
 			best = max(best, pathRatio(l[1:], set, used|1<<j, true, replaced, ratio))
-		default:
+		case x.can&(1<<j) != 0:
 			best = max(best, pathRatio(l[1:], set, used|1<<j, kept, true, ratio*y.sup/x.sup))
 		}
 	}
 	return best
 }
 
-// finish sorts what g recorded by set and keeps the path that beats the
-// others to each.
-func (g *generator) finish() {
-	keys := make([]sortKey, len(g.recs))
+// candidates returns what the generators recorded, sorted by set (as a pass
+// of the index looks them up among the last refresh's), and the sum of their
+// counts; Set shares the first generator's items. The sort is a radix sort — a record's index below its set's first
+// members, each as x+1 and an absent one as 0 so that a shorter prefix sorts
+// first — then of records sharing those members by set.
+func candidates(gens []*generator) ([]Candidate, WalkStats) {
+	g := gens[0]
+	for _, o := range gens[1:] {
+		g.recs, g.items = append(g.recs, o.recs...), append(g.items, o.items...)
+		g.stats.add(o.stats)
+	}
+	n, top := len(g.recs), item.Item(0)
+	keys, offs := make([]uint64, n), make([]int32, n+1)
 	for i, p := range g.recs {
-		keys[i] = keyOf(g.setOf(p), i)
+		offs[i+1] = offs[i] + int32(len(g.sources[p.source]))
+		top = max(top, g.items[offs[i+1]-1])
 	}
-	slices.SortFunc(keys, func(a, b sortKey) int {
-		if c := cmp.Compare(a.hi, b.hi); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(a.lo, b.lo); c != 0 {
-			return c
-		}
-		return g.setOf(g.recs[a.i]).Compare(g.setOf(g.recs[b.i]))
-	})
-	best := make([]prov, 0, len(keys))
-	for _, k := range keys {
-		p := g.recs[k.i]
-		if n := len(best) - 1; n >= 0 && g.setOf(best[n]).Equal(g.setOf(p)) {
-			g.stats.Duplicates++
-			if p.beats(best[n]) {
-				best[n] = p
+	ib, mb := bits.Len(uint(n)), bits.Len(uint(top)+1)
+	for i := range keys {
+		for j := offs[i]; j < offs[i]+int32((64-ib)/mb); j++ {
+			keys[i] <<= mb
+			if j < offs[i+1] {
+				keys[i] |= uint64(g.items[j]) + 1
 			}
-			continue
 		}
-		best = append(best, p)
+		keys[i] = keys[i]<<ib | uint64(i)
 	}
-	g.recs = best
-	g.stats.Recorded = len(best)
-}
-
-// sortKey orders sets as Itemset.Compare does, by two integer compares for the
-// first four members: item ids are non-negative, each member x is stored as
-// x+1 in 32 bits and an absent one as 0, so that a shorter prefix sorts first.
-type sortKey struct {
-	hi, lo uint64
-	i      int // index into generator.recs
-}
-
-func keyOf(s item.Itemset, i int) sortKey {
-	var m [4]uint64
-	for j := range min(len(s), len(m)) {
-		m[j] = uint64(s[j]) + 1
+	set := func(key uint64) item.Itemset {
+		i := key & (1<<ib - 1)
+		return g.items[offs[i]:offs[i+1]:offs[i+1]]
 	}
-	return sortKey{m[0]<<32 | m[1], m[2]<<32 | m[3], i}
-}
-
-// merge folds what another finished worker recorded into g, finished too,
-// the better path winning where both hold a set. A path taken from o has its
-// set copied into g.items.
-func (g *generator) merge(o *generator) {
-	best := make([]prov, 0, len(g.recs)+len(o.recs))
-	take := func(p prov) {
-		set := o.setOf(p)
-		p.off = int32(len(g.items))
-		g.items = append(g.items, set...)
-		best = append(best, p)
-	}
-	i, j := 0, 0
-	for i < len(g.recs) || j < len(o.recs) {
-		c := -1
-		switch {
-		case i == len(g.recs):
-			c = 1
-		case j < len(o.recs):
-			c = g.setOf(g.recs[i]).Compare(o.setOf(o.recs[j]))
+	for shift, tmp := 0, make([]uint64, n); shift < ib+(64-ib)/mb*mb; shift += 11 {
+		var at [2049]int
+		for _, k := range keys {
+			at[k>>shift&2047+1]++
 		}
-		switch {
-		case c < 0:
-			best = append(best, g.recs[i])
-			i++
-		case c > 0:
-			take(o.recs[j])
-			j++
-		default:
-			// Both recorded it: to one worker the second would have been a duplicate.
-			o.stats.Recorded--
-			o.stats.Duplicates++
-			if p := o.recs[j]; p.beats(g.recs[i]) {
-				take(p)
-			} else {
-				best = append(best, g.recs[i])
-			}
-			i, j = i+1, j+1
+		for d := range 2048 {
+			at[d+1] += at[d]
+		}
+		for _, k := range keys {
+			tmp[at[k>>shift&2047]], at[k>>shift&2047] = k, at[k>>shift&2047]+1
+		}
+		keys, tmp = tmp, keys
+	}
+	for i, j := 0, 0; i < n; i = j {
+		for j = i + 1; j < n && keys[j]>>ib == keys[i]>>ib; j++ {
+		}
+		if j > i+1 {
+			slices.SortFunc(keys[i:j], func(a, b uint64) int { return set(a).Compare(set(b)) })
 		}
 	}
-	g.recs = best
-	g.stats.add(o.stats)
+	out := make([]Candidate, n)
+	for i, key := range keys {
+		p := g.recs[key&(1<<ib-1)]
+		out[i] = Candidate{set(key), p.expected, g.sources[p.source], p.via}
+	}
+	return out, g.stats
 }
 
-// candidates returns the candidates of a finished g, sorted by itemset, their
-// sets copied into one backing array. Source shares the large itemset's.
-func (g *generator) candidates() []Candidate {
-	n := 0
-	for _, p := range g.recs {
-		n += len(g.sources[p.source])
-	}
-	flat := make(item.Itemset, 0, n)
-	out := make([]Candidate, len(g.recs))
-	for i, p := range g.recs {
-		start := len(flat)
-		flat = append(flat, g.setOf(p)...)
-		out[i] = Candidate{Set: flat[start:len(flat):len(flat)], Expected: p.expected, Source: g.sources[p.source], Via: p.via}
-	}
-	return out
-}
-
-// GenerateCandidates produces the candidate negative itemsets derivable
-// from every large itemset of size ≥ 2 in table, using tax for
-// children/sibling lookups. It is exported for tests, benchmarks and the
-// candidate-count experiment (Figure 7); the mining drivers use it
-// internally.
+// GenerateCandidates produces the candidate negative itemsets derivable from
+// every large itemset of size ≥ 2 in table, using tax for children/sibling
+// lookups, sorted by itemset. It is exported for tests, benchmarks and the
+// candidate-count experiment (Figure 7); the mining drivers use it too.
 func GenerateCandidates(levels [][]item.CountedSet, table *item.SupportTable, tax *taxonomy.Taxonomy, minSup, minRI float64, substitutes []item.Itemset) []Candidate {
 	cands, _ := generateCandidates(levels, table, tax, singleSupports(table, tax.Size()),
 		Options{MinSupport: minSup, MinRI: minRI, Substitutes: substitutes})
 	return cands
 }
 
-// generateCandidates is GenerateCandidates for a caller that already holds
-// sup = singleSupports(table, tax.Size()), on opt.Count.Parallelism workers
-// (at least one, the caller's goroutine). Each runs into its own generator
-// the tasks it takes from a shared counter — one at a time, not a share up
-// front: a source costs more the larger it is and the nearer the roots, an
-// anchor the more popular it is — and the generators are merged into the
-// first, each sorted by its own worker. The candidates are the same whatever
-// the number of workers.
+// generateCandidates is GenerateCandidates for a caller that holds sup =
+// singleSupports(table, tax.Size()), on opt.Count.Parallelism workers (at
+// least one, the caller's goroutine), each taking tasks one at a time from a
+// shared counter into a generator of its own: the candidates do not depend
+// on the number of workers.
 func generateCandidates(levels [][]item.CountedSet, table *item.SupportTable, tax *taxonomy.Taxonomy, sup []float64, opt Options) ([]Candidate, WalkStats) {
 	in := newInputs(levels, table, tax, sup, opt)
 	tasks := int64(len(in.sources) + len(in.anchors))
 	gens := make([]*generator, max(1, min(int64(opt.Count.Parallelism), tasks)))
 	var next atomic.Int64
 	run := func(w int) {
-		g := in.newGenerator()
-		gens[w] = g
+		gens[w] = in.newGenerator()
 		for i := next.Add(1) - 1; i < tasks; i = next.Add(1) - 1 {
-			g.run(int(i))
+			gens[w].run(int(i))
 		}
-		g.finish()
 	}
 	var wg sync.WaitGroup
 	for w := 1; w < len(gens); w++ {
@@ -981,11 +999,7 @@ func generateCandidates(levels [][]item.CountedSet, table *item.SupportTable, ta
 	}
 	run(0)
 	wg.Wait()
-	g := gens[0]
-	for _, o := range gens[1:] {
-		g.merge(o)
-	}
-	return g.candidates(), g.stats
+	return candidates(gens)
 }
 
 // run runs task t: the walk of a source, or the sets of an anchor.
@@ -999,27 +1013,10 @@ func (g *generator) run(t int) {
 
 // EstimateCandidates evaluates the paper's §2.1.2 closed-form estimate of
 // the number of candidates generated from one large k-itemset with average
-// taxonomy fanout f:
+// taxonomy fanout f — children replacements over every non-empty subset,
+// plus sibling replacements of single members:
 //
-//	Σ_{i=1..k} C(k, i)·f^i + k·(f − 1)
-//
-// (children replacements over every non-empty subset, plus sibling
-// replacements of single members).
+//	Σ_{i=1..k} C(k, i)·f^i + k·(f − 1) = (1 + f)^k − 1 + k·(f − 1)
 func EstimateCandidates(k int, f float64) float64 {
-	sum := 0.0
-	for i := 1; i <= k; i++ {
-		sum += binom(k, i) * math.Pow(f, float64(i))
-	}
-	return sum + float64(k)*(f-1)
-}
-
-func binom(n, k int) float64 {
-	if k < 0 || k > n {
-		return 0
-	}
-	c := 1.0
-	for i := 0; i < k; i++ {
-		c = c * float64(n-i) / float64(i+1)
-	}
-	return c
+	return math.Pow(1+f, float64(k)) - 1 + float64(k)*(f-1)
 }
