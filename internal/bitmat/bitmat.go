@@ -22,7 +22,8 @@
 // counts add up. A matrix as wide as the database can be filled by several
 // workers, each scanning its own range of transactions into its own words of
 // every row, and can count while it is filled every pair of rows a
-// transaction sets (CountPairs, Agrawal–Srikant's pass-2 array). For the same
+// transaction sets (CountPairs, Agrawal–Srikant's pass-2 array), which
+// PairCounts reads back pair by pair without touching a row. For the same
 // reason a caller that knows a candidate's support over the first positions of
 // rows that have since grown at their end asks only for the rest (SupportFrom,
 // CountsFrom). A filled Matrix is safe for concurrent readers; Counts shards
@@ -116,6 +117,25 @@ func (m *Matrix) PairBytes() int64 { return int64(len(m.pairs)) * 4 }
 // from the table instead of ANDing two rows. Counts are int32: N() must not
 // exceed math.MaxInt32.
 func (m *Matrix) CountPairs() { m.pairs = make([]int32, len(m.items)*len(m.items)) }
+
+// PairCounts calls fn for every pair of rows a < b, in lexicographic order,
+// with the number of transactions that set both, read from the pair table
+// the fill counted — no row is read. It reports false, calling fn for none,
+// when m carries no table (CountPairs was not called: the budget declined it,
+// the rows were set some other way or over a narrower window).
+func (m *Matrix) PairCounts(fn func(a, b item.Item, n int)) bool {
+	if m.pairs == nil {
+		return false
+	}
+	n := len(m.items)
+	for i, a := range m.items {
+		row := m.pairs[i*n : (i+1)*n]
+		for j := i + 1; j < n; j++ {
+			fn(a, m.items[j], int(row[j]+m.pairs[j*n+i]))
+		}
+	}
+	return true
+}
 
 // Row returns item x's bitmap (shared slice; callers must not modify), or
 // nil if x has no row.
@@ -321,18 +341,29 @@ func (m *Matrix) FillWindows(db txdb.DB, tax *taxonomy.Taxonomy, transform Trans
 
 // closure resolves, once per fill, every node x of tax to the numbers
 // rows[start[x]:start[x+1]] of the rows a transaction holding x sets: x's own
-// and its ancestors', nearest first, where they have rows. The closure is
-// taken from the taxonomy rather than OR-composed from child rows so that
-// descendant leaves without rows of their own (small 1-itemsets pruned from
-// candidate generation) still contribute to their ancestors' support, as the
-// paper requires. A nil taxonomy resolves nothing.
+// and its ancestors', nearest first, where they have rows. Nodes are resolved
+// through a dense row-of table over the taxonomy's ids, not one index lookup
+// per node and per ancestor. The closure is taken from the taxonomy rather
+// than OR-composed from child rows so that descendant leaves without rows of
+// their own (small 1-itemsets pruned from candidate generation) still
+// contribute to their ancestors' support, as the paper requires. A nil
+// taxonomy resolves nothing.
 func (m *Matrix) closure(tax *taxonomy.Taxonomy) (start, rows []int32) {
 	if tax == nil {
 		return nil, nil
 	}
+	rowOf := make([]int32, tax.Size())
+	for i := range rowOf {
+		rowOf[i] = -1
+	}
+	for r, x := range m.items {
+		if x >= 0 && int(x) < len(rowOf) {
+			rowOf[x] = int32(r)
+		}
+	}
 	start = make([]int32, tax.Size()+1)
 	add := func(x item.Item) {
-		if r, ok := m.index[x]; ok {
+		if r := rowOf[x]; r >= 0 {
 			rows = append(rows, r)
 		}
 	}

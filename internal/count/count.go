@@ -7,12 +7,15 @@
 // subset probing, any transform). Options.Backend selects the engine; the
 // default is documented on EngineFor. A pass is a scan of the database unless
 // the database is Indexed: a level-wise mine takes BuildIndex of its input —
-// two scans, the second of which also counts every pair of large 1-items, so
-// level 2 costs no counting at all — and counts every pass from the index.
+// two scans, the second of which also counts every pair of large 1-items into
+// a table — and counts every pass from the index. Level 2 costs no counting
+// at all: gen.Stepper reads it off that table (bitmat.Matrix.PairCounts) and
+// makes no pass, wherever the index carries one.
 package count
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"negmine/internal/govern"
@@ -76,52 +79,66 @@ func Candidates(db txdb.DB, cands []item.Itemset, opt Options) ([]int, error) {
 // transactions: the result is indexed by item id, and an id past its end was
 // never seen. Unlike Candidates it needs no candidate list — it is the L1
 // pass of every Apriori-family algorithm — and for the same reason it never
-// uses the bitmap engine, which needs the item universe up front: each
-// worker counts into a dense slice of its own, summed into the longest at
-// the end. Under Options.Tax — the declaration that the
-// transform is the full ancestor extension — the extension is not built:
-// each item is walked up its ancestor list, nearest first and only as far as
-// the first node this transaction already counted (whose own ancestors were
-// counted with it), so nothing is materialised or sorted. An Indexed
+// uses the bitmap engine, which needs the item universe up front. Each
+// worker counts into one slice of cells of its own, indexed by item id and
+// summed at the end: a cell holds its count and the worker's position of the
+// last transaction that counted it, so a node reached twice in one
+// transaction — an item and a category, two items under one ancestor — is
+// counted once, by arithmetic rather than a branch. Under Options.Tax — the
+// declaration that the transform is the full ancestor extension — the
+// extension is not built: every item and every node on its ancestor list
+// goes to its cell, so nothing is materialised or sorted. An Indexed
 // database declared under Options.Tax already knows the answer and is not
-// scanned.
+// scanned. A database of more than math.MaxInt32 transactions is an error,
+// as it is for the pair table (bitmat.Matrix.CountPairs).
 func Singletons(db txdb.DB, opt Options) ([]int, error) {
 	if ix := indexOf(db, opt.Tax); ix != nil {
 		return ix.Singletons(), nil
 	}
+	if n := db.Count(); n > math.MaxInt32 {
+		return nil, fmt.Errorf("count: %d transactions, more than pass 1's 32-bit counters hold", n)
+	}
 	sharder, workers := shardWorkers(db, opt)
-	dense := make([]onceCounter, workers)
+	cells := make([][]cell, workers)
 	errs := make([]error, workers)
-	counter := func(c *onceCounter) func(txdb.Transaction) error {
+	counter := func(w int) func(txdb.Transaction) error {
 		buf := make([]item.Item, 0, 64)
+		var st uint32
+		if opt.Tax != nil {
+			cells[w] = make([]cell, opt.Tax.Size())
+		}
 		return func(tx txdb.Transaction) error {
-			c.tx++
+			st++
 			s := tx.Items
 			if opt.Tax == nil {
 				s, buf = opt.Apply(buf, s)
 			}
+			c := cells[w]
 			for _, x := range s {
-				if !c.add(x) || opt.Tax == nil {
+				if int(x) >= len(c) {
+					c = append(c, make([]cell, int(x)+1-len(c))...)
+					cells[w] = c
+				}
+				c[x].tally(st)
+				if opt.Tax == nil {
 					continue
 				}
 				for _, a := range opt.Tax.AncestorsOf(x) {
-					if !c.add(a) {
-						break
-					}
+					c[a].tally(st)
 				}
 			}
 			return nil
 		}
 	}
 	if workers == 1 {
-		errs[0] = db.Scan(counter(&dense[0]))
+		errs[0] = db.Scan(counter(0))
 	} else {
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
-				if err := sharder.ScanShard(w, workers, counter(&dense[w])); err != nil {
+				if err := sharder.ScanShard(w, workers, counter(w)); err != nil {
 					errs[w] = fmt.Errorf("count: worker %d: %w", w, err)
 				}
 			}(w)
@@ -133,13 +150,15 @@ func Singletons(db txdb.DB, opt Options) ([]int, error) {
 		if err != nil {
 			return nil, err
 		}
-		c := dense[w].counts
-		if len(c) > len(total) {
-			total, c = c, total
+		if len(cells[w]) > len(total) {
+			total = append(total, make([]int, len(cells[w])-len(total))...)
 		}
-		for x, n := range c {
-			total[x] += n
+		for x, c := range cells[w] {
+			total[x] += int(c.count)
 		}
+	}
+	for len(total) > 0 && total[len(total)-1] == 0 {
+		total = total[:len(total)-1] // cells the taxonomy sized, never counted
 	}
 	return total, nil
 }
@@ -154,23 +173,15 @@ func shardWorkers(db txdb.DB, opt Options) (txdb.Sharder, int) {
 	return nil, 1
 }
 
-// onceCounter counts items into a dense slice indexed by item id, each at
-// most once per transaction: stamp[x] is the last transaction that counted x.
-type onceCounter struct {
-	counts, stamp []int
-	tx            int // transactions begun; 0 is the "never counted" stamp
-}
+// cell is one item's pass-1 counter in a worker's slice. stamp is the
+// worker's position of the last transaction that counted the item, from 1, so
+// the zero cell has counted none.
+type cell struct{ stamp, count uint32 }
 
-// add counts x unless the current transaction already has.
-func (c *onceCounter) add(x item.Item) bool {
-	if int(x) >= len(c.counts) {
-		c.counts = append(c.counts, make([]int, int(x)+1-len(c.counts))...)
-		c.stamp = append(c.stamp, make([]int, int(x)+1-len(c.stamp))...)
-	}
-	if c.stamp[x] == c.tx {
-		return false
-	}
-	c.stamp[x] = c.tx
-	c.counts[x]++
-	return true
+// tally counts the item for transaction st unless st already has: d | -d has
+// its top bit set exactly when d is not zero.
+func (c *cell) tally(st uint32) {
+	d := c.stamp ^ st
+	c.count += (d | -d) >> 31
+	c.stamp = st
 }

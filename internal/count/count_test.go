@@ -1,6 +1,7 @@
 package count
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -112,6 +113,21 @@ func TestSingletonsParallel(t *testing.T) {
 	}
 	if !slices.Equal(seq, par) {
 		t.Fatalf("seq %v, par %v", seq, par)
+	}
+}
+
+// tooMany promises more transactions than pass 1's 32-bit cells count.
+type tooMany struct{ *txdb.MemDB }
+
+func (tooMany) Count() int { return math.MaxInt32 + 1 }
+
+// TestSingletonsRefusesWhatItCannotCount: a database promising more
+// transactions than a cell's stamp and count hold is an error before any
+// scan, not a count that wraps.
+func TestSingletonsRefusesWhatItCannotCount(t *testing.T) {
+	ins := txdb.Instrument(tooMany{randomDB(4, 10, 5, 3)})
+	if got, err := Singletons(ins, Options{Parallelism: 2}); err == nil || ins.Passes()+ins.ShardScans() != 0 {
+		t.Fatalf("Singletons = (%v, %v) after %d scans, want an error and none", got, err, ins.Passes()+ins.ShardScans())
 	}
 }
 

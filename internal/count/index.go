@@ -230,10 +230,12 @@ func (ix *Index) Release() {
 
 // BuildIndex indexes db under tax with two scans, so that a level-wise mine
 // makes no third, each sharded over Options.Parallelism workers where db is a
-// txdb.Sharder: pass 1 is Singletons' scan, pass 2 fills closure rows for the
-// items counted at least minCount times — all any later candidate can name —
-// and counts every pair of rows a transaction sets into a table
-// (bitmat.Matrix.CountPairs): all of C2, so level 2 ANDs no rows. Rows and
+// txdb.Sharder: pass 1 is Singletons' scan, each worker counting every node of
+// the ancestor extension into its own stamped cells; pass 2 fills closure rows
+// for the items counted at least minCount times — all any later candidate can
+// name — and counts every pair of rows a transaction sets into a table
+// (bitmat.Matrix.CountPairs): all of C2, which gen.Stepper reads L2 off
+// (bitmat.Matrix.PairCounts) without a counting pass. Rows and
 // table are reserved against opt.Mem until Release, the further workers'
 // tables until the fill ends. It declines with (nil, nil), before scanning,
 // when there is no taxonomy, when db is already Indexed under it, and under

@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"sync"
 	"testing"
+	"time"
 
 	"negmine/internal/bitmat"
 	"negmine/internal/datagen"
@@ -95,8 +96,10 @@ func TestStampPassOneMatchesExtend(t *testing.T) {
 // one worker or several, sharded or not — answers what the scans it replaces
 // answer: Singletons' counts, for exactly the items counted minCount times
 // the rows FromDBTaxonomy fills, and for every pair of them what AND+popcount
-// of the two rows counts, from the table. It holds the rows' and one table's
-// bytes, no more, until Release.
+// of the two rows counts, from the table — looked up one by one, and read
+// off it in lexicographic order by PairCounts. It holds the rows' and one
+// table's bytes, no more, until Release. With room for the rows alone the
+// tables are declined and PairCounts has nothing to read.
 func TestBuildIndexMatchesScans(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
 		tax, mem := randomForest(t, seed)
@@ -149,6 +152,13 @@ func TestBuildIndexMatchesScans(t *testing.T) {
 				if got, err := ix.Matrix().Counts(pairs, workers); err != nil || !slices.Equal(got, wantPairs) {
 					t.Fatalf("seed %d, %d workers: the table counts the pairs %v (%v), their rows %v", seed, workers, got, err, wantPairs)
 				}
+				var read []item.Itemset
+				var readCounts []int
+				if !ix.Matrix().PairCounts(func(a, b item.Item, n int) {
+					read, readCounts = append(read, item.Itemset{a, b}), append(readCounts, n)
+				}) || !slices.EqualFunc(read, pairs, item.Itemset.Equal) || !slices.Equal(readCounts, wantPairs) {
+					t.Fatalf("seed %d, %d workers: the table reads the pairs %v with counts %v, want %v with their rows' %v", seed, workers, read, readCounts, pairs, wantPairs)
+				}
 				if err := denseMatches(ix.Singletons(), ref); err != nil {
 					t.Fatalf("seed %d: %v", seed, err)
 				}
@@ -163,6 +173,19 @@ func TestBuildIndexMatchesScans(t *testing.T) {
 				if budget.InUse() != 0 {
 					t.Fatalf("seed %d: %d bytes reserved after Release", seed, budget.InUse())
 				}
+				// Room for the rows only: the tables are declined, and there is
+				// nothing to read pairs from.
+				if large.Len() == 0 {
+					continue
+				}
+				budget = govern.NewBudget(want.Bytes())
+				ix, err = BuildIndex(db, tax, minCount, Options{Parallelism: workers, Mem: budget})
+				if err != nil || ix.Matrix() == nil || ix.Matrix().PairCounts(func(a, b item.Item, n int) {
+					t.Fatalf("seed %d: a pair {%d %d} read without a table", seed, a, b)
+				}) {
+					t.Fatalf("seed %d, %d workers: tables declined, yet BuildIndex = (%v, %v) reads pairs", seed, workers, ix, err)
+				}
+				ix.Release()
 			}
 		}
 	}
@@ -348,47 +371,63 @@ func TestBuildIndexFaultInShardedFill(t *testing.T) {
 	}
 }
 
-// BenchmarkBuildIndex indexes the benchmark's batch-wide database at a tenth
-// of its size — 20 000 Short transactions at 1 % — with one worker and with
+// BenchmarkBuildIndex indexes two of the benchmark's inputs — batch-wide's
+// database at a tenth of its size, 20 000 Short transactions at 1 %, and
+// batch-tall's, 5 000 Tall transactions at 3 % — with one worker and with
 // two. Before anything is timed every cell of the pair table is held to
 // AND+popcount of its two rows; pairs/op is the increments the second scan
-// makes in place of those ANDs.
+// makes in place of those ANDs, pass1-ms/op the part of an op spent in the
+// first scan (Index.Pass1).
 func BenchmarkBuildIndex(b *testing.B) {
-	p := datagen.Short()
-	p.NumTransactions, p.Seed = 20000, 1
-	tax, db, err := datagen.Generate(p)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, workers := range []int{1, 2} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			opt := Options{Parallelism: workers}
-			ix, err := BuildIndex(db, tax, db.Count()/100, opt)
-			if err != nil {
-				b.Fatal(err)
-			}
-			rows, increments := ix.Matrix(), 0
-			for i, x := range rows.Items() {
-				for _, y := range rows.Items()[i+1:] {
-					got, err := rows.Support(item.Itemset{x, y}, nil)
-					if want := bitmat.AndPopCount(rows.Row(x), rows.Row(y)); err != nil || got != want {
-						b.Fatalf("pair {%d %d}: the table says %d (%v), its rows %d", x, y, got, err, want)
-					}
-					increments += got
-				}
-			}
-			if rows.PairBytes() == 0 || increments == 0 {
-				b.Fatal("the index carries no pair table")
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := BuildIndex(db, tax, db.Count()/100, opt); err != nil {
+	for _, in := range []struct {
+		name      string
+		params    datagen.Params
+		txns, pct int
+	}{
+		{"short", datagen.Short(), 20000, 1},
+		{"tall", datagen.Tall(), 5000, 3},
+	} {
+		p := in.params
+		p.NumTransactions, p.Seed = in.txns, 1
+		tax, db, err := datagen.Generate(p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		minCount := db.Count() * in.pct / 100
+		for _, workers := range []int{1, 2} {
+			b.Run(fmt.Sprintf("%s/workers=%d", in.name, workers), func(b *testing.B) {
+				opt := Options{Parallelism: workers}
+				ix, err := BuildIndex(db, tax, minCount, opt)
+				if err != nil {
 					b.Fatal(err)
 				}
-			}
-			b.ReportMetric(float64(increments), "pairs/op")
-		})
+				rows, increments := ix.Matrix(), 0
+				for i, x := range rows.Items() {
+					for _, y := range rows.Items()[i+1:] {
+						got, err := rows.Support(item.Itemset{x, y}, nil)
+						if want := bitmat.AndPopCount(rows.Row(x), rows.Row(y)); err != nil || got != want {
+							b.Fatalf("pair {%d %d}: the table says %d (%v), its rows %d", x, y, got, err, want)
+						}
+						increments += got
+					}
+				}
+				if rows.PairBytes() == 0 || increments == 0 {
+					b.Fatal("the index carries no pair table")
+				}
+				var pass1 time.Duration
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					ix, err := BuildIndex(db, tax, minCount, opt)
+					if err != nil {
+						b.Fatal(err)
+					}
+					pass1 += ix.Pass1()
+				}
+				b.ReportMetric(float64(increments), "pairs/op")
+				b.ReportMetric(float64(pass1.Microseconds())/1e3/float64(b.N), "pass1-ms/op")
+			})
+		}
 	}
 }
 

@@ -1,11 +1,15 @@
 package gen
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
 	"negmine/internal/apriori"
+	"negmine/internal/bitmat"
 	"negmine/internal/count"
+	"negmine/internal/fault"
+	"negmine/internal/govern"
 	"negmine/internal/item"
 	"negmine/internal/stats"
 	"negmine/internal/taxonomy"
@@ -412,5 +416,48 @@ func TestCumulateFilterBuiltOnFirstCall(t *testing.T) {
 	group[0][0] = leaves[0] // after it: too late
 	if got := tr(nil, item.Itemset{leaves[0]}); got.Contains(leaves[0]) {
 		t.Fatalf("second call kept %v of {%d}: the filter was built again", got, leaves[0])
+	}
+}
+
+// TestLevel2ReadOffThePairTable: over an index whose rows carry a pair table,
+// level 2 is read off the table — a mine makes one counting pass fewer than
+// over the same index with the tables declined, under Basic and Cumulate —
+// and decides the same large itemsets with the same counts.
+func TestLevel2ReadOffThePairTable(t *testing.T) {
+	tax, db := randomTaxDB(9, 30, 300, 5)
+	for _, alg := range []Algorithm{Basic, Cumulate} {
+		// passes mines with budget mem and returns what it found and how many
+		// counting passes it made; the failpoint never fires, it only counts.
+		passes := func(mem *govern.Budget) (*apriori.Result, int64) {
+			defer fault.Enable(count.PointPass, fault.Error("never"), fault.OnHit(math.MaxInt32))()
+			res, err := Mine(db, tax, Options{MinSupport: 0.05, Algorithm: alg, Count: count.Options{Mem: mem}})
+			if err != nil {
+				t.Fatalf("%v: %v", alg, err)
+			}
+			return res, fault.Hits(count.PointPass)
+		}
+		table, withTable := passes(nil)
+		if len(table.Levels) < 3 {
+			t.Fatalf("%v: %d levels, want 3 or more (test setup)", alg, len(table.Levels))
+		}
+		rows := bitmat.EstimateBytes(db.Count(), len(table.Levels[0]))
+		counted, without := passes(govern.NewBudget(rows))
+		if withTable != without-1 {
+			t.Fatalf("%v: %d counting passes with the pair table, %d without; want one fewer", alg, withTable, without)
+		}
+		got, want := resultMap(table), resultMap(counted)
+		if len(got) != len(want) {
+			t.Fatalf("%v: %d itemsets with the pair table, %d without", alg, len(got), len(want))
+		}
+		for k, c := range want {
+			if got[k] != c {
+				t.Fatalf("%v: %v = %d with the pair table, %d without", alg, k.Itemset(), got[k], c)
+			}
+		}
+		for i, cs := range table.Levels[1] {
+			if i > 0 && table.Levels[1][i-1].Set.Compare(cs.Set) >= 0 {
+				t.Fatalf("%v: L2 out of order at %v", alg, cs.Set)
+			}
+		}
 	}
 }

@@ -12,10 +12,12 @@ import (
 )
 
 // Stepper runs generalized level-wise mining one level at a time: each Next
-// call performs exactly one counting pass — one scan of the database, or
-// none when it is count.Indexed — and returns L_k. The
-// paper's Naive negative algorithm interleaves a negative-candidate pass
-// after each large-itemset pass, which requires this per-level control.
+// call returns L_k after one counting pass — one scan of the database, or
+// none when it is count.Indexed — except level 2 over an index whose rows
+// carry a pair table (count.BuildIndex), which is read off that table and
+// counts nothing. The paper's Naive negative algorithm interleaves a
+// negative-candidate pass after each large-itemset pass, which requires this
+// per-level control.
 //
 // Only Basic and Cumulate support stepping (EstMerge's merged pass schedule
 // spans levels by design).
@@ -55,8 +57,8 @@ func NewStepper(db txdb.DB, tax *taxonomy.Taxonomy, opt Options) (*Stepper, erro
 	}, nil
 }
 
-// Next mines the next level with one counting pass and returns it. It
-// returns (nil, nil) once no further level exists (or MaxK is reached).
+// Next mines the next level and returns it, sorted. It returns (nil, nil)
+// once no further level exists (or MaxK is reached).
 func (s *Stepper) Next() ([]item.CountedSet, error) {
 	if s.done {
 		return nil, nil
@@ -78,28 +80,30 @@ func (s *Stepper) Next() ([]item.CountedSet, error) {
 		s.done = true
 		return nil, nil
 	}
-	cands := genLevel(s.prev, s.tax, s.k)
-	if len(cands) == 0 {
-		s.done = true
-		return nil, nil
-	}
-	cnt := s.opt.Count
-	installTransform(&cnt, s.opt.Algorithm, s.tax, cands)
-	counts, err := count.Candidates(s.db, cands, cnt)
-	if err != nil {
-		return nil, err
-	}
-	var level []item.CountedSet
-	for i, c := range cands {
-		if counts[i] >= s.res.MinCount {
-			level = append(level, item.CountedSet{Set: c, Count: counts[i]})
+	level, ok := s.tableLevel2()
+	if !ok {
+		cands := genLevel(s.prev, s.tax, s.k)
+		if len(cands) == 0 {
+			s.done = true
+			return nil, nil
 		}
+		cnt := s.opt.Count
+		installTransform(&cnt, s.opt.Algorithm, s.tax, cands)
+		counts, err := count.Candidates(s.db, cands, cnt)
+		if err != nil {
+			return nil, err
+		}
+		for i, c := range cands {
+			if counts[i] >= s.res.MinCount {
+				level = append(level, item.CountedSet{Set: c, Count: counts[i]})
+			}
+		}
+		sort.Slice(level, func(i, j int) bool { return level[i].Set.Compare(level[j].Set) < 0 })
 	}
 	if len(level) == 0 {
 		s.done = true
 		return nil, nil
 	}
-	sort.Slice(level, func(i, j int) bool { return level[i].Set.Compare(level[j].Set) < 0 })
 	s.res.Levels = append(s.res.Levels, level)
 	s.prev = s.prev[:0]
 	for _, cs := range level {
@@ -113,3 +117,32 @@ func (s *Stepper) Next() ([]item.CountedSet, error) {
 // Result returns the accumulated mining result (valid at any point; grows
 // with each Next).
 func (s *Stepper) Result() *apriori.Result { return s.res }
+
+// tableLevel2 reads L2 off the pair table of the index the stepper mines,
+// when this is level 2 and there is one: every pair of rows counted at least
+// MinCount times that does not pair an item with its own ancestor (genLevel's
+// filter), in lexicographic order. Such a pair's items are large — neither
+// is counted less often than the pair — so the table answers apriori-gen's
+// candidates and no others, as long as every large item has a row. It
+// reports false when the level must be counted: any other level, a database
+// not Indexed under the stepper's taxonomy, rows that carry no table or miss
+// a large item.
+func (s *Stepper) tableLevel2() ([]item.CountedSet, bool) {
+	ix, ok := s.db.(count.Indexed)
+	if s.k != 2 || !ok || ix.Taxonomy() != s.tax || ix.Matrix() == nil {
+		return nil, false
+	}
+	m := ix.Matrix()
+	for _, x := range s.prev {
+		if m.Row(x[0]) == nil {
+			return nil, false
+		}
+	}
+	var level []item.CountedSet
+	ok = m.PairCounts(func(a, b item.Item, n int) {
+		if n >= s.res.MinCount && !s.tax.IsAncestor(a, b) && !s.tax.IsAncestor(b, a) {
+			level = append(level, item.CountedSet{Set: item.Itemset{a, b}, Count: n})
+		}
+	})
+	return level, ok
+}
