@@ -15,6 +15,7 @@ import (
 	"negmine/internal/cluster"
 	"negmine/internal/fault"
 	"negmine/internal/item"
+	"negmine/internal/metrics"
 	"negmine/internal/seglog"
 	"negmine/internal/serve"
 	"negmine/internal/txdb"
@@ -503,14 +504,6 @@ func (h *haController) promote(ctx context.Context, reason string) error {
 	return nil
 }
 
-func haWriteJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
 // tailHandler serves GET /seglog/tail: the standby's long-poll feed of the
 // open segment. Parameters: after (TID cursor, required), wait (long-poll
 // hold in ms, 0..5000), node + durable (the follower's identity and durable
@@ -518,20 +511,20 @@ func haWriteJSON(w http.ResponseWriter, status int, v any) {
 func (h *haController) tailHandler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet {
-			haWriteJSON(w, http.StatusMethodNotAllowed, map[string]string{"error": "use GET /seglog/tail?after=TID"})
+			metrics.WriteError(w, http.StatusMethodNotAllowed, "use GET /seglog/tail?after=TID")
 			return
 		}
 		q := r.URL.Query()
 		after, err := strconv.ParseInt(q.Get("after"), 10, 64)
 		if err != nil || after < 0 {
-			haWriteJSON(w, http.StatusBadRequest, map[string]string{"error": fmt.Sprintf("bad after %q", q.Get("after"))})
+			metrics.WriteError(w, http.StatusBadRequest, "bad after %q", q.Get("after"))
 			return
 		}
 		waitMs := 0
 		if v := q.Get("wait"); v != "" {
 			waitMs, err = strconv.Atoi(v)
 			if err != nil || waitMs < 0 || waitMs > 5000 {
-				haWriteJSON(w, http.StatusBadRequest, map[string]string{"error": fmt.Sprintf("bad wait %q (want 0..5000 ms)", v)})
+				metrics.WriteError(w, http.StatusBadRequest, "bad wait %q (want 0..5000 ms)", v)
 				return
 			}
 		}
@@ -560,7 +553,7 @@ func (h *haController) tailHandler() http.Handler {
 				sealedMax = e.MaxTID
 			}
 		}
-		haWriteJSON(w, http.StatusOK, tailResponse{
+		metrics.WriteJSON(w, http.StatusOK, tailResponse{
 			Epoch:        h.log.Epoch(),
 			NextTID:      h.log.NextTID(),
 			SealedMaxTID: sealedMax,
@@ -602,25 +595,25 @@ func (h *haController) collectTail(after int64) ([]tailTxn, bool) {
 func (h *haController) promoteHandler(ctx context.Context) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
-			haWriteJSON(w, http.StatusMethodNotAllowed, map[string]string{"error": "use POST /ha/promote"})
+			metrics.WriteError(w, http.StatusMethodNotAllowed, "use POST /ha/promote")
 			return
 		}
 		switch h.currentRole() {
 		case haRolePrimary:
-			haWriteJSON(w, http.StatusOK, map[string]any{"status": "already-primary", "epoch": h.log.Epoch()})
+			metrics.WriteJSON(w, http.StatusOK, map[string]any{"status": "already-primary", "epoch": h.log.Epoch()})
 			return
 		case haRoleFenced:
-			haWriteJSON(w, http.StatusConflict, map[string]string{"error": "node is fenced (a newer primary holds the log)"})
+			metrics.WriteError(w, http.StatusConflict, "node is fenced (a newer primary holds the log)")
 			return
 		}
 		if err := h.promote(ctx, "manual trigger"); err != nil {
-			haWriteJSON(w, http.StatusServiceUnavailable, map[string]string{"error": err.Error()})
+			metrics.WriteError(w, http.StatusServiceUnavailable, "%v", err)
 			return
 		}
 		if h.currentRole() != haRolePrimary {
-			haWriteJSON(w, http.StatusServiceUnavailable, map[string]string{"error": "promotion did not complete"})
+			metrics.WriteError(w, http.StatusServiceUnavailable, "promotion did not complete")
 			return
 		}
-		haWriteJSON(w, http.StatusOK, map[string]any{"status": "promoted", "epoch": h.log.Epoch()})
+		metrics.WriteJSON(w, http.StatusOK, map[string]any{"status": "promoted", "epoch": h.log.Epoch()})
 	})
 }

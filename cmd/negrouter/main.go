@@ -14,10 +14,11 @@
 //	GET  /cluster/status           full shard/replica health table
 //
 // Failure model: per-shard timeouts, budgeted retries against sibling
-// replicas, optional request hedging, and per-replica circuit breakers.
-// When a shard has no routable replica its slice of the answer is omitted
-// and the response is HTTP 206 with "partial": true — a dead shard
-// degrades the answer, it never turns into a 500.
+// replicas, and per-replica circuit breakers. A slow shard runs into the
+// shard timeout like a dead one: its slice of the answer is omitted, the
+// failure counts towards the replica's breaker and -down-after, and the
+// response is HTTP 206 with "partial": true. A shard with no routable
+// replica degrades the answer the same way; neither turns into a 500.
 //
 // Flags:
 //
@@ -27,8 +28,6 @@
 //	-retry-budget f   retries as a fraction of request volume (default 0.1,
 //	                  0 disables retries)
 //	-retry-burst f    retry token cap (default 3)
-//	-hedge-after d    duplicate a slow shard request on a sibling replica
-//	                  after this delay (default 0 = no hedging)
 //	-probe-every d    health-probe interval for down replicas (default 500ms)
 //	-heartbeat-ttl d  heartbeat staleness bound: older marks the replica
 //	                  suspect, twice older marks it down (default 3s)
@@ -107,10 +106,9 @@ func parseFlags(args []string, out io.Writer) (*config, error) {
 	var (
 		addr         = fs.String("addr", ":8378", "listen address")
 		shards       = fs.Int("shards", 0, "cluster width (required)")
-		shardTO      = fs.Duration("shard-timeout", 2*time.Second, "per-shard fan-out budget, retries and hedges included")
+		shardTO      = fs.Duration("shard-timeout", 2*time.Second, "per-shard fan-out budget, retries included")
 		retryBudget  = fs.Float64("retry-budget", 0.1, "retries as a fraction of request volume (0 = no retries)")
 		retryBurst   = fs.Float64("retry-burst", 3, "retry token cap")
-		hedgeAfter   = fs.Duration("hedge-after", 0, "duplicate a slow shard request on a sibling after this delay (0 = no hedging)")
 		probeEvery   = fs.Duration("probe-every", 500*time.Millisecond, "health-probe interval for down replicas")
 		heartbeatTTL = fs.Duration("heartbeat-ttl", 3*time.Second, "heartbeat staleness bound")
 		downAfter    = fs.Int("down-after", 3, "request failures that turn a suspect replica down")
@@ -130,7 +128,7 @@ func parseFlags(args []string, out io.Writer) (*config, error) {
 		name string
 		v    time.Duration
 	}{
-		{"-shard-timeout", *shardTO}, {"-hedge-after", *hedgeAfter},
+		{"-shard-timeout", *shardTO},
 		{"-read-timeout", *readTO}, {"-write-timeout", *writeTO},
 		{"-idle-timeout", *idleTO}, {"-drain", *drain},
 	} {
@@ -159,7 +157,6 @@ func parseFlags(args []string, out io.Writer) (*config, error) {
 		ShardTimeout: *shardTO,
 		RetryBudget:  *retryBudget,
 		RetryBurst:   *retryBurst,
-		HedgeAfter:   *hedgeAfter,
 		Pool: cluster.PoolConfig{
 			Shards:        *shards,
 			HeartbeatTTL:  *heartbeatTTL,

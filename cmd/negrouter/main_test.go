@@ -27,7 +27,6 @@ func TestParseFlagsValidation(t *testing.T) {
 		{"-shards", "3", "-retry-burst", "-1"},
 		{"-shards", "3", "-down-after", "0"},
 		{"-shards", "3", "-breaker-after", "0"},
-		{"-shards", "3", "-hedge-after", "-1ms"},
 		{"-shards", "3", "-drain", "-1s"},
 	} {
 		_, err := parseFlags(bad, &sink)
@@ -48,7 +47,7 @@ func TestParseFlagsWiresRouterConfig(t *testing.T) {
 	var sink strings.Builder
 	cfg, err := parseFlags([]string{
 		"-shards", "4", "-shard-timeout", "750ms", "-retry-budget", "0.2",
-		"-hedge-after", "25ms", "-probe-every", "100ms", "-heartbeat-ttl", "1s",
+		"-probe-every", "100ms", "-heartbeat-ttl", "1s",
 		"-down-after", "2", "-breaker-after", "5",
 	}, &sink)
 	if err != nil {
@@ -56,7 +55,7 @@ func TestParseFlagsWiresRouterConfig(t *testing.T) {
 	}
 	rc := cfg.router
 	if rc.Shards != 4 || rc.ShardTimeout != 750*time.Millisecond ||
-		rc.RetryBudget != 0.2 || rc.HedgeAfter != 25*time.Millisecond {
+		rc.RetryBudget != 0.2 {
 		t.Fatalf("router config = %+v", rc)
 	}
 	if rc.Pool.ProbeInterval != 100*time.Millisecond || rc.Pool.HeartbeatTTL != time.Second ||

@@ -32,8 +32,9 @@
 //   - Every replica runs the health state machine healthy → suspect → down
 //     → recovering, driven by heartbeats, request outcomes, and exponential
 //     backoff probes (Pool).
-//   - Requests get per-shard timeouts, budgeted retries against sibling
-//     replicas, and optional hedging for tail latency (Router).
+//   - Requests get per-shard timeouts and budgeted retries against sibling
+//     replicas (Router). A slow replica runs into the shard timeout, which
+//     counts as a failure like any other.
 //   - Per-replica circuit breakers (modeled on the serve watch breaker)
 //     stop hammering a replica that keeps failing; an open breaker lets one
 //     trial request through after an exponentially growing cool-down.
@@ -59,8 +60,8 @@ const (
 	// router slowly stops trusting), a sleep action a slow intake path.
 	PointHeartbeat = "cluster.heartbeat"
 
-	// PointDial fires before every proxied shard request (fan-out attempts,
-	// retries and hedges alike); an error action models an unreachable
+	// PointDial fires before every proxied shard request (first attempts
+	// and retries alike); an error action models an unreachable
 	// replica and must drive the retry → breaker → partial-response chain,
 	// never a router 5xx.
 	PointDial = "cluster.dial"

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"negmine/internal/fault"
+	"negmine/internal/metrics"
 	"negmine/internal/ruleframe"
 )
 
@@ -31,9 +32,7 @@ const (
 	presizeShardBody = 1 << 20
 )
 
-// maxAttempts bounds attempts (first try + retries + hedges) per shard per
-// request; it also sizes the result channel so abandoned attempts can
-// always deliver without leaking a goroutine.
+// maxAttempts bounds attempts (first try + retries) per shard per request.
 const maxAttempts = 16
 
 // RouterConfig tunes the router. Shards is required; every other field's
@@ -41,8 +40,8 @@ const maxAttempts = 16
 type RouterConfig struct {
 	// Shards is the cluster width.
 	Shards int
-	// ShardTimeout bounds one shard's whole fan-out (first attempt, retries
-	// and hedges together; default 2s).
+	// ShardTimeout bounds one shard's whole fan-out (first attempt and
+	// retries together; default 2s).
 	ShardTimeout time.Duration
 	// RetryBudget is the retry allowance as a fraction of request volume
 	// (default 0.1 = one retry per ten requests, burst 3). Negative
@@ -50,10 +49,6 @@ type RouterConfig struct {
 	RetryBudget float64
 	// RetryBurst is the retry token cap (default 3).
 	RetryBurst float64
-	// HedgeAfter launches a duplicate request on a second replica when the
-	// first has not answered within this delay — the tail-latency hedge.
-	// Zero (the default) disables hedging.
-	HedgeAfter time.Duration
 	// Pool tunes the health-checked replica pool; Pool.Shards defaults to
 	// Shards.
 	Pool PoolConfig
@@ -203,72 +198,28 @@ func (rt *Router) Handler() http.Handler {
 	return mux
 }
 
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-	wrote  bool
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	w.wrote = true
-	w.status = code
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *statusWriter) Write(b []byte) (int, error) {
-	w.wrote = true
-	return w.ResponseWriter.Write(b)
-}
-
-// instrument wraps a handler with metrics and panic recovery: a panicking
-// handler produces a 500 and never takes the router down.
+// instrument wraps a handler in the shared request spine: a panicking
+// handler produces a 500 and never takes the router down, and every request
+// lands in the endpoint table.
 func (rt *Router) instrument(ep int, next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-		defer func() {
-			if rec := recover(); rec != nil {
-				rt.cfg.Logf("panic serving %s %s: %v", r.Method, r.URL.Path, rec)
-				if !sw.wrote {
-					writeError(sw, http.StatusInternalServerError, "internal error")
-				}
-			}
-			rt.metrics.observe(ep, time.Since(start), sw.status)
-		}()
-		next.ServeHTTP(sw, r)
-	})
-}
-
-// writeJSON renders the router's own documents (errors, health, metrics,
-// status) with internal/serve's encoder settings. Merged /rules and /score
-// replies do not pass through it: writeMerged splices them from shard bytes.
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
+	return rt.metrics.endpoints.Instrument(ep, func(r *http.Request, rec any) {
+		rt.cfg.Logf("panic serving %s %s: %v", r.Method, r.URL.Path, rec)
+	}, next)
 }
 
 // shardResult is one attempt chain's outcome for one shard.
 type shardResult struct {
-	status  int
-	ctype   string // the response's Content-Type
-	body    []byte
-	frame   ruleframe.Frame // a read's decoded 200 body; aliases body
-	node    string
-	attempt int // 0 = first attempt, >0 = retry or hedge
-	err     error
+	status int
+	ctype  string // the response's Content-Type
+	body   []byte
+	frame  ruleframe.Frame // a read's decoded 200 body; aliases body
+	err    error
 }
 
 // doAttempt performs one proxied request against one replica.
-func (rt *Router) doAttempt(ctx context.Context, node, addr string, attempt int,
+func (rt *Router) doAttempt(ctx context.Context, node, addr string,
 	mkReq func(ctx context.Context, addr string) (*http.Request, error)) shardResult {
-	res := shardResult{node: node, attempt: attempt}
+	var res shardResult
 	if res.err = fault.Hit(PointDial); res.err != nil {
 		return res
 	}
@@ -316,9 +267,9 @@ func (rt *Router) doAttempt(ctx context.Context, node, addr string, attempt int,
 // well-formed frame — torn, corrupt, or a plain document from a shard that
 // does not speak the frame — is a failed attempt like a 5xx: reported to
 // the pool, retried on a sibling, and otherwise a missing shard.
-func (rt *Router) readAttempt(ctx context.Context, node, addr string, attempt int,
+func (rt *Router) readAttempt(ctx context.Context, node, addr string,
 	mkReq func(ctx context.Context, addr string) (*http.Request, error)) shardResult {
-	res := rt.doAttempt(ctx, node, addr, attempt, func(ctx context.Context, addr string) (*http.Request, error) {
+	res := rt.doAttempt(ctx, node, addr, func(ctx context.Context, addr string) (*http.Request, error) {
 		req, err := mkReq(ctx, addr)
 		if err == nil {
 			req.Header.Set("Accept", ruleframe.MediaType)
@@ -339,11 +290,11 @@ func (rt *Router) readAttempt(ctx context.Context, node, addr string, attempt in
 	return res
 }
 
-// callShard runs one shard's attempt chain: pick the best replica, enforce
-// the shard timeout, hedge slow attempts onto a sibling replica, retry
-// failures within the retry budget, and report every outcome to the health
-// state machine. The first success wins; abandoned attempts drain into the
-// buffered channel.
+// callShard runs one shard's attempt chain: try the best replica, report
+// the outcome to the health state machine, and on failure retry on a sibling
+// replica. A retry needs a sibling to run on and a token from the retry
+// budget, and none starts once the shard timeout has expired. A shard with
+// no routable replica at all is errNoReplica.
 func (rt *Router) callShard(ctx context.Context, shard int,
 	mkReq func(ctx context.Context, addr string) (*http.Request, error)) shardResult {
 	ctx, cancel := context.WithTimeout(ctx, rt.cfg.ShardTimeout)
@@ -351,73 +302,34 @@ func (rt *Router) callShard(ctx context.Context, shard int,
 	rt.budget.earn()
 
 	tried := map[string]bool{}
-	results := make(chan shardResult, maxAttempts)
-	inflight, attempts := 0, 0
-	launch := func() bool {
-		if attempts >= maxAttempts {
-			return false
-		}
+	res := shardResult{err: errNoReplica}
+	for attempt := 0; attempt < maxAttempts; attempt++ {
 		node, addr := rt.pool.Pick(shard, tried)
 		if node == "" {
-			return false
+			break
+		}
+		if attempt > 0 {
+			if !rt.budget.take() {
+				rt.metrics.retryDenied.Add(1)
+				break
+			}
+			rt.metrics.retries.Add(1)
 		}
 		tried[node] = true
-		a := attempts
-		attempts++
-		inflight++
 		rt.metrics.attempts.Add(1)
-		go func() { results <- rt.readAttempt(ctx, node, addr, a, mkReq) }()
-		return true
-	}
-	if !launch() {
-		rt.metrics.noReplica.Add(1)
-		return shardResult{err: errNoReplica}
-	}
-	var hedge <-chan time.Time
-	if rt.cfg.HedgeAfter > 0 {
-		t := time.NewTimer(rt.cfg.HedgeAfter)
-		defer t.Stop()
-		hedge = t.C
-	}
-	var last shardResult
-	for {
-		select {
-		case res := <-results:
-			inflight--
-			if res.err == nil {
-				rt.pool.ReportSuccess(res.node)
-				if res.attempt > 0 {
-					rt.metrics.hedgeWins.Add(1)
-				}
-				return res
-			}
-			rt.pool.ReportFailure(res.node)
-			last = res
-			if !errors.Is(res.err, context.Canceled) && ctx.Err() == nil {
-				if rt.budget.take() {
-					if launch() {
-						rt.metrics.retries.Add(1)
-						continue
-					}
-				} else {
-					rt.metrics.retryDenied.Add(1)
-				}
-			}
-			if inflight == 0 {
-				return last
-			}
-		case <-hedge:
-			hedge = nil
-			if launch() {
-				rt.metrics.hedges.Add(1)
-			}
-		case <-ctx.Done():
-			if last.err == nil {
-				last.err = ctx.Err()
-			}
-			return last
+		if res = rt.readAttempt(ctx, node, addr, mkReq); res.err == nil {
+			rt.pool.ReportSuccess(node)
+			return res
+		}
+		rt.pool.ReportFailure(node)
+		if ctx.Err() != nil {
+			break
 		}
 	}
+	if len(tried) == 0 {
+		rt.metrics.noReplica.Add(1)
+	}
+	return res
 }
 
 // fanOut runs callShard for every shard concurrently and returns the
@@ -446,7 +358,7 @@ type scoreReq struct {
 
 func (rt *Router) handleScore(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, `use POST /score with {"basket": [...]}`)
+		metrics.WriteError(w, http.StatusMethodNotAllowed, `use POST /score with {"basket": [...]}`)
 		return
 	}
 	r.Body = http.MaxBytesReader(w, r.Body, 1<<20)
@@ -456,14 +368,14 @@ func (rt *Router) handleScore(w http.ResponseWriter, r *http.Request) {
 	if err := dec.Decode(&req); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooBig.Limit)
+			metrics.WriteError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooBig.Limit)
 			return
 		}
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+		metrics.WriteError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
 	if len(req.Basket) == 0 {
-		writeError(w, http.StatusBadRequest, "basket must contain at least one item")
+		metrics.WriteError(w, http.StatusBadRequest, "basket must contain at least one item")
 		return
 	}
 	minRI := 0.0
@@ -472,7 +384,7 @@ func (rt *Router) handleScore(w http.ResponseWriter, r *http.Request) {
 	}
 	body, err := json.Marshal(req)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, "re-encoding request: %v", err)
+		metrics.WriteError(w, http.StatusInternalServerError, "re-encoding request: %v", err)
 		return
 	}
 	// Score matches antecedents against the basket's ancestor closure, so a
@@ -500,7 +412,7 @@ func (rt *Router) handleScore(w http.ResponseWriter, r *http.Request) {
 func (rt *Router) writeMerged(w http.ResponseWriter, results []shardResult, limit int,
 	degradedPrefix func() ([]byte, error)) {
 	if err := fault.Hit(PointMerge); err != nil {
-		writeError(w, http.StatusInternalServerError, "merge: %v", err)
+		metrics.WriteError(w, http.StatusInternalServerError, "merge: %v", err)
 		return
 	}
 	frames := make([]ruleframe.Frame, 0, len(results))
@@ -528,7 +440,7 @@ func (rt *Router) writeMerged(w http.ResponseWriter, results []shardResult, limi
 	} else {
 		var err error
 		if prefix, err = degradedPrefix(); err != nil {
-			writeError(w, http.StatusInternalServerError, "merge: %v", err)
+			metrics.WriteError(w, http.StatusInternalServerError, "merge: %v", err)
 			return
 		}
 	}
@@ -549,24 +461,24 @@ func (rt *Router) writeMerged(w http.ResponseWriter, results []shardResult, limi
 
 func (rt *Router) handleRules(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "use GET /rules?item=NAME")
+		metrics.WriteError(w, http.StatusMethodNotAllowed, "use GET /rules?item=NAME")
 		return
 	}
 	q := r.URL.Query()
 	item := q.Get("item")
 	if item == "" {
-		writeError(w, http.StatusBadRequest, "missing required query parameter: item")
+		metrics.WriteError(w, http.StatusBadRequest, "missing required query parameter: item")
 		return
 	}
 	minRI := 0.0
 	if v := q.Get("minri"); v != "" {
 		f, err := strconv.ParseFloat(v, 64)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, "bad minri %q: %v", v, err)
+			metrics.WriteError(w, http.StatusBadRequest, "bad minri %q: %v", v, err)
 			return
 		}
 		if math.IsNaN(f) || math.IsInf(f, 0) {
-			writeError(w, http.StatusBadRequest, "bad minri %q: not a finite number", v)
+			metrics.WriteError(w, http.StatusBadRequest, "bad minri %q: not a finite number", v)
 			return
 		}
 		minRI = f
@@ -575,7 +487,7 @@ func (rt *Router) handleRules(w http.ResponseWriter, r *http.Request) {
 	if v := q.Get("limit"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 0 {
-			writeError(w, http.StatusBadRequest, "bad limit %q", v)
+			metrics.WriteError(w, http.StatusBadRequest, "bad limit %q", v)
 			return
 		}
 		limit = n
@@ -611,7 +523,7 @@ type ingestReq struct {
 // routable primary the answer is 503 with a Retry-After hint.
 func (rt *Router) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, `use POST /ingest with {"baskets": [[...], ...]}`)
+		metrics.WriteError(w, http.StatusMethodNotAllowed, `use POST /ingest with {"baskets": [[...], ...]}`)
 		return
 	}
 	r.Body = http.MaxBytesReader(w, r.Body, 1<<20)
@@ -621,27 +533,27 @@ func (rt *Router) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if err := dec.Decode(&req); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooBig.Limit)
+			metrics.WriteError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooBig.Limit)
 			return
 		}
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+		metrics.WriteError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
 	if len(req.Baskets) == 0 {
-		writeError(w, http.StatusBadRequest, "baskets must contain at least one basket")
+		metrics.WriteError(w, http.StatusBadRequest, "baskets must contain at least one basket")
 		return
 	}
 	if req.Key == "" {
 		var rnd [12]byte
 		if _, err := rand.Read(rnd[:]); err != nil {
-			writeError(w, http.StatusInternalServerError, "generating idempotency key: %v", err)
+			metrics.WriteError(w, http.StatusInternalServerError, "generating idempotency key: %v", err)
 			return
 		}
 		req.Key, req.Seq = "negrouter-"+hex.EncodeToString(rnd[:]), 1
 	}
 	body, err := json.Marshal(req)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, "re-encoding request: %v", err)
+		metrics.WriteError(w, http.StatusInternalServerError, "re-encoding request: %v", err)
 		return
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), rt.cfg.ShardTimeout)
@@ -661,7 +573,7 @@ func (rt *Router) handleIngest(w http.ResponseWriter, r *http.Request) {
 		}
 		tried[node] = true
 		rt.metrics.attempts.Add(1)
-		res := rt.doAttempt(ctx, node, addr, attempt, mkReq)
+		res := rt.doAttempt(ctx, node, addr, mkReq)
 		if res.err != nil {
 			rt.pool.ReportFailure(node)
 			rt.metrics.ingestRerouted.Add(1)
@@ -682,7 +594,7 @@ func (rt *Router) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	rt.metrics.ingestNoPrimary.Add(1)
 	w.Header().Set("Retry-After", "1")
-	writeError(w, http.StatusServiceUnavailable, "no routable ingest primary")
+	metrics.WriteError(w, http.StatusServiceUnavailable, "no routable ingest primary")
 }
 
 // routerHealth is the router /healthz payload.
@@ -705,16 +617,16 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		doc.Status = "degraded"
 	}
 	doc.IngestPrimary, doc.IngestStandbys = rt.pool.IngestTopology()
-	writeJSON(w, http.StatusOK, doc)
+	metrics.WriteJSON(w, http.StatusOK, doc)
 }
 
 func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, rt.metrics.export(rt.pool))
+	metrics.WriteJSON(w, http.StatusOK, rt.metrics.export(rt.pool))
 }
 
 func (rt *Router) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "use POST /cluster/heartbeat")
+		metrics.WriteError(w, http.StatusMethodNotAllowed, "use POST /cluster/heartbeat")
 		return
 	}
 	r.Body = http.MaxBytesReader(w, r.Body, 1<<20)
@@ -722,16 +634,16 @@ func (rt *Router) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&hb); err != nil {
-		writeError(w, http.StatusBadRequest, "bad heartbeat: %v", err)
+		metrics.WriteError(w, http.StatusBadRequest, "bad heartbeat: %v", err)
 		return
 	}
 	if err := rt.pool.Heartbeat(hb); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		metrics.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	metrics.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 func (rt *Router) handleStatus(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, rt.pool.Status())
+	metrics.WriteJSON(w, http.StatusOK, rt.pool.Status())
 }

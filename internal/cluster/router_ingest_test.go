@@ -8,6 +8,8 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+
+	"negmine/internal/metrics"
 )
 
 // ingestBackend is a fake negmined write node: it records the /ingest
@@ -37,11 +39,11 @@ func newIngestBackend(t *testing.T, status int) *ingestBackend {
 		code := int(b.status.Load())
 		switch code {
 		case http.StatusAccepted:
-			writeJSON(w, code, map[string]any{"first": 1, "last": 2, "count": 2})
+			metrics.WriteJSON(w, code, map[string]any{"first": 1, "last": 2, "count": 2})
 		case http.StatusOK:
-			writeJSON(w, code, map[string]any{"first": 1, "last": 2, "count": 2, "duplicate": true})
+			metrics.WriteJSON(w, code, map[string]any{"first": 1, "last": 2, "count": 2, "duplicate": true})
 		default:
-			writeJSON(w, code, map[string]any{"error": "not the ingest primary"})
+			metrics.WriteJSON(w, code, map[string]any{"error": "not the ingest primary"})
 		}
 	}))
 	t.Cleanup(b.srv.Close)

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"negmine/internal/fault"
+	"negmine/internal/metrics"
 	"negmine/internal/ruleframe"
 )
 
@@ -104,7 +105,7 @@ func newShardBackend(t testing.TB) *shardBackend {
 			}
 			b.reply(w, r, prefix, b.rules, elems)
 		case "/healthz":
-			writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+			metrics.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 		default:
 			http.NotFound(w, r)
 		}
@@ -287,35 +288,32 @@ func TestRouterRetriesAgainstSiblingReplica(t *testing.T) {
 	}
 }
 
-func TestRouterHedgesSlowReplica(t *testing.T) {
+// TestRouterNoSiblingSpendsNoRetryToken: a failure on a shard with no
+// sibling replica has nothing to retry on, so it must neither spend a retry
+// token nor count a retry or a denial; the budget stays whole for a shard
+// whose replicas can use it.
+func TestRouterNoSiblingSpendsNoRetryToken(t *testing.T) {
 	items := pickItems(t, 1)
-	slow, fast := newShardBackend(t), newShardBackend(t)
-	slow.delay.Store(int64(2 * time.Second))
-	want := []WireMatch{match(0.7, items[0], "x")}
-	slow.matches = want
-	fast.matches = want
-	rt := testRouter(t, RouterConfig{
-		HedgeAfter:   20 * time.Millisecond,
-		ShardTimeout: 5 * time.Second,
-		Logf:         t.Logf,
-	}, []*shardBackend{slow, fast})
+	only := newShardBackend(t)
+	only.fail.Store(true)
+	rt := testRouter(t, RouterConfig{Logf: t.Logf}, []*shardBackend{only})
 	h := rt.Handler()
-
-	start := time.Now()
-	rec, doc := postScore(t, h, fmt.Sprintf(`{"basket": [%q]}`, items[0]))
-	if rec.Code != http.StatusOK || doc.Partial {
-		t.Fatalf("status = %d, doc = %+v", rec.Code, doc)
+	for i := 0; i < 3; i++ {
+		if rec, _ := postScore(t, h, fmt.Sprintf(`{"basket": [%q]}`, items[0])); rec.Code != http.StatusPartialContent {
+			t.Fatalf("request %d: status = %d, want 206", i, rec.Code)
+		}
 	}
-	if d := time.Since(start); d > 1500*time.Millisecond {
-		t.Fatalf("hedge did not rescue the request: took %v", d)
+	if only.hits.Load() == 0 {
+		t.Fatal("the failing replica was never tried")
 	}
-	// Run once more in case the fast replica was picked first the first time.
-	rec, _ = postScore(t, h, fmt.Sprintf(`{"basket": [%q]}`, items[0]))
-	if rec.Code != http.StatusOK {
-		t.Fatalf("status = %d", rec.Code)
+	rt.budget.mu.Lock()
+	tokens := rt.budget.tokens
+	rt.budget.mu.Unlock()
+	if tokens != rt.budget.burst {
+		t.Errorf("retry tokens = %v after failures with no sibling, want the full %v", tokens, rt.budget.burst)
 	}
-	if rt.metrics.hedges.Load() == 0 {
-		t.Fatal("no hedge was dispatched")
+	if r, d := rt.metrics.retries.Load(), rt.metrics.retryDenied.Load(); r != 0 || d != 0 {
+		t.Errorf("retries = %d, retryDenied = %d, want 0 and 0", r, d)
 	}
 }
 

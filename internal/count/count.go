@@ -35,8 +35,6 @@ type Options struct {
 	// negative's candidate generation reads the same number (from
 	// negative.Options.Count) for the workers that walk the large itemsets.
 	Parallelism int
-	// MaxLeaf is the hash tree leaf capacity (0 = default).
-	MaxLeaf int
 	// TransformInto, if non-nil, maps each transaction's itemset before
 	// counting (the Cumulate ancestor extension, a filter, ...); engines
 	// pass a reusable per-worker buffer as dst. It must be safe for

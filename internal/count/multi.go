@@ -113,7 +113,7 @@ func (HashTreeEngine) Multi(db txdb.DB, groups [][]item.Itemset, transforms []Tr
 
 	trees := make([]*hashtree.Tree, len(groups))
 	for g, cands := range groups {
-		t, err := hashtree.Build(cands, opt.MaxLeaf)
+		t, err := hashtree.Build(cands, hashtree.DefaultMaxLeaf)
 		if err != nil {
 			return nil, fmt.Errorf("count: group %d: %w", g, err)
 		}

@@ -1,7 +1,9 @@
-// Package metrics holds the one bucketed latency histogram behind every
-// daemon's /metrics document (negmined via internal/serve, negrouter via
-// internal/cluster), so shard and router latencies share bucket bounds and
-// line up in dashboards.
+// Package metrics is the request spine negmined (via internal/serve) and
+// negrouter (via internal/cluster) share: the per-endpoint request table
+// with its bucketed latency histogram, the middleware that recovers a panic
+// and records each request in that table, and the JSON document and error
+// writers. Shard and router latencies therefore share bucket bounds and line
+// up in dashboards.
 package metrics
 
 import (
@@ -82,9 +84,9 @@ type HistogramJSON struct {
 	Buckets map[string]int64 `json:"buckets,omitempty"`
 }
 
-// Export snapshots the histogram; withBuckets adds the non-empty buckets
-// keyed "le=<bound>" / "+Inf".
-func (h *Histogram) Export(withBuckets bool) HistogramJSON {
+// Export snapshots the histogram, with the non-empty buckets keyed
+// "le=<bound>" / "+Inf".
+func (h *Histogram) Export() HistogramJSON {
 	out := HistogramJSON{Count: h.count.Load()}
 	if out.Count == 0 {
 		return out
@@ -92,16 +94,14 @@ func (h *Histogram) Export(withBuckets bool) HistogramJSON {
 	out.MeanMs = float64(h.sumNs.Load()) / float64(out.Count) / 1e6
 	out.P50Ms = h.Quantile(0.50).Seconds() * 1e3
 	out.P99Ms = h.Quantile(0.99).Seconds() * 1e3
-	if withBuckets {
-		out.Buckets = map[string]int64{}
-		for i := range h.buckets {
-			if n := h.buckets[i].Load(); n > 0 {
-				label := "+Inf"
-				if i < len(bucketBounds) {
-					label = "le=" + bucketBounds[i].String()
-				}
-				out.Buckets[label] = n
+	out.Buckets = map[string]int64{}
+	for i := range h.buckets {
+		if n := h.buckets[i].Load(); n > 0 {
+			label := "+Inf"
+			if i < len(bucketBounds) {
+				label = "le=" + bucketBounds[i].String()
 			}
+			out.Buckets[label] = n
 		}
 	}
 	return out

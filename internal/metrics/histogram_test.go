@@ -11,7 +11,7 @@ func TestHistogramQuantileAndExport(t *testing.T) {
 	if h.Quantile(0.5) != 0 {
 		t.Fatal("empty histogram quantile != 0")
 	}
-	if raw, _ := json.Marshal(h.Export(true)); string(raw) != `{"count":0,"meanMs":0,"p50Ms":0,"p99Ms":0}` {
+	if raw, _ := json.Marshal(h.Export()); string(raw) != `{"count":0,"meanMs":0,"p50Ms":0,"p99Ms":0}` {
 		t.Fatalf("empty export = %s", raw)
 	}
 	// 98 fast samples, one on a bucket boundary, one beyond the last bound.
@@ -29,7 +29,7 @@ func TestHistogramQuantileAndExport(t *testing.T) {
 	if got := h.Quantile(1); got != time.Second {
 		t.Errorf("p100 = %v, want the largest finite bound for the +Inf bucket", got)
 	}
-	full := h.Export(true)
+	full := h.Export()
 	want := map[string]int64{"le=100µs": 98, "le=5ms": 1, "+Inf": 1}
 	if full.Count != 100 || len(full.Buckets) != len(want) {
 		t.Fatalf("export = %+v", full)
@@ -38,8 +38,5 @@ func TestHistogramQuantileAndExport(t *testing.T) {
 		if full.Buckets[k] != n {
 			t.Errorf("bucket %q = %d, want %d", k, full.Buckets[k], n)
 		}
-	}
-	if h.Export(false).Buckets != nil {
-		t.Error("Export(false) carried buckets")
 	}
 }

@@ -48,10 +48,7 @@ func mineStages23(large *apriori.Result, tax *taxonomy.Taxonomy, opt Options, co
 	// the original taxonomy, since a category's support comes from all its
 	// leaves, small ones included.
 	sup := singleSupports(large.Table, tax.Size())
-	gtax := tax
-	if !opt.DisableTaxonomyCompression {
-		gtax = tax.Restrict(func(x item.Item) bool { return sup[x] >= 0 })
-	}
+	gtax := tax.Restrict(func(x item.Item) bool { return sup[x] >= 0 })
 	restricted := time.Now()
 	cands, walk := generateCandidates(large.Levels, large.Table, gtax, sup, opt)
 	res.Walk = walk

@@ -103,7 +103,8 @@ func sameCandidates(a, b []Candidate) bool {
 
 // TestGenerateCandidatesMatchesReference holds the dense kernel to the
 // generator it replaced, element for element and bit for bit, against both
-// the full taxonomy (DisableTaxonomyCompression) and the compressed one.
+// the full taxonomy and the compressed one (restricted to the large items,
+// as the mining drivers pass it).
 func TestGenerateCandidatesMatchesReference(t *testing.T) {
 	var total, ties, siblings, offTaxonomy int
 	for seed := int64(1); seed <= 600; seed++ {

@@ -91,12 +91,6 @@ type Options struct {
 	// generation, with the same expected-support scaling. Every group
 	// needs at least two items.
 	Substitutes []item.Itemset
-	// DisableTaxonomyCompression turns off the Improved algorithm's
-	// "delete small 1-itemsets from the taxonomy" optimization, generating
-	// candidates against the full taxonomy instead. Results are identical
-	// (small members are rejected at generation anyway); this exists for
-	// the ablation benchmarks.
-	DisableTaxonomyCompression bool
 	// Count holds counting options for the negative-candidate passes.
 	// Count.TransformInto must be nil.
 	Count count.Options

@@ -4,15 +4,14 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"math"
 	"net/http"
 	"strconv"
-	"time"
 
 	"negmine/internal/fault"
 	"negmine/internal/govern"
+	"negmine/internal/metrics"
 	"negmine/internal/ruleframe"
 )
 
@@ -81,26 +80,6 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// statusWriter captures the response status for metrics and whether
-// anything was written yet (so the recovery middleware knows whether a 500
-// can still be sent).
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-	wrote  bool
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	w.wrote = true
-	w.status = code
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *statusWriter) Write(b []byte) (int, error) {
-	w.wrote = true
-	return w.ResponseWriter.Write(b)
-}
-
 // admissionClass maps endpoints to governance classes: /score, /reload and
 // /ingest are the expensive work degraded mode sheds first (a shed ingest is
 // safe: nothing was appended, the client retries); /healthz and /metrics are
@@ -125,40 +104,28 @@ func writeShed(w http.ResponseWriter, shed *govern.ShedError) {
 		secs = 1
 	}
 	w.Header().Set("Retry-After", strconv.Itoa(secs))
-	writeError(w, http.StatusServiceUnavailable, "overloaded: request shed (%s)", shed.Reason)
+	metrics.WriteError(w, http.StatusServiceUnavailable, "overloaded: request shed (%s)", shed.Reason)
 }
 
-// instrument wraps every handler with the serving-lifecycle armor: metrics,
-// admission control, the POST body bound, the optional per-request deadline,
-// the serve.handler failpoint, and panic recovery. A panicking handler
-// produces a 500 (when nothing was written yet), bumps the panics counter,
-// and never takes the process down; a shed request produces a 503 with
-// Retry-After.
+// instrument wraps every handler in the shared request spine (panic
+// recovery and the endpoint table, metrics.Endpoints.Instrument) and adds
+// the daemon's own armor inside it: the node header, the optional
+// per-request deadline, the POST body bound, admission control and the
+// serve.handler failpoint. A recovered panic also bumps the panics counter;
+// a shed request produces a 503 with Retry-After.
 func (s *Server) instrument(ep int, next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
+	return s.metrics.endpoints.Instrument(ep, s.recordPanic, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if s.nodeID != "" {
-			sw.Header().Set("X-Negmine-Node", s.nodeID)
+			w.Header().Set("X-Negmine-Node", s.nodeID)
 		}
 		if s.reqTimeout > 0 {
 			ctx, cancel := context.WithTimeout(r.Context(), s.reqTimeout)
 			defer cancel()
 			r = r.WithContext(ctx)
 		}
-		defer func() {
-			if rec := recover(); rec != nil {
-				s.metrics.recordPanic()
-				s.logf("panic serving %s %s: %v", r.Method, r.URL.Path, rec)
-				if !sw.wrote {
-					writeError(sw, http.StatusInternalServerError, "internal error")
-				}
-			}
-			s.metrics.observe(ep, time.Since(start), sw.status)
-		}()
 		if r.Method == http.MethodPost {
 			if limit := s.bodyLimit(); limit > 0 {
-				r.Body = http.MaxBytesReader(sw, r.Body, limit)
+				r.Body = http.MaxBytesReader(w, r.Body, limit)
 			}
 		}
 		if s.gov != nil {
@@ -168,21 +135,27 @@ func (s *Server) instrument(ep int, next http.Handler) http.Handler {
 					var shed *govern.ShedError
 					if errors.As(err, &shed) {
 						s.metrics.recordShed()
-						writeShed(sw, shed)
+						writeShed(w, shed)
 						return
 					}
-					writeError(sw, http.StatusServiceUnavailable, "admission: %v", err)
+					metrics.WriteError(w, http.StatusServiceUnavailable, "admission: %v", err)
 					return
 				}
 				defer release()
 			}
 		}
 		if err := fault.Hit(PointHandler); err != nil {
-			writeError(sw, http.StatusInternalServerError, "%v", err)
+			metrics.WriteError(w, http.StatusInternalServerError, "%v", err)
 			return
 		}
-		next.ServeHTTP(sw, r)
-	})
+		next.ServeHTTP(w, r)
+	}))
+}
+
+// recordPanic is the spine's panic hook: count the panic and log it.
+func (s *Server) recordPanic(r *http.Request, rec any) {
+	s.metrics.recordPanic()
+	s.logf("panic serving %s %s: %v", r.Method, r.URL.Path, rec)
 }
 
 // bodyLimit resolves the configured POST body bound (see WithMaxBodyBytes).
@@ -197,38 +170,26 @@ func (s *Server) bodyLimit() int64 {
 	}
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
-}
-
 func (s *Server) handleRules(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "use GET /rules?item=NAME")
+		metrics.WriteError(w, http.StatusMethodNotAllowed, "use GET /rules?item=NAME")
 		return
 	}
 	q := r.URL.Query()
 	item := q.Get("item")
 	if item == "" {
-		writeError(w, http.StatusBadRequest, "missing required query parameter: item")
+		metrics.WriteError(w, http.StatusBadRequest, "missing required query parameter: item")
 		return
 	}
 	minRI := 0.0
 	if v := q.Get("minri"); v != "" {
 		f, err := strconv.ParseFloat(v, 64)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, "bad minri %q: %v", v, err)
+			metrics.WriteError(w, http.StatusBadRequest, "bad minri %q: %v", v, err)
 			return
 		}
 		if math.IsNaN(f) || math.IsInf(f, 0) {
-			writeError(w, http.StatusBadRequest, "bad minri %q: not a finite number", v)
+			metrics.WriteError(w, http.StatusBadRequest, "bad minri %q: not a finite number", v)
 			return
 		}
 		minRI = f
@@ -237,7 +198,7 @@ func (s *Server) handleRules(w http.ResponseWriter, r *http.Request) {
 	if v := q.Get("limit"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 0 {
-			writeError(w, http.StatusBadRequest, "bad limit %q", v)
+			metrics.WriteError(w, http.StatusBadRequest, "bad limit %q", v)
 			return
 		}
 		limit = n
@@ -248,12 +209,12 @@ func (s *Server) handleRules(w http.ResponseWriter, r *http.Request) {
 	ids, err := snap.QueryItemCtx(r.Context(), sc.ids[:0], item, minRI, limit)
 	sc.ids = ids[:0]
 	if err != nil {
-		writeError(w, http.StatusServiceUnavailable, "query aborted: %v", err)
+		metrics.WriteError(w, http.StatusServiceUnavailable, "query aborted: %v", err)
 		return
 	}
 	sc.expanded = snap.Expand(sc.expanded[:0], item)
 	if sc.prefix, err = ruleframe.AppendRulesPrefix(sc.prefix[:0], item, sc.expanded, minRI); err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
+		metrics.WriteError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
 	writeReply(w, r, snap, sc, ids, false)
@@ -261,7 +222,7 @@ func (s *Server) handleRules(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, `use POST /score with {"basket": [...]}`)
+		metrics.WriteError(w, http.StatusMethodNotAllowed, `use POST /score with {"basket": [...]}`)
 		return
 	}
 	// The body is already bounded by instrument (http.MaxBytesReader).
@@ -271,15 +232,15 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 	if err := dec.Decode(&req); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge,
+			metrics.WriteError(w, http.StatusRequestEntityTooLarge,
 				"request body exceeds %d bytes", tooBig.Limit)
 			return
 		}
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+		metrics.WriteError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
 	if len(req.Basket) == 0 {
-		writeError(w, http.StatusBadRequest, "basket must contain at least one item")
+		metrics.WriteError(w, http.StatusBadRequest, "basket must contain at least one item")
 		return
 	}
 	minRI := 0.0
@@ -292,7 +253,7 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 	ids, err := snap.ScoreCtx(r.Context(), sc.ids[:0], req.Basket, minRI, req.Limit)
 	sc.ids = ids[:0]
 	if err != nil {
-		writeError(w, http.StatusServiceUnavailable, "scoring aborted: %v", err)
+		metrics.WriteError(w, http.StatusServiceUnavailable, "scoring aborted: %v", err)
 		return
 	}
 	sc.basketIDs = sc.basketIDs[:0]
@@ -304,7 +265,7 @@ func (s *Server) handleScore(w http.ResponseWriter, r *http.Request) {
 		sc.basketIDs = append(sc.basketIDs, id)
 	}
 	if sc.prefix, err = ruleframe.AppendScorePrefix(sc.prefix[:0], req.Basket, minRI); err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
+		metrics.WriteError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
 	writeReply(w, r, snap, sc, ids, true)
@@ -323,7 +284,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		doc.IngestRole = st.Role
 		doc.ReplLagSegments = st.ReplLagSegments
 	}
-	writeJSON(w, http.StatusOK, doc)
+	metrics.WriteJSON(w, http.StatusOK, doc)
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -333,7 +294,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "use POST /reload")
+		metrics.WriteError(w, http.StatusMethodNotAllowed, "use POST /reload")
 		return
 	}
 	// /reload takes no body, but clients send one anyway; drain it through
@@ -342,26 +303,26 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	if _, err := io.Copy(io.Discard, r.Body); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge,
+			metrics.WriteError(w, http.StatusRequestEntityTooLarge,
 				"request body exceeds %d bytes", tooBig.Limit)
 			return
 		}
-		writeError(w, http.StatusBadRequest, "reading request body: %v", err)
+		metrics.WriteError(w, http.StatusBadRequest, "reading request body: %v", err)
 		return
 	}
 	if r.URL.Query().Get("wait") == "1" {
 		if err := s.Reload(r.Context()); err != nil {
-			writeJSON(w, http.StatusInternalServerError, reloadResponse{Status: "failed", Error: err.Error()})
+			metrics.WriteJSON(w, http.StatusInternalServerError, reloadResponse{Status: "failed", Error: err.Error()})
 			return
 		}
-		writeJSON(w, http.StatusOK, reloadResponse{Status: "ok"})
+		metrics.WriteJSON(w, http.StatusOK, reloadResponse{Status: "ok"})
 		return
 	}
 	// The background reload outlives this request; don't tie it to the
 	// request context or the swap would be cancelled as the 202 returns.
 	if s.TriggerReload(context.Background()) {
-		writeJSON(w, http.StatusAccepted, reloadResponse{Status: "reloading"})
+		metrics.WriteJSON(w, http.StatusAccepted, reloadResponse{Status: "reloading"})
 	} else {
-		writeJSON(w, http.StatusAccepted, reloadResponse{Status: "already-reloading"})
+		metrics.WriteJSON(w, http.StatusAccepted, reloadResponse{Status: "already-reloading"})
 	}
 }

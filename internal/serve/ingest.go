@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
+
+	"negmine/internal/metrics"
 )
 
 // ErrIngestRejected marks a batch the sink refused for content reasons —
@@ -153,11 +155,11 @@ type ingestResponse struct {
 
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if s.ingest == nil {
-		writeError(w, http.StatusNotFound, "ingest is not enabled on this server")
+		metrics.WriteError(w, http.StatusNotFound, "ingest is not enabled on this server")
 		return
 	}
 	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, `use POST /ingest with {"baskets": [[...], ...]}`)
+		metrics.WriteError(w, http.StatusMethodNotAllowed, `use POST /ingest with {"baskets": [[...], ...]}`)
 		return
 	}
 	// The body is already bounded by instrument (http.MaxBytesReader).
@@ -167,43 +169,43 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if err := dec.Decode(&req); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge,
+			metrics.WriteError(w, http.StatusRequestEntityTooLarge,
 				"request body exceeds %d bytes", tooBig.Limit)
 			return
 		}
-		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+		metrics.WriteError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return
 	}
 	if len(req.Baskets) == 0 {
-		writeError(w, http.StatusBadRequest, "baskets must contain at least one basket")
+		metrics.WriteError(w, http.StatusBadRequest, "baskets must contain at least one basket")
 		return
 	}
 	for i, b := range req.Baskets {
 		if len(b) == 0 {
-			writeError(w, http.StatusBadRequest, "basket %d is empty", i)
+			metrics.WriteError(w, http.StatusBadRequest, "basket %d is empty", i)
 			return
 		}
 	}
 	if req.Key == "" && req.Seq != 0 {
-		writeError(w, http.StatusBadRequest, "seq requires a key")
+		metrics.WriteError(w, http.StatusBadRequest, "seq requires a key")
 		return
 	}
 	if req.Key != "" && req.Seq == 0 {
-		writeError(w, http.StatusBadRequest, "keyed batches need seq >= 1")
+		metrics.WriteError(w, http.StatusBadRequest, "keyed batches need seq >= 1")
 		return
 	}
 	res, err := s.ingest.Ingest(r.Context(), IngestBatch{Baskets: req.Baskets, Key: req.Key, Seq: req.Seq})
 	if err != nil {
 		switch {
 		case errors.Is(err, ErrIngestRejected):
-			writeError(w, http.StatusBadRequest, "%v", err)
+			metrics.WriteError(w, http.StatusBadRequest, "%v", err)
 		case errors.Is(err, ErrIngestFenced), errors.Is(err, ErrIngestNotPrimary), errors.Is(err, ErrIngestStale):
-			writeError(w, http.StatusConflict, "%v", err)
+			metrics.WriteError(w, http.StatusConflict, "%v", err)
 		case errors.Is(err, ErrIngestUnavailable):
 			w.Header().Set("Retry-After", "1")
-			writeError(w, http.StatusServiceUnavailable, "%v", err)
+			metrics.WriteError(w, http.StatusServiceUnavailable, "%v", err)
 		default:
-			writeError(w, http.StatusInternalServerError, "ingest failed: %v", err)
+			metrics.WriteError(w, http.StatusInternalServerError, "ingest failed: %v", err)
 		}
 		return
 	}
@@ -211,7 +213,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if res.Duplicate {
 		status = http.StatusOK
 	}
-	writeJSON(w, status, ingestResponse{
+	metrics.WriteJSON(w, status, ingestResponse{
 		Accepted:  res.Accepted,
 		FirstTID:  res.FirstTID,
 		LastTID:   res.LastTID,

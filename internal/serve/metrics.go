@@ -24,14 +24,12 @@ const (
 
 var endpointNames = [epCount]string{"rules", "score", "healthz", "metrics", "reload", "ingest", "other"}
 
-// Metrics aggregates the daemon's counters: per-endpoint request and error
-// counts, per-endpoint latency histograms, and reload outcomes. Everything
-// is lock-free (atomics) — the /metrics handler reads while request
-// goroutines write. Hand-rolled expvar-style JSON, no external deps.
+// Metrics aggregates the daemon's counters: the per-endpoint request table
+// and reload outcomes. Everything is lock-free (atomics) — the /metrics
+// handler reads while request goroutines write. Hand-rolled expvar-style
+// JSON, no external deps.
 type Metrics struct {
-	requests [epCount]atomic.Int64
-	errors   [epCount]atomic.Int64 // responses with status ≥ 400
-	latency  [epCount]metrics.Histogram
+	endpoints *metrics.Endpoints
 
 	reloadOK      atomic.Int64
 	reloadFail    atomic.Int64
@@ -63,21 +61,10 @@ type Metrics struct {
 
 // NewMetrics returns a zeroed metrics set.
 func NewMetrics() *Metrics {
-	m := &Metrics{start: time.Now()}
+	m := &Metrics{endpoints: metrics.NewEndpoints(endpointNames[:]...), start: time.Now()}
 	m.lastReloadErr.Store("")
 	m.watchState.Store("")
 	return m
-}
-
-func (m *Metrics) observe(ep int, d time.Duration, status int) {
-	if ep < 0 || ep >= epCount {
-		ep = epOther
-	}
-	m.requests[ep].Add(1)
-	if status >= 400 {
-		m.errors[ep].Add(1)
-	}
-	m.latency[ep].Observe(d)
 }
 
 func (m *Metrics) recordReload(err error) {
@@ -121,19 +108,12 @@ type watchJSON struct {
 	IntervalSeconds float64 `json:"intervalSeconds"`
 }
 
-// endpointJSON is one endpoint's exported block.
-type endpointJSON struct {
-	Requests int64                 `json:"requests"`
-	Errors   int64                 `json:"errors"`
-	Latency  metrics.HistogramJSON `json:"latency"`
-}
-
 // metricsJSON is the full /metrics document.
 type metricsJSON struct {
-	UptimeSeconds float64                 `json:"uptimeSeconds"`
-	Node          string                  `json:"node,omitempty"` // cluster node identity
-	Panics        int64                   `json:"panics"`
-	Endpoints     map[string]endpointJSON `json:"endpoints"`
+	UptimeSeconds float64                         `json:"uptimeSeconds"`
+	Node          string                          `json:"node,omitempty"` // cluster node identity
+	Panics        int64                           `json:"panics"`
+	Endpoints     map[string]metrics.EndpointJSON `json:"endpoints"`
 	Reloads       struct {
 		OK        int64   `json:"ok"`
 		Failed    int64   `json:"failed"`
@@ -194,17 +174,7 @@ func (m *Metrics) WriteJSON(w io.Writer, snap *Snapshot) error {
 	var doc metricsJSON
 	doc.UptimeSeconds = time.Since(m.start).Seconds()
 	doc.Node = m.node
-	doc.Endpoints = map[string]endpointJSON{}
-	for ep := 0; ep < epCount; ep++ {
-		if m.requests[ep].Load() == 0 {
-			continue
-		}
-		doc.Endpoints[endpointNames[ep]] = endpointJSON{
-			Requests: m.requests[ep].Load(),
-			Errors:   m.errors[ep].Load(),
-			Latency:  m.latency[ep].Export(true),
-		}
-	}
+	doc.Endpoints = m.endpoints.Export()
 	doc.Panics = m.panics.Load()
 	doc.Reloads.OK = m.reloadOK.Load()
 	doc.Reloads.Failed = m.reloadFail.Load()
