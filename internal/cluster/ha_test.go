@@ -71,7 +71,7 @@ func TestPickIngestPrimary(t *testing.T) {
 		t.Fatalf("PickIngestPrimary = %q %q %v", node, addr, ok)
 	}
 	// The tried set excludes a primary the caller already failed against.
-	if _, _, ok := p.PickIngestPrimary(map[string]bool{"b": true}); ok {
+	if _, _, ok := p.PickIngestPrimary([]string{"b"}); ok {
 		t.Fatal("re-picked the tried primary")
 	}
 

@@ -268,10 +268,10 @@ func TestPickPrefersHealthierAndFresher(t *testing.T) {
 		t.Fatalf("Pick = %q, want a (healthy beats suspect)", node)
 	}
 	// tried excludes earlier attempts, falling through to the sibling.
-	if node, _ := p.Pick(0, map[string]bool{"a": true}); node != "b" {
+	if node, _ := p.Pick(0, []string{"a"}); node != "b" {
 		t.Fatalf("Pick(tried a) = %q, want b", node)
 	}
-	if node, _ := p.Pick(0, map[string]bool{"a": true, "b": true}); node != "" {
+	if node, _ := p.Pick(0, []string{"a", "b"}); node != "" {
 		t.Fatalf("Pick(tried all) = %q, want none", node)
 	}
 }

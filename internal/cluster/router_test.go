@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -51,12 +52,17 @@ type shardBackend struct {
 	framed  atomic.Int64 // bytes of /rules and /score replies sent
 	// mangle, when set (before the first request), rewrites a read reply on
 	// its way out: the corrupt and wrong-typed shards of the chaos tests.
-	mangle func(ctype string, body []byte) (string, []byte)
+	mangle    func(ctype string, body []byte) (string, []byte)
+	lastScore atomic.Value // []byte: the last /score body received
 }
 
-func newShardBackend(t testing.TB) *shardBackend {
+func newShardBackend(t testing.TB) *shardBackend { return newShardBackendOn(t, nil) }
+
+// newShardBackendOn is newShardBackend with configure applied to the
+// server before it starts.
+func newShardBackendOn(t testing.TB, configure func(*http.Server)) *shardBackend {
 	b := &shardBackend{t: t}
-	b.srv = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	b.srv = httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		b.hits.Add(1)
 		if d := b.delay.Load(); d > 0 {
 			select {
@@ -71,8 +77,14 @@ func newShardBackend(t testing.TB) *shardBackend {
 		}
 		switch r.URL.Path {
 		case "/score":
+			body, err := io.ReadAll(r.Body)
+			if err != nil {
+				http.Error(w, err.Error(), http.StatusBadRequest)
+				return
+			}
+			b.lastScore.Store(body)
 			var req scoreReq
-			if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+			if err := json.Unmarshal(body, &req); err != nil {
 				http.Error(w, err.Error(), http.StatusBadRequest)
 				return
 			}
@@ -110,6 +122,10 @@ func newShardBackend(t testing.TB) *shardBackend {
 			http.NotFound(w, r)
 		}
 	}))
+	if configure != nil {
+		configure(b.srv.Config)
+	}
+	b.srv.Start()
 	t.Cleanup(b.srv.Close)
 	return b
 }
@@ -508,6 +524,15 @@ func TestRouterRulesFansToAllShards(t *testing.T) {
 	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/rules", nil))
 	if rec.Code != http.StatusBadRequest {
 		t.Fatalf("status = %d, want 400", rec.Code)
+	}
+	// A query that could not stand in a request line is refused too: the
+	// router writes its shard requests by hand.
+	req = httptest.NewRequest(http.MethodGet, "/rules?item=q", nil)
+	req.URL.RawQuery = "item=q HTTP/1.1\r\nX-Smuggled: 1"
+	rec = httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("query with a line break: status = %d, want 400", rec.Code)
 	}
 	if b0.hits.Load() != 0 {
 		t.Fatal("invalid request reached a shard")
