@@ -345,7 +345,7 @@ func TestProbesAnswerDuringRefresh(t *testing.T) {
 	if lr == nil || lr.IndexBytes == 0 || lr.LargeItems == 0 {
 		t.Fatalf("ingest.lastRefresh = %+v", lr)
 	}
-	if lr.IndexBytes != lr.RowBytes+lr.GapBytes || lr.CountBytes == 0 || lr.TailSets+lr.FullSets == 0 || lr.RowWords == 0 {
+	if lr.IndexBytes != lr.RowBytes+lr.PairBytes+lr.GapBytes || lr.PairBytes == 0 || lr.CountBytes == 0 || lr.TailSets+lr.FullSets == 0 || lr.RowWords == 0 {
 		t.Fatalf("ingest.lastRefresh does not say what it counted: %+v", lr)
 	}
 	parts := lr.SealSeconds + lr.IndexAppendSeconds + lr.Stage1Seconds + lr.RestrictSeconds + lr.CandGenSeconds + lr.CountSeconds + lr.RuleGenSeconds

@@ -23,10 +23,11 @@
 // workers, each scanning its own range of transactions into its own words of
 // every row, and can count while it is filled every pair of rows a
 // transaction sets (CountPairs, Agrawal–Srikant's pass-2 array), which
-// PairCounts reads back pair by pair without touching a row. For the same
-// reason a caller that knows a candidate's support over the first positions of
-// rows that have since grown at their end asks only for the rest (SupportFrom,
-// CountsFrom). A filled Matrix is safe for concurrent readers; Counts shards
+// PairCounts reads back pair by pair without touching a row; a caller that
+// keeps rows can keep such a table beside them and hand both over (OverRows,
+// ReadPairs). For the same reason a caller that knows a candidate's support
+// over the first positions of rows that have since grown at their end asks
+// only for the rest (SupportFrom, CountsFrom). A filled Matrix is safe for concurrent readers; Counts shards
 // candidates across workers, each with its own scratch row.
 package bitmat
 
@@ -34,6 +35,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync"
 
 	"negmine/internal/item"
@@ -48,30 +50,68 @@ type Matrix struct {
 	n     int // transactions (bits per row)
 	words int // words per row: ceil(n/64)
 	items item.Itemset
-	index map[item.Item]int32 // item → row number
-	bits  []uint64            // len = len(items)*words
-	kept  [][]uint64          // OverRows: row r is kept[r][:words], bits is nil
-	// pairs, when the matrix carries it (CountPairs), is the table the fill
-	// counts 2-itemsets into: pairs[a*len(items)+b] + pairs[b*len(items)+a]
-	// transactions set both row a and row b.
-	pairs []int32
+	rowOf []int32    // by item id: its row number, -1 for none (see rowNum)
+	bits  []uint64   // len = len(items)*words
+	kept  [][]uint64 // OverRows: row r is kept[r][:words], bits is nil
+	// pairs, when the matrix carries a table, counts 2-itemsets in one of two
+	// layouts. Without slots it is the table the fill counts into
+	// (CountPairs): pairs[a*len(items)+b] + pairs[b*len(items)+a]
+	// transactions set both row a and row b. With slots it is a triangular
+	// table its caller keeps (ReadPairs): rows a and b at pairs[TriCell(
+	// slots[a], slots[b])].
+	pairs, slots []int32
 }
 
 // New allocates an all-zero matrix with one row per item over n
 // transactions.
 func New(items item.Itemset, n int) *Matrix {
-	words := (n + 63) / 64
-	m := &Matrix{
-		n:     n,
-		words: words,
-		items: items.Clone(),
-		index: make(map[item.Item]int32, items.Len()),
-		bits:  make([]uint64, items.Len()*words),
-	}
-	for i, x := range m.items {
-		m.index[x] = int32(i)
+	m := over(items, n)
+	m.bits = make([]uint64, len(m.items)*m.words)
+	return m
+}
+
+// over returns a matrix over n transactions with a row for each of items, and
+// no storage for them. Rows are found through a dense row-of table by item id
+// when it costs no more than the rows it indexes — a mine's matrix of large
+// items over a taxonomy's ids — or than the fill that walks the taxonomy's
+// ids (closure); a matrix whose ids spread far wider than its rows and that
+// is set some other way (a snapshot's few rule items over a whole
+// vocabulary) keeps none.
+func over(items item.Itemset, n int) *Matrix {
+	m := &Matrix{n: n, words: (n + 63) / 64, items: items.Clone()}
+	if k := len(m.items); k > 0 && 4*int64(m.items[k-1]+1) <= m.Bytes() {
+		m.dense()
 	}
 	return m
+}
+
+// dense gives m its row-of table, unless an item is negative.
+func (m *Matrix) dense() {
+	if len(m.items) == 0 || m.items[0] < 0 {
+		return
+	}
+	m.rowOf = make([]int32, m.items[len(m.items)-1]+1)
+	for i := range m.rowOf {
+		m.rowOf[i] = -1
+	}
+	for r, x := range m.items {
+		m.rowOf[x] = int32(r)
+	}
+}
+
+// rowNum returns item x's row number, or -1 if x has none: one load from the
+// row-of table, or a binary search of the sorted items when there is none.
+func (m *Matrix) rowNum(x item.Item) int32 {
+	if m.rowOf == nil {
+		if r, ok := slices.BinarySearch(m.items, x); ok {
+			return int32(r)
+		}
+		return -1
+	}
+	if x < 0 || int(x) >= len(m.rowOf) {
+		return -1
+	}
+	return m.rowOf[x]
 }
 
 // OverRows returns a matrix over n transactions whose rows the caller keeps:
@@ -81,8 +121,8 @@ func New(items item.Itemset, n int) *Matrix {
 // into rows still empty (Set, FillWindows and CountPairs are not for it), and
 // is good for as long as the caller leaves those first words alone.
 func OverRows(items item.Itemset, rows [][]uint64, n int) *Matrix {
-	m := New(items, 0)
-	m.n, m.words, m.kept = n, (n+63)/64, rows
+	m := over(items, n)
+	m.kept = rows
 	return m
 }
 
@@ -111,6 +151,40 @@ func EstimatePairBytes(nItems int) int64 { return int64(nItems) * int64(nItems) 
 // PairBytes returns the size of the pair table m carries, 0 for none.
 func (m *Matrix) PairBytes() int64 { return int64(len(m.pairs)) * 4 }
 
+// HasPairs reports whether m carries a pair table, which answers every
+// 2-itemset of its rows (CountPairs, ReadPairs).
+func (m *Matrix) HasPairs() bool { return m.pairs != nil }
+
+// TriCell returns the cell of the pair of slots a ≠ b in a triangular pair
+// table: slot i's pairs with slots 0…i-1 are cells i(i-1)/2 … i(i+1)/2-1, so
+// a table over s slots is s(s-1)/2 cells and grows by appending a slot.
+func TriCell(a, b int32) int {
+	if a < b {
+		a, b = b, a
+	}
+	return int(a)*int(a-1)/2 + int(b)
+}
+
+// ReadPairs makes m, from OverRows, carry a triangular pair table its caller
+// keeps: tri[TriCell(slots[a], slots[b])] transactions set both row a and row
+// b, for every pair of rows a ≠ b. Support and PairCounts then answer
+// 2-itemsets from it as they do from a table the fill counted.
+func (m *Matrix) ReadPairs(tri, slots []int32) {
+	m.pairs, m.slots = tri, slots
+	if m.pairs == nil {
+		m.pairs = []int32{}
+	}
+}
+
+// pair returns the pair table's count of rows a ≠ b.
+func (m *Matrix) pair(a, b int32) int {
+	if m.slots != nil {
+		return int(m.pairs[TriCell(m.slots[a], m.slots[b])])
+	}
+	n := int32(len(m.items))
+	return int(m.pairs[a*n+b] + m.pairs[b*n+a])
+}
+
 // CountPairs makes m, still empty and as wide as the database it will be
 // filled from, carry a pair table: FillWindows then counts, transaction by
 // transaction, every pair of rows it sets, and Support answers a 2-itemset
@@ -120,18 +194,17 @@ func (m *Matrix) CountPairs() { m.pairs = make([]int32, len(m.items)*len(m.items
 
 // PairCounts calls fn for every pair of rows a < b, in lexicographic order,
 // with the number of transactions that set both, read from the pair table
-// the fill counted — no row is read. It reports false, calling fn for none,
-// when m carries no table (CountPairs was not called: the budget declined it,
-// the rows were set some other way or over a narrower window).
+// the fill counted or the caller keeps — no row is read. It reports false,
+// calling fn for none, when m carries no table (neither CountPairs nor
+// ReadPairs was called: the budget declined it, the rows were set some other
+// way or over a narrower window).
 func (m *Matrix) PairCounts(fn func(a, b item.Item, n int)) bool {
 	if m.pairs == nil {
 		return false
 	}
-	n := len(m.items)
 	for i, a := range m.items {
-		row := m.pairs[i*n : (i+1)*n]
-		for j := i + 1; j < n; j++ {
-			fn(a, m.items[j], int(row[j]+m.pairs[j*n+i]))
+		for j := i + 1; j < len(m.items); j++ {
+			fn(a, m.items[j], m.pair(int32(i), int32(j)))
 		}
 	}
 	return true
@@ -140,8 +213,8 @@ func (m *Matrix) PairCounts(fn func(a, b item.Item, n int)) bool {
 // Row returns item x's bitmap (shared slice; callers must not modify), or
 // nil if x has no row.
 func (m *Matrix) Row(x item.Item) []uint64 {
-	r, ok := m.index[x]
-	if !ok {
+	r := m.rowNum(x)
+	if r < 0 {
 		return nil
 	}
 	return m.row(r)
@@ -160,8 +233,8 @@ func (m *Matrix) row(r int32) []uint64 {
 // snapshot, which builds rule posting lists by setting bit (x, ruleID) for
 // every rule mentioning x.
 func (m *Matrix) Set(x item.Item, pos int) bool {
-	r, ok := m.index[x]
-	if !ok {
+	r := m.rowNum(x)
+	if r < 0 {
 		return false
 	}
 	m.bits[int(r)*m.words+pos>>6] |= 1 << uint(pos&63)
@@ -279,7 +352,7 @@ func (m *Matrix) FillWindows(db txdb.DB, tax *taxonomy.Taxonomy, transform Trans
 				var list []int32 // the rows x sets
 				if x >= 0 && int(x) < len(start)-1 {
 					list = rows[start[x]:start[x+1]]
-				} else if r, ok := m.index[x]; ok {
+				} else if r := m.rowNum(x); r >= 0 {
 					list = append(one[:0], r)
 				}
 				for _, r := range list {
@@ -341,29 +414,22 @@ func (m *Matrix) FillWindows(db txdb.DB, tax *taxonomy.Taxonomy, transform Trans
 
 // closure resolves, once per fill, every node x of tax to the numbers
 // rows[start[x]:start[x+1]] of the rows a transaction holding x sets: x's own
-// and its ancestors', nearest first, where they have rows. Nodes are resolved
-// through a dense row-of table over the taxonomy's ids, not one index lookup
-// per node and per ancestor. The closure is taken from the taxonomy rather
-// than OR-composed from child rows so that descendant leaves without rows of
-// their own (small 1-itemsets pruned from candidate generation) still
-// contribute to their ancestors' support, as the paper requires. A nil
-// taxonomy resolves nothing.
+// and its ancestors', nearest first, where they have rows, through the dense
+// row-of table, which it gives m if m has none. The closure is taken from the
+// taxonomy rather than OR-composed from child rows so that descendant leaves
+// without rows of their own (small 1-itemsets pruned from candidate
+// generation) still contribute to their ancestors' support, as the paper
+// requires. A nil taxonomy resolves nothing.
 func (m *Matrix) closure(tax *taxonomy.Taxonomy) (start, rows []int32) {
 	if tax == nil {
 		return nil, nil
 	}
-	rowOf := make([]int32, tax.Size())
-	for i := range rowOf {
-		rowOf[i] = -1
-	}
-	for r, x := range m.items {
-		if x >= 0 && int(x) < len(rowOf) {
-			rowOf[x] = int32(r)
-		}
+	if m.rowOf == nil {
+		m.dense()
 	}
 	start = make([]int32, tax.Size()+1)
 	add := func(x item.Item) {
-		if r := rowOf[x]; r >= 0 {
+		if r := m.rowNum(x); r >= 0 {
 			rows = append(rows, r)
 		}
 	}
@@ -455,8 +521,8 @@ func AndPopCount(a, b []uint64) int {
 }
 
 // Support returns the number of transactions containing every item of c —
-// the popcount of the AND of c's rows; for a 2-itemset two table cells when
-// the fill counted pairs (CountPairs), a pass over both rows when it did not
+// the popcount of the AND of c's rows; for a 2-itemset the pair table when m
+// carries one (CountPairs, ReadPairs), a pass over both rows when it does not
 // (rows set position by position, a window narrower than the database).
 // scratch is a reusable row of at least m.Words() words (nil allocates one);
 // it is only written for candidates of three or more items. An item without
@@ -472,13 +538,12 @@ func (m *Matrix) Support(c item.Itemset, scratch []uint64) (int, error) {
 		}
 		return PopCount(r), nil
 	case 2:
-		a, aok := m.index[c[0]]
-		b, bok := m.index[c[1]]
-		if !aok || !bok {
+		a, b := m.rowNum(c[0]), m.rowNum(c[1])
+		if a < 0 || b < 0 {
 			return 0, fmt.Errorf("bitmat: no row for item in %v", c)
 		}
-		if n := len(m.items); m.pairs != nil {
-			return int(m.pairs[int(a)*n+int(b)] + m.pairs[int(b)*n+int(a)]), nil
+		if m.pairs != nil {
+			return m.pair(a, b), nil
 		}
 		return AndPopCount(m.row(a), m.row(b)), nil
 	}
@@ -543,7 +608,8 @@ func (m *Matrix) Counts(cands []item.Itemset, workers int) ([]int, error) {
 // before, over the first from positions of rows that have only grown at their
 // end since: prev, when not nil, is indexed like cands, and candidate i with
 // prev[i] ≥ 0 is answered as prev[i] + SupportFrom(from), every other one in
-// full, as Counts answers it.
+// full, as Counts answers it. A 2-itemset is read off the pair table when m
+// carries one, whatever prev says: that reads no row word at all.
 func (m *Matrix) CountsFrom(cands []item.Itemset, prev []int32, from, workers int) ([]int, error) {
 	out := make([]int, len(cands))
 	if len(cands) == 0 {
@@ -554,7 +620,7 @@ func (m *Matrix) CountsFrom(cands []item.Itemset, prev []int32, from, workers in
 		scratch := make([]uint64, m.words)
 		for i := lo; i < hi; i++ {
 			var err error
-			if prev == nil || prev[i] < 0 {
+			if prev == nil || prev[i] < 0 || len(cands[i]) == 2 && m.pairs != nil {
 				out[i], err = m.Support(cands[i], scratch)
 			} else if out[i], err = m.SupportFrom(cands[i], from); err == nil {
 				out[i] += int(prev[i])

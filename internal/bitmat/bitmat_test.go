@@ -306,6 +306,39 @@ func TestSupportMissingRow(t *testing.T) {
 	}
 }
 
+// TestRowLookupDenseAndSparse: a matrix finds its rows by item id through the
+// dense row-of table, or by binary search when its ids spread wider than its
+// rows are worth (or are negative), and the two answer alike — every row its
+// own, no row for any other id, below, between or past the items.
+func TestRowLookupDenseAndSparse(t *testing.T) {
+	for _, c := range []struct {
+		items item.Itemset
+		dense bool
+	}{
+		{item.New(1, 4, 6), true},
+		{item.New(1, 4, 60000), false},
+		{item.New(-3, 4, 6), false},
+	} {
+		m := New(c.items, 640)
+		if dense := m.rowOf != nil; dense != c.dense {
+			t.Fatalf("%v: dense %v, want %v", c.items, dense, c.dense)
+		}
+		for r, x := range c.items {
+			if !m.Set(x, r) || NextSet(m.Row(x), 0) != r {
+				t.Fatalf("%v: item %d is not row %d", c.items, x, r)
+			}
+		}
+		for _, x := range []item.Item{-5, -1, 0, 2, 5, 7, 59999, 60001, 1 << 30} {
+			if m.Row(x) != nil || m.Set(x, 0) {
+				t.Fatalf("%v: a row for item %d", c.items, x)
+			}
+		}
+		if got, err := m.Support(c.items[1:], nil); err != nil || got != 0 {
+			t.Fatalf("%v: Support(%v) = %d, %v", c.items, c.items[1:], got, err)
+		}
+	}
+}
+
 // lyingDB reports a smaller Count than its scan produces.
 type lyingDB struct{ *txdb.MemDB }
 

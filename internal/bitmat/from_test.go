@@ -82,23 +82,61 @@ func TestSupportFromCountsTheTail(t *testing.T) {
 	}
 }
 
+// keptPairs returns a matrix over m's rows that carries a triangular pair
+// table, as a caller that keeps rows and table would hand it over: the rows'
+// slots are a shuffle of their numbers.
+func keptPairs(rng *rand.Rand, m *Matrix) *Matrix {
+	n := len(m.Items())
+	rows := make([][]uint64, n)
+	slots := make([]int32, n)
+	for r, x := range m.Items() {
+		rows[r] = m.Row(x)
+	}
+	for r, s := range rng.Perm(n) {
+		slots[r] = int32(s)
+	}
+	tri := make([]int32, n*(n-1)/2)
+	for a := range rows {
+		for b := range a {
+			tri[TriCell(slots[a], slots[b])] = int32(AndPopCount(rows[a], rows[b]))
+		}
+	}
+	kept := OverRows(m.Items(), rows, m.N())
+	kept.ReadPairs(tri, slots)
+	return kept
+}
+
 // TestCountsFromMatchesCounts: handing the counting loop what a prefix of the
 // rows already said — for some candidates, not for others — changes nothing in
 // what it returns, on one worker, on two, and on more workers than
-// candidates, whether or not the matrix carries a pair table (which only the
-// candidates counted in full may read).
+// candidates, whether or not the matrix carries a pair table, counted by the
+// fill or kept by its caller. A table answers every 2-itemset whatever prev
+// says, so prev is garbage for those.
 func TestCountsFromMatchesCounts(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	universe := item.New(0, 1, 2, 3, 4, 5, 6, 7)
 	db := randomDB(t, rng, 330, len(universe), 0.5)
 	cands := randomCandidates(rng, universe, 41)
-	for _, table := range []bool{false, true} {
+	for _, table := range []string{"none", "filled", "kept"} {
 		whole := New(universe, db.Count())
-		if table {
+		if table == "filled" {
 			whole.CountPairs()
 		}
 		if err := whole.FillWindows(db, nil, nil, 1, nil); err != nil {
 			t.Fatal(err)
+		}
+		if table == "kept" {
+			whole = keptPairs(rng, whole)
+			var last item.Itemset
+			whole.PairCounts(func(a, b item.Item, n int) {
+				if c := item.New(a, b); c.Compare(last) <= 0 || a > b || n != AndPopCount(whole.Row(a), whole.Row(b)) {
+					t.Fatalf("kept table: PairCounts gave %v = %d after %v", c, n, last)
+				}
+				last = item.Itemset{a, b}
+			})
+		}
+		if whole.HasPairs() != (table != "none") {
+			t.Fatalf("pair table %s: HasPairs %v", table, whole.HasPairs())
 		}
 		for _, from := range []int{0, 64, 127, 200, 330} {
 			// The first from transactions, as their own matrix, give prev.
@@ -118,6 +156,9 @@ func TestCountsFromMatchesCounts(t *testing.T) {
 					}
 					prev[i] = int32(n)
 				}
+				if len(c) == 2 && whole.HasPairs() {
+					prev[i] = 1 << 20
+				}
 			}
 			for _, workers := range []int{1, 2, len(cands) + 5} {
 				want, err := whole.Counts(cands, workers)
@@ -129,7 +170,7 @@ func TestCountsFromMatchesCounts(t *testing.T) {
 					t.Fatal(err)
 				}
 				if !slices.Equal(got, want) {
-					t.Fatalf("pair table %v, from %d, %d workers: with previous counts %v, without %v", table, from, workers, got, want)
+					t.Fatalf("pair table %s, from %d, %d workers: with previous counts %v, without %v", table, from, workers, got, want)
 				}
 				for i, c := range cands {
 					if brute := bruteSupport(t, db, c, nil); want[i] != brute {

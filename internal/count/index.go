@@ -23,8 +23,9 @@ import (
 // counting pass when Matrix() is nil: the rows did not fit the budget.
 //
 // An index may carry more than rows, as long as Counts answers what
-// Matrix().Counts would: a pair table the fill counted (BuildIndex), or the
-// counts an earlier mine made over a prefix of the same transactions (Carried).
+// Matrix().Counts would: a pair table the fill counted (BuildIndex) or its
+// owner kept with the rows (NewIndex from internal/incr), or the counts an
+// earlier mine made over a prefix of the same transactions (Carried).
 type Indexed interface {
 	txdb.DB
 	Taxonomy() *taxonomy.Taxonomy
@@ -89,9 +90,9 @@ type Index struct {
 	// prev is what the last mine over a prefix of DB counted and next what
 	// this one has, pass by pass (nil once mem has refused it room); an index
 	// that carries nothing has neither. The rest tallies the passes so far.
-	prev, next         *Carried
-	passes, tail, full int
-	words              int64
+	prev, next                *Carried
+	passes, tail, full, pairs int
+	words                     int64
 }
 
 // NewIndex wraps db with its index under tax: the 1-item counts and the
@@ -120,7 +121,9 @@ func (ix *Index) Pass1() time.Duration { return ix.pass1 }
 // Counts implements Indexed: Matrix().Counts, and with counts carried — the
 // passes of one mine must then come one after the other — the candidates prev
 // holds for this pass are owed only the transactions past prev.N, and all of
-// them are recorded with their counts over all of DB.
+// them are recorded with their counts over all of DB. When the rows carry a
+// pair table, which answers every 2-itemset without reading a row word, no
+// 2-itemset is carried: the table is what grows with DB.
 func (ix *Index) Counts(cands []item.Itemset, workers int) ([]int, error) {
 	var prev []int32
 	from := 0
@@ -139,7 +142,8 @@ func (ix *Index) Counts(cands []item.Itemset, workers int) ([]int, error) {
 // other. Both lists are in (length, lexicographic) order when they come from
 // apriori.Gen or the negative candidate generator, so one merge finds them;
 // it accepts equal sets only, which makes a list in another order, or another
-// pass altogether, a list of misses — a full count, never a wrong one.
+// pass altogether, a list of misses — a full count, never a wrong one. A
+// 2-itemset the pair table answers is not looked up, and tallied apart.
 func (ix *Index) lookup(cands []item.Itemset) []int32 {
 	var p carriedPass
 	if ix.passes < len(ix.prev.passes) {
@@ -147,10 +151,14 @@ func (ix *Index) lookup(cands []item.Itemset) []int32 {
 	}
 	ix.passes++
 	prev := make([]int32, len(cands))
-	words := ix.rows.Words()
+	words, table := ix.rows.Words(), ix.rows.HasPairs()
 	j, at := 0, 0 // carried set j starts at p.items[at]
 	for i, cand := range cands {
 		prev[i] = -1
+		if table && len(cand) == 2 {
+			ix.pairs++
+			continue
+		}
 		for j < len(p.lens) {
 			cmp := len(cand) - int(p.lens[j])
 			if cmp == 0 {
@@ -177,35 +185,46 @@ func (ix *Index) lookup(cands []item.Itemset) []int32 {
 }
 
 // record appends one pass to next, reserved against mem — or gives next up,
-// when mem has no room for it or a candidate is too long for a uint8.
+// when mem has no room for it or a candidate is too long for a uint8. The
+// 2-itemsets a pair table answers are left out.
 func (ix *Index) record(cands []item.Itemset, totals []int) {
 	if ix.next == nil {
 		return
 	}
-	items, longest := 0, 0
+	table := ix.rows.HasPairs()
+	items, sets, longest := 0, 0, 0
 	for _, c := range cands {
-		items += len(c)
+		if table && len(c) == 2 {
+			continue
+		}
+		items, sets = items+len(c), sets+1
 		longest = max(longest, len(c))
 	}
-	size := 4*int64(items) + 5*int64(len(cands))
+	size := 4*int64(items) + 5*int64(sets)
 	if longest > math.MaxUint8 || ix.mem.Reserve(size) != nil {
 		ix.mem.Release(ix.next.bytes)
 		ix.held, ix.next = ix.held-ix.next.bytes, nil
 		return
 	}
 	ix.held, ix.next.bytes = ix.held+size, ix.next.bytes+size
-	p := carriedPass{items: make([]item.Item, 0, items), lens: make([]uint8, len(cands)), counts: make([]int32, len(cands))}
+	p := carriedPass{items: make([]item.Item, 0, items), lens: make([]uint8, 0, sets), counts: make([]int32, 0, sets)}
 	for i, c := range cands {
+		if table && len(c) == 2 {
+			continue
+		}
 		p.items = append(p.items, c...)
-		p.lens[i], p.counts[i] = uint8(len(c)), int32(totals[i])
+		p.lens, p.counts = append(p.lens, uint8(len(c))), append(p.counts, int32(totals[i]))
 	}
 	ix.next.passes = append(ix.next.passes, p)
 }
 
 // Tally says what the passes so far did with the counts carried in: itemsets
-// answered from the transactions past prev.N, itemsets counted in full, and
-// the row words the two kinds read between them.
-func (ix *Index) Tally() (tail, full int, words int64) { return ix.tail, ix.full, ix.words }
+// answered from the transactions past prev.N, itemsets counted in full,
+// 2-itemsets read off the pair table, and the row words the first two kinds
+// read between them (the third reads none).
+func (ix *Index) Tally() (tail, full, pairs int, words int64) {
+	return ix.tail, ix.full, ix.pairs, ix.words
+}
 
 // TakeCarried ends a mine over an index that carries counts: it returns what
 // the passes counted — to be handed to NewIndex once DB has grown — and with

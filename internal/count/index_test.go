@@ -500,7 +500,7 @@ func TestCarriedCountsAnswerOnlyTheTail(t *testing.T) {
 				}
 			}
 		}
-		tail, full, words := ix.Tally()
+		tail, full, _, words := ix.Tally()
 		if tail+full != total || wantTail >= 0 && tail != wantTail || words <= 0 {
 			t.Fatalf("step %d (n = %d): %d from the tail and %d in full (%d words) of %d candidates, want %d from the tail", step, n, tail, full, words, total, wantTail)
 		}
@@ -533,7 +533,7 @@ func TestCarriedCountsAnswerOnlyTheTail(t *testing.T) {
 	ahead := NewIndex(db, tax, nil, rows, &Carried{N: db.Count() + 1, passes: carried.passes}, mem)
 	if _, err := ahead.Counts(groups[1], 1); err != nil {
 		t.Fatal(err)
-	} else if tail, _, _ := ahead.Tally(); tail != 0 {
+	} else if tail, _, _, _ := ahead.Tally(); tail != 0 {
 		t.Fatalf("%d counts from beyond the rows' end were used", tail)
 	}
 	ahead.Release()
@@ -582,5 +582,54 @@ func TestCarriedCountsFaultAndBudget(t *testing.T) {
 	}
 	if c := ix.TakeCarried(); c.N != 0 || c.Bytes() != 0 || mem.InUse() != 0 || mem.Denials() != 1 {
 		t.Fatalf("after a refusal: %d bytes in use, %d denials", mem.InUse(), mem.Denials())
+	}
+}
+
+// TestPairTableCarriesNoPairs: over rows that carry a pair table, an Index
+// that carries counts reads every 2-itemset off the table, carried over or
+// not, records none of them for the next mine, and tallies them apart; the
+// 3-itemsets beside them are carried and owed only the tail as before.
+func TestPairTableCarriesNoPairs(t *testing.T) {
+	tax, leaves := testTax(t, 16)
+	all := leafDB(23, leaves, 300, 6)
+	universe := leaves.Union(tax.Categories())
+	groups := randomGroups(rand.New(rand.NewSource(24)), universe, 3)
+	for _, g := range groups {
+		slices.SortFunc(g, item.Itemset.Compare)
+	}
+	pass := [][]item.Itemset{groups[1], groups[2]}
+	carried := &Carried{}
+	for step, n := range []int{100, 300} {
+		db := &txdb.MemDB{}
+		for _, tx := range all.Transactions()[:n] {
+			db.Append(tx)
+		}
+		rows := bitmat.New(universe, n)
+		rows.CountPairs()
+		if err := rows.FillWindows(db, tax, nil, 1, nil); err != nil {
+			t.Fatal(err)
+		}
+		ix := NewIndex(db, tax, nil, rows, carried, govern.NewBudget(0))
+		got, err := Multi(ix, pass, Options{Tax: tax, TransformInto: tax.ExtendInto})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := HashTreeEngine{}.Multi(db, pass, nil, Options{TransformInto: tax.ExtendInto})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for g := range pass {
+			if !slices.Equal(got[g], want[g]) {
+				t.Fatalf("n = %d, group %d: %v, scanned %v", n, g, got[g], want[g])
+			}
+		}
+		tail, full, pairs, _ := ix.Tally()
+		if pairs != len(groups[1]) || tail+full != len(groups[2]) || tail != step*len(groups[2]) {
+			t.Fatalf("n = %d: %d from the tail, %d in full, %d off the table; %d pairs and %d triples", n, tail, full, pairs, len(groups[1]), len(groups[2]))
+		}
+		carried = ix.TakeCarried()
+		if size := int64(4*3+5) * int64(len(groups[2])); carried.Bytes() != size {
+			t.Fatalf("n = %d: %d bytes carried, want %d for the triples alone", n, carried.Bytes(), size)
+		}
 	}
 }

@@ -14,10 +14,10 @@ import (
 // Stepper runs generalized level-wise mining one level at a time: each Next
 // call returns L_k after one counting pass — one scan of the database, or
 // none when it is count.Indexed — except level 2 over an index whose rows
-// carry a pair table (count.BuildIndex), which is read off that table and
-// counts nothing. The paper's Naive negative algorithm interleaves a
-// negative-candidate pass after each large-itemset pass, which requires this
-// per-level control.
+// carry a pair table (count.BuildIndex, internal/incr), which is read off
+// that table and counts nothing. The paper's Naive negative algorithm
+// interleaves a negative-candidate pass after each large-itemset pass, which
+// requires this per-level control.
 //
 // Only Basic and Cumulate support stepping (EstMerge's merged pass schedule
 // spans levels by design).

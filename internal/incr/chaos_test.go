@@ -78,17 +78,18 @@ func warmMiner(t *testing.T, seed int64) (*Miner, *seglog.Log, *taxonomy.Taxonom
 }
 
 // TestFaultMidRefreshKeepsThePreviousCounts kills a warm refresh twice after
-// it has extended the rows — at the merge failpoint, then in its third
-// counting pass, with two passes' counts already recorded. Neither leaves a
-// half-written set behind: the retry resumes every itemset from the counts of
-// the last refresh that finished, over everything that arrived since, and
-// equals the batch mine.
+// it has extended the rows — at the merge failpoint, then in its second
+// counting pass (the negative candidates), with the first's (level 3; level 2
+// is read off the pair table and makes no pass) already recorded. Neither
+// leaves a half-written set behind: the retry resumes every itemset from the
+// counts of the last refresh that finished, over everything that arrived
+// since, and equals the batch mine.
 func TestFaultMidRefreshKeepsThePreviousCounts(t *testing.T) {
 	m, log, tax, opt, rest := warmMiner(t, 11)
 	before := m.LastStats()
 	for i, arm := range []func() func(){
 		func() func() { return fault.Enable(PointMerge, fault.Error("killed")) },
-		func() func() { return fault.Enable(count.PointPass, fault.Error("killed"), fault.OnHit(3)) },
+		func() func() { return fault.Enable(count.PointPass, fault.Error("killed"), fault.OnHit(2)) },
 	} {
 		fillLog(t, log, rest[100*i:100*i+100], 50, 1)
 		off := arm()
@@ -221,7 +222,7 @@ func TestFaultBudgetAdmitsRowsNotCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := m.LastStats()
-	if st.TailSets == 0 || st.CountBytes != 0 || st.IndexBytes != st.RowBytes+st.GapBytes || opt.Count.Mem.InUse() != st.IndexBytes {
+	if st.TailSets == 0 || st.CountBytes != 0 || st.IndexBytes != st.RowBytes+st.PairBytes+st.GapBytes || opt.Count.Mem.InUse() != st.IndexBytes {
 		t.Fatalf("counts refused mid-mine: %+v, %d bytes reserved", st, opt.Count.Mem.InUse())
 	}
 	checkAgainstBatch(t, "counts refused mid-mine", log, tax, opt, got)
@@ -246,7 +247,7 @@ func TestFaultBudgetAdmitsRowsNotCounts(t *testing.T) {
 		}
 		st = m.LastStats()
 		if st.LargeItems == 0 || st.TailSets != 0 || st.FullSets == 0 || st.CountBytes != 0 || st.OldSegmentScans != 0 ||
-			st.IndexBytes != st.RowBytes+st.GapBytes || tight.Count.Mem.InUse() != st.IndexBytes || tight.Count.Mem.Denials() != int64(i+1) {
+			st.IndexBytes != st.RowBytes+st.PairBytes+st.GapBytes || tight.Count.Mem.InUse() != st.IndexBytes || tight.Count.Mem.Denials() != int64(i+1) {
 			t.Fatalf("refresh %d under a budget without room for counts: %+v, %d bytes reserved, %d denials", i+1, st, tight.Count.Mem.InUse(), tight.Count.Mem.Denials())
 		}
 		checkAgainstBatch(t, "no room for counts", log, tax, opt, got)

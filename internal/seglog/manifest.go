@@ -100,11 +100,12 @@ func loadManifest(dir string) (*manifest, error) {
 	return &m, nil
 }
 
-// storeManifest atomically replaces dir's manifest.
+// storeManifest atomically replaces dir's manifest. It is written compact:
+// every seal rewrites it whole, so indentation would be paid per entry on
+// every seal. An indented manifest, as older versions wrote it, reads the
+// same.
 func storeManifest(dir string, m *manifest) error {
 	return atomicio.WriteFile(filepath.Join(dir, manifestName), func(w io.Writer) error {
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		return enc.Encode(m)
+		return json.NewEncoder(w).Encode(m)
 	})
 }

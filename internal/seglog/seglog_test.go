@@ -1,9 +1,12 @@
 package seglog
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 
@@ -592,4 +595,84 @@ func TestTornTailRecoveryWithConcurrentReader(t *testing.T) {
 			t.Fatalf("tx %d has TID %d", i, tx.TID)
 		}
 	}
+}
+
+// TestIndentedManifestStillOpens: a log whose manifest is indented, as older
+// versions wrote it, opens with the same sealed segments and transactions,
+// and the next seal rewrites it compact.
+func TestIndentedManifestStillOpens(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 3; i++ {
+		if _, _, err := l.Append([]item.Itemset{basket(i), basket(i, i+1)}); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Seal(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, wantTxs := l.SealedEntries(), collect(t, l)
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, manifestName)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Count(raw, []byte("\n")) != 1 {
+		t.Fatalf("manifest is not one compact line:\n%s", raw)
+	}
+	var indented bytes.Buffer
+	if err := json.Indent(&indented, raw, "", "  "); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, indented.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	l, err = Open(dir, Options{})
+	if err != nil {
+		t.Fatalf("indented manifest: %v", err)
+	}
+	defer l.Close()
+	if got := l.SealedEntries(); !slices.Equal(got, want) {
+		t.Fatalf("sealed entries %+v, want %+v", got, want)
+	}
+	if got := collect(t, l); fmt.Sprint(got) != fmt.Sprint(wantTxs) {
+		t.Fatalf("transactions %v, want %v", got, wantTxs)
+	}
+	if _, _, err := l.Append([]item.Itemset{basket(9)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	if raw, err = os.ReadFile(path); err != nil || bytes.Count(raw, []byte("\n")) != 1 {
+		t.Fatalf("the seal after opening did not rewrite the manifest compact (%v):\n%s", err, raw)
+	}
+}
+
+// BenchmarkStoreManifest stores the manifest of a log of 1 000 sealed
+// segments, what every seal of such a log writes; bytes/op is its size.
+func BenchmarkStoreManifest(b *testing.B) {
+	m := &manifest{Version: manifestVersion, NextID: 1002, Active: 1001}
+	for id := int64(1); id <= 1000; id++ {
+		m.Sealed = append(m.Sealed, SegmentEntry{ID: id, Txns: 250, Bytes: 9000 + id, CRC: uint32(id * 2654435761), MinTID: 250*id - 249, MaxTID: 250 * id})
+	}
+	dir := b.TempDir()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := storeManifest(dir, m); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	fi, err := os.Stat(filepath.Join(dir, manifestName))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportMetric(float64(fi.Size()), "bytes/op")
 }
