@@ -75,7 +75,7 @@ func advertiseAddr(listen, override string) string {
 
 // clusterMember periodically POSTs this daemon's heartbeat to the router:
 // liveness plus what it is serving (shard, snapshot generation/age/rules,
-// govern load state), so the router can route around dead replicas and
+// ingest role), so the router can route around dead replicas and
 // prefer fresh ones. Heartbeating is fire-and-forget — an unreachable
 // router never affects serving, and the next successful beat re-registers
 // the node from scratch (the router holds no durable state).
@@ -118,18 +118,15 @@ func (m *clusterMember) beat(ctx context.Context, srv *serve.Server) {
 	snap := srv.Snapshot()
 	info := snap.Info()
 	hb := cluster.Heartbeat{
-		Node:       m.node,
-		Addr:       m.addr,
-		Shard:      m.spec.shard,
-		Shards:     m.spec.shards,
+		Node:             m.node,
+		Addr:             m.addr,
+		Shard:            m.spec.shard,
+		Shards:           m.spec.shards,
 		Generation:       info.Generation,
 		AgeSeconds:       snap.Age().Seconds(),
 		FreshnessSeconds: snap.Freshness().Seconds(),
 		Rules:            info.Rules,
 		SourceKind:       info.SourceKind,
-	}
-	if gov := srv.Governor(); gov != nil {
-		hb.Degraded = gov.Stats().Degraded
 	}
 	if m.roleFn != nil {
 		hb.IngestRole, hb.ReplLagSegments = m.roleFn()

@@ -62,9 +62,8 @@
 //	-read-timeout/-write-timeout/-idle-timeout  http.Server limits
 //	-request-timeout  per-request handler deadline (0 = none)
 //	-drain d          graceful-shutdown drain budget (default 10s)
-//	-max-concurrent n adaptive concurrency ceiling; enables admission control
-//	-max-queue n      bounded admission queue (requires -max-concurrent)
-//	-max-rps f        per-endpoint token-bucket rate limit
+//	-max-concurrent n requests served at once; enables admission control
+//	-max-queue n      FIFO admission queue bound (requires -max-concurrent)
 //	-max-body size    POST body bound (default 1MiB; "off" disables)
 //	-mem-budget size  re-mining memory budget (default auto: 80% of the
 //	                  GOMEMLIMIT/cgroup limit; "off" disables)
@@ -81,7 +80,7 @@
 //	-shard k/n        serve shard k of an n-wide cluster: only rules whose
 //	                  first antecedent item hashes to shard k are indexed
 //	-cluster-join URL register with a negrouter and heartbeat shard id,
-//	                  snapshot generation and load state
+//	                  snapshot generation and ingest role
 //	-advertise a      host:port the router should dial (default: the listen
 //	                  address, wildcard hosts rewritten to 127.0.0.1)
 //	-heartbeat d      cluster heartbeat interval (default 1s)
@@ -278,7 +277,7 @@ func run(args []string, out io.Writer) error {
 			ha.currentRole(), cfg.ha.storeDir, cfg.ingest.log.Epoch())
 	}
 	if cfg.watch {
-		go srv.WatchWith(ctx, cfg.source, serve.WatchConfig{Interval: cfg.poll})
+		go srv.WatchWith(ctx, cfg.source, cfg.poll)
 	}
 	if cfg.join != "" {
 		roleFn := func() (string, int) { return "replica", 0 }
@@ -365,9 +364,8 @@ func parseFlags(args []string, out io.Writer) (*config, error) {
 		reqTO    = fs.Duration("request-timeout", 0, "per-request handler deadline (0 = none)")
 		drain    = fs.Duration("drain", 10*time.Second, "graceful-shutdown drain budget")
 
-		maxRPS    = fs.Float64("max-rps", 0, "per-endpoint token-bucket rate limit, requests/second (0 = unlimited)")
-		maxConc   = fs.Int("max-concurrent", 0, "adaptive concurrency ceiling; enables admission control (0 = off unless -max-rps is set)")
-		maxQueue  = fs.Int("max-queue", 0, "bounded admission-queue depth; requires -max-concurrent (0 = 4x -max-concurrent)")
+		maxConc   = fs.Int("max-concurrent", 0, "requests served at once; enables admission control (0 = off)")
+		maxQueue  = fs.Int("max-queue", 0, "requests waiting in FIFO order for a slot; requires -max-concurrent (0 = 4x -max-concurrent)")
 		maxBody   = fs.String("max-body", "", "POST body size bound, e.g. 1MiB (empty = 1MiB, off = unbounded)")
 		memBudget = fs.String("mem-budget", "auto", "re-mining memory budget, e.g. 2GiB (auto = 80% of GOMEMLIMIT/cgroup limit, off = unlimited)")
 
@@ -468,8 +466,6 @@ func parseFlags(args []string, out io.Writer) (*config, error) {
 		if *haRole != "" || *seglogStore != "" || *haPeer != "" {
 			return nil, usageErrf(fs, "-ha-role/-seglog-store/-ha-peer require -ingest-dir (streaming mode)")
 		}
-		set := map[string]bool{}
-		fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 		if set["dedup-window"] || set["ha-lease"] || set["ha-ack-timeout"] {
 			return nil, usageErrf(fs, "-dedup-window/-ha-lease/-ha-ack-timeout require -ingest-dir (streaming mode)")
 		}
@@ -477,19 +473,19 @@ func parseFlags(args []string, out io.Writer) (*config, error) {
 			return nil, usageErrf(fs, "exactly one of -report or -data is required (or -snapshot-dir alone for replica mode)")
 		}
 	}
+	if *poll <= 0 {
+		return nil, usageErrf(fs, "-poll = %v, want > 0", *poll)
+	}
 	for _, d := range []struct {
 		name string
 		v    time.Duration
 	}{
-		{"-poll", *poll}, {"-read-timeout", *readTO}, {"-write-timeout", *writeTO},
+		{"-read-timeout", *readTO}, {"-write-timeout", *writeTO},
 		{"-idle-timeout", *idleTO}, {"-request-timeout", *reqTO}, {"-drain", *drain},
 	} {
 		if d.v < 0 {
 			return nil, usageErrf(fs, "%s = %v, want ≥ 0", d.name, d.v)
 		}
-	}
-	if *maxRPS < 0 {
-		return nil, usageErrf(fs, "-max-rps = %v, want ≥ 0", *maxRPS)
 	}
 	if *maxConc < 0 {
 		return nil, usageErrf(fs, "-max-concurrent = %d, want ≥ 0", *maxConc)
@@ -518,12 +514,8 @@ func parseFlags(args []string, out io.Writer) (*config, error) {
 		if !spec.active() {
 			spec = shardSpec{shard: 0, shards: 1} // single-shard cluster
 		}
-	} else {
-		set := map[string]bool{}
-		fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
-		if set["heartbeat"] || set["advertise"] {
-			return nil, usageErrf(fs, "-heartbeat/-advertise require -cluster-join")
-		}
+	} else if set["heartbeat"] || set["advertise"] {
+		return nil, usageErrf(fs, "-heartbeat/-advertise require -cluster-join")
 	}
 
 	cfg := &config{
@@ -534,12 +526,8 @@ func parseFlags(args []string, out io.Writer) (*config, error) {
 		nodeID: *nodeID, advertise: *advertise, heartbeat: *heartbeat,
 	}
 	keep := spec.keep()
-	if *maxConc > 0 || *maxRPS > 0 {
-		cfg.gov = govern.NewController(govern.Config{
-			MaxConcurrent: *maxConc,
-			MaxQueue:      *maxQueue,
-			MaxRPS:        *maxRPS,
-		})
+	if *maxConc > 0 {
+		cfg.gov = govern.NewController(govern.Config{MaxConcurrent: *maxConc, MaxQueue: *maxQueue})
 	}
 	switch strings.ToLower(*maxBody) {
 	case "":

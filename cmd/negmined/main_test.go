@@ -378,11 +378,11 @@ func TestGovernanceFlagValidation(t *testing.T) {
 	bad := [][]string{
 		{"-max-queue", "10"},                         // queue without a concurrency ceiling
 		{"-max-concurrent", "-1"},                    // negative ceiling
-		{"-max-rps", "-5"},                           // negative rate
 		{"-max-queue", "-3", "-max-concurrent", "4"}, // negative queue
 		{"-request-timeout", "-1s"},                  // negative duration
 		{"-drain", "-10s"},
 		{"-poll", "-2s"},
+		{"-poll", "0"},
 		{"-max-body", "wat"},
 		{"-mem-budget", "wat"},
 	}
@@ -397,9 +397,9 @@ func TestGovernanceFlagValidation(t *testing.T) {
 		}
 	}
 
-	// Valid: admission control on, bounded queue, rate limit, body bound.
+	// Valid: admission control on, bounded queue, body bound.
 	cfg, err := parseFlags(append(append([]string{}, base...),
-		"-max-concurrent", "8", "-max-queue", "32", "-max-rps", "100", "-max-body", "64KiB"), &sink)
+		"-max-concurrent", "8", "-max-queue", "32", "-max-body", "64KiB"), &sink)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,15 +408,6 @@ func TestGovernanceFlagValidation(t *testing.T) {
 	}
 	if cfg.maxBody != 64<<10 {
 		t.Fatalf("maxBody = %d, want %d", cfg.maxBody, 64<<10)
-	}
-
-	// Rate limit alone also enables admission control.
-	cfg, err = parseFlags(append(append([]string{}, base...), "-max-rps", "50"), &sink)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.gov == nil {
-		t.Fatal("-max-rps alone did not build a governor")
 	}
 
 	// No governance flags: no governor, default body bound, parse still ok.

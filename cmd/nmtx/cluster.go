@@ -151,9 +151,6 @@ func clusterStatus(out io.Writer, router string, timeout time.Duration) error {
 					fmt.Fprintf(out, " (lag %d segs)", r.ReplLagSegments)
 				}
 			}
-			if r.Degraded {
-				fmt.Fprintf(out, "  load-degraded")
-			}
 			if r.BreakerOpen {
 				fmt.Fprintf(out, "  breaker OPEN")
 			}

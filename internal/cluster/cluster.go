@@ -157,7 +157,10 @@ type Heartbeat struct {
 	FreshnessSeconds float64 `json:"freshnessSeconds"`
 	Rules            int     `json:"rules"`                // rules in the served snapshot
 	SourceKind       string  `json:"sourceKind,omitempty"` // mined | json | ingest | mmap
-	Degraded         bool    `json:"degraded,omitempty"`   // govern degraded mode (shedding expensive work)
+	// Degraded is sent only by older nodes, whose admission had a degraded
+	// mode; nothing reads it. It stays because the router refuses unknown
+	// heartbeat fields, so deleting it would stop those nodes heartbeating.
+	Degraded bool `json:"degraded,omitempty"`
 	// IngestRole is the node's write-path role: "primary" (accepts
 	// /ingest), "standby" (replicating, promotable), "fenced" (deposed
 	// primary, rejecting writes), or "replica" (read-only serving node).

@@ -125,7 +125,6 @@ type replica struct {
 	freshness  float64
 	rules      int
 	sourceKind string
-	degraded   bool
 	ingestRole string
 	replLag    int
 
@@ -228,7 +227,6 @@ func (p *Pool) Heartbeat(hb Heartbeat) error {
 	r.freshness = hb.FreshnessSeconds
 	r.rules = hb.Rules
 	r.sourceKind = hb.SourceKind
-	r.degraded = hb.Degraded
 	r.ingestRole = hb.IngestRole
 	r.replLag = hb.ReplLagSegments
 	switch r.state {
@@ -603,7 +601,6 @@ type ReplicaStatus struct {
 	FreshnessSeconds float64 `json:"freshnessSeconds"`
 	Rules            int     `json:"rules"`
 	SourceKind       string  `json:"sourceKind,omitempty"`
-	Degraded         bool    `json:"degraded,omitempty"`
 	IngestRole       string  `json:"ingestRole,omitempty"`
 	ReplLagSegments  int     `json:"replLagSegments,omitempty"`
 	LastHeartbeatAgo float64 `json:"lastHeartbeatAgoSeconds"`
@@ -655,7 +652,6 @@ func (p *Pool) Status() Status {
 				FreshnessSeconds: r.freshness,
 				Rules:            r.rules,
 				SourceKind:       r.sourceKind,
-				Degraded:         r.degraded,
 				IngestRole:       r.ingestRole,
 				ReplLagSegments:  r.replLag,
 				Failures:         r.failures,

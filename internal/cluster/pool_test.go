@@ -299,7 +299,6 @@ func TestStatusShape(t *testing.T) {
 	hb := beat("n1", 1)
 	hb.Rules = 42
 	hb.SourceKind = "mmap"
-	hb.Degraded = true
 	if err := p.Heartbeat(hb); err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +313,7 @@ func TestStatusShape(t *testing.T) {
 		t.Fatal("empty shard 0 reported routable")
 	}
 	r := st.Table[1].Replicas[0]
-	if r.Node != "n1" || r.Rules != 42 || r.SourceKind != "mmap" || !r.Degraded {
+	if r.Node != "n1" || r.Rules != 42 || r.SourceKind != "mmap" {
 		t.Fatalf("replica row = %+v", r)
 	}
 }

@@ -595,6 +595,24 @@ func TestRouterHeartbeatAndStatusEndpoints(t *testing.T) {
 	}
 }
 
+// TestRouterAcceptsDegradedHeartbeat pins heartbeat compatibility: nodes
+// whose admission had a degraded mode send "degraded" in their heartbeats,
+// and the router, which refuses unknown fields, must still register them.
+func TestRouterAcceptsDegradedHeartbeat(t *testing.T) {
+	rt := testRouter(t, RouterConfig{Shards: 1, Logf: t.Logf})
+	h := rt.Handler()
+
+	hb := `{"node": "old", "addr": "127.0.0.1:9", "shard": 0, "shards": 1, "rules": 3, "degraded": true}`
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/cluster/heartbeat", strings.NewReader(hb)))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("heartbeat with degraded = %d\n%s", rec.Code, rec.Body.Bytes())
+	}
+	if st := rt.pool.Status(); st.Registered != 1 || st.Routable != 1 || st.Table[0].Replicas[0].Node != "old" {
+		t.Fatalf("status = %+v, want node old registered and routable", st)
+	}
+}
+
 func TestRouterRejectsBadScoreRequests(t *testing.T) {
 	b0 := newShardBackend(t)
 	rt := testRouter(t, RouterConfig{Logf: t.Logf}, []*shardBackend{b0})

@@ -3,7 +3,6 @@ package govern
 import (
 	"context"
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -11,122 +10,39 @@ import (
 	"negmine/internal/fault"
 )
 
-// Class partitions requests by cost so degraded mode can keep the cheap
-// ones answering while the expensive ones are shed.
-type Class int
-
-const (
-	// Cheap requests (indexed snapshot lookups: GET /rules) go through the
-	// limiter and queue but are still admitted in degraded mode.
-	Cheap Class = iota
-	// Expensive requests (/score batches, /reload re-mines) are the first
-	// to be shed: immediately, without queueing, once the controller enters
-	// degraded mode.
-	Expensive
-)
-
-// String names the class for metrics and logs.
-func (c Class) String() string {
-	switch c {
-	case Cheap:
-		return "cheap"
-	case Expensive:
-		return "expensive"
-	default:
-		return fmt.Sprintf("Class(%d)", int(c))
-	}
-}
-
 // Shed reasons, exported in Stats and /metrics.
 const (
 	ShedQueueFull = "queue-full"
 	ShedDeadline  = "deadline"
-	ShedRate      = "rate-limit"
-	ShedDegraded  = "degraded"
 	ShedStall     = "limiter-stall"
 )
 
+// RetryAfter is the back-off hint every shed carries: the HTTP layer sends
+// it as the Retry-After header of its 503.
+const RetryAfter = time.Second
+
 // ShedError is the typed rejection every failed admission returns. The HTTP
 // layer maps it to 503 with a Retry-After header; anything else treats it as
-// "back off and come back".
+// "back off for RetryAfter and come back".
 type ShedError struct {
-	Reason     string
-	RetryAfter time.Duration
+	Reason string
 }
 
 // Error implements error.
 func (e *ShedError) Error() string {
-	return fmt.Sprintf("govern: request shed (%s), retry after %v", e.Reason, e.RetryAfter)
+	return fmt.Sprintf("govern: request shed (%s), retry after %v", e.Reason, RetryAfter)
 }
 
-// Config tunes a Controller. The zero value of every field falls back to
+// Config sizes a Controller. The zero value of every field falls back to
 // the default documented on it.
 type Config struct {
-	// MaxConcurrent is the hard ceiling on in-flight admitted requests and
-	// the upper bound of the AIMD window (default 64).
+	// MaxConcurrent is the most admitted requests in flight at once
+	// (default 64).
 	MaxConcurrent int
-	// MinConcurrent is the AIMD floor — the window never shrinks below it
-	// (default 1).
-	MinConcurrent int
 	// MaxQueue bounds how many requests may wait for a slot; the
 	// (MaxQueue+1)-th waiter is shed with queue-full (default
 	// 4×MaxConcurrent).
 	MaxQueue int
-	// MaxRPS is the per-endpoint token-bucket rate (default 0 = no rate
-	// limit). Each distinct endpoint string passed to Acquire gets its own
-	// bucket refilling at MaxRPS tokens/second.
-	MaxRPS float64
-	// Burst is the bucket capacity (default max(MaxRPS, 1)).
-	Burst float64
-	// LatencyTarget is the AIMD setpoint: completions slower than this
-	// shrink the concurrency window multiplicatively, completions under it
-	// grow the window additively (default 100ms).
-	LatencyTarget time.Duration
-	// RetryAfter is the hint attached to queue-full and degraded sheds
-	// (default 1s). Deadline sheds use the remaining queue drain estimate,
-	// rate sheds the time until the next token.
-	RetryAfter time.Duration
-	// DegradeHigh is the queue-fill fraction at which the controller enters
-	// degraded mode (default 0.75); DegradeLow the fraction at which it
-	// exits (default 0.25). Hysteresis keeps it from flapping at the edge.
-	DegradeHigh float64
-	DegradeLow  float64
-	// Now overrides the clock, for deterministic tests (default time.Now).
-	Now func() time.Time
-}
-
-func (c Config) withDefaults() Config {
-	if c.MaxConcurrent <= 0 {
-		c.MaxConcurrent = 64
-	}
-	if c.MinConcurrent <= 0 {
-		c.MinConcurrent = 1
-	}
-	if c.MinConcurrent > c.MaxConcurrent {
-		c.MinConcurrent = c.MaxConcurrent
-	}
-	if c.MaxQueue <= 0 {
-		c.MaxQueue = 4 * c.MaxConcurrent
-	}
-	if c.Burst <= 0 {
-		c.Burst = math.Max(c.MaxRPS, 1)
-	}
-	if c.LatencyTarget <= 0 {
-		c.LatencyTarget = 100 * time.Millisecond
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
-	}
-	if c.DegradeHigh <= 0 || c.DegradeHigh > 1 {
-		c.DegradeHigh = 0.75
-	}
-	if c.DegradeLow < 0 || c.DegradeLow >= c.DegradeHigh {
-		c.DegradeLow = c.DegradeHigh / 3
-	}
-	if c.Now == nil {
-		c.Now = time.Now
-	}
-	return c
 }
 
 // waiter is one queued admission request.
@@ -135,129 +51,77 @@ type waiter struct {
 	granted bool
 }
 
-// Controller is the admission layer: token buckets → degraded-mode gate →
-// concurrency limiter → bounded FIFO queue. Acquire either admits (returning
-// a release func the caller must invoke when the work finishes) or sheds
-// with a *ShedError. It is safe for concurrent use.
+// Controller is the admission layer: a fixed concurrency limit with a
+// bounded FIFO queue in front of it. Acquire either admits (returning a
+// release func the caller must invoke when the work finishes) or sheds with
+// a *ShedError. It is safe for concurrent use.
 type Controller struct {
 	cfg Config
 
 	mu       sync.Mutex
-	limit    float64 // AIMD window, in [MinConcurrent, MaxConcurrent]
 	inflight int
 	waiters  []*waiter // FIFO
-	degraded bool
-	buckets  map[string]*bucket
-	lastGrow time.Time // last additive increase
-	lastCut  time.Time // last multiplicative decrease
 
 	// Counters are atomics so Stats and /metrics read without the lock.
 	admitted       atomic.Int64
-	sheds          [5]atomic.Int64 // indexed by shedIndex
-	degradedEnters atomic.Int64
+	shedQueueFull  atomic.Int64
+	shedDeadline   atomic.Int64
+	shedStall      atomic.Int64
 	queueHighWater atomic.Int64
-}
-
-func shedIndex(reason string) int {
-	switch reason {
-	case ShedQueueFull:
-		return 0
-	case ShedDeadline:
-		return 1
-	case ShedRate:
-		return 2
-	case ShedDegraded:
-		return 3
-	default:
-		return 4 // limiter-stall
-	}
 }
 
 // NewController builds an admission controller from cfg (zero fields get
 // defaults; see Config).
 func NewController(cfg Config) *Controller {
-	cfg = cfg.withDefaults()
-	return &Controller{
-		cfg:     cfg,
-		limit:   float64(cfg.MaxConcurrent),
-		buckets: map[string]*bucket{},
+	if cfg.MaxConcurrent <= 0 {
+		cfg.MaxConcurrent = 64
 	}
+	if cfg.MaxQueue <= 0 {
+		cfg.MaxQueue = 4 * cfg.MaxConcurrent
+	}
+	return &Controller{cfg: cfg}
 }
 
-func (c *Controller) shed(reason string, retryAfter time.Duration) *ShedError {
-	if retryAfter <= 0 {
-		retryAfter = c.cfg.RetryAfter
-	}
-	c.sheds[shedIndex(reason)].Add(1)
-	return &ShedError{Reason: reason, RetryAfter: retryAfter}
+func shed(n *atomic.Int64, reason string) *ShedError {
+	n.Add(1)
+	return &ShedError{Reason: reason}
 }
 
-// Acquire admits one request for endpoint (the token-bucket key) and class,
-// blocking in the bounded queue until a concurrency slot frees, the context
-// expires, or the request is shed. On success the returned release func must
-// be called exactly once when the request finishes; it feeds the completion
-// latency back into the AIMD window.
-func (c *Controller) Acquire(ctx context.Context, endpoint string, class Class) (release func(), err error) {
+// Acquire admits one request, waiting in the bounded FIFO queue until a slot
+// frees or ctx expires. On success the returned release func must be called
+// once the request finishes (further calls are no-ops). Otherwise the
+// request is shed and Acquire returns why.
+func (c *Controller) Acquire(ctx context.Context) (func(), *ShedError) {
 	// Failpoint: a sleep action stalls admission (the lock-convoy model), an
 	// error action sheds outright.
-	if err := fault.Hit(PointLimiterStall); err != nil {
-		return nil, c.shed(ShedStall, 0)
-	}
-
-	now := c.cfg.Now()
-
-	// Rate limit before anything else: a shed here is the cheapest possible
-	// rejection and protects the queue itself from a request flood.
-	if c.cfg.MaxRPS > 0 {
-		c.mu.Lock()
-		b := c.buckets[endpoint]
-		if b == nil {
-			b = newBucket(c.cfg.MaxRPS, c.cfg.Burst, now)
-			c.buckets[endpoint] = b
-		}
-		ok, wait := b.take(now)
-		c.mu.Unlock()
-		if !ok {
-			return nil, c.shed(ShedRate, wait)
-		}
+	if fault.Hit(PointLimiterStall) != nil {
+		return nil, shed(&c.shedStall, ShedStall)
 	}
 
 	c.mu.Lock()
-	if c.degraded && class == Expensive {
-		c.mu.Unlock()
-		return nil, c.shed(ShedDegraded, 0)
-	}
-	if c.inflight < c.limitInt() && len(c.waiters) == 0 {
+	if c.inflight < c.cfg.MaxConcurrent && len(c.waiters) == 0 {
 		c.inflight++
 		c.mu.Unlock()
 		c.admitted.Add(1)
-		return c.releaseFunc(now), nil
+		return c.releaseFunc(), nil
 	}
 
-	// No free slot: queue, bounded.
-	full := len(c.waiters) >= c.cfg.MaxQueue
-	if err := fault.Hit(PointQueueFull); err != nil {
-		full = true // injected saturation
-	}
-	if full {
-		c.enterDegradedLocked()
+	// No free slot: queue, bounded. The failpoint injects saturation.
+	if fault.Hit(PointQueueFull) != nil || len(c.waiters) >= c.cfg.MaxQueue {
 		c.mu.Unlock()
-		return nil, c.shed(ShedQueueFull, 0)
+		return nil, shed(&c.shedQueueFull, ShedQueueFull)
 	}
 	w := &waiter{ch: make(chan struct{})}
 	c.waiters = append(c.waiters, w)
 	if depth := int64(len(c.waiters)); depth > c.queueHighWater.Load() {
 		c.queueHighWater.Store(depth)
 	}
-	if float64(len(c.waiters)) >= c.cfg.DegradeHigh*float64(c.cfg.MaxQueue) {
-		c.enterDegradedLocked()
-	}
 	c.mu.Unlock()
 
 	select {
 	case <-w.ch:
 		c.admitted.Add(1)
-		return c.releaseFunc(c.cfg.Now()), nil
+		return c.releaseFunc(), nil
 	case <-ctx.Done():
 		c.mu.Lock()
 		if w.granted {
@@ -274,59 +138,28 @@ func (c *Controller) Acquire(ctx context.Context, endpoint string, class Class) 
 				}
 			}
 		}
-		c.exitDegradedLocked()
 		c.mu.Unlock()
-		return nil, c.shed(ShedDeadline, 0)
+		return nil, shed(&c.shedDeadline, ShedDeadline)
 	}
 }
 
 // releaseFunc returns the once-only completion callback for an admitted
-// request started at the given time.
-func (c *Controller) releaseFunc(start time.Time) func() {
+// request.
+func (c *Controller) releaseFunc() func() {
 	var once sync.Once
 	return func() {
 		once.Do(func() {
-			d := c.cfg.Now().Sub(start)
 			c.mu.Lock()
-			c.observeLocked(d)
 			c.inflight--
 			c.grantLocked()
-			c.exitDegradedLocked()
 			c.mu.Unlock()
 		})
 	}
 }
 
-// limitInt is the integer concurrency window (≥ MinConcurrent).
-func (c *Controller) limitInt() int {
-	if l := int(c.limit); l > c.cfg.MinConcurrent {
-		return l
-	}
-	return c.cfg.MinConcurrent
-}
-
-// observeLocked feeds one completion latency into the AIMD window: additive
-// increase (+1 per LatencyTarget of healthy completions) while under the
-// setpoint, multiplicative decrease (×0.7, at most once per setpoint period
-// so one burst of slow responses counts once) above it.
-func (c *Controller) observeLocked(d time.Duration) {
-	now := c.cfg.Now()
-	if d > c.cfg.LatencyTarget {
-		if now.Sub(c.lastCut) >= c.cfg.LatencyTarget {
-			c.limit = math.Max(float64(c.cfg.MinConcurrent), c.limit*0.7)
-			c.lastCut = now
-		}
-		return
-	}
-	if now.Sub(c.lastGrow) >= c.cfg.LatencyTarget {
-		c.limit = math.Min(float64(c.cfg.MaxConcurrent), c.limit+1)
-		c.lastGrow = now
-	}
-}
-
 // grantLocked hands freed slots to queued waiters in FIFO order.
 func (c *Controller) grantLocked() {
-	for c.inflight < c.limitInt() && len(c.waiters) > 0 {
+	for c.inflight < c.cfg.MaxConcurrent && len(c.waiters) > 0 {
 		w := c.waiters[0]
 		c.waiters = c.waiters[1:]
 		w.granted = true
@@ -335,92 +168,40 @@ func (c *Controller) grantLocked() {
 	}
 }
 
-func (c *Controller) enterDegradedLocked() {
-	if !c.degraded {
-		c.degraded = true
-		c.degradedEnters.Add(1)
-	}
-}
-
-// exitDegradedLocked leaves degraded mode once the queue has drained below
-// the low-water mark.
-func (c *Controller) exitDegradedLocked() {
-	if c.degraded && float64(len(c.waiters)) <= c.cfg.DegradeLow*float64(c.cfg.MaxQueue) {
-		c.degraded = false
-	}
-}
-
 // Stats is a point-in-time snapshot of the controller, exported through
 // /metrics.
 type Stats struct {
-	Limit          int   `json:"limit"`          // current AIMD window
-	MaxConcurrent  int   `json:"maxConcurrent"`  // configured ceiling
+	MaxConcurrent  int   `json:"maxConcurrent"`  // configured limit
 	Inflight       int   `json:"inflight"`       // admitted, not yet released
 	Queued         int   `json:"queued"`         // waiting for a slot
 	MaxQueue       int   `json:"maxQueue"`       // queue bound
 	QueueHighWater int64 `json:"queueHighWater"` // deepest the queue has been
-	Degraded       bool  `json:"degraded"`       // shedding expensive work
-	DegradedEnters int64 `json:"degradedEnters"` // times degraded mode was entered
 
 	Admitted      int64 `json:"admitted"`
 	ShedQueueFull int64 `json:"shedQueueFull"`
 	ShedDeadline  int64 `json:"shedDeadline"`
-	ShedRate      int64 `json:"shedRateLimit"`
-	ShedDegraded  int64 `json:"shedDegraded"`
 	ShedStall     int64 `json:"shedLimiterStall"`
 }
 
 // Shed returns the total number of shed requests across all reasons.
 func (s Stats) Shed() int64 {
-	return s.ShedQueueFull + s.ShedDeadline + s.ShedRate + s.ShedDegraded + s.ShedStall
+	return s.ShedQueueFull + s.ShedDeadline + s.ShedStall
 }
 
 // Stats snapshots the controller.
 func (c *Controller) Stats() Stats {
 	c.mu.Lock()
 	s := Stats{
-		Limit:         c.limitInt(),
 		MaxConcurrent: c.cfg.MaxConcurrent,
 		Inflight:      c.inflight,
 		Queued:        len(c.waiters),
 		MaxQueue:      c.cfg.MaxQueue,
-		Degraded:      c.degraded,
 	}
 	c.mu.Unlock()
 	s.QueueHighWater = c.queueHighWater.Load()
-	s.DegradedEnters = c.degradedEnters.Load()
 	s.Admitted = c.admitted.Load()
-	s.ShedQueueFull = c.sheds[0].Load()
-	s.ShedDeadline = c.sheds[1].Load()
-	s.ShedRate = c.sheds[2].Load()
-	s.ShedDegraded = c.sheds[3].Load()
-	s.ShedStall = c.sheds[4].Load()
+	s.ShedQueueFull = c.shedQueueFull.Load()
+	s.ShedDeadline = c.shedDeadline.Load()
+	s.ShedStall = c.shedStall.Load()
 	return s
-}
-
-// bucket is one endpoint's token bucket. Guarded by the controller's mutex.
-type bucket struct {
-	rate   float64 // tokens per second
-	burst  float64 // capacity
-	tokens float64
-	last   time.Time
-}
-
-func newBucket(rate, burst float64, now time.Time) *bucket {
-	return &bucket{rate: rate, burst: burst, tokens: burst, last: now}
-}
-
-// take refills by elapsed time and claims one token, or reports how long
-// until one becomes available.
-func (b *bucket) take(now time.Time) (ok bool, wait time.Duration) {
-	if dt := now.Sub(b.last).Seconds(); dt > 0 {
-		b.tokens = math.Min(b.burst, b.tokens+dt*b.rate)
-		b.last = now
-	}
-	if b.tokens >= 1 {
-		b.tokens--
-		return true, 0
-	}
-	need := (1 - b.tokens) / b.rate
-	return false, time.Duration(need * float64(time.Second))
 }

@@ -2,49 +2,26 @@ package govern
 
 import (
 	"context"
-	"errors"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"negmine/internal/fault"
 )
 
-// fakeClock is a manually advanced clock for deterministic bucket and AIMD
-// tests.
-type fakeClock struct {
-	mu sync.Mutex
-	t  time.Time
-}
-
-func newFakeClock() *fakeClock { return &fakeClock{t: time.Unix(1000, 0)} }
-
-func (c *fakeClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.t
-}
-
-func (c *fakeClock) Advance(d time.Duration) {
-	c.mu.Lock()
-	c.t = c.t.Add(d)
-	c.mu.Unlock()
-}
-
-func mustAcquire(t *testing.T, c *Controller, ep string, class Class) func() {
+func mustAcquire(t *testing.T, c *Controller) func() {
 	t.Helper()
-	rel, err := c.Acquire(context.Background(), ep, class)
-	if err != nil {
-		t.Fatalf("Acquire(%s, %v): %v", ep, class, err)
+	rel, shed := c.Acquire(context.Background())
+	if shed != nil {
+		t.Fatalf("Acquire: %v", shed)
 	}
 	return rel
 }
 
 func TestAcquireReleaseBasic(t *testing.T) {
 	c := NewController(Config{MaxConcurrent: 2})
-	r1 := mustAcquire(t, c, "rules", Cheap)
-	r2 := mustAcquire(t, c, "rules", Cheap)
+	r1 := mustAcquire(t, c)
+	r2 := mustAcquire(t, c)
 	if got := c.Stats().Inflight; got != 2 {
 		t.Fatalf("inflight = %d, want 2", got)
 	}
@@ -63,14 +40,14 @@ func TestAcquireReleaseBasic(t *testing.T) {
 
 func TestQueueFullSheds(t *testing.T) {
 	c := NewController(Config{MaxConcurrent: 1, MaxQueue: 1})
-	release := mustAcquire(t, c, "rules", Cheap)
+	release := mustAcquire(t, c)
 	defer release()
 
 	// One waiter fits the queue.
 	done := make(chan struct{})
 	go func() {
-		rel, err := c.Acquire(context.Background(), "rules", Cheap)
-		if err == nil {
+		rel, shed := c.Acquire(context.Background())
+		if shed == nil {
 			rel()
 		}
 		close(done)
@@ -78,13 +55,8 @@ func TestQueueFullSheds(t *testing.T) {
 	waitFor(t, func() bool { return c.Stats().Queued == 1 })
 
 	// The next request finds the queue full and is shed.
-	_, err := c.Acquire(context.Background(), "rules", Cheap)
-	var shed *ShedError
-	if !errors.As(err, &shed) || shed.Reason != ShedQueueFull {
-		t.Fatalf("err = %v, want queue-full shed", err)
-	}
-	if shed.RetryAfter <= 0 {
-		t.Fatalf("RetryAfter = %v, want > 0", shed.RetryAfter)
+	if _, shed := c.Acquire(context.Background()); shed == nil || shed.Reason != ShedQueueFull {
+		t.Fatalf("shed = %v, want queue-full", shed)
 	}
 	release()
 	<-done
@@ -95,15 +67,13 @@ func TestQueueFullSheds(t *testing.T) {
 
 func TestQueuedRequestDeadlineSheds(t *testing.T) {
 	c := NewController(Config{MaxConcurrent: 1, MaxQueue: 4})
-	release := mustAcquire(t, c, "rules", Cheap)
+	release := mustAcquire(t, c)
 	defer release()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	_, err := c.Acquire(ctx, "rules", Cheap)
-	var shed *ShedError
-	if !errors.As(err, &shed) || shed.Reason != ShedDeadline {
-		t.Fatalf("err = %v, want deadline shed", err)
+	if _, shed := c.Acquire(ctx); shed == nil || shed.Reason != ShedDeadline {
+		t.Fatalf("shed = %v, want deadline", shed)
 	}
 	if s := c.Stats(); s.Queued != 0 {
 		t.Fatalf("expired waiter left in queue: %+v", s)
@@ -112,7 +82,7 @@ func TestQueuedRequestDeadlineSheds(t *testing.T) {
 
 func TestFIFOGrantOrder(t *testing.T) {
 	c := NewController(Config{MaxConcurrent: 1, MaxQueue: 8})
-	release := mustAcquire(t, c, "rules", Cheap)
+	release := mustAcquire(t, c)
 
 	var order []int
 	var mu sync.Mutex
@@ -122,9 +92,9 @@ func TestFIFOGrantOrder(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			rel, err := c.Acquire(context.Background(), "rules", Cheap)
-			if err != nil {
-				t.Errorf("waiter %d shed: %v", i, err)
+			rel, shed := c.Acquire(context.Background())
+			if shed != nil {
+				t.Errorf("waiter %d shed: %v", i, shed)
 				return
 			}
 			mu.Lock()
@@ -142,140 +112,17 @@ func TestFIFOGrantOrder(t *testing.T) {
 	}
 }
 
-func TestRateLimitSheds(t *testing.T) {
-	clk := newFakeClock()
-	c := NewController(Config{MaxConcurrent: 8, MaxRPS: 2, Burst: 2, Now: clk.Now})
-
-	// Burst of 2 is admitted, the third is rate-shed.
-	mustAcquire(t, c, "score", Expensive)()
-	mustAcquire(t, c, "score", Expensive)()
-	_, err := c.Acquire(context.Background(), "score", Expensive)
-	var shed *ShedError
-	if !errors.As(err, &shed) || shed.Reason != ShedRate {
-		t.Fatalf("err = %v, want rate shed", err)
-	}
-	if shed.RetryAfter <= 0 || shed.RetryAfter > time.Second {
-		t.Fatalf("rate RetryAfter = %v, want (0, 1s]", shed.RetryAfter)
-	}
-
-	// Buckets are per endpoint: a different endpoint still has tokens.
-	mustAcquire(t, c, "rules", Cheap)()
-
-	// Refill after half a second buys one more token.
-	clk.Advance(500 * time.Millisecond)
-	mustAcquire(t, c, "score", Expensive)()
-	if s := c.Stats(); s.ShedRate != 1 {
-		t.Fatalf("shedRate = %d, want 1", s.ShedRate)
-	}
-}
-
-func TestDegradedModeShedsExpensiveKeepsCheap(t *testing.T) {
-	// MaxQueue 4, DegradeHigh 0.5: two waiters trip degraded mode.
-	c := NewController(Config{MaxConcurrent: 1, MaxQueue: 4, DegradeHigh: 0.5, DegradeLow: 0.1})
-	release := mustAcquire(t, c, "rules", Cheap)
-
-	var wg sync.WaitGroup
-	var served atomic.Int64
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			rel, err := c.Acquire(context.Background(), "rules", Cheap)
-			if err == nil {
-				served.Add(1)
-				rel()
-			}
-		}()
-	}
-	waitFor(t, func() bool { return c.Stats().Degraded })
-
-	// Expensive work is shed instantly…
-	_, err := c.Acquire(context.Background(), "score", Expensive)
-	var shed *ShedError
-	if !errors.As(err, &shed) || shed.Reason != ShedDegraded {
-		t.Fatalf("expensive in degraded mode: %v, want degraded shed", err)
-	}
-	// …while cheap lookups still queue and get served.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		rel, err := c.Acquire(context.Background(), "rules", Cheap)
-		if err == nil {
-			served.Add(1)
-			rel()
-		}
-	}()
-	waitFor(t, func() bool { return c.Stats().Queued == 3 })
-
-	release()
-	wg.Wait()
-	if served.Load() != 3 {
-		t.Fatalf("cheap served = %d, want 3", served.Load())
-	}
-	// Queue drained below low-water: degraded mode exits.
-	if s := c.Stats(); s.Degraded || s.DegradedEnters != 1 {
-		t.Fatalf("after drain: %+v", s)
-	}
-}
-
-func TestAIMDShrinksAndRecovers(t *testing.T) {
-	clk := newFakeClock()
-	c := NewController(Config{
-		MaxConcurrent: 16, MinConcurrent: 2,
-		LatencyTarget: 100 * time.Millisecond,
-		Now:           clk.Now,
-	})
-	if got := c.Stats().Limit; got != 16 {
-		t.Fatalf("initial limit = %d, want 16", got)
-	}
-
-	// Slow completions shrink the window multiplicatively, at most once per
-	// target period.
-	for i := 0; i < 3; i++ {
-		rel := mustAcquire(t, c, "rules", Cheap)
-		clk.Advance(200 * time.Millisecond) // latency 200ms > 100ms target
-		rel()
-	}
-	if got := c.Stats().Limit; got >= 16 || got < 2 {
-		t.Fatalf("limit after slow completions = %d, want shrunk within [2, 16)", got)
-	}
-	shrunk := c.Stats().Limit
-
-	// Fast completions grow it back additively, one step per target period.
-	for i := 0; i < 10; i++ {
-		clk.Advance(150 * time.Millisecond)
-		rel := mustAcquire(t, c, "rules", Cheap)
-		rel() // 0ms completion, past the grow window: +1
-	}
-	if got := c.Stats().Limit; got <= shrunk {
-		t.Fatalf("limit did not recover: %d (was %d)", got, shrunk)
-	}
-
-	// The floor holds no matter how slow things get.
-	for i := 0; i < 50; i++ {
-		rel := mustAcquire(t, c, "rules", Cheap)
-		clk.Advance(time.Second)
-		rel()
-	}
-	if got := c.Stats().Limit; got != 2 {
-		t.Fatalf("limit = %d, want floor 2", got)
-	}
-}
-
 func TestQueueFullFailpointForcesShed(t *testing.T) {
 	c := NewController(Config{MaxConcurrent: 1, MaxQueue: 64})
-	release := mustAcquire(t, c, "rules", Cheap)
+	release := mustAcquire(t, c)
 	defer release()
 
 	defer fault.Enable(PointQueueFull, fault.Error("injected saturation"))()
-	_, err := c.Acquire(context.Background(), "rules", Cheap)
-	var shed *ShedError
-	if !errors.As(err, &shed) || shed.Reason != ShedQueueFull {
-		t.Fatalf("err = %v, want injected queue-full shed", err)
+	if _, shed := c.Acquire(context.Background()); shed == nil || shed.Reason != ShedQueueFull {
+		t.Fatalf("shed = %v, want injected queue-full", shed)
 	}
-	// Injected saturation also trips degraded mode, like the real thing.
-	if !c.Stats().Degraded {
-		t.Fatal("injected queue-full did not enter degraded mode")
+	if s := c.Stats(); s.ShedQueueFull != 1 || s.Queued != 0 {
+		t.Fatalf("stats = %+v", s)
 	}
 }
 
@@ -283,13 +130,11 @@ func TestLimiterStallFailpoint(t *testing.T) {
 	c := NewController(Config{MaxConcurrent: 4})
 
 	defer fault.Enable(PointLimiterStall, fault.Error("stalled"), fault.OnHit(1))()
-	_, err := c.Acquire(context.Background(), "rules", Cheap)
-	var shed *ShedError
-	if !errors.As(err, &shed) || shed.Reason != ShedStall {
-		t.Fatalf("err = %v, want limiter-stall shed", err)
+	if _, shed := c.Acquire(context.Background()); shed == nil || shed.Reason != ShedStall {
+		t.Fatalf("shed = %v, want limiter-stall", shed)
 	}
 	// Disarmed after the first hit: subsequent admissions are normal.
-	mustAcquire(t, c, "rules", Cheap)()
+	mustAcquire(t, c)()
 	if s := c.Stats(); s.ShedStall != 1 || s.Admitted != 1 {
 		t.Fatalf("stats = %+v", s)
 	}

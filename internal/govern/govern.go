@@ -2,13 +2,13 @@
 // two resources that take the system down under load — concurrency on the
 // serving side and memory on the mining side.
 //
-// The serving half is the admission Controller: a bounded FIFO wait queue in
-// front of the request handlers, a concurrency limiter whose window adapts
-// by AIMD on observed latency, per-endpoint token-bucket rate limits, and a
-// degraded mode that keeps cheap snapshot lookups answering while expensive
-// work is shed. Every rejection is a typed *ShedError carrying a Retry-After
-// hint, so the HTTP layer can turn it into a well-formed 503 instead of an
-// opaque failure.
+// The serving half is the admission Controller: at most MaxConcurrent
+// requests run at once, at most MaxQueue more wait in FIFO order, and a
+// waiter whose deadline passes first is shed. Every rejection is a typed
+// *ShedError, so the HTTP layer can turn it into a well-formed 503 with a
+// Retry-After header instead of an opaque failure. The limit is fixed: a
+// window that adapts to observed latency learns from slow re-mines as much
+// as from overload, and shrinks under reads that were never the problem.
 //
 // The mining half is the memory Budget: a process-wide byte ledger the
 // allocation hot spots (bitmap rows, hash trees, the incremental index's

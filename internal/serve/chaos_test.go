@@ -214,7 +214,7 @@ func TestChaosWatchWithFlappingFile(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	path := t.TempDir() + "/report.json"
-	go srv.WatchWith(ctx, path, WatchConfig{Interval: 2 * time.Millisecond, BreakerAfter: 3})
+	go srv.WatchWith(ctx, path, 2*time.Millisecond)
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup

@@ -97,9 +97,7 @@ type metricsWatchDoc struct {
 		Failed int64 `json:"failed"`
 	} `json:"reloads"`
 	Watch *struct {
-		State           string  `json:"state"`
-		ConsecFailures  int64   `json:"consecutiveFailures"`
-		IntervalSeconds float64 `json:"intervalSeconds"`
+		State string `json:"state"`
 	} `json:"watch"`
 }
 
@@ -116,98 +114,54 @@ func scrapeWatch(t *testing.T, h http.Handler) metricsWatchDoc {
 	return doc
 }
 
-// TestWatchBackoffExportedInMetrics drives the watcher into persistent
-// backoff (breaker threshold set out of reach) and asserts the /metrics
-// document shows the state name, the consecutive-failure count, and a poll
-// interval stretched beyond the base.
-func TestWatchBackoffExportedInMetrics(t *testing.T) {
-	var loads atomic.Int64
-	srv, err := NewServer(context.Background(),
-		func(context.Context) (*Snapshot, error) {
-			if loads.Add(1) > 1 {
-				return nil, errOf("bad report")
-			}
-			return BuildSnapshot(storeN(1), nil, Meta{}), nil
-		},
-		WithLogger(func(string, ...any) {}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := srv.Handler()
-	base := 2 * time.Millisecond
-	path := watchFixture(t, srv, WatchConfig{
-		Interval:     base,
-		MaxInterval:  8 * time.Millisecond,
-		BreakerAfter: 1 << 20, // never open: stay in backoff forever
-	})
-	waitFor(t, "missing state in /metrics", func() bool {
-		d := scrapeWatch(t, h)
-		return d.Watch != nil && d.Watch.State == watchMissing
-	})
-
-	if err := os.WriteFile(path, []byte("broken"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, "backoff with counters in /metrics", func() bool {
-		d := scrapeWatch(t, h)
-		return d.Watch != nil &&
-			d.Watch.State == watchBackoff &&
-			d.Watch.ConsecFailures >= 2 &&
-			d.Watch.IntervalSeconds > base.Seconds() &&
-			d.Reloads.Failed >= 2
-	})
-}
-
-// TestWatchBreakerExportedInMetrics walks the full breaker lifecycle —
-// missing → failing version opens the breaker → a fixed version closes it —
+// TestWatchBreakerExportedInMetrics walks the failed state's lifecycle —
+// missing → a failing version is tried once → a fixed version loads —
 // asserting every stage through the /metrics HTTP document rather than the
 // in-process accessor.
 func TestWatchBreakerExportedInMetrics(t *testing.T) {
-	var loads, fails atomic.Int64
+	var loads atomic.Int64
+	var failing atomic.Bool
 	srv, err := NewServer(context.Background(),
 		func(context.Context) (*Snapshot, error) {
-			if n := loads.Add(1); n > 1 && fails.Load() > 0 {
-				fails.Add(-1)
+			n := loads.Add(1)
+			if failing.Load() {
 				return nil, errOf("bad report")
 			}
-			return BuildSnapshot(storeN(int(loads.Load())), nil, Meta{}), nil
+			return BuildSnapshot(storeN(int(n)), nil, Meta{}), nil
 		},
 		WithLogger(func(string, ...any) {}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	h := srv.Handler()
-	fails.Store(1 << 30)
-	path := watchFixture(t, srv, WatchConfig{Interval: 2 * time.Millisecond, BreakerAfter: 3})
+	failing.Store(true)
+	path := watchFixture(t, srv, 2*time.Millisecond)
 	waitFor(t, "missing state in /metrics", func() bool {
 		d := scrapeWatch(t, h)
 		return d.Watch != nil && d.Watch.State == watchMissing
 	})
 
-	if err := os.WriteFile(path, []byte("broken"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, "open breaker in /metrics", func() bool {
+	writeRenamed(t, path, "broken")
+	waitFor(t, "failed state in /metrics", func() bool {
 		d := scrapeWatch(t, h)
-		return d.Watch != nil &&
-			d.Watch.State == watchOpen &&
-			d.Watch.ConsecFailures >= 3 &&
-			d.Reloads.Failed >= 3
+		return d.Watch != nil && d.Watch.State == watchFailed
 	})
-
-	// Recovery: a new version closes the breaker; the exported failure count
-	// resets and the reload succeeds.
-	fails.Store(0)
-	if err := os.WriteFile(path, []byte("fixed-version"), 0o644); err != nil {
-		t.Fatal(err)
+	// ~15 more polls of the unchanged bad version: it is not tried again.
+	time.Sleep(30 * time.Millisecond)
+	if d := scrapeWatch(t, h); d.Watch.State != watchFailed || d.Reloads.Failed != 1 {
+		t.Fatalf("after the bad version settled: %+v, want state failed and 1 failed reload", d)
 	}
+
+	// Recovery: a new version loads.
+	failing.Store(false)
+	writeRenamed(t, path, "fixed-version")
 	waitFor(t, "recovered watching state in /metrics", func() bool {
 		d := scrapeWatch(t, h)
-		return d.Watch != nil &&
-			d.Watch.State == watchWatching &&
-			d.Watch.ConsecFailures == 0 &&
-			d.Reloads.OK >= 1
+		return d.Watch != nil && d.Watch.State == watchWatching && d.Reloads.OK == 1
 	})
+	if n := loads.Load(); n != 3 {
+		t.Fatalf("loads = %d, want 3 (startup, bad version, new version)", n)
+	}
 }
 
 // errOf avoids importing errors just for New in this file's loaders.
@@ -216,6 +170,49 @@ func errOf(msg string) error { return &watchLoadErr{msg} }
 type watchLoadErr struct{ msg string }
 
 func (e *watchLoadErr) Error() string { return e.msg }
+
+// --- admission under a slow reload ------------------------------------------
+
+// TestSlowReloadDoesNotShrinkAdmission pins the fixed limit: one slow
+// synchronous reload must not cost later reads their slots. Four reads
+// against MaxConcurrent 4 all run at once, whatever came before them.
+func TestSlowReloadDoesNotShrinkAdmission(t *testing.T) {
+	var loads atomic.Int64
+	srv, err := NewServer(context.Background(),
+		func(context.Context) (*Snapshot, error) {
+			if loads.Add(1) > 1 {
+				time.Sleep(150 * time.Millisecond) // a slow re-mine
+			}
+			return BuildSnapshot(testStore(), testTaxonomy(t), Meta{}), nil
+		},
+		WithLogger(func(string, ...any) {}),
+		WithGovernor(govern.NewController(govern.Config{MaxConcurrent: 4, MaxQueue: 1})))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := srv.Handler()
+	if code, body := post(t, h, "/reload?wait=1", ""); code != http.StatusOK {
+		t.Fatalf("/reload?wait=1 = %d %s", code, body)
+	}
+
+	// Each read holds its slot for 50 ms, so the four overlap.
+	defer fault.Enable(PointHandler, fault.Sleep(50*time.Millisecond))()
+	codes := make([]int, 4)
+	var wg sync.WaitGroup
+	for i := range codes {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			codes[i], _ = get(t, h, "/rules?item=pepsi")
+		}()
+	}
+	wg.Wait()
+	for i, code := range codes {
+		if code != http.StatusOK {
+			t.Errorf("read %d after a slow reload = %d, want 200 (codes %v)", i, code, codes)
+		}
+	}
+}
 
 // --- overload soak ----------------------------------------------------------
 
@@ -313,8 +310,7 @@ func TestOverloadSoak(t *testing.T) {
 			}
 		}()
 	}
-	// Cheap reads ride along: degraded mode sheds /score first but must keep
-	// /rules answering whenever a slot frees.
+	// Reads ride along: /rules must keep answering whenever a slot frees.
 	for i := 0; i < rulesWorkers; i++ {
 		wg.Add(1)
 		go func() {
@@ -331,7 +327,7 @@ func TestOverloadSoak(t *testing.T) {
 		defer close(monotoneDone)
 		var prev int64
 		for time.Now().Before(deadline) {
-			cur := srv.Metrics().Sheds()
+			cur := gov.Stats().Shed()
 			if cur < prev {
 				t.Errorf("shed counter went backwards: %d -> %d", prev, cur)
 			}
@@ -346,22 +342,16 @@ func TestOverloadSoak(t *testing.T) {
 	if total == 0 {
 		t.Fatal("soak issued no requests")
 	}
-	sheds := srv.Metrics().Sheds()
+	st := gov.Stats()
+	sheds := st.Shed()
 	if sheds == 0 {
 		t.Fatalf("4x overload shed nothing (%d requests, %d admitted)", total, ok200.Load())
 	}
 	if rules200.Load() == 0 {
 		t.Error("cheap /rules never served during overload")
 	}
-	st := gov.Stats()
-	if got := st.Shed(); got != sheds {
-		t.Errorf("controller sheds = %d, metrics sheds = %d", got, sheds)
-	}
 	if st.Admitted == 0 || st.QueueHighWater == 0 {
 		t.Errorf("stats = %+v, want admissions and a non-empty queue high-water", st)
-	}
-	if st.DegradedEnters == 0 {
-		t.Errorf("sustained queue-full overload never entered degraded mode: %+v", st)
 	}
 
 	// Admitted p99 stays under the request deadline — shed fast, serve fast.

@@ -80,30 +80,11 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// admissionClass maps endpoints to governance classes: /score, /reload and
-// /ingest are the expensive work degraded mode sheds first (a shed ingest is
-// safe: nothing was appended, the client retries); /healthz and /metrics are
-// exempt so operators can always see what an overloaded daemon is doing.
-func admissionClass(ep int) (class govern.Class, exempt bool) {
-	switch ep {
-	case epScore, epReload, epIngest:
-		return govern.Expensive, false
-	case epHealthz, epMetrics:
-		return 0, true
-	default:
-		return govern.Cheap, false
-	}
-}
-
 // writeShed turns an admission rejection into the contract every client can
 // rely on under overload: 503 with a Retry-After hint, never a hang and
 // never a connection drop.
 func writeShed(w http.ResponseWriter, shed *govern.ShedError) {
-	secs := int(math.Ceil(shed.RetryAfter.Seconds()))
-	if secs < 1 {
-		secs = 1
-	}
-	w.Header().Set("Retry-After", strconv.Itoa(secs))
+	w.Header().Set("Retry-After", strconv.Itoa(int(govern.RetryAfter.Seconds())))
 	metrics.WriteError(w, http.StatusServiceUnavailable, "overloaded: request shed (%s)", shed.Reason)
 }
 
@@ -128,21 +109,15 @@ func (s *Server) instrument(ep int, next http.Handler) http.Handler {
 				r.Body = http.MaxBytesReader(w, r.Body, limit)
 			}
 		}
-		if s.gov != nil {
-			if class, exempt := admissionClass(ep); !exempt {
-				release, err := s.gov.Acquire(r.Context(), endpointNames[ep], class)
-				if err != nil {
-					var shed *govern.ShedError
-					if errors.As(err, &shed) {
-						s.metrics.recordShed()
-						writeShed(w, shed)
-						return
-					}
-					metrics.WriteError(w, http.StatusServiceUnavailable, "admission: %v", err)
-					return
-				}
-				defer release()
+		// /healthz and /metrics bypass admission so operators can always
+		// see what an overloaded daemon is doing.
+		if s.gov != nil && ep != epHealthz && ep != epMetrics {
+			release, shed := s.gov.Acquire(r.Context())
+			if shed != nil {
+				writeShed(w, shed)
+				return
 			}
+			defer release()
 		}
 		if err := fault.Hit(PointHandler); err != nil {
 			metrics.WriteError(w, http.StatusInternalServerError, "%v", err)

@@ -156,15 +156,27 @@ func TestSwapFaultKeepsOldSnapshot(t *testing.T) {
 
 // --- watcher state machine ------------------------------------------------
 
-// watchFixture runs WatchWith against a temp file with fast intervals and
-// returns the file path plus a teardown-cancelling context.
-func watchFixture(t *testing.T, srv *Server, cfg WatchConfig) string {
+// watchFixture runs WatchWith against a temp file polled every interval
+// and returns the file path; the watcher stops at test teardown.
+func watchFixture(t *testing.T, srv *Server, interval time.Duration) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "report.json")
 	ctx, cancel := context.WithCancel(context.Background())
 	t.Cleanup(cancel)
-	go srv.WatchWith(ctx, path, cfg)
+	go srv.WatchWith(ctx, path, interval)
 	return path
+}
+
+// writeRenamed replaces path with content the way a report writer does,
+// by renaming a complete file over it, so no poll sees it half-written.
+func writeRenamed(t *testing.T, path, content string) {
+	t.Helper()
+	if err := os.WriteFile(path+".tmp", []byte(content), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(path+".tmp", path); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // waitFor polls cond for up to 5s.
@@ -185,7 +197,7 @@ func TestWatchReloadsOnSettledChange(t *testing.T) {
 	srv := newTestServer(t, func(context.Context) (*Snapshot, error) {
 		return BuildSnapshot(storeN(int(gen.Add(1))), nil, Meta{}), nil
 	})
-	path := watchFixture(t, srv, WatchConfig{Interval: 3 * time.Millisecond})
+	path := watchFixture(t, srv, 3*time.Millisecond)
 	// Let the watcher observe the path as missing first, so the write below
 	// is seen as a change (not as the startup version).
 	waitFor(t, "missing state", func() bool { return srv.Metrics().WatchState() == watchMissing })
@@ -213,7 +225,7 @@ func TestWatchMissingFileIsQuietState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	watchFixture(t, srv, WatchConfig{Interval: 2 * time.Millisecond})
+	watchFixture(t, srv, 2*time.Millisecond)
 
 	waitFor(t, "missing state", func() bool { return srv.Metrics().WatchState() == watchMissing })
 	logs.Store(0)
@@ -223,61 +235,74 @@ func TestWatchMissingFileIsQuietState(t *testing.T) {
 	}
 }
 
+// TestWatchBreakerOpensAndRecovers pins the failed state: a version that
+// fails to load is tried once and not again while the file stays as it is,
+// and a new version loads.
 func TestWatchBreakerOpensAndRecovers(t *testing.T) {
-	var loads, fails atomic.Int64
+	var loads atomic.Int64
+	var failing atomic.Bool
 	srv, err := NewServer(context.Background(),
 		func(context.Context) (*Snapshot, error) {
-			if n := loads.Add(1); n > 1 && fails.Load() > 0 {
-				fails.Add(-1)
+			n := loads.Add(1)
+			if failing.Load() {
 				return nil, errors.New("bad report")
 			}
-			return BuildSnapshot(storeN(int(loads.Load())), nil, Meta{}), nil
+			return BuildSnapshot(storeN(int(n)), nil, Meta{}), nil
 		},
 		WithLogger(func(string, ...any) {}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	fails.Store(1 << 30) // fail every reload until released
-	path := watchFixture(t, srv, WatchConfig{Interval: 2 * time.Millisecond, BreakerAfter: 3})
+	failing.Store(true)
+	path := watchFixture(t, srv, 2*time.Millisecond)
 	waitFor(t, "missing state", func() bool { return srv.Metrics().WatchState() == watchMissing })
 
-	if err := os.WriteFile(path, []byte("broken"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, "breaker open", func() bool { return srv.Metrics().WatchState() == watchOpen })
-	if srv.Metrics().watchFails.Load() < 3 {
-		t.Fatalf("breaker open with %d consecutive failures, want ≥ 3", srv.Metrics().watchFails.Load())
-	}
+	writeRenamed(t, path, "broken")
+	waitFor(t, "failed state", func() bool { return srv.Metrics().WatchState() == watchFailed })
 
-	// Open breaker: the failing version is not retried.
-	atOpen := loads.Load()
+	// The failing version is not retried: ~15 more polls, no more loads.
 	time.Sleep(30 * time.Millisecond)
-	if loads.Load() != atOpen {
-		t.Fatalf("breaker open but loader ran %d more times", loads.Load()-atOpen)
+	if n := loads.Load(); n != 2 {
+		t.Fatalf("loader ran %d times on the bad version, want 1", n-1)
 	}
 
-	// A new version closes the breaker and reloads successfully.
-	fails.Store(0)
-	if err := os.WriteFile(path, []byte("fixed-version"), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	// A new version loads.
+	failing.Store(false)
+	writeRenamed(t, path, "fixed-version")
 	waitFor(t, "recovery", func() bool { return srv.Metrics().WatchState() == watchWatching })
-	if loads.Load() <= atOpen {
-		t.Fatal("breaker never retried the new version")
+	if n := loads.Load(); n != 3 {
+		t.Fatalf("loads = %d, want 3 (startup, bad version, new version)", n)
 	}
 }
 
+// TestWatchDebouncesInProgressWrite steps the watcher's polls by hand: a
+// file that grows between every two polls is never loaded, and once the
+// writer stops it loads exactly once.
 func TestWatchDebouncesInProgressWrite(t *testing.T) {
 	var gen atomic.Int64
 	srv := newTestServer(t, func(context.Context) (*Snapshot, error) {
 		return BuildSnapshot(storeN(int(gen.Add(1))), nil, Meta{}), nil
 	})
-	// Poll slower than the writer writes: consecutive polls always see a
-	// different size, so the debounce must hold the reload back.
-	path := watchFixture(t, srv, WatchConfig{Interval: 10 * time.Millisecond})
+	path := filepath.Join(t.TempDir(), "report.json")
+	ticks := make(chan time.Time)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go srv.watch(ctx, path, ticks)
 	waitFor(t, "missing state", func() bool { return srv.Metrics().WatchState() == watchMissing })
 
-	// Simulate a slow writer: the file grows for many poll intervals.
+	// poll runs one poll and waits until the watcher has acted on it: the
+	// watcher publishes its state once per poll, after acting.
+	poll := func() {
+		srv.metrics.setWatch("")
+		select {
+		case ticks <- time.Now():
+		case <-time.After(5 * time.Second):
+			t.Fatal("watcher stopped polling")
+		}
+		waitFor(t, "poll", func() bool { return srv.Metrics().WatchState() != "" })
+	}
+
+	// A slow writer: the file grows between every two polls.
 	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
@@ -286,8 +311,7 @@ func TestWatchDebouncesInProgressWrite(t *testing.T) {
 		if _, err := f.WriteString("chunk\n"); err != nil {
 			t.Fatal(err)
 		}
-		_ = f.Sync()
-		time.Sleep(3 * time.Millisecond)
+		poll()
 		if gen.Load() > 1 {
 			t.Fatal("reloaded while the file was still being written")
 		}
@@ -296,5 +320,10 @@ func TestWatchDebouncesInProgressWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Once the writer stops, the stable version reloads exactly once.
-	waitFor(t, "post-write reload", func() bool { return gen.Load() == 2 })
+	for i := 0; i < 5; i++ {
+		poll()
+	}
+	if n := gen.Load(); n != 2 {
+		t.Fatalf("loads = %d after the writer stopped, want 2", n)
+	}
 }

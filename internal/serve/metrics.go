@@ -37,11 +37,8 @@ type Metrics struct {
 	lastReloadErr atomic.Value // string; "" when the last reload succeeded
 
 	panics atomic.Int64 // handler panics caught by the recovery middleware
-	sheds  atomic.Int64 // 503s produced by admission control
 
-	watchState      atomic.Value // string; "" until a watcher starts
-	watchFails      atomic.Int64 // consecutive reload failures seen by the watcher
-	watchIntervalNs atomic.Int64 // current poll interval
+	watchState atomic.Value // string; "" until a watcher starts
 
 	// governStats, when non-nil, snapshots the admission controller for the
 	// /metrics govern block. Set once at server construction, before any
@@ -84,28 +81,15 @@ func (m *Metrics) recordPanic() { m.panics.Add(1) }
 // Panics returns how many handler panics have been recovered.
 func (m *Metrics) Panics() int64 { return m.panics.Load() }
 
-// recordShed counts a request shed by admission control (a governed 503).
-func (m *Metrics) recordShed() { m.sheds.Add(1) }
-
-// Sheds returns how many requests admission control has shed.
-func (m *Metrics) Sheds() int64 { return m.sheds.Load() }
-
-// setWatch publishes the watcher's state machine (state name, consecutive
-// failures, current poll interval) for /metrics.
-func (m *Metrics) setWatch(state string, fails int, interval time.Duration) {
-	m.watchState.Store(state)
-	m.watchFails.Store(int64(fails))
-	m.watchIntervalNs.Store(int64(interval))
-}
+// setWatch publishes the watcher's state for /metrics.
+func (m *Metrics) setWatch(state string) { m.watchState.Store(state) }
 
 // WatchState returns the watcher's current state ("" if no watcher runs).
 func (m *Metrics) WatchState() string { return m.watchState.Load().(string) }
 
 // watchJSON is the watcher state block of the /metrics document.
 type watchJSON struct {
-	State           string  `json:"state"`
-	ConsecFailures  int64   `json:"consecutiveFailures"`
-	IntervalSeconds float64 `json:"intervalSeconds"`
+	State string `json:"state"`
 }
 
 // metricsJSON is the full /metrics document.
@@ -135,9 +119,8 @@ type metricsJSON struct {
 		// Layout describes the arena + posting-list memory layout.
 		Layout *LayoutInfo `json:"layout,omitempty"`
 	} `json:"snapshot"`
-	// Govern is the admission-controller block: AIMD window, queue depth,
-	// degraded state and per-reason shed counters. Absent when no governor
-	// is installed.
+	// Govern is the admission-controller block: limit, queue depth and
+	// per-reason shed counters. Absent when no governor is installed.
 	Govern *governJSON `json:"govern,omitempty"`
 	// Ingest is the segment-log block: segment counts, bytes, pending
 	// transactions and last-refresh cost. Absent when ingest is disabled.
@@ -180,11 +163,7 @@ func (m *Metrics) WriteJSON(w io.Writer, snap *Snapshot) error {
 	doc.Reloads.Failed = m.reloadFail.Load()
 	doc.Reloads.LastError = m.lastReloadErr.Load().(string)
 	if state := m.WatchState(); state != "" {
-		doc.Watch = &watchJSON{
-			State:           state,
-			ConsecFailures:  m.watchFails.Load(),
-			IntervalSeconds: time.Duration(m.watchIntervalNs.Load()).Seconds(),
-		}
+		doc.Watch = &watchJSON{State: state}
 	}
 	if ns := m.lastReloadNs.Load(); ns > 0 {
 		doc.Reloads.LastOKAgo = time.Since(time.Unix(0, ns)).Seconds()

@@ -72,12 +72,10 @@ func WithRequestTimeout(d time.Duration) Option {
 	return func(s *Server) { s.reqTimeout = d }
 }
 
-// WithGovernor installs an admission controller in front of every handler:
-// /rules is admitted as cheap work, /score and /reload as expensive work
-// that degraded mode sheds first, and /healthz and /metrics bypass admission
-// entirely so operators can always see what an overloaded daemon is doing.
-// Shed requests get 503 with a Retry-After header. Nil (the default) admits
-// everything.
+// WithGovernor installs an admission controller in front of every handler
+// but /healthz and /metrics, which bypass admission so operators can always
+// see what an overloaded daemon is doing. Shed requests get 503 with a
+// Retry-After header. Nil (the default) admits everything.
 func WithGovernor(c *govern.Controller) Option {
 	return func(s *Server) { s.gov = c }
 }
@@ -171,9 +169,6 @@ func (s *Server) Snapshot() *Snapshot { return s.snap.Load() }
 
 // Metrics exposes the server's metrics set.
 func (s *Server) Metrics() *Metrics { return s.metrics }
-
-// Governor exposes the installed admission controller (nil without one).
-func (s *Server) Governor() *govern.Controller { return s.gov }
 
 // Reload synchronously builds a fresh snapshot and swaps it in. On error
 // the current snapshot is left in place, the failure is counted in metrics

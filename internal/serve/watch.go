@@ -2,60 +2,20 @@ package serve
 
 import (
 	"context"
-	"math/rand"
 	"os"
 	"time"
 )
 
-// WatchConfig tunes WatchWith. The zero value is usable: every field falls
-// back to the default documented on it.
-type WatchConfig struct {
-	// Interval is the base poll period (default 2s).
-	Interval time.Duration
-	// MaxInterval caps the failure backoff (default 32×Interval).
-	MaxInterval time.Duration
-	// BreakerAfter is how many consecutive reload failures open the
-	// circuit breaker (default 3). An open breaker stops retrying the
-	// file version that keeps failing; only a new version closes it.
-	BreakerAfter int
-	// Jitter spreads each sleep by ±Jitter fraction of the interval
-	// (default 0.2) so a fleet of watchers doesn't stat in lockstep.
-	Jitter float64
-	// Seed seeds the jitter RNG, for deterministic tests (default 1).
-	Seed int64
-}
-
-func (c WatchConfig) withDefaults() WatchConfig {
-	if c.Interval <= 0 {
-		c.Interval = 2 * time.Second
-	}
-	if c.MaxInterval <= 0 {
-		c.MaxInterval = 32 * c.Interval
-	}
-	if c.BreakerAfter <= 0 {
-		c.BreakerAfter = 3
-	}
-	if c.Jitter <= 0 {
-		c.Jitter = 0.2
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	return c
-}
-
 // watch states, exported via /metrics.
 const (
-	watchWatching = "watching" // serving the latest version, polling for change
+	watchWatching = "watching" // the version last tried loaded; polling for change
 	watchSettling = "settling" // a new version appeared but is still changing
-	watchBackoff  = "backoff"  // last reload failed; retrying with backoff
-	watchOpen     = "open"     // breaker open: waiting for a new file version
+	watchFailed   = "failed"   // the version last tried failed; waiting for a new one
 	watchMissing  = "missing"  // the watched file does not exist
 )
 
 // statKey identifies one version of the watched file. Size+mtime is the
-// cheap fingerprint rename-based writers always change; a file that still
-// matches the served key needs no reload.
+// cheap fingerprint rename-based writers always change.
 type statKey struct {
 	size  int64
 	mtime time.Time
@@ -69,114 +29,61 @@ func statOf(path string) (statKey, bool) {
 	return statKey{size: fi.Size(), mtime: fi.ModTime()}, true
 }
 
-// WatchWith polls path and reloads the server when the file changes. It is
-// the hardened replacement for a bare mtime poll:
-//
-//   - Debounce: a change is only acted on after two consecutive polls see
-//     the same size+mtime, so a writer streaming into the file in place
-//     never triggers a reload of a half-written version. (Atomic-rename
-//     writers settle in one poll.)
-//   - Missing-file tolerance: ENOENT is a state, not an error — logged once
-//     on disappearance and once on return, never per tick.
-//   - Backoff: a failing reload is retried at Interval<<fails, capped at
-//     MaxInterval, with ±Jitter so watchers desynchronize.
-//   - Circuit breaker: after BreakerAfter consecutive failures the watcher
-//     stops hammering the bad version entirely and waits for the file to
-//     change again. The previous snapshot keeps serving throughout.
-//
-// State, consecutive-failure count and current poll interval are exported
-// through the server's /metrics document. WatchWith blocks until ctx is
-// cancelled.
-func (s *Server) WatchWith(ctx context.Context, path string, cfg WatchConfig) {
-	cfg = cfg.withDefaults()
-	rng := rand.New(rand.NewSource(cfg.Seed))
+// WatchWith polls path every interval (which must be positive) and reloads
+// the server once per new version of the file: a version is tried when it
+// reads the same size+mtime on two polls in a row (so a file still being
+// written in place is never loaded half-done) and differs from the version
+// last tried. A version that fails to load is not retried until the file
+// changes again; POST /reload is the manual retry. A missing file is a
+// state, logged once when it goes and once when it comes back. The previous
+// snapshot keeps serving throughout, and the state is exported through
+// /metrics. WatchWith blocks until ctx is cancelled.
+func (s *Server) WatchWith(ctx context.Context, path string, interval time.Duration) {
+	t := time.NewTicker(interval)
+	defer t.Stop()
+	s.watch(ctx, path, t.C)
+}
 
-	state := watchWatching
-	served, ok := statOf(path) // version the current snapshot was built from
+// watch is WatchWith's loop, polling once per tick. It publishes its state
+// once per poll, after acting on it.
+func (s *Server) watch(ctx context.Context, path string, ticks <-chan time.Time) {
+	tried, ok := statOf(path) // at start, the version the snapshot came from
+	last := tried             // what the previous poll saw
+	result := watchWatching   // how the version last tried loaded
+	state := result
 	if !ok {
 		state = watchMissing
 		s.logf("watch: %s does not exist yet; waiting for it", path)
 	}
-	var (
-		pending statKey // last non-served version observed (settling)
-		failed  statKey // version the breaker is open on
-		fails   int     // consecutive reload failures
-	)
-	interval := cfg.Interval
-
-	timer := time.NewTimer(s.jittered(interval, cfg.Jitter, rng))
-	defer timer.Stop()
 	for {
-		s.metrics.setWatch(state, fails, interval)
+		s.metrics.setWatch(state)
 		select {
 		case <-ctx.Done():
 			return
-		case <-timer.C:
+		case <-ticks:
 		}
-
 		cur, ok := statOf(path)
+		if ok && state == watchMissing {
+			s.logf("watch: %s is back", path)
+		}
 		switch {
 		case !ok:
 			if state != watchMissing {
 				s.logf("watch: %s disappeared; keeping current snapshot", path)
-				state = watchMissing
 			}
-			interval = cfg.Interval
-
-		case cur == served:
-			// Nothing new. A breaker stays open, everything else settles
-			// back to plain watching.
-			if state == watchMissing {
-				s.logf("watch: %s is back, unchanged", path)
-			}
-			if state != watchOpen {
-				state = watchWatching
-			}
-			interval = cfg.Interval
-
-		case state == watchOpen && cur == failed:
-			// Breaker open and the file hasn't changed since the version
-			// that kept failing: do not retry, just keep polling.
-			interval = cfg.Interval
-
-		case cur != pending:
-			// First sight of this version (or it is still growing):
-			// debounce — wait for two identical observations.
-			if state == watchMissing {
-				s.logf("watch: %s is back", path)
-			}
-			pending = cur
+			state = watchMissing
+		case cur == tried:
+			state = result
+		case cur != last:
 			state = watchSettling
-			interval = cfg.Interval
-
 		default:
-			// Stable new version: reload.
 			s.logf("watch: %s changed, reloading", path)
-			if err := s.Reload(ctx); err != nil {
-				fails++
-				failed = cur
-				if fails >= cfg.BreakerAfter {
-					state = watchOpen
-					interval = cfg.Interval
-					s.logf("watch: breaker open after %d failures; waiting for %s to change", fails, path)
-				} else {
-					state = watchBackoff
-					interval = min(cfg.Interval<<fails, cfg.MaxInterval)
-				}
-			} else {
-				served = cur
-				fails = 0
-				state = watchWatching
-				interval = cfg.Interval
+			tried, result = cur, watchWatching
+			if s.Reload(ctx) != nil {
+				result = watchFailed
 			}
+			state = result
 		}
-
-		timer.Reset(s.jittered(interval, cfg.Jitter, rng))
+		last = cur
 	}
-}
-
-// jittered spreads d by ±frac so watcher fleets desynchronize.
-func (s *Server) jittered(d time.Duration, frac float64, rng *rand.Rand) time.Duration {
-	j := 1 + frac*(2*rng.Float64()-1)
-	return time.Duration(float64(d) * j)
 }
