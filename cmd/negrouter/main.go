@@ -14,10 +14,12 @@
 //	GET  /cluster/status           full shard/replica health table
 //
 // Failure model: per-shard timeouts, budgeted retries against sibling
-// replicas, and per-replica circuit breakers. A slow shard runs into the
+// replicas, and one failure ledger per replica. A slow shard runs into the
 // shard timeout like a dead one: its slice of the answer is omitted, the
-// failure counts towards the replica's breaker and -down-after, and the
-// response is HTTP 206 with "partial": true. A shard with no routable
+// failure counts towards -down-after, and the response is HTTP 206 with
+// "partial": true. -down-after failures in a row take a replica down for
+// -probe-every; one that fails again on its first request back goes down
+// for twice as long, up to 16 × -probe-every. A shard with no routable
 // replica degrades the answer the same way; neither turns into a 500.
 //
 // Flags:
@@ -27,14 +29,13 @@
 //	-shard-timeout d  per-shard fan-out budget, attempts included (default 2s)
 //	-retry-budget f   retries as a fraction of request volume (default 0.1,
 //	                  0 disables retries)
-//	-retry-burst f    retry token cap (default 3)
-//	-probe-every d    health-probe interval for down replicas (default 500ms)
+//	-retry-burst f    retry token cap, ≥ 1 while retries are on (default 3)
+//	-probe-every d    health-probe interval, and a down replica's first
+//	                  back-off (default 500ms)
 //	-heartbeat-ttl d  heartbeat staleness bound: older marks the replica
 //	                  suspect, twice older marks it down (default 3s)
-//	-down-after n     request failures that turn a suspect replica down
-//	                  (default 3)
-//	-breaker-after n  consecutive failures that open a replica's circuit
-//	                  breaker (default 3)
+//	-down-after n     consecutive request/probe failures that take a
+//	                  replica down (default 3)
 //	-read-timeout/-write-timeout/-idle-timeout  http.Server limits
 //	-drain d          graceful-shutdown drain budget (default 10s)
 //
@@ -109,10 +110,9 @@ func parseFlags(args []string, out io.Writer) (*config, error) {
 		shardTO      = fs.Duration("shard-timeout", 2*time.Second, "per-shard fan-out budget, retries included")
 		retryBudget  = fs.Float64("retry-budget", 0.1, "retries as a fraction of request volume (0 = no retries)")
 		retryBurst   = fs.Float64("retry-burst", 3, "retry token cap")
-		probeEvery   = fs.Duration("probe-every", 500*time.Millisecond, "health-probe interval for down replicas")
+		probeEvery   = fs.Duration("probe-every", 500*time.Millisecond, "health-probe interval, and a down replica's first back-off")
 		heartbeatTTL = fs.Duration("heartbeat-ttl", 3*time.Second, "heartbeat staleness bound")
-		downAfter    = fs.Int("down-after", 3, "request failures that turn a suspect replica down")
-		breakerAfter = fs.Int("breaker-after", 3, "consecutive failures that open a replica's circuit breaker")
+		downAfter    = fs.Int("down-after", 3, "consecutive request/probe failures that take a replica down")
 		readTO       = fs.Duration("read-timeout", 10*time.Second, "http.Server read timeout (0 = none)")
 		writeTO      = fs.Duration("write-timeout", 30*time.Second, "http.Server write timeout (0 = none)")
 		idleTO       = fs.Duration("idle-timeout", 2*time.Minute, "http.Server idle-connection timeout (0 = none)")
@@ -145,11 +145,15 @@ func parseFlags(args []string, out io.Writer) (*config, error) {
 	if *heartbeatTTL <= 0 {
 		return nil, usageErrf(fs, "-heartbeat-ttl = %v, want > 0", *heartbeatTTL)
 	}
-	if *retryBudget < 0 || *retryBurst < 0 {
-		return nil, usageErrf(fs, "-retry-budget/-retry-burst want ≥ 0")
+	if *retryBudget < 0 {
+		return nil, usageErrf(fs, "-retry-budget = %v, want ≥ 0", *retryBudget)
 	}
-	if *downAfter < 1 || *breakerAfter < 1 {
-		return nil, usageErrf(fs, "-down-after/-breaker-after want ≥ 1")
+	// A retry spends a whole token, so a cap under 1 would disable retries.
+	if *retryBudget > 0 && *retryBurst < 1 {
+		return nil, usageErrf(fs, "-retry-burst = %v, want ≥ 1 while -retry-budget > 0", *retryBurst)
+	}
+	if *downAfter < 1 {
+		return nil, usageErrf(fs, "-down-after = %d, want ≥ 1", *downAfter)
 	}
 
 	rc := cluster.RouterConfig{
@@ -162,7 +166,6 @@ func parseFlags(args []string, out io.Writer) (*config, error) {
 			HeartbeatTTL:  *heartbeatTTL,
 			ProbeInterval: *probeEvery,
 			DownAfter:     *downAfter,
-			BreakerAfter:  *breakerAfter,
 		},
 	}
 	if *retryBudget == 0 {

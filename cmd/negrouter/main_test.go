@@ -25,8 +25,9 @@ func TestParseFlagsValidation(t *testing.T) {
 		{"-shards", "3", "-heartbeat-ttl", "0"},
 		{"-shards", "3", "-retry-budget", "-0.5"},
 		{"-shards", "3", "-retry-burst", "-1"},
+		{"-shards", "3", "-retry-burst", "0"},   // would become the default cap
+		{"-shards", "3", "-retry-burst", "0.5"}, // a retry needs a whole token
 		{"-shards", "3", "-down-after", "0"},
-		{"-shards", "3", "-breaker-after", "0"},
 		{"-shards", "3", "-drain", "-1s"},
 	} {
 		_, err := parseFlags(bad, &sink)
@@ -48,24 +49,25 @@ func TestParseFlagsWiresRouterConfig(t *testing.T) {
 	cfg, err := parseFlags([]string{
 		"-shards", "4", "-shard-timeout", "750ms", "-retry-budget", "0.2",
 		"-probe-every", "100ms", "-heartbeat-ttl", "1s",
-		"-down-after", "2", "-breaker-after", "5",
+		"-down-after", "2", "-retry-burst", "1.5",
 	}, &sink)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rc := cfg.router
 	if rc.Shards != 4 || rc.ShardTimeout != 750*time.Millisecond ||
-		rc.RetryBudget != 0.2 {
+		rc.RetryBudget != 0.2 || rc.RetryBurst != 1.5 {
 		t.Fatalf("router config = %+v", rc)
 	}
 	if rc.Pool.ProbeInterval != 100*time.Millisecond || rc.Pool.HeartbeatTTL != time.Second ||
-		rc.Pool.DownAfter != 2 || rc.Pool.BreakerAfter != 5 {
+		rc.Pool.DownAfter != 2 {
 		t.Fatalf("pool config = %+v", rc.Pool)
 	}
 
 	// -retry-budget 0 means "no retries", which RouterConfig spells as a
 	// negative budget (its own zero value means "use the default").
-	cfg, err = parseFlags([]string{"-shards", "2", "-retry-budget", "0"}, &sink)
+	// The cap does not matter then, so any value passes.
+	cfg, err = parseFlags([]string{"-shards", "2", "-retry-budget", "0", "-retry-burst", "0"}, &sink)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,7 @@ import (
 
 // runCluster implements the `nmtx cluster` subcommand family:
 //
-//	nmtx cluster status -router URL   shard health, generations, breakers
+//	nmtx cluster status -router URL   shard health, generations, failures
 //	nmtx cluster promote -node URL    manually promote a standby negmined
 func runCluster(args []string, out io.Writer) error {
 	usage := func(format string, a ...any) error {
@@ -150,12 +150,6 @@ func clusterStatus(out io.Writer, router string, timeout time.Duration) error {
 				if r.ReplLagSegments > 0 {
 					fmt.Fprintf(out, " (lag %d segs)", r.ReplLagSegments)
 				}
-			}
-			if r.BreakerOpen {
-				fmt.Fprintf(out, "  breaker OPEN")
-			}
-			if r.BreakerOpens > 0 {
-				fmt.Fprintf(out, "  (%d breaker opens)", r.BreakerOpens)
 			}
 			if r.Failures > 0 {
 				fmt.Fprintf(out, "  %d/%d failed", r.Failures, r.Requests)

@@ -36,7 +36,7 @@ func TestClusterStatusHealthy(t *testing.T) {
 			{Shard: 1, Routable: true, Replicas: []cluster.ReplicaStatus{
 				{Node: "n1", Addr: "127.0.0.1:9001", State: "healthy", Generation: 7, Rules: 115},
 				{Node: "n1b", Addr: "127.0.0.1:9002", State: "suspect", Generation: 6, Rules: 115,
-					BreakerOpen: true, BreakerOpens: 2, Failures: 4, Requests: 100},
+					Failures: 4, Requests: 100},
 			}},
 		},
 	})
@@ -49,7 +49,7 @@ func TestClusterStatusHealthy(t *testing.T) {
 	for _, want := range []string{
 		"(ok)", "2 (2 routable), 3 replicas, 42 heartbeats",
 		"shard 0  routable", "n0", "gen 7", "fresh    2.5s", "via mmap",
-		"shard 1  routable", "n1b", "suspect", "breaker OPEN", "(2 breaker opens)", "4/100 failed",
+		"shard 1  routable", "n1b", "suspect", "4/100 failed",
 	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("status output missing %q:\n%s", want, text)

@@ -23,7 +23,7 @@
 //
 // The cluster subcommand talks to a running negrouter:
 //
-//	nmtx cluster status -router URL    # shard health, generations, breakers
+//	nmtx cluster status -router URL    # shard health, generations, failures
 //
 // Packed .nmtx files are the -data input of the mining pipeline: `negmine
 // -data out.nmtx -format json` writes the report JSON that the cmd/negmined

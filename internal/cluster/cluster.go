@@ -34,17 +34,15 @@
 // Partition guarantee (per-shard results stay exact over disjoint data, so
 // a partial answer is still a correct answer over the shards that remain):
 //
-//   - Every replica runs the health state machine healthy → suspect → down
-//     → recovering, driven by heartbeats, request outcomes, and exponential
-//     backoff probes (Pool).
+//   - Every replica keeps one failure ledger that drives the states healthy
+//     → suspect → down, fed by heartbeats, request outcomes and /healthz
+//     probes (Pool). DownAfter failures in a row take a replica down for a
+//     back-off that doubles each time it fails again on coming back.
 //   - A routed request's shard traffic runs under one deadline, with
 //     budgeted retries against sibling replicas (Router). A slow replica
 //     runs into the deadline, which counts as a failure like any other; a
 //     reply read after an earlier shard used the time up still gets a short
 //     grace, so a slow shard costs only itself.
-//   - Per-replica circuit breakers (modeled on the serve watch breaker)
-//     stop hammering a replica that keeps failing; an open breaker lets one
-//     trial request through after an exponentially growing cool-down.
 //   - A shard with no usable replica degrades the response instead of
 //     failing it: the router answers 206 with "partial": true and the
 //     missing shard ids, never a 5xx.
@@ -69,7 +67,7 @@ const (
 
 	// PointDial fires before every proxied shard request (first attempts
 	// and retries alike); an error action models an unreachable
-	// replica and must drive the retry → breaker → partial-response chain,
+	// replica and must drive the retry → down → partial-response chain,
 	// never a router 5xx.
 	PointDial = "cluster.dial"
 

@@ -85,12 +85,12 @@ func TestPickIngestPrimary(t *testing.T) {
 		t.Fatalf("dual-primary pick = %q, want freshest (a)", node)
 	}
 
-	// A breaker-open primary is skipped even when advertised.
+	// A down primary is skipped even when advertised.
 	for i := 0; i < 3; i++ {
 		p.ReportFailure("a")
 	}
 	if node, _, ok := p.PickIngestPrimary(nil); ok && node == "a" {
-		t.Fatal("picked a primary with an open breaker")
+		t.Fatal("picked a down primary")
 	}
 }
 

@@ -200,7 +200,7 @@ type shardResult struct {
 }
 
 // finish reads c's reply and reports the outcome to the pool. A 5xx is a
-// failed attempt: retryable, breaker-countable. So, for a read, is a 200
+// failed attempt: retryable, counted against the replica. So, for a read, is a 200
 // that is not a well-formed frame — torn, corrupt, or a plain document from
 // a shard that does not speak the frame. A failed attempt's connection is
 // not pooled. A failure the client's departure caused is no replica's

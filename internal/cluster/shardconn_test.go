@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -134,6 +135,74 @@ func TestRouterShardTimeoutIsPartial(t *testing.T) {
 				t.Fatalf("%d idle connections to the fast replica, want 1", n)
 			}
 		})
+	}
+}
+
+// TestRouterSlowShardBacksOff: a one-replica shard whose /healthz answers
+// at once but whose /rules outlasts the shard timeout is listed missing in
+// every read, and no more than DownAfter reads plus one per back-off
+// window reach it: each time the back-off passes, the replica comes back,
+// its first read fails, and it goes down for twice as long.
+func TestRouterSlowShardBacksOff(t *testing.T) {
+	var slowReads atomic.Int64
+	slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/healthz" {
+			return
+		}
+		slowReads.Add(1)
+		select {
+		case <-r.Context().Done():
+		case <-time.After(time.Minute):
+		}
+	}))
+	t.Cleanup(slow.Close)
+	fast := newShardBackend(t)
+	fast.rules = []WireRule{{Antecedent: []string{"a"}, Consequent: []string{"x"}, RuleInterest: 0.9}}
+
+	const probeEvery, downAfter = 500 * time.Millisecond, 3
+	clock := newFakeClock()
+	rt, err := NewRouter(RouterConfig{Shards: 2, ShardTimeout: 50 * time.Millisecond, Logf: t.Logf,
+		Pool: PoolConfig{ProbeInterval: probeEvery, DownAfter: downAfter, Now: clock.now}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	beats := func() {
+		for shard, addr := range []string{fast.addr(), strings.TrimPrefix(slow.URL, "http://")} {
+			if err := rt.Pool().Heartbeat(Heartbeat{Node: fmt.Sprintf("s%d", shard), Addr: addr, Shard: shard, Shards: 2}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	// One read, heartbeat and probe round every half probe interval of pool
+	// time, over 10 s of it.
+	const step, span = probeEvery / 2, 10 * time.Second
+	h := rt.Handler()
+	for elapsed := time.Duration(0); elapsed < span; elapsed += step {
+		beats()
+		code, doc := getRules(t, context.Background(), h)
+		if code != http.StatusPartialContent || len(doc.MissingShards) != 1 || doc.MissingShards[0] != 1 ||
+			len(doc.Rules) != 1 || doc.Rules[0].RuleInterest != 0.9 {
+			t.Fatalf("at %v: status = %d, doc = %+v; want 206 missing shard 1, with the fast shard's rule", elapsed, code, doc)
+		}
+		clock.advance(step)
+		rt.Pool().ProbeOnce(context.Background())
+	}
+
+	// The back-off windows that begin within the span: ProbeInterval, then
+	// doubling, capped at 16 × ProbeInterval.
+	windows := 0
+	for d, end := probeEvery, time.Duration(0); end < span; d = min(2*d, 16*probeEvery) {
+		end += d
+		windows++
+	}
+	got := slowReads.Load()
+	t.Logf("%d reads reached the slow replica over %v, %d back-off windows", got, span, windows)
+	if got > downAfter+int64(windows) {
+		t.Fatalf("%d reads reached the slow replica, want ≤ DownAfter + windows = %d", got, downAfter+windows)
+	}
+	if got <= downAfter {
+		t.Fatalf("%d reads reached the slow replica: it never came back after its back-off", got)
 	}
 }
 

@@ -61,9 +61,8 @@ type keySeq struct {
 // dedupWindow is the bounded idempotency window plus its journal handle.
 // All methods are called with the owning Log's mutex held.
 type dedupWindow struct {
-	path   string
-	max    int
-	noSync bool
+	path string
+	max  int
 
 	f       *os.File
 	entries map[keySeq]dedupEntry
@@ -75,11 +74,10 @@ type dedupWindow struct {
 // openDedupWindow replays (and compacts) dir's dedup journal. Reservations
 // whose TID range reaches at or past nextTID describe batches that did not
 // survive the crash and are dropped.
-func openDedupWindow(dir string, max int, nextTID int64, noSync bool) (*dedupWindow, error) {
+func openDedupWindow(dir string, max int, nextTID int64) (*dedupWindow, error) {
 	w := &dedupWindow{
 		path:    filepath.Join(dir, dedupLogName),
 		max:     max,
-		noSync:  noSync,
 		entries: map[keySeq]dedupEntry{},
 		maxSeq:  map[string]uint64{},
 	}
@@ -227,10 +225,8 @@ func (w *dedupWindow) appendRecord(r dedupRecord) error {
 	if _, err := w.f.Write(frame(payload)); err != nil {
 		return err
 	}
-	if !w.noSync {
-		if err := w.f.Sync(); err != nil {
-			return err
-		}
+	if err := w.f.Sync(); err != nil {
+		return err
 	}
 	w.frames++
 	return nil

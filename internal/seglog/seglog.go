@@ -68,18 +68,12 @@ const DefaultCompactUnder = 1 << 20
 
 // Options configures a Log.
 type Options struct {
-	// SealBytes automatically seals the active segment when its file grows
-	// past this many bytes (0 = no size-based sealing).
-	SealBytes int64
 	// SealTxns automatically seals the active segment when it holds at
 	// least this many transactions (0 = no count-based sealing).
 	SealTxns int
 	// CompactUnder marks sealed segments smaller than this many bytes as
 	// compaction candidates (0 = DefaultCompactUnder).
 	CompactUnder int64
-	// NoSync skips the fsync on append. Acknowledgements then no longer
-	// survive power loss; only benchmarks should set it.
-	NoSync bool
 	// VerifyOnOpen fully re-reads every sealed segment at Open and checks
 	// it against its manifest entry (size, CRC, count, TID range) instead
 	// of the default existence + size check.
@@ -204,7 +198,7 @@ func Open(dir string, opt Options) (*Log, error) {
 	l.nextTID = maxTID + 1
 	l.notifyCh = make(chan struct{})
 	if opt.DedupWindow > 0 {
-		w, err := openDedupWindow(dir, opt.DedupWindow, l.nextTID, opt.NoSync)
+		w, err := openDedupWindow(dir, opt.DedupWindow, l.nextTID)
 		if err != nil {
 			return nil, err
 		}
@@ -263,7 +257,7 @@ func (l *Log) recoverActive() error {
 		if err := f.Truncate(0); err == nil {
 			_, err = f.WriteAt(hdr, 0)
 		}
-		if err == nil && !l.opt.NoSync {
+		if err == nil {
 			err = f.Sync()
 		}
 		if err != nil {
@@ -276,11 +270,9 @@ func (l *Log) recoverActive() error {
 			f.Close()
 			return err
 		}
-		if !l.opt.NoSync {
-			if err := f.Sync(); err != nil {
-				f.Close()
-				return err
-			}
+		if err := f.Sync(); err != nil {
+			f.Close()
+			return err
 		}
 	}
 	l.active = activeSegment{
@@ -309,10 +301,7 @@ func (l *Log) Close() error {
 	if l.active.f == nil {
 		return nil
 	}
-	var err error
-	if !l.opt.NoSync {
-		err = l.active.f.Sync()
-	}
+	err := l.active.f.Sync()
 	if cerr := l.active.f.Close(); err == nil {
 		err = cerr
 	}
@@ -471,10 +460,8 @@ func (l *Log) appendTxsLocked(txs []txdb.Transaction) error {
 	if _, err := l.active.f.WriteAt(fr[half:], startSize+int64(half)); err != nil {
 		return undo(err)
 	}
-	if !l.opt.NoSync {
-		if err := l.active.f.Sync(); err != nil {
-			return undo(err)
-		}
+	if err := l.active.f.Sync(); err != nil {
+		return undo(err)
 	}
 
 	// Durable: commit the in-memory state.
@@ -497,8 +484,7 @@ func (l *Log) postAppendLocked(first, last int64) error {
 	close(l.notifyCh)
 	l.notifyCh = make(chan struct{})
 
-	if (l.opt.SealBytes > 0 && l.active.size >= l.opt.SealBytes) ||
-		(l.opt.SealTxns > 0 && l.active.txns >= l.opt.SealTxns) {
+	if l.opt.SealTxns > 0 && l.active.txns >= l.opt.SealTxns {
 		if err := l.sealLocked(); err != nil {
 			return fmt.Errorf("seglog: auto-seal: %w", err)
 		}
@@ -601,11 +587,9 @@ func (l *Log) sealLocked() error {
 		l.broken = err
 		return err
 	}
-	if !l.opt.NoSync {
-		if err := f.Sync(); err != nil {
-			l.broken = err
-			return err
-		}
+	if err := f.Sync(); err != nil {
+		l.broken = err
+		return err
 	}
 	l.active = activeSegment{id: next.Active, f: f, size: int64(len(hdr))}
 	return nil

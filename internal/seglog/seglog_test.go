@@ -451,7 +451,7 @@ func TestScanSnapshotIgnoresConcurrentAppend(t *testing.T) {
 }
 
 func TestConcurrentAppendAndScan(t *testing.T) {
-	l, _ := openTest(t, Options{SealTxns: 16, NoSync: true})
+	l, _ := openTest(t, Options{SealTxns: 16})
 	done := make(chan error, 2)
 	go func() {
 		for i := 0; i < 100; i++ {
@@ -524,7 +524,7 @@ func TestTornTailRecoveryWithConcurrentReader(t *testing.T) {
 	}
 	f.Close()
 
-	l2, err := Open(dir, Options{NoSync: true})
+	l2, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
