@@ -176,6 +176,30 @@ func TestShardFilterPartitionsDaemon(t *testing.T) {
 	if got := shards[0].Snapshot().Info().Shard; got != "0/2" {
 		t.Fatalf("after reload shard label = %q", got)
 	}
+
+	// With a snapshot store, a restarted shard boots from its own stored
+	// generation (mmap, no report read) and keeps its rule count and label,
+	// which the .nsnap file does not carry; a replica of that store started
+	// with the same -shard carries the label too.
+	dir := t.TempDir()
+	for k, spec := range []string{"0/2", "1/2"} {
+		snapDir := filepath.Join(dir, "snaps"+spec[:1])
+		args := []string{"-report", repPath, "-tax", taxPath, "-shard", spec, "-snapshot-dir", snapDir}
+		first, _ := newDaemon(t, args...)
+		if info := first.Snapshot().Info(); info.SourceKind != "json" || info.Generation != 1 ||
+			info.Rules != perShard[k] || info.Shard != spec {
+			t.Fatalf("shard %s first boot = %+v, want json/1 with %d rules", spec, info, perShard[k])
+		}
+		restarted, _ := newDaemon(t, args...)
+		if info := restarted.Snapshot().Info(); info.SourceKind != "mmap" || info.Generation != 1 ||
+			info.Rules != perShard[k] || info.Shard != spec {
+			t.Fatalf("shard %s restart = %+v, want mmap/1 with %d rules", spec, info, perShard[k])
+		}
+		replica, _ := newDaemon(t, "-snapshot-dir", snapDir, "-shard", spec)
+		if info := replica.Snapshot().Info(); info.SourceKind != "mmap" || info.Rules != perShard[k] || info.Shard != spec {
+			t.Fatalf("shard %s replica = %+v, want mmap with %d rules", spec, info, perShard[k])
+		}
+	}
 }
 
 // TestClusterHeartbeatSender runs the clusterMember loop against a fake

@@ -64,12 +64,13 @@ const (
 	haTailCap = 2048
 )
 
-// haParams collects the wiring for newHAController.
+// haParams is the HA pair's wiring: parseFlags fills it from the -ha-*
+// flags, run adds node and logf once the node identity is known.
 type haParams struct {
 	log        *seglog.Log
-	store      artifact.Store
+	store      *artifact.FS // -seglog-store
 	node       string
-	role       string // haRolePrimary or haRoleStandby (the configured role)
+	startRole  string // -ha-role: haRolePrimary or haRoleStandby
 	peer       string // standby: primary base URL, no trailing slash
 	leaseTTL   time.Duration
 	ackTimeout time.Duration
@@ -79,15 +80,8 @@ type haParams struct {
 
 // haController runs one node's side of the primary/standby protocol.
 type haController struct {
-	log        *seglog.Log
-	store      artifact.Store
-	node       string
-	peer       string
-	leaseTTL   time.Duration
-	ackTimeout time.Duration
-	ingest     *ingestController
-	logf       func(format string, args ...any)
-	client     *http.Client
+	haParams
+	client *http.Client
 
 	mu           sync.Mutex
 	role         string
@@ -117,18 +111,11 @@ func newHAController(p haParams) (*haController, error) {
 		return nil, fmt.Errorf("ha: reading store epoch: %w", err)
 	}
 	h := &haController{
-		log:        p.log,
-		store:      p.store,
-		node:       p.node,
-		peer:       p.peer,
-		leaseTTL:   p.leaseTTL,
-		ackTimeout: p.ackTimeout,
-		ingest:     p.ingest,
-		logf:       p.logf,
-		client:     &http.Client{Timeout: haTailWait + 2*time.Second},
+		haParams:     p,
+		client:       &http.Client{Timeout: haTailWait + 2*time.Second},
+		maxEpochSeen: storeEpoch,
 	}
-	h.maxEpochSeen = storeEpoch
-	switch p.role {
+	switch p.startRole {
 	case haRolePrimary:
 		h.token = h.log.Epoch()
 		if storeEpoch > h.token {
@@ -153,7 +140,7 @@ func newHAController(p haParams) (*haController, error) {
 		h.role = haRoleStandby
 		h.follower = &seglog.Follower{Log: h.log, Store: h.store}
 	default:
-		return nil, fmt.Errorf("ha: unknown role %q", p.role)
+		return nil, fmt.Errorf("ha: unknown role %q", p.startRole)
 	}
 	return h, nil
 }
@@ -311,7 +298,7 @@ func (h *haController) followLoop(ctx context.Context) {
 			h.observeEpoch(maxE)
 		}
 		if n := h.log.NextTID() - before; n > 0 {
-			h.ingest.noteReplicated(n)
+			h.ingest.notePending(h.log.NextTID()-1, n)
 		}
 		// The long poll paces the loop: it returns quickly with data, after
 		// haTailWait without, or with an error when the primary is gone.
@@ -454,7 +441,7 @@ func (h *haController) applyTail(doc tailResponse) error {
 	h.lag = lag
 	h.mu.Unlock()
 	if applied > 0 {
-		h.ingest.noteReplicated(applied)
+		h.ingest.notePending(h.log.NextTID()-1, applied)
 	}
 	return nil
 }

@@ -19,7 +19,7 @@ import (
 
 // ingestController is the streaming-mode backend: it owns the segment log
 // and the incremental miner, implements serve.IngestSink for POST /ingest,
-// and supplies the LoadFunc whose refreshes the auto re-mine triggers fire.
+// and is the rule source whose refreshes the auto re-mine triggers fire.
 //
 // The taxonomy (and its dictionary) is loaded once at startup and never
 // reloaded: transaction ids in the log are only meaningful against the
@@ -41,16 +41,12 @@ type ingestController struct {
 	// (fencing token, replication ack) instead of plain appends. Set once in
 	// run(), before the listener accepts traffic.
 	ha *haController
-
-	// keep, when non-nil, is the cluster shard predicate: only rules it
-	// accepts are indexed into refreshed snapshots (serve.Meta.Keep).
-	keep func(ante, cons []string) bool
 }
 
 // newIngestController opens (or creates) the segment log, seeds it from
 // dataPath when the log is empty and a seed is given, and returns the
 // controller ready to be wired into a Server.
-func newIngestController(dir, dataPath, taxPath string, opt negative.Options, remineTxns, dedupWindow int, keep func(ante, cons []string) bool) (*ingestController, error) {
+func newIngestController(dir, dataPath, taxPath string, opt negative.Options, remineTxns, dedupWindow int) (*ingestController, error) {
 	tax, err := loadTaxonomy(taxPath)
 	if err != nil {
 		return nil, err
@@ -65,7 +61,6 @@ func newIngestController(dir, dataPath, taxPath string, opt negative.Options, re
 		tax:        tax,
 		opt:        opt,
 		remineTxns: int64(remineTxns),
-		keep:       keep,
 	}
 	if dataPath != "" && log.Count() == 0 {
 		if err := c.seed(dataPath); err != nil {
@@ -146,8 +141,8 @@ func (c *ingestController) attach(srv *serve.Server) { c.srv.Store(srv) }
 // Close closes the underlying segment log.
 func (c *ingestController) Close() error { return c.log.Close() }
 
-// load is the streaming-mode LoadFunc: an incremental refresh over the log.
-func (c *ingestController) load(ctx context.Context) (*serve.Snapshot, error) {
+// refresh is the streaming rule source: an incremental refresh over the log.
+func (c *ingestController) refresh(ctx context.Context) (ruleSet, error) {
 	// Best effort: appends racing with the refresh may be sealed into it and
 	// still counted pending until the next refresh — pending only drives
 	// triggers and metrics, never correctness.
@@ -159,21 +154,11 @@ func (c *ingestController) load(ctx context.Context) (*serve.Snapshot, error) {
 	wm := c.wm.Load()
 	res, err := c.miner.Refresh(c.log)
 	if err != nil {
-		return nil, err
+		return ruleSet{}, err
 	}
 	c.refreshes.Add(1)
-	meta := serve.Meta{
-		Source:     "ingest " + c.log.Dir(),
-		MinSupport: c.opt.MinSupport,
-		MinRI:      c.opt.MinRI,
-		Keep:       c.keep,
-	}
-	snap := serve.BuildSnapshot(rulestore.New(res, c.tax.Name), c.tax, meta)
-	snap.SetProvenance(0, "ingest")
-	if wm != nil {
-		snap.SetWatermark(wm.tid, wm.at)
-	}
-	return snap, nil
+	meta := serve.Meta{Source: "ingest " + c.log.Dir(), MinSupport: c.opt.MinSupport, MinRI: c.opt.MinRI}
+	return ruleSet{rules: rulestore.New(res, c.tax.Name), tax: c.tax, meta: meta, kind: "ingest", wm: wm}, nil
 }
 
 // Ingest implements serve.IngestSink: name resolution against the read-only
@@ -210,14 +195,7 @@ func (c *ingestController) Ingest(ctx context.Context, batch serve.IngestBatch) 
 		// A replayed ack: nothing new was appended, so nothing becomes pending.
 		return res, nil
 	}
-	c.noteAppend(ares.Last)
-	p := c.pending.Add(int64(len(sets)))
-	if c.remineTxns > 0 && p >= c.remineTxns {
-		if srv := c.srv.Load(); srv != nil {
-			// The reload outlives this request, like POST /reload's 202 path.
-			res.Refreshed = srv.TriggerReload(context.Background())
-		}
-	}
+	res.Refreshed = c.notePending(ares.Last, int64(len(sets)))
 	return res, nil
 }
 
@@ -239,20 +217,20 @@ func mapSeglogErr(err error) error {
 	return err
 }
 
-// noteReplicated accounts transactions that arrived through replication
-// (store adoption or the tail stream) rather than /ingest, so the standby's
-// auto re-mine trigger and pendingTxns gauge track the primary's writes.
-func (c *ingestController) noteReplicated(n int64) {
-	if n <= 0 {
-		return
+// notePending accounts n new transactions, the newest with id last, whether
+// from /ingest or from replication (store adoption or the tail stream, so a
+// standby's trigger and pendingTxns gauge track the primary's writes). It
+// fires the -remine-txns trigger and reports whether a refresh started.
+func (c *ingestController) notePending(last, n int64) bool {
+	c.noteAppend(last)
+	if p := c.pending.Add(n); c.remineTxns == 0 || p < c.remineTxns {
+		return false
 	}
-	c.noteAppend(c.log.NextTID() - 1)
-	p := c.pending.Add(n)
-	if c.remineTxns > 0 && p >= c.remineTxns {
-		if srv := c.srv.Load(); srv != nil {
-			srv.TriggerReload(context.Background())
-		}
+	if srv := c.srv.Load(); srv != nil {
+		// The reload outlives the request, like POST /reload's 202 path.
+		return srv.TriggerReload(context.Background())
 	}
+	return false
 }
 
 // RoleLag reports the node's ingest role and replication lag for heartbeats.

@@ -3,7 +3,7 @@
 // queries over HTTP, re-mining (or re-reading) and atomically hot-swapping
 // the snapshot without ever blocking readers.
 //
-// Three source modes:
+// Three rule sources:
 //
 //	negmined -report rules.json -tax taxonomy.txt
 //	    serve a report previously written by `negmine -format json`
@@ -18,7 +18,12 @@
 //	    /ingest appends to it, and /reload (or the -remine-every /
 //	    -remine-txns triggers) re-mines incrementally — only segments new
 //	    since the last refresh are scanned. -data seeds an empty log once.
-//	    Refreshes always run the improved algorithm, so -alg is refused.
+//
+// The daemon mines with Cumulate and the improved algorithm on the auto
+// counting backend. The paper's other miners yield the same rules;
+// `negmine -gen/-alg/-backend` and `experiments` compare them.
+//
+// And one mode with no source:
 //
 //	negmined -snapshot-dir ./snaps
 //	    replica mode: serve the newest .nsnap generation from a snapshot
@@ -27,13 +32,13 @@
 //	    the store manifest and swaps in new generations as a producer
 //	    writes them.
 //
-// -snapshot-dir also composes with every source mode: the daemon boots
-// from the newest stored generation when one validates (an mmap instead of
-// a mine), falls back to the source when the store is empty or corrupt,
-// and persists every successful re-mine/refresh as a new generation
-// (disable with -snapshot-save=false). A torn or corrupted snapshot is
-// rejected by checksum/structural validation and the previous generation
-// keeps serving.
+// -snapshot-dir also composes with every source: the daemon boots from the
+// newest stored generation when one validates (an mmap instead of a mine),
+// falls back to the source when the store is empty or corrupt, and
+// persists every successful re-mine/refresh as a new generation (disable
+// with -snapshot-save=false). A torn or corrupted snapshot is rejected by
+// checksum/structural validation and the previous generation keeps
+// serving.
 //
 // Endpoints:
 //
@@ -56,7 +61,7 @@
 //	-data file        transactions: basket text or .nmtx binary (mining mode)
 //	-tax file         taxonomy: "parent child" edges (required)
 //	-minsup/-minri    mining thresholds (mining mode)
-//	-gen/-alg/-parallel/-backend/-maxk  mining pipeline knobs, as in negmine
+//	-parallel/-maxk   mining pipeline knobs, as in negmine
 //	-watch            poll the source file and reload when it settles
 //	-poll d           watch interval (default 2s)
 //	-read-timeout/-write-timeout/-idle-timeout  http.Server limits
@@ -117,13 +122,10 @@ import (
 	"time"
 
 	"negmine/internal/artifact"
-	"negmine/internal/count"
 	"negmine/internal/gen"
 	"negmine/internal/govern"
 	"negmine/internal/item"
 	"negmine/internal/negative"
-	"negmine/internal/report"
-	"negmine/internal/rulestore"
 	"negmine/internal/serve"
 	"negmine/internal/taxonomy"
 	"negmine/internal/txdb"
@@ -153,16 +155,6 @@ type usageError struct{ err error }
 func (e *usageError) Error() string { return e.err.Error() }
 func (e *usageError) Unwrap() error { return e.err }
 
-// haConfig carries the parsed HA flags; the controller itself is built in
-// run(), after the node identity is known.
-type haConfig struct {
-	role       string
-	storeDir   string
-	peer       string
-	lease      time.Duration
-	ackTimeout time.Duration
-}
-
 // usageErrf prints the flag set's usage and returns a usageError.
 func usageErrf(fs *flag.FlagSet, format string, args ...any) error {
 	fs.Usage()
@@ -188,7 +180,7 @@ type config struct {
 
 	ingest      *ingestController // streaming mode (nil = file modes)
 	remineEvery time.Duration     // periodic re-mine trigger (streaming)
-	ha          *haConfig         // HA pair wiring (nil = solo)
+	ha          *haParams         // HA pair wiring, less node and logf (nil = solo)
 
 	// Cluster membership (zero values = standalone daemon).
 	spec      shardSpec // -shard assignment
@@ -219,6 +211,7 @@ func run(args []string, out io.Writer) error {
 	if nodeID == "" {
 		nodeID = advertise
 	}
+	logf := func(format string, args ...any) { fmt.Fprintf(out, "negmined: "+format+"\n", args...) }
 
 	opts := []serve.Option{
 		serve.WithRequestTimeout(cfg.reqTimeout),
@@ -232,26 +225,11 @@ func run(args []string, out io.Writer) error {
 	}
 	var ha *haController
 	if cfg.ha != nil {
-		store, err := artifact.OpenFS(cfg.ha.storeDir, 0)
-		if err != nil {
-			return fmt.Errorf("opening seglog store %s: %w", cfg.ha.storeDir, err)
-		}
 		// The boot-time fence reconciliation happens here, synchronously:
 		// a deposed primary comes up fenced before the listener serves a
 		// single /ingest.
-		ha, err = newHAController(haParams{
-			log:        cfg.ingest.log,
-			store:      store,
-			node:       nodeID,
-			role:       cfg.ha.role,
-			peer:       cfg.ha.peer,
-			leaseTTL:   cfg.ha.lease,
-			ackTimeout: cfg.ha.ackTimeout,
-			ingest:     cfg.ingest,
-			logf: func(format string, args ...any) {
-				fmt.Fprintf(out, "negmined: "+format+"\n", args...)
-			},
-		})
+		cfg.ha.node, cfg.ha.logf = nodeID, logf
+		ha, err = newHAController(*cfg.ha)
 		if err != nil {
 			return err
 		}
@@ -274,7 +252,7 @@ func run(args []string, out io.Writer) error {
 	if ha != nil {
 		ha.start(ctx)
 		fmt.Fprintf(out, "negmined: ha %s (store %s, epoch %d)\n",
-			ha.currentRole(), cfg.ha.storeDir, cfg.ingest.log.Epoch())
+			ha.currentRole(), cfg.ha.store.Dir(), cfg.ingest.log.Epoch())
 	}
 	if cfg.watch {
 		go srv.WatchWith(ctx, cfg.source, cfg.poll)
@@ -291,9 +269,7 @@ func run(args []string, out io.Writer) error {
 			spec:   cfg.spec,
 			every:  cfg.heartbeat,
 			roleFn: roleFn,
-			logf: func(format string, args ...any) {
-				fmt.Fprintf(out, "negmined: "+format+"\n", args...)
-			},
+			logf:   logf,
 		}
 		go member.run(ctx, srv)
 		fmt.Fprintf(out, "negmined: joined cluster via %s as %s (shard %d/%d)\n",
@@ -351,10 +327,7 @@ func parseFlags(args []string, out io.Writer) (*config, error) {
 		taxPath  = fs.String("tax", "", "taxonomy file (parent child edges); required")
 		minSup   = fs.Float64("minsup", 0.02, "minimum relative support (mining mode)")
 		minRI    = fs.Float64("minri", 0.5, "minimum rule interest (mining mode)")
-		genName  = fs.String("gen", "cumulate", "stage-1 algorithm: basic, cumulate or estmerge")
-		algName  = fs.String("alg", "better", "negative algorithm: better or naive")
 		parallel = fs.Int("parallel", 1, "workers for scans, counting and candidate generation (mining mode)")
-		backend  = fs.String("backend", "auto", "counting backend: auto, hashtree or bitmap")
 		maxK     = fs.Int("maxk", 0, "cap large-itemset size (0 = unlimited)")
 		watch    = fs.Bool("watch", false, "poll the source file and reload when it settles")
 		poll     = fs.Duration("poll", 2*time.Second, "poll interval for -watch")
@@ -420,9 +393,6 @@ func parseFlags(args []string, out io.Writer) (*config, error) {
 		}
 		if *watch {
 			return nil, usageErrf(fs, "-watch cannot be combined with -ingest-dir (use -remine-every)")
-		}
-		if set["alg"] {
-			return nil, usageErrf(fs, "-alg cannot be combined with -ingest-dir (refreshes always run the improved algorithm)")
 		}
 		if *remineEvery < 0 {
 			return nil, usageErrf(fs, "-remine-every = %v, want ≥ 0", *remineEvery)
@@ -525,7 +495,6 @@ func parseFlags(args []string, out io.Writer) (*config, error) {
 		spec: spec, join: strings.TrimRight(*clusterJoin, "/"),
 		nodeID: *nodeID, advertise: *advertise, heartbeat: *heartbeat,
 	}
-	keep := spec.keep()
 	if *maxConc > 0 {
 		cfg.gov = govern.NewController(govern.Config{MaxConcurrent: *maxConc, MaxQueue: *maxQueue})
 	}
@@ -557,171 +526,63 @@ func parseFlags(args []string, out io.Writer) (*config, error) {
 		}
 	}
 
-	// withSnapshots layers the artifact store over the configured loader:
-	// boot-from-mmap with source fallback, persist-on-refresh.
-	withSnapshots := func(cfg *config) (*config, error) {
-		if *snapDir == "" {
-			return cfg, nil
-		}
+	// Every mode loads through one loader; the store is opened here, once.
+	l := &loader{spec: spec, out: out}
+	cfg.loadFunc = l.load
+	if *snapDir != "" {
 		store, err := artifact.OpenFS(*snapDir, *snapKeep)
 		if err != nil {
 			return nil, fmt.Errorf("opening snapshot store %s: %w", *snapDir, err)
 		}
-		sc := &snapController{store: store, inner: cfg.loadFunc, save: *snapSave, out: out}
-		cfg.loadFunc = sc.load
-		return cfg, nil
-	}
-	// withShard stamps every loaded snapshot with the shard label. It wraps
-	// the outermost loader — after the snapshot layer — because the label is
-	// in-memory only (.nsnap files don't persist it), so an mmap-booted
-	// generation needs re-stamping too.
-	withShard := func(cfg *config, err error) (*config, error) {
-		if err != nil || !spec.active() {
-			return cfg, err
-		}
-		inner := cfg.loadFunc
-		cfg.loadFunc = func(ctx context.Context) (*serve.Snapshot, error) {
-			snap, err := inner(ctx)
-			if snap != nil {
-				snap.SetShard(spec.shard, spec.shards)
-			}
-			return snap, err
-		}
-		return cfg, nil
-	}
-	if replica {
-		store, err := artifact.OpenFS(*snapDir, *snapKeep)
-		if err != nil {
-			return nil, fmt.Errorf("opening snapshot store %s: %w", *snapDir, err)
-		}
-		sc := &snapController{store: store, out: out}
-		cfg.source = store.ManifestPath() // what -watch polls: changes on every Put
-		cfg.loadFunc = sc.load
-		return withShard(cfg, nil)
+		l.store, l.save = store, *snapSave
+		cfg.source = store.ManifestPath() // what a replica's -watch polls: changes on every Put
 	}
 
-	if *repPath != "" {
-		cfg.source = *repPath
-		cfg.loadFunc = reportLoader(*repPath, *taxPath, keep)
-		return withShard(withSnapshots(cfg))
-	}
-
+	// The paper's miners all yield the same rules, so the daemon fixes one:
+	// Cumulate (gen.Options' zero value is Basic) and Improved on the auto
+	// backend (both zero values).
 	opt := negative.Options{MinSupport: *minSup, MinRI: *minRI}
-	switch strings.ToLower(*algName) {
-	case "better", "improved":
-		opt.Algorithm = negative.Improved
-	case "naive":
-		opt.Algorithm = negative.Naive
-	default:
-		return nil, usageErrf(fs, "unknown -alg %q (want better or naive)", *algName)
-	}
-	switch strings.ToLower(*genName) {
-	case "basic":
-		opt.Gen.Algorithm = gen.Basic
-	case "cumulate":
-		opt.Gen.Algorithm = gen.Cumulate
-	case "estmerge":
-		opt.Gen.Algorithm = gen.EstMerge
-	default:
-		return nil, usageErrf(fs, "unknown -gen %q (want basic, cumulate or estmerge)", *genName)
-	}
+	opt.Gen.Algorithm = gen.Cumulate
 	opt.Gen.MaxK = *maxK
 	opt.Count.Parallelism = *parallel
 	opt.Gen.Count.Parallelism = *parallel
-	cb, err := count.ParseBackend(*backend)
-	if err != nil {
-		return nil, usageErrf(fs, "%v", err)
-	}
-	opt.Count.Backend = cb
-	opt.Gen.Count.Backend = cb
 	opt.Count.Mem = mem
 	opt.Gen.Count.Mem = mem
 
-	if *ingestDir != "" {
-		ctrl, err := newIngestController(*ingestDir, *dataPath, *taxPath, opt, *remineTxns, *dedupWindow, keep)
+	switch {
+	case *repPath != "":
+		cfg.source = *repPath
+		l.src = reportSource(*repPath, *taxPath)
+	case *ingestDir != "":
+		ctrl, err := newIngestController(*ingestDir, *dataPath, *taxPath, opt, *remineTxns, *dedupWindow)
 		if err != nil {
 			return nil, err
 		}
 		cfg.ingest = ctrl
 		cfg.remineEvery = *remineEvery
 		cfg.source = *ingestDir
-		cfg.loadFunc = ctrl.load
+		l.src = ctrl.refresh
 		if *haRole != "" {
-			cfg.ha = &haConfig{
-				role:       *haRole,
-				storeDir:   *seglogStore,
+			store, err := artifact.OpenFS(*seglogStore, 0)
+			if err != nil {
+				ctrl.Close()
+				return nil, fmt.Errorf("opening seglog store %s: %w", *seglogStore, err)
+			}
+			cfg.ha = &haParams{
+				log:        ctrl.log,
+				store:      store,
+				startRole:  *haRole,
 				peer:       strings.TrimRight(*haPeer, "/"),
-				lease:      *haLease,
+				leaseTTL:   *haLease,
 				ackTimeout: *haAckTO,
+				ingest:     ctrl,
 			}
 		}
-		return withShard(withSnapshots(cfg))
+	case *dataPath != "":
+		cfg.source = *dataPath
+		l.src = mineSource(*dataPath, *taxPath, opt)
 	}
-
-	cfg.source = *dataPath
-	cfg.loadFunc = mineLoader(*dataPath, *taxPath, opt, keep)
-	return withShard(withSnapshots(cfg))
-}
-
-// reportLoader re-reads a report JSON file on every (re)load. The taxonomy
-// is also re-read so a snapshot always pairs the report with the hierarchy
-// it was mined under. keep, when non-nil, is the cluster shard predicate:
-// only rules it accepts are indexed.
-func reportLoader(repPath, taxPath string, keep func(ante, cons []string) bool) serve.LoadFunc {
-	return func(ctx context.Context) (*serve.Snapshot, error) {
-		tax, err := loadTaxonomy(taxPath)
-		if err != nil {
-			return nil, err
-		}
-		f, err := os.Open(repPath)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		rep, err := report.ReadNegativeJSON(f)
-		if err != nil {
-			return nil, fmt.Errorf("reading %s: %w", repPath, err)
-		}
-		st := rulestore.FromReport(rep)
-		meta := serve.Meta{
-			Source:     "report " + repPath,
-			MinSupport: rep.MinSupport,
-			MinRI:      rep.MinRI,
-			Keep:       keep,
-		}
-		snap := serve.BuildSnapshot(st, tax, meta)
-		snap.SetProvenance(0, "json")
-		return snap, nil
-	}
-}
-
-// mineLoader runs the full mining pipeline on every (re)load — hot
-// re-mining. Data and taxonomy are re-read each time so dropping a fresh
-// file in place plus /reload (or -watch) picks it up.
-func mineLoader(dataPath, taxPath string, opt negative.Options, keep func(ante, cons []string) bool) serve.LoadFunc {
-	return func(ctx context.Context) (*serve.Snapshot, error) {
-		tax, err := loadTaxonomy(taxPath)
-		if err != nil {
-			return nil, err
-		}
-		db, err := loadData(dataPath, tax.Dictionary())
-		if err != nil {
-			return nil, err
-		}
-		res, err := negative.Mine(db, tax, opt)
-		if err != nil {
-			return nil, fmt.Errorf("mining %s: %w", dataPath, err)
-		}
-		meta := serve.Meta{
-			Source:     "mined " + dataPath,
-			MinSupport: opt.MinSupport,
-			MinRI:      opt.MinRI,
-			Keep:       keep,
-		}
-		snap := serve.BuildSnapshot(rulestore.New(res, tax.Name), tax, meta)
-		snap.SetProvenance(0, "mined")
-		return snap, nil
-	}
+	return cfg, nil
 }
 
 func loadTaxonomy(path string) (*taxonomy.Taxonomy, error) {

@@ -350,15 +350,6 @@ func TestParseFlagsValidation(t *testing.T) {
 	if _, err := parseFlags([]string{"-tax", "t.txt", "-report", "r.json", "-data", "d.txt"}, &sink); err == nil {
 		t.Fatal("both sources accepted")
 	}
-	if _, err := parseFlags([]string{"-tax", "t", "-data", "d", "-alg", "bogus"}, &sink); err == nil {
-		t.Fatal("bad -alg accepted")
-	}
-	if _, err := parseFlags([]string{"-tax", "t", "-data", "d", "-gen", "bogus"}, &sink); err == nil {
-		t.Fatal("bad -gen accepted")
-	}
-	if _, err := parseFlags([]string{"-tax", "t", "-data", "d", "-backend", "bogus"}, &sink); err == nil {
-		t.Fatal("bad -backend accepted")
-	}
 	// -h usage goes to the provided writer and documents the report flow.
 	sink.Reset()
 	if _, err := parseFlags([]string{"-h"}, &sink); err == nil {

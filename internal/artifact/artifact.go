@@ -1,21 +1,20 @@
-// Package artifact stores versioned build artifacts — above all .nsnap
-// serving snapshots — as an append-only sequence of generations with
-// checksum metadata. The Store interface is deliberately small (Put, Get,
-// List, Latest, Delete) so that an object-store or KV backend can drop in
-// behind the same call sites later; the one implementation today is FS, a
-// local directory managed with crash-safe writes (internal/atomicio), a
-// manifest as the commit point, orphan cleanup, and retention GC.
+// Package artifact stores versioned build artifacts — .nsnap serving
+// snapshots and replicated segment-log envelopes — as an append-only
+// sequence of generations with checksum metadata. The store is FS, a local
+// directory managed with crash-safe writes (internal/atomicio), a manifest
+// as the commit point, orphan cleanup, and retention GC; every caller
+// (negmined, seglog's Shipper and Follower, PublishEpoch, StoreEpoch) takes
+// an *FS.
 //
-// Stores assign generations: Put hands the chosen generation to the writer
-// callback before any byte is produced, because formats like snapfmt embed
-// the generation in their header. Stores whose artifacts are plain local
-// files additionally implement Localizer, which is what lets a consumer
-// mmap the artifact instead of streaming it.
+// The store assigns generations: Put hands the chosen generation to the
+// writer callback before any byte is produced, because formats like snapfmt
+// embed the generation in their header. Localize returns a generation's
+// file path, which is what lets a consumer mmap the artifact instead of
+// streaming it.
 package artifact
 
 import (
 	"errors"
-	"io"
 	"time"
 )
 
@@ -42,32 +41,3 @@ type Info struct {
 
 // Created returns the generation's creation time.
 func (i Info) Created() time.Time { return time.Unix(0, i.CreatedNs) }
-
-// Store is a generation-versioned artifact store. Implementations must make
-// Put atomic: a reader never observes a partially written generation, and a
-// producer crash leaves at worst an orphan that the store cleans up itself.
-type Store interface {
-	// Put stores the bytes produced by write as a new generation (chosen by
-	// the store, strictly increasing) and returns its metadata. The artifact
-	// is durable when Put returns.
-	Put(source string, write func(gen uint64, w io.Writer) error) (Info, error)
-
-	// Get opens generation gen for reading.
-	Get(gen uint64) (io.ReadCloser, Info, error)
-
-	// List returns every stored generation in ascending order.
-	List() ([]Info, error)
-
-	// Latest returns the newest generation, or ErrEmpty.
-	Latest() (Info, error)
-
-	// Delete removes generation gen (ErrNotFound if absent).
-	Delete(gen uint64) error
-}
-
-// Localizer is implemented by stores whose artifacts exist as local files.
-// Localize returns a path valid until the generation is deleted — the mmap
-// fast path for snapshot loading.
-type Localizer interface {
-	Localize(gen uint64) (string, Info, error)
-}

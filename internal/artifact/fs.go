@@ -33,7 +33,7 @@ type manifest struct {
 	Generations []Info `json:"generations"` // ascending
 }
 
-// FS is the filesystem Store: one file per generation (%020d.nsnap, so the
+// FS is the artifact store: one file per generation (%020d.nsnap, so the
 // lexical order is the numeric order) plus an atomically replaced manifest.
 // All methods are safe for concurrent use within one process, and every
 // operation re-reads the manifest from disk first, so a reader handle (a
@@ -167,7 +167,9 @@ func (c *crcWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// Put implements Store. The artifact file is written crash-safely first,
+// Put stores the bytes produced by write as a new generation (chosen by
+// the store, strictly increasing) and returns its metadata; the artifact is
+// durable when Put returns. The artifact file is written crash-safely first,
 // then the manifest entry is committed; a crash between the two leaves an
 // orphan file that the next OpenFS removes, never a manifest entry without
 // bytes. Retention GC runs after the commit.
@@ -241,7 +243,7 @@ func (s *FS) find(gen uint64) (Info, bool) {
 	return Info{}, false
 }
 
-// Get implements Store.
+// Get opens generation gen for reading.
 func (s *FS) Get(gen uint64) (io.ReadCloser, Info, error) {
 	s.mu.Lock()
 	if err := s.loadManifest(); err != nil {
@@ -260,7 +262,7 @@ func (s *FS) Get(gen uint64) (io.ReadCloser, Info, error) {
 	return f, info, nil
 }
 
-// List implements Store.
+// List returns every stored generation in ascending order.
 func (s *FS) List() ([]Info, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -270,7 +272,7 @@ func (s *FS) List() ([]Info, error) {
 	return append([]Info(nil), s.m.Generations...), nil
 }
 
-// Latest implements Store.
+// Latest returns the newest generation, or ErrEmpty.
 func (s *FS) Latest() (Info, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -283,8 +285,9 @@ func (s *FS) Latest() (Info, error) {
 	return Info{}, ErrEmpty
 }
 
-// Delete implements Store. The manifest commit precedes the file removal,
-// preserving the "no entry without bytes" invariant.
+// Delete removes generation gen (ErrNotFound if absent). The manifest
+// commit precedes the file removal, preserving the "no entry without
+// bytes" invariant.
 func (s *FS) Delete(gen uint64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -313,7 +316,8 @@ func (s *FS) Delete(gen uint64) error {
 	return nil
 }
 
-// Localize implements Localizer: FS artifacts are already local files.
+// Localize returns generation gen's file path, valid until the generation
+// is deleted: the mmap fast path for snapshot loading.
 func (s *FS) Localize(gen uint64) (string, Info, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -326,8 +330,3 @@ func (s *FS) Localize(gen uint64) (string, Info, error) {
 	}
 	return s.genPath(gen), info, nil
 }
-
-var (
-	_ Store     = (*FS)(nil)
-	_ Localizer = (*FS)(nil)
-)

@@ -48,6 +48,11 @@ func (s State) String() string {
 // maxBackoff caps a down replica's back-off, in probe intervals.
 const maxBackoff = 16
 
+// forgetAfter is how long, in heartbeat TTLs, a replica may go without a
+// heartbeat or a probe success before the sweep forgets it: a shard
+// restarted on a new port must not leave its old address dialed forever.
+const forgetAfter = 10
+
 // PoolConfig tunes the shard pool. The zero value of every field falls back
 // to the default documented on it; Shards is required.
 type PoolConfig struct {
@@ -97,8 +102,9 @@ type replica struct {
 	addr  string
 	shard int
 
-	state    State
-	lastBeat time.Time // last accepted heartbeat
+	state     State
+	lastBeat  time.Time // last accepted heartbeat
+	lastAlive time.Time // last heartbeat or probe success
 
 	// The failure ledger. Only a request success clears it: a replica a
 	// probe or heartbeat brings back still carries its failures, so one
@@ -232,6 +238,7 @@ func (p *Pool) transition(r *replica, s State, why string) {
 // takes a replica back from down down again at once, for twice as long).
 // Called with p.mu held.
 func (p *Pool) alive(r *replica, now time.Time, why string) {
+	r.lastAlive = now
 	switch {
 	case r.state == Down && now.Before(r.downUntil):
 	case now.Sub(r.lastBeat) > p.cfg.HeartbeatTTL:
@@ -290,14 +297,19 @@ func (p *Pool) ReportFailure(node string) {
 
 // Sweep advances time-driven transitions: heartbeats older than the TTL
 // demote a replica to suspect, older than twice the TTL take it down (with
-// no back-off of its own: the next heartbeat or probe brings it back).
+// no back-off of its own: the next heartbeat or probe brings it back). A
+// replica with neither a heartbeat nor a probe success for forgetAfter
+// TTLs is forgotten; its next heartbeat, if any, registers it afresh.
 // Exposed so tests can drive the state machine with a fake clock; Run calls
 // it every probe interval.
 func (p *Pool) Sweep(now time.Time) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for _, r := range p.replicas {
-		if r.lastBeat.IsZero() {
+	for node, r := range p.replicas {
+		if silent := now.Sub(r.lastAlive); silent > forgetAfter*p.cfg.HeartbeatTTL {
+			delete(p.replicas, node)
+			p.byShard[r.shard] = removeReplica(p.byShard[r.shard], r)
+			p.cfg.Logf("cluster: shard %d replica %s forgotten (silent for %v)", r.shard, node, silent)
 			continue
 		}
 		age := now.Sub(r.lastBeat)

@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"errors"
+	"sync"
 	"testing"
 	"time"
 
@@ -127,6 +128,84 @@ func TestSweepDemotesStaleHeartbeats(t *testing.T) {
 	}
 	if got := replicaState(t, p, "n0"); got != "healthy" {
 		t.Fatalf("after heartbeat: state = %s, want healthy", got)
+	}
+}
+
+// TestSweepForgetsSilentReplica: a replica with neither a heartbeat nor a
+// probe success for 10 × HeartbeatTTL (a shard restarted on a new port) is
+// forgotten and no longer probed; one whose heartbeat stops but whose
+// /healthz still answers is kept; a forgotten node that heartbeats again
+// registers afresh.
+func TestSweepForgetsSilentReplica(t *testing.T) {
+	clock := newFakeClock()
+	var mu sync.Mutex
+	probes := map[string]int{}
+	p := testPool(t, clock, func(ctx context.Context, addr string) error {
+		mu.Lock()
+		defer mu.Unlock()
+		probes[addr]++
+		if addr == "127.0.0.1:1" {
+			return errors.New("connection refused")
+		}
+		return nil
+	})
+	gone := beat("gone", 0)
+	quiet := Heartbeat{Node: "quiet", Addr: "127.0.0.1:2", Shard: 1, Shards: 2}
+	for _, hb := range []Heartbeat{gone, quiet} {
+		if err := p.Heartbeat(hb); err != nil {
+			t.Fatal(err)
+		}
+	}
+	registered := func(node string) bool {
+		for _, row := range p.Status().Table {
+			for _, r := range row.Replicas {
+				if r.Node == node {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	rounds := func(n int) {
+		for i := 0; i < n; i++ {
+			clock.advance(500 * time.Millisecond)
+			p.ProbeOnce(context.Background())
+		}
+	}
+
+	rounds(60) // exactly 10 × TTL of silence: not yet past it
+	if !registered("gone") || replicaState(t, p, "gone") != "down" {
+		t.Fatal("silent replica forgotten before 10 × TTL, or not down")
+	}
+	rounds(1)
+	if registered("gone") {
+		t.Fatal("replica silent past 10 × TTL still registered")
+	}
+	if !registered("quiet") {
+		t.Fatal("replica whose /healthz answers was forgotten when its heartbeat stopped")
+	}
+	if st := p.Status(); st.Registered != 1 {
+		t.Fatalf("registered = %d, want 1", st.Registered)
+	}
+	mu.Lock()
+	dialed := probes["127.0.0.1:1"]
+	mu.Unlock()
+	rounds(10)
+	mu.Lock()
+	redialed := probes["127.0.0.1:1"]
+	mu.Unlock()
+	if redialed != dialed {
+		t.Fatalf("forgotten replica probed %d more times", redialed-dialed)
+	}
+
+	if err := p.Heartbeat(gone); err != nil {
+		t.Fatal(err)
+	}
+	if got := replicaState(t, p, "gone"); got != "healthy" {
+		t.Fatalf("re-registered replica is %s, want healthy", got)
+	}
+	if node, _ := p.Pick(0, nil); node != "gone" {
+		t.Fatalf("re-registered replica not routable, Pick = %q", node)
 	}
 }
 

@@ -1,5 +1,5 @@
 // Seglog replication over an artifact store. The primary's Shipper publishes
-// every sealed segment into a shared artifact.Store as a self-describing
+// every sealed segment into a shared artifact store as a self-describing
 // envelope (header JSON + the segment's raw file bytes); a standby's
 // Follower adopts them in TID order via Log.AdoptSealed. Promotion is
 // announced through the same store with an epoch envelope: any writer that
@@ -82,7 +82,7 @@ func decodeEnvelope(raw []byte) (Envelope, []byte, error) {
 }
 
 // PublishEpoch announces a new epoch (a promotion) in the replication store.
-func PublishEpoch(store artifact.Store, epoch int64, node string) error {
+func PublishEpoch(store *artifact.FS, epoch int64, node string) error {
 	env, err := encodeEnvelope(Envelope{Kind: EnvelopeEpoch, Epoch: epoch, Node: node})
 	if err != nil {
 		return err
@@ -96,7 +96,7 @@ func PublishEpoch(store artifact.Store, epoch int64, node string) error {
 
 // StoreEpoch returns the highest epoch recorded in the replication store
 // (0 for a fresh store) by scanning envelope headers newest-first.
-func StoreEpoch(store artifact.Store) (int64, error) {
+func StoreEpoch(store *artifact.FS) (int64, error) {
 	infos, err := store.List()
 	if err != nil {
 		return 0, err
@@ -114,7 +114,7 @@ func StoreEpoch(store artifact.Store) (int64, error) {
 	return max, nil
 }
 
-func readEnvelope(store artifact.Store, gen uint64) (Envelope, []byte, error) {
+func readEnvelope(store *artifact.FS, gen uint64) (Envelope, []byte, error) {
 	rc, _, err := store.Get(gen)
 	if err != nil {
 		return Envelope{}, nil, err
@@ -132,7 +132,7 @@ func readEnvelope(store artifact.Store, gen uint64) (Envelope, []byte, error) {
 // concurrently.
 type Shipper struct {
 	Log   *Log
-	Store artifact.Store
+	Store *artifact.FS
 	Node  string
 	// Epoch is the fencing token this writer holds. Observing a higher
 	// epoch in the store means another node was promoted past us.
@@ -217,7 +217,7 @@ func (s *Shipper) Sync() (shipped int, err error) {
 // Follower adopts replicated segments from the store into a standby's log.
 type Follower struct {
 	Log   *Log
-	Store artifact.Store
+	Store *artifact.FS
 
 	seenGen uint64
 }
