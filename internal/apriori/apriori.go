@@ -10,6 +10,8 @@ package apriori
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
 
 	"negmine/internal/count"
@@ -175,28 +177,101 @@ func Gen(prev []item.Itemset) []item.Itemset {
 	return joinPrune(prev)
 }
 
-// joinPrune is apriori-gen as published, for any k.
+// joinPrune is apriori-gen as published, for any k, on item ids: prev's
+// sets are open-addressed by item.Itemset.Hash, and a candidate — the join of
+// prev[i] and prev[j], which share their first k-2 members — is kept when its
+// k-2 subsets other than those two parents are in prev, each probed by the
+// candidate's hash less its dropped member's and compared in place. A first
+// pass marks the survivors among the joined pairs in a bitset, so that the
+// second carves exactly them from one slab, in join order: sorted, as prev
+// is.
 func joinPrune(prev []item.Itemset) []item.Itemset {
 	k1 := prev[0].Len() // k-1
-	prevSet := make(map[item.Key]struct{}, len(prev))
-	for _, p := range prev {
-		prevSet[p.Key()] = struct{}{}
+	slots := make([]slot, 2<<bits.Len(uint(len(prev))))
+	mask := uint64(len(slots) - 1)
+	joined, lo := 0, 0 // the pairs the join makes; prev[lo] starts prev[i]'s run
+	for i, p := range prev {
+		h := p.Hash()
+		at := h & mask
+		for slots[at].set != 0 {
+			at = (at + 1) & mask
+		}
+		slots[at] = slot{h, int32(i) + 1}
+		if i > 0 && !samePrefix(prev[lo], p, k1-1) {
+			lo = i
+		}
+		joined += i - lo
 	}
-	var out []item.Itemset
-	// Join step: prev is sorted, so itemsets sharing a (k-2)-prefix are
-	// adjacent runs.
-	for i := 0; i < len(prev); i++ {
-		for j := i + 1; j < len(prev); j++ {
-			if !samePrefix(prev[i], prev[j], k1-1) {
-				break
+	// has reports whether prev holds base with its member at drop taken out
+	// and last appended, its hash h.
+	has := func(base item.Itemset, drop int, last item.Item, h uint64) bool {
+		for at := h & mask; slots[at].set != 0; at = (at + 1) & mask {
+			if slots[at].h != h {
+				continue
 			}
-			cand := prev[i].With(prev[j][k1-1])
-			if hasAllSubsets(cand, prevSet) {
-				out = append(out, cand)
+			p := prev[slots[at].set-1]
+			if slices.Equal(p[:drop], base[:drop]) && slices.Equal(p[drop:k1-1], base[drop+1:]) && p[k1-1] == last {
+				return true
 			}
 		}
+		return false
 	}
+	kept := make([]uint64, (joined+63)/64)
+	n, pair, bi, hb := 0, 0, -1, uint64(0) // hb is prev[bi]'s hash
+	forPairs(prev, k1, func(i, j int) {
+		if i != bi {
+			bi, hb = i, prev[i].Hash()
+		}
+		base, last := prev[i], prev[j][k1-1]
+		h := hb + item.Mix(uint64(last))
+		for drop := 0; drop < k1-1; drop++ {
+			if !has(base, drop, last, h-item.Mix(uint64(base[drop]))) {
+				pair++
+				return
+			}
+		}
+		kept[pair>>6] |= 1 << (pair & 63)
+		n++
+		pair++
+	})
+	if n == 0 {
+		return nil
+	}
+	slab := make([]item.Item, 0, n*(k1+1))
+	out := make([]item.Itemset, 0, n)
+	pair = 0
+	forPairs(prev, k1, func(i, j int) {
+		if kept[pair>>6]&(1<<(pair&63)) != 0 {
+			slab = append(append(slab, prev[i]...), prev[j][k1-1])
+			out = append(out, slab[len(slab)-k1-1:len(slab):len(slab)])
+		}
+		pair++
+	})
 	return out
+}
+
+// slot is a set of prev in joinPrune's table: its hash, and its index + 1
+// (0: empty).
+type slot struct {
+	h   uint64
+	set int32
+}
+
+// forPairs calls fn for every pair i < j of prev's sets that share their
+// first k1-1 members — the join — in order.
+func forPairs(prev []item.Itemset, k1 int, fn func(i, j int)) {
+	for lo := 0; lo < len(prev); {
+		hi := lo + 1
+		for hi < len(prev) && samePrefix(prev[lo], prev[hi], k1-1) {
+			hi++
+		}
+		for i := lo; i < hi; i++ {
+			for j := i + 1; j < hi; j++ {
+				fn(i, j)
+			}
+		}
+		lo = hi
+	}
 }
 
 // genPairs is Gen at k = 2: every pair of large 1-itemsets joins (the shared
@@ -222,19 +297,4 @@ func samePrefix(a, b item.Itemset, n int) bool {
 		}
 	}
 	return true
-}
-
-// hasAllSubsets implements the prune step: every (k-1)-subset of cand must
-// be a previously large itemset.
-func hasAllSubsets(cand item.Itemset, prev map[item.Key]struct{}) bool {
-	ok := true
-	cand.Subsets(cand.Len()-1, func(sub item.Itemset) {
-		if !ok {
-			return
-		}
-		if _, found := prev[sub.Key()]; !found {
-			ok = false
-		}
-	})
-	return ok
 }

@@ -1,6 +1,7 @@
 package apriori
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -392,7 +393,7 @@ func BenchmarkMineApriori(b *testing.B) {
 }
 
 // TestGenPairsEqualsJoinPrune: at k = 2 the slab-carved pairs are the
-// published join + prune, set for set and in order, on random L1s — of one
+// published join + prune (referenceJoinPrune), set for set and in order, on random L1s — of one
 // item, of none, of many.
 func TestGenPairsEqualsJoinPrune(t *testing.T) {
 	r := rand.New(rand.NewSource(19))
@@ -406,7 +407,7 @@ func TestGenPairsEqualsJoinPrune(t *testing.T) {
 		got := Gen(l1)
 		var want []item.Itemset
 		if len(l1) > 0 {
-			want = joinPrune(l1)
+			want = referenceJoinPrune(l1)
 		}
 		if !slices.EqualFunc(got, want, item.Itemset.Equal) {
 			t.Fatalf("trial %d: %d large items: pairs %v, join+prune %v", trial, len(l1), got, want)
@@ -419,6 +420,113 @@ func TestGenPairsEqualsJoinPrune(t *testing.T) {
 			if !got[1].Equal(next) {
 				t.Fatalf("trial %d: appending to pair 0 overwrote pair 1", trial)
 			}
+		}
+	}
+}
+
+// referenceJoinPrune is apriori-gen as published, over Key strings: a map of
+// prev's keys, and every (k-1)-subset of a joined candidate probed as a Key.
+// It is what joinPrune replaced, kept as the reference that Gen is held to.
+func referenceJoinPrune(prev []item.Itemset) []item.Itemset {
+	k1 := prev[0].Len() // k-1
+	prevSet := make(map[item.Key]struct{}, len(prev))
+	for _, p := range prev {
+		prevSet[p.Key()] = struct{}{}
+	}
+	var out []item.Itemset
+	for i := 0; i < len(prev); i++ {
+		for j := i + 1; j < len(prev); j++ {
+			if !samePrefix(prev[i], prev[j], k1-1) {
+				break
+			}
+			cand := prev[i].With(prev[j][k1-1])
+			ok := true
+			cand.Subsets(cand.Len()-1, func(sub item.Itemset) {
+				if _, found := prevSet[sub.Key()]; !found {
+					ok = false
+				}
+			})
+			if ok {
+				out = append(out, cand)
+			}
+		}
+	}
+	return out
+}
+
+// randomLevel draws a sorted level of (k-1)-sets over a few items starting at
+// base, every subset of that size kept with probability keep: with few items
+// the sets share long prefixes, and a dense level leaves candidates that
+// survive the prune as well as ones it removes.
+func randomLevel(r *rand.Rand, k1 int, base item.Item, items int, keep float64) []item.Itemset {
+	alphabet := make(item.Itemset, items)
+	for i := range alphabet {
+		alphabet[i] = base + item.Item(i)
+	}
+	var level []item.Itemset
+	alphabet.Subsets(k1, func(sub item.Itemset) {
+		if r.Float64() < keep {
+			level = append(level, sub.Clone())
+		}
+	})
+	return level
+}
+
+// TestGenMatchesReference: Gen returns the sets the published join + prune
+// does, in the same order, on random sorted levels for k = 2…6 — over ids
+// near 0 and near 2³¹, sparse levels and dense ones — and its candidates do
+// not share a slab tail: appending to one does not reach the next.
+func TestGenMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewSource(42))
+	var kept, pruned int
+	for trial := 0; trial < 400; trial++ {
+		k := 2 + trial%5
+		base := item.Item(r.Intn(3))
+		if trial%2 == 1 {
+			base = math.MaxInt32 - 16
+		}
+		level := randomLevel(r, k-1, base, k+2+r.Intn(6), []float64{0.3, 0.7, 0.95, 1}[r.Intn(4)])
+		if len(level) == 0 {
+			continue
+		}
+		got, want := Gen(level), referenceJoinPrune(level)
+		if !slices.EqualFunc(got, want, item.Itemset.Equal) {
+			t.Fatalf("trial %d, k = %d: Gen %v, reference %v over %v", trial, k, got, want, level)
+		}
+		kept += len(want)
+		joined := 0
+		forPairs(level, k-1, func(int, int) { joined++ })
+		pruned += joined - len(want)
+		for i := 0; i+1 < len(got); i++ {
+			next := got[i+1].Clone()
+			_ = append(got[i], base)
+			if !got[i+1].Equal(next) {
+				t.Fatalf("trial %d: appending to candidate %d overwrote the next", trial, i)
+			}
+		}
+	}
+	if kept < 1000 || pruned < 1000 {
+		t.Fatalf("%d candidates kept, %d pruned: the levels lost their corners", kept, pruned)
+	}
+}
+
+// TestGenAllocs pins Gen's allocations to a few tables, whatever the number
+// of candidates: a level carved into ten times as many allocates no more than
+// six times, as a small one does.
+func TestGenAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	r := rand.New(rand.NewSource(7))
+	for k := 2; k <= 5; k++ {
+		small, large := randomLevel(r, k-1, 0, k+3, 1), randomLevel(r, k-1, 0, k+13, 1)
+		if n, m := len(Gen(small)), len(Gen(large)); 10*n > m {
+			t.Fatalf("k = %d: %d and %d candidates, want the second ten times the first", k, n, m)
+		}
+		a := testing.AllocsPerRun(5, func() { Gen(small) })
+		b := testing.AllocsPerRun(5, func() { Gen(large) })
+		if a > 6 || b > 6 {
+			t.Fatalf("k = %d: Gen allocates %v times for %d candidates, %v for %d: want at most 6 for either", k, b, len(Gen(large)), a, len(Gen(small)))
 		}
 	}
 }

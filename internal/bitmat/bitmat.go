@@ -610,18 +610,24 @@ func (m *Matrix) Counts(cands []item.Itemset, workers int) ([]int, error) {
 // prev[i] ≥ 0 is answered as prev[i] + SupportFrom(from), every other one in
 // full, as Counts answers it. A 2-itemset is read off the pair table when m
 // carries one, whatever prev says: that reads no row word at all.
+//
+// Each worker counts a contiguous run of cands and keeps the ANDs of the
+// prefixes of the last candidate it counted in full (a prefixAnd), so that
+// candidates sorted as apriori-gen and the negative generator hand them over
+// — consecutive k-itemsets sharing their first k-1 members — cost one
+// AND+popcount each.
 func (m *Matrix) CountsFrom(cands []item.Itemset, prev []int32, from, workers int) ([]int, error) {
 	out := make([]int, len(cands))
 	if len(cands) == 0 {
 		return out, nil
 	}
-	// count fills out[lo:hi]; each call has a scratch row of its own.
+	// count fills out[lo:hi] with a prefixAnd of its own.
 	count := func(lo, hi int) error {
-		scratch := make([]uint64, m.words)
+		p := m.newPrefixAnd(cands[lo:hi])
 		for i := lo; i < hi; i++ {
 			var err error
 			if prev == nil || prev[i] < 0 || len(cands[i]) == 2 && m.pairs != nil {
-				out[i], err = m.Support(cands[i], scratch)
+				out[i], err = p.support(cands[i])
 			} else if out[i], err = m.SupportFrom(cands[i], from); err == nil {
 				out[i] += int(prev[i])
 			}
@@ -662,4 +668,68 @@ func (m *Matrix) CountsFrom(cands []item.Itemset, prev []int32, from, workers in
 		}
 	}
 	return out, nil
+}
+
+// prefixAnd answers Support for one candidate after another through a stack
+// of prefix ANDs: and[d] is the AND of the rows of the first d+2 members of
+// the last candidate of three or more it counted, so a candidate sharing its
+// first p members with that one re-ANDs only from member p on, and one that
+// shares all but its last costs one AND+popcount.
+type prefixAnd struct {
+	m      *Matrix
+	prefix []item.Item // the members the stack holds the ANDs of
+	and    [][]uint64  // carved from one slab
+}
+
+// newPrefixAnd returns a prefixAnd with room for the longest of cands: one
+// slab of rows, one of members.
+func (m *Matrix) newPrefixAnd(cands []item.Itemset) *prefixAnd {
+	longest := 0
+	for _, c := range cands {
+		longest = max(longest, len(c))
+	}
+	p := &prefixAnd{m: m, prefix: make([]item.Item, 0, longest)}
+	if depth := longest - 2; depth > 0 {
+		slab := make([]uint64, depth*m.words)
+		p.and = make([][]uint64, depth)
+		for d := range p.and {
+			p.and[d] = slab[d*m.words : (d+1)*m.words : (d+1)*m.words]
+		}
+	}
+	return p
+}
+
+// support is m.Support(c), through the stack for three members or more.
+func (p *prefixAnd) support(c item.Itemset) (int, error) {
+	k := len(c)
+	if k < 3 {
+		return p.m.Support(c, nil)
+	}
+	shared := 0
+	for shared < len(p.prefix) && shared < k-1 && p.prefix[shared] == c[shared] {
+		shared++
+	}
+	// and[d] holds for d ≤ shared-2; the members past shared are new.
+	p.prefix = p.prefix[:shared]
+	for d := max(shared-1, 0); d <= k-3; d++ {
+		r := p.m.Row(c[d+1])
+		if r == nil {
+			return 0, fmt.Errorf("bitmat: no row for item %d", c[d+1])
+		}
+		if d == 0 {
+			a := p.m.Row(c[0])
+			if a == nil {
+				return 0, fmt.Errorf("bitmat: no row for item %d", c[0])
+			}
+			And(p.and[0], a, r)
+		} else {
+			And(p.and[d], p.and[d-1], r)
+		}
+	}
+	p.prefix = append(p.prefix[:shared], c[shared:k-1]...)
+	last := p.m.Row(c[k-1])
+	if last == nil {
+		return 0, fmt.Errorf("bitmat: no row for item %d", c[k-1])
+	}
+	return AndPopCount(p.and[k-3], last), nil
 }

@@ -190,3 +190,97 @@ func TestCountsFromMatchesCounts(t *testing.T) {
 		}
 	}
 }
+
+// TestCountsSharePrefixes: the prefix ANDs each worker keeps change no count.
+// Counts and CountsFrom equal Support candidate by candidate on lists sorted
+// by set, sorted by (size, set), unsorted and with every set repeated, of
+// sizes 0 to 6; with and without a pair table; with a prev that carries every
+// third candidate; on one worker and on four.
+func TestCountsSharePrefixes(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	universe := item.New(0, 1, 2, 3, 4, 5, 6, 7, 8, 9)
+	db := randomDB(t, rng, 517, len(universe), 0.7)
+	drawn := make([]item.Itemset, 400)
+	for i := range drawn {
+		drawn[i] = item.New(universe[:rng.Intn(4)]...) // shared prefixes
+		for k := rng.Intn(5); k > 0; k-- {
+			drawn[i] = drawn[i].With(universe[rng.Intn(len(universe))])
+		}
+	}
+	bySet := slices.Clone(drawn)
+	slices.SortFunc(bySet, item.Itemset.Compare)
+	bySize := slices.Clone(bySet)
+	slices.SortStableFunc(bySize, func(a, b item.Itemset) int { return len(a) - len(b) })
+	var twice []item.Itemset
+	for _, c := range bySet {
+		twice = append(twice, c, c)
+	}
+	lists := map[string][]item.Itemset{"unsorted": drawn, "by set": bySet, "by size": bySize, "repeated": twice}
+	for _, table := range []bool{false, true} {
+		m := New(universe, db.Count())
+		if table {
+			m.CountPairs()
+		}
+		if err := m.FillWindows(db, nil, nil, 1, nil); err != nil {
+			t.Fatal(err)
+		}
+		for name, cands := range lists {
+			want := make([]int, len(cands))
+			prev := make([]int32, len(cands))
+			for i, c := range cands {
+				var err error
+				if want[i], err = m.Support(c, nil); err != nil {
+					t.Fatal(err)
+				}
+				tail, err := m.SupportFrom(c, 64)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if prev[i] = int32(want[i] - tail); i%3 != 0 {
+					prev[i] = -1
+				}
+			}
+			for _, workers := range []int{1, 4} {
+				got, err := m.Counts(cands, workers)
+				if err != nil || !slices.Equal(got, want) {
+					t.Fatalf("table %v, %s, %d workers: Counts %v, %v; Support %v", table, name, workers, got, err, want)
+				}
+				if got, err = m.CountsFrom(cands, prev, 64, workers); err != nil || !slices.Equal(got, want) {
+					t.Fatalf("table %v, %s, %d workers: CountsFrom %v, %v; Support %v", table, name, workers, got, err, want)
+				}
+			}
+		}
+	}
+}
+
+// TestCountsAllocs pins the counting pass's allocations to its workers: ten
+// times the candidates of the same sizes cost no more allocations, on one
+// worker or four.
+func TestCountsAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	rng := rand.New(rand.NewSource(19))
+	universe := item.New(0, 1, 2, 3, 4, 5, 6, 7, 8, 9)
+	m, err := FromDB(randomDB(t, rng, 1000, len(universe), 0.5), universe, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var few, many []item.Itemset
+	universe.AllSubsets(false, func(s item.Itemset) {
+		if len(s) <= 5 {
+			many = append(many, s.Clone())
+		}
+	})
+	for i := 0; i < len(many); i += 10 {
+		few = append(few, many[i])
+	}
+	few = append(few, many[len(many)-1]) // as long as the longest of many
+	for _, workers := range []int{1, 4} {
+		a := testing.AllocsPerRun(5, func() { m.Counts(few, workers) })
+		b := testing.AllocsPerRun(5, func() { m.Counts(many, workers) })
+		if b > a || b > float64(4+6*workers) {
+			t.Fatalf("%d workers: %v allocs for %d candidates, %v for %d; want no more, at most %d", workers, b, len(many), a, len(few), 4+6*workers)
+		}
+	}
+}

@@ -104,9 +104,27 @@ func hasPerGroup(transforms []TransformInto) bool {
 	return false
 }
 
-// flatten concatenates the groups, in order, into one candidate list.
+// flatten concatenates the groups, in order, into one candidate list. Groups
+// cut in order from one slice, each with a capacity that reaches the end of
+// the last — as the negative pass hands its size groups over — are that slice
+// already, and come back as it without a copy.
 func flatten(groups [][]item.Itemset) []item.Itemset {
-	var flat []item.Itemset
+	n := 0
+	for _, g := range groups {
+		n += len(g)
+	}
+	if len(groups) > 0 && cap(groups[0]) >= n {
+		whole, at := groups[0][:n:n], 0
+		for _, g := range groups {
+			if len(g) > 0 && &g[0] != &whole[at] {
+				break
+			}
+			if at += len(g); at == n {
+				return whole
+			}
+		}
+	}
+	flat := make([]item.Itemset, 0, n)
 	for _, g := range groups {
 		flat = append(flat, g...)
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
@@ -375,5 +376,41 @@ func TestIndexedDatabaseIsNotScanned(t *testing.T) {
 		if _, err := Singletons(ix, opt); err == nil {
 			t.Errorf("%s: Singletons answered from the index", name)
 		}
+	}
+}
+
+// TestFlattenTakesOneSliceAsIs: groups cut in order from one slice, each with
+// a capacity running to the end of the last, flatten to that slice without a
+// copy; groups that are not — cut with full slice expressions, out of order,
+// from two slices — flatten to a copy with the same sets in group order.
+func TestFlattenTakesOneSliceAsIs(t *testing.T) {
+	sets := []item.Itemset{item.New(1, 2), item.New(1, 3), item.New(1, 2, 3), item.New(2, 3, 4), item.New(1, 2, 3, 4)}
+	same := func(flat []item.Itemset, groups [][]item.Itemset) bool {
+		i := 0
+		for _, g := range groups {
+			for _, s := range g {
+				if i >= len(flat) || !flat[i].Equal(s) {
+					return false
+				}
+				i++
+			}
+		}
+		return i == len(flat)
+	}
+	one := [][]item.Itemset{sets[0:2:5], sets[2:2:5], sets[2:4:5], sets[4:5:5]}
+	if flat := flatten(one); len(flat) != len(sets) || &flat[0] != &sets[0] || !same(flat, one) {
+		t.Fatalf("groups of one slice: flatten copied them, or changed them: %v", flat)
+	}
+	for name, groups := range map[string][][]item.Itemset{
+		"full slice expressions": {sets[0:2:2], sets[2:4:4], sets[4:5:5]},
+		"out of order":           {sets[2:4:5], sets[0:2:5], sets[4:5:5]},
+		"two slices":             {sets[0:2:5], slices.Clone(sets[2:5])},
+	} {
+		if flat := flatten(groups); &flat[0] == &groups[0][0] || !same(flat, groups) {
+			t.Fatalf("%s: flatten = %v, want a copy of the groups in order", name, flat)
+		}
+	}
+	if flat := flatten(nil); len(flat) != 0 {
+		t.Fatalf("flatten(nil) = %v", flat)
 	}
 }

@@ -281,6 +281,27 @@ func (s Itemset) AppendKey(dst []byte) []byte {
 	return dst
 }
 
+// Hash sums Mix over the members: equal sets hash alike, and so do the same
+// members in any order, so a set's hash less Mix(x) is the hash of the set
+// without x. It keys the open-addressed tables that probe itemsets by their
+// members instead of by a Key string.
+func (s Itemset) Hash() uint64 {
+	var h uint64
+	for _, x := range s {
+		h += Mix(uint64(x))
+	}
+	return h
+}
+
+// Mix is SplitMix64's finalizer: a bijection of z whose output bits each
+// depend on every input bit.
+func Mix(z uint64) uint64 {
+	z += 0x9e3779b97f4a7c15
+	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	return z ^ z>>31
+}
+
 // Key is the map-key form of an itemset (4 bytes per item, little endian).
 type Key string
 

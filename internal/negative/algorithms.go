@@ -1,6 +1,7 @@
 package negative
 
 import (
+	"slices"
 	"sort"
 	"time"
 
@@ -47,13 +48,15 @@ func mineStages23(large *apriori.Result, tax *taxonomy.Taxonomy, opt Options, co
 	// drives candidate generation only — support counting below still uses
 	// the original taxonomy, since a category's support comes from all its
 	// leaves, small ones included.
-	sup := singleSupports(large.Table, tax.Size())
+	sup := levelSupports(large.Levels[0], large.Table.Total(), tax.Size())
 	gtax := tax.Restrict(func(x item.Item) bool { return sup[x] >= 0 })
 	restricted := time.Now()
-	cands, walk := generateCandidates(large.Levels, large.Table, gtax, sup, opt)
-	res.Walk = walk
-	for _, c := range cands {
-		res.CandidatesBySize[c.Set.Len()]++
+	cands := generateCandidates(large.Levels, large.Table, gtax, sup, opt)
+	res.Walk = cands.walk
+	for k, n := range cands.bySize {
+		if n > 0 {
+			res.CandidatesBySize[k] = n
+		}
 	}
 	generated := time.Now()
 
@@ -108,9 +111,9 @@ func mineNaive(db txdb.DB, tax *taxonomy.Taxonomy, opt Options) (*Result, error)
 		table := stepper.Result().Table
 		levels := make([][]item.CountedSet, k) // level k alone
 		levels[k-1] = level
-		cands, walk := generateCandidates(levels, table, tax, singleSupports(table, tax.Size()), opt)
-		res.Walk.add(walk)
-		res.CandidatesBySize[k] += len(cands)
+		cands := generateCandidates(levels, table, tax, singleSupports(table, tax.Size()), opt)
+		res.Walk.add(cands.walk)
+		res.CandidatesBySize[k] += len(cands.sets)
 		generated := time.Now()
 		lvlNegs, err := countAndFilter(defaultCount(db, tax, opt), tax, cands, opt, stepper.Result().N)
 		if err != nil {
@@ -143,40 +146,31 @@ func defaultCount(db txdb.DB, tax *taxonomy.Taxonomy, opt Options) CountFunc {
 // countAndFilter counts the actual support of every candidate (batching
 // passes per Options.MaxCandidates) and keeps those whose actual support
 // falls at least MinSup·MinRI below expectation — the negative itemsets.
-func countAndFilter(countFn CountFunc, tax *taxonomy.Taxonomy, cands []Candidate, opt Options, n int) ([]Itemset, error) {
-	if len(cands) == 0 {
+// The candidates come sorted by size, so a batch's groups of one size each
+// are consecutive runs of cands.sets, handed over without a copy.
+func countAndFilter(countFn CountFunc, tax *taxonomy.Taxonomy, cands *generated, opt Options, n int) ([]Itemset, error) {
+	sets := cands.sets
+	if len(sets) == 0 {
 		return nil, nil
 	}
 	threshold := opt.MinSupport * opt.MinRI
 	batch := opt.MaxCandidates
 	if batch <= 0 {
-		batch = len(cands)
+		batch = len(sets)
 	}
 	var negs []Itemset
-	for lo := 0; lo < len(cands); lo += batch {
-		hi := lo + batch
-		if hi > len(cands) {
-			hi = len(cands)
-		}
-		chunk := cands[lo:hi]
-		// Group by itemset size for the multi-tree single-pass counter.
-		bySize := map[int][]int{} // size → indices into chunk
-		for i, c := range chunk {
-			bySize[c.Set.Len()] = append(bySize[c.Set.Len()], i)
-		}
-		sizes := make([]int, 0, len(bySize))
-		for s := range bySize {
-			sizes = append(sizes, s)
-		}
-		sort.Ints(sizes)
-		groups := make([][]item.Itemset, len(sizes))
-		for gi, s := range sizes {
-			idx := bySize[s]
-			g := make([]item.Itemset, len(idx))
-			for j, i := range idx {
-				g[j] = chunk[i].Set
+	for lo := 0; lo < len(sets); lo += batch {
+		hi := min(lo+batch, len(sets))
+		// One group per size for the multi-tree single-pass counter. Each
+		// group's capacity runs to the end of the batch, which lets the
+		// counter see the groups as the one slice they were cut from.
+		var groups [][]item.Itemset
+		for k, at := 0, 0; k < len(cands.bySize); k++ {
+			a, b := max(at, lo), min(at+cands.bySize[k], hi)
+			if a < b {
+				groups = append(groups, sets[a:b:hi])
 			}
-			groups[gi] = g
+			at += cands.bySize[k]
 		}
 		// Each size group gets its own ancestor filter so its hash tree
 		// sees transactions exactly as narrow as a dedicated per-level
@@ -192,9 +186,10 @@ func countAndFilter(countFn CountFunc, tax *taxonomy.Taxonomy, cands []Candidate
 		if err != nil {
 			return nil, err
 		}
-		for gi, s := range sizes {
-			for j, i := range bySize[s] {
-				c := chunk[i]
+		i := lo
+		for gi, g := range groups {
+			for j := range g {
+				p := cands.paths[i]
 				actual := float64(counts[gi][j]) / float64(n)
 				var negative bool
 				switch opt.Filter {
@@ -204,14 +199,15 @@ func countAndFilter(countFn CountFunc, tax *taxonomy.Taxonomy, cands []Candidate
 					negative = actual < threshold
 				default:
 					// §2's deviation condition.
-					negative = c.Expected-actual >= threshold
+					negative = p.expected-actual >= threshold
 				}
 				if negative {
-					negs = append(negs, Itemset{Set: c.Set, Expected: c.Expected, Count: counts[gi][j], N: n, Source: c.Source, Via: c.Via})
+					negs = append(negs, Itemset{Set: g[j], Expected: p.expected, Count: counts[gi][j], N: n, Source: cands.sources[p.source], Via: p.via})
 				}
+				i++
 			}
 		}
 	}
-	sort.Slice(negs, func(i, j int) bool { return negs[i].Set.Compare(negs[j].Set) < 0 })
+	slices.SortFunc(negs, func(a, b Itemset) int { return a.Set.Compare(b.Set) })
 	return negs, nil
 }

@@ -1,6 +1,7 @@
 package negative
 
 import (
+	"cmp"
 	"math/rand"
 	"slices"
 	"strconv"
@@ -93,6 +94,20 @@ func randomCandgenCase(t *testing.T, r *rand.Rand) candgenCase {
 		}
 	}
 	return candgenCase{tax, table, levels, subs, []float64{0.01, 0.05}[r.Intn(2)], []float64{0.1, 0.5}[r.Intn(2)]}
+}
+
+// listed is a generation's candidates sorted by set, as GenerateCandidates
+// hands them out, and its walk.
+func listed(c *generated) ([]Candidate, WalkStats) { return c.list(), c.walk }
+
+// candidates gathers what gens recorded as generateCandidates does, each
+// generator's records sorted, the runs merged.
+func candidates(gens []*generator) *generated {
+	runs := make([]*generated, len(gens))
+	for w, g := range gens {
+		runs[w] = g.sorted()
+	}
+	return merge(runs)
 }
 
 func sameCandidates(a, b []Candidate) bool {
@@ -259,7 +274,7 @@ func TestGenerateCandidatesSameForAnyWorkerCount(t *testing.T) {
 		var one WalkStats
 		for _, workers := range []int{1, 2, 5, len(in.sources) + len(in.anchors) + 3} {
 			opt.Count.Parallelism = workers
-			got, walk := generateCandidates(c.levels, c.table, c.tax, sup, opt)
+			got, walk := listed(generateCandidates(c.levels, c.table, c.tax, sup, opt))
 			if workers == 1 {
 				one = walk
 			}
@@ -281,7 +296,7 @@ func TestGenerateCandidatesSameForAnyWorkerCount(t *testing.T) {
 		if ci%2 == 0 {
 			slices.Reverse(gens)
 		}
-		if got, walk := candidates(gens); !sameCandidates(got, want) || walk != one {
+		if got, walk := listed(candidates(gens)); !sameCandidates(got, want) || walk != one {
 			t.Fatalf("case %d, sources dealt at random: %+v\n got  %v\n want %v (%+v)", ci, walk, got, want, one)
 		}
 	}
@@ -394,7 +409,7 @@ func TestHostileCase3(t *testing.T) {
 	opt := Options{MinSupport: c.minSup, MinRI: c.minRI, Substitutes: c.substitutes}
 	for _, workers := range []int{1, 2, 5, 1000} {
 		opt.Count.Parallelism = workers
-		got, _ := generateCandidates(c.levels, c.table, c.tax, sup, opt)
+		got := generateCandidates(c.levels, c.table, c.tax, sup, opt).list()
 		if !sameCandidates(got, want) {
 			t.Fatalf("%d workers: got %v, want %v", workers, got, want)
 		}
@@ -414,7 +429,7 @@ func TestHostileCase3(t *testing.T) {
 			var one WalkStats
 			for _, workers := range []int{1, 2, 5, 1000} {
 				opt.Count.Parallelism = workers
-				got, walk := generateCandidates(c.levels, c.table, tax, sup, opt)
+				got, walk := listed(generateCandidates(c.levels, c.table, tax, sup, opt))
 				if workers == 1 {
 					one = walk
 				}
@@ -464,7 +479,8 @@ func TestHostileCase3(t *testing.T) {
 // TestCandidatesSortedBySet gathers the records of two generators whose item
 // ids are so large that a sort key holds only two members of a set, so that
 // the sets of three to five members that share their first two are ordered
-// by the comparison that follows the integer sort.
+// by the comparison that follows the integer sort: by size, then by set, with
+// the sets of each size counted, and by set once listed.
 func TestCandidatesSortedBySet(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	var sources []item.Itemset
@@ -483,9 +499,19 @@ func TestCandidatesSortedBySet(t *testing.T) {
 		g := gens[i%2]
 		g.recs, g.items = append(g.recs, prov{float64(i), int32(i), ViaChildren}), append(g.items, s...)
 	}
-	got, _ := candidates(gens)
-	if len(got) != len(sources) || !slices.IsSortedFunc(got, func(a, b Candidate) int { return a.Set.Compare(b.Set) }) {
-		t.Fatalf("%d candidates from %d records, sorted: %v", len(got), len(sources), slices.IsSortedFunc(got, func(a, b Candidate) int { return a.Set.Compare(b.Set) }))
+	c := candidates(gens)
+	bySizeThenSet := func(a, b item.Itemset) int { return cmp.Or(cmp.Compare(len(a), len(b)), a.Compare(b)) }
+	if len(c.sets) != len(sources) || !slices.IsSortedFunc(c.sets, bySizeThenSet) {
+		t.Fatalf("%d sets from %d records, sorted by size, then set: %v", len(c.sets), len(sources), slices.IsSortedFunc(c.sets, bySizeThenSet))
+	}
+	for k, n := range c.bySize {
+		if want := len(slices.DeleteFunc(slices.Clone(sources), func(s item.Itemset) bool { return len(s) != k })); n != want {
+			t.Fatalf("%d sets of %d members, want %d", n, k, want)
+		}
+	}
+	got := c.list()
+	if !slices.IsSortedFunc(got, func(a, b Candidate) int { return a.Set.Compare(b.Set) }) {
+		t.Fatal("list: not sorted by set")
 	}
 	for _, c := range got {
 		if !c.Set.Equal(sources[int(c.Expected)]) || !c.Source.Equal(c.Set) {
@@ -582,7 +608,7 @@ func TestWalkCountsOnTall(t *testing.T) {
 	}
 }
 
-var candidateSink []Candidate
+var candidateSink *generated
 
 // BenchmarkGenerateCandidates runs the kernel on the inputs of the
 // benchmark's workloads (benchmark/sizes.go) — batch-tall, batch-wide, the
@@ -607,18 +633,18 @@ func BenchmarkGenerateCandidates(b *testing.B) {
 			levels, table, tax := candgenInput(b, bc.params, bc.txns, bc.minSup, bc.maxK)
 			sup := singleSupports(table, tax.Size())
 			opt := Options{MinSupport: bc.minSup, MinRI: bc.minRI}
-			want, _ := generateCandidates(levels, table, tax, sup, opt)
+			want := generateCandidates(levels, table, tax, sup, opt).list()
 			for _, workers := range []int{1, 2} {
 				b.Run("workers="+strconv.Itoa(workers), func(b *testing.B) {
 					opt.Count.Parallelism = workers
-					got, walk := generateCandidates(levels, table, tax, sup, opt)
+					got, walk := listed(generateCandidates(levels, table, tax, sup, opt))
 					if !sameCandidates(got, want) {
 						b.Fatalf("%d workers: candidates differ from one worker's", workers)
 					}
 					b.ReportAllocs()
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
-						candidateSink, _ = generateCandidates(levels, table, tax, sup, opt)
+						candidateSink = generateCandidates(levels, table, tax, sup, opt)
 					}
 					b.ReportMetric(float64(len(got)), "candidates")
 					b.ReportMetric(float64(walk.Visited), "visited/op")

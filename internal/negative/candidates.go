@@ -69,10 +69,11 @@ type inputs struct {
 	subs                  map[item.Item][]item.Item // an item's declared substitute partners
 	// sources are the large itemsets to walk, levels ascending — the table's
 	// itemsets of two members or more, so an emitted set is large exactly when
-	// it is one — and sourceSup their supports (0: not walked).
+	// it is one — and sourceSup their supports, read off their levels' counts
+	// as the table would read them (0: not walked).
 	sources   []item.Itemset
 	sourceSup []float64
-	// byHash holds the sources open-addressed by hashOf, walked the irregular
+	// byHash holds the sources open-addressed by their Hash, walked the irregular
 	// sources of positive support by kinHash and w descending, and kin a group
 	// that substitutes join to a lower one.
 	byHash []slot
@@ -93,27 +94,13 @@ type slot struct {
 	src int32
 }
 
-// hashOf sums SplitMix64's finalizer over the members, in any order, and
-// kinHash over their kin, which a sibling walk keeps.
-func hashOf(s []item.Item) (h uint64) {
-	for _, x := range s {
-		h += mix(uint64(x))
-	}
-	return h
-}
-
+// kinHash sums item.Mix over the kin of the members, which a sibling walk
+// keeps, as item.Itemset.Hash sums it over the members.
 func (in *inputs) kinHash(s []item.Item) (h uint64) {
 	for _, x := range s {
-		h += mix(uint64(in.kinOf(x)))
+		h += item.Mix(uint64(in.kinOf(x)))
 	}
 	return h
-}
-
-func mix(z uint64) uint64 {
-	z += 0x9e3779b97f4a7c15
-	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
-	z = (z ^ z>>27) * 0x94d049bb133111eb
-	return z ^ z>>31
 }
 
 // kinOf names the groups whose members a sibling walk can put in x's place:
@@ -128,7 +115,7 @@ func (in *inputs) kinOf(x item.Item) int64 {
 
 // find returns the first source equal to set, or -1.
 func (in *inputs) find(set []item.Item) int32 {
-	h, mask := hashOf(set), uint64(len(in.byHash)-1)
+	h, mask := item.Itemset(set).Hash(), uint64(len(in.byHash)-1)
 	for i := h & mask; in.byHash[i].src != 0; i = (i + 1) & mask {
 		if s := in.byHash[i].src - 1; in.byHash[i].h == h && slices.Equal(in.sources[s], set) {
 			return s
@@ -152,9 +139,19 @@ func newInputs(levels [][]item.CountedSet, table *item.SupportTable, tax *taxono
 			}
 		}
 	}
+	n := 0
+	for _, lvl := range levels[min(1, len(levels)):] {
+		n += len(lvl)
+	}
+	in.sources, in.sourceSup = make([]item.Itemset, 0, n), make([]float64, 0, n)
 	for _, lvl := range levels[min(1, len(levels)):] {
 		for _, cs := range lvl {
 			in.sources = append(in.sources, cs.Set)
+			sup := 0.0 // as the table reads the count
+			if table.Total() != 0 {
+				sup = float64(cs.Count) / float64(table.Total())
+			}
+			in.sourceSup = append(in.sourceSup, sup)
 		}
 	}
 	in.classify()
@@ -236,27 +233,31 @@ func (in *inputs) weight(l item.Itemset, supL float64) (float64, bool) {
 	return supL / prod, regular
 }
 
-// classify reads each source's support, indexes the sources, marks the
-// regular ones and builds their classes, one allocation per table.
+// classify indexes the sources, marks the regular ones and builds their
+// classes, one allocation per table. A source finds its class by the hash of
+// its groups, so what is sorted is the distinct classes and the sources by
+// class, and a class's anchors take their sources in order from a counting
+// sort of its members by item.
 func (in *inputs) classify() {
 	n, members := len(in.sources), 0
 	for _, l := range in.sources {
 		members += len(l)
 	}
-	in.sourceSup, in.regular = make([]float64, n), make([]bool, n)
+	in.regular = make([]bool, n)
 	in.byHash, in.walked = make([]slot, 2<<bits.Len(uint(n))), map[uint64][]weighted{}
 	type regularSource struct {
-		src  int32
-		w    float64
-		gids []int64 // its members' groups, ascending: the class key
+		src, cls int32 // cls numbers the classes in the order first met
+		w        float64
 	}
 	reg := make([]regularSource, 0, n)
 	gids := make([]int64, 0, members)
-	var key []byte
+	// srcGids[s] is regular source s's members' groups, ascending: its class's
+	// key. byGids holds each class's first entry in reg + 1, open-addressed by
+	// the hash of its key, and firsts that entry's source.
+	srcGids, byGids := make([][]int64, n), make([]int32, 2<<bits.Len(uint(n)))
+	var firsts []int32
 	for s, l := range in.sources {
-		key = l.AppendKey(key[:0])
-		in.sourceSup[s], _ = in.table.SupportBytes(key)
-		i, h := uint64(0), hashOf(l)
+		i, h := uint64(0), l.Hash()
 		for i = h & uint64(len(in.byHash)-1); in.byHash[i].src != 0; i = (i + 1) & uint64(len(in.byHash)-1) {
 		}
 		in.byHash[i] = slot{h, int32(s) + 1}
@@ -273,26 +274,63 @@ func (in *inputs) classify() {
 			gids = append(gids, in.groupOf(x))
 			in.idBound = max(in.idBound, int(x)+1)
 		}
-		slices.Sort(gids[start:])
-		reg = append(reg, regularSource{int32(s), w, gids[start:len(gids):len(gids)]})
+		g := gids[start:len(gids):len(gids)]
+		slices.Sort(g)
+		srcGids[s] = g
+		hg := uint64(0)
+		for _, id := range g {
+			hg += item.Mix(uint64(id))
+		}
+		r := regularSource{src: int32(s), cls: -1, w: w}
+		at := hg & uint64(len(byGids)-1)
+		for ; byGids[at] != 0; at = (at + 1) & uint64(len(byGids)-1) {
+			if first := reg[byGids[at]-1]; slices.Equal(srcGids[first.src], g) {
+				r.cls = first.cls
+				break
+			}
+		}
+		if r.cls < 0 {
+			byGids[at], r.cls = int32(len(reg))+1, int32(len(firsts))
+			firsts = append(firsts, int32(s))
+		}
+		reg = append(reg, r)
 	}
 	in.idBound = max(in.idBound, in.tax.Size())
 	for _, b := range in.walked {
 		slices.SortFunc(b, func(a, b weighted) int { return cmp.Or(cmp.Compare(b.w, a.w), cmp.Compare(a.src, b.src)) })
 	}
-	slices.SortFunc(reg, func(a, b regularSource) int { return cmp.Or(slices.Compare(a.gids, b.gids), cmp.Compare(a.src, b.src)) })
+	// The classes ascending by their groups (rank), then the sources by
+	// class, w descending and source: a class is a run.
+	order := make([]int32, len(firsts))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, func(a, b int32) int { return slices.Compare(srcGids[firsts[a]], srcGids[firsts[b]]) })
+	rank := make([]int32, len(firsts))
+	for r, c := range order {
+		rank[c] = int32(r)
+	}
+	slices.SortFunc(reg, func(a, b regularSource) int {
+		return cmp.Or(cmp.Compare(rank[a.cls], rank[b.cls]), cmp.Compare(b.w, a.w), cmp.Compare(a.src, b.src))
+	})
 
 	poolBuf := make([]item.Item, 0, in.tax.Size()+members)
 	groups := make([]group, 0, members)
-	entries := make([]weighted, 0, members)
+	entries := make([]weighted, members)
 	in.anchors = make([]anchor, 0, members)
-	for i := 0; i < len(reg); {
+	// held[x] counts x's entries in the class being built, then is where the
+	// next of them goes; xs are those members in the order first met.
+	held := make([]int32, in.idBound)
+	var xs []item.Item
+	for i, e0 := 0, 0; i < len(reg); {
 		j := i + 1
-		for j < len(reg) && slices.Equal(reg[j].gids, reg[i].gids) {
+		for j < len(reg) && reg[j].cls == reg[i].cls {
 			j++
 		}
+		cls := reg[i:j]
+		cg := srcGids[cls[0].src]
 		g0 := len(groups)
-		for _, id := range reg[i].gids {
+		for _, id := range cg {
 			if last := len(groups) - 1; last >= g0 && groups[last].id == id {
 				groups[last].n++
 				continue
@@ -301,37 +339,40 @@ func (in *inputs) classify() {
 			pool, poolBuf = in.pool(id, poolBuf)
 			groups = append(groups, group{id: id, pool: pool, n: 1})
 		}
-		c := class{gids: reg[i].gids, groups: groups[g0:len(groups):len(groups)]}
+		k := class{gids: cg, groups: groups[g0:len(groups):len(groups)]}
 
-		e0 := len(entries)
-		for _, r := range reg[i:j] {
+		// Each member's entries, by w descending, then source, back to back.
+		xs = xs[:0]
+		for _, r := range cls {
 			for _, x := range in.sources[r.src] {
-				entries = append(entries, weighted{x, r.src, r.w})
+				if held[x] == 0 {
+					xs = append(xs, x)
+				}
+				held[x]++
 			}
 		}
-		seg := entries[e0:]
-		slices.SortFunc(seg, func(a, b weighted) int {
-			if a.x != b.x {
-				return cmp.Compare(a.x, b.x)
-			}
-			return cmp.Or(cmp.Compare(b.w, a.w), cmp.Compare(a.src, b.src))
-		})
-		a0 := len(in.anchors)
-		for e := 0; e < len(seg); {
-			f := e + 1
-			for f < len(seg) && seg[f].x == seg[e].x {
-				f++
-			}
-			x := seg[e].x
-			in.anchors = append(in.anchors, anchor{x: x, cls: int32(len(in.classes)), w: seg[e].w, srcs: seg[e:f:f]})
-			e = f
+		next := int32(e0)
+		for _, x := range xs {
+			next, held[x] = next+held[x], next
 		}
-		c.anchors = in.anchors[a0:len(in.anchors):len(in.anchors)]
-		slices.SortFunc(c.anchors, func(a, b anchor) int { return cmp.Or(cmp.Compare(b.w, a.w), cmp.Compare(a.x, b.x)) })
-		for r := range c.anchors {
-			c.anchors[r].rank = int32(r)
+		for _, r := range cls {
+			for _, x := range in.sources[r.src] {
+				entries[held[x]], held[x] = weighted{x, r.src, r.w}, held[x]+1
+			}
 		}
-		in.classes = append(in.classes, c)
+		a0, e := len(in.anchors), int32(e0)
+		for _, x := range xs { // x's entries end where the next one's start
+			f := held[x]
+			in.anchors = append(in.anchors, anchor{x: x, cls: int32(len(in.classes)), w: entries[e].w, srcs: entries[e:f:f]})
+			held[x], e = 0, f
+		}
+		e0 = int(next)
+		k.anchors = in.anchors[a0:len(in.anchors):len(in.anchors)]
+		slices.SortFunc(k.anchors, func(a, b anchor) int { return cmp.Or(cmp.Compare(b.w, a.w), cmp.Compare(a.x, b.x)) })
+		for r := range k.anchors {
+			k.anchors[r].rank = int32(r)
+		}
+		in.classes = append(in.classes, k)
 		i = j
 	}
 }
@@ -428,6 +469,25 @@ func singleSupports(table *item.SupportTable, n int) []float64 {
 			s = -1
 		}
 		sup[x] = s
+	}
+	return sup
+}
+
+// levelSupports is singleSupports read off the large 1-itemsets — l1, with
+// their counts over total transactions, as a stage-1 result holds them beside
+// its table — instead of probing the table once per id.
+func levelSupports(l1 []item.CountedSet, total, n int) []float64 {
+	sup := make([]float64, n)
+	for x := range sup {
+		sup[x] = -1
+	}
+	for _, cs := range l1 {
+		if x := cs.Set[0]; int(x) < n {
+			sup[x] = 0
+			if total != 0 {
+				sup[x] = float64(cs.Count) / float64(total)
+			}
+		}
 	}
 	return sup
 }
@@ -627,9 +687,19 @@ func (g *generator) probe(picked []item.Item, via Mode) bool {
 
 // record keeps path p to the set probe just normalized.
 func (g *generator) record(p prov) {
-	g.items = append(g.items, g.set...)
-	g.recs = append(g.recs, p)
+	g.items = append(grow(g.items, len(g.set)), g.set...)
+	g.recs = append(grow(g.recs, 1), p)
 	g.stats.Recorded++
+}
+
+// grow makes room for n more elements in s, doubling it when it is full where
+// append would grow a long slice by a quarter, so that a worker's records are
+// copied a few times, not a dozen.
+func grow[E any](s []E, n int) []E {
+	if cap(s)-len(s) < n {
+		return slices.Grow(s, max(len(s), n))
+	}
+	return s
 }
 
 // fromAnchor enumerates the sets of a's class whose top anchor is a: a's group
@@ -904,26 +974,51 @@ func pathRatio(l, set []member, used uint64, kept, replaced bool, ratio float64)
 	return best
 }
 
-// candidates returns what the generators recorded, sorted by set (as a pass
-// of the index looks them up among the last refresh's), and the sum of their
-// counts; Set shares the first generator's items. The sort is a radix sort — a record's index below its set's first
-// members, each as x+1 and an absent one as 0 so that a shorter prefix sorts
-// first — then of records sharing those members by set.
-func candidates(gens []*generator) ([]Candidate, WalkStats) {
-	g := gens[0]
-	for _, o := range gens[1:] {
-		g.recs, g.items = append(g.recs, o.recs...), append(g.items, o.items...)
-		g.stats.add(o.stats)
+// generated is what candidate generation hands on: the recorded sets sorted
+// by size, then by set — one sorted run per size, as the counting pass takes
+// them, and as a pass of the index looks them up among the last refresh's —
+// the path that won each, and how many sets there are of each size.
+type generated struct {
+	sets    []item.Itemset // carved from the generators' items
+	paths   []prov         // paths[i] won sets[i]
+	sources []item.Itemset // what a path's source indexes
+	bySize  []int          // bySize[k]: the sets of k members
+	walk    WalkStats
+}
+
+// list returns the candidates sorted by set.
+func (c *generated) list() []Candidate {
+	out := make([]Candidate, len(c.sets))
+	for i, p := range c.paths {
+		out[i] = Candidate{c.sets[i], p.expected, c.sources[p.source], p.via}
 	}
+	slices.SortFunc(out, func(a, b Candidate) int { return a.Set.Compare(b.Set) })
+	return out
+}
+
+// sorted returns what g recorded sorted by (size, set), with the sets of each
+// size counted on the way; its sets are carved from g's items, which must not
+// grow after. The sort is a radix sort — a record's index below its size and
+// its set's first members, each as x+1 and an absent one as 0 — then of
+// records sharing those by set.
+func (g *generator) sorted() *generated {
 	n, top := len(g.recs), item.Item(0)
 	keys, offs := make([]uint64, n), make([]int32, n+1)
+	var bySize []int
 	for i, p := range g.recs {
-		offs[i+1] = offs[i] + int32(len(g.sources[p.source]))
+		k := len(g.sources[p.source])
+		offs[i+1] = offs[i] + int32(k)
 		top = max(top, g.items[offs[i+1]-1])
+		for len(bySize) <= k {
+			bySize = append(bySize, 0)
+		}
+		bySize[k]++
 	}
-	ib, mb := bits.Len(uint(n)), bits.Len(uint(top)+1)
+	ib, mb, sb := bits.Len(uint(n)), bits.Len(uint(top)+1), bits.Len(uint(len(bySize)))
+	members := max(64-ib-sb, 0) / mb
 	for i := range keys {
-		for j := offs[i]; j < offs[i]+int32((64-ib)/mb); j++ {
+		keys[i] = uint64(offs[i+1] - offs[i])
+		for j := offs[i]; j < offs[i]+int32(members); j++ {
 			keys[i] <<= mb
 			if j < offs[i+1] {
 				keys[i] |= uint64(g.items[j]) + 1
@@ -935,7 +1030,7 @@ func candidates(gens []*generator) ([]Candidate, WalkStats) {
 		i := key & (1<<ib - 1)
 		return g.items[offs[i]:offs[i+1]:offs[i+1]]
 	}
-	for shift, tmp := 0, make([]uint64, n); shift < ib+(64-ib)/mb*mb; shift += 11 {
+	for shift, tmp := 0, make([]uint64, n); shift < ib+sb+members*mb; shift += 11 {
 		var at [2049]int
 		for _, k := range keys {
 			at[k>>shift&2047+1]++
@@ -955,42 +1050,86 @@ func candidates(gens []*generator) ([]Candidate, WalkStats) {
 			slices.SortFunc(keys[i:j], func(a, b uint64) int { return set(a).Compare(set(b)) })
 		}
 	}
-	out := make([]Candidate, n)
+	c := &generated{sets: make([]item.Itemset, n), paths: make([]prov, n), sources: g.sources, bySize: bySize, walk: g.stats}
 	for i, key := range keys {
-		p := g.recs[key&(1<<ib-1)]
-		out[i] = Candidate{set(key), p.expected, g.sources[p.source], p.via}
+		c.sets[i], c.paths[i] = set(key), g.recs[key&(1<<ib-1)]
 	}
-	return out, g.stats
+	return c
+}
+
+// merge merges runs, each sorted by (size, set), pairwise into one. No set is
+// in two runs: a set is recorded by the one path that wins it.
+func merge(runs []*generated) *generated {
+	for len(runs) > 1 {
+		next := make([]*generated, 0, (len(runs)+1)/2)
+		for i := 0; i+1 < len(runs); i += 2 {
+			next = append(next, mergeTwo(runs[i], runs[i+1]))
+		}
+		if len(runs)%2 == 1 {
+			next = append(next, runs[len(runs)-1])
+		}
+		runs = next
+	}
+	return runs[0]
+}
+
+func mergeTwo(a, b *generated) *generated {
+	n := len(a.sets) + len(b.sets)
+	c := &generated{sets: make([]item.Itemset, 0, n), paths: make([]prov, 0, n), sources: a.sources, walk: a.walk}
+	c.walk.add(b.walk)
+	c.bySize = make([]int, max(len(a.bySize), len(b.bySize)))
+	for k := range c.bySize {
+		if k < len(a.bySize) {
+			c.bySize[k] += a.bySize[k]
+		}
+		if k < len(b.bySize) {
+			c.bySize[k] += b.bySize[k]
+		}
+	}
+	i, j := 0, 0
+	for i < len(a.sets) && j < len(b.sets) {
+		if x, y := a.sets[i], b.sets[j]; len(x) < len(y) || len(x) == len(y) && x.Compare(y) < 0 {
+			c.sets, c.paths = append(c.sets, x), append(c.paths, a.paths[i])
+			i++
+		} else {
+			c.sets, c.paths = append(c.sets, y), append(c.paths, b.paths[j])
+			j++
+		}
+	}
+	c.sets, c.paths = append(append(c.sets, a.sets[i:]...), b.sets[j:]...), append(append(c.paths, a.paths[i:]...), b.paths[j:]...)
+	return c
 }
 
 // GenerateCandidates produces the candidate negative itemsets derivable from
 // every large itemset of size ≥ 2 in table, using tax for children/sibling
 // lookups, sorted by itemset. It is exported for tests, benchmarks and the
-// candidate-count experiment (Figure 7); the mining drivers use it too.
+// candidate-count experiment (Figure 7); the mining drivers run the same
+// generator, and take its sets by size.
 func GenerateCandidates(levels [][]item.CountedSet, table *item.SupportTable, tax *taxonomy.Taxonomy, minSup, minRI float64, substitutes []item.Itemset) []Candidate {
-	cands, _ := generateCandidates(levels, table, tax, singleSupports(table, tax.Size()),
-		Options{MinSupport: minSup, MinRI: minRI, Substitutes: substitutes})
-	return cands
+	return generateCandidates(levels, table, tax, singleSupports(table, tax.Size()),
+		Options{MinSupport: minSup, MinRI: minRI, Substitutes: substitutes}).list()
 }
 
 // generateCandidates is GenerateCandidates for a caller that holds sup =
 // singleSupports(table, tax.Size()), on opt.Count.Parallelism workers (at
 // least one, the caller's goroutine), each taking tasks one at a time from a
-// shared counter into a generator of its own: the candidates do not depend
-// on the number of workers.
-func generateCandidates(levels [][]item.CountedSet, table *item.SupportTable, tax *taxonomy.Taxonomy, sup []float64, opt Options) ([]Candidate, WalkStats) {
+// shared counter into a generator of its own and sorting what it recorded,
+// the sorted runs merged at the end: the candidates do not depend on the
+// number of workers.
+func generateCandidates(levels [][]item.CountedSet, table *item.SupportTable, tax *taxonomy.Taxonomy, sup []float64, opt Options) *generated {
 	in := newInputs(levels, table, tax, sup, opt)
 	tasks := int64(len(in.sources) + len(in.anchors))
-	gens := make([]*generator, max(1, min(int64(opt.Count.Parallelism), tasks)))
+	runs := make([]*generated, max(1, min(int64(opt.Count.Parallelism), tasks)))
 	var next atomic.Int64
 	run := func(w int) {
-		gens[w] = in.newGenerator()
+		g := in.newGenerator()
 		for i := next.Add(1) - 1; i < tasks; i = next.Add(1) - 1 {
-			gens[w].run(int(i))
+			g.run(int(i))
 		}
+		runs[w] = g.sorted()
 	}
 	var wg sync.WaitGroup
-	for w := 1; w < len(gens); w++ {
+	for w := 1; w < len(runs); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -999,7 +1138,7 @@ func generateCandidates(levels [][]item.CountedSet, table *item.SupportTable, ta
 	}
 	run(0)
 	wg.Wait()
-	return candidates(gens)
+	return merge(runs)
 }
 
 // run runs task t: the walk of a source, or the sets of an anchor.

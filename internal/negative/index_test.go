@@ -3,8 +3,10 @@ package negative
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -336,6 +338,40 @@ func BenchmarkMineWide(b *testing.B) {
 	}
 }
 
+// BenchmarkMineTall is the benchmark's batch-tall mine — 5 000 Tall
+// transactions at 3 % / 0.3, Improved over Cumulate on the auto backend with a
+// worker per CPU — where candidate generation and the steps around it, not
+// the scans, are the time. The Naive driver must decide the same thing before
+// anything is timed.
+func BenchmarkMineTall(b *testing.B) {
+	p := datagen.Tall()
+	p.NumTransactions, p.Seed = 5000, 1
+	tax, db, err := datagen.Generate(p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	opt := Options{MinSupport: 0.03, MinRI: 0.3, Algorithm: Improved, Gen: gen.Options{Algorithm: gen.Cumulate}}
+	opt.Count.Parallelism, opt.Gen.Count.Parallelism = runtime.NumCPU(), runtime.NumCPU()
+	naive := opt
+	naive.Algorithm = Naive
+	want, err := Mine(db, tax, naive)
+	if err != nil {
+		b.Fatal(err)
+	}
+	got, err := Mine(db, tax, opt)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sameMined(b, "improved vs naive", got, want)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Mine(db, tax, opt); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // TestIndexedMineCallsNoTransform: a mine over an indexed database calls no
 // counting transform — so none builds Cumulate's item filter, which a
 // transform builds on its first call — and the same mine on the hash tree
@@ -394,5 +430,67 @@ func TestIndexedMineCallsNoTransform(t *testing.T) {
 		}
 		sameMined(t, fmt.Sprintf("seed %d indexed vs hash tree", seed), mined[0], mined[1])
 		ix.Release()
+	}
+}
+
+// TestNegativePassHandsOneSortedSlice: the negative pass hands counting, per
+// batch, its candidates as one slice sorted by size, then set, each group one
+// size and a run of that slice whose capacity reaches the batch's end — what
+// count.flatten takes without a copy — and CandidatesBySize is the groups'
+// sizes summed; under any MaxCandidates the rules are the same.
+func TestNegativePassHandsOneSortedSlice(t *testing.T) {
+	p := datagen.Tall()
+	p.NumTransactions, p.Seed = 2000, 3
+	tax, db, err := datagen.Generate(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := Options{MinSupport: 0.04, MinRI: 0.3, Gen: gen.Options{MinSupport: 0.04, Algorithm: gen.Cumulate}}
+	large, err := gen.Mine(db, tax, opt.Gen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want *Result
+	for _, batch := range []int{0, 1000, 7} {
+		opt.MaxCandidates = batch
+		counted, passes := map[int]int{}, 0
+		countFn := func(groups [][]item.Itemset, transforms []count.TransformInto) ([][]int, error) {
+			passes++
+			total := 0
+			for _, g := range groups {
+				total += len(g)
+			}
+			if len(groups) == 0 || cap(groups[0]) < total {
+				t.Fatalf("batch %d: %d groups, the first's capacity %d for %d candidates", batch, len(groups), cap(groups[0]), total)
+			}
+			whole, at := groups[0][:total], 0
+			for gi, g := range groups {
+				if len(g) == 0 || &g[0] != &whole[at] || gi > 0 && len(g[0]) <= len(groups[gi-1][0]) {
+					t.Fatalf("batch %d: group %d is not the next run of one slice, by size", batch, gi)
+				}
+				for j, s := range g {
+					if len(s) != len(g[0]) || j > 0 && g[j-1].Compare(s) >= 0 {
+						t.Fatalf("batch %d: group %d is not one size sorted by set at %d", batch, gi, j)
+					}
+				}
+				counted[len(g[0])] += len(g)
+				at += len(g)
+			}
+			return defaultCount(db, tax, opt)(groups, transforms)
+		}
+		res, err := MineWithCounts(large, tax, opt, countFn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !maps.Equal(counted, res.CandidatesBySize) || res.TotalCandidates() < 1000 {
+			t.Fatalf("batch %d: counted %v, CandidatesBySize %v", batch, counted, res.CandidatesBySize)
+		}
+		if batch == 7 && passes != (res.TotalCandidates()+6)/7 {
+			t.Fatalf("batch 7: %d passes for %d candidates", passes, res.TotalCandidates())
+		}
+		if want == nil {
+			want = res
+		}
+		sameMined(t, fmt.Sprintf("batch %d", batch), res, want)
 	}
 }

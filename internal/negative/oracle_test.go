@@ -265,7 +265,7 @@ func checkLargeAndCandidates(t *testing.T, trial int64, db *txdb.MemDB, tax *tax
 	opt := Options{MinSupport: minSup, MinRI: minRI, Substitutes: subs}
 	for _, workers := range []int{2, 5} {
 		opt.Count.Parallelism = workers
-		if got, _ := generateCandidates(large.Levels, large.Table, rtax, singleSupports(large.Table, rtax.Size()), opt); !sameCandidates(got, cands) {
+		if got := generateCandidates(large.Levels, large.Table, rtax, singleSupports(large.Table, rtax.Size()), opt).list(); !sameCandidates(got, cands) {
 			t.Fatalf("trial %d: %d workers generate other candidates than one", trial, workers)
 		}
 	}

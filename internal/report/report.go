@@ -10,8 +10,10 @@ package report
 import (
 	"encoding/csv"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"reflect"
 	"strconv"
 	"strings"
 
@@ -178,9 +180,9 @@ func ReadNegativeJSON(r io.Reader) (*NegativeReport, error) {
 	if err := fault.Hit(PointRead); err != nil {
 		return nil, fmt.Errorf("report: %w", err)
 	}
-	var rep NegativeReport
 	dec := json.NewDecoder(r)
-	if err := dec.Decode(&rep); err != nil {
+	rep, err := decodeNegative(dec)
+	if err != nil {
 		return nil, fmt.Errorf("report: decoding: %w", err)
 	}
 	if dec.More() {
@@ -189,7 +191,118 @@ func ReadNegativeJSON(r io.Reader) (*NegativeReport, error) {
 	if err := rep.Validate(); err != nil {
 		return nil, err
 	}
+	return rep, nil
+}
+
+// decodeNegative decodes the report dec holds next as json.Decoder.Decode
+// would, but a record at a time: it walks the top-level object by token and
+// decodes the rules and negative itemsets one element each, so the decoder
+// buffers one record, not the whole document. Keys match their fields as
+// Decode matches them, case-insensitively, and unknown keys are skipped. Two
+// things differ only on documents no writer of this package makes: the
+// first error met is the one reported (Decode scans the whole document
+// first, so a syntax error late in it wins over an earlier type error), and
+// a repeated array key replaces the earlier array (Decode decodes into its
+// elements).
+func decodeNegative(dec *json.Decoder) (*NegativeReport, error) {
+	var rep NegativeReport
+	tok, err := dec.Token()
+	if err != nil {
+		return nil, err
+	}
+	if tok == nil { // null leaves the report empty, as Decode does
+		return &rep, nil
+	}
+	if tok != json.Delim('{') {
+		return nil, &json.UnmarshalTypeError{Value: kindOf(tok), Type: reflect.TypeOf(rep), Offset: dec.InputOffset()}
+	}
+	for first := true; dec.More(); first = false {
+		tok, err := inner(dec)
+		var syntax *json.SyntaxError
+		if first && errors.As(err, &syntax) && !strings.HasSuffix(err.Error(), "key string") {
+			// Token words a bad first key without what it looked for.
+			err = fmt.Errorf("%w looking for beginning of object key string", err)
+		}
+		if err != nil {
+			return nil, err
+		}
+		key, _ := tok.(string)
+		switch {
+		case strings.EqualFold(key, "minSupport"):
+			err = value(dec, &rep.MinSupport)
+		case strings.EqualFold(key, "minRI"):
+			err = value(dec, &rep.MinRI)
+		case strings.EqualFold(key, "rules"):
+			rep.Rules, err = decodeArray[NegativeRuleRecord](dec, "rules")
+		case strings.EqualFold(key, "negativeItemsets"):
+			rep.Itemsets, err = decodeArray[NegativeItemsetRecord](dec, "negativeItemsets")
+		default:
+			var skip json.RawMessage
+			err = value(dec, &skip)
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	if _, err := inner(dec); err != nil { // the closing brace
+		return nil, err
+	}
 	return &rep, nil
+}
+
+// inner and value read a token and decode a value inside the document, where
+// its end is unexpected.
+func inner(dec *json.Decoder) (json.Token, error) {
+	tok, err := dec.Token()
+	return tok, unexpected(err)
+}
+
+func value(dec *json.Decoder, v any) error { return unexpected(dec.Decode(v)) }
+
+func unexpected(err error) error {
+	if err == io.EOF {
+		return io.ErrUnexpectedEOF
+	}
+	return err
+}
+
+// decodeArray decodes the array value of the report's field named field one
+// element at a time; null is a nil slice.
+func decodeArray[T any](dec *json.Decoder, field string) ([]T, error) {
+	tok, err := inner(dec)
+	if err != nil || tok == nil {
+		return nil, err
+	}
+	if tok != json.Delim('[') {
+		return nil, &json.UnmarshalTypeError{Value: kindOf(tok), Type: reflect.TypeOf([]T(nil)), Offset: dec.InputOffset(), Struct: "NegativeReport", Field: field}
+	}
+	out := []T{}
+	for dec.More() {
+		var zero T
+		out = append(out, zero)
+		if err := value(dec, &out[len(out)-1]); err != nil {
+			return nil, err
+		}
+	}
+	_, err = inner(dec) // the closing bracket
+	return out, err
+}
+
+// kindOf names a token's JSON kind as json.UnmarshalTypeError does; a
+// composite value is named by its opening delimiter.
+func kindOf(tok json.Token) string {
+	switch tok.(type) {
+	case string:
+		return "string"
+	case float64, json.Number:
+		return "number"
+	case bool:
+		return "bool"
+	}
+	if tok == json.Delim('[') {
+		return "array"
+	}
+	return "object"
 }
 
 // Validate checks the structural invariants every well-formed report has:

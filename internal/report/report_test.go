@@ -3,6 +3,10 @@ package report
 import (
 	"bytes"
 	"encoding/csv"
+	"encoding/json"
+	"fmt"
+	"io"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -107,24 +111,25 @@ func TestPositiveWriters(t *testing.T) {
 	}
 }
 
+// corruptReports are inputs a daemon might hot-load after a torn write or an
+// operator mistake: every one must be rejected, never best-effort loaded
+// (spurious rules are indistinguishable downstream).
+var corruptReports = map[string]string{
+	"malformed":        `{not json`,
+	"truncated":        `{"minSupport": 0.1, "rules": [{"antecedent": ["a"]`,
+	"garbage":          `PK\x03\x04 this is a zip file`,
+	"trailing data":    `{"minSupport": 0.1} {"another": "doc"}`,
+	"empty antecedent": `{"rules": [{"antecedent": [], "consequent": ["x"]}]}`,
+	"empty consequent": `{"rules": [{"antecedent": ["x"], "consequent": []}]}`,
+	"support above 1":  `{"rules": [{"antecedent": ["a"], "consequent": ["b"], "actualSupport": 2.5}]}`,
+	"negative support": `{"rules": [{"antecedent": ["a"], "consequent": ["b"], "expectedSupport": -0.1}]}`,
+	"empty itemset":    `{"negativeItemsets": [{"items": []}]}`,
+	"negative count":   `{"negativeItemsets": [{"items": ["a"], "actualCount": -3}]}`,
+	"wrong value type": `{"rules": "not an array"}`,
+}
+
 func TestReadNegativeJSONErrors(t *testing.T) {
-	// Corrupt inputs a daemon might hot-load after a torn write or an
-	// operator mistake: every one must be rejected, never best-effort
-	// loaded (spurious rules are indistinguishable downstream).
-	cases := map[string]string{
-		"malformed":        `{not json`,
-		"truncated":        `{"minSupport": 0.1, "rules": [{"antecedent": ["a"]`,
-		"garbage":          `PK\x03\x04 this is a zip file`,
-		"trailing data":    `{"minSupport": 0.1} {"another": "doc"}`,
-		"empty antecedent": `{"rules": [{"antecedent": [], "consequent": ["x"]}]}`,
-		"empty consequent": `{"rules": [{"antecedent": ["x"], "consequent": []}]}`,
-		"support above 1":  `{"rules": [{"antecedent": ["a"], "consequent": ["b"], "actualSupport": 2.5}]}`,
-		"negative support": `{"rules": [{"antecedent": ["a"], "consequent": ["b"], "expectedSupport": -0.1}]}`,
-		"empty itemset":    `{"negativeItemsets": [{"items": []}]}`,
-		"negative count":   `{"negativeItemsets": [{"items": ["a"], "actualCount": -3}]}`,
-		"wrong value type": `{"rules": "not an array"}`,
-	}
-	for name, in := range cases {
+	for name, in := range corruptReports {
 		if _, err := ReadNegativeJSON(strings.NewReader(in)); err == nil {
 			t.Errorf("%s accepted: %s", name, in)
 		}
@@ -156,5 +161,63 @@ func TestEmptyResult(t *testing.T) {
 	}
 	if lines := strings.Count(buf.String(), "\n"); lines != 1 {
 		t.Errorf("empty CSV has %d lines", lines)
+	}
+}
+
+// readWhole is ReadNegativeJSON as it was before it decoded a record at a
+// time: one Decode of the whole document.
+func readWhole(r io.Reader) (*NegativeReport, error) {
+	var rep NegativeReport
+	dec := json.NewDecoder(r)
+	if err := dec.Decode(&rep); err != nil {
+		return nil, fmt.Errorf("report: decoding: %w", err)
+	}
+	if dec.More() {
+		return nil, fmt.Errorf("report: trailing data after document")
+	}
+	if err := rep.Validate(); err != nil {
+		return nil, err
+	}
+	return &rep, nil
+}
+
+// TestReadNegativeJSONMatchesWholeDecode: decoding a record at a time returns
+// what one Decode of the whole document did — the round-trip fixture, an empty
+// report, empty arrays, keys in another case, unknown keys of every kind,
+// null, and every corrupt report, error for error.
+func TestReadNegativeJSONMatchesWholeDecode(t *testing.T) {
+	res, name := sampleResult()
+	var fixture bytes.Buffer
+	if err := WriteNegativeJSON(&fixture, res, 0.1, 0.5, name); err != nil {
+		t.Fatal(err)
+	}
+	docs := map[string]string{
+		"round trip":   fixture.String(),
+		"empty":        `{}`,
+		"null":         `null`,
+		"null arrays":  `{"rules": null, "negativeItemsets": null, "minRI": 0.2}`,
+		"empty arrays": `{"rules": [], "negativeItemsets": []}`,
+		"key case":     `{"MINSUPPORT": 0.3, "Rules": [{"antecedent": ["a"], "consequent": ["b"]}], "negativeitemsets": [{"items": ["c"]}]}`,
+		"unknown keys": `{"comment": "x", "rules": [{"antecedent": ["a"], "consequent": ["b"], "extra": {"deep": [1, 2]}}], "more": [{"a": null}], "n": 3, "t": true}`,
+		"top array":    `[1, 2]`,
+		"top number":   `7`,
+		"top string":   `"report"`,
+		"object rules": `{"rules": {"antecedent": ["a"]}}`,
+		"no document":  ``,
+		"cut at key":   `{`,
+		"cut at value": `{"minRI":`,
+		"cut between":  `{"rules": [{"antecedent": ["a"], "consequent": ["b"]},`,
+		"cut after":    `{"rules": []`,
+		"bad key":      `{"rules": [], 3: 4}`,
+	}
+	for name, in := range corruptReports {
+		docs["corrupt "+name] = in
+	}
+	for name, in := range docs {
+		want, wantErr := readWhole(strings.NewReader(in))
+		got, err := ReadNegativeJSON(strings.NewReader(in))
+		if fmt.Sprint(err) != fmt.Sprint(wantErr) || !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: got %+v, %v; whole decode %+v, %v", name, got, err, want, wantErr)
+		}
 	}
 }
