@@ -13,7 +13,9 @@ import (
 // groups[gi] lists itemsets of one uniform size; transforms[gi] is the
 // ancestor extension the counts must be taken under (see
 // gen.ExtendTransform). The result is indexed [group][candidate], parallel
-// to groups.
+// to groups. The groups are consecutive runs of one slice sorted by size,
+// then set, each with capacity to the end of the batch: a CountFunc reads
+// them and must not append to or write into them.
 //
 // The count of an itemset under an ExtendTransform is independent of the
 // other group members (a set's items are always inside the transform's used
