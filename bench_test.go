@@ -7,7 +7,6 @@
 //   - Fig5/Fig6: Better ≤ Naive at every support level, both growing fast
 //     as support falls; Tall slower than Short in absolute terms.
 //   - Fig7: candidates per large itemset higher at fanout 9 than fanout 3.
-//   - Backends: Cumulate < Basic.
 package negmine_test
 
 import (
@@ -60,7 +59,7 @@ func mineNegative(b *testing.B, ds *bench.Dataset, minSupPct float64, alg negati
 		MinSupport: minSupPct / 100,
 		MinRI:      0.5,
 		Algorithm:  alg,
-		Gen:        gen.Options{Algorithm: gen.Cumulate, MaxK: benchMaxK},
+		Gen:        gen.Options{MaxK: benchMaxK},
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -137,40 +136,15 @@ func BenchmarkTable12Example(b *testing.B) {
 	}
 }
 
-// BenchmarkBackends compares the stage-1 miners (ablation: Basic vs
-// Cumulate vs EstMerge) on identical input.
+// BenchmarkBackends times the stage-1 miner, Cumulate, on the Short preset.
 func BenchmarkBackends(b *testing.B) {
 	short, _ := datasets(b)
-	const minSup = 0.015
-	run := func(name string, mine func() (int, error)) {
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := mine(); err != nil {
-					b.Fatal(err)
-				}
+	b.Run("Cumulate", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := gen.Mine(short.DB, short.Tax, gen.Options{MinSupport: 0.015, MaxK: benchMaxK}); err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
-	run("Basic", func() (int, error) {
-		res, err := gen.Mine(short.DB, short.Tax, gen.Options{MinSupport: minSup, Algorithm: gen.Basic, MaxK: benchMaxK})
-		if err != nil {
-			return 0, err
 		}
-		return len(res.Large()), nil
-	})
-	run("Cumulate", func() (int, error) {
-		res, err := gen.Mine(short.DB, short.Tax, gen.Options{MinSupport: minSup, Algorithm: gen.Cumulate, MaxK: benchMaxK})
-		if err != nil {
-			return 0, err
-		}
-		return len(res.Large()), nil
-	})
-	run("EstMerge", func() (int, error) {
-		res, err := gen.Mine(short.DB, short.Tax, gen.Options{MinSupport: minSup, Algorithm: gen.EstMerge, MaxK: benchMaxK, SampleSize: 400})
-		if err != nil {
-			return 0, err
-		}
-		return len(res.Large()), nil
 	})
 }
 
@@ -188,7 +162,7 @@ func BenchmarkCountingBackends(b *testing.B) {
 				MinSupport: 0.015,
 				MinRI:      0.5,
 				Algorithm:  negative.Improved,
-				Gen:        gen.Options{Algorithm: gen.Cumulate, MaxK: benchMaxK},
+				Gen:        gen.Options{MaxK: benchMaxK},
 			}
 			opt.Count.Backend, opt.Count.Mem = backend, mem
 			opt.Gen.Count = opt.Count
@@ -238,7 +212,7 @@ func BenchmarkCountingBackends(b *testing.B) {
 func BenchmarkAblationTaxonomyCompression(b *testing.B) {
 	short, _ := datasets(b)
 	const minSup, minRI = 0.015, 0.5
-	large, err := gen.Mine(short.DB, short.Tax, gen.Options{MinSupport: minSup, Algorithm: gen.Cumulate, MaxK: benchMaxK})
+	large, err := gen.Mine(short.DB, short.Tax, gen.Options{MinSupport: minSup, MaxK: benchMaxK})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -265,7 +239,7 @@ func BenchmarkAblationMemoryBound(b *testing.B) {
 				_, err := negative.Mine(short.DB, short.Tax, negative.Options{
 					MinSupport:    0.015,
 					MinRI:         0.5,
-					Gen:           gen.Options{Algorithm: gen.Cumulate, MaxK: benchMaxK},
+					Gen:           gen.Options{MaxK: benchMaxK},
 					MaxCandidates: bound,
 				})
 				if err != nil {
@@ -282,7 +256,7 @@ func BenchmarkParallelCounting(b *testing.B) {
 	for _, workers := range []int{1, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				opt := gen.Options{MinSupport: 0.015, Algorithm: gen.Cumulate, MaxK: benchMaxK}
+				opt := gen.Options{MinSupport: 0.015, MaxK: benchMaxK}
 				opt.Count.Parallelism = workers
 				if _, err := gen.Mine(short.DB, short.Tax, opt); err != nil {
 					b.Fatal(err)

@@ -25,7 +25,6 @@ import (
 
 	"negmine/internal/bench"
 	"negmine/internal/count"
-	"negmine/internal/gen"
 	"negmine/internal/negative"
 )
 
@@ -98,7 +97,6 @@ func run(args []string, out io.Writer) error {
 	cfg := bench.TimingConfig{
 		MinSupsPct: sups,
 		MinRI:      *minRI,
-		GenAlg:     gen.Cumulate,
 		MaxK:       *maxK,
 		Parallel:   *parallel,
 		Backend:    countBackend,
@@ -186,11 +184,11 @@ func run(args []string, out io.Writer) error {
 		if len(sups) > 0 {
 			pct = sups[len(sups)/2]
 		}
-		cs, err := bench.RunCandidates(s, pct, *minRI, gen.Cumulate, *maxK, *parallel)
+		cs, err := bench.RunCandidates(s, pct, *minRI, *maxK, *parallel)
 		if err != nil {
 			return err
 		}
-		ct, err := bench.RunCandidates(tl, pct, *minRI, gen.Cumulate, *maxK, *parallel)
+		ct, err := bench.RunCandidates(tl, pct, *minRI, *maxK, *parallel)
 		if err != nil {
 			return err
 		}

@@ -14,7 +14,6 @@
 //	-minri f       minimum rule interest for negative rules (default 0.5)
 //	-minconf f     minimum confidence for positive rules (default 0.6)
 //	-alg name      negative algorithm: better (default) or naive
-//	-gen name      stage-1 algorithm: basic, cumulate (default), estmerge
 //	-positive      also mine and print positive generalized rules
 //	-negatives     print confirmed negative itemsets as well as rules
 //	-parallel n    workers for scans, counting and candidate generation (default 1)
@@ -62,7 +61,6 @@ func run(args []string, out io.Writer) error {
 		minRI     = fs.Float64("minri", 0.5, "minimum rule interest")
 		minConf   = fs.Float64("minconf", 0.6, "minimum confidence for positive rules")
 		algName   = fs.String("alg", "better", "negative algorithm: better or naive")
-		genName   = fs.String("gen", "cumulate", "stage-1 algorithm: basic, cumulate or estmerge")
 		positive  = fs.Bool("positive", false, "also mine positive generalized rules")
 		negatives = fs.Bool("negatives", false, "print negative itemsets too")
 		parallel  = fs.Int("parallel", 1, "workers for scans, counting and candidate generation")
@@ -114,10 +112,6 @@ func run(args []string, out io.Writer) error {
 			stats.Transactions, stats.AvgLen, tax.Size(), tax.Leaves().Len(), tax.Height())
 	}
 
-	genAlg, err := parseGenAlg(*genName)
-	if err != nil {
-		return err
-	}
 	negAlg := negmine.Improved
 	switch strings.ToLower(*algName) {
 	case "better", "improved":
@@ -131,7 +125,7 @@ func run(args []string, out io.Writer) error {
 		MinSupport: *minSup,
 		MinRI:      *minRI,
 		Algorithm:  negAlg,
-		Gen:        negmine.GeneralizedOptions{Algorithm: genAlg, MaxK: *maxK},
+		Gen:        negmine.GeneralizedOptions{MaxK: *maxK},
 	}
 	opt.Count.Parallelism = *parallel
 	opt.Gen.Count.Parallelism = *parallel
@@ -188,8 +182,8 @@ func run(args []string, out io.Writer) error {
 			return report.WriteNegativeCSV(w, res, tax.Name)
 		}
 
-		fmt.Fprintf(w, "\nstage 1 (%v): %d generalized large itemsets in %v (indexing %v, of which pass 1 %v)\n",
-			genAlg, len(res.Large.Large()), res.Timing.Stage1.Round(timeUnit), res.Timing.Index.Round(timeUnit), res.Timing.Pass1.Round(timeUnit))
+		fmt.Fprintf(w, "\nstage 1 (Cumulate): %d generalized large itemsets in %v (indexing %v, of which pass 1 %v)\n",
+			len(res.Large.Large()), res.Timing.Stage1.Round(timeUnit), res.Timing.Index.Round(timeUnit), res.Timing.Pass1.Round(timeUnit))
 		fmt.Fprintf(w, "stage 2+3 (%v): %d candidates, %d negative itemsets, %d rules in %v\n",
 			negAlg, res.TotalCandidates(), len(res.Negatives), len(res.Rules),
 			res.Timing.Negative.Round(timeUnit))
@@ -331,17 +325,4 @@ func loadData(path string, dict *negmine.Dictionary) (negmine.DB, error) {
 	}
 	defer f.Close()
 	return negmine.ReadBaskets(f, dict)
-}
-
-func parseGenAlg(name string) (negmine.GenAlgorithm, error) {
-	switch strings.ToLower(name) {
-	case "basic":
-		return negmine.Basic, nil
-	case "cumulate":
-		return negmine.Cumulate, nil
-	case "estmerge":
-		return negmine.EstMerge, nil
-	default:
-		return negmine.Basic, fmt.Errorf("unknown -gen %q (want basic, cumulate or estmerge)", name)
-	}
 }

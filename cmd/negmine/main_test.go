@@ -158,27 +158,12 @@ func TestRunFlagErrors(t *testing.T) {
 		{"-data", data},
 		{"-tax", tax},
 		{"-data", data, "-tax", tax, "-alg", "wrong"},
-		{"-data", data, "-tax", tax, "-gen", "wrong"},
 		{"-data", data, "-tax", tax, "-minsup", "0"},
 	}
 	for i, args := range cases {
 		if err := run(args, &out); err == nil {
 			t.Errorf("case %d: args %v accepted", i, args)
 		}
-	}
-}
-
-func TestParseGenAlg(t *testing.T) {
-	for name, want := range map[string]negmine.GenAlgorithm{
-		"basic": negmine.Basic, "CUMULATE": negmine.Cumulate, "EstMerge": negmine.EstMerge,
-	} {
-		got, err := parseGenAlg(name)
-		if err != nil || got != want {
-			t.Errorf("parseGenAlg(%q) = %v, %v", name, got, err)
-		}
-	}
-	if _, err := parseGenAlg("nope"); err == nil {
-		t.Error("bad algorithm accepted")
 	}
 }
 

@@ -71,9 +71,7 @@ func streamFixture(t *testing.T, dir string, n, seedN int) (taxPath, seedPath st
 // floor is high enough that the smallest segment a test creates keeps a
 // non-degenerate local threshold (see internal/incr).
 func streamOpts() negmine.NegativeOptions {
-	opt := negmine.NegativeOptions{MinSupport: 0.15, MinRI: 0.3, Algorithm: negmine.Improved}
-	opt.Gen.Algorithm = negmine.Cumulate
-	return opt
+	return negmine.NegativeOptions{MinSupport: 0.15, MinRI: 0.3, Algorithm: negmine.Improved}
 }
 
 // referenceStore batch-mines the given baskets (by name, against the

@@ -122,7 +122,6 @@ import (
 	"time"
 
 	"negmine/internal/artifact"
-	"negmine/internal/gen"
 	"negmine/internal/govern"
 	"negmine/internal/item"
 	"negmine/internal/negative"
@@ -538,11 +537,9 @@ func parseFlags(args []string, out io.Writer) (*config, error) {
 		cfg.source = store.ManifestPath() // what a replica's -watch polls: changes on every Put
 	}
 
-	// The paper's miners all yield the same rules, so the daemon fixes one:
-	// Cumulate (gen.Options' zero value is Basic) and Improved on the auto
-	// backend (both zero values).
+	// Naive and Improved yield the same rules, so the daemon fixes Improved
+	// on the auto backend (both zero values); stage 1 is Cumulate.
 	opt := negative.Options{MinSupport: *minSup, MinRI: *minRI}
-	opt.Gen.Algorithm = gen.Cumulate
 	opt.Gen.MaxK = *maxK
 	opt.Count.Parallelism = *parallel
 	opt.Gen.Count.Parallelism = *parallel

@@ -210,9 +210,7 @@ func TestEndToEndMinedShortDataset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := negmine.NegativeOptions{MinSupport: 0.02, MinRI: 0.5}
-	opt.Gen.Algorithm = negmine.Cumulate
-	rep, err := negmine.MineNegativeReport(db, tax, opt)
+	rep, err := negmine.MineNegativeReport(db, tax, negmine.NegativeOptions{MinSupport: 0.02, MinRI: 0.5})
 	if err != nil {
 		t.Fatalf("reference mine: %v", err)
 	}

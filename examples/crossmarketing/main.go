@@ -38,7 +38,6 @@ func main() {
 		MinSupport: 0.015,
 		MinRI:      0.5,
 		Algorithm:  negmine.Improved,
-		Gen:        negmine.GeneralizedOptions{Algorithm: negmine.Cumulate},
 	}
 	opt.Count.Parallelism = 4
 	opt.Gen.Count.Parallelism = 4

@@ -23,7 +23,7 @@ func BenchmarkAprioriGen(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	opt := gen.Options{MinSupport: 0.03, Algorithm: gen.Cumulate}
+	opt := gen.Options{MinSupport: 0.03}
 	opt.Count.Parallelism = runtime.NumCPU()
 	large, err := gen.Mine(db, tax, opt)
 	if err != nil {

@@ -114,7 +114,6 @@ type TimingRow struct {
 type TimingConfig struct {
 	MinSupsPct []float64     // support levels, percent (paper: 0.5–2)
 	MinRI      float64       // paper: 0.5
-	GenAlg     gen.Algorithm // stage-1 algorithm (Basic or Cumulate for Naive)
 	MaxK       int           // optional stage-1 level cap (0 = none)
 	Parallel   int           // workers: scans, counting, candidate generation
 	Backend    count.Backend // counting backend (auto picks per-database)
@@ -132,7 +131,7 @@ func RunTimings(ds *Dataset, cfg TimingConfig) ([]TimingRow, error) {
 				MinSupport: pct / 100,
 				MinRI:      cfg.MinRI,
 				Algorithm:  alg,
-				Gen:        gen.Options{Algorithm: cfg.GenAlg, MaxK: cfg.MaxK},
+				Gen:        gen.Options{MaxK: cfg.MaxK},
 			}
 			opt.Count.Parallelism = cfg.Parallel
 			opt.Gen.Count.Parallelism = cfg.Parallel
@@ -189,12 +188,12 @@ type CandidateCounts struct {
 
 // RunCandidates executes the Figure 7 experiment on ds at one support
 // level.
-func RunCandidates(ds *Dataset, minSupPct, minRI float64, genAlg gen.Algorithm, maxK, parallel int) (*CandidateCounts, error) {
+func RunCandidates(ds *Dataset, minSupPct, minRI float64, maxK, parallel int) (*CandidateCounts, error) {
 	opt := negative.Options{
 		MinSupport: minSupPct / 100,
 		MinRI:      minRI,
 		Algorithm:  negative.Improved,
-		Gen:        gen.Options{Algorithm: genAlg, MaxK: maxK},
+		Gen:        gen.Options{MaxK: maxK},
 	}
 	opt.Count.Parallelism = parallel
 	opt.Gen.Count.Parallelism = parallel

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"negmine/internal/datagen"
-	"negmine/internal/gen"
 )
 
 func TestScaleTx(t *testing.T) {
@@ -97,7 +96,6 @@ func TestRunTimingsShape(t *testing.T) {
 	rows, err := RunTimings(ds, TimingConfig{
 		MinSupsPct: []float64{4, 2},
 		MinRI:      0.5,
-		GenAlg:     gen.Cumulate,
 		MaxK:       3,
 	})
 	if err != nil {
@@ -122,11 +120,11 @@ func TestRunCandidatesFanoutShape(t *testing.T) {
 	// Figure 7's claim: higher fanout ⇒ more candidates per large itemset.
 	shortish := smallDataset(t, "short-ish", 9, 12)
 	tallish := smallDataset(t, "tall-ish", 3, 12)
-	cs, err := RunCandidates(shortish, 3, 0.5, gen.Cumulate, 3, 0)
+	cs, err := RunCandidates(shortish, 3, 0.5, 3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ct, err := RunCandidates(tallish, 3, 0.5, gen.Cumulate, 3, 0)
+	ct, err := RunCandidates(tallish, 3, 0.5, 3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,11 +159,11 @@ func TestOnDiskAndThrottled(t *testing.T) {
 		t.Errorf("throttled dataset wrong: %q", th.Name)
 	}
 	// Both variants mine identically to the in-memory dataset.
-	base, err := RunCandidates(ds, 4, 0.5, gen.Cumulate, 2, 0)
+	base, err := RunCandidates(ds, 4, 0.5, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	onDisk, err := RunCandidates(disk, 4, 0.5, gen.Cumulate, 2, 0)
+	onDisk, err := RunCandidates(disk, 4, 0.5, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,6 @@ import (
 	"negmine/internal/fault"
 	"negmine/internal/hashtree"
 	"negmine/internal/item"
-	"negmine/internal/stats"
 	"negmine/internal/txdb"
 )
 
@@ -18,8 +17,8 @@ const PointPass = "count.pass"
 // Multi counts several candidate groups — each group of uniform itemset
 // size, sizes may differ across groups — in a single scan of db. This is the
 // primitive behind the paper's improved negative algorithm (candidates of
-// all sizes counted in one pass, §2.2) and behind EstMerge's merged passes.
-// The result is indexed [group][candidate].
+// all sizes counted in one pass, §2.2). The result is indexed
+// [group][candidate].
 func Multi(db txdb.DB, groups [][]item.Itemset, opt Options) ([][]int, error) {
 	return MultiTransformed(db, groups, nil, opt)
 }
@@ -167,29 +166,4 @@ func collect(cs []*hashtree.Counter) [][]int {
 		out[i] = c.Counts()
 	}
 	return out
-}
-
-// Sample draws a uniform random sample of up to n transactions from db via
-// reservoir sampling (one pass). Itemsets are cloned, so the sample is
-// independent of scan buffers.
-func Sample(db txdb.DB, n int, seed int64) (*txdb.MemDB, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("count: sample size %d, want > 0", n)
-	}
-	src := stats.NewSource(seed)
-	reservoir := make([]txdb.Transaction, 0, n)
-	i := 0
-	err := db.Scan(func(tx txdb.Transaction) error {
-		if len(reservoir) < n {
-			reservoir = append(reservoir, txdb.Transaction{TID: tx.TID, Items: tx.Items.Clone()})
-		} else if j := src.Intn(i + 1); j < n {
-			reservoir[j] = txdb.Transaction{TID: tx.TID, Items: tx.Items.Clone()}
-		}
-		i++
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return txdb.NewMemDB(reservoir)
 }

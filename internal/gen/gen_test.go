@@ -1,6 +1,7 @@
 package gen
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -51,7 +52,7 @@ func groceryDB(ids map[string]item.Item) *txdb.MemDB {
 func TestCategorySupport(t *testing.T) {
 	tax, ids := grocery(t)
 	db := groceryDB(ids)
-	res, err := Mine(db, tax, Options{MinSupport: 0.5, Algorithm: Cumulate})
+	res, err := Mine(db, tax, Options{MinSupport: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,142 +167,120 @@ func resultMap(res *apriori.Result) map[item.Key]int {
 	return out
 }
 
+// TestAlgorithmsAgreeWithBruteForce names Cumulate explicitly, as the
+// benchmark harness does; TestZeroValueIsCumulate mines with the zero value.
 func TestAlgorithmsAgreeWithBruteForce(t *testing.T) {
-	for _, alg := range []Algorithm{Basic, Cumulate, EstMerge} {
-		t.Run(alg.String(), func(t *testing.T) {
-			for trial := int64(1); trial <= 4; trial++ {
-				tax, db := randomTaxDB(trial, 20, 120, 4)
-				opt := Options{
-					MinSupport: 0.08,
-					Algorithm:  alg,
-					SampleSize: 40, // deliberately small: exercises repair passes
-					SampleSeed: trial,
-				}
-				res, err := Mine(db, tax, opt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want := bruteForceGeneralized(tax, db, res.MinCount)
-				got := resultMap(res)
-				if len(got) != len(want) {
-					t.Fatalf("trial %d: mined %d itemsets, want %d", trial, len(got), len(want))
-				}
-				for k, c := range want {
-					if got[k] != c {
-						t.Fatalf("trial %d: %v = %d, want %d", trial, k.Itemset(), got[k], c)
-					}
-				}
+	t.Run("Cumulate", func(t *testing.T) {
+		for trial := int64(1); trial <= 4; trial++ {
+			tax, db := randomTaxDB(trial, 20, 120, 4)
+			res, err := Mine(db, tax, Options{MinSupport: 0.08, Algorithm: Cumulate})
+			if err != nil {
+				t.Fatal(err)
 			}
-		})
+			if err := sameItemsets(resultMap(res), bruteForceGeneralized(tax, db, res.MinCount)); err != nil {
+				t.Fatalf("trial %d: %v", trial, err)
+			}
+		}
+	})
+}
+
+// TestZeroValueIsCumulate: Options' zero Algorithm is Cumulate, so Options
+// with only a support mines what the brute force says; any other Algorithm
+// is refused by Mine and by NewStepper alike.
+func TestZeroValueIsCumulate(t *testing.T) {
+	tax, db := randomTaxDB(3, 20, 120, 4)
+	res, err := Mine(db, tax, Options{MinSupport: 0.08})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sameItemsets(resultMap(res), bruteForceGeneralized(tax, db, res.MinCount)); err != nil {
+		t.Fatal(err)
+	}
+	bad := Options{MinSupport: 0.08, Algorithm: Algorithm(1)}
+	if _, err := Mine(db, tax, bad); err == nil {
+		t.Error("Mine accepted Algorithm(1)")
+	}
+	if _, err := NewStepper(db, tax, bad); err == nil {
+		t.Error("NewStepper accepted Algorithm(1)")
 	}
 }
 
+// sameItemsets reports the first difference between two itemset → count maps.
+func sameItemsets(got, want map[item.Key]int) error {
+	if len(got) != len(want) {
+		return fmt.Errorf("%d itemsets, want %d", len(got), len(want))
+	}
+	for k, c := range want {
+		if got[k] != c {
+			return fmt.Errorf("%v = %d, want %d", k.Itemset(), got[k], c)
+		}
+	}
+	return nil
+}
+
+// TestAlgorithmsIdenticalResults: a mine over the index Mine builds finds
+// what the stepper finds level by level over the database itself.
 func TestAlgorithmsIdenticalResults(t *testing.T) {
 	tax, db := randomTaxDB(9, 30, 300, 5)
-	var results []*apriori.Result
-	for _, alg := range []Algorithm{Basic, Cumulate, EstMerge} {
-		res, err := Mine(db, tax, Options{MinSupport: 0.05, Algorithm: alg, SampleSize: 64, SampleSeed: 5})
-		if err != nil {
-			t.Fatalf("%v: %v", alg, err)
-		}
-		results = append(results, res)
+	indexed, err := Mine(db, tax, Options{MinSupport: 0.05})
+	if err != nil {
+		t.Fatal(err)
 	}
-	base := resultMap(results[0])
-	for i, res := range results[1:] {
-		m := resultMap(res)
-		if len(m) != len(base) {
-			t.Fatalf("algorithm %d: %d itemsets vs %d", i+1, len(m), len(base))
+	s, err := NewStepper(db, tax, Options{MinSupport: 0.05})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for {
+		lvl, err := s.Next()
+		if err != nil {
+			t.Fatal(err)
 		}
-		for k, c := range base {
-			if m[k] != c {
-				t.Fatalf("algorithm %d: %v = %d, want %d", i+1, k.Itemset(), m[k], c)
-			}
+		if lvl == nil {
+			break
 		}
+	}
+	if err := sameItemsets(resultMap(s.Result()), resultMap(indexed)); err != nil {
+		t.Fatalf("stepped over the database vs mined over the index: %v", err)
 	}
 }
 
 // TestBackendsIdenticalResults pins counting-backend equivalence at stage 1:
-// every algorithm must produce identical large itemsets and counts under the
+// the miner must produce identical large itemsets and counts under the
 // hash-tree and vertical-bitmap engines, sequentially and in parallel.
 func TestBackendsIdenticalResults(t *testing.T) {
 	tax, db := randomTaxDB(21, 30, 300, 5)
-	for _, alg := range []Algorithm{Basic, Cumulate, EstMerge} {
-		t.Run(alg.String(), func(t *testing.T) {
-			var base map[item.Key]int
-			for _, backend := range []count.Backend{count.BackendHashTree, count.BackendBitmap} {
-				for _, parallel := range []int{1, 3} {
-					opt := Options{MinSupport: 0.05, Algorithm: alg, SampleSize: 64, SampleSeed: 5}
-					opt.Count.Backend = backend
-					opt.Count.Parallelism = parallel
-					res, err := Mine(db, tax, opt)
-					if err != nil {
-						t.Fatalf("%v parallel=%d: %v", backend, parallel, err)
-					}
-					m := resultMap(res)
-					if base == nil {
-						base = m
-						continue
-					}
-					if len(m) != len(base) {
-						t.Fatalf("%v parallel=%d: %d itemsets, want %d", backend, parallel, len(m), len(base))
-					}
-					for k, c := range base {
-						if m[k] != c {
-							t.Fatalf("%v parallel=%d: %v = %d, want %d", backend, parallel, k.Itemset(), m[k], c)
-						}
-					}
+	t.Run("Cumulate", func(t *testing.T) {
+		var base map[item.Key]int
+		for _, backend := range []count.Backend{count.BackendHashTree, count.BackendBitmap} {
+			for _, parallel := range []int{1, 3} {
+				opt := Options{MinSupport: 0.05}
+				opt.Count.Backend = backend
+				opt.Count.Parallelism = parallel
+				res, err := Mine(db, tax, opt)
+				if err != nil {
+					t.Fatalf("%v parallel=%d: %v", backend, parallel, err)
+				}
+				m := resultMap(res)
+				if base == nil {
+					base = m
+					continue
+				}
+				if err := sameItemsets(m, base); err != nil {
+					t.Fatalf("%v parallel=%d: %v", backend, parallel, err)
 				}
 			}
-		})
-	}
-}
-
-func TestEstMergePassSchedule(t *testing.T) {
-	// EstMerge with a perfect (full-size) sample must not use more full
-	// passes than Cumulate; with a tiny sample it may repair but stays exact.
-	tax, db := randomTaxDB(11, 25, 200, 5)
-	ins := txdb.Instrument(db)
-	_, err := Mine(ins, tax, Options{MinSupport: 0.05, Algorithm: Cumulate})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cumulatePasses := ins.Passes()
-
-	ins.Reset()
-	_, err = Mine(ins, tax, Options{MinSupport: 0.05, Algorithm: EstMerge, SampleSize: 200, SampleSeed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Subtract the sampling scan itself (the sample is drawn from the
-	// instrumented db with one pass).
-	estPasses := ins.Passes() - 1
-	if estPasses > cumulatePasses+1 {
-		t.Errorf("EstMerge used %d passes vs Cumulate's %d", estPasses, cumulatePasses)
-	}
+		}
+	})
 }
 
 func TestMaxK(t *testing.T) {
 	tax, db := randomTaxDB(13, 20, 150, 5)
-	res, err := Mine(db, tax, Options{MinSupport: 0.05, MaxK: 2, Algorithm: Cumulate})
+	res, err := Mine(db, tax, Options{MinSupport: 0.05, MaxK: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Levels) > 2 {
 		t.Errorf("MaxK=2 produced %d levels", len(res.Levels))
-	}
-	// EstMerge with MaxK must resolve deferred candidates of the last level.
-	resE, err := Mine(db, tax, Options{MinSupport: 0.05, MaxK: 2, Algorithm: EstMerge, SampleSize: 30, SampleSeed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b := resultMap(res), resultMap(resE)
-	if len(a) != len(b) {
-		t.Fatalf("MaxK results differ in size: %d vs %d", len(a), len(b))
-	}
-	for k, c := range a {
-		if b[k] != c {
-			t.Fatalf("MaxK mismatch on %v: %d vs %d", k.Itemset(), b[k], c)
-		}
 	}
 }
 
@@ -312,9 +291,6 @@ func TestOptionsValidation(t *testing.T) {
 		{MinSupport: 0},
 		{MinSupport: 2},
 		{MinSupport: 0.5, MaxK: -1},
-		{MinSupport: 0.5, Margin: -0.1},
-		{MinSupport: 0.5, Margin: 1},
-		{MinSupport: 0.5, SampleSize: -5},
 		{MinSupport: 0.5, Count: count.Options{TransformInto: func(_ []item.Item, s item.Itemset) item.Itemset { return s }}},
 	}
 	for i, opt := range bad {
@@ -330,25 +306,14 @@ func TestOptionsValidation(t *testing.T) {
 	}
 }
 
-func TestAlgorithmString(t *testing.T) {
-	if Basic.String() != "Basic" || Cumulate.String() != "Cumulate" || EstMerge.String() != "EstMerge" {
-		t.Error("algorithm names wrong")
-	}
-	if Algorithm(42).String() != "Algorithm(42)" {
-		t.Errorf("unknown algorithm name: %s", Algorithm(42))
-	}
-}
-
 func TestEmptyDB(t *testing.T) {
 	tax, _ := grocery(t)
-	for _, alg := range []Algorithm{Basic, Cumulate, EstMerge} {
-		res, err := Mine(txdb.FromItemsets(), tax, Options{MinSupport: 0.5, Algorithm: alg})
-		if err != nil {
-			t.Fatalf("%v: %v", alg, err)
-		}
-		if len(res.Levels) != 0 {
-			t.Errorf("%v: empty db mined %d levels", alg, len(res.Levels))
-		}
+	res, err := Mine(txdb.FromItemsets(), tax, Options{MinSupport: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Levels) != 0 {
+		t.Errorf("empty db mined %d levels", len(res.Levels))
 	}
 }
 
@@ -357,7 +322,7 @@ func TestGeneralizedRules(t *testing.T) {
 	// producing rules that mix taxonomy levels.
 	tax, ids := grocery(t)
 	db := groceryDB(ids)
-	res, err := Mine(db, tax, Options{MinSupport: 0.5, Algorithm: Cumulate})
+	res, err := Mine(db, tax, Options{MinSupport: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,11 +346,11 @@ func TestGeneralizedRules(t *testing.T) {
 
 func TestParallelGeneralized(t *testing.T) {
 	tax, db := randomTaxDB(17, 30, 400, 6)
-	seq, err := Mine(db, tax, Options{MinSupport: 0.04, Algorithm: Cumulate})
+	seq, err := Mine(db, tax, Options{MinSupport: 0.04})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := Mine(db, tax, Options{MinSupport: 0.04, Algorithm: Cumulate, Count: count.Options{Parallelism: 4}})
+	par, err := Mine(db, tax, Options{MinSupport: 0.04, Count: count.Options{Parallelism: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,7 +373,7 @@ func TestCumulateFilterBuiltOnFirstCall(t *testing.T) {
 	tax, _ := randomTaxDB(5, 40, 1, 1)
 	leaves := tax.Leaves()
 	group := []item.Itemset{{leaves[0]}}
-	tr := cumulateTransform(tax, group)
+	tr := ExtendTransform(tax, group)
 	group[0][0] = leaves[1] // before the first call: this is the filter
 	if got := tr(nil, item.Itemset{leaves[1]}); !got.Contains(leaves[1]) {
 		t.Fatalf("first call kept %v of {%d}: the filter was built when the transform was made", got, leaves[1])
@@ -421,43 +386,35 @@ func TestCumulateFilterBuiltOnFirstCall(t *testing.T) {
 
 // TestLevel2ReadOffThePairTable: over an index whose rows carry a pair table,
 // level 2 is read off the table — a mine makes one counting pass fewer than
-// over the same index with the tables declined, under Basic and Cumulate —
-// and decides the same large itemsets with the same counts.
+// over the same index with the tables declined — and decides the same large
+// itemsets with the same counts.
 func TestLevel2ReadOffThePairTable(t *testing.T) {
 	tax, db := randomTaxDB(9, 30, 300, 5)
-	for _, alg := range []Algorithm{Basic, Cumulate} {
-		// passes mines with budget mem and returns what it found and how many
-		// counting passes it made; the failpoint never fires, it only counts.
-		passes := func(mem *govern.Budget) (*apriori.Result, int64) {
-			defer fault.Enable(count.PointPass, fault.Error("never"), fault.OnHit(math.MaxInt32))()
-			res, err := Mine(db, tax, Options{MinSupport: 0.05, Algorithm: alg, Count: count.Options{Mem: mem}})
-			if err != nil {
-				t.Fatalf("%v: %v", alg, err)
-			}
-			return res, fault.Hits(count.PointPass)
+	// passes mines with budget mem and returns what it found and how many
+	// counting passes it made; the failpoint never fires, it only counts.
+	passes := func(mem *govern.Budget) (*apriori.Result, int64) {
+		defer fault.Enable(count.PointPass, fault.Error("never"), fault.OnHit(math.MaxInt32))()
+		res, err := Mine(db, tax, Options{MinSupport: 0.05, Count: count.Options{Mem: mem}})
+		if err != nil {
+			t.Fatal(err)
 		}
-		table, withTable := passes(nil)
-		if len(table.Levels) < 3 {
-			t.Fatalf("%v: %d levels, want 3 or more (test setup)", alg, len(table.Levels))
-		}
-		rows := bitmat.EstimateBytes(db.Count(), len(table.Levels[0]))
-		counted, without := passes(govern.NewBudget(rows))
-		if withTable != without-1 {
-			t.Fatalf("%v: %d counting passes with the pair table, %d without; want one fewer", alg, withTable, without)
-		}
-		got, want := resultMap(table), resultMap(counted)
-		if len(got) != len(want) {
-			t.Fatalf("%v: %d itemsets with the pair table, %d without", alg, len(got), len(want))
-		}
-		for k, c := range want {
-			if got[k] != c {
-				t.Fatalf("%v: %v = %d with the pair table, %d without", alg, k.Itemset(), got[k], c)
-			}
-		}
-		for i, cs := range table.Levels[1] {
-			if i > 0 && table.Levels[1][i-1].Set.Compare(cs.Set) >= 0 {
-				t.Fatalf("%v: L2 out of order at %v", alg, cs.Set)
-			}
+		return res, fault.Hits(count.PointPass)
+	}
+	table, withTable := passes(nil)
+	if len(table.Levels) < 3 {
+		t.Fatalf("%d levels, want 3 or more (test setup)", len(table.Levels))
+	}
+	rows := bitmat.EstimateBytes(db.Count(), len(table.Levels[0]))
+	counted, without := passes(govern.NewBudget(rows))
+	if withTable != without-1 {
+		t.Fatalf("%d counting passes with the pair table, %d without; want one fewer", withTable, without)
+	}
+	if err := sameItemsets(resultMap(table), resultMap(counted)); err != nil {
+		t.Fatalf("with the pair table vs without: %v", err)
+	}
+	for i, cs := range table.Levels[1] {
+		if i > 0 && table.Levels[1][i-1].Set.Compare(cs.Set) >= 0 {
+			t.Fatalf("L2 out of order at %v", cs.Set)
 		}
 	}
 }

@@ -132,7 +132,7 @@ func TestPruneInterestingEndToEnd(t *testing.T) {
 	// must clear the criterion against its mined close-ancestor rules.
 	tax, ids := grocery(t)
 	db := groceryDB(ids)
-	res, err := Mine(db, tax, Options{MinSupport: 0.25, Algorithm: Cumulate})
+	res, err := Mine(db, tax, Options{MinSupport: 0.25})
 	if err != nil {
 		t.Fatal(err)
 	}

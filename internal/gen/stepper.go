@@ -18,9 +18,6 @@ import (
 // that table and counts nothing. The paper's Naive negative algorithm
 // interleaves a negative-candidate pass after each large-itemset pass, which
 // requires this per-level control.
-//
-// Only Basic and Cumulate support stepping (EstMerge's merged pass schedule
-// spans levels by design).
 type Stepper struct {
 	db   txdb.DB
 	tax  *taxonomy.Taxonomy
@@ -39,9 +36,6 @@ func NewStepper(db txdb.DB, tax *taxonomy.Taxonomy, opt Options) (*Stepper, erro
 	}
 	if tax == nil {
 		return nil, fmt.Errorf("gen: nil taxonomy")
-	}
-	if opt.Algorithm == EstMerge {
-		return nil, fmt.Errorf("gen: EstMerge cannot run level-by-level; use Basic or Cumulate")
 	}
 	n := db.Count()
 	return &Stepper{
@@ -88,7 +82,7 @@ func (s *Stepper) Next() ([]item.CountedSet, error) {
 			return nil, nil
 		}
 		cnt := s.opt.Count
-		installTransform(&cnt, s.opt.Algorithm, s.tax, cands)
+		installTransform(&cnt, s.tax, cands)
 		counts, err := count.Candidates(s.db, cands, cnt)
 		if err != nil {
 			return nil, err

@@ -14,7 +14,7 @@ import (
 
 // streamOpts are stream-mixed's mining options (it runs them on two workers).
 func streamOpts(workers int) negative.Options {
-	opt := negative.Options{MinSupport: 0.0125, MinRI: 0.5, Gen: gen.Options{Algorithm: gen.Cumulate, MaxK: 3}}
+	opt := negative.Options{MinSupport: 0.0125, MinRI: 0.5, Gen: gen.Options{MaxK: 3}}
 	opt.Count.Parallelism, opt.Gen.Count.Parallelism = workers, workers
 	return opt
 }

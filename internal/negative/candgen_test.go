@@ -530,7 +530,7 @@ func candgenInput(tb testing.TB, p datagen.Params, txns int, minSup float64, max
 	if err != nil {
 		tb.Fatal(err)
 	}
-	large, err := gen.Mine(db, tax, gen.Options{MinSupport: minSup, MaxK: maxK, Algorithm: gen.Cumulate})
+	large, err := gen.Mine(db, tax, gen.Options{MinSupport: minSup, MaxK: maxK})
 	if err != nil {
 		tb.Fatal(err)
 	}

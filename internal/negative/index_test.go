@@ -303,7 +303,7 @@ func BenchmarkMineWide(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	base := Options{MinSupport: 0.01, MinRI: 0.5, Gen: gen.Options{Algorithm: gen.Cumulate}}
+	base := Options{MinSupport: 0.01, MinRI: 0.5}
 	base.Count.Parallelism, base.Gen.Count.Parallelism = 2, 2
 	hash := base
 	hash.Count.Backend, hash.Gen.Count.Backend = count.BackendHashTree, count.BackendHashTree
@@ -350,7 +350,7 @@ func BenchmarkMineTall(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	opt := Options{MinSupport: 0.03, MinRI: 0.3, Algorithm: Improved, Gen: gen.Options{Algorithm: gen.Cumulate}}
+	opt := Options{MinSupport: 0.03, MinRI: 0.3, Algorithm: Improved}
 	opt.Count.Parallelism, opt.Gen.Count.Parallelism = runtime.NumCPU(), runtime.NumCPU()
 	naive := opt
 	naive.Algorithm = Naive
@@ -445,7 +445,7 @@ func TestNegativePassHandsOneSortedSlice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := Options{MinSupport: 0.04, MinRI: 0.3, Gen: gen.Options{MinSupport: 0.04, Algorithm: gen.Cumulate}}
+	opt := Options{MinSupport: 0.04, MinRI: 0.3, Gen: gen.Options{MinSupport: 0.04}}
 	large, err := gen.Mine(db, tax, opt.Gen)
 	if err != nil {
 		t.Fatal(err)

@@ -73,8 +73,7 @@ type Options struct {
 	// Algorithm selects Improved (default) or Naive.
 	Algorithm Algorithm
 	// Gen configures stage 1 (the generalized large-itemset miner). Its
-	// MinSupport field is overwritten with Options.MinSupport. The Naive
-	// driver requires gen.Basic or gen.Cumulate.
+	// MinSupport field is overwritten with Options.MinSupport.
 	Gen gen.Options
 	// MaxCandidates caps how many negative candidates are counted per
 	// database pass (the paper's §2.5 memory bound). 0 = unlimited (one

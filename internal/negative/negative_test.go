@@ -595,11 +595,6 @@ func TestOptionsValidation(t *testing.T) {
 	if _, err := Mine(db, nil, Options{MinSupport: 0.1, MinRI: 0.5}); err == nil {
 		t.Error("nil taxonomy accepted")
 	}
-	// Naive with EstMerge stage 1 is rejected (no level stepping).
-	if _, err := Mine(db, tax, Options{MinSupport: 0.1, MinRI: 0.5, Algorithm: Naive,
-		Gen: gen.Options{Algorithm: gen.EstMerge}}); err == nil {
-		t.Error("Naive+EstMerge accepted")
-	}
 }
 
 func TestEmptyResults(t *testing.T) {

@@ -216,7 +216,7 @@ func TestCandidatesAgainstOracle(t *testing.T) {
 				subs = append(subs, g)
 			}
 		}
-		large, err := gen.Mine(db, tax, gen.Options{MinSupport: minSup, MaxK: maxK, Algorithm: gen.Cumulate})
+		large, err := gen.Mine(db, tax, gen.Options{MinSupport: minSup, MaxK: maxK})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -33,7 +33,7 @@ func benchStore(b testing.TB, p datagen.Params, n int, minSup, minRI float64, ma
 		MinSupport: minSup,
 		MinRI:      minRI,
 		Algorithm:  negative.Improved,
-		Gen:        gen.Options{Algorithm: gen.Cumulate, MaxK: maxK},
+		Gen:        gen.Options{MaxK: maxK},
 	}
 	opt.Count.Parallelism = runtime.NumCPU()
 	opt.Gen.Count.Parallelism = runtime.NumCPU()

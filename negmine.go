@@ -25,9 +25,9 @@
 //	}
 //
 // The building blocks are exported too: classic Apriori (MineFrequent),
-// taxonomy-aware mining with the Basic/Cumulate/EstMerge algorithms
-// (MineGeneralized), the paper's synthetic retail data generator
-// (GenerateData), and a binary transaction file format (SaveDB/LoadDB).
+// taxonomy-aware mining with the Cumulate algorithm (MineGeneralized), the
+// paper's synthetic retail data generator (GenerateData), and a binary
+// transaction file format (SaveDB/LoadDB).
 package negmine
 
 import (
@@ -87,8 +87,6 @@ type (
 
 	// GeneralizedOptions configures taxonomy-aware mining.
 	GeneralizedOptions = gen.Options
-	// GenAlgorithm selects Basic, Cumulate or EstMerge.
-	GenAlgorithm = gen.Algorithm
 
 	// NegativeOptions configures negative rule mining.
 	NegativeOptions = negative.Options
@@ -144,13 +142,6 @@ func DefaultMemBudget() *MemBudget { return govern.DefaultBudget() }
 // ParseByteSize converts a human byte-size flag value ("512MiB", "2g",
 // "1048576") into bytes.
 func ParseByteSize(s string) (int64, error) { return govern.ParseBytes(s) }
-
-// Generalized mining algorithms (stage 1 of negative mining).
-const (
-	Basic    = gen.Basic
-	Cumulate = gen.Cumulate
-	EstMerge = gen.EstMerge
-)
 
 // Negative mining drivers.
 const (
@@ -228,8 +219,8 @@ func GenerateRules(res *MiningResult, minConfidence float64) ([]Rule, error) {
 	return apriori.GenRules(res, minConfidence)
 }
 
-// MineGeneralized finds taxonomy-aware large itemsets with the selected
-// algorithm (Basic, Cumulate or EstMerge).
+// MineGeneralized finds taxonomy-aware large itemsets with Cumulate (stage 1
+// of negative mining).
 func MineGeneralized(db DB, tax *Taxonomy, opt GeneralizedOptions) (*MiningResult, error) {
 	return gen.Mine(db, tax, opt)
 }

@@ -85,9 +85,7 @@ func TestPublicEndToEnd(t *testing.T) {
 	}
 
 	// Generalized mining sees categories.
-	genRes, err := negmine.MineGeneralized(db, tax, negmine.GeneralizedOptions{
-		MinSupport: 0.25, Algorithm: negmine.Cumulate,
-	})
+	genRes, err := negmine.MineGeneralized(db, tax, negmine.GeneralizedOptions{MinSupport: 0.25})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,9 +176,7 @@ func TestEstimateExported(t *testing.T) {
 
 func TestPruneInterestingFacade(t *testing.T) {
 	tax, db, _ := loadExample(t)
-	res, err := negmine.MineGeneralized(db, tax, negmine.GeneralizedOptions{
-		MinSupport: 0.2, Algorithm: negmine.Cumulate,
-	})
+	res, err := negmine.MineGeneralized(db, tax, negmine.GeneralizedOptions{MinSupport: 0.2})
 	if err != nil {
 		t.Fatal(err)
 	}
