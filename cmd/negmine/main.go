@@ -187,9 +187,8 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintf(w, "stage 2+3 (%v): %d candidates, %d negative itemsets, %d rules in %v\n",
 			negAlg, res.TotalCandidates(), len(res.Negatives), len(res.Rules),
 			res.Timing.Negative.Round(timeUnit))
-		fmt.Fprintf(w, "  (restrict %v, candidate generation %v, counting %v, rule generation %v)\n",
-			res.Timing.Restrict.Round(timeUnit), res.Timing.CandGen.Round(timeUnit),
-			res.Timing.Count.Round(timeUnit), res.Timing.RuleGen.Round(timeUnit))
+		fmt.Fprintf(w, "  (candidate generation %v, counting %v, rule generation %v)\n",
+			res.Timing.CandGen.Round(timeUnit), res.Timing.Count.Round(timeUnit), res.Timing.RuleGen.Round(timeUnit))
 		// A visit is a keep/replace decision of a source's walk or a member
 		// placed by a Case-3 class enumeration; an emission is a completed set,
 		// probed once, and recorded unless another path to it beats it

@@ -269,7 +269,6 @@ func (c *ingestController) Stats() serve.IngestStats {
 			SealSeconds:        ms.Seal.Seconds(),
 			IndexAppendSeconds: ms.IndexAppend.Seconds(),
 			Stage1Seconds:      ms.Stage1.Seconds(),
-			RestrictSeconds:    ms.Restrict.Seconds(),
 			CandGenSeconds:     ms.CandGen.Seconds(),
 			CountSeconds:       ms.Count.Seconds(),
 			RuleGenSeconds:     ms.RuleGen.Seconds(),

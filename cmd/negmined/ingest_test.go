@@ -346,7 +346,7 @@ func TestProbesAnswerDuringRefresh(t *testing.T) {
 	if lr.IndexBytes != lr.RowBytes+lr.PairBytes+lr.GapBytes || lr.PairBytes == 0 || lr.CountBytes == 0 || lr.TailSets+lr.FullSets == 0 || lr.RowWords == 0 {
 		t.Fatalf("ingest.lastRefresh does not say what it counted: %+v", lr)
 	}
-	parts := lr.SealSeconds + lr.IndexAppendSeconds + lr.Stage1Seconds + lr.RestrictSeconds + lr.CandGenSeconds + lr.CountSeconds + lr.RuleGenSeconds
+	parts := lr.SealSeconds + lr.IndexAppendSeconds + lr.Stage1Seconds + lr.CandGenSeconds + lr.CountSeconds + lr.RuleGenSeconds
 	if m.Ingest.Seconds < 0.3 || math.Abs(parts-m.Ingest.Seconds) > 0.05*m.Ingest.Seconds {
 		t.Fatalf("lastRefresh parts sum to %.4fs, lastRefreshSeconds is %.4fs", parts, m.Ingest.Seconds)
 	}

@@ -106,12 +106,12 @@ type RefreshStats struct {
 	RowWords                                    int64
 	// Duration is the refresh wall time; the stage fields split it: the seal
 	// of the log's active segment, the index append, stage 1 (row promotion
-	// plus large-itemset mining) and negative.Timing's four parts of stages
+	// plus large-itemset mining) and negative.Timing's three parts of stages
 	// 2–3. Walk is what candidate generation did in CandGen.
-	Duration                          time.Duration
-	Seal, IndexAppend, Stage1         time.Duration
-	Restrict, CandGen, Count, RuleGen time.Duration
-	Walk                              negative.WalkStats
+	Duration                  time.Duration
+	Seal, IndexAppend, Stage1 time.Duration
+	CandGen, Count, RuleGen   time.Duration
+	Walk                      negative.WalkStats
 }
 
 // Miner incrementally mines a segment log. The zero value is not usable;
@@ -200,7 +200,7 @@ func (m *Miner) Refresh(log *seglog.Log) (*negative.Result, error) {
 	}
 	t := res.Timing
 	st.Stage1 = mineStart.Sub(start) - st.IndexAppend + t.Stage1
-	st.Restrict, st.CandGen, st.Count, st.RuleGen, st.Walk = t.Restrict, t.CandGen, t.Count, t.RuleGen, res.Walk
+	st.CandGen, st.Count, st.RuleGen, st.Walk = t.CandGen, t.Count, t.RuleGen, res.Walk
 	st.Duration = seal + time.Since(start)
 	m.stats.Store(&st)
 	return res, nil

@@ -483,7 +483,7 @@ func TestRefreshStatsPartsSumToDuration(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := m.LastStats()
-	parts := st.Seal + st.IndexAppend + st.Stage1 + st.Restrict + st.CandGen + st.Count + st.RuleGen
+	parts := st.Seal + st.IndexAppend + st.Stage1 + st.CandGen + st.Count + st.RuleGen
 	t.Logf("parts %v of %v: %+v", parts, st.Duration, st)
 	if diff := (st.Duration - parts).Abs(); diff > st.Duration/20 {
 		t.Fatalf("parts sum to %v, Duration is %v (stats %+v)", parts, st.Duration, st)

@@ -14,9 +14,9 @@ import (
 )
 
 // mineImproved is the paper's improved ("Better") algorithm (§2.2, Figure
-// 3): first mine all generalized large itemsets (n passes), then delete all
-// small 1-itemsets from the taxonomy, generate negative candidates of every
-// size in one step, and count them in a single extra pass — or in
+// 3): first mine all generalized large itemsets (n passes), then generate
+// negative candidates of every size in one step over the large 1-itemsets
+// alone, and count them in a single extra pass — or in
 // ⌈candidates/MaxCandidates⌉ passes when the §2.5 memory bound is set.
 func mineImproved(db txdb.DB, tax *taxonomy.Taxonomy, opt Options) (*Result, error) {
 	start := time.Now()
@@ -44,14 +44,11 @@ func mineStages23(large *apriori.Result, tax *taxonomy.Taxonomy, opt Options, co
 	}
 
 	negStart := time.Now()
-	// "Delete all small 1-itemsets from the taxonomy": the restricted view
-	// drives candidate generation only — support counting below still uses
-	// the original taxonomy, since a category's support comes from all its
-	// leaves, small ones included.
+	// "Delete all small 1-itemsets from the taxonomy": the generator never
+	// chooses an item of no support in sup, and L1 is ancestor-closed (see
+	// MineWithCounts), so walking tax itself is walking that compressed one.
 	sup := levelSupports(large.Levels[0], large.Table.Total(), tax.Size())
-	gtax := tax.Restrict(func(x item.Item) bool { return sup[x] >= 0 })
-	restricted := time.Now()
-	cands := generateCandidates(large.Levels, large.Table, gtax, sup, opt)
+	cands := generateCandidates(large.Levels, large.Table.Total(), tax, sup, opt)
 	res.Walk = cands.walk
 	for k, n := range cands.bySize {
 		if n > 0 {
@@ -70,8 +67,7 @@ func mineStages23(large *apriori.Result, tax *taxonomy.Taxonomy, opt Options, co
 	done := time.Now()
 	res.Timing = Timing{
 		Negative: done.Sub(negStart),
-		Restrict: restricted.Sub(negStart),
-		CandGen:  generated.Sub(restricted),
+		CandGen:  generated.Sub(negStart),
 		Count:    counted.Sub(generated),
 		RuleGen:  done.Sub(counted),
 	}
@@ -92,6 +88,7 @@ func mineNaive(db txdb.DB, tax *taxonomy.Taxonomy, opt Options) (*Result, error)
 	}
 	res := &Result{CandidatesBySize: map[int]int{}}
 	var negs []Itemset
+	var sup []float64 // read off L1
 	k := 0
 	for {
 		stageStart := time.Now()
@@ -104,14 +101,15 @@ func mineNaive(db txdb.DB, tax *taxonomy.Taxonomy, opt Options) (*Result, error)
 			break
 		}
 		k++
+		total := stepper.Result().Table.Total()
 		if k < 2 {
+			sup = levelSupports(level, total, tax.Size())
 			continue
 		}
 		negStart := time.Now()
-		table := stepper.Result().Table
 		levels := make([][]item.CountedSet, k) // level k alone
 		levels[k-1] = level
-		cands := generateCandidates(levels, table, tax, singleSupports(table, tax.Size()), opt)
+		cands := generateCandidates(levels, total, tax, sup, opt)
 		res.Walk.add(cands.walk)
 		res.CandidatesBySize[k] += len(cands.sets)
 		generated := time.Now()

@@ -3,6 +3,7 @@ package negative
 import (
 	"cmp"
 	"math/rand"
+	"runtime"
 	"slices"
 	"strconv"
 	"testing"
@@ -10,7 +11,9 @@ import (
 	"negmine/internal/datagen"
 	"negmine/internal/gen"
 	"negmine/internal/item"
+	"negmine/internal/stats"
 	"negmine/internal/taxonomy"
+	"negmine/internal/txdb"
 )
 
 // candgenCase is one random input for GenerateCandidates.
@@ -96,6 +99,12 @@ func randomCandgenCase(t *testing.T, r *rand.Rand) candgenCase {
 	return candgenCase{tax, table, levels, subs, []float64{0.01, 0.05}[r.Intn(2)], []float64{0.1, 0.5}[r.Intn(2)]}
 }
 
+// supports is c's 1-item supports over tax as the generator reads them, off
+// its L1.
+func (c candgenCase) supports(tax *taxonomy.Taxonomy) []float64 {
+	return levelSupports(c.levels[0], c.table.Total(), tax.Size())
+}
+
 // listed is a generation's candidates sorted by set, as GenerateCandidates
 // hands them out, and its walk.
 func listed(c *generated) ([]Candidate, WalkStats) { return c.list(), c.walk }
@@ -118,8 +127,9 @@ func sameCandidates(a, b []Candidate) bool {
 
 // TestGenerateCandidatesMatchesReference holds the dense kernel to the
 // generator it replaced, element for element and bit for bit, against both
-// the full taxonomy and the compressed one (restricted to the large items,
-// as the mining drivers pass it).
+// the full taxonomy, as the mining drivers pass it, and the one restricted to
+// the large items, which re-roots the large children of a small node (the
+// corpus's L1 is not ancestor-closed, as a mined one is).
 func TestGenerateCandidatesMatchesReference(t *testing.T) {
 	var total, ties, siblings, offTaxonomy int
 	for seed := int64(1); seed <= 600; seed++ {
@@ -268,13 +278,13 @@ func TestGenerateCandidatesSameForAnyWorkerCount(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	for ci, c := range cases {
 		want := referenceCandidates(c.levels, c.table, c.tax, c.minSup, c.minRI, c.substitutes)
-		sup := singleSupports(c.table, c.tax.Size())
+		sup := c.supports(c.tax)
 		opt := Options{MinSupport: c.minSup, MinRI: c.minRI, Substitutes: c.substitutes}
-		in := newInputs(c.levels, c.table, c.tax, sup, opt)
+		in := newInputs(c.levels, c.table.Total(), c.tax, sup, opt)
 		var one WalkStats
 		for _, workers := range []int{1, 2, 5, len(in.sources) + len(in.anchors) + 3} {
 			opt.Count.Parallelism = workers
-			got, walk := listed(generateCandidates(c.levels, c.table, c.tax, sup, opt))
+			got, walk := listed(generateCandidates(c.levels, c.table.Total(), c.tax, sup, opt))
 			if workers == 1 {
 				one = walk
 			}
@@ -405,11 +415,11 @@ func TestHostileCase3(t *testing.T) {
 		},
 		[][]string{{"x", "c"}, {"x", "y", "z"}})
 	want := referenceCandidates(c.levels, c.table, c.tax, c.minSup, c.minRI, c.substitutes)
-	sup := singleSupports(c.table, c.tax.Size())
+	sup := c.supports(c.tax)
 	opt := Options{MinSupport: c.minSup, MinRI: c.minRI, Substitutes: c.substitutes}
 	for _, workers := range []int{1, 2, 5, 1000} {
 		opt.Count.Parallelism = workers
-		got := generateCandidates(c.levels, c.table, c.tax, sup, opt).list()
+		got := generateCandidates(c.levels, c.table.Total(), c.tax, sup, opt).list()
 		if !sameCandidates(got, want) {
 			t.Fatalf("%d workers: got %v, want %v", workers, got, want)
 		}
@@ -424,12 +434,12 @@ func TestHostileCase3(t *testing.T) {
 		restricted := c.tax.Restrict(func(x item.Item) bool { return c.table.Contains(item.Itemset{x}) })
 		for _, tax := range []*taxonomy.Taxonomy{restricted, c.tax} {
 			want := referenceCandidates(c.levels, c.table, tax, c.minSup, c.minRI, c.substitutes)
-			sup := singleSupports(c.table, tax.Size())
+			sup := c.supports(tax)
 			opt := Options{MinSupport: c.minSup, MinRI: c.minRI, Substitutes: c.substitutes}
 			var one WalkStats
 			for _, workers := range []int{1, 2, 5, 1000} {
 				opt.Count.Parallelism = workers
-				got, walk := listed(generateCandidates(c.levels, c.table, tax, sup, opt))
+				got, walk := listed(generateCandidates(c.levels, c.table.Total(), tax, sup, opt))
 				if workers == 1 {
 					one = walk
 				}
@@ -520,9 +530,112 @@ func TestCandidatesSortedBySet(t *testing.T) {
 	}
 }
 
+// TestFullTaxonomyMatchesCompressed holds the drivers to the paper's
+// compression, which they skip: on a mined stage-1 result, whose L1 is
+// ancestor-closed, generation over the whole taxonomy and over the taxonomy
+// restricted to the large items gives the same candidates, bit for bit, and
+// the same walk, on 1 and 4 workers. The inputs are datagen's Tall and Short
+// and random markets whose baskets hold categories and ids the taxonomy
+// lacks, with substitute groups across all of those.
+func TestFullTaxonomyMatchesCompressed(t *testing.T) {
+	type input struct {
+		tax           *taxonomy.Taxonomy
+		db            txdb.DB
+		minSup, minRI float64
+		subs          []item.Itemset
+	}
+	var inputs []input
+	for _, p := range []datagen.Params{datagen.Tall(), datagen.Short()} {
+		p.NumTransactions, p.Seed = 2000, 1
+		tax, db, err := datagen.Generate(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inputs = append(inputs, input{tax, db, 0.03, 0.3, nil})
+	}
+	for seed := int64(1); seed <= 60; seed++ {
+		tax, err := taxonomy.Generate(taxonomy.GenSpec{Leaves: 24, Roots: 4, Fanout: 3}, stats.NewSource(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := rand.New(rand.NewSource(seed))
+		ids := tax.Size() + 3      // the last three are off-taxonomy
+		pick := func() item.Item { // skewed, so that some of every level are small
+			return item.Item(min(r.Intn(ids), r.Intn(ids), r.Intn(ids)))
+		}
+		db := &txdb.MemDB{}
+		for i := 0; i < 300; i++ {
+			raw := make([]item.Item, 2+r.Intn(4))
+			for j := range raw {
+				raw[j] = pick()
+				if r.Intn(8) == 0 {
+					raw[j] = item.Item(tax.Size() + r.Intn(3))
+				}
+			}
+			db.Append(txdb.Transaction{TID: int64(i + 1), Items: item.New(raw...)})
+		}
+		var subs []item.Itemset
+		for i := r.Intn(3); i > 0; i-- {
+			if g := item.New(pick(), pick(), item.Item(r.Intn(ids))); g.Len() >= 2 {
+				subs = append(subs, g)
+			}
+		}
+		inputs = append(inputs, input{tax, db, []float64{0.03, 0.05}[r.Intn(2)], []float64{0.1, 0.5}[r.Intn(2)], subs})
+	}
+
+	var total, siblings, offTaxonomy, smallKin int
+	for i, in := range inputs {
+		large, err := gen.Mine(in.db, in.tax, gen.Options{MinSupport: in.minSup})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(large.Levels) < 2 {
+			continue
+		}
+		sup := levelSupports(large.Levels[0], large.Table.Total(), in.tax.Size())
+		isLarge := func(x item.Item) bool { return sup[x] >= 0 }
+		for _, cs := range large.Levels[0] {
+			if x := cs.Set[0]; int(x) < in.tax.Size() && in.tax.Parent(x) != item.None && !isLarge(in.tax.Parent(x)) {
+				t.Fatalf("input %d: L1 holds %d but not its parent", i, x)
+			}
+			for _, y := range in.tax.Siblings(cs.Set[0]) {
+				if !isLarge(y) {
+					smallKin++ // a sibling the compression drops
+				}
+			}
+		}
+		rtax := in.tax.Restrict(isLarge)
+		opt := Options{MinSupport: in.minSup, MinRI: in.minRI, Substitutes: in.subs}
+		for _, workers := range []int{1, 4} {
+			opt.Count.Parallelism = workers
+			full, fullWalk := listed(generateCandidates(large.Levels, large.Table.Total(), in.tax, sup, opt))
+			comp, compWalk := listed(generateCandidates(large.Levels, large.Table.Total(), rtax, sup, opt))
+			if !sameCandidates(full, comp) || fullWalk != compWalk {
+				t.Fatalf("input %d, %d workers: %d candidates over the taxonomy (%+v), %d over the compressed one (%+v)", i, workers, len(full), fullWalk, len(comp), compWalk)
+			}
+			if workers > 1 {
+				continue
+			}
+			for _, c := range full {
+				total++
+				if c.Via == ViaSiblings {
+					siblings++
+				}
+				if int(c.Set[len(c.Set)-1]) >= in.tax.Size() {
+					offTaxonomy++
+				}
+			}
+		}
+	}
+	t.Logf("%d candidates: %d via siblings, %d with an off-taxonomy member; %d small siblings of large items", total, siblings, offTaxonomy, smallKin)
+	if total < 5000 || siblings == 0 || offTaxonomy == 0 || smallKin == 0 {
+		t.Fatal("the inputs no longer reach what the compression would drop")
+	}
+}
+
 // candgenInput mines stage 1 of a generated dataset, up to maxK (0: no
-// limit), and compresses the taxonomy, which leaves exactly what
-// mineStages23 hands GenerateCandidates.
+// limit), which leaves exactly what mineStages23 hands the generator: the
+// levels, their table and the whole taxonomy.
 func candgenInput(tb testing.TB, p datagen.Params, txns int, minSup float64, maxK int) ([][]item.CountedSet, *item.SupportTable, *taxonomy.Taxonomy) {
 	tb.Helper()
 	p.NumTransactions, p.Seed = txns, 1
@@ -534,15 +647,19 @@ func candgenInput(tb testing.TB, p datagen.Params, txns int, minSup float64, max
 	if err != nil {
 		tb.Fatal(err)
 	}
-	gtax := tax.Restrict(func(x item.Item) bool { return large.Table.Contains(item.Itemset{x}) })
-	return large.Levels, large.Table, gtax
+	return large.Levels, large.Table, tax
 }
 
 // TestGenerateCandidatesAllocs pins the kernel's allocations under 8 per
 // candidate, so that a per-choice allocation cannot come back unnoticed:
 // the classes are built in a few flat tables, and a worker records into two
 // growing slices, gathered and sorted once. A further worker adds its own
-// scratch and records: at most 3(n + 64).
+// scratch and records: at most 3(n + 64) allocations. And it allocates no
+// table sized by the taxonomy but its class-enumeration marks, 4 bytes an id:
+// four workers take at most those and 200 bytes a candidate (two rounds of
+// merging at 48, and the slack of records split four ways) beyond one
+// worker's bytes, which a per-worker table of a slice header an id (24
+// bytes) does not fit in.
 func TestGenerateCandidatesAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -558,17 +675,34 @@ func TestGenerateCandidatesAllocs(t *testing.T) {
 	}
 	t.Logf("%v allocs for %d candidates", allocs, n)
 
-	sup := singleSupports(table, tax.Size())
+	sup := levelSupports(levels[0], table.Total(), tax.Size())
 	opt := Options{MinSupport: 0.04, MinRI: 0.3}
-	perWorker := func(workers int) float64 {
+	perWorker := func(workers int) (allocs, bytes float64) {
 		opt.Count.Parallelism = workers
-		return testing.AllocsPerRun(3, func() { generateCandidates(levels, table, tax, sup, opt) })
+		return allocated(3, func() { generateCandidates(levels, table.Total(), tax, sup, opt) })
 	}
-	one, four := perWorker(1), perWorker(4)
+	one, oneBytes := perWorker(1)
+	four, fourBytes := perWorker(4)
 	if limit := one + float64(3*(n+64)); four > limit {
 		t.Fatalf("4 workers: %v allocs against %v for one, want ≤ %v", four, one, limit)
 	}
-	t.Logf("%v allocs with 4 workers, %v with one", four, one)
+	if limit := oneBytes + float64(3*4*tax.Size()+200*n); fourBytes > limit {
+		t.Fatalf("4 workers: %.0f bytes against %.0f for one, want ≤ %.0f (%d taxonomy ids, %d candidates)", fourBytes, oneBytes, limit, tax.Size(), n)
+	}
+	t.Logf("%v allocs and %.0f bytes with 4 workers, %v and %.0f with one (%d taxonomy ids)", four, fourBytes, one, oneBytes, tax.Size())
+}
+
+// allocated returns the mean allocations and bytes allocated of runs calls of
+// f, after one call to warm it up.
+func allocated(runs int, f func()) (allocs, bytes float64) {
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(runs), float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
 }
 
 // TestWalkCountsOnTall reads the walk's counts off a mine of the Tall shape
@@ -631,20 +765,20 @@ func BenchmarkGenerateCandidates(b *testing.B) {
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			levels, table, tax := candgenInput(b, bc.params, bc.txns, bc.minSup, bc.maxK)
-			sup := singleSupports(table, tax.Size())
+			sup := levelSupports(levels[0], table.Total(), tax.Size())
 			opt := Options{MinSupport: bc.minSup, MinRI: bc.minRI}
-			want := generateCandidates(levels, table, tax, sup, opt).list()
+			want := generateCandidates(levels, table.Total(), tax, sup, opt).list()
 			for _, workers := range []int{1, 2} {
 				b.Run("workers="+strconv.Itoa(workers), func(b *testing.B) {
 					opt.Count.Parallelism = workers
-					got, walk := listed(generateCandidates(levels, table, tax, sup, opt))
+					got, walk := listed(generateCandidates(levels, table.Total(), tax, sup, opt))
 					if !sameCandidates(got, want) {
 						b.Fatalf("%d workers: candidates differ from one worker's", workers)
 					}
 					b.ReportAllocs()
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
-						candidateSink = generateCandidates(levels, table, tax, sup, opt)
+						candidateSink = generateCandidates(levels, table.Total(), tax, sup, opt)
 					}
 					b.ReportMetric(float64(len(got)), "candidates")
 					b.ReportMetric(float64(walk.Visited), "visited/op")

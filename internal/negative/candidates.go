@@ -59,14 +59,17 @@ func (s *WalkStats) add(o WalkStats) {
 
 // inputs is what the workers of one generateCandidates call share, read-only.
 type inputs struct {
-	tax   *taxonomy.Taxonomy
-	table *item.SupportTable // generalized large-itemset supports
+	tax *taxonomy.Taxonomy
 	// minExpected is MinSup·MinRI: a candidate whose expected support does
 	// not exceed it can yield no rule with RI ≥ MinRI. cutBelow is the same
 	// floor less the slack, for bounds not multiplied in the walk's order.
 	minExpected, cutBelow float64
-	sup                   []float64                 // singleSupports(table, tax.Size())
+	sup                   []float64                 // levelSupports(levels[0], total, tax.Size())
 	subs                  map[item.Item][]item.Item // an item's declared substitute partners
+	// siblings holds, for each member of an irregular source (the only
+	// members a sibling walk replaces), its taxonomy siblings and declared
+	// substitute partners, deduplicated.
+	siblings map[item.Item][]item.Item
 	// sources are the large itemsets to walk, levels ascending — the table's
 	// itemsets of two members or more, so an emitted set is large exactly when
 	// it is one — and sourceSup their supports, read off their levels' counts
@@ -124,8 +127,8 @@ func (in *inputs) find(set []item.Item) int32 {
 	return -1
 }
 
-func newInputs(levels [][]item.CountedSet, table *item.SupportTable, tax *taxonomy.Taxonomy, sup []float64, opt Options) *inputs {
-	in := &inputs{tax: tax, table: table, minExpected: opt.MinSupport * opt.MinRI, sup: sup, subs: map[item.Item][]item.Item{}, kin: map[int64]int64{}}
+func newInputs(levels [][]item.CountedSet, total int, tax *taxonomy.Taxonomy, sup []float64, opt Options) *inputs {
+	in := &inputs{tax: tax, minExpected: opt.MinSupport * opt.MinRI, sup: sup, subs: map[item.Item][]item.Item{}, siblings: map[item.Item][]item.Item{}, kin: map[int64]int64{}}
 	in.cutBelow = in.minExpected * (1 - floorSlack)
 	for _, group := range opt.Substitutes {
 		for _, x := range group {
@@ -148,8 +151,8 @@ func newInputs(levels [][]item.CountedSet, table *item.SupportTable, tax *taxono
 		for _, cs := range lvl {
 			in.sources = append(in.sources, cs.Set)
 			sup := 0.0 // as the table reads the count
-			if table.Total() != 0 {
-				sup = float64(cs.Count) / float64(table.Total())
+			if total != 0 {
+				sup = float64(cs.Count) / float64(total)
 			}
 			in.sourceSup = append(in.sourceSup, sup)
 		}
@@ -219,7 +222,7 @@ func (in *inputs) groupOf(x item.Item) int64 {
 // weight returns w(l), +Inf if a member's support is not positive, and
 // whether l is regular: its support and its members' are positive and none has
 // declared substitutes, so that each is a sibling of exactly the others of its
-// group (a node Restrict dropped is not large). Masks hold 64 members.
+// group (of which only the large ones are ever chosen). Masks hold 64 members.
 func (in *inputs) weight(l item.Itemset, supL float64) (float64, bool) {
 	prod, regular := 1.0, supL > 0 && len(l) <= 64
 	for _, x := range l {
@@ -265,6 +268,18 @@ func (in *inputs) classify() {
 		if !ok {
 			if k := in.kinHash(l); in.sourceSup[s] > 0 {
 				in.walked[k] = append(in.walked[k], weighted{src: int32(s), w: w})
+			}
+			for _, x := range l {
+				if _, ok := in.siblings[x]; ok {
+					continue
+				}
+				sibs := in.tax.Siblings(x) // a fresh slice
+				for _, y := range in.subs[x] {
+					if y != x && !slices.Contains(sibs, y) {
+						sibs = append(sibs, y)
+					}
+				}
+				in.siblings[x] = sibs
 			}
 			continue
 		}
@@ -408,7 +423,6 @@ func (in *inputs) pool(id int64, buf []item.Item) ([]item.Item, []item.Item) {
 // of its records.
 type generator struct {
 	inputs
-	sibs [][]item.Item // siblingChoices per taxonomy id; nil = not built yet
 
 	// recs are the recorded paths, and items their sets back to back.
 	recs  []prov
@@ -456,37 +470,24 @@ func (p prov) outranks(q prov) bool {
 	return p.expected > q.expected || p.expected == q.expected && (p.source < q.source || p.source == q.source && p.via < q.via)
 }
 
-// singleSupports is the dense view of table's 1-itemsets over the item ids
-// [0, n): the relative support of {x}, or -1 when {x} is not large, read by
-// id at every choice of a walk and by the taxonomy-compression predicate.
-func singleSupports(table *item.SupportTable, n int) []float64 {
-	sup := make([]float64, n)
-	var key []byte
-	for x := range sup {
-		key = item.Itemset{item.Item(x)}.AppendKey(key[:0])
-		s, ok := table.SupportBytes(key)
-		if !ok {
-			s = -1
-		}
-		sup[x] = s
-	}
-	return sup
-}
-
-// levelSupports is singleSupports read off the large 1-itemsets — l1, with
-// their counts over total transactions, as a stage-1 result holds them beside
-// its table — instead of probing the table once per id.
+// levelSupports is the dense view of the large 1-itemsets l1, with their
+// counts over total transactions as a stage-1 result holds them beside its
+// table: the relative support of {x}, or -1 when {x} is not large, read by id
+// at every choice of a walk. It covers [0, n) and every id of l1, the ones a
+// taxonomy of n nodes lacks included, so an id past its end is not large.
 func levelSupports(l1 []item.CountedSet, total, n int) []float64 {
+	for _, cs := range l1 {
+		n = max(n, int(cs.Set[0])+1)
+	}
 	sup := make([]float64, n)
 	for x := range sup {
 		sup[x] = -1
 	}
 	for _, cs := range l1 {
-		if x := cs.Set[0]; int(x) < n {
-			sup[x] = 0
-			if total != 0 {
-				sup[x] = float64(cs.Count) / float64(total)
-			}
+		x := cs.Set[0]
+		sup[x] = 0
+		if total != 0 {
+			sup[x] = float64(cs.Count) / float64(total)
 		}
 	}
 	return sup
@@ -494,44 +495,22 @@ func levelSupports(l1 []item.CountedSet, total, n int) []float64 {
 
 // newGenerator returns a generator for one worker.
 func (in *inputs) newGenerator() *generator {
-	return &generator{inputs: *in, sibs: make([][]item.Item, in.tax.Size()), mark: make([]int32, in.idBound)}
+	return &generator{inputs: *in, mark: make([]int32, in.idBound)}
 }
 
 // support returns the relative support of the single item x, or -1, and
-// whether x is large. Ids the taxonomy does not cover fall back to the table.
+// whether x is large.
 func (in *inputs) support(x item.Item) (float64, bool) {
-	s := -1.0
-	if x >= 0 && int(x) < len(in.sup) {
-		s = in.sup[x]
-	} else if t, ok := in.table.Support(item.Itemset{x}); ok {
-		s = t
+	if x < 0 || int(x) >= len(in.sup) {
+		return -1, false
 	}
-	return s, s >= 0
-}
-
-// siblingChoices returns the taxonomy siblings of x plus its declared
-// substitute partners, deduplicated, built once per taxonomy id.
-func (g *generator) siblingChoices(x item.Item) []item.Item {
-	dense := x >= 0 && int(x) < len(g.sibs)
-	if dense && g.sibs[x] != nil {
-		return g.sibs[x]
-	}
-	out := g.tax.Siblings(x)
-	for _, s := range g.subs[x] {
-		if s != x && !slices.Contains(out, s) {
-			out = append(out, s)
-		}
-	}
-	if dense {
-		g.sibs[x] = out
-	}
-	return out
+	return in.sup[x], in.sup[x] >= 0
 }
 
 // choices lists what may replace x in the mode being walked.
 func (g *generator) choices(x item.Item) []item.Item {
 	if g.via == ViaSiblings {
-		return g.siblingChoices(x)
+		return g.siblings[x]
 	}
 	return g.tax.Children(x)
 }
@@ -941,7 +920,7 @@ func (g *generator) sourceMembers(l item.Itemset, set []member, walked bool) []m
 	for i, x := range l {
 		g.xs[i] = g.member(x)
 		for j, y := range set {
-			if !walked && y.group == g.xs[i].group || walked && g.xs[i].sup > 0 && y.sup >= 0 && slices.Contains(g.siblingChoices(x), y.x) {
+			if !walked && y.group == g.xs[i].group || walked && g.xs[i].sup > 0 && y.sup >= 0 && slices.Contains(g.siblings[x], y.x) {
 				g.xs[i].can |= 1 << j
 			}
 		}
@@ -1101,23 +1080,28 @@ func mergeTwo(a, b *generated) *generated {
 }
 
 // GenerateCandidates produces the candidate negative itemsets derivable from
-// every large itemset of size ≥ 2 in table, using tax for children/sibling
-// lookups, sorted by itemset. It is exported for tests, benchmarks and the
-// candidate-count experiment (Figure 7); the mining drivers run the same
-// generator, and take its sets by size.
+// every large itemset of size ≥ 2 in levels, using tax for children/sibling
+// lookups, sorted by itemset. The 1-item supports are read off levels[0],
+// with counts relative to table.Total(). It is exported for tests, benchmarks
+// and the candidate-count experiment (Figure 7); the mining drivers run the
+// same generator, and take its sets by size.
 func GenerateCandidates(levels [][]item.CountedSet, table *item.SupportTable, tax *taxonomy.Taxonomy, minSup, minRI float64, substitutes []item.Itemset) []Candidate {
-	return generateCandidates(levels, table, tax, singleSupports(table, tax.Size()),
+	var l1 []item.CountedSet
+	if len(levels) > 0 {
+		l1 = levels[0]
+	}
+	return generateCandidates(levels, table.Total(), tax, levelSupports(l1, table.Total(), tax.Size()),
 		Options{MinSupport: minSup, MinRI: minRI, Substitutes: substitutes}).list()
 }
 
 // generateCandidates is GenerateCandidates for a caller that holds sup =
-// singleSupports(table, tax.Size()), on opt.Count.Parallelism workers (at
-// least one, the caller's goroutine), each taking tasks one at a time from a
-// shared counter into a generator of its own and sorting what it recorded,
-// the sorted runs merged at the end: the candidates do not depend on the
-// number of workers.
-func generateCandidates(levels [][]item.CountedSet, table *item.SupportTable, tax *taxonomy.Taxonomy, sup []float64, opt Options) *generated {
-	in := newInputs(levels, table, tax, sup, opt)
+// levelSupports(levels[0], total, tax.Size()), on opt.Count.Parallelism
+// workers (at least one, the caller's goroutine), each taking tasks one at a
+// time from a shared counter into a generator of its own and sorting what it
+// recorded, the sorted runs merged at the end: the candidates do not depend on
+// the number of workers.
+func generateCandidates(levels [][]item.CountedSet, total int, tax *taxonomy.Taxonomy, sup []float64, opt Options) *generated {
+	in := newInputs(levels, total, tax, sup, opt)
 	tasks := int64(len(in.sources) + len(in.anchors))
 	runs := make([]*generated, max(1, min(int64(opt.Count.Parallelism), tasks)))
 	var next atomic.Int64

@@ -33,6 +33,12 @@ type CountFunc func(groups [][]item.Itemset, transforms []count.TransformInto) (
 // counts (a cache, an instrumented pass) supplies its own. Equal stage-1
 // results and exact counts yield byte-identical rule sets — every caller
 // runs the same code from here on.
+//
+// large must be a generalized (Cumulate) stage-1 result over tax. Its L1 is
+// then ancestor-closed — a parent's count is at least its child's — so
+// restricting tax to the large nodes, the paper's compression, would re-root
+// nothing and drop only nodes the generator skips for their missing support:
+// candidate generation walks tax itself.
 func MineWithCounts(large *apriori.Result, tax *taxonomy.Taxonomy, opt Options, countFn CountFunc) (*Result, error) {
 	if err := opt.validate(); err != nil {
 		return nil, err

@@ -233,11 +233,10 @@ type Timing struct {
 	// Negative covers candidate generation, candidate counting and rule
 	// generation.
 	Negative time.Duration
-	// Restrict, CandGen, Count and RuleGen split Negative into its steps:
-	// taxonomy compression (Improved only), candidate generation, the
-	// candidate counting passes with the negative-itemset filter, and rule
-	// generation. They add up to Negative.
-	Restrict, CandGen, Count, RuleGen time.Duration
+	// CandGen, Count and RuleGen split Negative into its steps: candidate
+	// generation, the candidate counting passes with the negative-itemset
+	// filter, and rule generation. They add up to Negative.
+	CandGen, Count, RuleGen time.Duration
 }
 
 // Result is the complete outcome of a negative mining run.

@@ -254,18 +254,16 @@ func checkLargeAndCandidates(t *testing.T, trial int64, db *txdb.MemDB, tax *tax
 		}
 	}
 
-	// 2. Candidates against the oracle, generated on the restricted
-	// taxonomy by one worker (GenerateCandidates), then by 2 and 5, which
-	// must agree with it.
+	// 2. Candidates against the oracle, generated on the taxonomy the miner
+	// walks, the whole one, by one worker (GenerateCandidates), then by 2
+	// and 5, which must agree with it.
 	wantCands := oracleCandidates(wantLarge, tax, db.Count(), minSup, minRI, subs)
-	rtax := tax.Restrict(func(x item.Item) bool {
-		return large.Table.Contains(item.Itemset{x})
-	})
-	cands := GenerateCandidates(large.Levels, large.Table, rtax, minSup, minRI, subs)
+	cands := GenerateCandidates(large.Levels, large.Table, tax, minSup, minRI, subs)
 	opt := Options{MinSupport: minSup, MinRI: minRI, Substitutes: subs}
+	sup := levelSupports(large.Levels[0], large.Table.Total(), tax.Size())
 	for _, workers := range []int{2, 5} {
 		opt.Count.Parallelism = workers
-		if got := generateCandidates(large.Levels, large.Table, rtax, singleSupports(large.Table, rtax.Size()), opt).list(); !sameCandidates(got, cands) {
+		if got := generateCandidates(large.Levels, large.Table.Total(), tax, sup, opt).list(); !sameCandidates(got, cands) {
 			t.Fatalf("trial %d: %d workers generate other candidates than one", trial, workers)
 		}
 	}

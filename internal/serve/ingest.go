@@ -98,7 +98,6 @@ type RefreshBreakdown struct {
 	SealSeconds        float64 `json:"sealSeconds"`
 	IndexAppendSeconds float64 `json:"indexAppendSeconds"`
 	Stage1Seconds      float64 `json:"stage1Seconds"`
-	RestrictSeconds    float64 `json:"restrictSeconds"`
 	CandGenSeconds     float64 `json:"candgenSeconds"`
 	CountSeconds       float64 `json:"countSeconds"`
 	RuleGenSeconds     float64 `json:"rulegenSeconds"`

@@ -10,7 +10,9 @@
 //  2. Negative candidate generation (paper §2.1.1) swaps items of a large
 //     itemset for their children or siblings — Children and Siblings.
 //  3. Taxonomy compression (paper §2.2, improved algorithm) removes small
-//     1-itemsets before candidate generation — Restrict.
+//     1-itemsets before candidate generation — Restrict. The miner does not
+//     call it: over a generalized L1, which is ancestor-closed, skipping the
+//     small items while walking the whole taxonomy is the same walk.
 //
 // A Taxonomy is immutable after Build; all methods are safe for concurrent
 // readers.
