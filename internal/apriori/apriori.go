@@ -10,7 +10,6 @@ package apriori
 
 import (
 	"fmt"
-	"math/bits"
 	"slices"
 	"sort"
 
@@ -46,13 +45,20 @@ type Result struct {
 	// Levels[k-1] holds the large k-itemsets with their absolute support
 	// counts, each level sorted lexicographically.
 	Levels [][]item.CountedSet
-	// Table maps every large itemset to its absolute support count.
-	Table *item.SupportTable
+	// Table maps every large itemset to its absolute support count: an
+	// index over Levels, which AddLevel extends.
+	Table *item.Table
 	// N is the number of transactions scanned.
 	N int
 	// MinCount is the absolute support threshold used (ceil of
 	// MinSupport·N, but at least 1).
 	MinCount int
+}
+
+// AddLevel appends the next level, sorted, to Levels and indexes it in Table.
+func (r *Result) AddLevel(level []item.CountedSet) {
+	r.Levels = append(r.Levels, level)
+	r.Table.Append(level)
 }
 
 // Large returns all large itemsets of every size, level by level.
@@ -95,7 +101,7 @@ func Mine(db txdb.DB, opt Options) (*Result, error) {
 		return nil, err
 	}
 	n := db.Count()
-	res := &Result{Table: item.NewSupportTable(n), N: n, MinCount: MinCount(opt.MinSupport, n)}
+	res := &Result{Table: item.NewTable(n), N: n, MinCount: MinCount(opt.MinSupport, n)}
 
 	// Pass 1: singletons.
 	singles, err := count.Singletons(db, opt.Count)
@@ -106,15 +112,11 @@ func Mine(db txdb.DB, opt Options) (*Result, error) {
 	if len(l1) == 0 {
 		return res, nil
 	}
-	res.Levels = append(res.Levels, l1)
-	for _, cs := range l1 {
-		res.Table.Put(cs.Set, cs.Count)
-	}
+	res.AddLevel(l1)
 
 	// Passes k ≥ 2.
-	prev := res.LevelSets(1)
 	for k := 2; opt.MaxK == 0 || k <= opt.MaxK; k++ {
-		cands := Gen(prev)
+		cands := Gen(res.LevelSets(k - 1))
 		if len(cands) == 0 {
 			break
 		}
@@ -132,12 +134,7 @@ func Mine(db txdb.DB, opt Options) (*Result, error) {
 			break
 		}
 		sort.Slice(level, func(i, j int) bool { return level[i].Set.Compare(level[j].Set) < 0 })
-		res.Levels = append(res.Levels, level)
-		prev = prev[:0]
-		for _, cs := range level {
-			res.Table.Put(cs.Set, cs.Count)
-			prev = append(prev, cs.Set)
-		}
+		res.AddLevel(level)
 	}
 	return res, nil
 }
@@ -178,7 +175,7 @@ func Gen(prev []item.Itemset) []item.Itemset {
 }
 
 // joinPrune is apriori-gen as published, for any k, on item ids: prev's
-// sets are open-addressed by item.Itemset.Hash, and a candidate — the join of
+// sets are indexed by item.Itemset.Hash, and a candidate — the join of
 // prev[i] and prev[j], which share their first k-2 members — is kept when its
 // k-2 subsets other than those two parents are in prev, each probed by the
 // candidate's hash less its dropped member's and compared in place. A first
@@ -187,16 +184,10 @@ func Gen(prev []item.Itemset) []item.Itemset {
 // is.
 func joinPrune(prev []item.Itemset) []item.Itemset {
 	k1 := prev[0].Len() // k-1
-	slots := make([]slot, 2<<bits.Len(uint(len(prev))))
-	mask := uint64(len(slots) - 1)
+	ix := item.NewIndex(len(prev))
 	joined, lo := 0, 0 // the pairs the join makes; prev[lo] starts prev[i]'s run
 	for i, p := range prev {
-		h := p.Hash()
-		at := h & mask
-		for slots[at].set != 0 {
-			at = (at + 1) & mask
-		}
-		slots[at] = slot{h, int32(i) + 1}
+		ix.Insert(p.Hash(), int32(i))
 		if i > 0 && !samePrefix(prev[lo], p, k1-1) {
 			lo = i
 		}
@@ -205,12 +196,8 @@ func joinPrune(prev []item.Itemset) []item.Itemset {
 	// has reports whether prev holds base with its member at drop taken out
 	// and last appended, its hash h.
 	has := func(base item.Itemset, drop int, last item.Item, h uint64) bool {
-		for at := h & mask; slots[at].set != 0; at = (at + 1) & mask {
-			if slots[at].h != h {
-				continue
-			}
-			p := prev[slots[at].set-1]
-			if slices.Equal(p[:drop], base[:drop]) && slices.Equal(p[drop:k1-1], base[drop+1:]) && p[k1-1] == last {
+		for i, at := ix.Probe(h); i >= 0; i, at = ix.Next(h, at) {
+			if q := prev[i]; slices.Equal(q[:drop], base[:drop]) && slices.Equal(q[drop:k1-1], base[drop+1:]) && q[k1-1] == last {
 				return true
 			}
 		}
@@ -248,13 +235,6 @@ func joinPrune(prev []item.Itemset) []item.Itemset {
 		pair++
 	})
 	return out
-}
-
-// slot is a set of prev in joinPrune's table: its hash, and its index + 1
-// (0: empty).
-type slot struct {
-	h   uint64
-	set int32
 }
 
 // forPairs calls fn for every pair i < j of prev's sets that share their

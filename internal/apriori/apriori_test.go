@@ -161,11 +161,11 @@ func TestGenOutputSorted(t *testing.T) {
 
 // bruteForce mines all frequent itemsets by enumerating subsets of each
 // transaction — the correctness oracle.
-func bruteForce(db *txdb.MemDB, minCount int) map[item.Key]int {
-	counts := map[item.Key]int{}
+func bruteForce(db *txdb.MemDB, minCount int) map[string]int {
+	counts := map[string]int{}
 	db.Scan(func(tx txdb.Transaction) error {
 		tx.Items.AllSubsets(false, func(s item.Itemset) {
-			counts[s.Key()]++
+			counts[s.String()]++
 		})
 		return nil
 	})
@@ -196,16 +196,16 @@ func TestMineAgainstBruteForce(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := bruteForce(db, res.MinCount)
-		got := map[item.Key]int{}
+		got := map[string]int{}
 		for _, cs := range res.Large() {
-			got[cs.Set.Key()] = cs.Count
+			got[cs.Set.String()] = cs.Count
 		}
 		if len(got) != len(want) {
 			t.Fatalf("trial %d: mined %d itemsets, want %d", trial, len(got), len(want))
 		}
 		for k, c := range want {
 			if got[k] != c {
-				t.Fatalf("trial %d: %v count %d, want %d", trial, k.Itemset(), got[k], c)
+				t.Fatalf("trial %d: %s count %d, want %d", trial, k, got[k], c)
 			}
 		}
 	}
@@ -424,14 +424,15 @@ func TestGenPairsEqualsJoinPrune(t *testing.T) {
 	}
 }
 
-// referenceJoinPrune is apriori-gen as published, over Key strings: a map of
-// prev's keys, and every (k-1)-subset of a joined candidate probed as a Key.
+// referenceJoinPrune is apriori-gen as published, over string keys: a map of
+// prev's sets by String, and every (k-1)-subset of a joined candidate probed
+// by its String.
 // It is what joinPrune replaced, kept as the reference that Gen is held to.
 func referenceJoinPrune(prev []item.Itemset) []item.Itemset {
 	k1 := prev[0].Len() // k-1
-	prevSet := make(map[item.Key]struct{}, len(prev))
+	prevSet := make(map[string]struct{}, len(prev))
 	for _, p := range prev {
-		prevSet[p.Key()] = struct{}{}
+		prevSet[p.String()] = struct{}{}
 	}
 	var out []item.Itemset
 	for i := 0; i < len(prev); i++ {
@@ -442,7 +443,7 @@ func referenceJoinPrune(prev []item.Itemset) []item.Itemset {
 			cand := prev[i].With(prev[j][k1-1])
 			ok := true
 			cand.Subsets(cand.Len()-1, func(sub item.Itemset) {
-				if _, found := prevSet[sub.Key()]; !found {
+				if _, found := prevSet[sub.String()]; !found {
 					ok = false
 				}
 			})

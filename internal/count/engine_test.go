@@ -54,15 +54,15 @@ func randomGroups(r *rand.Rand, universe item.Itemset, nGroups int) [][]item.Ite
 	groups := make([][]item.Itemset, nGroups)
 	for g := range groups {
 		size := g + 1
-		seen := map[item.Key]bool{}
+		seen := map[string]bool{}
 		for len(groups[g]) < 10+r.Intn(20) {
 			raw := make([]item.Item, size)
 			for j := range raw {
 				raw[j] = universe[r.Intn(universe.Len())]
 			}
 			c := item.New(raw...)
-			if c.Len() == size && !seen[c.Key()] {
-				seen[c.Key()] = true
+			if c.Len() == size && !seen[c.String()] {
+				seen[c.String()] = true
 				groups[g] = append(groups[g], c)
 			}
 		}

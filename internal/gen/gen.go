@@ -159,24 +159,3 @@ func genLevel(prev []item.Itemset, tax *taxonomy.Taxonomy, k int) []item.Itemset
 	}
 	return out
 }
-
-// mineL1 runs the first pass: exact counts of every item and category.
-func mineL1(db txdb.DB, tax *taxonomy.Taxonomy, opt Options, res *apriori.Result) ([]item.Itemset, error) {
-	cnt := opt.Count
-	cnt.Tax = tax // count the full ancestor extension
-	singles, err := count.Singletons(db, cnt)
-	if err != nil {
-		return nil, err
-	}
-	l1 := apriori.Level1(singles, res.MinCount)
-	if len(l1) == 0 {
-		return nil, nil
-	}
-	res.Levels = append(res.Levels, l1)
-	sets := make([]item.Itemset, len(l1))
-	for i, cs := range l1 {
-		res.Table.Put(cs.Set, cs.Count)
-		sets[i] = cs.Set
-	}
-	return sets, nil
-}

@@ -30,12 +30,11 @@ func PruneInteresting(rules []apriori.Rule, res *apriori.Result, tax *taxonomy.T
 	if tax == nil {
 		return nil, fmt.Errorf("gen: nil taxonomy")
 	}
-	// Index mined rules by antecedent∪consequent split for confidence
-	// lookups of ancestor rules.
-	type split struct{ ante, cons item.Key }
-	byParts := make(map[split]apriori.Rule, len(rules))
-	for _, rule := range rules {
-		byParts[split{rule.Antecedent.Key(), rule.Consequent.Key()}] = rule
+	// Index mined rules by their parts for confidence lookups of ancestor
+	// rules.
+	byParts := item.NewIndex(len(rules))
+	for i, rule := range rules {
+		byParts.Insert(partsHash(rule.Antecedent, rule.Consequent), int32(i))
 	}
 
 	var out []apriori.Rule
@@ -50,10 +49,15 @@ func PruneInteresting(rules []apriori.Rule, res *apriori.Result, tax *taxonomy.T
 			if !interesting {
 				return
 			}
-			anc, ok := byParts[split{ante.Key(), cons.Key()}]
-			if !ok {
+			h := partsHash(ante, cons)
+			i, at := byParts.Probe(h)
+			for i >= 0 && !(rules[i].Antecedent.Equal(ante) && rules[i].Consequent.Equal(cons)) {
+				i, at = byParts.Next(h, at)
+			}
+			if i < 0 {
 				return // ancestor rule not mined: cannot judge, keep
 			}
+			anc := rules[i]
 			expSup := anc.Support * supRatio
 			expConf := anc.Confidence * confRatio
 			if rule.Support < r*expSup && rule.Confidence < r*expConf {
@@ -73,10 +77,14 @@ func PruneInteresting(rules []apriori.Rule, res *apriori.Result, tax *taxonomy.T
 	return out, nil
 }
 
+// partsHash hashes a rule by its antecedent and its consequent, so that A ⇒ C
+// and C ⇒ A hash apart.
+func partsHash(ante, cons item.Itemset) uint64 { return item.Mix(ante.Hash()) + cons.Hash() }
+
 // replaceOne yields every variant of s with exactly one member replaced by
 // its taxonomy parent (skipping variants whose ratio cannot be computed),
 // along with the support ratio sup(item)/sup(parent).
-func replaceOne(s item.Itemset, tax *taxonomy.Taxonomy, table *item.SupportTable, fn func(item.Itemset, float64)) {
+func replaceOne(s item.Itemset, tax *taxonomy.Taxonomy, table *item.Table, fn func(item.Itemset, float64)) {
 	for i, x := range s {
 		p := tax.Parent(x)
 		if p == item.None {

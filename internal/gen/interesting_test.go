@@ -26,11 +26,13 @@ func interestingFixture(t *testing.T) (*taxonomy.Taxonomy, map[string]item.Item,
 	for _, n := range []string{"clothes", "jackets", "shirts", "shoes"} {
 		ids[n], _ = tax.Dictionary().Lookup(n)
 	}
-	res := &apriori.Result{Table: item.NewSupportTable(1000), N: 1000}
-	res.Table.Put(item.New(ids["clothes"]), 500)
-	res.Table.Put(item.New(ids["jackets"]), 250) // half of clothes
-	res.Table.Put(item.New(ids["shirts"]), 250)
-	res.Table.Put(item.New(ids["shoes"]), 400)
+	res := &apriori.Result{Table: item.NewTable(1000), N: 1000}
+	res.AddLevel([]item.CountedSet{
+		{Set: item.New(ids["clothes"]), Count: 500},
+		{Set: item.New(ids["jackets"]), Count: 250}, // half of clothes
+		{Set: item.New(ids["shirts"]), Count: 250},
+		{Set: item.New(ids["shoes"]), Count: 400},
+	})
 	return tax, ids, res
 }
 

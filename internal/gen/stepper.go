@@ -23,8 +23,7 @@ type Stepper struct {
 	tax  *taxonomy.Taxonomy
 	opt  Options
 	res  *apriori.Result
-	prev []item.Itemset // sorted sets of the last mined level
-	k    int            // next level to mine
+	k    int // next level to mine
 	done bool
 }
 
@@ -43,7 +42,7 @@ func NewStepper(db txdb.DB, tax *taxonomy.Taxonomy, opt Options) (*Stepper, erro
 		tax: tax,
 		opt: opt,
 		res: &apriori.Result{
-			Table:    item.NewSupportTable(n),
+			Table:    item.NewTable(n),
 			N:        n,
 			MinCount: apriori.MinCount(opt.MinSupport, n),
 		},
@@ -54,57 +53,56 @@ func NewStepper(db txdb.DB, tax *taxonomy.Taxonomy, opt Options) (*Stepper, erro
 // Next mines the next level and returns it, sorted. It returns (nil, nil)
 // once no further level exists (or MaxK is reached).
 func (s *Stepper) Next() ([]item.CountedSet, error) {
-	if s.done {
-		return nil, nil
-	}
-	if s.k == 1 {
-		prev, err := mineL1(s.db, s.tax, s.opt, s.res)
-		if err != nil {
-			return nil, err
-		}
-		s.prev = prev
-		s.k = 2
-		if prev == nil {
-			s.done = true
-			return nil, nil
-		}
-		return s.res.Levels[0], nil
-	}
-	if s.opt.MaxK != 0 && s.k > s.opt.MaxK {
+	if s.done || s.opt.MaxK != 0 && s.k > s.opt.MaxK {
 		s.done = true
 		return nil, nil
 	}
-	level, ok := s.tableLevel2()
-	if !ok {
-		cands := genLevel(s.prev, s.tax, s.k)
-		if len(cands) == 0 {
-			s.done = true
-			return nil, nil
-		}
-		cnt := s.opt.Count
-		installTransform(&cnt, s.tax, cands)
-		counts, err := count.Candidates(s.db, cands, cnt)
-		if err != nil {
-			return nil, err
-		}
-		for i, c := range cands {
-			if counts[i] >= s.res.MinCount {
-				level = append(level, item.CountedSet{Set: c, Count: counts[i]})
-			}
-		}
-		sort.Slice(level, func(i, j int) bool { return level[i].Set.Compare(level[j].Set) < 0 })
+	level, err := s.level()
+	if err != nil {
+		return nil, err
 	}
 	if len(level) == 0 {
 		s.done = true
 		return nil, nil
 	}
-	s.res.Levels = append(s.res.Levels, level)
-	s.prev = s.prev[:0]
-	for _, cs := range level {
-		s.res.Table.Put(cs.Set, cs.Count)
-		s.prev = append(s.prev, cs.Set)
-	}
+	s.res.AddLevel(level)
 	s.k++
+	return level, nil
+}
+
+// level mines level s.k: the first pass counts every item and category
+// exactly; level 2 is read off a pair table where there is one; any other is
+// counted from apriori-gen's candidates.
+func (s *Stepper) level() ([]item.CountedSet, error) {
+	if s.k == 1 {
+		cnt := s.opt.Count
+		cnt.Tax = s.tax // count the full ancestor extension
+		singles, err := count.Singletons(s.db, cnt)
+		if err != nil {
+			return nil, err
+		}
+		return apriori.Level1(singles, s.res.MinCount), nil
+	}
+	if level, ok := s.tableLevel2(); ok {
+		return level, nil
+	}
+	cands := genLevel(s.res.LevelSets(s.k-1), s.tax, s.k)
+	if len(cands) == 0 {
+		return nil, nil
+	}
+	cnt := s.opt.Count
+	installTransform(&cnt, s.tax, cands)
+	counts, err := count.Candidates(s.db, cands, cnt)
+	if err != nil {
+		return nil, err
+	}
+	var level []item.CountedSet
+	for i, c := range cands {
+		if counts[i] >= s.res.MinCount {
+			level = append(level, item.CountedSet{Set: c, Count: counts[i]})
+		}
+	}
+	sort.Slice(level, func(i, j int) bool { return level[i].Set.Compare(level[j].Set) < 0 })
 	return level, nil
 }
 
@@ -127,8 +125,8 @@ func (s *Stepper) tableLevel2() ([]item.CountedSet, bool) {
 		return nil, false
 	}
 	m := ix.Matrix()
-	for _, x := range s.prev {
-		if m.Row(x[0]) == nil {
+	for _, cs := range s.res.Levels[0] {
+		if m.Row(cs.Set[0]) == nil {
 			return nil, false
 		}
 	}

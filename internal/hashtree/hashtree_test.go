@@ -96,7 +96,7 @@ func TestRandomAgainstReference(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		k := 1 + r.Intn(4)
 		nItems := 30
-		seen := map[item.Key]bool{}
+		seen := map[string]bool{}
 		target := 60
 		if target > nItems && k == 1 {
 			target = nItems - 5 // only nItems distinct 1-itemsets exist
@@ -108,10 +108,10 @@ func TestRandomAgainstReference(t *testing.T) {
 				raw[j] = item.Item(r.Intn(nItems))
 			}
 			c := item.New(raw...)
-			if c.Len() != k || seen[c.Key()] {
+			if c.Len() != k || seen[c.String()] {
 				continue
 			}
-			seen[c.Key()] = true
+			seen[c.String()] = true
 			cands = append(cands, c)
 		}
 		var txs []item.Itemset
@@ -186,12 +186,12 @@ func TestK1Candidates(t *testing.T) {
 func BenchmarkCountHashTree(b *testing.B) {
 	r := rand.New(rand.NewSource(1))
 	var cands []item.Itemset
-	seen := map[item.Key]bool{}
+	seen := map[string]bool{}
 	for len(cands) < 2000 {
 		raw := []item.Item{item.Item(r.Intn(500)), item.Item(r.Intn(500)), item.Item(r.Intn(500))}
 		c := item.New(raw...)
-		if c.Len() == 3 && !seen[c.Key()] {
-			seen[c.Key()] = true
+		if c.Len() == 3 && !seen[c.String()] {
+			seen[c.String()] = true
 			cands = append(cands, c)
 		}
 	}
@@ -216,12 +216,12 @@ func BenchmarkCountHashTree(b *testing.B) {
 func BenchmarkCountReference(b *testing.B) {
 	r := rand.New(rand.NewSource(1))
 	var cands []item.Itemset
-	seen := map[item.Key]bool{}
+	seen := map[string]bool{}
 	for len(cands) < 2000 {
 		raw := []item.Item{item.Item(r.Intn(500)), item.Item(r.Intn(500)), item.Item(r.Intn(500))}
 		c := item.New(raw...)
-		if c.Len() == 3 && !seen[c.Key()] {
-			seen[c.Key()] = true
+		if c.Len() == 3 && !seen[c.String()] {
+			seen[c.String()] = true
 			cands = append(cands, c)
 		}
 	}
@@ -245,11 +245,11 @@ func BenchmarkCountReference(b *testing.B) {
 func TestAddAllocationFree(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	var cands []item.Itemset
-	seen := map[item.Key]bool{}
+	seen := map[string]bool{}
 	for len(cands) < 500 {
 		c := item.New(item.Item(r.Intn(80)), item.Item(r.Intn(80)), item.Item(r.Intn(80)))
-		if c.Len() == 3 && !seen[c.Key()] {
-			seen[c.Key()] = true
+		if c.Len() == 3 && !seen[c.String()] {
+			seen[c.String()] = true
 			cands = append(cands, c)
 		}
 	}

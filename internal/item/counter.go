@@ -6,42 +6,49 @@ type CountedSet struct {
 	Count int
 }
 
-// SupportTable is an itemset → support-count lookup built from the output of
-// a mining pass, which mining algorithms hand around.
-type SupportTable struct {
-	counts map[Key]int
-	total  int // number of transactions the counts are relative to
+// Table is the itemset → support-count lookup over the levels of a mining
+// pass: level k holds distinct k-itemsets, and each level has an Index of its
+// positions by Hash, so a probe hashes the set, walks the one level of its
+// size and compares members in place. It allocates nothing per set or probe.
+type Table struct {
+	levels [][]CountedSet
+	index  []Index // index[k-1] holds the positions of levels[k-1]
+	total  int     // number of transactions the counts are relative to
+	n      int     // sets over every level
 }
 
-// NewSupportTable builds a table over n transactions.
-func NewSupportTable(n int) *SupportTable {
-	return &SupportTable{counts: make(map[Key]int), total: n}
-}
+// NewTable returns an empty table over n transactions.
+func NewTable(n int) *Table { return &Table{total: n} }
 
-// Put records the support count of s. Re-putting an itemset overwrites.
-func (t *SupportTable) Put(s Itemset, count int) { t.counts[s.Key()] = count }
+// Append adds the next level: the (k+1)-itemsets of a table holding k levels.
+// The table reads level in place; it must not change after.
+func (t *Table) Append(level []CountedSet) {
+	ix := NewIndex(len(level))
+	for i, cs := range level {
+		ix.Insert(cs.Set.Hash(), int32(i))
+	}
+	t.levels, t.index, t.n = append(t.levels, level), append(t.index, ix), t.n+len(level)
+}
 
 // Count returns the absolute support count of s and whether it is known.
-func (t *SupportTable) Count(s Itemset) (int, bool) {
-	n, ok := t.counts[s.Key()]
-	return n, ok
+func (t *Table) Count(s Itemset) (int, bool) {
+	k := len(s) - 1
+	if k < 0 || k >= len(t.levels) {
+		return 0, false
+	}
+	lvl := t.levels[k]
+	h, ix := s.Hash(), t.index[k]
+	for i, at := ix.Probe(h); i >= 0; i, at = ix.Next(h, at) {
+		if lvl[i].Set.Equal(s) {
+			return lvl[i].Count, true
+		}
+	}
+	return 0, false
 }
 
 // Support returns the relative support of s in [0,1] and whether it is known.
-func (t *SupportTable) Support(s Itemset) (float64, bool) {
-	n, ok := t.counts[s.Key()]
-	return t.relative(n, ok)
-}
-
-// SupportBytes is Support for an itemset already encoded with
-// Itemset.AppendKey. It does not allocate, which is what hot loops that
-// probe the table once per generated set need.
-func (t *SupportTable) SupportBytes(key []byte) (float64, bool) {
-	n, ok := t.counts[Key(key)] // this form of lookup does not copy key
-	return t.relative(n, ok)
-}
-
-func (t *SupportTable) relative(n int, ok bool) (float64, bool) {
+func (t *Table) Support(s Itemset) (float64, bool) {
+	n, ok := t.Count(s)
 	if !ok || t.total == 0 {
 		return 0, ok
 	}
@@ -49,27 +56,13 @@ func (t *SupportTable) relative(n int, ok bool) (float64, bool) {
 }
 
 // Contains reports whether s has a recorded support.
-func (t *SupportTable) Contains(s Itemset) bool {
-	_, ok := t.counts[s.Key()]
+func (t *Table) Contains(s Itemset) bool {
+	_, ok := t.Count(s)
 	return ok
 }
 
 // Total returns the number of transactions counts are relative to.
-func (t *SupportTable) Total() int { return t.total }
+func (t *Table) Total() int { return t.total }
 
 // Len returns the number of itemsets with recorded support.
-func (t *SupportTable) Len() int { return len(t.counts) }
-
-// Each calls fn for every (itemset, count) pair in unspecified order.
-func (t *SupportTable) Each(fn func(Itemset, int)) {
-	for k, n := range t.counts {
-		fn(k.Itemset(), n)
-	}
-}
-
-// Merge folds other's entries into t (overwriting duplicates).
-func (t *SupportTable) Merge(other *SupportTable) {
-	for k, n := range other.counts {
-		t.counts[k] = n
-	}
-}
+func (t *Table) Len() int { return t.n }

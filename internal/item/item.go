@@ -9,6 +9,7 @@ package item
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
 	"strconv"
@@ -262,29 +263,9 @@ func (s Itemset) ReplaceAt(i int, x Item) Itemset {
 	return SortDedup(out)
 }
 
-// Key returns a compact string usable as a map key. Two itemsets have the
-// same key iff they are Equal.
-func (s Itemset) Key() Key {
-	if len(s) == 0 {
-		return ""
-	}
-	return Key(s.AppendKey(make([]byte, 0, len(s)*4)))
-}
-
-// AppendKey appends the Key encoding of s to dst and returns the extended
-// buffer. With a reused dst it is the allocation-free way to probe a
-// Key-keyed map: m[Key(buf)] does not copy the bytes.
-func (s Itemset) AppendKey(dst []byte) []byte {
-	for _, x := range s {
-		dst = append(dst, byte(x), byte(x>>8), byte(x>>16), byte(x>>24))
-	}
-	return dst
-}
-
 // Hash sums Mix over the members: equal sets hash alike, and so do the same
 // members in any order, so a set's hash less Mix(x) is the hash of the set
-// without x. It keys the open-addressed tables that probe itemsets by their
-// members instead of by a Key string.
+// without x. It is what an Index is keyed by.
 func (s Itemset) Hash() uint64 {
 	var h uint64
 	for _, x := range s {
@@ -302,24 +283,62 @@ func Mix(z uint64) uint64 {
 	return z ^ z>>31
 }
 
-// Key is the map-key form of an itemset (4 bytes per item, little endian).
-type Key string
-
-// Itemset decodes a Key back into the itemset it was built from.
-func (k Key) Itemset() Itemset {
-	if len(k) == 0 {
-		return nil
-	}
-	s := make(Itemset, len(k)/4)
-	for i := range s {
-		o := i * 4
-		s[i] = Item(uint32(k[o]) | uint32(k[o+1])<<8 | uint32(k[o+2])<<16 | uint32(k[o+3])<<24)
-	}
-	return s
+// Index maps itemset hashes to int32 positions in a slice the caller holds,
+// open-addressed with linear probing. It stores no sets: a probe yields the
+// positions inserted under a hash, and the caller compares members in place.
+// It is made by NewIndex for the positions it will hold, and never grows.
+type Index struct {
+	slots []indexSlot
 }
 
-// Len returns the number of items encoded in the key.
-func (k Key) Len() int { return len(k) / 4 }
+// indexSlot is a position of an Index with its hash; pos is the position + 1
+// (0: empty).
+type indexSlot struct {
+	h   uint64
+	pos int32
+}
+
+// NewIndex returns an Index with room for n positions, at most half full.
+func NewIndex(n int) Index {
+	return Index{slots: make([]indexSlot, 2<<bits.Len(uint(n)))}
+}
+
+// Insert adds pos under hash h, after the positions already there: at most
+// the n positions the Index was made for, so that an empty slot ends every
+// probe.
+func (x Index) Insert(h uint64, pos int32) {
+	mask := uint64(len(x.slots) - 1)
+	for at := h; ; at++ {
+		if x.slots[at&mask].pos == 0 {
+			x.slots[at&mask] = indexSlot{h, pos + 1}
+			return
+		}
+	}
+}
+
+// Probe returns the first position inserted under h, or -1, and where the
+// probe stands, for Next:
+//
+//	for i, at := x.Probe(h); i >= 0; i, at = x.Next(h, at) { … }
+//
+// walks the positions under h in insertion order.
+func (x Index) Probe(h uint64) (pos int32, at uint64) { return x.Next(h, h) }
+
+// Next returns the next position under h of a probe standing at at, or -1,
+// and where the probe stands after it.
+func (x Index) Next(h, at uint64) (pos int32, next uint64) {
+	mask := uint64(len(x.slots) - 1)
+	for {
+		s := x.slots[at&mask]
+		if s.pos == 0 {
+			return -1, at
+		}
+		at++
+		if s.h == h {
+			return s.pos - 1, at
+		}
+	}
+}
 
 // String renders the itemset as "{1 5 9}".
 func (s Itemset) String() string {

@@ -137,22 +137,6 @@ func TestReplaceAt(t *testing.T) {
 	}
 }
 
-func TestKeyRoundTrip(t *testing.T) {
-	sets := []Itemset{nil, New(0), New(1, 2, 3), New(1 << 20), New(0x7fffffff)}
-	for _, s := range sets {
-		got := s.Key().Itemset()
-		if !got.Equal(s) {
-			t.Errorf("Key round trip: %v -> %v", s, got)
-		}
-		if s.Key().Len() != s.Len() {
-			t.Errorf("Key.Len mismatch for %v", s)
-		}
-	}
-	if New(1, 2).Key() == New(1, 3).Key() {
-		t.Error("distinct sets share a key")
-	}
-}
-
 func TestCompare(t *testing.T) {
 	cases := []struct {
 		a, b Itemset
@@ -293,20 +277,6 @@ func TestQuickMinusIntersectPartition(t *testing.T) {
 	}
 }
 
-func TestQuickKeyBijective(t *testing.T) {
-	r := rand.New(rand.NewSource(3))
-	f := func() bool {
-		a, b := genSet(r, 10, 1<<30), genSet(r, 10, 1<<30)
-		if a.Equal(b) != (a.Key() == b.Key()) {
-			return false
-		}
-		return a.Key().Itemset().Equal(a)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestQuickSubsetsCount(t *testing.T) {
 	// Subsets(k) must produce C(n, k) distinct sorted subsets.
 	r := rand.New(rand.NewSource(4))
@@ -326,13 +296,13 @@ func TestQuickSubsetsCount(t *testing.T) {
 		if k == 0 {
 			return true
 		}
-		seen := map[Key]bool{}
+		seen := map[string]bool{}
 		ok := true
 		s.Subsets(k, func(sub Itemset) {
 			if sub.Validate() != nil || !sub.SubsetOf(s) || len(sub) != k {
 				ok = false
 			}
-			seen[sub.Key()] = true
+			seen[sub.String()] = true
 		})
 		return ok && len(seen) == binom(len(s), k)
 	}
@@ -395,43 +365,35 @@ func TestDictionary(t *testing.T) {
 }
 
 func TestSupportTable(t *testing.T) {
-	st := NewSupportTable(200)
+	st := NewTable(200)
 	a := New(1, 2)
-	st.Put(a, 50)
+	st.Append([]CountedSet{{New(1), 80}, {New(2), 70}})
+	st.Append([]CountedSet{{a, 50}})
 	if n, ok := st.Count(a); !ok || n != 50 {
 		t.Errorf("Count = %d,%v", n, ok)
 	}
 	if sup, ok := st.Support(a); !ok || sup != 0.25 {
 		t.Errorf("Support = %v,%v", sup, ok)
 	}
-	if _, ok := st.Count(New(9)); ok {
-		t.Error("Count(absent) reported ok")
-	}
-	if sup, ok := st.Support(New(9)); ok || sup != 0 {
-		t.Errorf("Support(absent) = %v,%v", sup, ok)
+	for _, absent := range []Itemset{nil, New(9), New(1, 9), New(1, 2, 3)} {
+		if _, ok := st.Count(absent); ok {
+			t.Errorf("Count(%v) reported ok", absent)
+		}
+		if sup, ok := st.Support(absent); ok || sup != 0 {
+			t.Errorf("Support(%v) = %v,%v", absent, sup, ok)
+		}
 	}
 	if !st.Contains(a) || st.Contains(New(9)) {
 		t.Error("Contains wrong")
 	}
-	if st.Total() != 200 || st.Len() != 1 {
+	if st.Total() != 200 || st.Len() != 3 {
 		t.Errorf("Total/Len = %d/%d", st.Total(), st.Len())
-	}
-	st.Put(a, 60) // overwrite
-	if n, _ := st.Count(a); n != 60 {
-		t.Errorf("overwrite Count = %d", n)
-	}
-
-	o := NewSupportTable(200)
-	o.Put(New(3), 10)
-	st.Merge(o)
-	if st.Len() != 2 {
-		t.Errorf("after Merge Len = %d", st.Len())
 	}
 
 	// Zero-transaction table must not divide by zero.
-	z := NewSupportTable(0)
-	z.Put(a, 0)
-	if sup, ok := z.Support(a); !ok || sup != 0 {
+	z := NewTable(0)
+	z.Append([]CountedSet{{New(1), 0}})
+	if sup, ok := z.Support(New(1)); !ok || sup != 0 {
 		t.Errorf("zero-total Support = %v,%v", sup, ok)
 	}
 }

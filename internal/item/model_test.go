@@ -84,10 +84,9 @@ func draw(r *rand.Rand, n int) []Item {
 	return raw
 }
 
-// TestItemsetAgainstMapModel: SortDedup, With, Minus, SubsetOf, Equal, Hash and
-// the AppendKey ↔ Key.Itemset round trip agree with a map model of the set, on
-// random sets over ids near 0 and near 2³¹, and none of them writes to its
-// receiver or argument.
+// TestItemsetAgainstMapModel: SortDedup, With, Minus, SubsetOf, Equal and Hash
+// agree with a map model of the set, on random sets over ids near 0 and near
+// 2³¹, and none of them writes to its receiver or argument.
 func TestItemsetAgainstMapModel(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 3000; trial++ {
@@ -140,58 +139,120 @@ func TestItemsetAgainstMapModel(t *testing.T) {
 			t.Fatalf("Hash(%v ∪ {%d}) is not Hash(%v) + Mix(%d)", a, x, a, x)
 		}
 
-		key := a.AppendKey([]byte("prefix"))[len("prefix"):]
-		if back := Key(key).Itemset(); !back.Equal(a) || Key(key) != a.Key() || Key(key).Len() != len(a) {
-			t.Fatalf("%v: key %q decodes to %v", a, key, back)
-		}
-
 		if !a.Equal(keepA) || !b.Equal(keepB) {
 			t.Fatalf("an operation wrote to its operands: %v, %v; were %v, %v", a, b, keepA, keepB)
 		}
 	}
 }
 
-// TestSupportTableAgainstMapModel: after random Puts — new sets and
-// overwrites, over 0, 1 and 1 000 transactions — Count, Support, SupportBytes,
-// Contains and Len answer what a map[string]int of the same Puts says, for the
-// sets put and for sets never put.
+// TestSupportTableAgainstMapModel: a table built level by level from random
+// distinct sets, over 0, 1 and 1 000 transactions, answers Count, Support,
+// Contains, Len and Total as a map of the levels appended so far says — empty
+// before the first Append, and read after each one, as a Stepper's result is
+// read between levels — for every set stored or still to come, for random
+// sets, and for each stored set with one member swapped for another.
 func TestSupportTableAgainstMapModel(t *testing.T) {
 	r := rand.New(rand.NewSource(6))
 	for _, total := range []int{0, 1, 1000} {
-		st, counts := NewSupportTable(total), map[string]int{}
-		var sets []Itemset
-		for i := 0; i < 400; i++ {
-			s := SortDedup(draw(r, 5))
-			if len(sets) > 0 && r.Intn(4) == 0 {
-				s = sets[r.Intn(len(sets))] // overwrite
+		var levels [][]CountedSet
+		var probes []Itemset
+		for k := 1; k <= 4; k++ {
+			var lvl []CountedSet
+			seen := map[string]bool{}
+			for len(lvl) < 40 { // of at most 82 distinct 1-sets
+				s := SortDedup(draw(r, 2*k))
+				if len(s) != k || seen[s.String()] {
+					continue
+				}
+				seen[s.String()] = true
+				lvl = append(lvl, CountedSet{s, r.Intn(total + 1)})
+				probes = append(probes, s)
+				y := s[0] ^ Item(1+r.Intn(7)) // near s's members, maybe one of them
+				if i := r.Intn(k); !s.Contains(y) {
+					probes = append(probes, s.ReplaceAt(i, y))
+				}
 			}
-			c := r.Intn(total + 1)
-			st.Put(s, c)
-			counts[s.String()] = c
-			sets = append(sets, s)
+			levels = append(levels, lvl)
 		}
 		for i := 0; i < 200; i++ {
-			sets = append(sets, SortDedup(draw(r, 5)))
+			probes = append(probes, SortDedup(draw(r, 6)))
 		}
-		if st.Len() != len(counts) || st.Total() != total {
-			t.Fatalf("total %d: Len %d, Total %d; want %d, %d", total, st.Len(), st.Total(), len(counts), total)
-		}
-		var buf []byte
-		for _, s := range sets {
-			want, known := counts[s.String()]
-			wantSup := 0.0
-			if known && total > 0 {
-				wantSup = float64(want) / float64(total)
+
+		st, counts := NewTable(total), map[string]int{}
+		for appended := 0; ; appended++ {
+			if st.Len() != len(counts) || st.Total() != total {
+				t.Fatalf("total %d, %d levels: Len %d, Total %d; want %d, %d", total, appended, st.Len(), st.Total(), len(counts), total)
 			}
-			buf = s.AppendKey(buf[:0])
-			n, ok := st.Count(s)
-			sup, okSup := st.Support(s)
-			supB, okB := st.SupportBytes(buf)
-			if ok != known || n != want && known || st.Contains(s) != known ||
-				okSup != known || sup != wantSup || okB != known || supB != wantSup {
-				t.Fatalf("total %d, %v: Count %d %v, Support %v %v, SupportBytes %v %v, Contains %v; want %d, %v, %v",
-					total, s, n, ok, sup, okSup, supB, okB, st.Contains(s), want, known, wantSup)
+			for _, s := range probes {
+				want, known := counts[s.String()]
+				wantSup := 0.0
+				if known && total > 0 {
+					wantSup = float64(want) / float64(total)
+				}
+				n, ok := st.Count(s)
+				sup, okSup := st.Support(s)
+				if ok != known || n != want || st.Contains(s) != known || okSup != known || sup != wantSup {
+					t.Fatalf("total %d, %d levels, %v: Count %d %v, Support %v %v, Contains %v; want %d, %v, %v",
+						total, appended, s, n, ok, sup, okSup, st.Contains(s), want, known, wantSup)
+				}
+			}
+			if appended == len(levels) {
+				break
+			}
+			st.Append(levels[appended])
+			for _, cs := range levels[appended] {
+				counts[cs.Set.String()] = cs.Count
 			}
 		}
+	}
+}
+
+// TestIndexProbesByMembers: positions inserted under one hash — a collision,
+// which no two sets of a real 64-bit Hash could be found to make — come back
+// from a probe in insertion order, among them exactly those inserted under
+// that hash, so the caller's member compare picks the right one.
+func TestIndexProbesByMembers(t *testing.T) {
+	sets := []Itemset{{1, 2}, {3}, {1, 3}, {7, 8, 9}, {2}, {4, 5}}
+	const h = 42 // every set but {3} and {2}, on purpose
+	ix := NewIndex(len(sets))
+	for i, s := range sets {
+		hash := uint64(h)
+		if len(s) == 1 {
+			hash = s.Hash()
+		}
+		ix.Insert(hash, int32(i))
+	}
+	find := func(hash uint64, want Itemset) int32 {
+		for i, at := ix.Probe(hash); i >= 0; i, at = ix.Next(hash, at) {
+			if sets[i].Equal(want) {
+				return i
+			}
+		}
+		return -1
+	}
+	for i, s := range sets {
+		hash := uint64(h)
+		if len(s) == 1 {
+			hash = s.Hash()
+		}
+		if got := find(hash, s); got != int32(i) {
+			t.Errorf("%v under %#x: position %d, want %d", s, hash, got, i)
+		}
+	}
+	if got := find(h, Itemset{1, 4}); got != -1 {
+		t.Errorf("{1 4}, never inserted, found at %d", got)
+	}
+	if got := find(Itemset{3}.Hash(), Itemset{1, 2}); got != -1 {
+		t.Errorf("{1 2} found under {3}'s hash at %d", got)
+	}
+	var under []int32
+	for i, at := ix.Probe(h); i >= 0; i, at = ix.Next(h, at) {
+		under = append(under, i)
+	}
+	if !slices.Equal(under, []int32{0, 2, 3, 5}) {
+		t.Errorf("probe of %#x yields %v, want [0 2 3 5]", h, under)
+	}
+	if i, _ := NewIndex(0).Probe(h); i != -1 {
+		t.Error("an empty index yields a position")
 	}
 }

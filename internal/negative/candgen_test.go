@@ -19,7 +19,7 @@ import (
 // candgenCase is one random input for GenerateCandidates.
 type candgenCase struct {
 	tax         *taxonomy.Taxonomy
-	table       *item.SupportTable
+	table       *item.Table
 	levels      [][]item.CountedSet
 	substitutes []item.Itemset
 	minSup      float64
@@ -55,7 +55,6 @@ func randomCandgenCase(t *testing.T, r *rand.Rand) candgenCase {
 	if r.Intn(50) == 0 {
 		total = 0
 	}
-	table := item.NewSupportTable(total)
 	counts := []int{0, 100, 100, 200, 200, 400, 800}
 	pool := make([]item.Item, 0, n+3) // items that may appear in large itemsets
 	var l1 []item.CountedSet
@@ -66,9 +65,7 @@ func randomCandgenCase(t *testing.T, r *rand.Rand) candgenCase {
 			}
 			continue
 		}
-		c := counts[r.Intn(len(counts))]
-		table.Put(item.Itemset{x}, c)
-		l1 = append(l1, item.CountedSet{Set: item.Itemset{x}, Count: c})
+		l1 = append(l1, item.CountedSet{Set: item.Itemset{x}, Count: counts[r.Intn(len(counts))]})
 		pool = append(pool, x)
 	}
 	levels := [][]item.CountedSet{l1}
@@ -80,12 +77,10 @@ func randomCandgenCase(t *testing.T, r *rand.Rand) candgenCase {
 				raw[j] = pool[r.Intn(len(pool))]
 			}
 			set := item.New(raw...)
-			if set.Len() != k || table.Contains(set) {
+			if set.Len() != k || slices.ContainsFunc(lk, func(cs item.CountedSet) bool { return cs.Set.Equal(set) }) {
 				continue
 			}
-			c := counts[r.Intn(len(counts))] / 2
-			table.Put(set, c)
-			lk = append(lk, item.CountedSet{Set: set, Count: c})
+			lk = append(lk, item.CountedSet{Set: set, Count: counts[r.Intn(len(counts))] / 2})
 		}
 		levels = append(levels, lk)
 	}
@@ -96,7 +91,16 @@ func randomCandgenCase(t *testing.T, r *rand.Rand) candgenCase {
 			subs = append(subs, g)
 		}
 	}
-	return candgenCase{tax, table, levels, subs, []float64{0.01, 0.05}[r.Intn(2)], []float64{0.1, 0.5}[r.Intn(2)]}
+	return candgenCase{tax, tableOf(total, levels), levels, subs, []float64{0.01, 0.05}[r.Intn(2)], []float64{0.1, 0.5}[r.Intn(2)]}
+}
+
+// tableOf indexes levels over total transactions, as a stage-1 result does.
+func tableOf(total int, levels [][]item.CountedSet) *item.Table {
+	t := item.NewTable(total)
+	for _, lvl := range levels {
+		t.Append(lvl)
+	}
+	return t
 }
 
 // supports is c's 1-item supports over tax as the generator reads them, off
@@ -206,15 +210,15 @@ func namedCase(t *testing.T, links [][2]string, roots []string, large []namedSet
 		}
 		return item.New(raw...)
 	}
-	c = candgenCase{tax: tax, table: item.NewSupportTable(1024), minSup: 0.01, minRI: 0.1}
+	c = candgenCase{tax: tax, minSup: 0.01, minRI: 0.1}
 	for _, l := range large {
 		s := set(l.names...)
-		c.table.Put(s, l.count)
 		for len(c.levels) < len(s) {
 			c.levels = append(c.levels, nil)
 		}
 		c.levels[len(s)-1] = append(c.levels[len(s)-1], item.CountedSet{Set: s, Count: l.count})
 	}
+	c.table = tableOf(1024, c.levels)
 	for _, g := range subs {
 		c.substitutes = append(c.substitutes, set(g...))
 	}
@@ -347,7 +351,6 @@ func hostileCase(t *testing.T, r *rand.Rand) candgenCase {
 		return x
 	}
 	n := tax.Size()
-	table := item.NewSupportTable(1024)
 	pow := []int{64, 128, 256, 512}
 	var l1 []item.CountedSet
 	for x := item.Item(0); int(x) < n+2; x++ { // n and n+1 are off-taxonomy
@@ -355,20 +358,18 @@ func hostileCase(t *testing.T, r *rand.Rand) candgenCase {
 		if x == id("r3") || x == id("r4") || x == id("c1_1") || x == id("c1_2") {
 			c = 101 + 2*r.Intn(400) // two roots and two siblings that round
 		}
-		table.Put(item.Itemset{x}, c)
 		l1 = append(l1, item.CountedSet{Set: item.Itemset{x}, Count: c})
 	}
 	levels := [][]item.CountedSet{l1, nil, nil, nil}
 	put := func(raw ...item.Item) {
 		set := item.New(raw...)
-		if set.Len() != len(raw) || table.Contains(set) {
+		if set.Len() != len(raw) || slices.ContainsFunc(levels[len(raw)-1], func(cs item.CountedSet) bool { return cs.Set.Equal(set) }) {
 			return
 		}
 		c := pow[r.Intn(len(pow))] / 4
 		if r.Intn(4) == 0 {
 			c = 7 + r.Intn(90)
 		}
-		table.Put(set, c)
 		levels[len(raw)-1] = append(levels[len(raw)-1], item.CountedSet{Set: set, Count: c})
 	}
 	root := func() item.Item { return item.Item(r.Intn(roots)) }
@@ -394,7 +395,7 @@ func hostileCase(t *testing.T, r *rand.Rand) candgenCase {
 	if r.Intn(2) == 0 {
 		subs = append(subs, item.New(id("r2"), id("c1_1")))
 	}
-	return candgenCase{tax, table, levels, subs, 0.01, []float64{0.1, 0.5}[r.Intn(2)]}
+	return candgenCase{tax, tableOf(1024, levels), levels, subs, 0.01, []float64{0.1, 0.5}[r.Intn(2)]}
 }
 
 // TestHostileCase3 holds the generator to the reference on hostileCase for 1,
@@ -636,7 +637,7 @@ func TestFullTaxonomyMatchesCompressed(t *testing.T) {
 // candgenInput mines stage 1 of a generated dataset, up to maxK (0: no
 // limit), which leaves exactly what mineStages23 hands the generator: the
 // levels, their table and the whole taxonomy.
-func candgenInput(tb testing.TB, p datagen.Params, txns int, minSup float64, maxK int) ([][]item.CountedSet, *item.SupportTable, *taxonomy.Taxonomy) {
+func candgenInput(tb testing.TB, p datagen.Params, txns int, minSup float64, maxK int) ([][]item.CountedSet, *item.Table, *taxonomy.Taxonomy) {
 	tb.Helper()
 	p.NumTransactions, p.Seed = txns, 1
 	tax, db, err := datagen.Generate(p)

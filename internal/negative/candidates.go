@@ -76,10 +76,10 @@ type inputs struct {
 	// as the table would read them (0: not walked).
 	sources   []item.Itemset
 	sourceSup []float64
-	// byHash holds the sources open-addressed by their Hash, walked the irregular
-	// sources of positive support by kinHash and w descending, and kin a group
-	// that substitutes join to a lower one.
-	byHash []slot
+	// byHash indexes the sources by their Hash, walked the irregular sources
+	// of positive support by kinHash and w descending, and kin a group that
+	// substitutes join to a lower one.
+	byHash item.Index
 	walked map[uint64][]weighted
 	kin    map[int64]int64
 
@@ -89,12 +89,6 @@ type inputs struct {
 	classes []class // ascending by gids
 	anchors []anchor
 	idBound int // every item a class set may hold is below it
-}
-
-// slot is a source in inputs.byHash: its hash, and its index + 1 (0: empty).
-type slot struct {
-	h   uint64
-	src int32
 }
 
 // kinHash sums item.Mix over the kin of the members, which a sibling walk
@@ -118,9 +112,9 @@ func (in *inputs) kinOf(x item.Item) int64 {
 
 // find returns the first source equal to set, or -1.
 func (in *inputs) find(set []item.Item) int32 {
-	h, mask := item.Itemset(set).Hash(), uint64(len(in.byHash)-1)
-	for i := h & mask; in.byHash[i].src != 0; i = (i + 1) & mask {
-		if s := in.byHash[i].src - 1; in.byHash[i].h == h && slices.Equal(in.sources[s], set) {
+	h := item.Itemset(set).Hash()
+	for s, at := in.byHash.Probe(h); s >= 0; s, at = in.byHash.Next(h, at) {
+		if slices.Equal(in.sources[s], set) {
 			return s
 		}
 	}
@@ -212,6 +206,18 @@ const (
 	offGroup  = int64(1) << 32
 )
 
+// groupItems returns the items of group id: the roots, a parent's children,
+// or an id the taxonomy lacks, alone.
+func (in *inputs) groupItems(id int64) []item.Item {
+	switch {
+	case id == rootGroup:
+		return in.tax.Roots()
+	case id >= offGroup:
+		return []item.Item{item.Item(id - offGroup)}
+	}
+	return in.tax.Children(item.Item(id))
+}
+
 func (in *inputs) groupOf(x item.Item) int64 {
 	if int(x) >= in.tax.Size() {
 		return offGroup + int64(x)
@@ -237,17 +243,17 @@ func (in *inputs) weight(l item.Itemset, supL float64) (float64, bool) {
 }
 
 // classify indexes the sources, marks the regular ones and builds their
-// classes, one allocation per table. A source finds its class by the hash of
-// its groups, so what is sorted is the distinct classes and the sources by
-// class, and a class's anchors take their sources in order from a counting
-// sort of its members by item.
+// classes, one allocation per table, each sized by a counting pass. A source
+// finds its class by the hash of its groups, so what is sorted is the
+// distinct classes and the sources by class, and a class's anchors take their
+// sources in order from a counting sort of its members by item.
 func (in *inputs) classify() {
 	n, members := len(in.sources), 0
 	for _, l := range in.sources {
 		members += len(l)
 	}
 	in.regular = make([]bool, n)
-	in.byHash, in.walked = make([]slot, 2<<bits.Len(uint(n))), map[uint64][]weighted{}
+	in.byHash, in.walked = item.NewIndex(n), map[uint64][]weighted{}
 	type regularSource struct {
 		src, cls int32 // cls numbers the classes in the order first met
 		w        float64
@@ -255,15 +261,12 @@ func (in *inputs) classify() {
 	reg := make([]regularSource, 0, n)
 	gids := make([]int64, 0, members)
 	// srcGids[s] is regular source s's members' groups, ascending: its class's
-	// key. byGids holds each class's first entry in reg + 1, open-addressed by
-	// the hash of its key, and firsts that entry's source.
-	srcGids, byGids := make([][]int64, n), make([]int32, 2<<bits.Len(uint(n)))
+	// key. byGids indexes each class's first entry in reg by the hash of its
+	// key, and firsts holds that entry's source.
+	srcGids, byGids := make([][]int64, n), item.NewIndex(n)
 	var firsts []int32
 	for s, l := range in.sources {
-		i, h := uint64(0), l.Hash()
-		for i = h & uint64(len(in.byHash)-1); in.byHash[i].src != 0; i = (i + 1) & uint64(len(in.byHash)-1) {
-		}
-		in.byHash[i] = slot{h, int32(s) + 1}
+		in.byHash.Insert(l.Hash(), int32(s))
 		w, ok := in.weight(l, in.sourceSup[s])
 		if !ok {
 			if k := in.kinHash(l); in.sourceSup[s] > 0 {
@@ -297,15 +300,15 @@ func (in *inputs) classify() {
 			hg += item.Mix(uint64(id))
 		}
 		r := regularSource{src: int32(s), cls: -1, w: w}
-		at := hg & uint64(len(byGids)-1)
-		for ; byGids[at] != 0; at = (at + 1) & uint64(len(byGids)-1) {
-			if first := reg[byGids[at]-1]; slices.Equal(srcGids[first.src], g) {
+		for e, at := byGids.Probe(hg); e >= 0; e, at = byGids.Next(hg, at) {
+			if first := reg[e]; slices.Equal(srcGids[first.src], g) {
 				r.cls = first.cls
 				break
 			}
 		}
 		if r.cls < 0 {
-			byGids[at], r.cls = int32(len(reg))+1, int32(len(firsts))
+			byGids.Insert(hg, int32(len(reg)))
+			r.cls = int32(len(firsts))
 			firsts = append(firsts, int32(s))
 		}
 		reg = append(reg, r)
@@ -329,13 +332,38 @@ func (in *inputs) classify() {
 		return cmp.Or(cmp.Compare(rank[a.cls], rank[b.cls]), cmp.Compare(b.w, a.w), cmp.Compare(a.src, b.src))
 	})
 
-	poolBuf := make([]item.Item, 0, in.tax.Size()+members)
-	groups := make([]group, 0, members)
-	entries := make([]weighted, members)
-	in.anchors = make([]anchor, 0, members)
+	// A pass over the class runs sizes the tables below exactly: a group per
+	// distinct group of a class, with its pool's members, and an anchor per
+	// distinct member of the class's sources (held[x] == cls + 1 marks one).
+	held := make([]int32, in.idBound)
+	nGroups, nPool, nAnchors := 0, 0, 0
+	for i, r := range reg {
+		if cg := srcGids[r.src]; i == 0 || r.cls != reg[i-1].cls {
+			for g, id := range cg {
+				if g == 0 || id != cg[g-1] {
+					nGroups++
+					for _, x := range in.groupItems(id) {
+						if s, ok := in.support(x); ok && s > 0 { // as pool tells
+							nPool++
+						}
+					}
+				}
+			}
+		}
+		for _, x := range in.sources[r.src] {
+			if held[x] != r.cls+1 {
+				held[x], nAnchors = r.cls+1, nAnchors+1
+			}
+		}
+	}
+	clear(held)
+
+	poolBuf := make([]item.Item, 0, nPool)
+	groups := make([]group, 0, nGroups)
+	entries := make([]weighted, len(gids)) // one per member of a regular source
+	in.anchors = make([]anchor, 0, nAnchors)
 	// held[x] counts x's entries in the class being built, then is where the
 	// next of them goes; xs are those members in the order first met.
-	held := make([]int32, in.idBound)
 	var xs []item.Item
 	for i, e0 := 0, 0; i < len(reg); {
 		j := i + 1
@@ -395,17 +423,8 @@ func (in *inputs) classify() {
 // pool appends to buf the members of group id that are large with positive
 // support, by support descending, then item, and returns them and buf.
 func (in *inputs) pool(id int64, buf []item.Item) ([]item.Item, []item.Item) {
-	var from []item.Item
-	switch {
-	case id == rootGroup:
-		from = in.tax.Roots()
-	case id >= offGroup:
-		from = []item.Item{item.Item(id - offGroup)}
-	default:
-		from = in.tax.Children(item.Item(id))
-	}
 	start := len(buf)
-	for _, x := range from {
+	for _, x := range in.groupItems(id) {
 		if s, ok := in.support(x); ok && s > 0 {
 			buf = append(buf, x)
 		}
@@ -1085,7 +1104,7 @@ func mergeTwo(a, b *generated) *generated {
 // with counts relative to table.Total(). It is exported for tests, benchmarks
 // and the candidate-count experiment (Figure 7); the mining drivers run the
 // same generator, and take its sets by size.
-func GenerateCandidates(levels [][]item.CountedSet, table *item.SupportTable, tax *taxonomy.Taxonomy, minSup, minRI float64, substitutes []item.Itemset) []Candidate {
+func GenerateCandidates(levels [][]item.CountedSet, table *item.Table, tax *taxonomy.Taxonomy, minSup, minRI float64, substitutes []item.Itemset) []Candidate {
 	var l1 []item.CountedSet
 	if len(levels) > 0 {
 		l1 = levels[0]

@@ -12,8 +12,8 @@ import (
 // and actual supports, and the interest computation — everything an analyst
 // needs to audit why the system claims "customers who buy A don't buy C".
 // name maps item ids to display names (e.g. Taxonomy.Name); table is the
-// stage-1 support table from Result.Large.Table.
-func Explain(r Rule, table *item.SupportTable, name func(item.Item) string) string {
+// stage-1 table over Result.Large.Levels, Result.Large.Table.
+func Explain(r Rule, table *item.Table, name func(item.Item) string) string {
 	var b strings.Builder
 	set := r.Antecedent.Union(r.Consequent)
 	fmt.Fprintf(&b, "rule: %s =/=> %s\n", r.Antecedent.Format(name), r.Consequent.Format(name))

@@ -18,7 +18,7 @@ import (
 
 // fig1 builds the paper's Figure 1 taxonomy: A(B C), C(D E), F(G H I),
 // G(J K), and a hand-made support table in which {C,G} is large.
-func fig1(t *testing.T) (*taxonomy.Taxonomy, map[string]item.Item, *item.SupportTable, [][]item.CountedSet) {
+func fig1(t *testing.T) (*taxonomy.Taxonomy, map[string]item.Item, *item.Table, [][]item.CountedSet) {
 	t.Helper()
 	b := taxonomy.NewBuilder()
 	for _, e := range [][2]string{
@@ -35,21 +35,16 @@ func fig1(t *testing.T) (*taxonomy.Taxonomy, map[string]item.Item, *item.Support
 	for _, n := range []string{"A", "B", "C", "D", "E", "F", "G", "H", "I", "J", "K"} {
 		ids[n], _ = tax.Dictionary().Lookup(n)
 	}
-	table := item.NewSupportTable(1000)
 	counts := map[string]int{
 		"A": 380, "B": 180, "C": 200, "D": 100, "E": 80,
 		"F": 400, "G": 300, "H": 120, "I": 60, "J": 150, "K": 90,
 	}
 	var l1 []item.CountedSet
 	for n, c := range counts {
-		s := item.New(ids[n])
-		table.Put(s, c)
-		l1 = append(l1, item.CountedSet{Set: s, Count: c})
+		l1 = append(l1, item.CountedSet{Set: item.New(ids[n]), Count: c})
 	}
-	cg := item.New(ids["C"], ids["G"])
-	table.Put(cg, 100)
-	levels := [][]item.CountedSet{l1, {{Set: cg, Count: 100}}}
-	return tax, ids, table, levels
+	levels := [][]item.CountedSet{l1, {{Set: item.New(ids["C"], ids["G"]), Count: 100}}}
+	return tax, ids, tableOf(1000, levels), levels
 }
 
 func TestCandidateCasesFigure1(t *testing.T) {
@@ -57,13 +52,13 @@ func TestCandidateCasesFigure1(t *testing.T) {
 	// minSup·minRI tiny so nothing is pre-filtered.
 	cands := GenerateCandidates(levels, table, tax, 0.001, 0.1, nil)
 
-	set := func(a, b string) item.Key { return item.New(ids[a], ids[b]).Key() }
-	got := map[item.Key]float64{}
+	set := func(a, b string) string { return item.New(ids[a], ids[b]).String() }
+	got := map[string]float64{}
 	for _, c := range cands {
-		got[c.Set.Key()] = c.Expected
+		got[c.Set.String()] = c.Expected
 	}
 	supCG := 0.1
-	want := map[item.Key]float64{
+	want := map[string]float64{
 		// Case 1: both members replaced by children.
 		set("D", "J"): supCG * (100.0 / 200) * (150.0 / 300),
 		set("D", "K"): supCG * (100.0 / 200) * (90.0 / 300),
@@ -82,11 +77,11 @@ func TestCandidateCasesFigure1(t *testing.T) {
 	for k, e := range want {
 		g, ok := got[k]
 		if !ok {
-			t.Errorf("missing candidate %v", k.Itemset())
+			t.Errorf("missing candidate %s", k)
 			continue
 		}
 		if math.Abs(g-e) > 1e-12 {
-			t.Errorf("candidate %v expected support %v, want %v", k.Itemset(), g, e)
+			t.Errorf("candidate %s expected support %v, want %v", k, g, e)
 		}
 	}
 	// Exclusions (paper §2.1.1 list): all-sibling sets, ancestor mixes,
@@ -106,7 +101,7 @@ func TestCandidateCasesFigure1(t *testing.T) {
 		extra := []string{}
 		for k := range got {
 			if _, ok := want[k]; !ok {
-				extra = append(extra, k.Itemset().String())
+				extra = append(extra, k)
 			}
 		}
 		t.Errorf("generated %d candidates, want %d; extra: %v", len(got), len(want), extra)
@@ -136,17 +131,11 @@ func TestCandidatePreFilter(t *testing.T) {
 }
 
 func TestCandidateSmallMembersRejected(t *testing.T) {
-	tax, ids, table, levels := fig1(t)
+	tax, ids, _, levels := fig1(t)
 	// Make J small by removing it from L1 and the table: no candidate may
 	// contain J.
-	table2 := item.NewSupportTable(1000)
-	table.Each(func(s item.Itemset, c int) {
-		if !(s.Len() == 1 && s[0] == ids["J"]) {
-			table2.Put(s, c)
-		}
-	})
 	levels[0] = slices.DeleteFunc(levels[0], func(cs item.CountedSet) bool { return cs.Set[0] == ids["J"] })
-	cands := GenerateCandidates(levels, table2, tax, 0.001, 0.1, nil)
+	cands := GenerateCandidates(levels, tableOf(1000, levels), tax, 0.001, 0.1, nil)
 	for _, c := range cands {
 		if c.Set.Contains(ids["J"]) {
 			t.Errorf("candidate %v contains small item J", c.Set)
@@ -159,13 +148,12 @@ func TestCandidateMaxMerge(t *testing.T) {
 	// and — if {B, F} were large — other ways; here we check the documented
 	// duplicate policy using two large itemsets producing the same
 	// candidate with different expectations.
-	tax, ids, table, levels := fig1(t)
+	tax, ids, _, levels := fig1(t)
 	// Add a second large itemset {A, G}: its case-2 children replacement
 	// A→B yields {B,G} with expectation sup(AG)·sup(B)/sup(A).
 	ag := item.New(ids["A"], ids["G"])
-	table.Put(ag, 300)
 	levels[1] = append(levels[1], item.CountedSet{Set: ag, Count: 300})
-	cands := GenerateCandidates(levels, table, tax, 0.001, 0.1, nil)
+	cands := GenerateCandidates(levels, tableOf(1000, levels), tax, 0.001, 0.1, nil)
 	var bg *Candidate
 	for i := range cands {
 		if cands[i].Set.Equal(item.New(ids["B"], ids["G"])) {
@@ -271,10 +259,10 @@ func TestPaperWorkedExample(t *testing.T) {
 
 			// Negative itemsets: {bryers,perrier}, {frozenyogurt,perrier}
 			// and {desserts,perrier} (paper Examples 1 and 3).
-			wantNegs := map[item.Key]struct{ expected, actual float64 }{
-				item.New(ids["bryers"], ids["perrier"]).Key():       {0.05, 0},      // sibling path: 0.075·(80/120)
-				item.New(ids["frozenyogurt"], ids["perrier"]).Key(): {0.078, 0.025}, // from {FY,evian}: 0.117·(2/3)
-				item.New(ids["desserts"], ids["perrier"]).Key():     {0.078, 0.025}, // from {desserts,evian}
+			wantNegs := map[string]struct{ expected, actual float64 }{
+				item.New(ids["bryers"], ids["perrier"]).String():       {0.05, 0},      // sibling path: 0.075·(80/120)
+				item.New(ids["frozenyogurt"], ids["perrier"]).String(): {0.078, 0.025}, // from {FY,evian}: 0.117·(2/3)
+				item.New(ids["desserts"], ids["perrier"]).String():     {0.078, 0.025}, // from {desserts,evian}
 			}
 			if len(res.Negatives) != len(wantNegs) {
 				var got []string
@@ -284,7 +272,7 @@ func TestPaperWorkedExample(t *testing.T) {
 				t.Fatalf("negatives = %v, want 3", got)
 			}
 			for _, n := range res.Negatives {
-				w, ok := wantNegs[n.Set.Key()]
+				w, ok := wantNegs[n.Set.String()]
 				if !ok {
 					t.Errorf("unexpected negative itemset %s", n.Set.Format(tax.Name))
 					continue
@@ -668,14 +656,11 @@ func TestRuleStrings(t *testing.T) {
 func TestGenerateRulesPruning(t *testing.T) {
 	// Hand-built scenario exercising the consequent-growth pruning: a
 	// 3-item negative itemset where only some antecedents qualify.
-	table := item.NewSupportTable(1000)
 	a, b, c := item.Item(1), item.Item(2), item.Item(3)
-	table.Put(item.New(a), 100)
-	table.Put(item.New(b), 200)
-	table.Put(item.New(c), 400)
-	table.Put(item.New(a, b), 80)
-	table.Put(item.New(a, c), 90)
-	table.Put(item.New(b, c), 150)
+	table := tableOf(1000, [][]item.CountedSet{
+		{{Set: item.New(a), Count: 100}, {Set: item.New(b), Count: 200}, {Set: item.New(c), Count: 400}},
+		{{Set: item.New(a, b), Count: 80}, {Set: item.New(a, c), Count: 90}, {Set: item.New(b, c), Count: 150}},
+	})
 	neg := Itemset{Set: item.New(a, b, c), Expected: 0.06, Count: 0, N: 1000}
 	rules := generateRules([]Itemset{neg}, table, 0.5)
 	// Deviation = 0.06. RI per antecedent: {a,b}: 0.06/0.08 = 0.75 ✓;
@@ -705,10 +690,9 @@ func TestGenerateRulesPruning(t *testing.T) {
 func TestGenerateRulesSmallPartsExcluded(t *testing.T) {
 	// Consequent or antecedent missing from the table (= small) blocks the
 	// rule.
-	table := item.NewSupportTable(1000)
 	a, b := item.Item(1), item.Item(2)
-	table.Put(item.New(a), 100)
 	// b is small: no entry.
+	table := tableOf(1000, [][]item.CountedSet{{{Set: item.New(a), Count: 100}}})
 	neg := Itemset{Set: item.New(a, b), Expected: 0.2, Count: 0, N: 1000}
 	rules := generateRules([]Itemset{neg}, table, 0.1)
 	if len(rules) != 0 {

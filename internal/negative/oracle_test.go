@@ -34,22 +34,31 @@ func oracleSupport(db *txdb.MemDB, tax *taxonomy.Taxonomy, s item.Itemset) int {
 	return n
 }
 
-// oracleLarge finds all generalized large itemsets by brute force.
-func oracleLarge(db *txdb.MemDB, tax *taxonomy.Taxonomy, minCount, maxK int) map[item.Key]int {
-	out := map[item.Key]int{}
-	counts := map[item.Key]int{}
+// oracleLarge finds all generalized large itemsets by brute force, by their
+// String.
+func oracleLarge(db *txdb.MemDB, tax *taxonomy.Taxonomy, minCount, maxK int) map[string]item.CountedSet {
+	out := map[string]item.CountedSet{}
+	counts := map[string]item.CountedSet{}
 	db.Scan(func(tx txdb.Transaction) error {
 		ext := tax.Extend(tx.Items)
 		for k := 1; k <= maxK; k++ {
-			ext.Subsets(k, func(s item.Itemset) { counts[s.Key()]++ })
+			ext.Subsets(k, func(s item.Itemset) {
+				key := s.String()
+				cs, ok := counts[key]
+				if !ok {
+					cs.Set = s.Clone()
+				}
+				cs.Count++
+				counts[key] = cs
+			})
 		}
 		return nil
 	})
-	for k, c := range counts {
-		if c < minCount {
+	for k, cs := range counts {
+		if cs.Count < minCount {
 			continue
 		}
-		s := k.Itemset()
+		s := cs.Set
 		ancPair := false
 		for i := range s {
 			for j := range s {
@@ -59,7 +68,7 @@ func oracleLarge(db *txdb.MemDB, tax *taxonomy.Taxonomy, minCount, maxK int) map
 			}
 		}
 		if !ancPair {
-			out[k] = c
+			out[k] = cs
 		}
 	}
 	return out
@@ -69,23 +78,24 @@ func oracleLarge(db *txdb.MemDB, tax *taxonomy.Taxonomy, minCount, maxK int) map
 // for every large itemset, every combination of keep / child-replace (cases
 // 1–2) and keep / sibling-replace with ≥1 kept (case 3), max-merged. The
 // members of a substitute group (§4.1) are further siblings of each other.
-// Nothing is pruned before a set is complete.
-func oracleCandidates(large map[item.Key]int, tax *taxonomy.Taxonomy, n int, minSup, minRI float64, substitutes []item.Itemset) map[item.Key]float64 {
+// Nothing is pruned before a set is complete. The candidates are keyed by
+// their String and carry their set and expected support.
+func oracleCandidates(large map[string]item.CountedSet, tax *taxonomy.Taxonomy, n int, minSup, minRI float64, substitutes []item.Itemset) map[string]Candidate {
 	isLarge := func(x item.Item) bool {
-		_, ok := large[item.Itemset{x}.Key()]
+		_, ok := large[item.Itemset{x}.String()]
 		return ok
 	}
 	sup := func(s item.Itemset) (float64, bool) {
-		c, ok := large[s.Key()]
-		return float64(c) / float64(n), ok
+		cs, ok := large[s.String()]
+		return float64(cs.Count) / float64(n), ok
 	}
 	floor := minSup * minRI
-	out := map[item.Key]float64{}
+	out := map[string]Candidate{}
 	emit := func(set item.Itemset, e float64) {
 		if e <= floor {
 			return
 		}
-		if _, ok := large[set.Key()]; ok {
+		if _, ok := large[set.String()]; ok {
 			return
 		}
 		for i := range set {
@@ -95,12 +105,12 @@ func oracleCandidates(large map[item.Key]int, tax *taxonomy.Taxonomy, n int, min
 				}
 			}
 		}
-		if old, ok := out[set.Key()]; !ok || e > old {
-			out[set.Key()] = e
+		if old, ok := out[set.String()]; !ok || e > old.Expected {
+			out[set.String()] = Candidate{Set: set, Expected: e}
 		}
 	}
-	for k := range large {
-		l := k.Itemset()
+	for _, cs := range large {
+		l := cs.Set
 		if l.Len() < 2 {
 			continue
 		}
@@ -237,20 +247,20 @@ func TestCandidatesAgainstOracle(t *testing.T) {
 // checkLargeAndCandidates validates a stage-1 result and the candidates
 // generated from it against the brute-force oracle, and returns the oracle's
 // candidates with their expected supports.
-func checkLargeAndCandidates(t *testing.T, trial int64, db *txdb.MemDB, tax *taxonomy.Taxonomy, large *apriori.Result, maxK int, minSup, minRI float64, subs []item.Itemset) map[item.Key]float64 {
+func checkLargeAndCandidates(t *testing.T, trial int64, db *txdb.MemDB, tax *taxonomy.Taxonomy, large *apriori.Result, maxK int, minSup, minRI float64, subs []item.Itemset) map[string]Candidate {
 	t.Helper()
 	// 1. Stage 1 against the oracle.
 	wantLarge := oracleLarge(db, tax, large.MinCount, maxK)
-	gotLarge := map[item.Key]int{}
+	gotLarge := map[string]int{}
 	for _, cs := range large.Large() {
-		gotLarge[cs.Set.Key()] = cs.Count
+		gotLarge[cs.Set.String()] = cs.Count
 	}
 	if len(wantLarge) != len(gotLarge) {
 		t.Fatalf("trial %d: %d large itemsets, oracle %d", trial, len(gotLarge), len(wantLarge))
 	}
-	for k, c := range wantLarge {
-		if gotLarge[k] != c {
-			t.Fatalf("trial %d: sup(%v) = %d, oracle %d", trial, k.Itemset(), gotLarge[k], c)
+	for k, cs := range wantLarge {
+		if gotLarge[k] != cs.Count {
+			t.Fatalf("trial %d: sup(%s) = %d, oracle %d", trial, k, gotLarge[k], cs.Count)
 		}
 	}
 
@@ -267,13 +277,13 @@ func checkLargeAndCandidates(t *testing.T, trial int64, db *txdb.MemDB, tax *tax
 			t.Fatalf("trial %d: %d workers generate other candidates than one", trial, workers)
 		}
 	}
-	gotCands := map[item.Key]float64{}
+	gotCands := map[string]float64{}
 	for _, c := range cands {
-		gotCands[c.Set.Key()] = c.Expected
+		gotCands[c.Set.String()] = c.Expected
 	}
-	for k, e := range wantCands {
-		if g, ok := gotCands[k]; !ok || math.Abs(g-e) > 1e-9 {
-			t.Fatalf("trial %d: candidate %v expected %v, oracle %v (ok=%v)", trial, k.Itemset(), g, e, ok)
+	for k, w := range wantCands {
+		if g, ok := gotCands[k]; !ok || math.Abs(g-w.Expected) > 1e-9 {
+			t.Fatalf("trial %d: candidate %s expected %v, oracle %v (ok=%v)", trial, k, g, w.Expected, ok)
 		}
 	}
 	if len(wantCands) != len(gotCands) {
@@ -320,16 +330,16 @@ func TestPipelineAgainstOracle(t *testing.T) {
 
 // checkNegativesAndRules validates the counted half of one Mine result
 // against the brute-force oracle.
-func checkNegativesAndRules(t *testing.T, trial int64, db *txdb.MemDB, tax *taxonomy.Taxonomy, res *Result, wantCands map[item.Key]float64, minSup, minRI float64) {
+func checkNegativesAndRules(t *testing.T, trial int64, db *txdb.MemDB, tax *taxonomy.Taxonomy, res *Result, wantCands map[string]Candidate, minSup, minRI float64) {
 	t.Helper()
 	n := db.Count()
 	{
 		// 3. Negative itemsets: oracle filter over oracle candidates.
 		threshold := minSup * minRI
-		wantNegs := map[item.Key]struct{}{}
-		for k, e := range wantCands {
-			actual := float64(oracleSupport(db, tax, k.Itemset())) / float64(n)
-			if e-actual >= threshold {
+		wantNegs := map[string]struct{}{}
+		for k, w := range wantCands {
+			actual := float64(oracleSupport(db, tax, w.Set)) / float64(n)
+			if w.Expected-actual >= threshold {
 				wantNegs[k] = struct{}{}
 			}
 		}
@@ -337,7 +347,7 @@ func checkNegativesAndRules(t *testing.T, trial int64, db *txdb.MemDB, tax *taxo
 			t.Fatalf("trial %d: %d negatives, oracle %d", trial, len(res.Negatives), len(wantNegs))
 		}
 		for _, neg := range res.Negatives {
-			if _, ok := wantNegs[neg.Set.Key()]; !ok {
+			if _, ok := wantNegs[neg.Set.String()]; !ok {
 				t.Fatalf("trial %d: unexpected negative %v", trial, neg.Set)
 			}
 			// Verify the counted actual support directly.
@@ -347,7 +357,7 @@ func checkNegativesAndRules(t *testing.T, trial int64, db *txdb.MemDB, tax *taxo
 		}
 
 		// 4. Rules: every split of every negative itemset, by definition.
-		type ruleKey struct{ a, c item.Key }
+		type ruleKey struct{ a, c string }
 		wantRules := map[ruleKey]float64{}
 		for _, neg := range res.Negatives {
 			dev := neg.Deviation()
@@ -360,26 +370,26 @@ func checkNegativesAndRules(t *testing.T, trial int64, db *txdb.MemDB, tax *taxo
 					return
 				}
 				if ri := dev / supA; ri >= minRI {
-					wantRules[ruleKey{ante.Key(), consK.Key()}] = ri
+					wantRules[ruleKey{ante.String(), consK.String()}] = ri
 				}
 			})
 		}
 		gotRules := map[ruleKey]float64{}
 		for _, rule := range res.Rules {
-			gotRules[ruleKey{rule.Antecedent.Key(), rule.Consequent.Key()}] = rule.RI
+			gotRules[ruleKey{rule.Antecedent.String(), rule.Consequent.String()}] = rule.RI
 		}
 		// The oracle enumerates every definition-valid rule: every mined
 		// rule must be one, and every one must be mined.
 		for k, ri := range gotRules {
 			if want, ok := wantRules[k]; !ok || math.Abs(want-ri) > 1e-9 {
-				t.Fatalf("trial %d: mined rule %v =/=> %v not valid per oracle",
-					trial, k.a.Itemset(), k.c.Itemset())
+				t.Fatalf("trial %d: mined rule %s =/=> %s not valid per oracle",
+					trial, k.a, k.c)
 			}
 		}
 		for k, ri := range wantRules {
 			if got, ok := gotRules[k]; !ok || math.Abs(got-ri) > 1e-9 {
-				t.Fatalf("trial %d: oracle rule %v =/=> %v (RI %v) missing from miner",
-					trial, k.a.Itemset(), k.c.Itemset(), ri)
+				t.Fatalf("trial %d: oracle rule %s =/=> %s (RI %v) missing from miner",
+					trial, k.a, k.c, ri)
 			}
 		}
 	}

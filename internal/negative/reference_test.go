@@ -22,7 +22,7 @@ import (
 // support is chosen").
 type refGenerator struct {
 	tax   *taxonomy.Taxonomy
-	table *item.SupportTable // generalized large-itemset supports
+	table *item.Table // generalized large-itemset supports
 	// minExpected is MinSup·MinRI: candidates whose expected support does
 	// not exceed it can never yield a rule with RI ≥ MinRI and are pruned
 	// at generation time.
@@ -35,17 +35,17 @@ type refGenerator struct {
 	// subs maps an item to its declared substitute partners (extra
 	// sibling-like choices beyond the taxonomy).
 	subs map[item.Item][]item.Item
-	out  map[item.Key]refProv
+	out  map[string]refProv // by the candidate's String
 }
 
 // refProv is the best generation path seen for a candidate so far.
 type refProv struct {
-	expected float64
-	source   item.Key
-	via      Mode
+	set, source item.Itemset
+	expected    float64
+	via         Mode
 }
 
-func newRefGenerator(tax *taxonomy.Taxonomy, table *item.SupportTable, minSup, minRI float64, substitutes []item.Itemset) *refGenerator {
+func newRefGenerator(tax *taxonomy.Taxonomy, table *item.Table, minSup, minRI float64, substitutes []item.Itemset) *refGenerator {
 	subs := map[item.Item][]item.Item{}
 	for _, group := range substitutes {
 		for _, x := range group {
@@ -64,7 +64,7 @@ func newRefGenerator(tax *taxonomy.Taxonomy, table *item.SupportTable, minSup, m
 			return table.Contains(item.Itemset{x})
 		},
 		subs: subs,
-		out:  make(map[item.Key]refProv),
+		out:  make(map[string]refProv),
 	}
 }
 
@@ -172,17 +172,17 @@ func (g *refGenerator) emit(members []item.Item, expected float64, source item.I
 			}
 		}
 	}
-	key := set.Key()
+	key := set.String()
 	if old, ok := g.out[key]; !ok || expected > old.expected {
-		g.out[key] = refProv{expected: expected, source: source.Key(), via: via}
+		g.out[key] = refProv{set: set, source: source, expected: expected, via: via}
 	}
 }
 
 // candidates returns the accumulated candidates sorted by itemset.
 func (g *refGenerator) candidates() []Candidate {
 	out := make([]Candidate, 0, len(g.out))
-	for k, p := range g.out {
-		out = append(out, Candidate{Set: k.Itemset(), Expected: p.expected, Source: p.source.Itemset(), Via: p.via})
+	for _, p := range g.out {
+		out = append(out, Candidate{Set: p.set, Expected: p.expected, Source: p.source, Via: p.via})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Set.Compare(out[j].Set) < 0 })
 	return out
@@ -190,7 +190,7 @@ func (g *refGenerator) candidates() []Candidate {
 
 // referenceCandidates is GenerateCandidates as it stood before the dense
 // kernel.
-func referenceCandidates(levels [][]item.CountedSet, table *item.SupportTable, tax *taxonomy.Taxonomy, minSup, minRI float64, substitutes []item.Itemset) []Candidate {
+func referenceCandidates(levels [][]item.CountedSet, table *item.Table, tax *taxonomy.Taxonomy, minSup, minRI float64, substitutes []item.Itemset) []Candidate {
 	g := newRefGenerator(tax, table, minSup, minRI, substitutes)
 	for k := 2; k <= len(levels); k++ {
 		for _, cs := range levels[k-1] {

@@ -17,7 +17,7 @@ import (
 // supersets qualifies. A consequent whose antecedent is small yields no rule
 // but stays: a larger consequent leaves a smaller antecedent, which may be
 // large. Figure 4 drops it too, and so loses rules the definition admits.
-func generateRules(negs []Itemset, table *item.SupportTable, minRI float64) []Rule {
+func generateRules(negs []Itemset, table *item.Table, minRI float64) []Rule {
 	var rules []Rule
 	for _, n := range negs {
 		k := n.Set.Len()

@@ -57,8 +57,8 @@ type (
 	Dictionary = item.Dictionary
 	// CountedSet pairs an itemset with its absolute support count.
 	CountedSet = item.CountedSet
-	// SupportTable maps itemsets to support counts.
-	SupportTable = item.SupportTable
+	// SupportTable is MiningResult.Table: its large itemsets' support counts.
+	SupportTable = item.Table
 
 	// Transaction is one customer basket.
 	Transaction = txdb.Transaction
