@@ -13,10 +13,7 @@
 // streaming it.
 package artifact
 
-import (
-	"errors"
-	"time"
-)
+import "errors"
 
 // PointPut is the failpoint evaluated after an artifact's bytes are durably
 // written but before its manifest entry is committed; arming it with an
@@ -38,6 +35,3 @@ type Info struct {
 	CreatedNs  int64  `json:"createdNs"`
 	Source     string `json:"source,omitempty"` // producer hint ("mined", "ingest", ...)
 }
-
-// Created returns the generation's creation time.
-func (i Info) Created() time.Time { return time.Unix(0, i.CreatedNs) }

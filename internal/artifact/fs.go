@@ -285,37 +285,6 @@ func (s *FS) Latest() (Info, error) {
 	return Info{}, ErrEmpty
 }
 
-// Delete removes generation gen (ErrNotFound if absent). The manifest
-// commit precedes the file removal, preserving the "no entry without
-// bytes" invariant.
-func (s *FS) Delete(gen uint64) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.loadManifest(); err != nil {
-		return err
-	}
-	kept := make([]Info, 0, len(s.m.Generations))
-	found := false
-	for _, g := range s.m.Generations {
-		if g.Generation == gen {
-			found = true
-			continue
-		}
-		kept = append(kept, g)
-	}
-	if !found {
-		return fmt.Errorf("generation %d: %w", gen, ErrNotFound)
-	}
-	s.m.Generations = kept
-	if err := s.writeManifest(); err != nil {
-		return err
-	}
-	if err := os.Remove(s.genPath(gen)); err != nil && !os.IsNotExist(err) {
-		return err
-	}
-	return nil
-}
-
 // Localize returns generation gen's file path, valid until the generation
 // is deleted: the mmap fast path for snapshot loading.
 func (s *FS) Localize(gen uint64) (string, Info, error) {

@@ -85,25 +85,6 @@ func TestFSPutGetLatest(t *testing.T) {
 	}
 }
 
-func TestFSDelete(t *testing.T) {
-	s, _ := OpenFS(t.TempDir(), 0)
-	put(t, s, "m", "a")
-	put(t, s, "m", "b")
-	if err := s.Delete(1); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := s.Get(1); !errors.Is(err, ErrNotFound) {
-		t.Errorf("deleted generation still readable: %v", err)
-	}
-	if err := s.Delete(1); !errors.Is(err, ErrNotFound) {
-		t.Errorf("double delete: %v", err)
-	}
-	// Generation numbers keep increasing past deletions.
-	if info := put(t, s, "m", "c"); info.Generation != 3 {
-		t.Errorf("generation after delete = %d", info.Generation)
-	}
-}
-
 func TestFSRetention(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := OpenFS(dir, 2)

@@ -6,16 +6,12 @@
 // probing, which is the Eclat/Partition-style vertical representation the
 // paper's authors pioneered (Savasere–Omiecinski–Navathe, VLDB 1995).
 //
-// Two builders are provided, both the one-window case of FillWindows:
-//
-//   - FromDB sets bits from each (optionally transformed) transaction —
-//     the generic path, correct for any transform.
-//   - FromDBTaxonomy sets bits from raw transactions and their taxonomy
-//     ancestors, materializing the ancestor closure directly: a category's
-//     row ends up equal to the OR of its children's rows (and, more
-//     precisely, of all its descendant leaves — including leaves too
-//     infrequent to have rows of their own), so Cumulate's transaction
-//     extension costs nothing at counting time.
+// FromDBTaxonomy, the one-window case of FillWindows, sets bits from raw
+// transactions and their taxonomy ancestors, materializing the ancestor
+// closure directly: a category's row ends up equal to the OR of its
+// children's rows (and, more precisely, of all its descendant leaves —
+// including leaves too infrequent to have rows of their own), so Cumulate's
+// transaction extension costs nothing at counting time.
 //
 // A matrix narrower than the database holds one window of transactions at a
 // time (FillWindows); support is a count over transactions, so the windows'
@@ -443,14 +439,6 @@ func (m *Matrix) closure(tax *taxonomy.Taxonomy) (start, rows []int32) {
 	return start, rows
 }
 
-// FromDB builds rows for items over one pass of db, applying transform (nil
-// = identity) to every transaction: FillWindows with one window. Items in a
-// (transformed) transaction without a row are ignored, so callers must
-// include every item they intend to count.
-func FromDB(db txdb.DB, items item.Itemset, transform Transform) (*Matrix, error) {
-	return fromDB(db, nil, items, transform)
-}
-
 // FromDBTaxonomy builds rows for items over one pass of db's raw
 // transactions, setting each item's bit and the bits of all its taxonomy
 // ancestors — the ancestor-closure build, FillWindows with one window. A
@@ -481,14 +469,6 @@ func AndInto(dst, src []uint64) {
 	src = src[:len(dst)]
 	for i := range dst {
 		dst[i] &= src[i]
-	}
-}
-
-// Or writes a OR b into dst. All three must have equal length.
-func Or(dst, a, b []uint64) {
-	dst, b = dst[:len(a)], b[:len(a)]
-	for i := range a {
-		dst[i] = a[i] | b[i]
 	}
 }
 

@@ -74,9 +74,9 @@ func TestSupportMatchesBruteForce(t *testing.T) {
 		for i := range universe {
 			universe[i] = item.Item(i)
 		}
-		m, err := FromDB(db, universe, nil)
+		m, err := fromDB(db, nil, universe, nil)
 		if err != nil {
-			t.Fatalf("FromDB: %v", err)
+			t.Fatalf("fromDB: %v", err)
 		}
 		if m.N() != db.Count() {
 			t.Fatalf("N = %d, want %d", m.N(), db.Count())
@@ -119,9 +119,9 @@ func TestFromDBAppliesTransform(t *testing.T) {
 	for i := range universe {
 		universe[i] = item.Item(i)
 	}
-	m, err := FromDB(db, universe, shiftInto)
+	m, err := fromDB(db, nil, universe, shiftInto)
 	if err != nil {
-		t.Fatalf("FromDB: %v", err)
+		t.Fatalf("fromDB: %v", err)
 	}
 	for _, c := range randomCandidates(rng, universe, 50) {
 		got, err := m.Support(c, nil)
@@ -261,9 +261,9 @@ func TestCountsParallelMatchesSequential(t *testing.T) {
 	for i := range universe {
 		universe[i] = item.Item(i)
 	}
-	m, err := FromDB(db, universe, nil)
+	m, err := fromDB(db, nil, universe, nil)
 	if err != nil {
-		t.Fatalf("FromDB: %v", err)
+		t.Fatalf("fromDB: %v", err)
 	}
 	cands := randomCandidates(rng, universe, 301) // odd count: ragged last shard
 	seq, err := m.Counts(cands, 1)
@@ -285,9 +285,9 @@ func TestCountsParallelMatchesSequential(t *testing.T) {
 
 func TestSupportMissingRow(t *testing.T) {
 	db := txdb.FromItemsets([]item.Item{0, 1})
-	m, err := FromDB(db, item.New(0, 1), nil)
+	m, err := fromDB(db, nil, item.New(0, 1), nil)
 	if err != nil {
-		t.Fatalf("FromDB: %v", err)
+		t.Fatalf("fromDB: %v", err)
 	}
 	for _, c := range []item.Itemset{
 		item.New(9),
@@ -346,8 +346,8 @@ func (l lyingDB) Count() int { return l.MemDB.Count() - 1 }
 
 func TestFromDBScanOverflow(t *testing.T) {
 	db := txdb.FromItemsets([]item.Item{0}, []item.Item{1}, []item.Item{0, 1})
-	if _, err := FromDB(lyingDB{db}, item.New(0, 1), nil); err == nil {
-		t.Fatal("FromDB: expected error when scan exceeds Count()")
+	if _, err := fromDB(lyingDB{db}, nil, item.New(0, 1), nil); err == nil {
+		t.Fatal("fromDB: expected error when scan exceeds Count()")
 	}
 	if _, err := FromDBTaxonomy(lyingDB{db}, mustTax(t), item.New(0, 1)); err == nil {
 		t.Fatal("FromDBTaxonomy: expected error when scan exceeds Count()")
@@ -368,10 +368,6 @@ func TestKernels(t *testing.T) {
 	if dst[0] != 0b1000 || dst[1] != 0b0010 || dst[2] != 0 {
 		t.Fatalf("And = %x", dst)
 	}
-	Or(dst, a, b)
-	if dst[0] != 0b1110 || dst[1] != 0b1110 || dst[2] != ^uint64(0) {
-		t.Fatalf("Or = %x", dst)
-	}
 	copy(dst, a)
 	AndInto(dst, b)
 	if dst[0] != 0b1000 {
@@ -390,7 +386,6 @@ func TestKernels(t *testing.T) {
 	}
 	// Rows over zero transactions have no words; every kernel is a no-op.
 	And(nil, nil, nil)
-	Or(nil, nil, nil)
 	AndInto(nil, nil)
 	OrInto(nil, nil)
 	if got := AndPopCount(nil, nil); got != 0 {
@@ -406,9 +401,9 @@ func TestEstimateBytes(t *testing.T) {
 		t.Fatalf("EstimateBytes(65,10) = %d, want 160", got)
 	}
 	db := txdb.FromItemsets([]item.Item{0, 1, 2})
-	m, err := FromDB(db, item.New(0, 1, 2), nil)
+	m, err := fromDB(db, nil, item.New(0, 1, 2), nil)
 	if err != nil {
-		t.Fatalf("FromDB: %v", err)
+		t.Fatalf("fromDB: %v", err)
 	}
 	if m.Bytes() != EstimateBytes(db.Count(), 3) {
 		t.Fatalf("Bytes = %d, estimate %d", m.Bytes(), EstimateBytes(db.Count(), 3))

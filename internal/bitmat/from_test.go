@@ -17,7 +17,7 @@ func fromFixture(t *testing.T) (filled, kept *Matrix, universe item.Itemset) {
 	const n = 203
 	rng := rand.New(rand.NewSource(11))
 	universe = item.New(0, 1, 2, 3, 4, 5, 6, 7, 8, 9)
-	filled, err := FromDB(randomDB(t, rng, n, len(universe), 0.6), universe, nil)
+	filled, err := fromDB(randomDB(t, rng, n, len(universe), 0.6), nil, universe, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +262,7 @@ func TestCountsAllocs(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(19))
 	universe := item.New(0, 1, 2, 3, 4, 5, 6, 7, 8, 9)
-	m, err := FromDB(randomDB(t, rng, 1000, len(universe), 0.5), universe, nil)
+	m, err := fromDB(randomDB(t, rng, 1000, len(universe), 0.5), nil, universe, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -206,9 +206,6 @@ func (l *Lease) Expired() bool {
 	return l.SinceRenewal() > l.ttl
 }
 
-// TTL returns the lease interval.
-func (l *Lease) TTL() time.Duration { return l.ttl }
-
 // SinceRenewal returns how long ago the lease was last renewed.
 func (l *Lease) SinceRenewal() time.Duration {
 	l.mu.Lock()

@@ -52,14 +52,6 @@ func NewZipf(n int, s float64) (*Zipf, error) {
 // N returns the number of ranks.
 func (z *Zipf) N() int { return len(z.cdf) }
 
-// Prob returns the probability of rank r.
-func (z *Zipf) Prob(r int) float64 {
-	if r == 0 {
-		return z.cdf[0]
-	}
-	return z.cdf[r] - z.cdf[r-1]
-}
-
 // Sample draws one rank from src.
 func (z *Zipf) Sample(src *stats.Source) int {
 	u := src.Float64()
@@ -221,25 +213,4 @@ func contains(xs []int, x int) bool {
 		}
 	}
 	return false
-}
-
-// ChiSquare computes Pearson's chi-square statistic of observed counts
-// against expected probabilities (both length n, counts summing to total).
-// Callers compare the result against a critical value for n-1 degrees of
-// freedom; the zipf distribution tests use it to verify configured skew.
-func ChiSquare(observed []int, probs []float64) float64 {
-	total := 0
-	for _, o := range observed {
-		total += o
-	}
-	x2 := 0.0
-	for i, o := range observed {
-		e := probs[i] * float64(total)
-		if e == 0 {
-			continue
-		}
-		d := float64(o) - e
-		x2 += d * d / e
-	}
-	return x2
 }

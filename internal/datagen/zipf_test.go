@@ -28,15 +28,15 @@ func TestZipfChiSquare(t *testing.T) {
 				obs[z.Sample(src)]++
 			}
 			probs := make([]float64, n)
-			sum := 0.0
+			prev := 0.0
 			for r := range probs {
-				probs[r] = z.Prob(r)
-				sum += probs[r]
+				probs[r] = z.cdf[r] - prev
+				prev = z.cdf[r]
 			}
-			if sum < 0.999999 || sum > 1.000001 {
-				t.Fatalf("Prob sums to %v, want 1", sum)
+			if prev != 1 {
+				t.Fatalf("cdf ends at %v, want 1", prev)
 			}
-			x2 := ChiSquare(obs, probs)
+			x2 := chiSquare(obs, probs)
 			if x2 > 148.2 {
 				t.Fatalf("chi-square = %.1f exceeds critical value 148.2 for 99 dof at α=0.001", x2)
 			}
@@ -46,6 +46,26 @@ func TestZipfChiSquare(t *testing.T) {
 			}
 		})
 	}
+}
+
+// chiSquare computes Pearson's chi-square statistic of observed counts
+// against expected probabilities (both length n). Compare the result against
+// a critical value for n-1 degrees of freedom.
+func chiSquare(observed []int, probs []float64) float64 {
+	total := 0
+	for _, o := range observed {
+		total += o
+	}
+	x2 := 0.0
+	for i, o := range observed {
+		e := probs[i] * float64(total)
+		if e == 0 {
+			continue
+		}
+		d := float64(o) - e
+		x2 += d * d / e
+	}
+	return x2
 }
 
 // TestZipfRejectsBadConfig covers the validation paths.

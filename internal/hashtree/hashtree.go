@@ -105,14 +105,8 @@ func EstimateBytes(n, counters int) int64 {
 	return int64(n) * (perCandTree + int64(counters)*perCandCounter)
 }
 
-// K returns the candidate size (0 for an empty tree).
-func (t *Tree) K() int { return t.k }
-
 // Len returns the number of candidates.
 func (t *Tree) Len() int { return len(t.cands) }
-
-// Candidates returns the indexed candidates (shared slice).
-func (t *Tree) Candidates() []item.Itemset { return t.cands }
 
 // Counter accumulates per-candidate support counts against one Tree. It is
 // not safe for concurrent use; run one Counter per goroutine and Merge.

@@ -12,8 +12,8 @@ func TestEmptyTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Len() != 0 || tr.K() != 0 {
-		t.Errorf("Len/K = %d/%d", tr.Len(), tr.K())
+	if tr.Len() != 0 || tr.k != 0 {
+		t.Errorf("Len/k = %d/%d", tr.Len(), tr.k)
 	}
 	c := tr.NewCounter()
 	c.Add(item.New(1, 2, 3)) // must not panic

@@ -1,9 +1,6 @@
 package item
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Dictionary maps human-readable item names to dense Item ids and back. It
 // is the bridge between external data formats (basket files, taxonomy
@@ -65,22 +62,4 @@ func (d *Dictionary) InternSet(names ...string) Itemset {
 		items[i] = d.Intern(n)
 	}
 	return New(items...)
-}
-
-// FormatSet renders an itemset with this dictionary's names, sorted by name
-// for stable human-facing output.
-func (d *Dictionary) FormatSet(s Itemset) string {
-	names := make([]string, len(s))
-	for i, x := range s {
-		names[i] = d.Name(x)
-	}
-	sort.Strings(names)
-	out := "{"
-	for i, n := range names {
-		if i > 0 {
-			out += " "
-		}
-		out += n
-	}
-	return out + "}"
 }

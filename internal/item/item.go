@@ -81,15 +81,6 @@ func (s Itemset) Contains(x Item) bool {
 	return i < len(s) && s[i] == x
 }
 
-// IndexOf returns the position of x in s, or -1 if absent.
-func (s Itemset) IndexOf(x Item) int {
-	i := sort.Search(len(s), func(i int) bool { return s[i] >= x })
-	if i < len(s) && s[i] == x {
-		return i
-	}
-	return -1
-}
-
 // SubsetOf reports whether every item of s is contained in t. Both sets are
 // sorted, so this is a single linear merge.
 func (s Itemset) SubsetOf(t Itemset) bool {
@@ -175,25 +166,6 @@ func (s Itemset) Union(t Itemset) Itemset {
 	return out
 }
 
-// Intersect returns the sorted intersection of s and t.
-func (s Itemset) Intersect(t Itemset) Itemset {
-	var out Itemset
-	i, j := 0, 0
-	for i < len(s) && j < len(t) {
-		switch {
-		case s[i] < t[j]:
-			i++
-		case s[i] > t[j]:
-			j++
-		default:
-			out = append(out, s[i])
-			i++
-			j++
-		}
-	}
-	return out
-}
-
 // Minus returns s \ t: the items of s that are not in t.
 func (s Itemset) Minus(t Itemset) Itemset {
 	var out Itemset
@@ -241,8 +213,8 @@ func (s Itemset) With(x Item) Itemset {
 
 // Without returns a new itemset with x removed (copy if absent).
 func (s Itemset) Without(x Item) Itemset {
-	i := s.IndexOf(x)
-	if i < 0 {
+	i := sort.Search(len(s), func(i int) bool { return s[i] >= x })
+	if i == len(s) || s[i] != x {
 		return s.Clone()
 	}
 	out := make(Itemset, 0, len(s)-1)

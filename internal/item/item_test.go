@@ -52,11 +52,12 @@ func TestContainsAndIndexOf(t *testing.T) {
 			t.Errorf("Contains(%d) = true, want false", x)
 		}
 	}
-	if i := s.IndexOf(6); i != 2 {
-		t.Errorf("IndexOf(6) = %d, want 2", i)
+	// Without finds a member's position by the same search.
+	if got := s.Without(6); !got.Equal(New(2, 4, 8)) {
+		t.Errorf("Without(6) = %v, want [2 4 8]", got)
 	}
-	if i := s.IndexOf(7); i != -1 {
-		t.Errorf("IndexOf(7) = %d, want -1", i)
+	if got := s.Without(7); !got.Equal(s) {
+		t.Errorf("Without(7) = %v, want %v", got, s)
 	}
 }
 
@@ -86,9 +87,6 @@ func TestSetAlgebra(t *testing.T) {
 	b := New(3, 4, 5, 6)
 	if got := a.Union(b); !got.Equal(New(1, 3, 4, 5, 6, 7)) {
 		t.Errorf("Union = %v", got)
-	}
-	if got := a.Intersect(b); !got.Equal(New(3, 5)) {
-		t.Errorf("Intersect = %v", got)
 	}
 	if got := a.Minus(b); !got.Equal(New(1, 7)) {
 		t.Errorf("Minus = %v", got)
@@ -266,7 +264,13 @@ func TestQuickMinusIntersectPartition(t *testing.T) {
 	f := func() bool {
 		a, b := genSet(r, 12, 40), genSet(r, 12, 40)
 		// a = (a minus b) ∪ (a ∩ b), and the two parts are disjoint.
-		diff, inter := a.Minus(b), a.Intersect(b)
+		var inter Itemset
+		for _, x := range a {
+			if b.Contains(x) {
+				inter = append(inter, x)
+			}
+		}
+		diff := a.Minus(b)
 		if !diff.Disjoint(inter) {
 			return false
 		}
@@ -354,9 +358,6 @@ func TestDictionary(t *testing.T) {
 	s := d.InternSet("milk", "beer", "bread")
 	if s.Len() != 3 {
 		t.Errorf("InternSet len = %d", s.Len())
-	}
-	if got := d.FormatSet(s); got != "{beer bread milk}" {
-		t.Errorf("FormatSet = %q", got)
 	}
 	names := d.Names()
 	if !reflect.DeepEqual(names, []string{"bread", "milk", "beer"}) {

@@ -33,13 +33,6 @@ func TestSetOpTables(t *testing.T) {
 		{Itemset{1}, Itemset{1, 2}, Itemset{1, 2}},
 		{Itemset{0, top}, Itemset{1, top - 1}, Itemset{0, 1, top - 1, top}},
 	})
-	runSetOp(t, "Intersect", Itemset.Intersect, []setOpCase{
-		{Itemset{1}, nil, nil},
-		{nil, Itemset{1}, nil},
-		{Itemset{1, 2, 3}, Itemset{4, 5, 6}, nil},
-		{Itemset{1, 2, 3}, Itemset{0, 1, 2, 4, 5, 6}, Itemset{1, 2}},
-		{Itemset{0, top}, Itemset{top}, Itemset{top}},
-	})
 	runSetOp(t, "Minus", Itemset.Minus, []setOpCase{
 		{nil, Itemset{1}, nil},
 		{Itemset{1, 2}, nil, Itemset{1, 2}},

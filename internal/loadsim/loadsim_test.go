@@ -215,8 +215,10 @@ func TestRunDeterministicStream(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Errors5xx() != 0 {
-			t.Fatalf("fake daemon produced 5xx: %+v", res.Endpoints)
+		for _, ep := range res.Endpoints {
+			if ep.Err5xx != 0 {
+				t.Fatalf("fake daemon produced 5xx: %+v", res.Endpoints)
+			}
 		}
 		return fd.requests()
 	}

@@ -70,16 +70,6 @@ func (r *Result) Endpoint(name string) *EndpointResult {
 	return nil
 }
 
-// Errors5xx sums hard server errors across endpoints (sheds and partial
-// responses are part of the overload contract and counted separately).
-func (r *Result) Errors5xx() int64 {
-	var n int64
-	for _, ep := range r.Endpoints {
-		n += ep.Err5xx
-	}
-	return n
-}
-
 // Print renders the run as a human-readable summary.
 func (r *Result) Print(w io.Writer) {
 	fmt.Fprintf(w, "offered %.0f rps, achieved %.0f rps over %.1fs (%d ops)\n",

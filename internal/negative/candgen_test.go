@@ -316,6 +316,35 @@ func TestGenerateCandidatesSameForAnyWorkerCount(t *testing.T) {
 	}
 }
 
+// TestClassTablesExactlyFull holds classify to its counting pass: the
+// anchors, groups and pools the classes slice are each made once, at the size
+// counted for them, and end exactly full. A short count changes no output —
+// append grows the table — so only this test sees it, over the random and
+// hostile corpora and Tall 5 000 at 1 % / 0.5.
+func TestClassTablesExactlyFull(t *testing.T) {
+	ties, _ := tieCase(t)
+	cases := []candgenCase{ties}
+	for seed := int64(1); seed <= 600; seed++ {
+		cases = append(cases, randomCandgenCase(t, rand.New(rand.NewSource(seed))))
+	}
+	for seed := int64(1); seed <= 12; seed++ {
+		cases = append(cases, hostileCase(t, rand.New(rand.NewSource(seed))))
+	}
+	levels, table, tax := candgenInput(t, datagen.Tall(), 5000, 0.01, 0)
+	cases = append(cases, candgenCase{tax: tax, table: table, levels: levels, minSup: 0.01, minRI: 0.5})
+	for ci, c := range cases {
+		opt := Options{MinSupport: c.minSup, MinRI: c.minRI, Substitutes: c.substitutes}
+		in := newInputs(c.levels, c.table.Total(), c.tax, c.supports(c.tax), opt)
+		if len(in.anchors) != cap(in.anchors) || len(in.groups) != cap(in.groups) || len(in.pools) != cap(in.pools) {
+			t.Fatalf("case %d: anchors %d of %d, groups %d of %d, pools %d of %d", ci,
+				len(in.anchors), cap(in.anchors), len(in.groups), cap(in.groups), len(in.pools), cap(in.pools))
+		}
+		if ci == len(cases)-1 && (len(in.classes) < 100 || len(in.pools) == 0) {
+			t.Fatalf("Tall 5 000: %d classes, %d pool members: too few to mean anything", len(in.classes), len(in.pools))
+		}
+	}
+}
+
 // hostileCase builds the inputs a sibling-class Case 3 can get wrong: a root
 // class of 20–25 roots with sources of 2, 3 and, in every third case, 4
 // members; two members of one group whose counts are not powers of two, so

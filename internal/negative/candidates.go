@@ -84,10 +84,14 @@ type inputs struct {
 	kin    map[int64]int64
 
 	// regular[s] tells that Case 3 of sources[s] is left to its sibling
-	// class. The tasks are the sources, then the anchors of every class.
+	// class. The tasks are the sources, then the anchors of every class. The
+	// classes slice anchors, groups and pools, each made once at its counted
+	// size.
 	regular []bool
 	classes []class // ascending by gids
 	anchors []anchor
+	groups  []group
+	pools   []item.Item
 	idBound int // every item a class set may hold is below it
 }
 
@@ -358,8 +362,8 @@ func (in *inputs) classify() {
 	}
 	clear(held)
 
-	poolBuf := make([]item.Item, 0, nPool)
-	groups := make([]group, 0, nGroups)
+	in.pools = make([]item.Item, 0, nPool)
+	in.groups = make([]group, 0, nGroups)
 	entries := make([]weighted, len(gids)) // one per member of a regular source
 	in.anchors = make([]anchor, 0, nAnchors)
 	// held[x] counts x's entries in the class being built, then is where the
@@ -372,17 +376,15 @@ func (in *inputs) classify() {
 		}
 		cls := reg[i:j]
 		cg := srcGids[cls[0].src]
-		g0 := len(groups)
+		g0 := len(in.groups)
 		for _, id := range cg {
-			if last := len(groups) - 1; last >= g0 && groups[last].id == id {
-				groups[last].n++
+			if last := len(in.groups) - 1; last >= g0 && in.groups[last].id == id {
+				in.groups[last].n++
 				continue
 			}
-			var pool []item.Item
-			pool, poolBuf = in.pool(id, poolBuf)
-			groups = append(groups, group{id: id, pool: pool, n: 1})
+			in.groups = append(in.groups, group{id: id, pool: in.pool(id), n: 1})
 		}
-		k := class{gids: cg, groups: groups[g0:len(groups):len(groups)]}
+		k := class{gids: cg, groups: in.groups[g0:len(in.groups):len(in.groups)]}
 
 		// Each member's entries, by w descending, then source, back to back.
 		xs = xs[:0]
@@ -420,18 +422,18 @@ func (in *inputs) classify() {
 	}
 }
 
-// pool appends to buf the members of group id that are large with positive
-// support, by support descending, then item, and returns them and buf.
-func (in *inputs) pool(id int64, buf []item.Item) ([]item.Item, []item.Item) {
-	start := len(buf)
+// pool appends to in.pools the members of group id that are large with
+// positive support, by support descending, then item, and returns them.
+func (in *inputs) pool(id int64) []item.Item {
+	start := len(in.pools)
 	for _, x := range in.groupItems(id) {
 		if s, ok := in.support(x); ok && s > 0 {
-			buf = append(buf, x)
+			in.pools = append(in.pools, x)
 		}
 	}
-	pool := buf[start:len(buf):len(buf)]
+	pool := in.pools[start:len(in.pools):len(in.pools)]
 	slices.SortFunc(pool, func(a, b item.Item) int { return cmp.Or(cmp.Compare(in.sup[b], in.sup[a]), cmp.Compare(a, b)) })
-	return pool, buf
+	return pool
 }
 
 // generator records candidate negative itemsets across the tasks one worker

@@ -138,26 +138,6 @@ func (s *Store) Lookup(ante, cons []string) (Entry, bool) {
 	return e, ok
 }
 
-// ByItem returns all rules mentioning the named item on either side.
-func (s *Store) ByItem(name string) []Entry {
-	var out []Entry
-	for _, e := range s.All() {
-		if contains(e.Antecedent, name) || contains(e.Consequent, name) {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-func contains(xs []string, x string) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
-}
-
 // Diff compares two runs (typically two time periods of the same store's
 // data). Thresholding noise is absorbed by riTolerance: a rule present in
 // both runs counts as Changed only when |ΔRI| exceeds it.

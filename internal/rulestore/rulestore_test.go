@@ -44,16 +44,6 @@ func TestStoreBasics(t *testing.T) {
 	if _, ok := s.Lookup([]string{"chips"}, []string{"pepsi"}); ok {
 		t.Error("reversed rule found")
 	}
-	byPepsi := s.ByItem("pepsi")
-	if len(byPepsi) != 2 {
-		t.Errorf("ByItem(pepsi) = %d", len(byPepsi))
-	}
-	if got := s.ByItem("salsa"); len(got) != 1 {
-		t.Errorf("ByItem(salsa) = %d", len(got))
-	}
-	if got := s.ByItem("unknown"); len(got) != 0 {
-		t.Errorf("ByItem(unknown) = %d", len(got))
-	}
 	all := s.All()
 	for i := 1; i < len(all); i++ {
 		if all[i-1].Signature() >= all[i].Signature() {

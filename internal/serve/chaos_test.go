@@ -176,10 +176,10 @@ func TestChaosReloadUnderFire(t *testing.T) {
 	if okCount == 0 || failCount == 0 {
 		t.Fatalf("chaos did not exercise both outcomes: %d ok, %d failed (tune loadFailP)", okCount, failCount)
 	}
-	if got := srv.Metrics().reloadFail.Load(); got != int64(failCount) {
+	if got := srv.metrics.reloadFail.Load(); got != int64(failCount) {
 		t.Errorf("metrics reloadFail = %d, want %d", got, failCount)
 	}
-	if got := srv.Metrics().reloadOK.Load(); got != int64(okCount) {
+	if got := srv.metrics.reloadOK.Load(); got != int64(okCount) {
 		t.Errorf("metrics reloadOK = %d, want %d", got, okCount)
 	}
 	// After the dust settles the daemon serves a complete, single-generation
@@ -249,7 +249,7 @@ func TestChaosWatchWithFlappingFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, "healthy watcher after flapping", func() bool {
-		return srv.Metrics().WatchState() == watchWatching
+		return srv.metrics.WatchState() == watchWatching
 	})
 	close(stop)
 	wg.Wait()

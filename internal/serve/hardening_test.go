@@ -32,7 +32,7 @@ func TestHandlerPanicRecovered(t *testing.T) {
 	if code != http.StatusInternalServerError {
 		t.Fatalf("panicking handler: code = %d, want 500 (%s)", code, body)
 	}
-	if got := srv.Metrics().Panics(); got != 1 {
+	if got := srv.metrics.panics.Load(); got != 1 {
 		t.Fatalf("panics counter = %d, want 1", got)
 	}
 
@@ -200,14 +200,14 @@ func TestWatchReloadsOnSettledChange(t *testing.T) {
 	path := watchFixture(t, srv, 3*time.Millisecond)
 	// Let the watcher observe the path as missing first, so the write below
 	// is seen as a change (not as the startup version).
-	waitFor(t, "missing state", func() bool { return srv.Metrics().WatchState() == watchMissing })
+	waitFor(t, "missing state", func() bool { return srv.metrics.WatchState() == watchMissing })
 
 	// File appears (missing → settling → reload once stable).
 	if err := os.WriteFile(path, []byte("v2"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, "reload after file appears", func() bool { return gen.Load() >= 2 })
-	waitFor(t, "watching state", func() bool { return srv.Metrics().WatchState() == watchWatching })
+	waitFor(t, "watching state", func() bool { return srv.metrics.WatchState() == watchWatching })
 
 	// Unchanged file: no further reloads.
 	before := gen.Load()
@@ -227,7 +227,7 @@ func TestWatchMissingFileIsQuietState(t *testing.T) {
 	}
 	watchFixture(t, srv, 2*time.Millisecond)
 
-	waitFor(t, "missing state", func() bool { return srv.Metrics().WatchState() == watchMissing })
+	waitFor(t, "missing state", func() bool { return srv.metrics.WatchState() == watchMissing })
 	logs.Store(0)
 	time.Sleep(40 * time.Millisecond) // ~20 ticks on a missing file
 	if n := logs.Load(); n != 0 {
@@ -255,10 +255,10 @@ func TestWatchBreakerOpensAndRecovers(t *testing.T) {
 	}
 	failing.Store(true)
 	path := watchFixture(t, srv, 2*time.Millisecond)
-	waitFor(t, "missing state", func() bool { return srv.Metrics().WatchState() == watchMissing })
+	waitFor(t, "missing state", func() bool { return srv.metrics.WatchState() == watchMissing })
 
 	writeRenamed(t, path, "broken")
-	waitFor(t, "failed state", func() bool { return srv.Metrics().WatchState() == watchFailed })
+	waitFor(t, "failed state", func() bool { return srv.metrics.WatchState() == watchFailed })
 
 	// The failing version is not retried: ~15 more polls, no more loads.
 	time.Sleep(30 * time.Millisecond)
@@ -269,7 +269,7 @@ func TestWatchBreakerOpensAndRecovers(t *testing.T) {
 	// A new version loads.
 	failing.Store(false)
 	writeRenamed(t, path, "fixed-version")
-	waitFor(t, "recovery", func() bool { return srv.Metrics().WatchState() == watchWatching })
+	waitFor(t, "recovery", func() bool { return srv.metrics.WatchState() == watchWatching })
 	if n := loads.Load(); n != 3 {
 		t.Fatalf("loads = %d, want 3 (startup, bad version, new version)", n)
 	}
@@ -288,7 +288,7 @@ func TestWatchDebouncesInProgressWrite(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	go srv.watch(ctx, path, ticks)
-	waitFor(t, "missing state", func() bool { return srv.Metrics().WatchState() == watchMissing })
+	waitFor(t, "missing state", func() bool { return srv.metrics.WatchState() == watchMissing })
 
 	// poll runs one poll and waits until the watcher has acted on it: the
 	// watcher publishes its state once per poll, after acting.
@@ -299,7 +299,7 @@ func TestWatchDebouncesInProgressWrite(t *testing.T) {
 		case <-time.After(5 * time.Second):
 			t.Fatal("watcher stopped polling")
 		}
-		waitFor(t, "poll", func() bool { return srv.Metrics().WatchState() != "" })
+		waitFor(t, "poll", func() bool { return srv.metrics.WatchState() != "" })
 	}
 
 	// A slow writer: the file grows between every two polls.

@@ -78,9 +78,6 @@ func (m *Metrics) recordReload(err error) {
 // recordPanic counts a handler panic caught by the recovery middleware.
 func (m *Metrics) recordPanic() { m.panics.Add(1) }
 
-// Panics returns how many handler panics have been recovered.
-func (m *Metrics) Panics() int64 { return m.panics.Load() }
-
 // setWatch publishes the watcher's state for /metrics.
 func (m *Metrics) setWatch(state string) { m.watchState.Store(state) }
 

@@ -167,9 +167,6 @@ func (s *Server) loadChecked(ctx context.Context) (snap *Snapshot, err error) {
 // newer one mid-request.
 func (s *Server) Snapshot() *Snapshot { return s.snap.Load() }
 
-// Metrics exposes the server's metrics set.
-func (s *Server) Metrics() *Metrics { return s.metrics }
-
 // Reload synchronously builds a fresh snapshot and swaps it in. On error
 // the current snapshot is left in place, the failure is counted in metrics
 // with the error text retained, and the error is returned. Concurrent

@@ -322,7 +322,7 @@ func TestConcurrentSwapUnderLoad(t *testing.T) {
 		t.Fatalf("final snapshot %s, want gen-%d", got, gen.Load())
 	}
 	var buf bytes.Buffer
-	if err := srv.Metrics().WriteJSON(&buf, srv.Snapshot()); err != nil {
+	if err := srv.metrics.WriteJSON(&buf, srv.Snapshot()); err != nil {
 		t.Fatalf("metrics after load: %v", err)
 	}
 	if !strings.Contains(buf.String(), fmt.Sprintf(`"ok": %d`, reloads)) {

@@ -61,29 +61,6 @@ func (t *Taxonomy) Write(w io.Writer) error {
 	return bw.Flush()
 }
 
-// DOT renders the taxonomy in Graphviz dot format, marking leaves as boxes.
-func (t *Taxonomy) DOT(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintln(bw, "digraph taxonomy {")
-	fmt.Fprintln(bw, "  rankdir=TB;")
-	for i := 0; i < t.Size(); i++ {
-		id := item.Item(i)
-		shape := "ellipse"
-		if t.IsLeaf(id) {
-			shape = "box"
-		}
-		fmt.Fprintf(bw, "  n%d [label=%q shape=%s];\n", i, t.Name(id), shape)
-	}
-	for i := 0; i < t.Size(); i++ {
-		id := item.Item(i)
-		if p := t.Parent(id); p != item.None {
-			fmt.Fprintf(bw, "  n%d -> n%d;\n", p, i)
-		}
-	}
-	fmt.Fprintln(bw, "}")
-	return bw.Flush()
-}
-
 // String renders a compact multi-line tree view (roots first, children
 // indented), useful in examples and debugging.
 func (t *Taxonomy) String() string {

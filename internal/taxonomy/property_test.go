@@ -36,18 +36,29 @@ func TestPropertyLeavesAndCategoriesPartitionNodes(t *testing.T) {
 }
 
 func TestPropertyLeafDescendantsPartition(t *testing.T) {
-	// The leaf descendants of all roots exactly partition the leaf set.
+	// The leaves reached through Children from each root exactly partition
+	// the leaf set.
 	for _, tax := range randomTaxonomies(t) {
 		var union item.Itemset
 		for _, r := range tax.Roots() {
-			d := tax.LeafDescendants(r)
-			if !union.Disjoint(d) {
+			var leaves []item.Item
+			for stack := []item.Item{r}; len(stack) > 0; {
+				x := stack[len(stack)-1]
+				stack = stack[:len(stack)-1]
+				if ch := tax.Children(x); len(ch) > 0 {
+					stack = append(stack, ch...)
+				} else {
+					leaves = append(leaves, x)
+				}
+			}
+			d := item.New(leaves...)
+			if d.Len() != len(leaves) || !union.Disjoint(d) {
 				t.Fatal("root subtrees share leaves")
 			}
 			union = union.Union(d)
 		}
 		if !union.Equal(tax.Leaves()) {
-			t.Fatalf("root leaf-descendants cover %d leaves, want %d", union.Len(), tax.Leaves().Len())
+			t.Fatalf("root subtrees cover %d leaves, want %d", union.Len(), tax.Leaves().Len())
 		}
 	}
 }
@@ -59,13 +70,13 @@ func TestPropertyAncestorChainConsistency(t *testing.T) {
 			anc := tax.AncestorsOf(x)
 			// Depth equals chain length; each ancestor's depth decreases
 			// by one; IsAncestor agrees with chain membership.
-			if len(anc) != tax.Depth(x) {
-				t.Fatalf("node %d: %d ancestors but depth %d", i, len(anc), tax.Depth(x))
+			if len(anc) != tax.depth[x] {
+				t.Fatalf("node %d: %d ancestors but depth %d", i, len(anc), tax.depth[x])
 			}
 			for j, a := range anc {
-				if tax.Depth(a) != tax.Depth(x)-j-1 {
+				if tax.depth[a] != tax.depth[x]-j-1 {
 					t.Fatalf("node %d: ancestor %d at depth %d, want %d",
-						i, a, tax.Depth(a), tax.Depth(x)-j-1)
+						i, a, tax.depth[a], tax.depth[x]-j-1)
 				}
 				if !tax.IsAncestor(a, x) {
 					t.Fatalf("IsAncestor(%d, %d) = false for chain member", a, x)

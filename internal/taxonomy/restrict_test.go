@@ -144,13 +144,13 @@ func checkSameTaxonomy(t *testing.T, what string, got, want *Taxonomy) {
 	}
 	for i := 0; i < want.Size(); i++ {
 		x := item.Item(i)
-		if got.Parent(x) != want.Parent(x) || got.Depth(x) != want.Depth(x) ||
-			got.IsLeaf(x) != want.IsLeaf(x) || got.IsRoot(x) != want.IsRoot(x) ||
+		if got.Parent(x) != want.Parent(x) || got.depth[x] != want.depth[x] ||
+			got.IsRoot(x) != want.IsRoot(x) ||
 			!slices.Equal(got.Children(x), want.Children(x)) || !slices.Equal(got.Siblings(x), want.Siblings(x)) ||
 			!slices.Equal(got.AncestorsOf(x), want.AncestorsOf(x)) {
-			t.Fatalf("%s: node %d: parent %d depth %d leaf %v root %v children %v siblings %v ancestors %v; want %d %d %v %v %v %v %v",
-				what, x, got.Parent(x), got.Depth(x), got.IsLeaf(x), got.IsRoot(x), got.Children(x), got.Siblings(x), got.AncestorsOf(x),
-				want.Parent(x), want.Depth(x), want.IsLeaf(x), want.IsRoot(x), want.Children(x), want.Siblings(x), want.AncestorsOf(x))
+			t.Fatalf("%s: node %d: parent %d depth %d root %v children %v siblings %v ancestors %v; want %d %d %v %v %v %v",
+				what, x, got.Parent(x), got.depth[x], got.IsRoot(x), got.Children(x), got.Siblings(x), got.AncestorsOf(x),
+				want.Parent(x), want.depth[x], want.IsRoot(x), want.Children(x), want.Siblings(x), want.AncestorsOf(x))
 		}
 	}
 }

@@ -280,17 +280,6 @@ func (t *Taxonomy) IsAncestor(a, d item.Item) bool {
 	return false
 }
 
-// Depth returns the depth of i (roots are 0), or -1 for invalid ids.
-func (t *Taxonomy) Depth(i item.Item) int {
-	if !t.valid(i) {
-		return -1
-	}
-	return t.depth[i]
-}
-
-// IsLeaf reports whether i has no children.
-func (t *Taxonomy) IsLeaf(i item.Item) bool { return t.valid(i) && len(t.children[i]) == 0 }
-
 // IsRoot reports whether i has no parent.
 func (t *Taxonomy) IsRoot(i item.Item) bool { return t.valid(i) && t.parent[i] == item.None }
 
@@ -302,26 +291,6 @@ func (t *Taxonomy) Leaves() item.Itemset { return t.leaves }
 
 // Categories returns the sorted set of internal nodes (shared slice).
 func (t *Taxonomy) Categories() item.Itemset { return t.cats }
-
-// LeafDescendants returns the sorted leaf items under node i (i itself if it
-// is a leaf). A fresh slice is returned.
-func (t *Taxonomy) LeafDescendants(i item.Item) item.Itemset {
-	if !t.valid(i) {
-		return nil
-	}
-	var out []item.Item
-	stack := []item.Item{i}
-	for len(stack) > 0 {
-		x := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if len(t.children[x]) == 0 {
-			out = append(out, x)
-			continue
-		}
-		stack = append(stack, t.children[x]...)
-	}
-	return item.New(out...)
-}
 
 // ExtendInto appends tx plus all ancestors of its items into dst (normally
 // dst[:0] of a reusable buffer) and returns the sorted, deduplicated result.

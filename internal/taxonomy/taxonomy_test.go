@@ -59,9 +59,6 @@ func TestStructure(t *testing.T) {
 	if got := tax.Children(ids["D"]); len(got) != 0 {
 		t.Errorf("Children(leaf D) = %v", got)
 	}
-	if !tax.IsLeaf(ids["C"]) || tax.IsLeaf(ids["B"]) {
-		t.Error("IsLeaf wrong")
-	}
 	if !tax.IsRoot(ids["A"]) || tax.IsRoot(ids["B"]) {
 		t.Error("IsRoot wrong")
 	}
@@ -75,12 +72,6 @@ func TestStructure(t *testing.T) {
 	wantCats := item.New(ids["A"], ids["B"], ids["F"], ids["G"])
 	if !tax.Categories().Equal(wantCats) {
 		t.Errorf("Categories = %v, want %v", tax.Categories(), wantCats)
-	}
-	if d := tax.Depth(ids["J"]); d != 2 {
-		t.Errorf("Depth(J) = %d", d)
-	}
-	if d := tax.Depth(item.Item(99)); d != -1 {
-		t.Errorf("Depth(invalid) = %d", d)
 	}
 }
 
@@ -112,18 +103,6 @@ func TestAncestors(t *testing.T) {
 	}
 	if tax.IsAncestor(ids["A"], ids["J"]) {
 		t.Error("A is not an ancestor of J")
-	}
-}
-
-func TestLeafDescendants(t *testing.T) {
-	tax, ids := figure1(t)
-	got := tax.LeafDescendants(ids["F"])
-	want := item.New(ids["H"], ids["I"], ids["J"], ids["K"])
-	if !got.Equal(want) {
-		t.Errorf("LeafDescendants(F) = %v, want %v", got, want)
-	}
-	if got := tax.LeafDescendants(ids["D"]); !got.Equal(item.New(ids["D"])) {
-		t.Errorf("LeafDescendants(leaf) = %v", got)
 	}
 }
 
@@ -207,7 +186,7 @@ func TestRelinkOverwrites(t *testing.T) {
 		t.Errorf("Parent(c) = %v, want p2", tax.Parent(c))
 	}
 	p1, _ := tax.Dictionary().Lookup("p1")
-	if !tax.IsLeaf(p1) {
+	if len(tax.Children(p1)) != 0 {
 		t.Error("p1 should have become a leaf")
 	}
 }
@@ -236,7 +215,7 @@ loner
 		t.Error("perrier's parent wrong")
 	}
 	l, ok := tax.Dictionary().Lookup("loner")
-	if !ok || !tax.IsRoot(l) || !tax.IsLeaf(l) {
+	if !ok || !tax.IsRoot(l) || len(tax.Children(l)) != 0 {
 		t.Error("standalone node mishandled")
 	}
 
@@ -263,18 +242,6 @@ loner
 func TestParseErrors(t *testing.T) {
 	if _, err := Parse(strings.NewReader("a b c\n")); err == nil {
 		t.Error("3-field line accepted")
-	}
-}
-
-func TestDOT(t *testing.T) {
-	tax, _ := figure1(t)
-	var buf bytes.Buffer
-	if err := tax.DOT(&buf); err != nil {
-		t.Fatal(err)
-	}
-	s := buf.String()
-	if !strings.Contains(s, "digraph taxonomy") || !strings.Contains(s, "shape=box") {
-		t.Errorf("DOT output missing expected markers:\n%s", s)
 	}
 }
 

@@ -97,25 +97,3 @@ func WriteBaskets(w io.Writer, db DB, dict *item.Dictionary) error {
 	}
 	return bw.Flush()
 }
-
-// WriteBasketsInts writes db as integer-id baskets.
-func WriteBasketsInts(w io.Writer, db DB) error {
-	bw := bufio.NewWriter(w)
-	err := db.Scan(func(tx Transaction) error {
-		for i, it := range tx.Items {
-			if i > 0 {
-				if err := bw.WriteByte(' '); err != nil {
-					return err
-				}
-			}
-			if _, err := bw.WriteString(strconv.Itoa(int(it))); err != nil {
-				return err
-			}
-		}
-		return bw.WriteByte('\n')
-	})
-	if err != nil {
-		return err
-	}
-	return bw.Flush()
-}

@@ -30,85 +30,6 @@ const (
 // one uvarint byte for the version, and the 8-byte fixed-width count.
 const headerSize = len(magic) + 1 + 8
 
-// Writer streams transactions into the binary format. Transactions must be
-// written in non-decreasing TID order.
-type Writer struct {
-	w     *bufio.Writer
-	enc   Encoder
-	rec   []byte
-	count int
-	ws    io.WriteSeeker
-	f     *os.File // set when the Writer owns the file (OpenAppend)
-}
-
-// NewWriter creates a Writer over ws. The transaction count is back-patched
-// into the header on Close, so ws must support seeking (os.File does).
-func NewWriter(ws io.WriteSeeker) (*Writer, error) {
-	w := &Writer{w: bufio.NewWriterSize(ws, 1<<16), ws: ws}
-	hdr := make([]byte, 0, headerSize)
-	hdr = append(hdr, magic...)
-	hdr = binary.AppendUvarint(hdr, formatVersion)
-	// Fixed-width placeholder for the count so it can be patched in place.
-	var fixed [8]byte
-	hdr = append(hdr, fixed[:]...)
-	if _, err := w.w.Write(hdr); err != nil {
-		return nil, err
-	}
-	return w, nil
-}
-
-// Write appends one transaction.
-func (w *Writer) Write(tx Transaction) error {
-	rec, err := w.enc.AppendRecord(w.rec[:0], tx)
-	if err != nil {
-		return err
-	}
-	w.rec = rec
-	if _, err := w.w.Write(rec); err != nil {
-		return err
-	}
-	w.count++
-	return nil
-}
-
-// Count returns the number of transactions written so far (including, for a
-// Writer from OpenAppend, the transactions already in the file).
-func (w *Writer) Count() int { return w.count }
-
-// LastTID returns the TID of the most recently written transaction (0 when
-// nothing has been written).
-func (w *Writer) LastTID() int64 { return w.enc.LastTID() }
-
-// Close flushes buffered data and back-patches the transaction count. A
-// Writer from OpenAppend also closes its file.
-func (w *Writer) Close() error {
-	err := w.close()
-	if w.f != nil {
-		if cerr := w.f.Close(); err == nil {
-			err = cerr
-		}
-	}
-	return err
-}
-
-func (w *Writer) close() error {
-	if err := w.w.Flush(); err != nil {
-		return err
-	}
-	// Patch count at offset len(magic)+1 (version byte is a single uvarint
-	// byte for version 1).
-	var fixed [8]byte
-	binary.LittleEndian.PutUint64(fixed[:], uint64(w.count))
-	if _, err := w.ws.Seek(int64(len(magic))+1, io.SeekStart); err != nil {
-		return err
-	}
-	if _, err := w.ws.Write(fixed[:]); err != nil {
-		return err
-	}
-	_, err := w.ws.Seek(0, io.SeekEnd)
-	return err
-}
-
 // WriteFile writes all of db to path in the binary format. A ".gz" suffix
 // selects transparent gzip compression.
 func WriteFile(path string, db DB) error {

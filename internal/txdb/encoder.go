@@ -1,11 +1,8 @@
 package txdb
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
-	"io"
-	"os"
 
 	"negmine/internal/item"
 )
@@ -14,7 +11,7 @@ import (
 // from any header or file container. It carries the inter-record state (the
 // previous TID) so the same transaction stream can be encoded across
 // arbitrary buffer boundaries — package seglog frames its WAL payloads with
-// it, and Writer delegates to it. The zero value encodes a fresh stream.
+// it, and WriteFile encodes through it. The zero value encodes a fresh stream.
 type Encoder struct {
 	lastTID int64
 	started bool
@@ -42,10 +39,6 @@ func (e *Encoder) AppendRecord(dst []byte, tx Transaction) ([]byte, error) {
 	return dst, nil
 }
 
-// Reset returns the encoder to the fresh-stream state (first TID delta is
-// taken from 0).
-func (e *Encoder) Reset() { e.lastTID, e.started = 0, false }
-
 // ResumeAt primes the encoder as if a record with the given TID had just
 // been encoded, so the next record continues an existing stream.
 func (e *Encoder) ResumeAt(lastTID int64) { e.lastTID, e.started = lastTID, true }
@@ -62,15 +55,6 @@ type Decoder struct {
 	lastTID int64
 	items   item.Itemset
 }
-
-// Reset returns the decoder to the fresh-stream state.
-func (d *Decoder) Reset() { d.lastTID = 0 }
-
-// ResumeAt primes the decoder mid-stream (see Encoder.ResumeAt).
-func (d *Decoder) ResumeAt(lastTID int64) { d.lastTID = lastTID }
-
-// LastTID returns the TID of the most recently decoded record.
-func (d *Decoder) LastTID() int64 { return d.lastTID }
 
 // DecodeAll decodes every record in data, invoking fn per transaction. The
 // Items slice passed to fn is reused between calls; fn must Clone it to
@@ -125,105 +109,4 @@ func (d *Decoder) DecodeAll(data []byte, fn func(Transaction) error) (int, error
 		}
 	}
 	return decoded, nil
-}
-
-// countingReader counts bytes consumed from the underlying reader so the
-// valid end of a partially buffered stream can be located.
-type countingReader struct {
-	r io.Reader
-	n int64
-}
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
-}
-
-// OpenAppend reopens an existing binary file for appending. The file's
-// records are scanned once to validate them and recover the TID state, the
-// file is truncated to the end of the last valid record (dropping any
-// garbage after the header-declared count), and the returned Writer
-// continues the stream; Close back-patches the updated count and closes the
-// file. Gzip files cannot be appended to.
-func OpenAppend(path string) (*Writer, error) {
-	if isGzipPath(path) {
-		return nil, fmt.Errorf("txdb: %s: cannot append to a gzip file", path)
-	}
-	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	cr := &countingReader{r: f}
-	br := bufio.NewReaderSize(cr, 1<<16)
-	count, err := readHeader(br)
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("txdb: %s: %w", path, err)
-	}
-	var dec recordReader
-	for i := 0; i < count; i++ {
-		if err := dec.next(br); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("txdb: %s: record %d: %w", path, i, err)
-		}
-	}
-	end := cr.n - int64(br.Buffered())
-	if err := f.Truncate(end); err != nil {
-		f.Close()
-		return nil, err
-	}
-	if _, err := f.Seek(end, io.SeekStart); err != nil {
-		f.Close()
-		return nil, err
-	}
-	w := &Writer{w: bufio.NewWriterSize(f, 1<<16), ws: f, f: f, count: count}
-	if count > 0 {
-		w.enc.ResumeAt(dec.tid)
-	}
-	return w, nil
-}
-
-// recordReader decodes one record at a time from a bufio.Reader, carrying
-// the TID state. It is the streaming sibling of Decoder, shared by
-// OpenAppend's validation scan.
-type recordReader struct {
-	tid   int64
-	items item.Itemset
-}
-
-func (d *recordReader) next(r *bufio.Reader) error {
-	delta, err := binary.ReadUvarint(r)
-	if err != nil {
-		return fmt.Errorf("tid: %w", err)
-	}
-	tid := d.tid + int64(delta)
-	cnt, err := binary.ReadUvarint(r)
-	if err != nil {
-		return fmt.Errorf("length: %w", err)
-	}
-	if cnt > 1<<24 {
-		return fmt.Errorf("absurd item count %d", cnt)
-	}
-	if cap(d.items) < int(cnt) {
-		d.items = make(item.Itemset, cnt)
-	}
-	d.items = d.items[:cnt]
-	prev := int64(-1)
-	for j := 0; j < int(cnt); j++ {
-		delta, err := binary.ReadUvarint(r)
-		if err != nil {
-			return fmt.Errorf("item %d: %w", j, err)
-		}
-		if delta == 0 {
-			return fmt.Errorf("item %d: zero delta (corrupt file)", j)
-		}
-		prev += int64(delta)
-		if prev > int64(^uint32(0)>>1) {
-			return fmt.Errorf("item id overflow")
-		}
-		d.items[j] = item.Item(prev)
-	}
-	d.tid = tid
-	return nil
 }

@@ -1,10 +1,6 @@
 package txdb
 
 import (
-	"os"
-	"path/filepath"
-	"reflect"
-	"strings"
 	"testing"
 
 	"negmine/internal/item"
@@ -74,8 +70,8 @@ func TestEncoderDecoderRoundTripAcrossFrames(t *testing.T) {
 	if !sameTxs(got, txs) {
 		t.Fatalf("round trip mismatch:\ngot  %v\nwant %v", got, txs)
 	}
-	if dec.LastTID() != enc.LastTID() || enc.LastTID() != 200000 {
-		t.Fatalf("TID state: enc %d dec %d, want 200000", enc.LastTID(), dec.LastTID())
+	if dec.lastTID != enc.LastTID() || enc.LastTID() != 200000 {
+		t.Fatalf("TID state: enc %d dec %d, want 200000", enc.LastTID(), dec.lastTID)
 	}
 }
 
@@ -111,110 +107,5 @@ func TestDecoderRejectsCorruptInput(t *testing.T) {
 		if err == nil {
 			t.Errorf("%s: decoded %d records without error", name, n)
 		}
-	}
-}
-
-func TestOpenAppendExtendsFile(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "a.nmtx")
-	base := []Transaction{
-		{TID: 1, Items: item.New(1, 2)},
-		{TID: 2, Items: item.New(3)},
-	}
-	writeTestFile(t, path, base)
-
-	w, err := OpenAppend(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w.Count() != 2 || w.LastTID() != 2 {
-		t.Fatalf("reopened state: count %d lastTID %d, want 2/2", w.Count(), w.LastTID())
-	}
-	more := []Transaction{
-		{TID: 2, Items: item.New(9)},
-		{TID: 7, Items: item.New(1, 9)},
-	}
-	for _, tx := range more {
-		if err := w.Write(tx); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	got := readAll(t, path)
-	want := append(append([]Transaction{}, base...), more...)
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("after append:\ngot  %v\nwant %v", got, want)
-	}
-}
-
-func TestOpenAppendRejectsOutOfOrderTID(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "a.nmtx")
-	writeTestFile(t, path, []Transaction{{TID: 10, Items: item.New(1)}})
-	w, err := OpenAppend(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	if err := w.Write(Transaction{TID: 9, Items: item.New(1)}); err == nil {
-		t.Fatal("append accepted a TID below the file's last TID")
-	}
-}
-
-func TestOpenAppendTruncatesTrailingGarbage(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "a.nmtx")
-	base := []Transaction{{TID: 1, Items: item.New(1, 2)}}
-	writeTestFile(t, path, base)
-	// Simulate a torn append: garbage bytes past the last counted record.
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write([]byte{0xff, 0x01, 0x07}); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	w, err := OpenAppend(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Write(Transaction{TID: 5, Items: item.New(8)}); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	got := readAll(t, path)
-	want := append(append([]Transaction{}, base...), Transaction{TID: 5, Items: item.New(8)})
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("after torn-tail append:\ngot  %v\nwant %v", got, want)
-	}
-}
-
-func TestOpenAppendCorruptBody(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "a.nmtx")
-	writeTestFile(t, path, []Transaction{{TID: 1, Items: item.New(1, 2, 3)}})
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Chop the file inside the only record: the header still claims one
-	// transaction, so reopening for append must fail loudly.
-	if err := os.WriteFile(path, raw[:len(raw)-2], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenAppend(path); err == nil {
-		t.Fatal("OpenAppend accepted a file with fewer records than its header claims")
-	}
-}
-
-func TestOpenAppendRejectsGzip(t *testing.T) {
-	_, err := OpenAppend(filepath.Join(t.TempDir(), "a.nmtx.gz"))
-	if err == nil || !strings.Contains(err.Error(), "gzip") {
-		t.Fatalf("err = %v, want gzip rejection", err)
 	}
 }

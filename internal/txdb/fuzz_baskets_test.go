@@ -4,6 +4,7 @@ package txdb_test
 
 import (
 	"bytes"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -12,8 +13,9 @@ import (
 	"negmine/internal/txdb"
 )
 
-// datagenBasketSeed serializes a synthetic database in the named-basket
-// format, so the fuzzer starts from realistic input.
+// datagenBasketSeed serializes a synthetic database as baskets of item
+// names, or with ints of raw integer ids, so the fuzzer starts from
+// realistic input.
 func datagenBasketSeed(f *testing.F, ints bool) string {
 	f.Helper()
 	tax, db, err := datagen.Generate(datagen.Short())
@@ -22,7 +24,16 @@ func datagenBasketSeed(f *testing.F, ints bool) string {
 	}
 	var buf bytes.Buffer
 	if ints {
-		err = txdb.WriteBasketsInts(&buf, db)
+		err = db.Scan(func(tx txdb.Transaction) error {
+			for i, x := range tx.Items {
+				if i > 0 {
+					buf.WriteByte(' ')
+				}
+				buf.WriteString(strconv.Itoa(int(x)))
+			}
+			buf.WriteByte('\n')
+			return nil
+		})
 	} else {
 		err = txdb.WriteBaskets(&buf, db, tax.Dictionary())
 	}

@@ -13,17 +13,15 @@ import (
 // allocate absurdly.
 func FuzzScanBinary(f *testing.F) {
 	// Seed with a valid file.
-	var buf writeSeekBuffer
-	w, err := NewWriter(&buf)
+	db, err := NewMemDB([]Transaction{{TID: 1, Items: item.New(1, 2, 3)}, {TID: 5, Items: item.New(7)}})
 	if err != nil {
 		f.Fatal(err)
 	}
-	w.Write(Transaction{TID: 1, Items: item.New(1, 2, 3)})
-	w.Write(Transaction{TID: 5, Items: item.New(7)})
-	if err := w.Close(); err != nil {
+	var buf bytes.Buffer
+	if err := writeAll(&buf, db); err != nil {
 		f.Fatal(err)
 	}
-	f.Add(buf.buf.Bytes())
+	f.Add(buf.Bytes())
 	f.Add([]byte("NMTX"))
 	f.Add([]byte{})
 
@@ -51,41 +49,6 @@ func FuzzScanBinary(f *testing.F) {
 			return nil
 		})
 	})
-}
-
-// writeSeekBuffer adapts bytes.Buffer to io.WriteSeeker for tests.
-type writeSeekBuffer struct {
-	buf bytes.Buffer
-	pos int
-}
-
-func (w *writeSeekBuffer) Write(p []byte) (int, error) {
-	if w.pos < w.buf.Len() {
-		// Overwrite in place.
-		n := copy(w.buf.Bytes()[w.pos:], p)
-		w.pos += n
-		if n < len(p) {
-			m, err := w.buf.Write(p[n:])
-			w.pos += m
-			return n + m, err
-		}
-		return n, nil
-	}
-	n, err := w.buf.Write(p)
-	w.pos += n
-	return n, err
-}
-
-func (w *writeSeekBuffer) Seek(offset int64, whence int) (int64, error) {
-	switch whence {
-	case 0:
-		w.pos = int(offset)
-	case 1:
-		w.pos += int(offset)
-	case 2:
-		w.pos = w.buf.Len() + int(offset)
-	}
-	return int64(w.pos), nil
 }
 
 func writeRaw(path string, data []byte) error {

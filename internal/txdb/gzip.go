@@ -14,8 +14,8 @@ import (
 func isGzipPath(path string) bool { return strings.HasSuffix(path, ".gz") }
 
 // writeAll emits a complete binary stream — header with the exact count,
-// then every record — to w. Unlike Writer it needs no seeking, so it works
-// through a gzip compressor.
+// then every record — to w. It needs no seeking, so it also works through
+// a gzip compressor.
 func writeAll(w io.Writer, db DB) error {
 	bw := bufio.NewWriterSize(w, 1<<16)
 	hdr := make([]byte, 0, headerSize)

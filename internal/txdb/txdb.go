@@ -10,7 +10,6 @@
 package txdb
 
 import (
-	"errors"
 	"fmt"
 
 	"negmine/internal/fault"
@@ -160,16 +159,4 @@ func Collect(db DB) (Stats, error) {
 		s.AvgLen = float64(s.TotalItems) / float64(s.Transactions)
 	}
 	return s, nil
-}
-
-// ErrStop may be returned by a Scan callback to end the scan early without
-// reporting an error to the caller of ScanUntil.
-var ErrStop = errors.New("txdb: stop scan")
-
-// ScanUntil scans db but treats ErrStop from fn as successful early exit.
-func ScanUntil(db DB, fn func(Transaction) error) error {
-	if err := db.Scan(fn); err != nil && !errors.Is(err, ErrStop) {
-		return err
-	}
-	return nil
 }
