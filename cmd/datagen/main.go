@@ -26,15 +26,11 @@ import (
 	"strings"
 
 	"negmine"
+	"negmine/internal/cli"
 	"negmine/internal/datagen"
 )
 
-func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "datagen:", err)
-		os.Exit(1)
-	}
-}
+func main() { cli.Main("datagen", run) }
 
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("datagen", flag.ContinueOnError)

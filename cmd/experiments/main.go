@@ -24,16 +24,12 @@ import (
 	"time"
 
 	"negmine/internal/bench"
+	"negmine/internal/cli"
 	"negmine/internal/count"
 	"negmine/internal/negative"
 )
 
-func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
-		os.Exit(1)
-	}
-}
+func main() { cli.Main("experiments", run) }
 
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)

@@ -21,16 +21,12 @@ import (
 	"os/signal"
 	"time"
 
+	"negmine/internal/cli"
 	"negmine/internal/loadsim"
 	"negmine/internal/taxonomy"
 )
 
-func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "negload:", err)
-		os.Exit(1)
-	}
-}
+func main() { cli.Main("negload", run) }
 
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("negload", flag.ContinueOnError)

@@ -40,16 +40,12 @@ import (
 
 	"negmine"
 	"negmine/internal/atomicio"
+	"negmine/internal/cli"
 	"negmine/internal/report"
 	"negmine/internal/serve"
 )
 
-func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "negmine:", err)
-		os.Exit(1)
-	}
-}
+func main() { cli.Main("negmine", run) }
 
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("negmine", flag.ContinueOnError)

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"negmine"
+	"negmine/internal/cli"
 	"negmine/internal/rulestore"
 	"negmine/internal/serve"
 )
@@ -203,6 +204,9 @@ func TestUsageMentionsNegmined(t *testing.T) {
 	err := run([]string{"-h"}, &out)
 	if !errors.Is(err, flag.ErrHelp) {
 		t.Fatalf("-h returned %v, want flag.ErrHelp", err)
+	}
+	if code := cli.ExitCode(err); code != 0 {
+		t.Fatalf("-h exits %d, want 0", code)
 	}
 	if !strings.Contains(out.String(), "negmined") {
 		t.Errorf("usage does not mention negmined:\n%s", out.String())

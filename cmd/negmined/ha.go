@@ -64,8 +64,8 @@ const (
 	haTailCap = 2048
 )
 
-// haParams is the HA pair's wiring: parseFlags fills it from the -ha-*
-// flags, run adds node and logf once the node identity is known.
+// haParams is the HA pair's wiring, which build assembles from the -ha-*
+// flags, the node identity and the daemon's log.
 type haParams struct {
 	log        *seglog.Log
 	store      *artifact.FS // -seglog-store

@@ -31,15 +31,15 @@ type ingestController struct {
 	tax   *taxonomy.Taxonomy
 	opt   negative.Options
 
-	srv        atomic.Pointer[serve.Server] // set after NewServer (attach)
-	pending    atomic.Int64                 // txns appended since last refresh start
-	refreshes  atomic.Int64                 // completed refreshes
-	wm         atomic.Pointer[watermark]    // newest append (tid, wall time)
-	remineTxns int64                        // pending threshold that triggers a re-mine (0 = off)
+	srv        *serve.Server             // set by build, before any trigger can fire
+	pending    atomic.Int64              // txns appended since last refresh start
+	refreshes  atomic.Int64              // completed refreshes
+	wm         atomic.Pointer[watermark] // newest append (tid, wall time)
+	remineTxns int64                     // pending threshold that triggers a re-mine (0 = off)
 
 	// ha, when non-nil, routes writes through the primary/standby protocol
-	// (fencing token, replication ack) instead of plain appends. Set once in
-	// run(), before the listener accepts traffic.
+	// (fencing token, replication ack) instead of plain appends. Set once by
+	// build, before the listener accepts traffic.
 	ha *haController
 }
 
@@ -134,10 +134,6 @@ func (c *ingestController) seed(dataPath string) error {
 	return flush()
 }
 
-// attach hands the controller the server whose reloads it triggers. Called
-// once, after NewServer and before the listener accepts traffic.
-func (c *ingestController) attach(srv *serve.Server) { c.srv.Store(srv) }
-
 // Close closes the underlying segment log.
 func (c *ingestController) Close() error { return c.log.Close() }
 
@@ -226,11 +222,8 @@ func (c *ingestController) notePending(last, n int64) bool {
 	if p := c.pending.Add(n); c.remineTxns == 0 || p < c.remineTxns {
 		return false
 	}
-	if srv := c.srv.Load(); srv != nil {
-		// The reload outlives the request, like POST /reload's 202 path.
-		return srv.TriggerReload(context.Background())
-	}
-	return false
+	// The reload outlives the request, like POST /reload's 202 path.
+	return c.srv.TriggerReload(context.Background())
 }
 
 // RoleLag reports the node's ingest role and replication lag for heartbeats.
@@ -303,9 +296,7 @@ func (c *ingestController) remineLoop(ctx context.Context, every time.Duration) 
 			if c.pending.Load() == 0 {
 				continue
 			}
-			if srv := c.srv.Load(); srv != nil {
-				srv.TriggerReload(ctx)
-			}
+			c.srv.TriggerReload(ctx)
 		}
 	}
 }

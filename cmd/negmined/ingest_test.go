@@ -3,7 +3,6 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"io"
 	"math"
 	"net/http"
@@ -15,6 +14,7 @@ import (
 	"time"
 
 	"negmine"
+	"negmine/internal/cli"
 	"negmine/internal/datagen"
 	"negmine/internal/fault"
 	"negmine/internal/incr"
@@ -96,29 +96,6 @@ func referenceStore(t *testing.T, taxPath string, baskets [][]string) *negmine.R
 	return negmine.RuleStoreFromReport(rep)
 }
 
-// newStreamingDaemon is newDaemon plus the streaming-mode wiring run()
-// performs: the ingest sink option and the controller attach.
-func newStreamingDaemon(t *testing.T, args ...string) (*serve.Server, http.Handler, *config) {
-	t.Helper()
-	cfg, err := parseFlags(args, os.Stderr)
-	if err != nil {
-		t.Fatalf("parseFlags(%v): %v", args, err)
-	}
-	opts := []serve.Option{serve.WithLogger(func(string, ...any) {})}
-	if cfg.ingest != nil {
-		opts = append(opts, serve.WithIngest(cfg.ingest))
-		t.Cleanup(func() { cfg.ingest.Close() })
-	}
-	srv, err := serve.NewServer(context.Background(), cfg.loadFunc, opts...)
-	if err != nil {
-		t.Fatalf("NewServer: %v", err)
-	}
-	if cfg.ingest != nil {
-		cfg.ingest.attach(srv)
-	}
-	return srv, srv.Handler(), cfg
-}
-
 type ingestResp struct {
 	Accepted  int   `json:"accepted"`
 	FirstTID  int64 `json:"firstTid"`
@@ -154,9 +131,10 @@ func TestStreamingIngestEndToEnd(t *testing.T) {
 	logDir := filepath.Join(dir, "log")
 	taxPath, seedPath, baskets := streamFixture(t, dir, 500, 450)
 
-	srv, h, cfg := newStreamingDaemon(t,
+	d, _ := buildDaemon(t, os.Stderr,
 		"-ingest-dir", logDir, "-data", seedPath, "-tax", taxPath,
 		"-minsup", "0.15", "-minri", "0.3")
+	srv, h := d.srv, d.srv.Handler()
 
 	// The initial snapshot is mined from the seed.
 	wantSeed := referenceStore(t, taxPath, baskets[:450])
@@ -205,10 +183,10 @@ func TestStreamingIngestEndToEnd(t *testing.T) {
 
 	// Restart: a fresh daemon on the same log (no seed this time) recovers
 	// every acknowledged transaction and serves the identical rule set.
-	if err := cfg.ingest.Close(); err != nil {
+	if err := d.ingest.Close(); err != nil {
 		t.Fatal(err)
 	}
-	srv2, _, _ := newStreamingDaemon(t,
+	srv2, _ := newDaemon(t,
 		"-ingest-dir", logDir, "-tax", taxPath, "-minsup", "0.15", "-minri", "0.3")
 	if got := srv2.Snapshot().Len(); got != wantAll.Len() {
 		t.Fatalf("restarted snapshot serves %d rules, want %d", got, wantAll.Len())
@@ -238,7 +216,7 @@ func TestStreamingAutoRemine(t *testing.T) {
 	}
 
 	t.Run("txns", func(t *testing.T) {
-		_, h, _ := newStreamingDaemon(t,
+		_, h := newDaemon(t,
 			"-ingest-dir", filepath.Join(dir, "log-txns"), "-data", seedPath, "-tax", taxPath,
 			"-minsup", "0.15", "-minri", "0.3", "-remine-txns", "40")
 		var ir ingestResp
@@ -258,15 +236,16 @@ func TestStreamingAutoRemine(t *testing.T) {
 	})
 
 	t.Run("every", func(t *testing.T) {
-		srv, h, cfg := newStreamingDaemon(t,
+		d, cfg := buildDaemon(t, os.Stderr,
 			"-ingest-dir", filepath.Join(dir, "log-every"), "-data", seedPath, "-tax", taxPath,
 			"-minsup", "0.15", "-minri", "0.3", "-remine-every", "30ms")
+		srv, h := d.srv, d.srv.Handler()
 		if cfg.remineEvery != 30*time.Millisecond {
 			t.Fatalf("remineEvery = %v", cfg.remineEvery)
 		}
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
-		go cfg.ingest.remineLoop(ctx, cfg.remineEvery)
+		go d.ingest.remineLoop(ctx, cfg.remineEvery)
 		if code := postJSON(t, h, "/ingest", ingestBody(t, baskets[360:400]), nil); code != http.StatusAccepted {
 			t.Fatal("/ingest failed")
 		}
@@ -292,7 +271,7 @@ func TestStreamingAutoRemine(t *testing.T) {
 func TestProbesAnswerDuringRefresh(t *testing.T) {
 	dir := t.TempDir()
 	taxPath, seedPath, baskets := streamFixture(t, dir, 400, 360)
-	_, h, _ := newStreamingDaemon(t,
+	_, h := newDaemon(t,
 		"-ingest-dir", filepath.Join(dir, "log"), "-data", seedPath, "-tax", taxPath,
 		"-minsup", "0.15", "-minri", "0.3")
 	ts := httptest.NewServer(h)
@@ -367,9 +346,8 @@ func TestStreamingFlagValidation(t *testing.T) {
 		if err == nil {
 			t.Fatalf("%v accepted", args)
 		}
-		var ue *usageError
-		if !errors.As(err, &ue) {
-			t.Fatalf("%v: error %v is not a usageError", args, err)
+		if code := cli.ExitCode(err); code != 2 {
+			t.Fatalf("%v: error %v exits %d, want 2 (usage)", args, err, code)
 		}
 	}
 }

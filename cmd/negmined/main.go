@@ -21,7 +21,7 @@
 //
 // The daemon mines with Cumulate and the improved algorithm on the auto
 // counting backend. The paper's other miners yield the same rules;
-// `negmine -gen/-alg/-backend` and `experiments` compare them.
+// `negmine -alg/-backend` and `experiments` compare them.
 //
 // And one mode with no source:
 //
@@ -108,20 +108,19 @@
 package main
 
 import (
+	"cmp"
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"negmine/internal/artifact"
+	"negmine/internal/cli"
 	"negmine/internal/govern"
 	"negmine/internal/item"
 	"negmine/internal/negative"
@@ -130,56 +129,44 @@ import (
 	"negmine/internal/txdb"
 )
 
-func main() {
-	err := run(os.Args[1:], os.Stdout)
-	switch {
-	case err == nil:
-	case errors.Is(err, flag.ErrHelp):
-		os.Exit(0)
-	default:
-		fmt.Fprintln(os.Stderr, "negmined:", err)
-		var ue *usageError
-		if errors.As(err, &ue) {
-			os.Exit(2) // conventional usage-error status
-		}
-		os.Exit(1)
-	}
-}
+func main() { cli.Main("negmined", run) }
 
-// usageError marks a flag-validation failure: the flags were parseable but
-// their combination is invalid. main exits 2 for these (usage printed)
-// instead of the generic 1.
-type usageError struct{ err error }
+// memAuto is config.memBudget's "auto": 80% of the detected memory limit.
+const memAuto = -1
 
-func (e *usageError) Error() string { return e.err.Error() }
-func (e *usageError) Unwrap() error { return e.err }
-
-// usageErrf prints the flag set's usage and returns a usageError.
-func usageErrf(fs *flag.FlagSet, format string, args ...any) error {
-	fs.Usage()
-	return &usageError{fmt.Errorf(format, args...)}
-}
-
-// config is everything run needs after flag parsing.
+// config is the daemon's validated flags: plain values, resolved against the
+// file system only by build.
 type config struct {
-	addr     string
-	watch    bool
-	poll     time.Duration
-	source   string // the file -watch polls
-	loadFunc serve.LoadFunc
+	addr  string
+	http  cli.HTTPFlags
+	watch bool
+	poll  time.Duration
 
-	readTimeout  time.Duration
-	writeTimeout time.Duration
-	idleTimeout  time.Duration
-	reqTimeout   time.Duration
-	drain        time.Duration
+	// Rule source: -report, -data (a seed in streaming mode) or -ingest-dir;
+	// none of them is replica mode, served from the snapshot store alone.
+	report, data, tax, ingestDir string
+	// Naive and Improved yield the same rules, so the daemon mines with
+	// Improved on the auto backend (both zero values); stage 1 is Cumulate.
+	// build adds the memory budget.
+	mine      negative.Options
+	memBudget int64 // bytes (0 = unlimited, memAuto)
 
-	gov     *govern.Controller // admission control (nil = admit everything)
-	maxBody int64              // POST body bound (0 = serve default, <0 = off)
+	reqTimeout time.Duration
+	maxConc    int   // admission slots (0 = no admission control)
+	maxQueue   int   // admission queue bound (0 = 4x maxConc)
+	maxBody    int64 // POST body bound (0 = serve default, <0 = off)
 
-	ingest      *ingestController // streaming mode (nil = file modes)
-	remineEvery time.Duration     // periodic re-mine trigger (streaming)
-	ha          *haParams         // HA pair wiring, less node and logf (nil = solo)
+	remineEvery time.Duration // periodic re-mine trigger (streaming)
+	remineTxns  int           // pending-transaction re-mine trigger (streaming)
+	dedupWindow int
+
+	snapDir  string // "" = no snapshot store
+	snapSave bool
+	snapKeep int
+
+	// HA pair (haRole "" = solo).
+	haRole, seglogStore, haPeer string
+	haLease, haAckTimeout       time.Duration
 
 	// Cluster membership (zero values = standalone daemon).
 	spec      shardSpec // -shard assignment
@@ -194,308 +181,328 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	// Bind before the (possibly slow) initial load so the node identity can
-	// default to the real listen address — with -addr :0 the port isn't
-	// known until now.
+	// Bind before the (possibly slow) build so the node identity can default
+	// to the real listen address — with -addr :0 the port isn't known until
+	// now.
 	ln, err := net.Listen("tcp", cfg.addr)
 	if err != nil {
 		return err
 	}
-	defer ln.Close()
-	advertise := advertiseAddr(ln.Addr().String(), cfg.advertise)
-	nodeID := cfg.nodeID
-	if nodeID == "" {
-		nodeID = advertise
-	}
-	logf := func(format string, args ...any) { fmt.Fprintf(out, "negmined: "+format+"\n", args...) }
-
-	opts := []serve.Option{
-		serve.WithRequestTimeout(cfg.reqTimeout),
-		serve.WithGovernor(cfg.gov),
-		serve.WithMaxBodyBytes(cfg.maxBody),
-		serve.WithNodeID(nodeID),
-	}
-	if cfg.ingest != nil {
-		defer cfg.ingest.Close()
-		opts = append(opts, serve.WithIngest(cfg.ingest))
-	}
-	var ha *haController
-	if cfg.ha != nil {
-		// The boot-time fence reconciliation happens here, synchronously:
-		// a deposed primary comes up fenced before the listener serves a
-		// single /ingest.
-		cfg.ha.node, cfg.ha.logf = nodeID, logf
-		ha, err = newHAController(*cfg.ha)
-		if err != nil {
-			return err
+	var d *daemon
+	defer func() { d.close() }()
+	return cfg.http.Serve("negmined", out, ln, func(ctx context.Context) (http.Handler, error) {
+		advertise := advertiseAddr(ln.Addr().String(), cfg.advertise)
+		nodeID := cmp.Or(cfg.nodeID, advertise)
+		if d, err = build(ctx, cfg, nodeID, out); err != nil {
+			return nil, err
 		}
-		cfg.ingest.ha = ha
-		opts = append(opts,
-			serve.WithAuxHandler("/seglog/tail", ha.tailHandler()),
-			serve.WithAuxHandler("/ha/promote", ha.promoteHandler(ctx)),
-		)
-	}
-	srv, err := serve.NewServer(ctx, cfg.loadFunc, opts...)
-	if err != nil {
-		return err
-	}
-	if cfg.ingest != nil {
-		cfg.ingest.attach(srv)
-		if cfg.remineEvery > 0 {
-			go cfg.ingest.remineLoop(ctx, cfg.remineEvery)
+		if d.ingest != nil && cfg.remineEvery > 0 {
+			go d.ingest.remineLoop(ctx, cfg.remineEvery)
 		}
-	}
-	if ha != nil {
-		ha.start(ctx)
-		fmt.Fprintf(out, "negmined: ha %s (store %s, epoch %d)\n",
-			ha.currentRole(), cfg.ha.store.Dir(), cfg.ingest.log.Epoch())
-	}
-	if cfg.watch {
-		go srv.WatchWith(ctx, cfg.source, cfg.poll)
-	}
-	if cfg.join != "" {
-		roleFn := func() (string, int) { return "replica", 0 }
-		if cfg.ingest != nil {
-			roleFn = cfg.ingest.RoleLag
+		if d.ha != nil {
+			d.ha.start(ctx)
+			fmt.Fprintf(out, "negmined: ha %s (store %s, epoch %d)\n",
+				d.ha.currentRole(), d.ha.store.Dir(), d.ingest.log.Epoch())
 		}
-		member := &clusterMember{
-			join:   cfg.join,
-			node:   nodeID,
-			addr:   advertise,
-			spec:   cfg.spec,
-			every:  cfg.heartbeat,
-			roleFn: roleFn,
-			logf:   logf,
+		if cfg.watch {
+			go d.srv.WatchWith(ctx, d.source, cfg.poll)
 		}
-		go member.run(ctx, srv)
-		fmt.Fprintf(out, "negmined: joined cluster via %s as %s (shard %d/%d)\n",
-			cfg.join, nodeID, cfg.spec.shard, cfg.spec.shards)
-	}
-	snap := srv.Snapshot()
-	if info := snap.Info(); info.SourceKind != "" {
-		fmt.Fprintf(out, "negmined: snapshot generation %d via %s in %.3fs\n",
-			info.Generation, info.SourceKind, info.BuildSeconds)
-	}
-	fmt.Fprintf(out, "negmined: serving %d rules (source %s) on http://%s\n",
-		snap.Len(), cfg.source, ln.Addr())
-
-	hs := &http.Server{
-		Handler:      srv.Handler(),
-		ReadTimeout:  cfg.readTimeout,
-		WriteTimeout: cfg.writeTimeout,
-		IdleTimeout:  cfg.idleTimeout,
-	}
-	errc := make(chan error, 1)
-	go func() { errc <- hs.Serve(ln) }()
-
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-	}
-	// Graceful shutdown: stop listening, let in-flight requests drain.
-	// Restoring default signal handling first means a second SIGINT/SIGTERM
-	// kills the process instead of being swallowed mid-drain.
-	stop()
-	fmt.Fprintf(out, "negmined: signal received, draining for up to %v\n", cfg.drain)
-	sctx, cancel := context.WithTimeout(context.Background(), cfg.drain)
-	defer cancel()
-	if err := hs.Shutdown(sctx); err != nil {
-		return fmt.Errorf("shutdown: %w", err)
-	}
-	if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
-		return err
-	}
-	fmt.Fprintln(out, "negmined: drained, bye")
-	return nil
+		if cfg.join != "" {
+			roleFn := func() (string, int) { return "replica", 0 }
+			if d.ingest != nil {
+				roleFn = d.ingest.RoleLag
+			}
+			member := &clusterMember{
+				join:   cfg.join,
+				node:   nodeID,
+				addr:   advertise,
+				spec:   cfg.spec,
+				every:  cfg.heartbeat,
+				roleFn: roleFn,
+				logf:   d.logf,
+			}
+			go member.run(ctx, d.srv)
+			fmt.Fprintf(out, "negmined: joined cluster via %s as %s (shard %d/%d)\n",
+				cfg.join, nodeID, cfg.spec.shard, cfg.spec.shards)
+		}
+		snap := d.srv.Snapshot()
+		if info := snap.Info(); info.SourceKind != "" {
+			fmt.Fprintf(out, "negmined: snapshot generation %d via %s in %.3fs\n",
+				info.Generation, info.SourceKind, info.BuildSeconds)
+		}
+		fmt.Fprintf(out, "negmined: serving %d rules (source %s) on http://%s\n",
+			snap.Len(), d.source, ln.Addr())
+		return d.srv.Handler(), nil
+	})
 }
 
-// parseFlags builds the daemon config, including the LoadFunc that /reload
-// re-invokes. Split from run so tests can drive the handler without a
-// listening socket.
+// daemon is negmined built from its config: the rule server and the
+// controllers that feed it.
+type daemon struct {
+	srv    *serve.Server
+	ingest *ingestController // streaming mode (nil = file modes)
+	ha     *haController     // HA pair member (nil = solo)
+	source string            // what -watch polls and the banner names
+	logf   func(format string, args ...any)
+}
+
+// build opens what cfg names and loads the first snapshot: the snapshot
+// store; in streaming mode the taxonomy and the segment log, seeded from
+// -data when empty; and for an HA pair the seglog store, reconciling the
+// boot-time fence synchronously, so a deposed primary comes up fenced
+// before the listener serves a single /ingest. node is the cluster identity,
+// ctx the daemon's lifetime; extra options go to serve.NewServer last.
+func build(ctx context.Context, cfg *config, node string, out io.Writer, extra ...serve.Option) (_ *daemon, err error) {
+	d := &daemon{logf: func(format string, args ...any) { fmt.Fprintf(out, "negmined: "+format+"\n", args...) }}
+	defer func() {
+		if err != nil {
+			d.close()
+		}
+	}()
+	// Every mode loads through one loader; the store is opened here, once.
+	l := &loader{spec: cfg.spec, out: out}
+	if cfg.snapDir != "" {
+		store, err := artifact.OpenFS(cfg.snapDir, cfg.snapKeep)
+		if err != nil {
+			return nil, fmt.Errorf("opening snapshot store %s: %w", cfg.snapDir, err)
+		}
+		l.store, l.save = store, cfg.snapSave
+		d.source = store.ManifestPath() // what a replica's -watch polls: changes on every Put
+	}
+	opts := []serve.Option{
+		serve.WithRequestTimeout(cfg.reqTimeout),
+		serve.WithMaxBodyBytes(cfg.maxBody),
+		serve.WithNodeID(node),
+	}
+	if cfg.maxConc > 0 {
+		opts = append(opts, serve.WithGovernor(govern.NewController(govern.Config{MaxConcurrent: cfg.maxConc, MaxQueue: cfg.maxQueue})))
+	}
+	opt := cfg.mine
+	switch {
+	case cfg.memBudget == memAuto:
+		opt.Count.Mem = govern.DefaultBudget()
+	case cfg.memBudget > 0:
+		opt.Count.Mem = govern.NewBudget(cfg.memBudget)
+	}
+	opt.Gen.Count.Mem = opt.Count.Mem
+
+	switch {
+	case cfg.report != "":
+		d.source = cfg.report
+		l.src = reportSource(cfg.report, cfg.tax)
+	case cfg.ingestDir != "":
+		if d.ingest, err = newIngestController(cfg.ingestDir, cfg.data, cfg.tax, opt, cfg.remineTxns, cfg.dedupWindow); err != nil {
+			return nil, err
+		}
+		d.source = cfg.ingestDir
+		l.src = d.ingest.refresh
+		opts = append(opts, serve.WithIngest(d.ingest))
+		if cfg.haRole != "" {
+			store, err := artifact.OpenFS(cfg.seglogStore, 0)
+			if err != nil {
+				return nil, fmt.Errorf("opening seglog store %s: %w", cfg.seglogStore, err)
+			}
+			d.ha, err = newHAController(haParams{
+				log:        d.ingest.log,
+				store:      store,
+				node:       node,
+				startRole:  cfg.haRole,
+				peer:       cfg.haPeer,
+				leaseTTL:   cfg.haLease,
+				ackTimeout: cfg.haAckTimeout,
+				ingest:     d.ingest,
+				logf:       d.logf,
+			})
+			if err != nil {
+				return nil, err
+			}
+			d.ingest.ha = d.ha
+			opts = append(opts,
+				serve.WithAuxHandler("/seglog/tail", d.ha.tailHandler()),
+				serve.WithAuxHandler("/ha/promote", d.ha.promoteHandler(ctx)),
+			)
+		}
+	case cfg.data != "":
+		d.source = cfg.data
+		l.src = mineSource(cfg.data, cfg.tax, opt)
+	}
+	if d.srv, err = serve.NewServer(ctx, l.load, append(opts, extra...)...); err != nil {
+		return nil, err
+	}
+	if d.ingest != nil {
+		d.ingest.srv = d.srv
+	}
+	return d, nil
+}
+
+// close releases what build opened; nil-safe.
+func (d *daemon) close() {
+	if d != nil && d.ingest != nil {
+		d.ingest.Close()
+	}
+}
+
+// parseFlags parses and validates args into a config. It touches no file,
+// directory or socket: build does. Split from run so tests can check
+// validation and build a daemon without a listening socket.
 func parseFlags(args []string, out io.Writer) (*config, error) {
 	fs := flag.NewFlagSet("negmined", flag.ContinueOnError)
 	fs.SetOutput(out)
-	var (
-		addr     = fs.String("addr", ":8377", "listen address")
-		repPath  = fs.String("report", "", "serve this report JSON (the negmine -format json output)")
-		dataPath = fs.String("data", "", "mine this transaction file (basket text or .nmtx binary)")
-		taxPath  = fs.String("tax", "", "taxonomy file (parent child edges); required")
-		minSup   = fs.Float64("minsup", 0.02, "minimum relative support (mining mode)")
-		minRI    = fs.Float64("minri", 0.5, "minimum rule interest (mining mode)")
-		parallel = fs.Int("parallel", 1, "workers for scans, counting and candidate generation (mining mode)")
-		maxK     = fs.Int("maxk", 0, "cap large-itemset size (0 = unlimited)")
-		watch    = fs.Bool("watch", false, "poll the source file and reload when it settles")
-		poll     = fs.Duration("poll", 2*time.Second, "poll interval for -watch")
-		readTO   = fs.Duration("read-timeout", 10*time.Second, "http.Server read timeout (0 = none)")
-		writeTO  = fs.Duration("write-timeout", 30*time.Second, "http.Server write timeout (0 = none)")
-		idleTO   = fs.Duration("idle-timeout", 2*time.Minute, "http.Server idle-connection timeout (0 = none)")
-		reqTO    = fs.Duration("request-timeout", 0, "per-request handler deadline (0 = none)")
-		drain    = fs.Duration("drain", 10*time.Second, "graceful-shutdown drain budget")
+	cfg := &config{}
+	cfg.http.Register(fs)
+	fs.StringVar(&cfg.addr, "addr", ":8377", "listen address")
+	fs.StringVar(&cfg.report, "report", "", "serve this report JSON (the negmine -format json output)")
+	fs.StringVar(&cfg.data, "data", "", "mine this transaction file (basket text or .nmtx binary)")
+	fs.StringVar(&cfg.tax, "tax", "", "taxonomy file (parent child edges); required")
+	fs.Float64Var(&cfg.mine.MinSupport, "minsup", 0.02, "minimum relative support (mining mode)")
+	fs.Float64Var(&cfg.mine.MinRI, "minri", 0.5, "minimum rule interest (mining mode)")
+	fs.IntVar(&cfg.mine.Count.Parallelism, "parallel", 1, "workers for scans, counting and candidate generation (mining mode)")
+	fs.IntVar(&cfg.mine.Gen.MaxK, "maxk", 0, "cap large-itemset size (0 = unlimited)")
+	fs.BoolVar(&cfg.watch, "watch", false, "poll the source file and reload when it settles")
+	fs.DurationVar(&cfg.poll, "poll", 2*time.Second, "poll interval for -watch")
+	fs.DurationVar(&cfg.reqTimeout, "request-timeout", 0, "per-request handler deadline (0 = none)")
 
-		maxConc   = fs.Int("max-concurrent", 0, "requests served at once; enables admission control (0 = off)")
-		maxQueue  = fs.Int("max-queue", 0, "requests waiting in FIFO order for a slot; requires -max-concurrent (0 = 4x -max-concurrent)")
-		maxBody   = fs.String("max-body", "", "POST body size bound, e.g. 1MiB (empty = 1MiB, off = unbounded)")
-		memBudget = fs.String("mem-budget", "auto", "re-mining memory budget, e.g. 2GiB (auto = 80% of GOMEMLIMIT/cgroup limit, off = unlimited)")
+	fs.IntVar(&cfg.maxConc, "max-concurrent", 0, "requests served at once; enables admission control (0 = off)")
+	fs.IntVar(&cfg.maxQueue, "max-queue", 0, "requests waiting in FIFO order for a slot; requires -max-concurrent (0 = 4x -max-concurrent)")
+	maxBody := fs.String("max-body", "", "POST body size bound, e.g. 1MiB (empty = 1MiB, off = unbounded)")
+	memBudget := fs.String("mem-budget", "auto", "re-mining memory budget, e.g. 2GiB (auto = 80% of GOMEMLIMIT/cgroup limit, off = unlimited)")
 
-		ingestDir   = fs.String("ingest-dir", "", "segment-log directory; enables streaming mode with POST /ingest")
-		remineEvery = fs.Duration("remine-every", 0, "re-mine whenever pending ingested data is this old (0 = off; streaming mode)")
-		remineTxns  = fs.Int("remine-txns", 0, "re-mine after this many pending ingested transactions (0 = off; streaming mode)")
+	fs.StringVar(&cfg.ingestDir, "ingest-dir", "", "segment-log directory; enables streaming mode with POST /ingest")
+	fs.DurationVar(&cfg.remineEvery, "remine-every", 0, "re-mine whenever pending ingested data is this old (0 = off; streaming mode)")
+	fs.IntVar(&cfg.remineTxns, "remine-txns", 0, "re-mine after this many pending ingested transactions (0 = off; streaming mode)")
 
-		snapDir  = fs.String("snapshot-dir", "", "snapshot store directory: boot from the newest .nsnap via mmap, persist refreshes; alone (no source) the daemon is a read-only replica of the store")
-		snapSave = fs.Bool("snapshot-save", true, "persist every successful re-mine/refresh as a new snapshot generation (requires -snapshot-dir)")
-		snapKeep = fs.Int("snapshot-keep", 4, "snapshot generations retained in the store (0 = all; requires -snapshot-dir)")
+	fs.StringVar(&cfg.snapDir, "snapshot-dir", "", "snapshot store directory: boot from the newest .nsnap via mmap, persist refreshes; alone (no source) the daemon is a read-only replica of the store")
+	fs.BoolVar(&cfg.snapSave, "snapshot-save", true, "persist every successful re-mine/refresh as a new snapshot generation (requires -snapshot-dir)")
+	fs.IntVar(&cfg.snapKeep, "snapshot-keep", 4, "snapshot generations retained in the store (0 = all; requires -snapshot-dir)")
 
-		haRole      = fs.String("ha-role", "", "high-availability ingest role: primary or standby (requires -ingest-dir and -seglog-store)")
-		seglogStore = fs.String("seglog-store", "", "shared artifact store directory the HA pair replicates the segment log through")
-		haPeer      = fs.String("ha-peer", "", "standby: the primary's base URL to tail (e.g. http://127.0.0.1:8377)")
-		haLease     = fs.Duration("ha-lease", 3*time.Second, "standby failure-detector lease; expiry triggers promotion")
-		haAckTO     = fs.Duration("ha-ack-timeout", 2*time.Second, "primary: max wait for the standby replication ack before answering 503")
-		dedupWindow = fs.Int("dedup-window", 4096, "ingest idempotency window entries (streaming mode; 0 disables)")
+	fs.StringVar(&cfg.haRole, "ha-role", "", "high-availability ingest role: primary or standby (requires -ingest-dir and -seglog-store)")
+	fs.StringVar(&cfg.seglogStore, "seglog-store", "", "shared artifact store directory the HA pair replicates the segment log through")
+	fs.StringVar(&cfg.haPeer, "ha-peer", "", "standby: the primary's base URL to tail (e.g. http://127.0.0.1:8377)")
+	fs.DurationVar(&cfg.haLease, "ha-lease", 3*time.Second, "standby failure-detector lease; expiry triggers promotion")
+	fs.DurationVar(&cfg.haAckTimeout, "ha-ack-timeout", 2*time.Second, "primary: max wait for the standby replication ack before answering 503")
+	fs.IntVar(&cfg.dedupWindow, "dedup-window", 4096, "ingest idempotency window entries (streaming mode; 0 disables)")
 
-		nodeID      = fs.String("node-id", "", "cluster node identity (default: the advertised host:port)")
-		shardFlag   = fs.String("shard", "", "serve shard k of an n-wide cluster, as k/n (e.g. 0/3)")
-		clusterJoin = fs.String("cluster-join", "", "negrouter base URL to register with and heartbeat (e.g. http://127.0.0.1:8378)")
-		advertise   = fs.String("advertise", "", "host:port the router should dial (default: the listen address)")
-		heartbeat   = fs.Duration("heartbeat", time.Second, "cluster heartbeat interval (requires -cluster-join)")
-	)
+	fs.StringVar(&cfg.nodeID, "node-id", "", "cluster node identity (default: the advertised host:port)")
+	shardFlag := fs.String("shard", "", "serve shard k of an n-wide cluster, as k/n (e.g. 0/3)")
+	fs.StringVar(&cfg.join, "cluster-join", "", "negrouter base URL to register with and heartbeat (e.g. http://127.0.0.1:8378)")
+	fs.StringVar(&cfg.advertise, "advertise", "", "host:port the router should dial (default: the listen address)")
+	fs.DurationVar(&cfg.heartbeat, "heartbeat", time.Second, "cluster heartbeat interval (requires -cluster-join)")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
+	usagef := func(format string, args ...any) (*config, error) { return nil, cli.Usagef(fs, format, args...) }
 	set := map[string]bool{}
 	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	if *snapDir == "" {
-		if set["snapshot-save"] || set["snapshot-keep"] {
-			return nil, usageErrf(fs, "-snapshot-save/-snapshot-keep require -snapshot-dir")
-		}
+	if cfg.snapDir == "" && (set["snapshot-save"] || set["snapshot-keep"]) {
+		return usagef("-snapshot-save/-snapshot-keep require -snapshot-dir")
 	}
-	if *snapKeep < 0 {
-		return nil, usageErrf(fs, "-snapshot-keep = %d, want ≥ 0", *snapKeep)
+	if cfg.snapKeep < 0 {
+		return usagef("-snapshot-keep = %d, want ≥ 0", cfg.snapKeep)
 	}
 	// Replica mode: a snapshot store and no rule source. The daemon serves
 	// (and with -watch, follows) whatever a producer writes into the store;
 	// no taxonomy file is needed because snapshots embed the item dictionary
 	// and ancestor chains.
-	replica := *snapDir != "" && *repPath == "" && *dataPath == "" && *ingestDir == ""
-	if *taxPath == "" && !replica {
-		return nil, usageErrf(fs, "-tax is required")
+	replica := cfg.snapDir != "" && cfg.report == "" && cfg.data == "" && cfg.ingestDir == ""
+	if cfg.tax == "" && !replica {
+		return usagef("-tax is required")
 	}
-	if *ingestDir != "" {
+	if cfg.ingestDir != "" {
 		// Streaming mode: -data is an optional one-time seed, -report makes
 		// no sense (there is nothing to re-mine a report from), and -watch
 		// would poll a directory our own appends keep touching.
-		if *repPath != "" {
-			return nil, usageErrf(fs, "-ingest-dir and -report are mutually exclusive")
+		if cfg.report != "" {
+			return usagef("-ingest-dir and -report are mutually exclusive")
 		}
-		if *watch {
-			return nil, usageErrf(fs, "-watch cannot be combined with -ingest-dir (use -remine-every)")
+		if cfg.watch {
+			return usagef("-watch cannot be combined with -ingest-dir (use -remine-every)")
 		}
-		if *remineEvery < 0 {
-			return nil, usageErrf(fs, "-remine-every = %v, want ≥ 0", *remineEvery)
+		if cfg.remineEvery < 0 {
+			return usagef("-remine-every = %v, want ≥ 0", cfg.remineEvery)
 		}
-		if *remineTxns < 0 {
-			return nil, usageErrf(fs, "-remine-txns = %d, want ≥ 0", *remineTxns)
+		if cfg.remineTxns < 0 {
+			return usagef("-remine-txns = %d, want ≥ 0", cfg.remineTxns)
 		}
-		if *dedupWindow < 0 {
-			return nil, usageErrf(fs, "-dedup-window = %d, want ≥ 0", *dedupWindow)
+		if cfg.dedupWindow < 0 {
+			return usagef("-dedup-window = %d, want ≥ 0", cfg.dedupWindow)
 		}
-		switch *haRole {
+		switch cfg.haRole {
 		case "":
-			if *seglogStore != "" || *haPeer != "" {
-				return nil, usageErrf(fs, "-seglog-store/-ha-peer require -ha-role")
+			if cfg.seglogStore != "" || cfg.haPeer != "" {
+				return usagef("-seglog-store/-ha-peer require -ha-role")
 			}
 		case haRolePrimary, haRoleStandby:
-			if *seglogStore == "" {
-				return nil, usageErrf(fs, "-ha-role requires -seglog-store (the pair's shared replication store)")
+			if cfg.seglogStore == "" {
+				return usagef("-ha-role requires -seglog-store (the pair's shared replication store)")
 			}
-			if *haLease <= 0 {
-				return nil, usageErrf(fs, "-ha-lease = %v, want > 0", *haLease)
+			if cfg.haLease <= 0 {
+				return usagef("-ha-lease = %v, want > 0", cfg.haLease)
 			}
-			if *haAckTO <= 0 {
-				return nil, usageErrf(fs, "-ha-ack-timeout = %v, want > 0", *haAckTO)
+			if cfg.haAckTimeout <= 0 {
+				return usagef("-ha-ack-timeout = %v, want > 0", cfg.haAckTimeout)
 			}
-			if *haRole == haRoleStandby {
-				if !strings.HasPrefix(*haPeer, "http://") && !strings.HasPrefix(*haPeer, "https://") {
-					return nil, usageErrf(fs, "-ha-role standby requires -ha-peer, an http(s) URL for the primary")
+			if cfg.haRole == haRoleStandby {
+				if !strings.HasPrefix(cfg.haPeer, "http://") && !strings.HasPrefix(cfg.haPeer, "https://") {
+					return usagef("-ha-role standby requires -ha-peer, an http(s) URL for the primary")
 				}
-				if *dataPath != "" {
-					return nil, usageErrf(fs, "-ha-role standby cannot seed from -data (its log is filled by replication)")
+				if cfg.data != "" {
+					return usagef("-ha-role standby cannot seed from -data (its log is filled by replication)")
 				}
 			}
 		default:
-			return nil, usageErrf(fs, "unknown -ha-role %q (want primary or standby)", *haRole)
+			return usagef("unknown -ha-role %q (want primary or standby)", cfg.haRole)
 		}
 	} else {
-		if *remineEvery != 0 || *remineTxns != 0 {
-			return nil, usageErrf(fs, "-remine-every/-remine-txns require -ingest-dir")
+		if cfg.remineEvery != 0 || cfg.remineTxns != 0 {
+			return usagef("-remine-every/-remine-txns require -ingest-dir")
 		}
-		if *haRole != "" || *seglogStore != "" || *haPeer != "" {
-			return nil, usageErrf(fs, "-ha-role/-seglog-store/-ha-peer require -ingest-dir (streaming mode)")
+		if cfg.haRole != "" || cfg.seglogStore != "" || cfg.haPeer != "" {
+			return usagef("-ha-role/-seglog-store/-ha-peer require -ingest-dir (streaming mode)")
 		}
 		if set["dedup-window"] || set["ha-lease"] || set["ha-ack-timeout"] {
-			return nil, usageErrf(fs, "-dedup-window/-ha-lease/-ha-ack-timeout require -ingest-dir (streaming mode)")
+			return usagef("-dedup-window/-ha-lease/-ha-ack-timeout require -ingest-dir (streaming mode)")
 		}
-		if !replica && (*repPath == "") == (*dataPath == "") {
-			return nil, usageErrf(fs, "exactly one of -report or -data is required (or -snapshot-dir alone for replica mode)")
-		}
-	}
-	if *poll <= 0 {
-		return nil, usageErrf(fs, "-poll = %v, want > 0", *poll)
-	}
-	for _, d := range []struct {
-		name string
-		v    time.Duration
-	}{
-		{"-read-timeout", *readTO}, {"-write-timeout", *writeTO},
-		{"-idle-timeout", *idleTO}, {"-request-timeout", *reqTO}, {"-drain", *drain},
-	} {
-		if d.v < 0 {
-			return nil, usageErrf(fs, "%s = %v, want ≥ 0", d.name, d.v)
+		if !replica && (cfg.report == "") == (cfg.data == "") {
+			return usagef("exactly one of -report or -data is required (or -snapshot-dir alone for replica mode)")
 		}
 	}
-	if *maxConc < 0 {
-		return nil, usageErrf(fs, "-max-concurrent = %d, want ≥ 0", *maxConc)
+	if cfg.poll <= 0 {
+		return usagef("-poll = %v, want > 0", cfg.poll)
 	}
-	if *maxQueue < 0 {
-		return nil, usageErrf(fs, "-max-queue = %d, want ≥ 0", *maxQueue)
+	if err := cfg.http.Check(fs); err != nil {
+		return nil, err
 	}
-	if *maxQueue > 0 && *maxConc == 0 {
-		return nil, usageErrf(fs, "-max-queue requires -max-concurrent (a queue needs a concurrency ceiling to drain into)")
+	if cfg.reqTimeout < 0 {
+		return usagef("-request-timeout = %v, want ≥ 0", cfg.reqTimeout)
 	}
-	var spec shardSpec
+	if cfg.maxConc < 0 {
+		return usagef("-max-concurrent = %d, want ≥ 0", cfg.maxConc)
+	}
+	if cfg.maxQueue < 0 {
+		return usagef("-max-queue = %d, want ≥ 0", cfg.maxQueue)
+	}
+	if cfg.maxQueue > 0 && cfg.maxConc == 0 {
+		return usagef("-max-queue requires -max-concurrent (a queue needs a concurrency ceiling to drain into)")
+	}
 	if *shardFlag != "" {
 		s, err := parseShardSpec(*shardFlag)
 		if err != nil {
-			return nil, usageErrf(fs, "-shard: %v", err)
+			return usagef("-shard: %v", err)
 		}
-		spec = s
+		cfg.spec = s
 	}
-	if *clusterJoin != "" {
-		if !strings.HasPrefix(*clusterJoin, "http://") && !strings.HasPrefix(*clusterJoin, "https://") {
-			return nil, usageErrf(fs, "-cluster-join %q: want an http(s) URL", *clusterJoin)
+	if cfg.join != "" {
+		if !strings.HasPrefix(cfg.join, "http://") && !strings.HasPrefix(cfg.join, "https://") {
+			return usagef("-cluster-join %q: want an http(s) URL", cfg.join)
 		}
-		if *heartbeat <= 0 {
-			return nil, usageErrf(fs, "-heartbeat = %v, want > 0", *heartbeat)
+		if cfg.heartbeat <= 0 {
+			return usagef("-heartbeat = %v, want > 0", cfg.heartbeat)
 		}
-		if !spec.active() {
-			spec = shardSpec{shard: 0, shards: 1} // single-shard cluster
+		if !cfg.spec.active() {
+			cfg.spec = shardSpec{shard: 0, shards: 1} // single-shard cluster
 		}
 	} else if set["heartbeat"] || set["advertise"] {
-		return nil, usageErrf(fs, "-heartbeat/-advertise require -cluster-join")
-	}
-
-	cfg := &config{
-		addr: *addr, watch: *watch, poll: *poll,
-		readTimeout: *readTO, writeTimeout: *writeTO, idleTimeout: *idleTO,
-		reqTimeout: *reqTO, drain: *drain,
-		spec: spec, join: strings.TrimRight(*clusterJoin, "/"),
-		nodeID: *nodeID, advertise: *advertise, heartbeat: *heartbeat,
-	}
-	if *maxConc > 0 {
-		cfg.gov = govern.NewController(govern.Config{MaxConcurrent: *maxConc, MaxQueue: *maxQueue})
+		return usagef("-heartbeat/-advertise require -cluster-join")
 	}
 	switch strings.ToLower(*maxBody) {
 	case "":
@@ -505,80 +512,25 @@ func parseFlags(args []string, out io.Writer) (*config, error) {
 	default:
 		n, err := govern.ParseBytes(*maxBody)
 		if err != nil {
-			return nil, usageErrf(fs, "-max-body: %v", err)
+			return usagef("-max-body: %v", err)
 		}
 		cfg.maxBody = n
 	}
-	var mem *govern.Budget
 	switch strings.ToLower(*memBudget) {
 	case "auto":
-		mem = govern.DefaultBudget()
+		cfg.memBudget = memAuto
 	case "off", "none", "0":
 		// unlimited, no ledger
 	default:
 		n, err := govern.ParseBytes(*memBudget)
 		if err != nil {
-			return nil, usageErrf(fs, "-mem-budget: %v", err)
+			return usagef("-mem-budget: %v", err)
 		}
-		if n > 0 {
-			mem = govern.NewBudget(n)
-		}
+		cfg.memBudget = max(n, 0)
 	}
-
-	// Every mode loads through one loader; the store is opened here, once.
-	l := &loader{spec: spec, out: out}
-	cfg.loadFunc = l.load
-	if *snapDir != "" {
-		store, err := artifact.OpenFS(*snapDir, *snapKeep)
-		if err != nil {
-			return nil, fmt.Errorf("opening snapshot store %s: %w", *snapDir, err)
-		}
-		l.store, l.save = store, *snapSave
-		cfg.source = store.ManifestPath() // what a replica's -watch polls: changes on every Put
-	}
-
-	// Naive and Improved yield the same rules, so the daemon fixes Improved
-	// on the auto backend (both zero values); stage 1 is Cumulate.
-	opt := negative.Options{MinSupport: *minSup, MinRI: *minRI}
-	opt.Gen.MaxK = *maxK
-	opt.Count.Parallelism = *parallel
-	opt.Gen.Count.Parallelism = *parallel
-	opt.Count.Mem = mem
-	opt.Gen.Count.Mem = mem
-
-	switch {
-	case *repPath != "":
-		cfg.source = *repPath
-		l.src = reportSource(*repPath, *taxPath)
-	case *ingestDir != "":
-		ctrl, err := newIngestController(*ingestDir, *dataPath, *taxPath, opt, *remineTxns, *dedupWindow)
-		if err != nil {
-			return nil, err
-		}
-		cfg.ingest = ctrl
-		cfg.remineEvery = *remineEvery
-		cfg.source = *ingestDir
-		l.src = ctrl.refresh
-		if *haRole != "" {
-			store, err := artifact.OpenFS(*seglogStore, 0)
-			if err != nil {
-				ctrl.Close()
-				return nil, fmt.Errorf("opening seglog store %s: %w", *seglogStore, err)
-			}
-			cfg.ha = &haParams{
-				log:        ctrl.log,
-				store:      store,
-				startRole:  *haRole,
-				peer:       strings.TrimRight(*haPeer, "/"),
-				leaseTTL:   *haLease,
-				ackTimeout: *haAckTO,
-				ingest:     ctrl,
-			}
-		}
-	case *dataPath != "":
-		cfg.source = *dataPath
-		l.src = mineSource(*dataPath, *taxPath, opt)
-	}
+	cfg.mine.Gen.Count.Parallelism = cfg.mine.Count.Parallelism
+	cfg.haPeer = strings.TrimRight(cfg.haPeer, "/")
+	cfg.join = strings.TrimRight(cfg.join, "/")
 	return cfg, nil
 }
 

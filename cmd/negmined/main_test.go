@@ -6,6 +6,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -16,25 +17,34 @@ import (
 
 	"negmine"
 	"negmine/internal/bench"
+	"negmine/internal/cli"
 	"negmine/internal/report"
 	"negmine/internal/serve"
 	"negmine/internal/txdb"
 )
 
-// newDaemon parses args and returns a started server plus its handler —
-// the daemon minus the listening socket.
-func newDaemon(t *testing.T, args ...string) (*serve.Server, http.Handler) {
+// buildDaemon parses args and builds the daemon through build, as run does,
+// minus the listening socket and the background loops. out gets the
+// daemon's log lines; the daemon is closed when the test ends.
+func buildDaemon(t *testing.T, out io.Writer, args ...string) (*daemon, *config) {
 	t.Helper()
-	cfg, err := parseFlags(args, os.Stderr)
+	cfg, err := parseFlags(args, out)
 	if err != nil {
 		t.Fatalf("parseFlags(%v): %v", args, err)
 	}
-	srv, err := serve.NewServer(context.Background(), cfg.loadFunc,
-		serve.WithLogger(func(string, ...any) {}))
+	d, err := build(context.Background(), cfg, "", out, serve.WithLogger(func(string, ...any) {}))
 	if err != nil {
-		t.Fatalf("NewServer: %v", err)
+		t.Fatalf("build(%v): %v", args, err)
 	}
-	return srv, srv.Handler()
+	t.Cleanup(d.close)
+	return d, cfg
+}
+
+// newDaemon is buildDaemon's server and its handler.
+func newDaemon(t *testing.T, args ...string) (*serve.Server, http.Handler) {
+	t.Helper()
+	d, _ := buildDaemon(t, os.Stderr, args...)
+	return d.srv, d.srv.Handler()
 }
 
 func getJSON(t *testing.T, h http.Handler, url string, out any) {
@@ -337,6 +347,31 @@ func TestReportReloadPicksUpNewFile(t *testing.T) {
 	}
 }
 
+// TestParseFlagsDoesNoIO parses a daemon that names every store — streaming
+// with a -data seed, an HA primary with its seglog store, a snapshot store, a
+// cluster shard — with every path under a directory that does not exist.
+// Parsing succeeds and creates nothing: opening the stores is build's job.
+func TestParseFlagsDoesNoIO(t *testing.T) {
+	root := filepath.Join(t.TempDir(), "absent")
+	at := func(name string) string { return filepath.Join(root, name) }
+	cfg, err := parseFlags([]string{
+		"-ingest-dir", at("log"), "-data", at("seed.txt"), "-tax", at("tax.txt"),
+		"-ha-role", "primary", "-seglog-store", at("seglog"),
+		"-snapshot-dir", at("snaps"),
+		"-cluster-join", "http://127.0.0.1:1", "-shard", "1/3",
+	}, io.Discard)
+	if err != nil {
+		t.Fatalf("parseFlags: %v", err)
+	}
+	if _, err := os.Stat(root); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("parseFlags touched %s (stat: %v)", root, err)
+	}
+	if cfg.ingestDir != at("log") || cfg.seglogStore != at("seglog") || cfg.snapDir != at("snaps") ||
+		cfg.haRole != haRolePrimary || cfg.spec != (shardSpec{1, 3}) {
+		t.Fatalf("config = %+v", cfg)
+	}
+}
+
 func TestParseFlagsValidation(t *testing.T) {
 	var sink strings.Builder
 	if _, err := parseFlags([]string{"-report", "x.json"}, &sink); err == nil {
@@ -359,7 +394,7 @@ func TestParseFlagsValidation(t *testing.T) {
 }
 
 // TestGovernanceFlagValidation covers the resource-governance flags: invalid
-// combinations must come back as usageErrors (exit 2 in main), valid ones
+// combinations must come back as usage errors (exit 2 in main), valid ones
 // must build the governor and budget they describe.
 func TestGovernanceFlagValidation(t *testing.T) {
 	var sink strings.Builder
@@ -380,31 +415,34 @@ func TestGovernanceFlagValidation(t *testing.T) {
 		if err == nil {
 			t.Fatalf("%v accepted", extra)
 		}
-		var ue *usageError
-		if !errors.As(err, &ue) {
-			t.Fatalf("%v: error %v is not a usageError (would exit 1, want 2)", extra, err)
+		if code := cli.ExitCode(err); code != 2 {
+			t.Fatalf("%v: error %v exits %d, want 2 (usage)", extra, err, code)
 		}
 	}
 
 	// Valid: admission control on, bounded queue, body bound.
-	cfg, err := parseFlags(append(append([]string{}, base...),
-		"-max-concurrent", "8", "-max-queue", "32", "-max-body", "64KiB"), &sink)
-	if err != nil {
-		t.Fatal(err)
+	repPath, taxPath := writeExampleFiles(t)
+	d, cfg := buildDaemon(t, io.Discard, "-tax", taxPath, "-report", repPath,
+		"-max-concurrent", "8", "-max-queue", "32", "-max-body", "64KiB")
+	var m struct {
+		Govern *struct {
+			MaxConcurrent int `json:"maxConcurrent"`
+			MaxQueue      int `json:"maxQueue"`
+		} `json:"govern"`
 	}
-	if cfg.gov == nil {
-		t.Fatal("-max-concurrent did not build a governor")
+	getJSON(t, d.srv.Handler(), "/metrics", &m)
+	if m.Govern == nil || m.Govern.MaxConcurrent != 8 || m.Govern.MaxQueue != 32 {
+		t.Fatalf("-max-concurrent 8 -max-queue 32 built governor %+v", m.Govern)
 	}
 	if cfg.maxBody != 64<<10 {
 		t.Fatalf("maxBody = %d, want %d", cfg.maxBody, 64<<10)
 	}
 
-	// No governance flags: no governor, default body bound, parse still ok.
-	cfg, err = parseFlags(base, &sink)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.gov != nil {
+	// No governance flags: no governor, default body bound.
+	d, cfg = buildDaemon(t, io.Discard, "-tax", taxPath, "-report", repPath)
+	m.Govern = nil
+	getJSON(t, d.srv.Handler(), "/metrics", &m)
+	if m.Govern != nil {
 		t.Fatal("governor built without governance flags")
 	}
 	if cfg.maxBody != 0 {
@@ -419,19 +457,17 @@ func TestGovernanceFlagValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Usage errors unwrap to exit status 2, plain errors to 1, -h to 0 —
-	// the contract main's switch implements.
-	_, err = parseFlags([]string{"-tax", "t", "-report", "r", "-max-queue", "1"}, &sink)
-	var ue *usageError
-	if !errors.As(err, &ue) {
-		t.Fatalf("usage error lost its type: %v", err)
+	// Usage errors exit 2, -h exits 0.
+	_, err := parseFlags([]string{"-tax", "t", "-report", "r", "-max-queue", "1"}, &sink)
+	if code := cli.ExitCode(err); code != 2 {
+		t.Fatalf("usage error %v exits %d, want 2", err, code)
 	}
 	_, err = parseFlags([]string{"-h"}, &sink)
 	if !errors.Is(err, flag.ErrHelp) {
 		t.Fatalf("-h: %v, want flag.ErrHelp", err)
 	}
-	if errors.As(err, &ue) {
-		t.Fatal("-h classified as usage error (would exit 2, want 0)")
+	if code := cli.ExitCode(err); code != 0 {
+		t.Fatalf("-h exits %d, want 0", code)
 	}
 }
 

@@ -17,6 +17,7 @@ import (
 	"negmine/internal/artifact"
 	"negmine/internal/atomicio"
 	"negmine/internal/bench"
+	"negmine/internal/cli"
 	"negmine/internal/fault"
 	"negmine/internal/serve"
 	"negmine/internal/txdb"
@@ -26,16 +27,8 @@ import (
 // assert on the snapshot controller's boot/rejection/persist log lines.
 func newSnapDaemon(t *testing.T, out io.Writer, args ...string) (*serve.Server, http.Handler) {
 	t.Helper()
-	cfg, err := parseFlags(args, out)
-	if err != nil {
-		t.Fatalf("parseFlags(%v): %v", args, err)
-	}
-	srv, err := serve.NewServer(context.Background(), cfg.loadFunc,
-		serve.WithLogger(func(string, ...any) {}))
-	if err != nil {
-		t.Fatalf("NewServer: %v", err)
-	}
-	return srv, srv.Handler()
+	d, _ := buildDaemon(t, out, args...)
+	return d.srv, d.srv.Handler()
 }
 
 // writeShortDataset materializes the Short dataset as the .nmtx + taxonomy
@@ -262,12 +255,9 @@ func TestSnapshotReplicaMode(t *testing.T) {
 
 	// The replica's -watch source is the store manifest, which every Put
 	// rewrites — that is what makes -watch follow the producer.
-	cfg, err := parseFlags([]string{"-snapshot-dir", snapDir}, io.Discard)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if filepath.Base(cfg.source) != artifact.ManifestName {
-		t.Fatalf("replica watch source = %q, want the store manifest", cfg.source)
+	d, _ := buildDaemon(t, io.Discard, "-snapshot-dir", snapDir)
+	if filepath.Base(d.source) != artifact.ManifestName {
+		t.Fatalf("replica watch source = %q, want the store manifest", d.source)
 	}
 }
 
@@ -344,7 +334,7 @@ func TestSnapshotReplicaEmptyStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = serve.NewServer(context.Background(), cfg.loadFunc, serve.WithLogger(func(string, ...any) {}))
+	_, err = build(context.Background(), cfg, "", io.Discard, serve.WithLogger(func(string, ...any) {}))
 	if err == nil {
 		t.Fatal("replica on empty store started")
 	}
@@ -390,9 +380,8 @@ func TestSnapshotFlagValidation(t *testing.T) {
 		if err == nil {
 			t.Fatalf("%v accepted", extra)
 		}
-		var ue *usageError
-		if !errors.As(err, &ue) {
-			t.Fatalf("%v: error %v is not a usageError", extra, err)
+		if code := cli.ExitCode(err); code != 2 {
+			t.Fatalf("%v: error %v exits %d, want 2 (usage)", extra, err, code)
 		}
 	}
 	// Replica mode is the one configuration that needs neither -tax nor a

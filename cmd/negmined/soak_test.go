@@ -39,9 +39,10 @@ func TestIngestSoak(t *testing.T) {
 	dir := t.TempDir()
 	taxPath, seedPath, baskets := streamFixture(t, dir, 400, 400)
 
-	srv, h, cfg := newStreamingDaemon(t,
+	d, _ := buildDaemon(t, os.Stderr,
 		"-ingest-dir", filepath.Join(dir, "log"), "-data", seedPath, "-tax", taxPath,
 		"-minsup", "0.15", "-minri", "0.3", "-remine-txns", "50")
+	srv, h := d.srv, d.srv.Handler()
 
 	queryItem := baskets[0][0]
 	deadline := time.Now().Add(ingestSoakDuration())
@@ -114,7 +115,7 @@ func TestIngestSoak(t *testing.T) {
 		t.Fatal("final /reload failed")
 	}
 	var sets [][]negmine.Item
-	if err := cfg.ingest.log.Scan(func(tx negmine.Transaction) error {
+	if err := d.ingest.log.Scan(func(tx negmine.Transaction) error {
 		sets = append(sets, tx.Items.Clone())
 		return nil
 	}); err != nil {
@@ -124,11 +125,11 @@ func TestIngestSoak(t *testing.T) {
 		t.Fatalf("log holds %d transactions, acknowledged %d", len(sets), next-1)
 	}
 	opt := streamOpts()
-	res, err := negmine.MineNegative(negmine.FromItemsets(sets...), cfg.ingest.tax, opt)
+	res, err := negmine.MineNegative(negmine.FromItemsets(sets...), d.ingest.tax, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := negmine.NewRuleStore(res, cfg.ingest.tax.Name)
+	want := negmine.NewRuleStore(res, d.ingest.tax.Name)
 	if got := srv.Snapshot().Len(); got != want.Len() {
 		t.Fatalf("post-soak snapshot serves %d rules, batch mine of the log gives %d", got, want.Len())
 	}

@@ -42,61 +42,29 @@
 // The router holds no durable state: restart it and the next heartbeat
 // round re-registers the fleet. It shuts down gracefully on SIGINT/SIGTERM
 // like negmined: listener closes, in-flight requests get -drain to finish.
-// Invalid flags exit 2 with usage; runtime failures exit 1.
+// Invalid flag values exit 2 with usage; runtime failures exit 1.
 package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
-	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
+	"negmine/internal/cli"
 	"negmine/internal/cluster"
 )
 
-func main() {
-	err := run(os.Args[1:], os.Stdout)
-	switch {
-	case err == nil:
-	case errors.Is(err, flag.ErrHelp):
-		os.Exit(0)
-	default:
-		fmt.Fprintln(os.Stderr, "negrouter:", err)
-		var ue *usageError
-		if errors.As(err, &ue) {
-			os.Exit(2)
-		}
-		os.Exit(1)
-	}
-}
-
-// usageError marks a flag-validation failure; main exits 2 for these.
-type usageError struct{ err error }
-
-func (e *usageError) Error() string { return e.err.Error() }
-func (e *usageError) Unwrap() error { return e.err }
-
-func usageErrf(fs *flag.FlagSet, format string, args ...any) error {
-	fs.Usage()
-	return &usageError{fmt.Errorf(format, args...)}
-}
+func main() { cli.Main("negrouter", run) }
 
 // config is everything run needs after flag parsing.
 type config struct {
 	addr   string
 	router cluster.RouterConfig
-
-	readTimeout  time.Duration
-	writeTimeout time.Duration
-	idleTimeout  time.Duration
-	drain        time.Duration
+	http   cli.HTTPFlags
 }
 
 // parseFlags builds the router config. Split from run so tests can build
@@ -104,8 +72,10 @@ type config struct {
 func parseFlags(args []string, out io.Writer) (*config, error) {
 	fs := flag.NewFlagSet("negrouter", flag.ContinueOnError)
 	fs.SetOutput(out)
+	cfg := &config{}
+	cfg.http.Register(fs)
+	fs.StringVar(&cfg.addr, "addr", ":8378", "listen address")
 	var (
-		addr         = fs.String("addr", ":8378", "listen address")
 		shards       = fs.Int("shards", 0, "cluster width (required)")
 		shardTO      = fs.Duration("shard-timeout", 2*time.Second, "per-shard fan-out budget, retries included")
 		retryBudget  = fs.Float64("retry-budget", 0.1, "retries as a fraction of request volume (0 = no retries)")
@@ -113,50 +83,37 @@ func parseFlags(args []string, out io.Writer) (*config, error) {
 		probeEvery   = fs.Duration("probe-every", 500*time.Millisecond, "health-probe interval, and a down replica's first back-off")
 		heartbeatTTL = fs.Duration("heartbeat-ttl", 3*time.Second, "heartbeat staleness bound")
 		downAfter    = fs.Int("down-after", 3, "consecutive request/probe failures that take a replica down")
-		readTO       = fs.Duration("read-timeout", 10*time.Second, "http.Server read timeout (0 = none)")
-		writeTO      = fs.Duration("write-timeout", 30*time.Second, "http.Server write timeout (0 = none)")
-		idleTO       = fs.Duration("idle-timeout", 2*time.Minute, "http.Server idle-connection timeout (0 = none)")
-		drain        = fs.Duration("drain", 10*time.Second, "graceful-shutdown drain budget")
 	)
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
 	if *shards < 1 {
-		return nil, usageErrf(fs, "-shards = %d, want ≥ 1 (the cluster width is required)", *shards)
+		return nil, cli.Usagef(fs, "-shards = %d, want ≥ 1 (the cluster width is required)", *shards)
 	}
-	for _, d := range []struct {
-		name string
-		v    time.Duration
-	}{
-		{"-shard-timeout", *shardTO},
-		{"-read-timeout", *readTO}, {"-write-timeout", *writeTO},
-		{"-idle-timeout", *idleTO}, {"-drain", *drain},
-	} {
-		if d.v < 0 {
-			return nil, usageErrf(fs, "%s = %v, want ≥ 0", d.name, d.v)
-		}
+	if err := cfg.http.Check(fs); err != nil {
+		return nil, err
 	}
-	if *shardTO == 0 {
-		return nil, usageErrf(fs, "-shard-timeout = 0, want > 0")
+	if *shardTO <= 0 {
+		return nil, cli.Usagef(fs, "-shard-timeout = %v, want > 0", *shardTO)
 	}
 	if *probeEvery <= 0 {
-		return nil, usageErrf(fs, "-probe-every = %v, want > 0", *probeEvery)
+		return nil, cli.Usagef(fs, "-probe-every = %v, want > 0", *probeEvery)
 	}
 	if *heartbeatTTL <= 0 {
-		return nil, usageErrf(fs, "-heartbeat-ttl = %v, want > 0", *heartbeatTTL)
+		return nil, cli.Usagef(fs, "-heartbeat-ttl = %v, want > 0", *heartbeatTTL)
 	}
 	if *retryBudget < 0 {
-		return nil, usageErrf(fs, "-retry-budget = %v, want ≥ 0", *retryBudget)
+		return nil, cli.Usagef(fs, "-retry-budget = %v, want ≥ 0", *retryBudget)
 	}
 	// A retry spends a whole token, so a cap under 1 would disable retries.
 	if *retryBudget > 0 && *retryBurst < 1 {
-		return nil, usageErrf(fs, "-retry-burst = %v, want ≥ 1 while -retry-budget > 0", *retryBurst)
+		return nil, cli.Usagef(fs, "-retry-burst = %v, want ≥ 1 while -retry-budget > 0", *retryBurst)
 	}
 	if *downAfter < 1 {
-		return nil, usageErrf(fs, "-down-after = %d, want ≥ 1", *downAfter)
+		return nil, cli.Usagef(fs, "-down-after = %d, want ≥ 1", *downAfter)
 	}
 
-	rc := cluster.RouterConfig{
+	cfg.router = cluster.RouterConfig{
 		Shards:       *shards,
 		ShardTimeout: *shardTO,
 		RetryBudget:  *retryBudget,
@@ -169,13 +126,9 @@ func parseFlags(args []string, out io.Writer) (*config, error) {
 		},
 	}
 	if *retryBudget == 0 {
-		rc.RetryBudget = -1 // RouterConfig treats 0 as "default"; negative disables
+		cfg.router.RetryBudget = -1 // RouterConfig treats 0 as "default"; negative disables
 	}
-	return &config{
-		addr: *addr, router: rc,
-		readTimeout: *readTO, writeTimeout: *writeTO,
-		idleTimeout: *idleTO, drain: *drain,
-	}, nil
+	return cfg, nil
 }
 
 func run(args []string, out io.Writer) error {
@@ -190,40 +143,13 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	go rt.Run(ctx) // heartbeat sweep + down-replica probe loop
-
 	ln, err := net.Listen("tcp", cfg.addr)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(out, "negrouter: routing %d shards on http://%s\n", cfg.router.Shards, ln.Addr())
-
-	hs := &http.Server{
-		Handler:      rt.Handler(),
-		ReadTimeout:  cfg.readTimeout,
-		WriteTimeout: cfg.writeTimeout,
-		IdleTimeout:  cfg.idleTimeout,
-	}
-	errc := make(chan error, 1)
-	go func() { errc <- hs.Serve(ln) }()
-
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-	}
-	stop()
-	fmt.Fprintf(out, "negrouter: signal received, draining for up to %v\n", cfg.drain)
-	sctx, cancel := context.WithTimeout(context.Background(), cfg.drain)
-	defer cancel()
-	if err := hs.Shutdown(sctx); err != nil {
-		return fmt.Errorf("shutdown: %w", err)
-	}
-	if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
-		return err
-	}
-	fmt.Fprintln(out, "negrouter: drained, bye")
-	return nil
+	return cfg.http.Serve("negrouter", out, ln, func(ctx context.Context) (http.Handler, error) {
+		go rt.Run(ctx) // heartbeat sweep + down-replica probe loop
+		fmt.Fprintf(out, "negrouter: routing %d shards on http://%s\n", cfg.router.Shards, ln.Addr())
+		return rt.Handler(), nil
+	})
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"negmine/internal/cli"
 	"negmine/internal/cluster"
 )
 
@@ -34,9 +35,8 @@ func TestParseFlagsValidation(t *testing.T) {
 		if err == nil {
 			t.Fatalf("%v accepted", bad)
 		}
-		var ue *usageError
-		if !errors.As(err, &ue) {
-			t.Fatalf("%v: error %v is not a usageError (would exit 1, want 2)", bad, err)
+		if code := cli.ExitCode(err); code != 2 {
+			t.Fatalf("%v: error %v exits %d, want 2 (usage)", bad, err, code)
 		}
 	}
 	if _, err := parseFlags([]string{"-h"}, &sink); !errors.Is(err, flag.ErrHelp) {

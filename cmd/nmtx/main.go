@@ -40,16 +40,12 @@ import (
 	"strings"
 
 	"negmine"
+	"negmine/internal/cli"
 	"negmine/internal/item"
 	"negmine/internal/seglog"
 )
 
-func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "nmtx:", err)
-		os.Exit(1)
-	}
-}
+func main() { cli.Main("nmtx", run) }
 
 func run(args []string, out io.Writer) error {
 	// `nmtx snap ...` and `nmtx cluster ...` are subcommand families with

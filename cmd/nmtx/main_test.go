@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"negmine"
+	"negmine/internal/cli"
 )
 
 func fixture(t *testing.T) string {
@@ -89,6 +90,9 @@ func TestUsageMentionsPipeline(t *testing.T) {
 	err := run([]string{"-h"}, &out)
 	if !errors.Is(err, flag.ErrHelp) {
 		t.Fatalf("-h returned %v, want flag.ErrHelp", err)
+	}
+	if code := cli.ExitCode(err); code != 0 {
+		t.Fatalf("-h exits %d, want 0", code)
 	}
 	for _, want := range []string{"negmine -data", "negmined"} {
 		if !strings.Contains(out.String(), want) {

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -162,5 +163,102 @@ func TestDocsCiteExistingCode(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// goTestFlags are the `go test` flags the docs' commands use; no binary
+// registers them.
+var goTestFlags = map[string]bool{
+	"bench": true, "benchmem": true, "benchtime": true, "count": true,
+	"race": true, "run": true, "short": true, "v": true,
+}
+
+// TestDocsCiteExistingFlags holds the docs to the flags the binaries take:
+// every -flag in a backticked span of README.md or DESIGN.md, and every -flag
+// in the package comment of a cmd/*/main.go, must be registered by some
+// binary, directly or through internal/cli, or be one of goTestFlags. A span
+// is read whole, so "`k`-itemsets" cites no flag; a span of Go code (one
+// holding ":=") is skipped. A doc that cites a deleted flag tells an operator
+// to type something the binary rejects.
+func TestDocsCiteExistingFlags(t *testing.T) {
+	nameArg := map[string]int{} // registration method → index of its name argument
+	for _, kind := range []string{"Bool", "Int", "Int64", "Uint", "Uint64", "String", "Float64", "Duration"} {
+		nameArg[kind], nameArg[kind+"Var"] = 0, 1
+	}
+	nameArg["Func"], nameArg["BoolFunc"], nameArg["Var"], nameArg["TextVar"] = 0, 0, 1, 1
+	// Every flag.FlagSet answers -h and -help.
+	registered := map[string]bool{"h": true, "help": true}
+	docs := map[string]string{} // cmd/*/main.go → its package comment
+	fset := token.NewFileSet()
+	paths, err := filepath.Glob("cmd/*/*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cliPaths, err := filepath.Glob("internal/cli/*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range append(paths, cliPaths...) {
+		if strings.HasSuffix(p, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, p, nil, parser.ParseComments)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if filepath.Base(p) == "main.go" && f.Doc != nil {
+			docs[p] = f.Doc.Text()
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			if i, ok := nameArg[sel.Sel.Name]; ok && i < len(call.Args) {
+				if lit, ok := call.Args[i].(*ast.BasicLit); ok && lit.Kind == token.STRING {
+					if name, err := strconv.Unquote(lit.Value); err == nil {
+						registered[name] = true
+					}
+				}
+			}
+			return true
+		})
+	}
+	if !registered["minsup"] || !registered["drain"] || len(docs) < 7 {
+		t.Fatalf("%d flags (minsup %v, drain %v), %d package comments: the walk missed the binaries",
+			len(registered), registered["minsup"], registered["drain"], len(docs))
+	}
+
+	flagRe := regexp.MustCompile(`(?:^|[\s(/])-([a-z][a-z0-9-]*)`)
+	cited := 0
+	check := func(where, text string) {
+		for _, m := range flagRe.FindAllStringSubmatch(text, -1) {
+			cited++
+			if name := m[1]; !registered[name] && !goTestFlags[name] {
+				t.Errorf("%s cites -%s, which no binary registers", where, name)
+			}
+		}
+	}
+	span := regexp.MustCompile("`[^`\n]+`")
+	for _, doc := range []string{"README.md", "DESIGN.md"} {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range span.FindAllString(string(text), -1) {
+			if !strings.Contains(s, ":=") {
+				check(doc+" "+s, strings.Trim(s, "`"))
+			}
+		}
+	}
+	for p, doc := range docs {
+		check(p+"'s package comment", doc)
+	}
+	if cited < 100 {
+		t.Fatalf("only %d flag citations found: the scan missed the docs", cited)
 	}
 }

@@ -2,11 +2,12 @@ package txdb
 
 import (
 	"bufio"
+	"compress/gzip"
 	"encoding/binary"
 	"fmt"
 	"io"
-	"os"
 
+	"negmine/internal/atomicio"
 	"negmine/internal/fault"
 	"negmine/internal/item"
 )
@@ -30,21 +31,20 @@ const (
 // one uvarint byte for the version, and the 8-byte fixed-width count.
 const headerSize = len(magic) + 1 + 8
 
-// WriteFile writes all of db to path in the binary format. A ".gz" suffix
+// WriteFile writes all of db to path in the binary format, atomically: a
+// write that fails midway leaves path as it was, or absent. A ".gz" suffix
 // selects transparent gzip compression.
 func WriteFile(path string, db DB) error {
-	if isGzipPath(path) {
-		return writeFileGz(path, db)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := writeAll(f, db); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return atomicio.WriteFile(path, func(w io.Writer) error {
+		if !isGzipPath(path) {
+			return writeAll(w, db)
+		}
+		gz := gzip.NewWriter(w)
+		if err := writeAll(gz, db); err != nil {
+			return err
+		}
+		return gz.Close()
+	})
 }
 
 // FileDB is a disk-resident transaction database in the binary format. Every

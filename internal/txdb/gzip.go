@@ -44,24 +44,6 @@ func writeAll(w io.Writer, db DB) error {
 	return bw.Flush()
 }
 
-// writeFileGz writes db to path through gzip.
-func writeFileGz(path string, db DB) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	gz := gzip.NewWriter(f)
-	if err := writeAll(gz, db); err != nil {
-		f.Close()
-		return err
-	}
-	if err := gz.Close(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
 // openReader opens path and returns a buffered reader over its
 // (possibly gzip-compressed) contents plus a closer for all resources.
 func openReader(path string) (*bufio.Reader, io.Closer, error) {

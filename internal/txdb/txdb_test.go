@@ -11,6 +11,8 @@ import (
 	"testing"
 	"time"
 
+	"negmine/internal/atomicio"
+	"negmine/internal/fault"
 	"negmine/internal/item"
 )
 
@@ -482,5 +484,60 @@ func TestGzipRejectsGarbage(t *testing.T) {
 	os.WriteFile(path, []byte("not gzip at all"), 0o644)
 	if _, err := OpenFile(path); err == nil {
 		t.Error("non-gzip .gz accepted")
+	}
+}
+
+// TestWriteFileAtomic: a write that fails midway, on a TID out of order after
+// 20 000 good records or on an injected write fault, leaves no file where
+// there was none and the previous file intact and openable where there was
+// one, in both framings, and no temporary file behind.
+func TestWriteFileAtomic(t *testing.T) {
+	txs := make([]Transaction, 20001)
+	for i := range txs {
+		txs[i] = Transaction{TID: int64(i + 1), Items: item.New(item.Item(i%50), 60)}
+	}
+	txs[len(txs)-1].TID = 7
+	backwards, err := NewMemDB(txs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"db.nmtx", "db.nmtx.gz"} {
+		for _, fail := range []struct {
+			how   string
+			write func(path string) error
+		}{
+			{"out-of-order TID", func(path string) error { return WriteFile(path, backwards) }},
+			{"write fault", func(path string) error {
+				defer fault.Enable(atomicio.PointWrite, fault.Error("disk died"))()
+				return WriteFile(path, sampleDB())
+			}},
+		} {
+			dir := t.TempDir()
+			path := filepath.Join(dir, name)
+			if fail.write(path) == nil {
+				t.Fatalf("%s %s: WriteFile succeeded", name, fail.how)
+			}
+			if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+				t.Fatalf("%s %s: a failed first write left %s (stat: %v)", name, fail.how, path, err)
+			}
+			if err := WriteFile(path, sampleDB()); err != nil {
+				t.Fatal(err)
+			}
+			if fail.write(path) == nil {
+				t.Fatalf("%s %s: WriteFile succeeded over a file", name, fail.how)
+			}
+			if _, err := OpenFile(path); err != nil {
+				t.Fatalf("%s %s: previous file no longer opens: %v", name, fail.how, err)
+			}
+			got, err := Load(path)
+			if err != nil || !slices.EqualFunc(got.Transactions(), sampleDB().Transactions(), func(a, b Transaction) bool {
+				return a.TID == b.TID && a.Items.Equal(b.Items)
+			}) {
+				t.Fatalf("%s %s: previous file reads %v, %v", name, fail.how, got, err)
+			}
+			if ents, _ := os.ReadDir(dir); len(ents) != 1 {
+				t.Fatalf("%s %s: %d directory entries, want only %s", name, fail.how, len(ents), name)
+			}
+		}
 	}
 }
