@@ -28,6 +28,7 @@ import (
 	"negmine"
 	"negmine/internal/cli"
 	"negmine/internal/datagen"
+	"negmine/internal/txdb"
 )
 
 func main() { cli.Main("datagen", run) }
@@ -123,7 +124,7 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
-	if strings.HasSuffix(*outPath, ".nmtx") {
+	if txdb.IsBinaryPath(*outPath) {
 		err = negmine.SaveDB(*outPath, db)
 	} else {
 		var f *os.File

@@ -8,30 +8,33 @@ import (
 	"testing"
 
 	"negmine"
+	"negmine/internal/txdb"
 )
 
 func TestRunBinaryOutput(t *testing.T) {
 	dir := t.TempDir()
-	dataOut := filepath.Join(dir, "d.nmtx")
 	taxOut := filepath.Join(dir, "t.txt")
-	var out bytes.Buffer
-	err := run([]string{
-		"-preset", "short", "-scale", "100", "-seed", "5",
-		"-items", "200", "-clusters", "20", "-roots", "5",
-		"-out", dataOut, "-taxout", taxOut,
-	}, &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "wrote 500 transactions") {
-		t.Errorf("unexpected output: %s", out.String())
-	}
-	db, err := negmine.LoadDB(dataOut)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if db.Count() != 500 {
-		t.Errorf("binary db count = %d", db.Count())
+	// Both binary suffixes write the binary format; .gz gzips it.
+	for _, dataOut := range []string{filepath.Join(dir, "d.nmtx"), filepath.Join(dir, "d.nmtx.gz")} {
+		var out bytes.Buffer
+		err := run([]string{
+			"-preset", "short", "-scale", "100", "-seed", "5",
+			"-items", "200", "-clusters", "20", "-roots", "5",
+			"-out", dataOut, "-taxout", taxOut,
+		}, &out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(out.String(), "wrote 500 transactions") {
+			t.Errorf("unexpected output: %s", out.String())
+		}
+		db, err := txdb.OpenFile(dataOut)
+		if err != nil {
+			t.Fatalf("%s: %v", dataOut, err)
+		}
+		if db.Count() != 500 {
+			t.Errorf("%s: binary db count = %d", dataOut, db.Count())
+		}
 	}
 	f, err := os.Open(taxOut)
 	if err != nil {

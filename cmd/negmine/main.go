@@ -43,6 +43,7 @@ import (
 	"negmine/internal/cli"
 	"negmine/internal/report"
 	"negmine/internal/serve"
+	"negmine/internal/txdb"
 )
 
 func main() { cli.Main("negmine", run) }
@@ -311,7 +312,7 @@ func loadSubstitutes(path string, dict *negmine.Dictionary) ([]negmine.Itemset, 
 const timeUnit = 1000 * 1000 // microseconds
 
 func loadData(path string, dict *negmine.Dictionary) (negmine.DB, error) {
-	if strings.HasSuffix(path, ".nmtx") {
+	if txdb.IsBinaryPath(path) {
 		return negmine.OpenDB(path)
 	}
 	f, err := os.Open(path)

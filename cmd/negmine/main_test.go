@@ -101,7 +101,7 @@ func TestRunBinaryInput(t *testing.T) {
 
 // TestBinaryInputSameRulesUnderEveryBackend: a file-backed database gets no
 // engine of its own — the default backend and both named ones print the same
-// report, timing lines aside.
+// report, timing lines aside — and its gzipped twin mines the same report.
 func TestBinaryInputSameRulesUnderEveryBackend(t *testing.T) {
 	data, taxPath := writeFixtures(t)
 	tf, err := os.Open(taxPath)
@@ -126,10 +126,18 @@ func TestBinaryInputSameRulesUnderEveryBackend(t *testing.T) {
 	if err := negmine.SaveDB(bin, db); err != nil {
 		t.Fatal(err)
 	}
+	// Its gzipped twin is binary too, not basket text.
+	if err := negmine.SaveDB(bin+".gz", db); err != nil {
+		t.Fatal(err)
+	}
 	reports := map[string]string{}
-	for _, backend := range []string{"auto", "bitmap", "hashtree"} {
+	for _, backend := range []string{"auto", "bitmap", "hashtree", "gzip"} {
+		data, flag := bin, backend
+		if backend == "gzip" {
+			data, flag = bin+".gz", "auto"
+		}
 		var out bytes.Buffer
-		err := run([]string{"-data", bin, "-tax", taxPath, "-minsup", "0.15", "-minri", "0.3", "-negatives", "-backend", backend}, &out)
+		err := run([]string{"-data", data, "-tax", taxPath, "-minsup", "0.15", "-minri", "0.3", "-negatives", "-backend", flag}, &out)
 		if err != nil {
 			t.Fatalf("-backend %s: %v", backend, err)
 		}
@@ -144,9 +152,9 @@ func TestBinaryInputSameRulesUnderEveryBackend(t *testing.T) {
 	if !strings.Contains(reports["auto"], "{pepsi} =/=> {chips}") {
 		t.Fatalf("default backend mined no rule from the binary file:\n%s", reports["auto"])
 	}
-	for _, backend := range []string{"bitmap", "hashtree"} {
+	for _, backend := range []string{"bitmap", "hashtree", "gzip"} {
 		if reports[backend] != reports["auto"] {
-			t.Errorf("-backend %s prints a different report than the default:\n%s\n--- auto ---\n%s", backend, reports[backend], reports["auto"])
+			t.Errorf("%s prints a different report than the default:\n%s\n--- auto ---\n%s", backend, reports[backend], reports["auto"])
 		}
 	}
 }

@@ -548,7 +548,7 @@ func loadTaxonomy(path string) (*taxonomy.Taxonomy, error) {
 }
 
 func loadData(path string, dict *item.Dictionary) (txdb.DB, error) {
-	if strings.HasSuffix(path, ".nmtx") || strings.HasSuffix(path, ".nmtx.gz") {
+	if txdb.IsBinaryPath(path) {
 		return txdb.OpenFile(path)
 	}
 	f, err := os.Open(path)

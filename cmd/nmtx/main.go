@@ -43,6 +43,7 @@ import (
 	"negmine/internal/cli"
 	"negmine/internal/item"
 	"negmine/internal/seglog"
+	"negmine/internal/txdb"
 )
 
 func main() { cli.Main("nmtx", run) }
@@ -260,7 +261,7 @@ func printLogInfo(out io.Writer, dir string, log *seglog.Log) {
 
 // open loads path as binary (.nmtx/.nmtx.gz) or integer basket text.
 func open(path string) (negmine.DB, error) {
-	if strings.HasSuffix(path, ".nmtx") || strings.HasSuffix(path, ".nmtx.gz") {
+	if txdb.IsBinaryPath(path) {
 		return negmine.OpenDB(path)
 	}
 	f, err := os.Open(path)

@@ -32,6 +32,7 @@ var exportAllowlist = map[string]string{
 	"cluster.RulesDoc":           benchOnly,
 	"cluster.ScoreDoc":           benchOnly,
 	"serve.CacheStats":           benchOnly,
+	"serve.RuleJSON":             benchOnly,
 	"serve.Snapshot.QueryShared": benchOnly,
 	"txdb.WriteBaskets":          benchOnly,
 }

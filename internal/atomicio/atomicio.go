@@ -9,9 +9,13 @@ package atomicio
 
 import (
 	"bufio"
+	"errors"
 	"io"
+	"io/fs"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
+	"strconv"
 
 	"negmine/internal/fault"
 )
@@ -26,7 +30,7 @@ const PointWrite = "atomicio.write"
 // file is removed and the previous content of path is left intact.
 func WriteFile(path string, write func(io.Writer) error) (err error) {
 	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
+	tmp, err := createTemp(path)
 	if err != nil {
 		return err
 	}
@@ -59,6 +63,19 @@ func WriteFile(path string, write func(io.Writer) error) (err error) {
 		d.Close()
 	}
 	return nil
+}
+
+// createTemp creates a new file beside path, named path.tmp-<random>, with
+// the mode os.Create gives a file — 0666 less the umask — where
+// os.CreateTemp would give 0600.
+func createTemp(path string) (*os.File, error) {
+	for try := 0; ; try++ {
+		name := path + ".tmp-" + strconv.FormatUint(uint64(rand.Uint32()), 10)
+		f, err := os.OpenFile(name, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o666)
+		if !errors.Is(err, fs.ErrExist) || try == 10000 {
+			return f, err
+		}
+	}
 }
 
 // faultWriter threads the PointWrite failpoint into every flushed chunk.

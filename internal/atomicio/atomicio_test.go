@@ -31,6 +31,32 @@ func TestWriteFileRoundTrip(t *testing.T) {
 	}
 }
 
+// TestWriteFileMode: the file gets the mode os.Create gives a new file in the
+// same directory, the umask's choice, not a temporary file's 0600.
+func TestWriteFileMode(t *testing.T) {
+	dir := t.TempDir()
+	probe, err := os.Create(filepath.Join(dir, "probe"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe.Close()
+	want, err := os.Stat(probe.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "out.json")
+	if err := WriteFile(path, func(w io.Writer) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Mode() != want.Mode() {
+		t.Fatalf("WriteFile made %v, os.Create makes %v", got.Mode(), want.Mode())
+	}
+}
+
 func TestWriteFileReplacesExisting(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "out.json")
 	if err := os.WriteFile(path, []byte("old content"), 0o644); err != nil {

@@ -1,0 +1,103 @@
+package report
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"io"
+	"reflect"
+	"strings"
+	"testing"
+)
+
+// noSeek hides a reader's Seek, so ReadNegativeJSON hands it straight to
+// decodeNegative: the reference path.
+type noSeek struct{ io.Reader }
+
+// readSeeds are documents beside the round-trip fixture, the corrupt reports
+// and wholeDecodeDocs that the reader must get right: escapes, non-ASCII and
+// invalid UTF-8, null where a value or a list goes, repeated keys, keys in
+// another case, numbers at the grammar's and float64's edges, type errors
+// at every depth, whitespace of every kind.
+var readSeeds = []string{
+	`{"rules": [{"antecedent": ["\u003ca\u003e"], "consequent": ["b\"\\"], "via": "sib\u006cings"}]}`,
+	"{\"rules\": [{\"antecedent\": [\"日本\"], \"consequent\": [\"bad\xff\"]}]}",
+	"{\"rules\": [{\"antecedent\": [\"tab\tin\"], \"consequent\": [\"b\"]}]}",
+	`{"rules": [{"antecedent": null, "consequent": ["b"], "ruleInterest": null, "via": null}], "minRI": null}`,
+	`{"minRI": 0.2, "minRI": 0.3, "rules": [{"antecedent": ["a"], "antecedent": ["c"], "consequent": ["b"]}]}`,
+	`{"rules": [{"antecedent": ["a"], "consequent": ["b"]}], "rules": [{"consequent": ["c"]}]}`,
+	`{"negativeItemsets": [{"items": ["a"], "actualCount": 3}], "NegativeItemsets": null}`,
+	`{"minSupport": -0.0, "minRI": 1E+2, "rules": [{"antecedent": ["a"], "consequent": ["b"], "ruleInterest": 1e-400, "expectedSupport": 0.5e1}]}`,
+	`{"minSupport": 01}`, `{"minSupport": 1.}`, `{"minSupport": .5}`, `{"minSupport": +1}`, `{"minSupport": 1e}`,
+	`{"rules": [{"antecedent": ["a"], "consequent": ["b"], "ruleInterest": 1e999}]}`,
+	`{"negativeItemsets": [{"items": ["a"], "actualCount": 1.5}]}`,
+	`{"negativeItemsets": [{"items": ["a"], "actualCount": 99999999999999999999}]}`,
+	`{"negativeItemsets": [{"items": ["a"], "actualCount": -0}]}`,
+	`{"rules": [1]}`, `{"rules": [{"antecedent": 3}]}`, `{"rules": [{"antecedent": [4]}]}`,
+	`{"minRI": "x", "rules": [1]}`, `{"negativeItemsets": [{"items": ["a"], "via": 1}], "minSupport": true}`,
+	"\t{\r\n\"minRI\"\t:\n0.5 ,\"rules\":[ ] } \n\t",
+	`1e7000`, `{"rules": 1e7000}`, `{"rules": nul}`, `{"rules": nullx}`, `{"minRI": 0.5}}`, `{"minRI": 0.5}]`, `{}{}`, `{} `,
+}
+
+// FuzzReadNegativeJSON holds ReadNegativeJSON on a seekable reader, where
+// the scanner reads what it accepts, to the reference decoder on one that
+// cannot seek, value for value and error text for error text; and both to
+// readWhole, one Decode of the whole document, wherever decodeNegative's
+// documented differences cannot arise: on valid JSON that repeats no
+// top-level list key.
+func FuzzReadNegativeJSON(f *testing.F) {
+	res, name := sampleResult()
+	var fixture bytes.Buffer
+	if err := WriteNegativeJSON(&fixture, res, 0.1, 0.5, name); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(fixture.Bytes())
+	for _, docs := range []map[string]string{corruptReports, wholeDecodeDocs} {
+		for _, in := range docs {
+			f.Add([]byte(in))
+		}
+	}
+	for _, in := range readSeeds {
+		f.Add([]byte(in))
+	}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		got, err := ReadNegativeJSON(bytes.NewReader(in))
+		ref, refErr := ReadNegativeJSON(noSeek{bytes.NewReader(in)})
+		if fmt.Sprint(err) != fmt.Sprint(refErr) || !reflect.DeepEqual(got, ref) {
+			t.Fatalf("%q: read %+v, %v; the reference decoder %+v, %v", in, got, err, ref, refErr)
+		}
+		if !json.Valid(in) || repeatsListKey(in) {
+			return
+		}
+		whole, wholeErr := readWhole(bytes.NewReader(in))
+		if fmt.Sprint(err) != fmt.Sprint(wholeErr) || !reflect.DeepEqual(got, whole) {
+			t.Fatalf("%q: read %+v, %v; whole decode %+v, %v", in, got, err, whole, wholeErr)
+		}
+	})
+}
+
+// repeatsListKey reports whether valid JSON in is an object naming "rules"
+// or "negativeItemsets", in any case, more than once: Decode fills the
+// earlier list's elements where decodeNegative replaces the list.
+func repeatsListKey(in []byte) bool {
+	dec := json.NewDecoder(bytes.NewReader(in))
+	if tok, err := dec.Token(); err != nil || tok != json.Delim('{') {
+		return false
+	}
+	rules, itemsets := 0, 0
+	for dec.More() {
+		tok, _ := dec.Token()
+		key, _ := tok.(string)
+		if strings.EqualFold(key, "rules") {
+			rules++
+		}
+		if strings.EqualFold(key, "negativeItemsets") {
+			itemsets++
+		}
+		var skip json.RawMessage
+		if dec.Decode(&skip) != nil {
+			return false
+		}
+	}
+	return rules > 1 || itemsets > 1
+}

@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"reflect"
 	"strconv"
 	"strings"
@@ -21,6 +22,7 @@ import (
 	"negmine/internal/fault"
 	"negmine/internal/item"
 	"negmine/internal/negative"
+	"negmine/internal/ruleframe"
 )
 
 // PointRead is the failpoint evaluated at the top of ReadNegativeJSON;
@@ -102,11 +104,132 @@ func BuildNegative(res *negative.Result, minSup, minRI float64, name func(item.I
 	return rep
 }
 
-// WriteNegativeJSON writes a full negative mining run as indented JSON.
+// writeChunk is the buffer size at which WriteNegativeJSON hands its bytes
+// to the writer.
+const writeChunk = 64 << 10
+
+// WriteNegativeJSON writes a full negative mining run as indented JSON: the
+// bytes json.Encoder with SetIndent("", "  ") writes for BuildNegative's
+// report, rendered a record at a time into one buffer that goes to w in
+// chunks, so neither the report nor the document is ever whole in memory. A
+// value JSON cannot carry (NaN, ±Inf) fails with the encoder's error before
+// anything is written.
 func WriteNegativeJSON(w io.Writer, res *negative.Result, minSup, minRI float64, name func(item.Item) string) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(BuildNegative(res, minSup, minRI, name))
+	if err := checkFinite(res, minSup, minRI); err != nil {
+		return err
+	}
+	buf := make([]byte, 0, writeChunk+writeChunk/4)
+	flush := func(min int) error {
+		if len(buf) < min {
+			return nil
+		}
+		_, err := w.Write(buf)
+		buf = buf[:0]
+		return err
+	}
+	// Non-nil scratch, so an empty side renders [] as names' slices do.
+	ante, cons, src := []string{}, []string{}, []string{}
+	buf = append(buf, "{\n  \"minSupport\": "...)
+	buf = ruleframe.AppendFloat(buf, minSup)
+	buf = append(buf, ",\n  \"minRI\": "...)
+	buf = ruleframe.AppendFloat(buf, minRI)
+	buf = append(buf, ",\n  \"rules\": "...)
+	if len(res.Rules) == 0 {
+		buf = append(buf, "null"...)
+	} else {
+		buf = append(buf, '[')
+		for i := range res.Rules {
+			r := &res.Rules[i]
+			ante = appendNames(ante[:0], r.Antecedent, name)
+			cons = appendNames(cons[:0], r.Consequent, name)
+			src = appendNames(src[:0], r.Source, name)
+			buf = ruleframe.AppendSep(buf, i)
+			buf = ruleframe.AppendRule(buf, ante, cons, r.RI, r.Expected, r.Actual)
+			buf = append(buf, ",\n      \"negConfidence\": "...)
+			buf = ruleframe.AppendFloat(buf, r.NegConfidence)
+			buf = appendProvenance(buf, src, r.Via.String())
+			if err := flush(writeChunk); err != nil {
+				return err
+			}
+		}
+		buf = append(buf, "\n  ]"...)
+	}
+	buf = append(buf, ",\n  \"negativeItemsets\": "...)
+	if len(res.Negatives) == 0 {
+		buf = append(buf, "null"...)
+	} else {
+		buf = append(buf, '[')
+		for i := range res.Negatives {
+			n := &res.Negatives[i]
+			ante = appendNames(ante[:0], n.Set, name)
+			src = appendNames(src[:0], n.Source, name)
+			buf = ruleframe.AppendSep(buf, i)
+			buf = append(buf, "    {\n      \"items\": "...)
+			buf = ruleframe.AppendNameList(buf, ante)
+			buf = append(buf, ",\n      \"expectedSupport\": "...)
+			buf = ruleframe.AppendFloat(buf, n.Expected)
+			buf = append(buf, ",\n      \"actualSupport\": "...)
+			buf = ruleframe.AppendFloat(buf, n.Actual())
+			buf = append(buf, ",\n      \"actualCount\": "...)
+			buf = strconv.AppendInt(buf, int64(n.Count), 10)
+			buf = appendProvenance(buf, src, n.Via.String())
+			if err := flush(writeChunk); err != nil {
+				return err
+			}
+		}
+		buf = append(buf, "\n  ]"...)
+	}
+	buf = append(buf, "\n}\n"...)
+	return flush(0)
+}
+
+// appendNames appends the names of s's items to dst.
+func appendNames(dst []string, s item.Itemset, name func(item.Item) string) []string {
+	for _, x := range s {
+		dst = append(dst, name(x))
+	}
+	return dst
+}
+
+// appendProvenance appends a record's derivedFrom and via fields, each left
+// out when empty as omitempty leaves it, and closes the record.
+func appendProvenance(dst []byte, derivedFrom []string, via string) []byte {
+	if len(derivedFrom) > 0 {
+		dst = append(dst, ",\n      \"derivedFrom\": "...)
+		dst = ruleframe.AppendNameList(dst, derivedFrom)
+	}
+	if via != "" {
+		dst = append(dst, ",\n      \"via\": "...)
+		dst = ruleframe.AppendQuoted(dst, via)
+	}
+	return append(dst, ruleframe.ElemClose...)
+}
+
+// checkFinite returns the error json.Encoder returns for the first float of
+// the report, in document order, that JSON cannot carry.
+func checkFinite(res *negative.Result, minSup, minRI float64) error {
+	bad := func(fs ...float64) error {
+		for _, f := range fs {
+			if math.IsNaN(f) || math.IsInf(f, 0) {
+				return &json.UnsupportedValueError{Value: reflect.ValueOf(f), Str: strconv.FormatFloat(f, 'g', -1, 64)}
+			}
+		}
+		return nil
+	}
+	if err := bad(minSup, minRI); err != nil {
+		return err
+	}
+	for _, r := range res.Rules {
+		if err := bad(r.RI, r.Expected, r.Actual, r.NegConfidence); err != nil {
+			return err
+		}
+	}
+	for _, n := range res.Negatives {
+		if err := bad(n.Expected, n.Actual()); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // WriteNegativeCSV writes the negative rules as CSV with the header
@@ -176,20 +299,45 @@ func WritePositiveCSV(w io.Writer, rules []apriori.Rule, name func(item.Item) st
 // reader fails loudly: truncated documents, trailing garbage, and
 // structurally invalid records are all errors rather than best-effort
 // partial loads.
+//
+// A reader that can seek (a file) is read first by scanNegative, which
+// takes what WriteNegativeJSON writes without encoding/json; on anything
+// else it is rewound and read by decodeNegative, as one that cannot seek
+// always is. Both return the same report and the same errors.
 func ReadNegativeJSON(r io.Reader) (*NegativeReport, error) {
 	if err := fault.Hit(PointRead); err != nil {
 		return nil, fmt.Errorf("report: %w", err)
 	}
+	rep, err := readNegative(r)
+	if err != nil {
+		return nil, err
+	}
+	if err := rep.Validate(); err != nil {
+		return nil, err
+	}
+	return rep, nil
+}
+
+// readNegative is ReadNegativeJSON before validation.
+func readNegative(r io.Reader) (*NegativeReport, error) {
+	if seeker, ok := r.(io.Seeker); ok {
+		if start, err := seeker.Seek(0, io.SeekCurrent); err == nil {
+			if rep, ok := scanNegative(r); ok {
+				return rep, nil
+			}
+			if _, err := seeker.Seek(start, io.SeekStart); err != nil {
+				return nil, fmt.Errorf("report: rewinding: %w", err)
+			}
+		}
+	}
 	dec := json.NewDecoder(r)
+	dec.UseNumber() // a number Token reads is a kind to name, not a float that can overflow
 	rep, err := decodeNegative(dec)
 	if err != nil {
 		return nil, fmt.Errorf("report: decoding: %w", err)
 	}
 	if dec.More() {
 		return nil, fmt.Errorf("report: trailing data after document")
-	}
-	if err := rep.Validate(); err != nil {
-		return nil, err
 	}
 	return rep, nil
 }
@@ -229,9 +377,9 @@ func decodeNegative(dec *json.Decoder) (*NegativeReport, error) {
 		key, _ := tok.(string)
 		switch {
 		case strings.EqualFold(key, "minSupport"):
-			err = value(dec, &rep.MinSupport)
+			err = inField(value(dec, &rep.MinSupport), "minSupport")
 		case strings.EqualFold(key, "minRI"):
-			err = value(dec, &rep.MinRI)
+			err = inField(value(dec, &rep.MinRI), "minRI")
 		case strings.EqualFold(key, "rules"):
 			rep.Rules, err = decodeArray[NegativeRuleRecord](dec, "rules")
 		case strings.EqualFold(key, "negativeItemsets"):
@@ -281,11 +429,26 @@ func decodeArray[T any](dec *json.Decoder, field string) ([]T, error) {
 		var zero T
 		out = append(out, zero)
 		if err := value(dec, &out[len(out)-1]); err != nil {
-			return nil, err
+			return nil, inField(err, field)
 		}
 	}
 	_, err = inner(dec) // the closing bracket
 	return out, err
+}
+
+// inField words a type error met decoding the value of the report's field
+// named field as Decode words it for the whole report: the innermost struct,
+// and the path of JSON field names down to the value from the report.
+func inField(err error, field string) error {
+	var typ *json.UnmarshalTypeError
+	if errors.As(err, &typ) {
+		if typ.Struct == "" {
+			typ.Struct, typ.Field = "NegativeReport", field
+		} else {
+			typ.Field = field + "." + typ.Field
+		}
+	}
+	return err
 }
 
 // kindOf names a token's JSON kind as json.UnmarshalTypeError does; a

@@ -164,6 +164,29 @@ func TestEmptyResult(t *testing.T) {
 	}
 }
 
+// wholeDecodeDocs are the documents, beside the round-trip fixture and the
+// corrupt reports, that TestReadNegativeJSONMatchesWholeDecode reads both
+// ways: an empty report, empty arrays, keys in another case, unknown keys of
+// every kind, null, other top-level values and documents cut short.
+var wholeDecodeDocs = map[string]string{
+	"empty":        `{}`,
+	"null":         `null`,
+	"null arrays":  `{"rules": null, "negativeItemsets": null, "minRI": 0.2}`,
+	"empty arrays": `{"rules": [], "negativeItemsets": []}`,
+	"key case":     `{"MINSUPPORT": 0.3, "Rules": [{"antecedent": ["a"], "consequent": ["b"]}], "negativeitemsets": [{"items": ["c"]}]}`,
+	"unknown keys": `{"comment": "x", "rules": [{"antecedent": ["a"], "consequent": ["b"], "extra": {"deep": [1, 2]}}], "more": [{"a": null}], "n": 3, "t": true}`,
+	"top array":    `[1, 2]`,
+	"top number":   `7`,
+	"top string":   `"report"`,
+	"object rules": `{"rules": {"antecedent": ["a"]}}`,
+	"no document":  ``,
+	"cut at key":   `{`,
+	"cut at value": `{"minRI":`,
+	"cut between":  `{"rules": [{"antecedent": ["a"], "consequent": ["b"]},`,
+	"cut after":    `{"rules": []`,
+	"bad key":      `{"rules": [], 3: 4}`,
+}
+
 // readWhole is ReadNegativeJSON as it was before it decoded a record at a
 // time: one Decode of the whole document.
 func readWhole(r io.Reader) (*NegativeReport, error) {
@@ -191,24 +214,9 @@ func TestReadNegativeJSONMatchesWholeDecode(t *testing.T) {
 	if err := WriteNegativeJSON(&fixture, res, 0.1, 0.5, name); err != nil {
 		t.Fatal(err)
 	}
-	docs := map[string]string{
-		"round trip":   fixture.String(),
-		"empty":        `{}`,
-		"null":         `null`,
-		"null arrays":  `{"rules": null, "negativeItemsets": null, "minRI": 0.2}`,
-		"empty arrays": `{"rules": [], "negativeItemsets": []}`,
-		"key case":     `{"MINSUPPORT": 0.3, "Rules": [{"antecedent": ["a"], "consequent": ["b"]}], "negativeitemsets": [{"items": ["c"]}]}`,
-		"unknown keys": `{"comment": "x", "rules": [{"antecedent": ["a"], "consequent": ["b"], "extra": {"deep": [1, 2]}}], "more": [{"a": null}], "n": 3, "t": true}`,
-		"top array":    `[1, 2]`,
-		"top number":   `7`,
-		"top string":   `"report"`,
-		"object rules": `{"rules": {"antecedent": ["a"]}}`,
-		"no document":  ``,
-		"cut at key":   `{`,
-		"cut at value": `{"minRI":`,
-		"cut between":  `{"rules": [{"antecedent": ["a"], "consequent": ["b"]},`,
-		"cut after":    `{"rules": []`,
-		"bad key":      `{"rules": [], 3: 4}`,
+	docs := map[string]string{"round trip": fixture.String()}
+	for name, in := range wholeDecodeDocs {
+		docs[name] = in
 	}
 	for name, in := range corruptReports {
 		docs["corrupt "+name] = in

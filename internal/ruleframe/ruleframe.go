@@ -12,7 +12,8 @@
 // spliced in when the router could not reach every shard. Every byte is
 // what json.Encoder with SetIndent("", "  ") emits for the public document
 // types (cluster.RulesDoc, cluster.ScoreDoc); the differential tests in
-// serve and cluster hold it to that.
+// serve and cluster hold it to that. A rule object's fields are rendered by
+// AppendRule, for a shard's fragments and for the rule report alike.
 //
 // The frame: on the shard↔router hop a shard answers a request whose Accept
 // header is MediaType with its envelope prefix and, per rule, the merge key
@@ -153,6 +154,60 @@ func AppendQuoted(dst []byte, s string) []byte {
 	dst = append(dst, e.buf.Bytes()[:e.buf.Len()-1]...)
 	encoders.Put(e)
 	return dst
+}
+
+// AppendFloat appends f as encoding/json writes a float64: the shortest
+// decimal that reads back as f, in 'f' form, or in 'e' form below 1e-6 and
+// from 1e21 up with a negative exponent's leading zero dropped. f must be
+// finite: JSON has no form for NaN or ±Inf.
+func AppendFloat(dst []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	dst = strconv.AppendFloat(dst, f, format, -1, 64)
+	if n := len(dst); format == 'e' && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+		dst[n-2] = dst[n-1] // e-07 → e-7
+		dst = dst[:n-1]
+	}
+	return dst
+}
+
+// AppendRule appends the fields a report rule and a served rule share, as
+// a rule object stands in a document's rule list: opened at depth 2 and left
+// unclosed after actualSupport, so the caller appends its own fields and
+// then ElemClose. The floats must be finite (AppendFloat).
+func AppendRule(dst []byte, antecedent, consequent []string, ri, expected, actual float64) []byte {
+	dst = append(dst, "    {\n      \"antecedent\": "...)
+	dst = AppendNameList(dst, antecedent)
+	dst = append(dst, ",\n      \"consequent\": "...)
+	dst = AppendNameList(dst, consequent)
+	dst = append(dst, ",\n      \"ruleInterest\": "...)
+	dst = AppendFloat(dst, ri)
+	dst = append(dst, ",\n      \"expectedSupport\": "...)
+	dst = AppendFloat(dst, expected)
+	dst = append(dst, ",\n      \"actualSupport\": "...)
+	return AppendFloat(dst, actual)
+}
+
+// AppendNameList appends names as the value of a field of a rule object:
+// null for a nil list, [] for an empty one, else one name a line at depth 4.
+func AppendNameList(dst []byte, names []string) []byte {
+	if names == nil {
+		return append(dst, "null"...)
+	}
+	if len(names) == 0 {
+		return append(dst, "[]"...)
+	}
+	dst = append(dst, '[')
+	for i, name := range names {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, "\n        "...)
+		dst = AppendQuoted(dst, name)
+	}
+	return append(dst, "\n      ]"...)
 }
 
 // AppendSep appends what stands between the prefix (i == 0) or the previous

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -116,6 +117,63 @@ func TestQuotedMatchesEncoder(t *testing.T) {
 		}
 		if got := AppendQuoted([]byte("|"), s); string(got) != "|"+string(want) {
 			t.Errorf("AppendQuoted(%q) = %s, encoding/json writes %s", s, got[1:], want)
+		}
+	}
+}
+
+// TestFloatMatchesEncoder: AppendFloat writes every float as json.Marshal
+// does — around both edges of the exponent form, zero of both signs,
+// subnormals, the extremes, and random bit patterns of every exponent.
+func TestFloatMatchesEncoder(t *testing.T) {
+	cases := []float64{0, math.Copysign(0, -1), 1, -1, 0.1, 1.0 / 3, 1e-6, math.Nextafter(1e-6, 0),
+		math.Nextafter(1e-6, 1), 1e-7, 9.999999e-7, 1e20, 1e21, math.Nextafter(1e21, 0), 1e22, 123456789e15,
+		5e-324, math.SmallestNonzeroFloat64 * 3, 2.2250738585072014e-308, math.MaxFloat64, -math.MaxFloat64,
+		1e-10, 1e-100, 1.5e-7, 2e-9, 1e100, -1e-7, -1e21, 0.000001, 100, 0.75}
+	rng := rand.New(rand.NewSource(50))
+	for i := 0; i < 20000; i++ {
+		f := math.Float64frombits(rng.Uint64())
+		if !math.IsNaN(f) && !math.IsInf(f, 0) {
+			cases = append(cases, f)
+		}
+	}
+	for _, f := range cases {
+		want, err := json.Marshal(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := AppendFloat([]byte("|"), f); string(got) != "|"+string(want) {
+			t.Errorf("AppendFloat(%v) = %s, encoding/json writes %s", f, got[1:], want)
+		}
+	}
+}
+
+// refRule is the fields AppendRule renders, as the serve and report types
+// (which this package may not import) declare them.
+type refRule struct {
+	Antecedent      []string `json:"antecedent"`
+	Consequent      []string `json:"consequent"`
+	RuleInterest    float64  `json:"ruleInterest"`
+	ExpectedSupport float64  `json:"expectedSupport"`
+	ActualSupport   float64  `json:"actualSupport"`
+}
+
+// TestRuleMatchesEncoder: a rule object AppendRule opens and ElemClose
+// closes is the encoder's rendering of it in a document's rule list, with
+// nil, empty and escaped sides.
+func TestRuleMatchesEncoder(t *testing.T) {
+	sides := [][]string{nil, {}, {"a"}, {"pepsi", "<chips>&", "bad\xff", "\u2028"}, {"", `"q"\`}}
+	measures := []float64{0, 1e-7, 0.5, -3, 1e21}
+	for i, ante := range sides {
+		for j, cons := range sides {
+			r := refRule{ante, cons, measures[i], measures[j], measures[(i+j)%len(measures)]}
+			want := refEncode(t, struct {
+				Rules []refRule `json:"rules"`
+			}{[]refRule{r}})
+			got := append(AppendSep([]byte("{\n  \"rules\": ["), 0), AppendRule(nil, ante, cons, r.RuleInterest, r.ExpectedSupport, r.ActualSupport)...)
+			got = AppendTail(append(got, ElemClose...), 1, nil)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("rule %+v:\ngot  %q\nwant %q", r, got, want)
+			}
 		}
 	}
 }

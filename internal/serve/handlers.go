@@ -17,8 +17,8 @@ import (
 
 // RuleJSON is one served rule as /rules and /score documents carry it
 // (field names match the report JSON format so downstream tooling parses
-// both). The handlers do not build it per request: BuildSnapshot renders
-// every rule through it once (render.go), and Go clients and tests decode
+// both). Nothing encodes it: BuildSnapshot renders every rule's bytes once
+// with ruleframe.AppendRule (render.go), and Go clients and tests decode
 // replies into it.
 type RuleJSON struct {
 	Antecedent      []string `json:"antecedent"`

@@ -2,8 +2,8 @@ package serve
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"sync"
@@ -13,54 +13,30 @@ import (
 
 // This file is the rendering half of the read path. A rule set is fixed
 // once a snapshot is built, so each rule's JSON is rendered then — once, by
-// the same encoding/json settings that used to run per request — into the
-// fragment arena, and /rules and /score answer by concatenation: envelope
-// prefix, fragments, tail (internal/ruleframe defines the layout). A router
-// asks for the same bytes as a length-prefixed frame instead of a document
-// (Accept: ruleframe.MediaType), so it can merge shards without parsing.
+// ruleframe.AppendRule, the bytes encoding/json writes for a RuleJSON in a
+// reply — into the fragment arena, and /rules and /score answer by
+// concatenation: envelope prefix, fragments, tail (internal/ruleframe
+// defines the layout). A router asks for the same bytes as a length-prefixed
+// frame instead of a document (Accept: ruleframe.MediaType), so it can merge
+// shards without parsing.
 
-// fragmentDoc is the document a rule is rendered in at build time: a list
-// field of the top-level object, which puts the rule object at the depth
-// (and so the indent) it has in a /rules or /score reply.
-type fragmentDoc struct {
-	R [1]RuleJSON `json:"r"`
-}
-
-// fragmentHead and fragmentTail are what the encoder emits around the rule
-// in a fragmentDoc, up to the rule's own indent and from its closing brace.
-// A fragment is the rest: the indented object without ElemClose, so that
-// /score can append "triggers" behind the last rule field.
-const (
-	fragmentHead = "{\n  \"r\": [\n"
-	fragmentTail = ruleframe.ElemClose + "\n  ]\n}\n"
-)
-
-// buildFragments renders every rule of the arena into the fragment arena.
-// It panics on a rule whose RI or supports are NaN or ±Inf: JSON cannot
-// carry one, no miner or report produces one, and a daemon recovers a
-// panicking load into a failed reload that keeps the previous snapshot.
+// buildFragments renders every rule of the arena into the fragment arena. A
+// fragment is the indented rule object without ElemClose, so that /score can
+// append "triggers" behind the last rule field. It panics on a rule whose RI
+// or supports are NaN or ±Inf: JSON cannot carry one, no miner or report
+// produces one, and a daemon recovers a panicking load into a failed reload
+// that keeps the previous snapshot.
 func (s *Snapshot) buildFragments() {
 	n := s.Len()
 	s.fragOff = make([]uint64, n+1)
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", "  ")
-	var doc fragmentDoc
 	for id := 0; id < n; id++ {
 		e := s.Entry(RuleID(id))
-		doc.R[0] = RuleJSON{
-			Antecedent:      e.Antecedent,
-			Consequent:      e.Consequent,
-			RuleInterest:    e.RI,
-			ExpectedSupport: e.Expected,
-			ActualSupport:   e.Actual,
+		for _, f := range [...]float64{e.RI, e.Expected, e.Actual} {
+			if math.IsNaN(f) || math.IsInf(f, 0) {
+				panic(fmt.Sprintf("serve: rule %d has no JSON form: json: unsupported value: %v", id, f))
+			}
 		}
-		buf.Reset()
-		if err := enc.Encode(&doc); err != nil {
-			panic(fmt.Sprintf("serve: rule %d has no JSON form: %v", id, err))
-		}
-		b := buf.Bytes()
-		s.frag = append(s.frag, b[len(fragmentHead):len(b)-len(fragmentTail)]...)
+		s.frag = ruleframe.AppendRule(s.frag, e.Antecedent, e.Consequent, e.RI, e.Expected, e.Actual)
 		s.fragOff[id+1] = uint64(len(s.frag))
 	}
 	// The arena lives as long as the snapshot: drop the slack that append's

@@ -10,6 +10,14 @@ import (
 	"strings"
 )
 
+// IsBinaryPath reports whether path names a file in the binary format by its
+// suffix: .nmtx, or .nmtx.gz for the gzipped one. Every binary that takes
+// transactions by path chooses between the binary format and basket text by
+// it.
+func IsBinaryPath(path string) bool {
+	return strings.HasSuffix(path, ".nmtx") || strings.HasSuffix(path, ".nmtx.gz")
+}
+
 // isGzipPath reports whether path selects gzip framing (.gz suffix).
 func isGzipPath(path string) bool { return strings.HasSuffix(path, ".gz") }
 
