@@ -7,6 +7,7 @@ import (
 	"sort"
 	"strings"
 
+	"negmine/internal/rulestore"
 	"negmine/internal/snapfmt"
 )
 
@@ -114,9 +115,9 @@ func snapVerify(out io.Writer, path string) error {
 	return nil
 }
 
-// snapDiff compares two snapshots' rule sets by (antecedent, consequent)
-// key and prints added/removed/changed rules plus the count and RI-range
-// deltas.
+// snapDiff compares two snapshots' rule sets by rule signature
+// (rulestore.Compare, exact RI) and prints added/removed/changed rules plus
+// the count and RI-range deltas.
 func snapDiff(out io.Writer, oldPath, newPath string) error {
 	of, err := snapfmt.Open(oldPath)
 	if err != nil {
@@ -137,26 +138,23 @@ func snapDiff(out io.Writer, oldPath, newPath string) error {
 	summarize("old", oldPath, of.Image)
 	summarize("new", newPath, nf.Image)
 
-	oldRules := ruleMap(of.Image)
-	newRules := ruleMap(nf.Image)
-	var added, removed, changed []string
-	for k, ri := range newRules {
-		old, ok := oldRules[k]
-		switch {
-		case !ok:
-			added = append(added, fmt.Sprintf("  + %s  RI %.4g", k, ri))
-		case old != ri:
-			changed = append(changed, fmt.Sprintf("  ~ %s  RI %.4g -> %.4g", k, old, ri))
-		}
-	}
-	for k, ri := range oldRules {
-		if _, ok := newRules[k]; !ok {
-			removed = append(removed, fmt.Sprintf("  - %s  RI %.4g", k, ri))
-		}
-	}
-	if len(added)+len(removed)+len(changed) == 0 {
+	d := rulestore.Compare(imageStore(of.Image), imageStore(nf.Image), 0)
+	if len(d.Appeared)+len(d.Disappeared)+len(d.Changed) == 0 {
 		fmt.Fprintln(out, "identical rule sets")
 		return nil
+	}
+	key := func(e rulestore.Entry) string {
+		return strings.Join(e.Antecedent, ",") + " =/=> " + strings.Join(e.Consequent, ",")
+	}
+	var added, removed, changed []string
+	for _, e := range d.Appeared {
+		added = append(added, fmt.Sprintf("  + %s  RI %.4g", key(e), e.RI))
+	}
+	for _, e := range d.Disappeared {
+		removed = append(removed, fmt.Sprintf("  - %s  RI %.4g", key(e), e.RI))
+	}
+	for _, c := range d.Changed {
+		changed = append(changed, fmt.Sprintf("  ~ %s  RI %.4g -> %.4g", key(c.New), c.Old.RI, c.New.RI))
 	}
 	fmt.Fprintf(out, "added %d, removed %d, changed %d\n", len(added), len(removed), len(changed))
 	for _, group := range [][]string{added, removed, changed} {
@@ -168,20 +166,19 @@ func snapDiff(out io.Writer, oldPath, newPath string) error {
 	return nil
 }
 
-// ruleMap keys every rule by its formatted sides, mapping to its RI.
-func ruleMap(img *snapfmt.Image) map[string]float64 {
-	rules := make(map[string]float64, img.NumRules())
-	for i := 0; i < img.NumRules(); i++ {
+// imageStore reads a snapshot's rules and their interest into a rule store.
+func imageStore(img *snapfmt.Image) *rulestore.Store {
+	names := func(ids []int32) []string {
+		out := make([]string, len(ids))
+		for i, id := range ids {
+			out[i] = img.Name(int(id))
+		}
+		return out
+	}
+	es := make([]rulestore.Entry, img.NumRules())
+	for i := range es {
 		ante, cons := img.RuleSides(i)
-		rules[sideKey(img, ante)+" =/=> "+sideKey(img, cons)] = img.RI[i]
+		es[i] = rulestore.Entry{Antecedent: names(ante), Consequent: names(cons), RI: img.RI[i]}
 	}
-	return rules
-}
-
-func sideKey(img *snapfmt.Image, ids []int32) string {
-	names := make([]string, len(ids))
-	for i, id := range ids {
-		names[i] = img.Name(int(id))
-	}
-	return strings.Join(names, ",")
+	return rulestore.FromEntries(es)
 }

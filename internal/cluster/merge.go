@@ -1,8 +1,8 @@
 package cluster
 
 import (
+	"bytes"
 	"sort"
-	"strings"
 
 	"negmine/internal/ruleframe"
 )
@@ -88,22 +88,18 @@ type ScoreDoc struct {
 	MissingShards []int       `json:"missingShards,omitempty"`
 }
 
-// signature reproduces rulestore.Entry.Signature for a wire rule: the sides
-// arrive pre-sorted from the serving layer, so the join alone matches.
-func signature(r *WireRule) string {
-	return strings.Join(r.Antecedent, "\x1f") + "\x1e" + strings.Join(r.Consequent, "\x1f")
-}
-
 // ruleLess is the serving order on decoded rules (ruleframe.Less on frame
 // entries): descending RI, ties by ascending signature. This is exactly the
 // order a single daemon assigns RuleIDs in (rulestore signature order,
-// stable-sorted by RI), so merging disjoint per-shard ranked lists with it
-// reconstructs the single-node ranking.
+// ranked by RI), so merging disjoint per-shard ranked lists with it
+// reconstructs the single-node ranking. The sides arrive sorted from the
+// serving layer, as the signature requires.
 func ruleLess(a, b *WireRule) bool {
 	if a.RuleInterest != b.RuleInterest {
 		return a.RuleInterest > b.RuleInterest
 	}
-	return signature(a) < signature(b)
+	return bytes.Compare(ruleframe.AppendSignature(nil, a.Antecedent, a.Consequent),
+		ruleframe.AppendSignature(nil, b.Antecedent, b.Consequent)) < 0
 }
 
 // MergeRules is the reference merge of decoded per-shard /rules lists into

@@ -3,9 +3,11 @@ package cluster
 import (
 	"encoding/json"
 	"math/rand"
+	"reflect"
 	"sort"
-	"strings"
 	"testing"
+
+	"negmine/internal/rulestore"
 )
 
 func TestMergeRulesReconstructsGlobalOrder(t *testing.T) {
@@ -47,7 +49,7 @@ func TestMergeRulesReconstructsGlobalOrder(t *testing.T) {
 		t.Fatalf("merged %d rules, want %d", len(merged), len(global))
 	}
 	for i := range merged {
-		if signature(&merged[i]) != signature(&global[i]) || merged[i].RuleInterest != global[i].RuleInterest {
+		if !reflect.DeepEqual(merged[i], global[i]) {
 			t.Fatalf("rank %d: merged %v, want %v", i, merged[i], global[i])
 		}
 	}
@@ -57,7 +59,7 @@ func TestMergeRulesReconstructsGlobalOrder(t *testing.T) {
 		t.Fatalf("limit: got %d rules", len(limited))
 	}
 	for i := range limited {
-		if signature(&limited[i]) != signature(&global[i]) {
+		if !reflect.DeepEqual(limited[i], global[i]) {
 			t.Fatalf("limited rank %d diverges from global order", i)
 		}
 	}
@@ -80,11 +82,26 @@ func TestMergeEmptyEncodesAsArray(t *testing.T) {
 	}
 }
 
+// TestSignatureMatchesRulestoreFormat pins that the merge breaks RI ties in
+// the order a rule store keeps its rules, by rulestore.Entry.Signature, also
+// for names beside and equal to the signature's separators.
 func TestSignatureMatchesRulestoreFormat(t *testing.T) {
-	r := WireRule{Antecedent: []string{"a", "b"}, Consequent: []string{"c"}}
-	want := strings.Join(r.Antecedent, "\x1f") + "\x1e" + strings.Join(r.Consequent, "\x1f")
-	if got := signature(&r); got != want {
-		t.Fatalf("signature = %q, want %q", got, want)
+	names := []string{"", "\x00", "\x1e", "\x1f", "a", "a\x1f", "ab"}
+	var rules []WireRule
+	for _, a := range names {
+		for _, c := range names {
+			rules = append(rules, WireRule{Antecedent: []string{a}, Consequent: []string{c}, RuleInterest: 0.5})
+		}
+	}
+	sig := func(r *WireRule) string {
+		return rulestore.Entry{Antecedent: r.Antecedent, Consequent: r.Consequent}.Signature()
+	}
+	for i := range rules {
+		for j := range rules {
+			if got, want := ruleLess(&rules[i], &rules[j]), sig(&rules[i]) < sig(&rules[j]); got != want {
+				t.Fatalf("ruleLess(%q, %q) = %v, want %v", sig(&rules[i]), sig(&rules[j]), got, want)
+			}
+		}
 	}
 }
 

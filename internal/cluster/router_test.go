@@ -140,7 +140,7 @@ func (b *shardBackend) reply(w http.ResponseWriter, r *http.Request, prefix []by
 	ctype := ruleframe.MediaType
 	out := ruleframe.AppendHeader(nil, prefix, len(rules))
 	for i := range rules {
-		out = ruleframe.AppendEntry(out, rules[i].RuleInterest, []byte(signature(&rules[i])), elemJSON(b.t, elems[i]))
+		out = ruleframe.AppendEntry(out, rules[i].RuleInterest, ruleframe.AppendSignature(nil, rules[i].Antecedent, rules[i].Consequent), elemJSON(b.t, elems[i]))
 	}
 	if b.mangle != nil {
 		ctype, out = b.mangle(ctype, out)

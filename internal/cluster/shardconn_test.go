@@ -302,7 +302,7 @@ func rawFrame(t *testing.T) []byte {
 		t.Fatal(err)
 	}
 	rule := WireRule{Antecedent: []string{"a"}, Consequent: []string{"x"}, RuleInterest: 0.5}
-	return ruleframe.AppendEntry(ruleframe.AppendHeader(nil, prefix, 1), rule.RuleInterest, []byte(signature(&rule)), elemJSON(t, rule))
+	return ruleframe.AppendEntry(ruleframe.AppendHeader(nil, prefix, 1), rule.RuleInterest, ruleframe.AppendSignature(nil, rule.Antecedent, rule.Consequent), elemJSON(t, rule))
 }
 
 // rawReply is the head of a frame reply, with extra header lines.

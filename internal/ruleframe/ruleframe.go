@@ -238,20 +238,20 @@ func AppendTail(dst []byte, n int, missing []int) []byte {
 	return append(dst, "\n}\n"...)
 }
 
-// AppendSignature appends a rule's signature, the tie-break of the serving
-// order: the (sorted) antecedent names joined by 0x1f, 0x1e, then the
-// consequent names likewise — rulestore.Entry.Signature for sorted sides.
+// AppendSignature appends a rule's signature, the one definition of a rule's
+// identity by name and of the order rules are stored and tied in: the
+// antecedent names joined by "\x1f", "\x1e", then the consequent names
+// likewise. Both sides must be sorted; signatures order by bytes.Compare.
 func AppendSignature(dst []byte, antecedent, consequent []string) []byte {
-	for i, name := range antecedent {
+	dst = appendJoined(dst, antecedent)
+	dst = append(dst, "\x1e"...)
+	return appendJoined(dst, consequent)
+}
+
+func appendJoined(dst []byte, names []string) []byte {
+	for i, name := range names {
 		if i > 0 {
-			dst = append(dst, 0x1f)
-		}
-		dst = append(dst, name...)
-	}
-	dst = append(dst, 0x1e)
-	for i, name := range consequent {
-		if i > 0 {
-			dst = append(dst, 0x1f)
+			dst = append(dst, "\x1f"...)
 		}
 		dst = append(dst, name...)
 	}

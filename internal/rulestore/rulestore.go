@@ -1,24 +1,35 @@
 // Package rulestore manages collections of mined negative rules across
-// mining runs: persistence (via the report JSON format), indexed lookups by
-// item, and diffing two runs — the marketing workflow the paper motivates
+// mining runs: persistence (via the report JSON format), lookups by a rule's
+// sides, and diffing two runs — the marketing workflow the paper motivates
 // ("which negative associations appeared since last quarter?").
+//
+// A store is one slice of rules sorted by signature (ruleframe.AppendSignature,
+// the rule's identity by name), built once: every signature is appended to one
+// byte slab at construction and read back from it, never built again.
 package rulestore
 
 import (
+	"bytes"
+	"cmp"
 	"fmt"
 	"io"
+	"math"
+	"slices"
 	"sort"
 	"strings"
 
 	"negmine/internal/item"
 	"negmine/internal/negative"
 	"negmine/internal/report"
+	"negmine/internal/ruleframe"
 )
 
 // Store holds one run's negative rules with name-based identity (so two
 // runs over differently-interned dictionaries still compare correctly).
 type Store struct {
-	rules map[string]Entry // keyed by canonical "a…=/=>c…" signature
+	entries []Entry // sorted by signature, one rule per signature
+	sigs    []byte  // entries[i]'s signature is sigs[offs[i]:offs[i+1]]
+	offs    []int
 }
 
 // Entry is one stored rule with name-resolved sides.
@@ -32,15 +43,10 @@ type Entry struct {
 
 // Signature returns the canonical identity of the rule (sorted names).
 func (e Entry) Signature() string {
-	return signature(e.Antecedent, e.Consequent)
-}
-
-func signature(ante, cons []string) string {
-	a := append([]string(nil), ante...)
-	c := append([]string(nil), cons...)
-	sort.Strings(a)
-	sort.Strings(c)
-	return strings.Join(a, "\x1f") + "\x1e" + strings.Join(c, "\x1f")
+	a, c := slices.Clone(e.Antecedent), slices.Clone(e.Consequent)
+	slices.Sort(a)
+	slices.Sort(c)
+	return string(ruleframe.AppendSignature(nil, a, c))
 }
 
 // String renders the entry.
@@ -51,27 +57,23 @@ func (e Entry) String() string {
 
 // New builds a store from a mining result.
 func New(res *negative.Result, name func(item.Item) string) *Store {
-	s := &Store{rules: map[string]Entry{}}
+	total := 0
 	for _, r := range res.Rules {
-		e := Entry{
-			Antecedent: sortedNames(r.Antecedent, name),
-			Consequent: sortedNames(r.Consequent, name),
-			RI:         r.RI,
-			Expected:   r.Expected,
-			Actual:     r.Actual,
+		total += r.Antecedent.Len() + r.Consequent.Len()
+	}
+	names := make([]string, 0, total) // every side is a subslice of names
+	side := func(set item.Itemset) []string {
+		start := len(names)
+		for _, x := range set {
+			names = append(names, name(x))
 		}
-		s.rules[e.Signature()] = e
+		return names[start:len(names):len(names)]
 	}
-	return s
-}
-
-func sortedNames(set item.Itemset, name func(item.Item) string) []string {
-	out := make([]string, set.Len())
-	for i, x := range set {
-		out[i] = name(x)
+	es := make([]Entry, len(res.Rules))
+	for i, r := range res.Rules {
+		es[i] = Entry{side(r.Antecedent), side(r.Consequent), r.RI, r.Expected, r.Actual}
 	}
-	sort.Strings(out)
-	return out
+	return FromEntries(es)
 }
 
 // Load reads a store from the report JSON format (WriteNegativeJSON).
@@ -86,56 +88,60 @@ func Load(r io.Reader) (*Store, error) {
 // FromReport indexes an already-parsed report (the in-process hook used by
 // the serving layer, which holds a report rather than a JSON stream).
 func FromReport(rep *report.NegativeReport) *Store {
-	s := &Store{rules: map[string]Entry{}}
-	for _, rr := range rep.Rules {
-		e := Entry{
-			Antecedent: append([]string(nil), rr.Antecedent...),
-			Consequent: append([]string(nil), rr.Consequent...),
-			RI:         rr.RuleInterest,
-			Expected:   rr.ExpectedSupport,
-			Actual:     rr.ActualSupport,
-		}
+	es := make([]Entry, len(rep.Rules))
+	for i, rr := range rep.Rules {
+		es[i] = Entry{slices.Clone(rr.Antecedent), slices.Clone(rr.Consequent), rr.RuleInterest, rr.ExpectedSupport, rr.ActualSupport}
+	}
+	return FromEntries(es)
+}
+
+// FromEntries stores es, sorting each rule's sides in place. Of rules with
+// the same signature the last one is kept.
+func FromEntries(es []Entry) *Store {
+	slab, offs := []byte(nil), make([]int, len(es)+1)
+	for i := range es {
+		e := &es[i]
 		sort.Strings(e.Antecedent)
 		sort.Strings(e.Consequent)
-		s.rules[e.Signature()] = e
+		slab = ruleframe.AppendSignature(slab, e.Antecedent, e.Consequent)
+		offs[i+1] = len(slab)
+	}
+	sig := func(i int32) []byte { return slab[offs[i]:offs[i+1]] }
+	ids := make([]int32, len(es))
+	for i := range ids {
+		ids[i] = int32(i)
+	}
+	slices.SortFunc(ids, func(a, b int32) int { return cmp.Or(bytes.Compare(sig(a), sig(b)), cmp.Compare(a, b)) })
+
+	s := &Store{entries: make([]Entry, 0, len(es)), sigs: make([]byte, 0, len(slab)), offs: make([]int, 1, len(es)+1)}
+	for k, id := range ids {
+		if k+1 < len(ids) && bytes.Equal(sig(id), sig(ids[k+1])) {
+			continue // a later rule has the same signature
+		}
+		s.entries = append(s.entries, es[id])
+		s.sigs = append(s.sigs, sig(id)...)
+		s.offs = append(s.offs, len(s.sigs))
 	}
 	return s
 }
 
+func (s *Store) sig(i int) []byte { return s.sigs[s.offs[i]:s.offs[i+1]] }
+
 // Len returns the number of stored rules.
-func (s *Store) Len() int { return len(s.rules) }
+func (s *Store) Len() int { return len(s.entries) }
 
-// All returns the rules sorted by signature (deterministic). Every rule is
-// stored under its own signature, so sorting the keys sorts the rules.
-func (s *Store) All() []Entry {
-	sigs := make([]string, 0, len(s.rules))
-	for sig := range s.rules {
-		sigs = append(sigs, sig)
-	}
-	sort.Strings(sigs)
-	out := make([]Entry, len(sigs))
-	for i, sig := range sigs {
-		out[i] = s.rules[sig]
-	}
-	return out
-}
-
-// Each calls fn for every rule in deterministic (signature) order, stopping
-// early when fn returns false. It is the iteration hook consumers that build
-// their own indexes (e.g. the serving snapshot) use: unlike All it lets them
-// stop early, and its ordering contract is pinned by tests.
-func (s *Store) Each(fn func(Entry) bool) {
-	for _, e := range s.All() {
-		if !fn(e) {
-			return
-		}
-	}
-}
+// All returns the rules in signature order; a rule's index is its store
+// position. The slice is the store's own: callers must not modify it.
+func (s *Store) All() []Entry { return s.entries }
 
 // Lookup returns the stored entry matching the given sides, if any.
 func (s *Store) Lookup(ante, cons []string) (Entry, bool) {
-	e, ok := s.rules[signature(ante, cons)]
-	return e, ok
+	sig := Entry{Antecedent: ante, Consequent: cons}.Signature()
+	i := sort.Search(s.Len(), func(i int) bool { return string(s.sig(i)) >= sig })
+	if i < s.Len() && string(s.sig(i)) == sig {
+		return s.entries[i], true
+	}
+	return Entry{}, false
 }
 
 // Diff compares two runs (typically two time periods of the same store's
@@ -153,42 +159,32 @@ type Change struct {
 	Old, New Entry
 }
 
-// Compare diffs old → new.
+// Compare diffs old → new. Both stores are in signature order, so one merge
+// of the two yields every section in signature order.
 func Compare(old, new *Store, riTolerance float64) *Diff {
 	d := &Diff{}
-	for sig, ne := range new.rules {
-		oe, ok := old.rules[sig]
-		switch {
-		case !ok:
-			d.Appeared = append(d.Appeared, ne)
-		case abs(ne.RI-oe.RI) > riTolerance:
-			d.Changed = append(d.Changed, Change{Old: oe, New: ne})
-		default:
-			d.Unchanged++
-		}
-	}
-	for sig, oe := range old.rules {
-		if _, ok := new.rules[sig]; !ok {
+	i, j := 0, 0
+	for i < old.Len() && j < new.Len() {
+		oe, ne := old.entries[i], new.entries[j]
+		switch c := bytes.Compare(old.sig(i), new.sig(j)); {
+		case c < 0:
 			d.Disappeared = append(d.Disappeared, oe)
+			i++
+		case c > 0:
+			d.Appeared = append(d.Appeared, ne)
+			j++
+		default:
+			if math.Abs(ne.RI-oe.RI) > riTolerance {
+				d.Changed = append(d.Changed, Change{Old: oe, New: ne})
+			} else {
+				d.Unchanged++
+			}
+			i, j = i+1, j+1
 		}
 	}
-	sortEntries(d.Appeared)
-	sortEntries(d.Disappeared)
-	sort.Slice(d.Changed, func(i, j int) bool {
-		return d.Changed[i].New.Signature() < d.Changed[j].New.Signature()
-	})
+	d.Disappeared = append(d.Disappeared, old.entries[i:]...)
+	d.Appeared = append(d.Appeared, new.entries[j:]...)
 	return d
-}
-
-func sortEntries(es []Entry) {
-	sort.Slice(es, func(i, j int) bool { return es[i].Signature() < es[j].Signature() })
-}
-
-func abs(f float64) float64 {
-	if f < 0 {
-		return -f
-	}
-	return f
 }
 
 // Print renders the diff as a human-readable changelog.

@@ -2,7 +2,11 @@ package rulestore
 
 import (
 	"bytes"
+	"math"
+	"math/rand"
 	"reflect"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -188,27 +192,171 @@ func itoa(i int) string {
 	return string(b)
 }
 
-// TestEachOrderAndStop pins the Each hook's contract: signature order,
-// early stop.
-func TestEachOrderAndStop(t *testing.T) {
-	s := New(resultB(), names())
-	var sigs []string
-	s.Each(func(e Entry) bool {
-		sigs = append(sigs, e.Signature())
-		return true
-	})
-	if len(sigs) != 3 {
-		t.Fatalf("Each visited %d rules", len(sigs))
+// TestAllOrder pins All's contract: signature order, one rule per signature.
+func TestAllOrder(t *testing.T) {
+	all := New(resultB(), names()).All()
+	if len(all) != 3 {
+		t.Fatalf("All holds %d rules", len(all))
 	}
-	for i := 1; i < len(sigs); i++ {
-		if sigs[i-1] >= sigs[i] {
-			t.Fatal("Each not in signature order")
+	for i := 1; i < len(all); i++ {
+		if all[i-1].Signature() >= all[i].Signature() {
+			t.Fatal("All not in signature order")
 		}
 	}
-	n := 0
-	s.Each(func(Entry) bool { n++; return false })
-	if n != 1 {
-		t.Fatalf("Each ignored early stop: %d visits", n)
+}
+
+// alphabet holds names that sit next to, or are, the signature's separators
+// and the bytes around them, so a store order that is not bytes.Compare over
+// ruleframe.AppendSignature, or a key that tells no more apart than the
+// joined one did, shows.
+var alphabet = []string{"", "\x00", "\x1e", "\x1f", "a", "a\x1f", "ab", ",", "é", "日本"}
+
+// randomEntries draws n rules over alphabet with small sides, repeated sides
+// (under other RIs) and a handful of RIs, so duplicates and ties are common.
+func randomEntries(rng *rand.Rand, n int) []Entry {
+	side := func() []string {
+		out := make([]string, 1+rng.Intn(3))
+		for i := range out {
+			out[i] = alphabet[rng.Intn(len(alphabet))]
+		}
+		return out
+	}
+	es := make([]Entry, n)
+	for i := range es {
+		if i > 0 && rng.Intn(4) == 0 {
+			prev := es[rng.Intn(i)]
+			es[i] = Entry{Antecedent: slices.Clone(prev.Antecedent), Consequent: slices.Clone(prev.Consequent)}
+		} else {
+			es[i] = Entry{Antecedent: side(), Consequent: side()}
+		}
+		es[i].RI = float64(rng.Intn(4)) / 4
+		es[i].Expected, es[i].Actual = rng.Float64(), rng.Float64()
+	}
+	return es
+}
+
+// joinedKey is the signature as the store spelled it while it was a map: a
+// string joined from sorted copies of the sides.
+func joinedKey(e Entry) string {
+	a, c := slices.Clone(e.Antecedent), slices.Clone(e.Consequent)
+	sort.Strings(a)
+	sort.Strings(c)
+	return strings.Join(a, "\x1f") + "\x1e" + strings.Join(c, "\x1f")
+}
+
+// mapStore is the store as it was: a map from joinedKey, the last rule of a
+// key kept, read out in sort.Strings order of the keys.
+type mapStore map[string]Entry
+
+func newMapStore(es []Entry) mapStore {
+	m := mapStore{}
+	for _, e := range es {
+		e.Antecedent, e.Consequent = slices.Clone(e.Antecedent), slices.Clone(e.Consequent)
+		sort.Strings(e.Antecedent)
+		sort.Strings(e.Consequent)
+		m[joinedKey(e)] = e
+	}
+	return m
+}
+
+func (m mapStore) all() []Entry {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	out := make([]Entry, len(keys))
+	for i, k := range keys {
+		out[i] = m[k]
+	}
+	return out
+}
+
+// compareMaps is Compare as it was over the map: walk both maps, then sort
+// each section by the joined key.
+func compareMaps(old, new mapStore, riTolerance float64) *Diff {
+	d := &Diff{}
+	for sig, ne := range new {
+		oe, ok := old[sig]
+		switch {
+		case !ok:
+			d.Appeared = append(d.Appeared, ne)
+		case math.Abs(ne.RI-oe.RI) > riTolerance:
+			d.Changed = append(d.Changed, Change{Old: oe, New: ne})
+		default:
+			d.Unchanged++
+		}
+	}
+	for sig, oe := range old {
+		if _, ok := new[sig]; !ok {
+			d.Disappeared = append(d.Disappeared, oe)
+		}
+	}
+	byKey := func(a, b Entry) int { return strings.Compare(joinedKey(a), joinedKey(b)) }
+	slices.SortFunc(d.Appeared, byKey)
+	slices.SortFunc(d.Disappeared, byKey)
+	slices.SortFunc(d.Changed, func(a, b Change) int { return byKey(a.New, b.New) })
+	return d
+}
+
+// TestOrderMatchesJoinedKey holds the sorted store to the map it replaced on
+// random stores over alphabet: the same rules in the same order, the last of
+// a signature kept, by every constructor; Lookup finding each; and Compare
+// equal to the map's diff section by section.
+func TestOrderMatchesJoinedKey(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 300; trial++ {
+		es := randomEntries(rng, rng.Intn(40))
+		want := newMapStore(es)
+
+		rep := &report.NegativeReport{}
+		res := &negative.Result{}
+		var dict []string // item i is named dict[i]
+		intern := func(names []string) item.Itemset {
+			var ids []item.Item
+			for _, name := range names {
+				ids = append(ids, item.Item(len(dict)))
+				dict = append(dict, name)
+			}
+			return item.New(ids...)
+		}
+		for _, e := range es {
+			rep.Rules = append(rep.Rules, report.NegativeRuleRecord{Antecedent: e.Antecedent, Consequent: e.Consequent,
+				RuleInterest: e.RI, ExpectedSupport: e.Expected, ActualSupport: e.Actual})
+			res.Rules = append(res.Rules, negative.Rule{Antecedent: intern(e.Antecedent), Consequent: intern(e.Consequent),
+				RI: e.RI, Expected: e.Expected, Actual: e.Actual})
+		}
+		stores := map[string]*Store{
+			"FromReport":  FromReport(rep),
+			"New":         New(res, func(x item.Item) string { return dict[x] }),
+			"FromEntries": FromEntries(slices.Clone(es)),
+		}
+		for name, st := range stores {
+			if got := st.All(); !reflect.DeepEqual(got, want.all()) || st.Len() != len(want) {
+				t.Fatalf("trial %d: %s holds\n%q\nwant\n%q", trial, name, got, want.all())
+			}
+		}
+		st := stores["FromEntries"]
+		for _, e := range es {
+			got, ok := st.Lookup(e.Antecedent, e.Consequent)
+			if !ok || !reflect.DeepEqual(got, want[joinedKey(e)]) {
+				t.Fatalf("trial %d: Lookup(%q, %q) = %v, %v", trial, e.Antecedent, e.Consequent, got, ok)
+			}
+		}
+		if _, ok := st.Lookup([]string{"absent"}, nil); ok {
+			t.Fatalf("trial %d: Lookup found an absent rule", trial)
+		}
+
+		next := randomEntries(rng, rng.Intn(40))
+		if len(es) > 0 {
+			next = append(next, es[:rng.Intn(len(es))]...) // some rules carry over
+		}
+		for _, tol := range []float64{0, 0.3} {
+			got := Compare(st, FromEntries(slices.Clone(next)), tol)
+			if want := compareMaps(want, newMapStore(next), tol); !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d, tolerance %v: Compare = %+v\nwant %+v", trial, tol, got, want)
+			}
+		}
 	}
 }
 
@@ -233,8 +381,7 @@ func TestFromReport(t *testing.T) {
 	}
 }
 
-// TestAllAllocs pins All at its two slices: sorting the stored signatures
-// builds no signature per comparison.
+// TestAllAllocs pins All at no allocation: it returns the store's own slice.
 func TestAllAllocs(t *testing.T) {
 	res := &negative.Result{}
 	for i := 0; i < 500; i++ {
@@ -245,8 +392,8 @@ func TestAllAllocs(t *testing.T) {
 		})
 	}
 	s := New(res, func(i item.Item) string { return "item-" + itoa(int(i)) })
-	if allocs := testing.AllocsPerRun(20, func() { s.All() }); allocs > 2 {
-		t.Fatalf("All: %v allocs/op, want ≤ 2", allocs)
+	if allocs := testing.AllocsPerRun(20, func() { s.All() }); allocs != 0 {
+		t.Fatalf("All: %v allocs/op, want 0", allocs)
 	}
 }
 

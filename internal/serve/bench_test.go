@@ -7,6 +7,7 @@ import (
 	"net/url"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 
@@ -106,21 +107,30 @@ func BenchmarkHandlerRules(b *testing.B) {
 
 var benchSnapshot *Snapshot
 
-// BenchmarkBuildSnapshot builds serve-read's rule set and a stream-sized one:
-// a handful of rules over Short's full taxonomy, whose vocabulary every
-// refresh of a streaming daemon shares (TestBuildSnapshotStreamBytes pins
-// what the rest allocates).
+// BenchmarkBuildSnapshot builds serve-read's rule set, a stream-sized one (a
+// handful of rules over Short's full taxonomy, whose vocabulary every refresh
+// of a streaming daemon shares; TestBuildSnapshotStreamBytes pins what the
+// rest allocates) and Tall 5 000 at 1 % / 0.5, ≈ 54 k rules, where ranking
+// them shows. Each set's RuleID order is first held to a stable sort by
+// descending RI over the store's signature order.
 func BenchmarkBuildSnapshot(b *testing.B) {
 	for _, set := range []struct {
 		name          string
+		p             datagen.Params
 		minSup, minRI float64
 		maxK          int
 	}{
-		{"short", 0.01, 0.5, 0},
-		{"stream", 0.0125, 0.5, 3},
+		{"short", datagen.Short(), 0.01, 0.5, 0},
+		{"stream", datagen.Short(), 0.0125, 0.5, 3},
+		{"tall-1pct", datagen.Tall(), 0.01, 0.5, 0},
 	} {
-		st, tax := benchStore(b, datagen.Short(), 5000, set.minSup, set.minRI, set.maxK)
+		st, tax := benchStore(b, set.p, 5000, set.minSup, set.minRI, set.maxK)
 		b.Logf("%s: %d rules, %d taxonomy nodes", set.name, st.Len(), tax.Size())
+		want := slices.Clone(st.All())
+		sort.SliceStable(want, func(i, j int) bool { return want[i].RI > want[j].RI })
+		if !entriesEqual(BuildSnapshot(st, tax, Meta{}).Rules(), want) {
+			b.Fatalf("%s: RuleID order is not the stable sort by RI over signature order", set.name)
+		}
 		b.Run(set.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -23,11 +24,7 @@ type reference struct {
 }
 
 func newReference(st *rulestore.Store, parent map[string]string) *reference {
-	r := &reference{parent: parent}
-	st.Each(func(e rulestore.Entry) bool {
-		r.ranked = append(r.ranked, e)
-		return true
-	})
+	r := &reference{parent: parent, ranked: slices.Clone(st.All())}
 	sort.SliceStable(r.ranked, func(i, j int) bool { return r.ranked[i].RI > r.ranked[j].RI })
 	return r
 }
@@ -173,6 +170,43 @@ func randomWorld(t *testing.T, rng *rand.Rand) (*rulestore.Store, *taxonomy.Taxo
 		})
 	}
 	return rulestore.FromReport(rep), tax, parent, pool
+}
+
+// TestBuildSnapshotRank holds BuildSnapshot's RuleID order to a stable sort
+// by descending RI over the kept rules in store order, on random stores with
+// many RI ties, names beside and equal to the signature's separators, and a
+// Keep filter.
+func TestBuildSnapshotRank(t *testing.T) {
+	alphabet := []string{"", "\x00", "\x1e", "\x1f", "a", "a\x1f", "ab", ",", "é", "日本"}
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 200; trial++ {
+		side := func() []string {
+			out := make([]string, 1+rng.Intn(3))
+			for i := range out {
+				out[i] = alphabet[rng.Intn(len(alphabet))]
+			}
+			return out
+		}
+		es := make([]rulestore.Entry, rng.Intn(60))
+		for i := range es {
+			es[i] = rulestore.Entry{Antecedent: side(), Consequent: side(), RI: float64(rng.Intn(4)) / 4, Actual: rng.Float64()}
+		}
+		st := rulestore.FromEntries(es)
+		mod := 1 + rng.Intn(3)
+		keep := func(ante, cons []string) bool { return (len(ante)+len(cons))%mod != 0 }
+		for _, meta := range []Meta{{}, {Keep: keep}} {
+			var want []rulestore.Entry
+			for _, e := range st.All() {
+				if meta.Keep == nil || meta.Keep(e.Antecedent, e.Consequent) {
+					want = append(want, e)
+				}
+			}
+			sort.SliceStable(want, func(i, j int) bool { return want[i].RI > want[j].RI })
+			if got := BuildSnapshot(st, nil, meta).Rules(); !entriesEqual(got, want) {
+				t.Fatalf("trial %d (filtered %v): RuleID order\n%q\nwant\n%q", trial, meta.Keep != nil, got, want)
+			}
+		}
+	}
 }
 
 // TestSnapshotMatchesNaiveReference cross-checks the arena/bitmap snapshot

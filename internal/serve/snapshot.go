@@ -18,7 +18,9 @@
 // RuleID order is serving-rank order (descending RI, ties by signature), so
 // "all rules with RI ≥ t" is the id prefix [0, k) found by one binary
 // search, and enumerating a posting list in ascending id order yields rank
-// order for free.
+// order for free. A rule store is sorted by signature already, so the build
+// ranks by sorting store positions once: no entry is copied, no signature
+// is built.
 //
 // The two per-item indexes — antecedent, and the taxonomy-ancestor "reach"
 // index (rules naming the item or an ancestor on either side) — are derived
@@ -33,12 +35,12 @@
 package serve
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"maps"
 	"math/bits"
 	"slices"
-	"sort"
 	"sync"
 	"time"
 
@@ -211,25 +213,24 @@ type Meta struct {
 // exact item names only). meta describes provenance; its zero value is fine.
 func BuildSnapshot(st *rulestore.Store, tax *taxonomy.Taxonomy, meta Meta) *Snapshot {
 	start := time.Now()
-	entries := make([]rulestore.Entry, 0, st.Len())
-	st.Each(func(e rulestore.Entry) bool {
-		if meta.Keep == nil || meta.Keep(e.Antecedent, e.Consequent) {
-			entries = append(entries, e)
+	// ids are the kept rules' store positions, ranked once: descending RI,
+	// ties in store position, which is signature order.
+	all := st.All()
+	ids := make([]int32, 0, len(all))
+	for i := range all {
+		if meta.Keep == nil || meta.Keep(all[i].Antecedent, all[i].Consequent) {
+			ids = append(ids, int32(i))
 		}
-		return true
-	})
-	// Each yields signature order; re-sort by descending RI so that id order
-	// is rank order (the stable sort keeps signature order across RI ties,
-	// keeping results deterministic).
-	sort.SliceStable(entries, func(i, j int) bool { return entries[i].RI > entries[j].RI })
+	}
+	slices.SortFunc(ids, func(a, b int32) int { return cmp.Or(cmp.Compare(all[b].RI, all[a].RI), cmp.Compare(a, b)) })
 
 	s := &Snapshot{
 		source: meta.Source,
 		minSup: meta.MinSupport,
 		minRI:  meta.MinRI,
 	}
-	s.vocabulary(tax, entries)
-	s.buildArena(entries)
+	s.vocabulary(tax, all, ids)
+	s.buildArena(all, ids)
 	s.buildFragments()
 	s.index()
 	s.buildDur = time.Since(start)
@@ -241,10 +242,11 @@ func BuildSnapshot(st *rulestore.Store, tax *taxonomy.Taxonomy, meta Meta) *Snap
 // first, in taxonomy id order, so expansion works for every node the
 // hierarchy knows (a leaf with no rules of its own still reaches its
 // category's rules) and interned id == taxonomy id; then any name only a rule
-// knows, without ancestors. The taxonomy's part is tax.Interned(), shared
-// read-only by every snapshot built against tax; only a rule set naming an
-// item outside it copies it to extend the copy.
-func (s *Snapshot) vocabulary(tax *taxonomy.Taxonomy, entries []rulestore.Entry) {
+// knows, in the order ids visits all's rules, without ancestors. The
+// taxonomy's part is tax.Interned(), shared read-only by every snapshot built
+// against tax; only a rule set naming an item outside it copies it to extend
+// the copy.
+func (s *Snapshot) vocabulary(tax *taxonomy.Taxonomy, all []rulestore.Entry, ids []int32) {
 	shared := tax != nil
 	if shared {
 		v := tax.Interned()
@@ -252,8 +254,8 @@ func (s *Snapshot) vocabulary(tax *taxonomy.Taxonomy, entries []rulestore.Entry)
 	} else {
 		s.itemID, s.ancOff = map[string]int32{}, []uint32{0}
 	}
-	for _, e := range entries {
-		for _, side := range [2][]string{e.Antecedent, e.Consequent} {
+	for _, id := range ids {
+		for _, side := range [2][]string{all[id].Antecedent, all[id].Consequent} {
 			for _, name := range side {
 				if _, ok := s.itemID[name]; ok {
 					continue
@@ -276,12 +278,13 @@ func (s *Snapshot) ancChain(x int32) []int32 {
 	return s.ancIDs[s.ancOff[x]:s.ancOff[x+1]]
 }
 
-// buildArena packs every entry field into the parallel arena slices.
-func (s *Snapshot) buildArena(entries []rulestore.Entry) {
-	n := len(entries)
+// buildArena packs the fields of all's rules, in the order ids gives, into
+// the parallel arena slices: rule all[ids[i]] becomes RuleID i.
+func (s *Snapshot) buildArena(all []rulestore.Entry, ids []int32) {
+	n := len(ids)
 	total := 0
-	for _, e := range entries {
-		total += len(e.Antecedent) + len(e.Consequent)
+	for _, id := range ids {
+		total += len(all[id].Antecedent) + len(all[id].Consequent)
 	}
 	s.ri = make([]float64, n)
 	s.expected = make([]float64, n)
@@ -289,7 +292,8 @@ func (s *Snapshot) buildArena(entries []rulestore.Entry) {
 	s.off = make([]uint32, 2*n+1)
 	s.sideIDs = make([]int32, 0, total)
 	s.sideNames = make([]string, 0, total)
-	for i, e := range entries {
+	for i, id := range ids {
+		e := &all[id]
 		s.ri[i] = e.RI
 		s.expected[i] = e.Expected
 		s.actual[i] = e.Actual

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -22,9 +23,12 @@ import (
 // taxonomy's vocabulary: every name interned afresh — the taxonomy's in id
 // order, then the rules' — and every ancestor chain flattened again.
 func scratchSnapshot(st *rulestore.Store, tax *taxonomy.Taxonomy) *Snapshot {
-	var entries []rulestore.Entry
-	st.Each(func(e rulestore.Entry) bool { entries = append(entries, e); return true })
-	sort.SliceStable(entries, func(i, j int) bool { return entries[i].RI > entries[j].RI })
+	all := st.All()
+	ids := make([]int32, len(all))
+	for i := range ids {
+		ids[i] = int32(i)
+	}
+	sort.SliceStable(ids, func(i, j int) bool { return all[ids[i]].RI > all[ids[j]].RI })
 	s := &Snapshot{itemID: map[string]int32{}}
 	intern := func(name string) {
 		if _, ok := s.itemID[name]; !ok {
@@ -37,8 +41,8 @@ func scratchSnapshot(st *rulestore.Store, tax *taxonomy.Taxonomy) *Snapshot {
 			intern(tax.Name(item.Item(id)))
 		}
 	}
-	for _, e := range entries {
-		for _, n := range append(append([]string(nil), e.Antecedent...), e.Consequent...) {
+	for _, id := range ids {
+		for _, n := range append(slices.Clone(all[id].Antecedent), all[id].Consequent...) {
 			intern(n)
 		}
 	}
@@ -52,7 +56,7 @@ func scratchSnapshot(st *rulestore.Store, tax *taxonomy.Taxonomy) *Snapshot {
 			}
 		}
 	}
-	s.buildArena(entries)
+	s.buildArena(all, ids)
 	s.buildFragments()
 	s.index()
 	return s

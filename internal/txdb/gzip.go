@@ -65,7 +65,10 @@ func openReader(path string) (*bufio.Reader, io.Closer, error) {
 	gz, err := gzip.NewReader(bufio.NewReaderSize(f, 1<<16))
 	if err != nil {
 		f.Close()
-		return nil, nil, fmt.Errorf("txdb: %s: gzip: %w", path, err)
+		if !strings.HasPrefix(err.Error(), "gzip: ") { // gzip.ErrHeader and the like say it already
+			err = fmt.Errorf("gzip: %w", err)
+		}
+		return nil, nil, fmt.Errorf("txdb: %s: %w", path, err)
 	}
 	return bufio.NewReaderSize(gz, 1<<16), multiCloser{gz, f}, nil
 }

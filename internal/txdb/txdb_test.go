@@ -479,11 +479,19 @@ func TestGzipRoundTrip(t *testing.T) {
 	}
 }
 
+// TestGzipRejectsGarbage: a .gz that is not gzip, or is empty, fails with an
+// error that names the file and says "gzip:" once.
 func TestGzipRejectsGarbage(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "bad.nmtx.gz")
-	os.WriteFile(path, []byte("not gzip at all"), 0o644)
-	if _, err := OpenFile(path); err == nil {
-		t.Error("non-gzip .gz accepted")
+	for _, content := range []string{"not gzip at all", ""} {
+		path := filepath.Join(t.TempDir(), "bad.nmtx.gz")
+		os.WriteFile(path, []byte(content), 0o644)
+		_, err := OpenFile(path)
+		if err == nil {
+			t.Fatalf("%q as .gz accepted", content)
+		}
+		if msg := err.Error(); !strings.Contains(msg, path) || strings.Count(msg, "gzip:") != 1 {
+			t.Errorf("%q as .gz: error %q, want the path and one \"gzip:\"", content, msg)
+		}
 	}
 }
 
