@@ -176,6 +176,23 @@ func TestRunFlagErrors(t *testing.T) {
 	}
 }
 
+// TestRunRejectsNaNThresholds: a NaN threshold is outside every accepted
+// range, so each fails with its validation error instead of mining.
+func TestRunRejectsNaNThresholds(t *testing.T) {
+	data, tax := writeFixtures(t)
+	for _, c := range []struct{ flags, want string }{
+		{"-minsup NaN", "MinSupport = NaN"},
+		{"-minri NaN", "MinRI = NaN"},
+		{"-positive -minconf NaN", "minConf = NaN"},
+	} {
+		var out bytes.Buffer
+		err := run(append([]string{"-data", data, "-tax", tax}, strings.Fields(c.flags)...), &out)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %v, want one naming %q", c.flags, err, c.want)
+		}
+	}
+}
+
 func TestRunJSONAndCSV(t *testing.T) {
 	data, tax := writeFixtures(t)
 	var out bytes.Buffer

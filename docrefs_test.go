@@ -262,3 +262,21 @@ func TestDocsCiteExistingFlags(t *testing.T) {
 		t.Fatalf("only %d flag citations found: the scan missed the docs", cited)
 	}
 }
+
+// recvName is the type name of a method receiver: T, *T, T[P] or *T[P].
+func recvName(e ast.Expr) string {
+	for {
+		switch x := e.(type) {
+		case *ast.StarExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.IndexListExpr:
+			e = x.X
+		case *ast.Ident:
+			return x.Name
+		default:
+			return "?"
+		}
+	}
+}

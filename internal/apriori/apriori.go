@@ -5,7 +5,8 @@
 //
 // The paper under reproduction uses Apriori twice: its generalized miners
 // (package gen) reuse Gen and the counting engine, and its negative rule
-// generator (package negative) extends GenRules.
+// generator (package negative) runs GenRules' consequent walk,
+// item.Consequents, with its own test of each consequent.
 package apriori
 
 import (
@@ -31,7 +32,7 @@ type Options struct {
 
 // Validate checks option sanity.
 func (o Options) Validate() error {
-	if o.MinSupport <= 0 || o.MinSupport > 1 {
+	if !(o.MinSupport > 0 && o.MinSupport <= 1) {
 		return fmt.Errorf("apriori: MinSupport = %v, want (0, 1]", o.MinSupport)
 	}
 	if o.MaxK < 0 {

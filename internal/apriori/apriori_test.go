@@ -62,6 +62,7 @@ func TestMineOptionsValidation(t *testing.T) {
 		{MinSupport: 0},
 		{MinSupport: -0.5},
 		{MinSupport: 1.5},
+		{MinSupport: math.NaN()},
 		{MinSupport: 0.5, MaxK: -1},
 	} {
 		if _, err := Mine(classicDB(), opt); err == nil {
@@ -320,7 +321,24 @@ func TestGenRulesAgainstBruteForce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Brute-force: every split of every large itemset.
+	wantRules := bruteForceRules(res, minConf)
+	gotRules := map[string]float64{}
+	for _, rl := range rules {
+		gotRules[rl.Antecedent.String()+"=>"+rl.Consequent.String()] = rl.Confidence
+	}
+	if len(gotRules) != len(wantRules) {
+		t.Fatalf("got %d rules, want %d", len(gotRules), len(wantRules))
+	}
+	for k, conf := range wantRules {
+		if g, ok := gotRules[k]; !ok || g != conf {
+			t.Errorf("rule %s: got conf %v (present=%v), want %v", k, g, ok, conf)
+		}
+	}
+}
+
+// bruteForceRules is every rule of res with confidence ≥ minConf, "A=>C" →
+// confidence: every split of every large itemset.
+func bruteForceRules(res *Result, minConf float64) map[string]float64 {
 	wantRules := map[string]float64{}
 	for _, cs := range res.Large() {
 		if cs.Set.Len() < 2 {
@@ -336,18 +354,7 @@ func TestGenRulesAgainstBruteForce(t *testing.T) {
 			}
 		})
 	}
-	gotRules := map[string]float64{}
-	for _, rl := range rules {
-		gotRules[rl.Antecedent.String()+"=>"+rl.Consequent.String()] = rl.Confidence
-	}
-	if len(gotRules) != len(wantRules) {
-		t.Fatalf("got %d rules, want %d", len(gotRules), len(wantRules))
-	}
-	for k, conf := range wantRules {
-		if g, ok := gotRules[k]; !ok || g != conf {
-			t.Errorf("rule %s: got conf %v (present=%v), want %v", k, g, ok, conf)
-		}
-	}
+	return wantRules
 }
 
 func TestGenRulesValidation(t *testing.T) {
@@ -357,6 +364,9 @@ func TestGenRulesValidation(t *testing.T) {
 	}
 	if _, err := GenRules(res, 1.1); err == nil {
 		t.Error("minConf > 1 accepted")
+	}
+	if _, err := GenRules(res, math.NaN()); err == nil {
+		t.Error("NaN minConf accepted")
 	}
 }
 

@@ -1,8 +1,9 @@
 package apriori
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"negmine/internal/item"
 )
@@ -28,63 +29,45 @@ func (r Rule) Format(name func(item.Item) string) string {
 		r.Antecedent.Format(name), r.Consequent.Format(name), r.Support, r.Confidence)
 }
 
-// GenRules implements ap-genrules: for every large itemset of size ≥ 2 it
-// emits all rules A => (l − A) with confidence ≥ minConf, growing consequents
-// level-wise and pruning by the anti-monotonicity of confidence (if a rule
-// with consequent c fails, every rule with a superset consequent fails too).
+// GenRules implements ap-genrules: for every large itemset l of size ≥ 2 it
+// emits all rules A => (l − A) with confidence ≥ minConf. The consequents
+// grow level-wise (item.Consequents), pruned by the anti-monotonicity of
+// confidence: if a rule with consequent c fails, every rule with a superset
+// consequent fails too.
 func GenRules(res *Result, minConf float64) ([]Rule, error) {
-	if minConf < 0 || minConf > 1 {
+	if !(minConf >= 0 && minConf <= 1) {
 		return nil, fmt.Errorf("apriori: minConf = %v, want [0, 1]", minConf)
 	}
-	var rules []Rule
-	emit := func(l item.Itemset, lCount int, consequent item.Itemset) bool {
-		ante := l.Minus(consequent)
-		anteCount, ok := res.Table.Count(ante)
-		if !ok || anteCount == 0 {
-			// Cannot happen for large l (subsets of large sets are large);
-			// defensive for tables built by hand.
-			return false
-		}
-		conf := float64(lCount) / float64(anteCount)
-		if conf < minConf {
-			return false
-		}
-		rules = append(rules, Rule{
-			Antecedent: ante,
-			Consequent: consequent.Clone(),
-			Support:    float64(lCount) / float64(res.N),
-			Confidence: conf,
-		})
-		return true
-	}
-
+	var (
+		rules []Rule
+		walk  item.Consequents
+		slab  item.Slab
+	)
 	for k := 2; k <= len(res.Levels); k++ {
 		for _, cs := range res.Levels[k-1] {
-			l, lCount := cs.Set, cs.Count
-			// H1: 1-item consequents that pass.
-			var h []item.Itemset
-			l.Subsets(1, func(c item.Itemset) {
-				if emit(l, lCount, c) {
-					h = append(h, c.Clone())
+			l, full := cs.Set, uint64(1)<<k-1
+			walk.Walk(res.Table, l, func(cons uint64, _, anteCount int) bool {
+				if anteCount <= 0 {
+					// Cannot happen for large l (subsets of large sets are
+					// large); defensive for tables built by hand.
+					return false
 				}
+				conf := float64(cs.Count) / float64(anteCount)
+				if conf < minConf {
+					return false
+				}
+				rules = append(rules, Rule{
+					Antecedent: slab.Pick(l, full&^cons),
+					Consequent: slab.Pick(l, cons),
+					Support:    float64(cs.Count) / float64(res.N),
+					Confidence: conf,
+				})
+				return true
 			})
-			// Grow consequents with apriori-gen while they stay proper.
-			for m := 2; m < k && len(h) > 0; m++ {
-				next := Gen(h)
-				h = h[:0]
-				for _, c := range next {
-					if emit(l, lCount, c) {
-						h = append(h, c)
-					}
-				}
-			}
 		}
 	}
-	sort.Slice(rules, func(i, j int) bool {
-		if c := rules[i].Antecedent.Compare(rules[j].Antecedent); c != 0 {
-			return c < 0
-		}
-		return rules[i].Consequent.Compare(rules[j].Consequent) < 0
+	slices.SortFunc(rules, func(a, b Rule) int {
+		return cmp.Or(a.Antecedent.Compare(b.Antecedent), a.Consequent.Compare(b.Consequent))
 	})
 	return rules, nil
 }

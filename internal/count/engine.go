@@ -72,8 +72,6 @@ type TransformInto func(dst []item.Item, s item.Itemset) item.Itemset
 // MultiTransformed. Implementations are stateless and safe for concurrent
 // use.
 type Engine interface {
-	// Name is the ParseBackend-compatible engine name.
-	Name() string
 	Multi(db txdb.DB, groups [][]item.Itemset, transforms []TransformInto, opt Options) ([][]int, error)
 }
 
@@ -180,9 +178,6 @@ const maxWindowBytes = 256 << 20
 // Tax, the shared transform is applied during the fill; opaque per-group
 // transforms are an error.
 type BitmapEngine struct{}
-
-// Name implements Engine.
-func (BitmapEngine) Name() string { return "bitmap" }
 
 // Multi implements Engine.
 func (BitmapEngine) Multi(db txdb.DB, groups [][]item.Itemset, transforms []TransformInto, opt Options) ([][]int, error) {

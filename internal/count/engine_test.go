@@ -174,21 +174,21 @@ func TestEngineForSelection(t *testing.T) {
 		db         txdb.DB
 		transforms []TransformInto
 		opt        Options
-		want       string
+		want       Engine
 	}{
-		{"auto memdb", db, nil, Options{}, "bitmap"},
-		{"explicit hashtree", db, nil, Options{Backend: BackendHashTree}, "hashtree"},
-		{"explicit bitmap on wrapped db", txdb.Instrument(db), nil, Options{Backend: BackendBitmap}, "bitmap"},
-		{"auto file db", file, nil, Options{}, "bitmap"},
-		{"auto instrumented db", txdb.Instrument(db), nil, Options{}, "bitmap"},
-		{"auto throttled db", txdb.Throttle(db, time.Microsecond), nil, Options{}, "bitmap"},
-		{"auto under a tiny budget", db, nil, Options{Mem: govern.NewBudget(1)}, "bitmap"},
-		{"auto per-group no tax", db, perGroup, Options{}, "hashtree"},
-		{"auto per-group with tax", db, perGroup, Options{Tax: tax}, "bitmap"},
+		{"auto memdb", db, nil, Options{}, BitmapEngine{}},
+		{"explicit hashtree", db, nil, Options{Backend: BackendHashTree}, HashTreeEngine{}},
+		{"explicit bitmap on wrapped db", txdb.Instrument(db), nil, Options{Backend: BackendBitmap}, BitmapEngine{}},
+		{"auto file db", file, nil, Options{}, BitmapEngine{}},
+		{"auto instrumented db", txdb.Instrument(db), nil, Options{}, BitmapEngine{}},
+		{"auto throttled db", txdb.Throttle(db, time.Microsecond), nil, Options{}, BitmapEngine{}},
+		{"auto under a tiny budget", db, nil, Options{Mem: govern.NewBudget(1)}, BitmapEngine{}},
+		{"auto per-group no tax", db, perGroup, Options{}, HashTreeEngine{}},
+		{"auto per-group with tax", db, perGroup, Options{Tax: tax}, BitmapEngine{}},
 	}
 	for _, tc := range cases {
-		if got := EngineFor(tc.db, tc.transforms, tc.opt).Name(); got != tc.want {
-			t.Errorf("%s: EngineFor = %s, want %s", tc.name, got, tc.want)
+		if got := EngineFor(tc.db, tc.transforms, tc.opt); got != tc.want {
+			t.Errorf("%s: EngineFor = %T, want %T", tc.name, got, tc.want)
 		}
 	}
 }

@@ -48,9 +48,6 @@ func MultiTransformed(db txdb.DB, groups [][]item.Itemset, transforms []Transfor
 // the end.
 type HashTreeEngine struct{}
 
-// Name implements Engine.
-func (HashTreeEngine) Name() string { return "hashtree" }
-
 // hashTreeWorker is the per-goroutine counting state: one counter per
 // group plus the scratch buffers that make steady-state counting
 // allocation-free. The shared buffer holds the transaction transformed by

@@ -49,9 +49,6 @@ func NewZipf(n int, s float64) (*Zipf, error) {
 	return z, nil
 }
 
-// N returns the number of ranks.
-func (z *Zipf) N() int { return len(z.cdf) }
-
 // Sample draws one rank from src.
 func (z *Zipf) Sample(src *stats.Source) int {
 	u := src.Float64()

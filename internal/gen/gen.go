@@ -44,7 +44,7 @@ type Options struct {
 }
 
 func (o Options) validate() error {
-	if o.MinSupport <= 0 || o.MinSupport > 1 {
+	if !(o.MinSupport > 0 && o.MinSupport <= 1) {
 		return fmt.Errorf("gen: MinSupport = %v, want (0, 1]", o.MinSupport)
 	}
 	if o.Algorithm != Cumulate {

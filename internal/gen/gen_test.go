@@ -284,6 +284,7 @@ func TestOptionsValidation(t *testing.T) {
 	bad := []Options{
 		{MinSupport: 0},
 		{MinSupport: 2},
+		{MinSupport: math.NaN()},
 		{MinSupport: 0.5, MaxK: -1},
 		{MinSupport: 0.5, Count: count.Options{TransformInto: func(_ []item.Item, s item.Itemset) item.Itemset { return s }}},
 	}

@@ -24,7 +24,7 @@ import (
 //
 // R must be ≥ 1 (R = 1.1 in the original paper's experiments).
 func PruneInteresting(rules []apriori.Rule, res *apriori.Result, tax *taxonomy.Taxonomy, r float64) ([]apriori.Rule, error) {
-	if r < 1 {
+	if !(r >= 1) {
 		return nil, fmt.Errorf("gen: interest level R = %v, want ≥ 1", r)
 	}
 	if tax == nil {

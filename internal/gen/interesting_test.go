@@ -1,6 +1,7 @@
 package gen
 
 import (
+	"math"
 	"testing"
 
 	"negmine/internal/apriori"
@@ -123,6 +124,9 @@ func TestPruneInterestingValidation(t *testing.T) {
 	tax, _, res := interestingFixture(t)
 	if _, err := PruneInteresting(nil, res, tax, 0.5); err == nil {
 		t.Error("R < 1 accepted")
+	}
+	if _, err := PruneInteresting(nil, res, tax, math.NaN()); err == nil {
+		t.Error("NaN R accepted")
 	}
 	if _, err := PruneInteresting(nil, res, nil, 1.1); err == nil {
 		t.Error("nil taxonomy accepted")

@@ -105,9 +105,6 @@ func EstimateBytes(n, counters int) int64 {
 	return int64(n) * (perCandTree + int64(counters)*perCandCounter)
 }
 
-// Len returns the number of candidates.
-func (t *Tree) Len() int { return len(t.cands) }
-
 // Counter accumulates per-candidate support counts against one Tree. It is
 // not safe for concurrent use; run one Counter per goroutine and Merge.
 type Counter struct {
@@ -176,9 +173,6 @@ func (c *Counter) visit(tx item.Itemset) {
 	}
 	c.stack = stack[:0] // keep grown capacity for the next transaction
 }
-
-// Count returns the accumulated count of candidate i (by Build order).
-func (c *Counter) Count(i int) int { return c.counts[i] }
 
 // Counts returns the full count vector (shared slice).
 func (c *Counter) Counts() []int { return c.counts }

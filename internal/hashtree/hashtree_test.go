@@ -12,8 +12,8 @@ func TestEmptyTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Len() != 0 || tr.k != 0 {
-		t.Errorf("Len/k = %d/%d", tr.Len(), tr.k)
+	if len(tr.cands) != 0 || tr.k != 0 {
+		t.Errorf("cands/k = %d/%d", len(tr.cands), tr.k)
 	}
 	c := tr.NewCounter()
 	c.Add(item.New(1, 2, 3)) // must not panic
@@ -48,7 +48,7 @@ func TestCountSimple(t *testing.T) {
 	c.Add(item.New(4, 5, 9)) // contains {4,5}
 	want := []int{2, 1, 1, 1}
 	for i, w := range want {
-		if got := c.Count(i); got != w {
+		if got := c.Counts()[i]; got != w {
 			t.Errorf("Count(%v) = %d, want %d", cands[i], got, w)
 		}
 	}
@@ -71,7 +71,7 @@ func TestNoDoubleCountAcrossPaths(t *testing.T) {
 	tx := item.New(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11)
 	c.Add(tx)
 	for i := range cands {
-		if got := c.Count(i); got != 1 {
+		if got := c.Counts()[i]; got != 1 {
 			t.Fatalf("candidate %v counted %d times", cands[i], got)
 		}
 	}
@@ -134,9 +134,9 @@ func TestRandomAgainstReference(t *testing.T) {
 		}
 		want := referenceCount(cands, txs)
 		for i := range cands {
-			if c.Count(i) != want[i] {
+			if c.Counts()[i] != want[i] {
 				t.Fatalf("trial %d (k=%d, maxLeaf=%d): candidate %v counted %d, want %d",
-					trial, k, maxLeaf, cands[i], c.Count(i), want[i])
+					trial, k, maxLeaf, cands[i], c.Counts()[i], want[i])
 			}
 		}
 	}
@@ -150,7 +150,7 @@ func TestMerge(t *testing.T) {
 	b.Add(item.New(1, 2, 3))
 	b.Add(item.New(2, 3))
 	a.Merge(b)
-	if a.Count(0) != 2 || a.Count(1) != 2 {
+	if a.Counts()[0] != 2 || a.Counts()[1] != 2 {
 		t.Errorf("merged counts = %v", a.Counts())
 	}
 }
@@ -177,8 +177,8 @@ func TestK1Candidates(t *testing.T) {
 	c.Add(item.New(9))
 	c.Add(item.New(1))
 	for i, want := range []int{1, 1, 1} {
-		if c.Count(i) != want {
-			t.Errorf("Count(%v) = %d, want %d", cands[i], c.Count(i), want)
+		if c.Counts()[i] != want {
+			t.Errorf("Count(%v) = %d, want %d", cands[i], c.Counts()[i], want)
 		}
 	}
 }

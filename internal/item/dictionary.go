@@ -48,13 +48,6 @@ func (d *Dictionary) Name(id Item) string {
 // Len returns the number of interned names.
 func (d *Dictionary) Len() int { return len(d.names) }
 
-// Names returns a copy of all interned names in id order.
-func (d *Dictionary) Names() []string {
-	out := make([]string, len(d.names))
-	copy(out, d.names)
-	return out
-}
-
 // InternSet interns every name and returns the resulting itemset.
 func (d *Dictionary) InternSet(names ...string) Itemset {
 	items := make([]Item, len(names))

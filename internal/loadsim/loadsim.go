@@ -206,7 +206,7 @@ func (c Config) validate() error {
 		return fmt.Errorf("loadsim: BurstAmp = %v, want ≥ 1", c.BurstAmp)
 	case c.Tracers < 0:
 		return fmt.Errorf("loadsim: Tracers = %d", c.Tracers)
-	case c.MinSupport >= 1:
+	case !(c.MinSupport < 1):
 		return fmt.Errorf("loadsim: MinSupport = %v, want < 1", c.MinSupport)
 	}
 	return nil

@@ -5,9 +5,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -28,6 +30,22 @@ func testDict() Dict {
 		d.Items = append(d.Items, g...)
 	}
 	return d
+}
+
+// TestScriptRejectsBadConfig: each out-of-range setting fails Script's
+// validation, a NaN support among them.
+func TestScriptRejectsBadConfig(t *testing.T) {
+	for _, cfg := range []Config{
+		{MixIngest: -1},
+		{Zipf: -1},
+		{Tracers: -1},
+		{MinSupport: 1},
+		{MinSupport: math.NaN()},
+	} {
+		if _, err := Script(cfg, testDict()); err == nil {
+			t.Errorf("Config %+v accepted", cfg)
+		}
+	}
 }
 
 func TestChooseTracersDeterministic(t *testing.T) {
@@ -343,7 +361,11 @@ func TestRunLatencyIncludesQueueing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ep := res.Endpoint("rules")
+	i := slices.IndexFunc(res.Endpoints, func(e EndpointResult) bool { return e.Endpoint == "rules" })
+	if i < 0 {
+		t.Fatalf("no rules endpoint among %+v", res.Endpoints)
+	}
+	ep := res.Endpoints[i]
 	if ep.OK != int64(res.Ops) {
 		t.Fatalf("%d of %d ops answered", ep.OK, res.Ops)
 	}

@@ -60,16 +60,6 @@ type Result struct {
 	Freshness       *FreshnessResult `json:"freshness,omitempty"`
 }
 
-// Endpoint returns the named endpoint's result (nil when absent).
-func (r *Result) Endpoint(name string) *EndpointResult {
-	for i := range r.Endpoints {
-		if r.Endpoints[i].Endpoint == name {
-			return &r.Endpoints[i]
-		}
-	}
-	return nil
-}
-
 // Print renders the run as a human-readable summary.
 func (r *Result) Print(w io.Writer) {
 	fmt.Fprintf(w, "offered %.0f rps, achieved %.0f rps over %.1fs (%d ops)\n",

@@ -96,10 +96,10 @@ type Options struct {
 }
 
 func (o Options) validate() error {
-	if o.MinSupport <= 0 || o.MinSupport > 1 {
+	if !(o.MinSupport > 0 && o.MinSupport <= 1) {
 		return fmt.Errorf("negative: MinSupport = %v, want (0, 1]", o.MinSupport)
 	}
-	if o.MinRI <= 0 {
+	if !(o.MinRI > 0) {
 		return fmt.Errorf("negative: MinRI = %v, want > 0", o.MinRI)
 	}
 	if o.MaxCandidates < 0 {

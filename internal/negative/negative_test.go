@@ -574,6 +574,8 @@ func TestOptionsValidation(t *testing.T) {
 		{MinSupport: 1.5, MinRI: 0.5},
 		{MinSupport: 0.1, MinRI: 0},
 		{MinSupport: 0.1, MinRI: -1},
+		{MinSupport: math.NaN(), MinRI: 0.5},
+		{MinSupport: 0.1, MinRI: math.NaN()},
 		{MinSupport: 0.1, MinRI: 0.5, MaxCandidates: -1},
 		{MinSupport: 0.1, MinRI: 0.5, Algorithm: Algorithm(9)},
 	}

@@ -58,7 +58,7 @@ func TestSnapshotFileRoundTripOracle(t *testing.T) {
 			if !reflect.DeepEqual(be, le) {
 				t.Fatalf("trial %d: Entry(%d) = %+v, want %+v", trial, i, le, be)
 			}
-			if math.Float64bits(built.RI(id)) != math.Float64bits(loaded.RI(id)) {
+			if math.Float64bits(built.ri[id]) != math.Float64bits(loaded.ri[id]) {
 				t.Fatalf("trial %d: RI(%d) bits differ", trial, i)
 			}
 		}

@@ -457,9 +457,6 @@ func (s *Snapshot) Entry(id RuleID) rulestore.Entry {
 	}
 }
 
-// RI returns rule id's rule interest.
-func (s *Snapshot) RI(id RuleID) float64 { return s.ri[id] }
-
 // Rules returns all rules in serving order (descending RI, ties by
 // signature). The entries' side slices are shared with the arena; callers
 // must not modify them.

@@ -27,9 +27,6 @@ func (s *Source) Float64() float64 { return s.rng.Float64() }
 // Intn returns a uniform integer in [0,n). n must be > 0.
 func (s *Source) Intn(n int) int { return s.rng.Intn(n) }
 
-// Perm returns a random permutation of [0,n).
-func (s *Source) Perm(n int) []int { return s.rng.Perm(n) }
-
 // Exp returns an exponentially distributed value with the given mean.
 func (s *Source) Exp(mean float64) float64 { return s.rng.ExpFloat64() * mean }
 

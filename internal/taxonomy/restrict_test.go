@@ -139,7 +139,7 @@ func checkSameTaxonomy(t *testing.T, what string, got, want *Taxonomy) {
 			got.Size(), got.Height(), got.Roots(), got.Leaves(), got.Categories(),
 			want.Size(), want.Height(), want.Roots(), want.Leaves(), want.Categories())
 	}
-	if err := got.Validate(); err != nil {
+	if err := validate(got); err != nil {
 		t.Fatalf("%s: %v", what, err)
 	}
 	for i := 0; i < want.Size(); i++ {

@@ -107,9 +107,6 @@ func (b *Builder) Link(parent, child string) (item.Item, item.Item) {
 // LinkIDs records a parent edge between already-interned ids.
 func (b *Builder) LinkIDs(parent, child item.Item) { b.parent[child] = parent }
 
-// Dictionary exposes the builder's name dictionary.
-func (b *Builder) Dictionary() *item.Dictionary { return b.dict }
-
 // Build finalizes the forest. It fails on cycles and on dangling parents.
 func (b *Builder) Build() (*Taxonomy, error) {
 	n := b.dict.Len()
@@ -390,29 +387,3 @@ func (t *Taxonomy) Restrict(keep func(item.Item) bool) *Taxonomy {
 }
 
 func (t *Taxonomy) valid(i item.Item) bool { return i >= 0 && int(i) < len(t.parent) }
-
-// Validate performs internal consistency checks (used by tests and after
-// parsing untrusted files).
-func (t *Taxonomy) Validate() error {
-	for i := 0; i < t.Size(); i++ {
-		id := item.Item(i)
-		if p := t.parent[i]; p != item.None {
-			found := false
-			for _, c := range t.children[p] {
-				if c == id {
-					found = true
-					break
-				}
-			}
-			if !found {
-				return fmt.Errorf("node %d missing from parent %d child list", i, p)
-			}
-			if t.depth[i] != t.depth[p]+1 {
-				return fmt.Errorf("node %d depth %d inconsistent with parent depth %d", i, t.depth[i], t.depth[p])
-			}
-		} else if t.depth[i] != 0 {
-			return fmt.Errorf("root %d has depth %d", i, t.depth[i])
-		}
-	}
-	return nil
-}

@@ -2,6 +2,7 @@ package taxonomy
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -38,7 +39,7 @@ func figure1(t *testing.T) (*Taxonomy, map[string]item.Item) {
 
 func TestStructure(t *testing.T) {
 	tax, ids := figure1(t)
-	if err := tax.Validate(); err != nil {
+	if err := validate(tax); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
 	if tax.Size() != 11 {
@@ -266,7 +267,7 @@ func TestGenerate(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := tax.Validate(); err != nil {
+			if err := validate(tax); err != nil {
 				t.Fatalf("Validate: %v", err)
 			}
 			if got := tax.Leaves().Len(); got != tc.spec.Leaves {
@@ -320,4 +321,30 @@ func TestGenerateErrors(t *testing.T) {
 			t.Errorf("spec %+v accepted", spec)
 		}
 	}
+}
+
+// validate checks tx's internal consistency: every node is in its parent's
+// child list, one level below it, and every root is at depth 0.
+func validate(tx *Taxonomy) error {
+	for i := 0; i < tx.Size(); i++ {
+		id := item.Item(i)
+		if p := tx.parent[i]; p != item.None {
+			found := false
+			for _, c := range tx.children[p] {
+				if c == id {
+					found = true
+					break
+				}
+			}
+			if !found {
+				return fmt.Errorf("node %d missing from parent %d child list", i, p)
+			}
+			if tx.depth[i] != tx.depth[p]+1 {
+				return fmt.Errorf("node %d depth %d inconsistent with parent depth %d", i, tx.depth[i], tx.depth[p])
+			}
+		} else if tx.depth[i] != 0 {
+			return fmt.Errorf("root %d has depth %d", i, tx.depth[i])
+		}
+	}
+	return nil
 }

@@ -95,9 +95,6 @@ func readHeader(r *bufio.Reader) (count int, err error) {
 // Count returns the number of transactions recorded in the header.
 func (f *FileDB) Count() int { return f.count }
 
-// Path returns the underlying file path.
-func (f *FileDB) Path() string { return f.path }
-
 // Scan streams every transaction from disk. The Items slice passed to fn is
 // reused between calls; fn must Clone it to retain it.
 func (f *FileDB) Scan(fn func(Transaction) error) error {
