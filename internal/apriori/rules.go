@@ -1,9 +1,7 @@
 package apriori
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 
 	"negmine/internal/item"
 )
@@ -66,8 +64,6 @@ func GenRules(res *Result, minConf float64) ([]Rule, error) {
 			})
 		}
 	}
-	slices.SortFunc(rules, func(a, b Rule) int {
-		return cmp.Or(a.Antecedent.Compare(b.Antecedent), a.Consequent.Compare(b.Consequent))
-	})
+	item.SortBySides(rules, func(r *Rule) (item.Itemset, item.Itemset) { return r.Antecedent, r.Consequent })
 	return rules, nil
 }

@@ -18,6 +18,7 @@ import (
 	"negmine/internal/fault"
 	"negmine/internal/metrics"
 	"negmine/internal/ruleframe"
+	"negmine/internal/serve"
 )
 
 // errNoReplica marks a shard fan-out that found no routable replica: the
@@ -451,15 +452,6 @@ func (rt *Router) handleRules(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// ingestReq mirrors serve's /ingest request body so the router can
-// validate before forwarding and inject an idempotency key when the client
-// supplied none.
-type ingestReq struct {
-	Baskets [][]string `json:"baskets"`
-	Key     string     `json:"key,omitempty"`
-	Seq     uint64     `json:"seq,omitempty"`
-}
-
 // handleIngest forwards a write to the current ingest primary. Client-keyed
 // bodies are relayed byte-for-byte (the key makes cross-node retries safe);
 // unkeyed bodies get a router-generated key so the router's own failover
@@ -472,10 +464,8 @@ func (rt *Router) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	r.Body = http.MaxBytesReader(w, r.Body, 1<<20)
-	var req ingestReq
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	req, body, err := serve.DecodeIngest(r.Body, r.ContentLength)
+	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			metrics.WriteError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooBig.Limit)
@@ -495,11 +485,7 @@ func (rt *Router) handleIngest(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		req.Key, req.Seq = "negrouter-"+hex.EncodeToString(rnd[:]), 1
-	}
-	body, err := json.Marshal(req)
-	if err != nil {
-		metrics.WriteError(w, http.StatusInternalServerError, "re-encoding request: %v", err)
-		return
+		body = serve.AppendIngest(make([]byte, 0, len(body)+64), req)
 	}
 	x := rt.conns.begin(r.Context(), shardRequest{method: http.MethodPost, target: "/ingest", body: body}, rt.cfg.ShardTimeout)
 	defer x.end()

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"negmine/internal/metrics"
+	"negmine/internal/serve"
 )
 
 // ingestBackend is a fake negmined write node: it records the /ingest
@@ -90,17 +91,15 @@ func TestRouterIngestForwardsToPrimary(t *testing.T) {
 	}
 	h := rt.Handler()
 
-	// A keyed body is relayed byte-for-byte and the 202 comes back verbatim.
-	rec := postIngest(t, h, `{"baskets":[["beer","chips"]],"key":"w1","seq":7}`)
+	// A keyed body is relayed byte-for-byte, whatever its spacing and field
+	// order, and the 202 comes back verbatim.
+	const keyed = "{ \"seq\": 7,\n  \"key\": \"w1\", \"baskets\": [[\"beer\", \"chips\"]] }\n"
+	rec := postIngest(t, h, keyed)
 	if rec.Code != http.StatusAccepted {
 		t.Fatalf("keyed ingest: HTTP %d: %s", rec.Code, rec.Body)
 	}
-	var relayed ingestReq
-	if err := json.Unmarshal([]byte(primary.lastBody.Load().(string)), &relayed); err != nil {
-		t.Fatal(err)
-	}
-	if relayed.Key != "w1" || relayed.Seq != 7 {
-		t.Fatalf("client key not preserved: %+v", relayed)
+	if got := primary.lastBody.Load().(string); got != keyed {
+		t.Fatalf("keyed body relayed as %q, want the posted bytes %q", got, keyed)
 	}
 	var resp struct {
 		First, Last, Count int64
@@ -118,10 +117,12 @@ func TestRouterIngestForwardsToPrimary(t *testing.T) {
 	if rec.Code != http.StatusAccepted {
 		t.Fatalf("unkeyed ingest: HTTP %d: %s", rec.Code, rec.Body)
 	}
-	if err := json.Unmarshal([]byte(primary.lastBody.Load().(string)), &relayed); err != nil {
+	relayed, _, err := serve.DecodeIngest(strings.NewReader(primary.lastBody.Load().(string)), -1)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.HasPrefix(relayed.Key, "negrouter-") || relayed.Seq != 1 {
+	if !strings.HasPrefix(relayed.Key, "negrouter-") || relayed.Seq != 1 ||
+		len(relayed.Baskets) != 1 || len(relayed.Baskets[0]) != 1 || relayed.Baskets[0][0] != "milk" {
 		t.Fatalf("router did not inject an idempotency key: %+v", relayed)
 	}
 
@@ -136,6 +137,36 @@ func TestRouterIngestForwardsToPrimary(t *testing.T) {
 	m := routerMetricsDoc(t, h)
 	if m.Ingest.Forwarded != 3 || m.Ingest.Rerouted != 0 || m.Ingest.NoPrimary != 0 {
 		t.Fatalf("ingest metrics = %+v", m.Ingest)
+	}
+}
+
+// TestRouterIngestBodyBound pins the router's own 1 MiB bound on /ingest: a
+// larger body answers 413 and reaches no node, and the router still relays
+// the next write.
+func TestRouterIngestBodyBound(t *testing.T) {
+	primary := newIngestBackend(t, http.StatusAccepted)
+	rt, err := NewRouter(RouterConfig{Shards: 1, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.Pool().Heartbeat(ingestHB("p", primary.addr(), "primary")); err != nil {
+		t.Fatal(err)
+	}
+	h := rt.Handler()
+
+	big := `{"baskets":[["beer"` + strings.Repeat(`,"beer"`, 1<<20/7) + `]],"key":"w1","seq":1}`
+	if rec := postIngest(t, h, big); rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized ingest: HTTP %d: %s, want 413", rec.Code, rec.Body)
+	}
+	if n := primary.hits.Load(); n != 0 {
+		t.Fatalf("oversized ingest reached the primary %d times", n)
+	}
+	if rec := postIngest(t, h, `{"baskets":[["beer"]],"key":"w1","seq":1}`); rec.Code != http.StatusAccepted {
+		t.Fatalf("ingest after a 413: HTTP %d: %s", rec.Code, rec.Body)
+	}
+	m := routerMetricsDoc(t, h)
+	if m.Ingest.Forwarded != 1 || primary.hits.Load() != 1 {
+		t.Fatalf("forwarded = %d, primary hits = %d, want 1 and 1", m.Ingest.Forwarded, primary.hits.Load())
 	}
 }
 

@@ -147,3 +147,41 @@ func TestSlabPick(t *testing.T) {
 		t.Fatalf("appending to one pick overwrote the next: %v", b)
 	}
 }
+
+// TestSortBySides: on random rules with unique (antecedent, consequent)
+// pairs, including permutations made of many cycles and of one, the
+// permutation sort leaves the rules exactly as sorting them by value does.
+func TestSortBySides(t *testing.T) {
+	type rule struct {
+		ante, cons item.Itemset
+		tag        int
+	}
+	sides := func(r *rule) (item.Itemset, item.Itemset) { return r.ante, r.cons }
+	rng := rand.New(rand.NewSource(7))
+	for _, n := range []int{0, 1, 2, 3, 17, 500} {
+		seen := map[[2]item.Item]bool{}
+		var rules []rule
+		for len(rules) < n {
+			a, c := item.Item(rng.Intn(40)), item.Item(40+rng.Intn(40))
+			if !seen[[2]item.Item{a, c}] {
+				seen[[2]item.Item{a, c}] = true
+				rules = append(rules, rule{item.New(a), item.New(c), len(rules)})
+			}
+		}
+		want := slices.Clone(rules)
+		slices.SortFunc(want, func(x, y rule) int {
+			if c := x.ante.Compare(y.ante); c != 0 {
+				return c
+			}
+			return x.cons.Compare(y.cons)
+		})
+		for _, in := range [][]rule{rules, slices.Clone(want)} {
+			got := slices.Clone(in)
+			slices.Reverse(got) // reversed: cycles of two; random: cycles of any length
+			item.SortBySides(got, sides)
+			if !slices.EqualFunc(got, want, func(x, y rule) bool { return x.tag == y.tag }) {
+				t.Fatalf("n=%d: SortBySides disagrees with a sort by value", n)
+			}
+		}
+	}
+}

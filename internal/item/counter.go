@@ -170,3 +170,34 @@ func (b *Slab) Pick(s Itemset, mask uint64) Itemset {
 	}
 	return b.free[at:len(b.free):len(b.free)]
 }
+
+// SortBySides orders rules by (antecedent, consequent), the two sides that
+// sides returns, which must be unique per rule. It sorts an int32
+// permutation and then moves each rule once, cycle by cycle, so a sort of
+// large rules copies no rule per swap. len(rules) must fit an int32.
+func SortBySides[R any](rules []R, sides func(*R) (antecedent, consequent Itemset)) {
+	perm := make([]int32, len(rules))
+	for i := range perm {
+		perm[i] = int32(i)
+	}
+	slices.SortFunc(perm, func(i, j int32) int {
+		ai, ci := sides(&rules[i])
+		aj, cj := sides(&rules[j])
+		if c := ai.Compare(aj); c != 0 {
+			return c
+		}
+		return ci.Compare(cj)
+	})
+	// Position i takes the rule at perm[i]; a done position is marked -1.
+	for i := range perm {
+		if perm[i] < 0 {
+			continue
+		}
+		first, j := rules[i], i
+		for k := int(perm[j]); k != i; k = int(perm[j]) {
+			rules[j], perm[j] = rules[k], -1
+			j = k
+		}
+		rules[j], perm[j] = first, -1
+	}
+}

@@ -1,9 +1,6 @@
 package negative
 
 import (
-	"cmp"
-	"slices"
-
 	"negmine/internal/item"
 )
 
@@ -52,8 +49,6 @@ func generateRules(negs []Itemset, table *item.Table, minRI float64) []Rule {
 			return true
 		})
 	}
-	slices.SortFunc(rules, func(a, b Rule) int {
-		return cmp.Or(a.Antecedent.Compare(b.Antecedent), a.Consequent.Compare(b.Consequent))
-	})
+	item.SortBySides(rules, func(r *Rule) (item.Itemset, item.Itemset) { return r.Antecedent, r.Consequent })
 	return rules
 }

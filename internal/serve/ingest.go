@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"net/http"
 
@@ -35,11 +34,12 @@ var (
 // IngestBatch is one write: a batch of named baskets plus an optional
 // idempotency identity. When Key is set, (Key, Seq) must be unique per
 // batch; retrying the same pair replays the original acknowledgment
-// instead of appending twice.
+// instead of appending twice. It is also the /ingest request body
+// (DecodeIngest), its names those of the snapshot's dictionary.
 type IngestBatch struct {
-	Baskets [][]string
-	Key     string
-	Seq     uint64
+	Baskets [][]string `json:"baskets"`
+	Key     string     `json:"key,omitempty"`
+	Seq     uint64     `json:"seq,omitempty"`
 }
 
 // IngestResult reports what an accepted batch became: the transaction id
@@ -136,15 +136,6 @@ func WithIngest(sink IngestSink) Option {
 	return func(s *Server) { s.ingest = sink }
 }
 
-// ingestRequest is the /ingest request body: a batch of baskets, each a
-// list of item names from the snapshot's dictionary, optionally tagged
-// with an idempotency key and per-key sequence number.
-type ingestRequest struct {
-	Baskets [][]string `json:"baskets"`
-	Key     string     `json:"key,omitempty"`
-	Seq     uint64     `json:"seq,omitempty"`
-}
-
 // ingestResponse is the /ingest payload. The TID range is durable (fsync'd
 // to the segment log) by the time the client reads it. A fresh append
 // answers 202; a keyed retry replays the original range with 200 and
@@ -167,10 +158,8 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// The body is already bounded by instrument (http.MaxBytesReader).
-	var req ingestRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	req, _, err := DecodeIngest(r.Body, r.ContentLength)
+	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			metrics.WriteError(w, http.StatusRequestEntityTooLarge,
@@ -198,7 +187,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		metrics.WriteError(w, http.StatusBadRequest, "keyed batches need seq >= 1")
 		return
 	}
-	res, err := s.ingest.Ingest(r.Context(), IngestBatch{Baskets: req.Baskets, Key: req.Key, Seq: req.Seq})
+	res, err := s.ingest.Ingest(r.Context(), req)
 	if err != nil {
 		switch {
 		case errors.Is(err, ErrIngestRejected):
