@@ -44,8 +44,8 @@
 //
 //	GET  /rules?item=NAME[&minri=F][&limit=N]  rules mentioning NAME or a
 //	                                           taxonomy ancestor of it
-//	POST /score {"basket":[...], "minRI":F}    negative rules the basket
-//	                                           triggers (what this customer
+//	POST /score {"basket":[...], "minRI":F,    negative rules the basket
+//	             "limit":N}                    triggers (what this customer
 //	                                           is unlikely to also buy)
 //	GET  /healthz                              liveness + snapshot info
 //	GET  /metrics                              request counts, latency

@@ -17,6 +17,7 @@ import (
 	"negmine/internal/fault"
 	"negmine/internal/metrics"
 	"negmine/internal/ruleframe"
+	"negmine/internal/serve"
 )
 
 // pickItems returns one item name per shard id (names whose ShardOfItem is
@@ -83,16 +84,12 @@ func newShardBackendOn(t testing.TB, configure func(*http.Server)) *shardBackend
 				return
 			}
 			b.lastScore.Store(body)
-			var req scoreReq
+			var req serve.ScoreRequest
 			if err := json.Unmarshal(body, &req); err != nil {
 				http.Error(w, err.Error(), http.StatusBadRequest)
 				return
 			}
-			minRI := 0.0
-			if req.MinRI != nil {
-				minRI = *req.MinRI
-			}
-			prefix, err := ruleframe.AppendScorePrefix(nil, req.Basket, minRI)
+			prefix, err := ruleframe.AppendScorePrefix(nil, req.Basket, req.MinRI)
 			if err != nil {
 				http.Error(w, err.Error(), http.StatusBadRequest)
 				return

@@ -142,7 +142,11 @@ func (q spliceQuery) request(t testing.TB, base string) *http.Request {
 		}
 		return req
 	}
-	body, err := json.Marshal(scoreReq{Basket: q.basket, MinRI: q.minRI, Limit: q.limit})
+	score := serve.ScoreRequest{Basket: q.basket, Limit: q.limit}
+	if q.minRI != nil {
+		score.MinRI = *q.minRI
+	}
+	body, err := json.Marshal(score)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"negmine/internal/datagen"
+	"negmine/internal/item"
 	"negmine/internal/negative"
 	"negmine/internal/taxonomy"
 )
@@ -77,35 +78,46 @@ func BenchmarkWriteNegativeJSON(b *testing.B) {
 
 // BenchmarkReadNegativeJSON reads serve-read's report from a file, as a
 // daemon boots from it, after checking that the read equals one Decode of
-// the whole document.
+// the whole document: with the mined names, and with each name carrying an
+// escape (an "&", as in "AT&T").
 func BenchmarkReadNegativeJSON(b *testing.B) {
 	res, tax := serveReadResult(b)
-	path := filepath.Join(b.TempDir(), "rules.json")
-	f, err := os.Create(path)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer f.Close()
-	if err := WriteNegativeJSON(f, res, serveReadMinSup, serveReadMinRI, tax.Name); err != nil {
-		b.Fatal(err)
-	}
-	read := func(readFn func(io.Reader) (*NegativeReport, error)) *NegativeReport {
-		if _, err := f.Seek(0, io.SeekStart); err != nil {
-			b.Fatal(err)
-		}
-		rep, err := readFn(f)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return rep
-	}
-	if got, want := read(ReadNegativeJSON), read(readWhole); !reflect.DeepEqual(got, want) {
-		b.Fatalf("read %d rules and %d itemsets, unequal to the whole decode's %d and %d",
-			len(got.Rules), len(got.Itemsets), len(want.Rules), len(want.Itemsets))
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		read(ReadNegativeJSON)
+	for _, names := range []struct {
+		label string
+		name  func(item.Item) string
+	}{
+		{"plain", tax.Name},
+		{"escaped", func(i item.Item) string { return tax.Name(i) + "&" }},
+	} {
+		b.Run(names.label, func(b *testing.B) {
+			path := filepath.Join(b.TempDir(), "rules.json")
+			f, err := os.Create(path)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer f.Close()
+			if err := WriteNegativeJSON(f, res, serveReadMinSup, serveReadMinRI, names.name); err != nil {
+				b.Fatal(err)
+			}
+			read := func(readFn func(io.Reader) (*NegativeReport, error)) *NegativeReport {
+				if _, err := f.Seek(0, io.SeekStart); err != nil {
+					b.Fatal(err)
+				}
+				rep, err := readFn(f)
+				if err != nil {
+					b.Fatal(err)
+				}
+				return rep
+			}
+			if got, want := read(ReadNegativeJSON), read(readWhole); !reflect.DeepEqual(got, want) {
+				b.Fatalf("read %d rules and %d itemsets, unequal to the whole decode's %d and %d",
+					len(got.Rules), len(got.Itemsets), len(want.Rules), len(want.Itemsets))
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				read(ReadNegativeJSON)
+			}
+		})
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"unicode/utf8"
 
 	"negmine/internal/item"
 	"negmine/internal/negative"
@@ -148,27 +147,16 @@ func TestWriteNegativeJSONNonFinite(t *testing.T) {
 	}
 }
 
-// TestScanAcceptsWriterOutput: the scanner, not the fallback, reads what the
-// writer writes whenever its names need no escape — as written, compacted
-// and re-indented — and returns what encoding/json decodes; a name that
-// needs one sends the document to the fallback.
+// TestScanAcceptsWriterOutput: the scanner, not the fallback, reads every
+// document the writer writes — hostile names and all, as written, compacted
+// and re-indented — and returns what encoding/json decodes.
 func TestScanAcceptsWriterOutput(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
-	var plain []string
-	for _, name := range hostileNames {
-		quoted, _ := json.Marshal(name)
-		if string(quoted) == `"`+name+`"` && utf8.ValidString(name) {
-			plain = append(plain, name)
-		}
-	}
-	// A window's worth of one name makes a token refill and grow the window.
-	plain = append(plain, strings.Repeat("x", scanWindow+7))
-	accepted := 0
+	// A window's worth of one name makes a token refill and grow the window,
+	// the escaped one in the middle of an escape.
+	long := strings.Repeat("x", scanWindow+7)
+	pool := append([]string{long, long + "\t" + long}, hostileNames...)
 	for trial := 0; trial < 200; trial++ {
-		pool := plain
-		if trial%2 == 1 {
-			pool = hostileNames
-		}
 		res, name := randomResult(rng, pool)
 		var doc bytes.Buffer
 		if err := WriteNegativeJSON(&doc, res, 0.01, 0.5, name); err != nil {
@@ -181,33 +169,27 @@ func TestScanAcceptsWriterOutput(t *testing.T) {
 		if err := json.Indent(&tabs, doc.Bytes(), "\r", "\t"); err != nil {
 			t.Fatal(err)
 		}
-		escaped := bytes.Contains(doc.Bytes(), []byte(`\`))
 		for _, in := range [][]byte{doc.Bytes(), compact.Bytes(), tabs.Bytes()} {
 			var want NegativeReport
 			if err := json.Unmarshal(in, &want); err != nil {
 				t.Fatal(err)
 			}
 			got, ok := scanNegative(bytes.NewReader(in))
-			if ok == escaped {
-				t.Fatalf("trial %d: scanner accepted=%v a document with escapes=%v:\n%s", trial, ok, escaped, in)
+			if !ok {
+				t.Fatalf("trial %d: the scanner left the writer's document to encoding/json:\n%s", trial, in)
 			}
-			if ok && !reflect.DeepEqual(got, &want) {
+			if !reflect.DeepEqual(got, &want) {
 				t.Fatalf("trial %d: scanned %+v, encoding/json decodes %+v", trial, got, want)
 			}
-			if ok {
-				accepted++
-			}
 		}
-	}
-	if accepted < 200 {
-		t.Fatalf("scanner accepted only %d documents", accepted)
 	}
 }
 
 // TestReadNegativeJSONRewinds: a document the scanner leaves to the decoder
-// is decoded from where the reader stood, not from where the scan stopped.
+// (here for a key in another case) is decoded from where the reader stood,
+// not from where the scan stopped.
 func TestReadNegativeJSONRewinds(t *testing.T) {
-	doc := `{"minSupport": 0.1, "rules": [{"antecedent": ["a"], "consequent": ["b"], "via": "sib\u006cings"}]}`
+	doc := `{"minSupport": 0.1, "rules": [{"antecedent": ["a"], "consequent": ["b"], "Via": "siblings"}]}`
 	r := strings.NewReader("skipped" + doc)
 	if _, err := r.Seek(int64(len("skipped")), 0); err != nil {
 		t.Fatal(err)

@@ -1,7 +1,9 @@
 // Package ruleframe is the one definition of the bytes that travel the
 // routed read path, shared by the shard that writes them (internal/serve)
-// and the router that splices them (internal/cluster). It imports no other
-// package of this module.
+// and the router that splices them (internal/cluster), and of the JSON
+// strings the module writes (AppendQuoted) and reads back (Lexer, the one
+// JSON lexer of the module, under the rule report's reader and the /score
+// and /ingest parses). It imports no other package of this module.
 //
 // Two contracts live here.
 //

@@ -153,38 +153,10 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		metrics.WriteError(w, http.StatusNotFound, "ingest is not enabled on this server")
 		return
 	}
-	if r.Method != http.MethodPost {
-		metrics.WriteError(w, http.StatusMethodNotAllowed, `use POST /ingest with {"baskets": [[...], ...]}`)
-		return
-	}
 	// The body is already bounded by instrument (http.MaxBytesReader).
-	req, _, err := DecodeIngest(r.Body, r.ContentLength)
+	req, _, err := DecodeIngest(r)
 	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			metrics.WriteError(w, http.StatusRequestEntityTooLarge,
-				"request body exceeds %d bytes", tooBig.Limit)
-			return
-		}
-		metrics.WriteError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return
-	}
-	if len(req.Baskets) == 0 {
-		metrics.WriteError(w, http.StatusBadRequest, "baskets must contain at least one basket")
-		return
-	}
-	for i, b := range req.Baskets {
-		if len(b) == 0 {
-			metrics.WriteError(w, http.StatusBadRequest, "basket %d is empty", i)
-			return
-		}
-	}
-	if req.Key == "" && req.Seq != 0 {
-		metrics.WriteError(w, http.StatusBadRequest, "seq requires a key")
-		return
-	}
-	if req.Key != "" && req.Seq == 0 {
-		metrics.WriteError(w, http.StatusBadRequest, "keyed batches need seq >= 1")
+		WriteRequestError(w, err)
 		return
 	}
 	res, err := s.ingest.Ingest(r.Context(), req)

@@ -182,7 +182,11 @@ func (q readQuery) send(t *testing.T, h http.Handler, framed bool) *httptest.Res
 		}
 		return do(h, http.MethodGet, "/rules?"+v.Encode(), "", framed)
 	}
-	body, err := json.Marshal(scoreRequest{Basket: q.basket, MinRI: q.minRI, Limit: q.limit})
+	req := ScoreRequest{Basket: q.basket, Limit: q.limit}
+	if q.minRI != nil {
+		req.MinRI = *q.minRI
+	}
+	body, err := json.Marshal(req)
 	if err != nil {
 		t.Fatal(err)
 	}
