@@ -215,13 +215,13 @@ func TestChaosSealEntryErrorLeavesLogUsable(t *testing.T) {
 func TestChaosTornWriteAcrossReopenCycle(t *testing.T) {
 	dir := t.TempDir()
 	var acked []int64
-	l, err := Open(dir, Options{SealTxns: 3})
+	l, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	next := 1
+	next, appends := 1, 0
 	for cycle := 0; cycle < 4; cycle++ {
-		// A few acknowledged appends...
+		// A few acknowledged appends, sealing every third...
 		for i := 0; i < 2; i++ {
 			first, last, err := l.Append([]item.Itemset{basket(next), basket(next, next+1)})
 			if err != nil {
@@ -231,6 +231,11 @@ func TestChaosTornWriteAcrossReopenCycle(t *testing.T) {
 				acked = append(acked, tid)
 			}
 			next += 2
+			if appends++; appends%3 == 0 {
+				if err := l.Seal(); err != nil {
+					t.Fatal(err)
+				}
+			}
 		}
 		// ...then a kill mid-append.
 		off := fault.Enable(PointAppend, fault.Panic("killed"), fault.OnHit(2))
@@ -240,7 +245,7 @@ func TestChaosTornWriteAcrossReopenCycle(t *testing.T) {
 		wantTIDs(t, l, acked...)
 	}
 	if st := l.Stats(); st.Segments == 0 {
-		t.Fatalf("auto-seal never fired across cycles: %+v", st)
+		t.Fatalf("no seal across cycles: %+v", st)
 	}
 }
 

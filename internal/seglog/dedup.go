@@ -1,10 +1,8 @@
 package seglog
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -25,6 +23,13 @@ import (
 // The window is bounded: entries beyond Options.DedupWindow are evicted
 // FIFO in memory, and the journal is compacted (rewritten with only live
 // entries) once it accumulates several windows' worth of records.
+//
+// A seq at or below its key's high-water seq, and not itself in the window,
+// is stale (ErrStaleSeq). The high-water seq is that of the key's newest live
+// entry, so it lives exactly as long as the key has an entry in the window —
+// which is what the compacted journal rebuilds. Beyond the window a retry is
+// therefore not rejected as stale, before a restart or after one, and the
+// per-key state stays within the window's bound.
 
 // dedupLogName is the journal file inside a log directory.
 const dedupLogName = "dedup.log"
@@ -66,14 +71,15 @@ type dedupWindow struct {
 
 	f       *os.File
 	entries map[keySeq]dedupEntry
-	maxSeq  map[string]uint64 // highest seq ever committed per key
+	maxSeq  map[string]uint64 // per key with a live entry: its newest seq
 	fifo    []keySeq          // insertion order of live entries
 	frames  int               // journal frames since the last compaction
 }
 
 // openDedupWindow replays (and compacts) dir's dedup journal. Reservations
 // whose TID range reaches at or past nextTID describe batches that did not
-// survive the crash and are dropped.
+// survive the crash and are dropped, as are cancelled ones: a reserve and
+// its cancel are journaled under one lock, so the cancel directly follows.
 func openDedupWindow(dir string, max int, nextTID int64) (*dedupWindow, error) {
 	w := &dedupWindow{
 		path:    filepath.Join(dir, dedupLogName),
@@ -89,26 +95,20 @@ func openDedupWindow(dir string, max int, nextTID int64) (*dedupWindow, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, r := range recs {
-		ks := keySeq{r.Key, r.Seq}
-		switch r.Op {
-		case "r":
-			if r.Last >= nextTID {
-				continue // reserved, but the data append never became durable
+	for i, r := range recs {
+		switch {
+		case r.Op == "c":
+			if i == 0 || recs[i-1].Op != "r" || recs[i-1].Key != r.Key || recs[i-1].Seq != r.Seq {
+				return nil, fmt.Errorf("seglog: %s: dedup cancel of %q seq %d follows no reservation of it", w.path, r.Key, r.Seq)
 			}
-			w.insert(r.dedupEntry)
-		case "c":
-			if _, ok := w.entries[ks]; ok {
-				delete(w.entries, ks)
-				for i, f := range w.fifo {
-					if f == ks {
-						w.fifo = append(w.fifo[:i], w.fifo[i+1:]...)
-						break
-					}
-				}
-			}
-		default:
+		case r.Op != "r":
 			return nil, fmt.Errorf("seglog: %s: unknown dedup op %q", w.path, r.Op)
+		case r.Last >= nextTID:
+			// reserved, but the data append never became durable
+		case i+1 < len(recs) && recs[i+1].Op == "c":
+			// reserved, then cancelled: the data append failed
+		default:
+			w.insert(r.dedupEntry)
 		}
 	}
 	// Start from a compact journal so recovery cost stays proportional to
@@ -119,42 +119,18 @@ func openDedupWindow(dir string, max int, nextTID int64) (*dedupWindow, error) {
 	return w, nil
 }
 
-// parseDedupJournal decodes the journal's frames, tolerating a torn tail
-// (the only damage a crash can produce) and rejecting interior corruption.
+// parseDedupJournal decodes the journal's frames. A torn tail (the only
+// damage a crash can produce) is dropped by the active segment's rule
+// (walkFrames); interior corruption is an error.
 func parseDedupJournal(raw []byte, name string) ([]dedupRecord, error) {
 	var recs []dedupRecord
-	off := 0
-	for off < len(raw) {
-		rest := raw[off:]
-		if len(rest) < frameHeaderSize {
-			break // torn frame header at EOF
-		}
-		n := int(binary.LittleEndian.Uint32(rest[0:4]))
-		if n > maxFramePayload {
-			if off+frameHeaderSize+n >= len(raw) {
-				break // torn length bytes at EOF
-			}
-			return nil, fmt.Errorf("seglog: %s: absurd dedup frame length %d at offset %d", name, n, off)
-		}
-		if len(rest) < frameHeaderSize+n {
-			break // torn payload at EOF
-		}
-		payload := rest[frameHeaderSize : frameHeaderSize+n]
-		want := binary.LittleEndian.Uint32(rest[4:8])
-		if crc32.Checksum(payload, crcTable) != want {
-			if off+frameHeaderSize+n == len(raw) {
-				break // garbled final frame: torn mid-sector
-			}
-			return nil, fmt.Errorf("seglog: %s: dedup frame CRC mismatch at offset %d", name, off)
-		}
+	_, err := walkFrames(raw, 0, name, true, func(payload []byte) error {
 		var r dedupRecord
-		if err := json.Unmarshal(payload, &r); err != nil {
-			return nil, fmt.Errorf("seglog: %s: dedup frame at offset %d: %w", name, off, err)
-		}
+		err := json.Unmarshal(payload, &r)
 		recs = append(recs, r)
-		off += frameHeaderSize + n
-	}
-	return recs, nil
+		return err
+	})
+	return recs, err
 }
 
 // insert registers a committed entry in memory, evicting FIFO past the
@@ -172,8 +148,12 @@ func (w *dedupWindow) insert(e dedupEntry) {
 		old := w.fifo[0]
 		w.fifo = w.fifo[1:]
 		delete(w.entries, old)
-		// maxSeq survives eviction on purpose: a retry older than the whole
-		// retained window is rejected as stale, not silently re-applied.
+		// A key's entries enter in rising seq order (lookup admits only seqs
+		// above its newest), so the oldest entry is the key's newest only
+		// when it is its last: the high-water seq goes with it.
+		if w.maxSeq[old.key] == old.seq {
+			delete(w.maxSeq, old.key)
+		}
 	}
 }
 

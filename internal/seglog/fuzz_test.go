@@ -1,6 +1,8 @@
 package seglog
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"testing"
 
@@ -29,16 +31,22 @@ func fuzzSeedSegment(f *testing.F) []byte {
 }
 
 // FuzzSeglogRecover feeds arbitrary bytes to the active-segment recovery
-// path and the manifest loader. The recovery must never panic; when it
-// accepts a prefix, that prefix must re-scan as a fully valid sealed
-// segment yielding the same transactions — a committed transaction inside
-// the accepted prefix can never be silently dropped or rewritten.
+// path, the dedup journal parse and the manifest loader. The recovery must
+// never panic; when it accepts a prefix, that prefix must re-scan as a fully
+// valid sealed segment yielding the same transactions — a committed
+// transaction inside the accepted prefix can never be silently dropped or
+// rewritten. The frames behind the segment header, read as a journal, must
+// keep the same prefix wherever both readers accept.
 func FuzzSeglogRecover(f *testing.F) {
 	seed := fuzzSeedSegment(f)
 	f.Add(seed, []byte(`{"version":1,"nextId":2,"active":1}`))
 	f.Add(seed[:len(seed)-3], []byte(`{"version":1,"nextId":3,"active":2,"sealed":[{"id":1,"txns":2,"bytes":40,"crc":1,"minTid":1,"maxTid":2}]}`))
 	f.Add([]byte("NMSL"), []byte("}{"))
 	f.Add([]byte{}, []byte{})
+	// A payload both readers take: JSON null, and one transaction of 117
+	// items in the txdb encoding.
+	both := frame(append([]byte("null"), bytes.Repeat([]byte(" "), 115)...))
+	f.Add(append(append(segmentHeader(), both...), both[:5]...), []byte{})
 
 	f.Fuzz(func(t *testing.T, segRaw, manRaw []byte) {
 		rec, err := recoverActiveBytes(segRaw, "fuzz")
@@ -74,6 +82,19 @@ func FuzzSeglogRecover(f *testing.F) {
 					if got[i].TID != rec.txs[i].TID || !got[i].Items.Equal(rec.txs[i].Items) {
 						t.Fatalf("tx %d differs between recovery and rescan", i)
 					}
+				}
+			}
+		}
+
+		if hdr := segmentHeader(); err == nil && bytes.HasPrefix(segRaw, hdr) {
+			body := segRaw[len(hdr):]
+			if recs, err := parseDedupJournal(body, "fuzz"); err == nil {
+				kept := 0
+				for range recs {
+					kept += frameHeaderSize + int(binary.LittleEndian.Uint32(body[kept:]))
+				}
+				if int64(len(hdr)+kept) != rec.size {
+					t.Fatalf("journal keeps %d frame bytes, active segment %d", kept, rec.size-int64(len(hdr)))
 				}
 			}
 		}

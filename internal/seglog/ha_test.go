@@ -154,15 +154,96 @@ func TestDedupWindowEviction(t *testing.T) {
 	if st.DedupEntries != 2 {
 		t.Fatalf("window holds %d entries, want 2 (FIFO bound)", st.DedupEntries)
 	}
-	// w1 was evicted, but its per-key high-water mark survives: the retry is
-	// refused as stale rather than silently applied twice.
-	if _, err := l.AppendBatch(Batch{Baskets: []item.Itemset{basket(1)}, Epoch: -1, Key: "w1", Seq: 1}); !errors.Is(err, ErrStaleSeq) {
-		t.Fatalf("evicted-key replay: %v, want ErrStaleSeq", err)
+	// w1 was evicted with its key's only entry, and its high-water seq went
+	// with it: the retry is beyond the window, so it is appended again.
+	res, err := l.AppendBatch(Batch{Baskets: []item.Itemset{basket(1)}, Epoch: -1, Key: "w1", Seq: 1})
+	if err != nil || res.Duplicate || res.First != 4 {
+		t.Fatalf("evicted-key replay = %+v, %v; want appended at TID 4", res, err)
 	}
-	// A fresh seq on the evicted key is fine.
+	// A fresh seq on the key is fine.
 	if _, err := l.AppendBatch(Batch{Baskets: []item.Itemset{basket(4)}, Epoch: -1, Key: "w1", Seq: 2}); err != nil {
 		t.Fatal(err)
 	}
+	// One key per batch, as negrouter mints for unkeyed ingest, keeps the
+	// per-key state within the window's bound.
+	for i := 0; i < 100; i++ {
+		if _, err := l.AppendBatch(Batch{Baskets: []item.Itemset{basket(i)}, Epoch: -1, Key: fmt.Sprintf("r%d", i), Seq: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := len(l.window.maxSeq); n > 2 {
+		t.Fatalf("%d keys hold a high-water seq, want at most the window's 2", n)
+	}
+}
+
+// TestDedupWindowSameAnswerAcrossRestarts asks the same questions of the
+// window before a restart and after each of two: a key's high-water seq
+// lives as long as the key has an entry in the window, which is what the
+// compacted journal rebuilds, so every restart gives the same answers.
+func TestDedupWindowSameAnswerAcrossRestarts(t *testing.T) {
+	dir := t.TempDir()
+	opt := Options{DedupWindow: 2}
+	l, err := Open(dir, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keyed := func(key string, seq uint64) Batch {
+		return Batch{Baskets: []item.Itemset{basket(int(seq))}, Epoch: -1, Key: key, Seq: seq}
+	}
+	// Keys a, b and c once each, then k three times: the window keeps k/2
+	// and k/3, so a, b, c and k/1 are all evicted.
+	for _, b := range []Batch{keyed("a", 1), keyed("b", 1), keyed("c", 1), keyed("k", 1), keyed("k", 2), keyed("k", 3)} {
+		if _, err := l.AppendBatch(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A reservation whose append fails is cancelled, and the next batch
+	// takes the TID it reserved: replay must neither keep it nor let it
+	// evict k/2.
+	off := fault.Enable(PointAppend, fault.Error("refused"), fault.OnHit(2))
+	if _, err := l.AppendBatch(keyed("k", 4)); err == nil {
+		t.Fatal("append of k/4 swallowed the injected error")
+	}
+	off()
+	if _, _, err := l.Append([]item.Itemset{basket(7)}); err != nil {
+		t.Fatal(err)
+	}
+	for restart := 0; restart <= 2; restart++ {
+		if restart > 0 {
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if l, err = Open(dir, opt); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, c := range []struct {
+			key  string
+			seq  uint64
+			want dedupState
+		}{
+			{"a", 1, dedupFresh},     // a has no entry left: beyond the window
+			{"k", 1, dedupStale},     // k still has entries, up to seq 3
+			{"k", 2, dedupDuplicate}, // retained
+			{"k", 3, dedupDuplicate},
+			{"k", 4, dedupFresh}, // cancelled
+		} {
+			if _, got := l.window.lookup(c.key, c.seq); got != c.want {
+				t.Fatalf("after %d restarts: %s/%d is %d, want %d", restart, c.key, c.seq, got, c.want)
+			}
+		}
+		if n := len(l.window.maxSeq); n != 1 {
+			t.Fatalf("after %d restarts: %d keys hold a high-water seq, want 1 (k)", restart, n)
+		}
+	}
+	res, err := l.AppendBatch(keyed("a", 1))
+	if err != nil || res.Duplicate || res.First != 8 {
+		t.Fatalf("retry of a/1 = %+v, %v; want appended at TID 8", res, err)
+	}
+	if _, err := l.AppendBatch(keyed("k", 1)); !errors.Is(err, ErrStaleSeq) {
+		t.Fatalf("retry of k/1: %v, want ErrStaleSeq", err)
+	}
+	l.Close()
 }
 
 func TestDedupDisabledWindowIgnoresKeys(t *testing.T) {

@@ -52,9 +52,9 @@ const (
 // promoted past the writer. The write was rejected and nothing was appended.
 var ErrFenced = errors.New("seglog: append fenced (stale epoch)")
 
-// ErrStaleSeq reports a keyed append whose sequence number is at or below one
-// already retired for that idempotency key (and is not the retained duplicate
-// window entry): the client has moved past it, so replaying it would reorder
+// ErrStaleSeq reports a keyed append whose sequence number is at or below the
+// newest its idempotency key holds in the dedup window, and is not itself
+// retained there: the client has moved past it, so replaying it would reorder
 // history.
 var ErrStaleSeq = errors.New("seglog: stale sequence for idempotency key")
 
@@ -68,9 +68,6 @@ const DefaultCompactUnder = 1 << 20
 
 // Options configures a Log.
 type Options struct {
-	// SealTxns automatically seals the active segment when it holds at
-	// least this many transactions (0 = no count-based sealing).
-	SealTxns int
 	// CompactUnder marks sealed segments smaller than this many bytes as
 	// compaction candidates (0 = DefaultCompactUnder).
 	CompactUnder int64
@@ -142,6 +139,7 @@ type activeSegment struct {
 	id     int64
 	f      *os.File
 	size   int64
+	crc    uint32 // CRC-32C of the file's size bytes, kept as frames commit
 	txns   int
 	minTID int64
 	enc    txdb.Encoder
@@ -264,7 +262,7 @@ func (l *Log) recoverActive() error {
 			f.Close()
 			return err
 		}
-		rec.size = int64(len(hdr))
+		rec.size, rec.crc = int64(len(hdr)), crc32.Checksum(hdr, crcTable)
 	} else if int64(len(raw)) != rec.size {
 		if err := f.Truncate(rec.size); err != nil {
 			f.Close()
@@ -279,6 +277,7 @@ func (l *Log) recoverActive() error {
 		id:     l.man.Active,
 		f:      f,
 		size:   rec.size,
+		crc:    rec.crc,
 		txns:   len(rec.txs),
 		minTID: rec.minTID,
 		txs:    rec.txs,
@@ -416,7 +415,8 @@ func (l *Log) AppendBatch(b Batch) (AppendResult, error) {
 	if b.Key != "" && l.window != nil {
 		l.window.commit(dedupEntry{Key: b.Key, Seq: b.Seq, First: first, Last: last, Txns: len(txs)})
 	}
-	return AppendResult{First: first, Last: last}, l.postAppendLocked(first, last)
+	l.postAppendLocked(first, last)
+	return AppendResult{First: first, Last: last}, nil
 }
 
 // appendTxsLocked writes txs (whose TIDs must continue the log exactly) as
@@ -467,6 +467,7 @@ func (l *Log) appendTxsLocked(txs []txdb.Transaction) error {
 	// Durable: commit the in-memory state.
 	l.active.enc = enc
 	l.active.size += int64(len(fr))
+	l.active.crc = crc32.Update(l.active.crc, crcTable, fr)
 	l.active.txns += len(txs)
 	if l.active.minTID == 0 {
 		l.active.minTID = txs[0].TID
@@ -475,21 +476,13 @@ func (l *Log) appendTxsLocked(txs []txdb.Transaction) error {
 	return nil
 }
 
-// postAppendLocked finishes a durable append: advances the TID cursor, wakes
-// tail followers, and runs the auto-seal policy. A seal failure is surfaced
-// without retracting the acknowledgement (the append itself is durable).
-func (l *Log) postAppendLocked(first, last int64) error {
+// postAppendLocked finishes a durable append: advances the TID cursor and
+// wakes tail followers.
+func (l *Log) postAppendLocked(first, last int64) {
 	l.nextTID = last + 1
 	l.appended += last - first + 1
 	close(l.notifyCh)
 	l.notifyCh = make(chan struct{})
-
-	if l.opt.SealTxns > 0 && l.active.txns >= l.opt.SealTxns {
-		if err := l.sealLocked(); err != nil {
-			return fmt.Errorf("seglog: auto-seal: %w", err)
-		}
-	}
-	return nil
 }
 
 // AppendReplicated appends transactions received from a primary's tail
@@ -521,7 +514,8 @@ func (l *Log) AppendReplicated(txs []txdb.Transaction) (AppendResult, error) {
 	if err := l.appendTxsLocked(txs); err != nil {
 		return AppendResult{}, err
 	}
-	return AppendResult{First: first, Last: last}, l.postAppendLocked(first, last)
+	l.postAppendLocked(first, last)
+	return AppendResult{First: first, Last: last}, nil
 }
 
 // Seal makes the active segment immutable and opens a fresh one. Sealing an
@@ -547,15 +541,11 @@ func (l *Log) sealLocked() error {
 	if err := l.active.f.Sync(); err != nil {
 		return err
 	}
-	crc, err := fileCRC(segmentPath(l.dir, l.active.id), l.active.size)
-	if err != nil {
-		return err
-	}
 	entry := SegmentEntry{
 		ID:     l.active.id,
 		Txns:   l.active.txns,
 		Bytes:  l.active.size,
-		CRC:    crc,
+		CRC:    l.active.crc,
 		MinTID: l.active.minTID,
 		MaxTID: l.active.enc.LastTID(),
 	}
@@ -591,7 +581,7 @@ func (l *Log) sealLocked() error {
 		l.broken = err
 		return err
 	}
-	l.active = activeSegment{id: next.Active, f: f, size: int64(len(hdr))}
+	l.active = activeSegment{id: next.Active, f: f, size: int64(len(hdr)), crc: crc32.Checksum(hdr, crcTable)}
 	return nil
 }
 
@@ -655,7 +645,7 @@ func (l *Log) Compact() (bool, error) {
 }
 
 // writeMerged streams the run's transactions into a new sealed segment file
-// and returns its manifest entry.
+// and returns its manifest entry, its CRC hashed from the bytes as written.
 func (l *Log) writeMerged(id int64, run []SegmentEntry) (SegmentEntry, error) {
 	path := segmentPath(l.dir, id)
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
@@ -667,7 +657,7 @@ func (l *Log) writeMerged(id int64, run []SegmentEntry) (SegmentEntry, error) {
 	if _, err := f.WriteAt(hdr, 0); err != nil {
 		return SegmentEntry{}, err
 	}
-	size := int64(len(hdr))
+	size, crc := int64(len(hdr)), crc32.Checksum(hdr, crcTable)
 	var enc txdb.Encoder
 	var payload []byte
 	const flushAt = 256 << 10
@@ -680,6 +670,7 @@ func (l *Log) writeMerged(id int64, run []SegmentEntry) (SegmentEntry, error) {
 			return err
 		}
 		size += int64(len(fr))
+		crc = crc32.Update(crc, crcTable, fr)
 		payload = payload[:0]
 		return nil
 	}
@@ -705,10 +696,6 @@ func (l *Log) writeMerged(id int64, run []SegmentEntry) (SegmentEntry, error) {
 		return SegmentEntry{}, err
 	}
 	if err := f.Sync(); err != nil {
-		return SegmentEntry{}, err
-	}
-	crc, err := fileCRC(path, size)
-	if err != nil {
 		return SegmentEntry{}, err
 	}
 	return SegmentEntry{
@@ -1033,16 +1020,4 @@ func (l *Log) Stats() Stats {
 		st.SealedTxns += e.Txns
 	}
 	return st
-}
-
-// fileCRC computes the crc32c of the first size bytes of path.
-func fileCRC(path string, size int64) (uint32, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return 0, err
-	}
-	if int64(len(raw)) < size {
-		return 0, fmt.Errorf("seglog: %s: %d bytes on disk, expected at least %d", path, len(raw), size)
-	}
-	return crc32.Checksum(raw[:size], crcTable), nil
 }

@@ -2,8 +2,10 @@ package seglog
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"slices"
@@ -134,22 +136,6 @@ func TestSealAndReopen(t *testing.T) {
 	}
 }
 
-func TestAutoSeal(t *testing.T) {
-	l, _ := openTest(t, Options{SealTxns: 2})
-	for i := 0; i < 5; i++ {
-		if _, _, err := l.Append([]item.Itemset{basket(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := l.Stats()
-	if st.Segments != 2 || st.SealedTxns != 4 || st.ActiveTxns != 1 {
-		t.Fatalf("auto-seal stats: %+v", st)
-	}
-	if got := len(l.SealedViews()); got != 2 {
-		t.Fatalf("SealedViews returned %d segments", got)
-	}
-}
-
 func TestSealedViewsScanIndependently(t *testing.T) {
 	l, _ := openTest(t, Options{})
 	if _, _, err := l.Append([]item.Itemset{basket(1), basket(2)}); err != nil {
@@ -228,6 +214,103 @@ func TestCompactMergesSmallRun(t *testing.T) {
 	if got := collect(t, l2); len(got) != len(before) {
 		t.Fatalf("reopen after compaction: %d txs", len(got))
 	}
+}
+
+// fileCRC is the CRC-32C of the first size bytes of path as they are on
+// disk: the read-back the checksums kept while writing are held to.
+func fileCRC(t *testing.T, path string, size int64) uint32 {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if int64(len(raw)) != size {
+		t.Fatalf("%s: %d bytes on disk, want %d", path, len(raw), size)
+	}
+	return crc32.Checksum(raw, crcTable)
+}
+
+// TestRunningCRCMatchesDisk holds the checksums kept while writing to a
+// read-back of the files: the active segment's across appends, a torn-tail
+// recovery and a seal, and a merged segment's across its compaction frames.
+func TestRunningCRCMatchesDisk(t *testing.T) {
+	dir := t.TempDir()
+	opt := Options{CompactUnder: 1 << 20}
+	l, err := Open(dir, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// ≈ 150 KB a segment, so the merge of three flushes more than one frame.
+	batch := func(n int) []item.Itemset {
+		out := make([]item.Itemset, n)
+		for i := range out {
+			out[i] = basket(i%50, 100+i%13, 1000+i%7)
+		}
+		return out
+	}
+	checkSealed := func(what string) {
+		t.Helper()
+		for _, e := range l.SealedEntries() {
+			if got := fileCRC(t, segmentPath(dir, e.ID), e.Bytes); got != e.CRC {
+				t.Fatalf("%s: segment %d: manifest CRC %08x, file %08x", what, e.ID, e.CRC, got)
+			}
+		}
+	}
+	if _, _, err := l.Append(batch(20000)); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	checkSealed("seal")
+	if _, _, err := l.Append(batch(10000)); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// A torn append behind the acknowledged frame: recovery drops it and
+	// resumes the checksum from the bytes it keeps.
+	f, err := os.OpenFile(segmentPath(dir, 2), os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(frame([]byte("torn"))[:7]); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	if l, err = Open(dir, opt); err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if l.Stats().RecoveredDrop != 7 {
+		t.Fatalf("recovery dropped %d bytes, want 7", l.Stats().RecoveredDrop)
+	}
+	for i := 0; i < 2; i++ {
+		if _, _, err := l.Append(batch(10000)); err != nil {
+			t.Fatal(err)
+		}
+		if got := fileCRC(t, segmentPath(dir, l.active.id), l.active.size); got != l.active.crc {
+			t.Fatalf("active segment: running CRC %08x, file %08x", l.active.crc, got)
+		}
+	}
+	if err := l.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := l.Append(batch(20000)); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	checkSealed("recovery and seal")
+	if did, err := l.Compact(); err != nil || !did {
+		t.Fatalf("Compact: did=%v err=%v", did, err)
+	}
+	if e := l.SealedEntries(); len(e) != 1 || e[0].Bytes <= 256<<10 {
+		t.Fatalf("compaction left %+v, want one segment past the 256 KB flush", e)
+	}
+	checkSealed("compaction")
 }
 
 func TestCompactSkipsLargeSegments(t *testing.T) {
@@ -355,6 +438,65 @@ func TestMidFileCorruptionInActiveIsAnError(t *testing.T) {
 	}
 }
 
+// TestTornTailRuleSharedByActiveSegmentAndJournal runs the same damaged
+// tails through the active segment's recovery and the dedup journal's
+// parse: both must keep the same frames, or both refuse.
+func TestTornTailRuleSharedByActiveSegmentAndJournal(t *testing.T) {
+	// Three frames of each kind, one transaction or one record apiece.
+	var segFrames, journalFrames [][]byte
+	var enc txdb.Encoder
+	for tid := int64(1); tid <= 3; tid++ {
+		p, err := enc.AppendRecord(nil, txdb.Transaction{TID: tid, Items: basket(int(tid))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		segFrames = append(segFrames, frame(p))
+		rec, err := json.Marshal(dedupRecord{Op: "r", dedupEntry: dedupEntry{Key: "k", Seq: uint64(tid), First: tid, Last: tid, Txns: 1}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		journalFrames = append(journalFrames, frame(rec))
+	}
+	absurd := binary.LittleEndian.AppendUint32(nil, maxFramePayload+1)
+	absurd = append(absurd, 0, 0, 0, 0)
+	garble := func(fr []byte) []byte {
+		fr = bytes.Clone(fr)
+		fr[len(fr)-1] ^= 0xff
+		return fr
+	}
+	cases := []struct {
+		name   string
+		damage func(f [][]byte) [][]byte
+		keep   int // frames kept; -1: corruption, Open must fail
+	}{
+		{"intact", func(f [][]byte) [][]byte { return f }, 3},
+		{"torn header", func(f [][]byte) [][]byte { return [][]byte{f[0], f[1], f[2][:5]} }, 2},
+		{"torn payload", func(f [][]byte) [][]byte { return [][]byte{f[0], f[1], f[2][:len(f[2])-1]} }, 2},
+		{"garbled last frame", func(f [][]byte) [][]byte { return [][]byte{f[0], f[1], garble(f[2])} }, 2},
+		{"absurd length at EOF", func(f [][]byte) [][]byte { return [][]byte{f[0], f[1], absurd} }, -1},
+		{"absurd length mid-file", func(f [][]byte) [][]byte { return [][]byte{f[0], absurd, f[1], f[2]} }, -1},
+		{"CRC mismatch mid-file", func(f [][]byte) [][]byte { return [][]byte{f[0], garble(f[1]), f[2]} }, -1},
+	}
+	for _, c := range cases {
+		seg := bytes.Join(append([][]byte{segmentHeader()}, c.damage(segFrames)...), nil)
+		rec, segErr := recoverActiveBytes(seg, "active")
+		recs, journalErr := parseDedupJournal(bytes.Join(c.damage(journalFrames), nil), "journal")
+		if c.keep < 0 {
+			if segErr == nil || journalErr == nil {
+				t.Errorf("%s: active segment err %v, journal err %v; want both corrupt", c.name, segErr, journalErr)
+			}
+			continue
+		}
+		if segErr != nil || journalErr != nil {
+			t.Errorf("%s: active segment err %v, journal err %v; want both torn", c.name, segErr, journalErr)
+			continue
+		}
+		if len(rec.txs) != c.keep || len(recs) != c.keep {
+			t.Errorf("%s: active segment kept %d frames, journal %d; want %d", c.name, len(rec.txs), len(recs), c.keep)
+		}
+	}
+}
+
 func TestOrphanSegmentsRemovedAtOpen(t *testing.T) {
 	dir := t.TempDir()
 	l, err := Open(dir, Options{})
@@ -451,13 +593,20 @@ func TestScanSnapshotIgnoresConcurrentAppend(t *testing.T) {
 }
 
 func TestConcurrentAppendAndScan(t *testing.T) {
-	l, _ := openTest(t, Options{SealTxns: 16})
+	l, _ := openTest(t, Options{})
 	done := make(chan error, 2)
 	go func() {
-		for i := 0; i < 100; i++ {
+		for i := 1; i <= 100; i++ {
 			if _, _, err := l.Append([]item.Itemset{basket(i % 7), basket(i%7, 9)}); err != nil {
 				done <- err
 				return
+			}
+			// Seal while the scans run, so they cross segment boundaries.
+			if i%8 == 0 {
+				if err := l.Seal(); err != nil {
+					done <- err
+					return
+				}
 			}
 		}
 		done <- nil

@@ -56,6 +56,49 @@ func frame(payload []byte) []byte {
 	return append(buf, payload...)
 }
 
+// walkFrames calls fn with the payload of each frame in raw[pos:], in file
+// order, and returns where the last frame it accepted ends. A short header,
+// a short payload, or a CRC failure in a frame that ends at EOF is a torn
+// tail: with torn set the walk stops before it (the crash window of an
+// append), and without it the tail is an error. A length above
+// maxFramePayload with the whole header present, or a CRC failure before
+// EOF, is corruption either way: a torn write leaves a strict prefix of a
+// valid frame, so the header it shows is the writer's, and bytes behind a
+// bad frame mean that frame was completed. fn's error is wrapped with the
+// frame's index.
+func walkFrames(raw []byte, pos int, name string, torn bool, fn func(payload []byte) error) (int, error) {
+	for i := 0; pos < len(raw); i++ {
+		damage := "truncated header"
+		if len(raw)-pos >= frameHeaderSize {
+			ln := int(binary.LittleEndian.Uint32(raw[pos:]))
+			if ln > maxFramePayload {
+				return pos, fmt.Errorf("seglog: %s: frame %d: absurd payload length %d", name, i, ln)
+			}
+			next := pos + frameHeaderSize + ln
+			damage = "truncated payload"
+			if next <= len(raw) {
+				payload := raw[pos+frameHeaderSize : next]
+				if crc32.Checksum(payload, crcTable) == binary.LittleEndian.Uint32(raw[pos+4:]) {
+					if err := fn(payload); err != nil {
+						return pos, fmt.Errorf("seglog: %s: frame %d: %w", name, i, err)
+					}
+					pos = next
+					continue
+				}
+				if next < len(raw) {
+					return pos, fmt.Errorf("seglog: %s: frame %d: CRC mismatch in acknowledged data", name, i)
+				}
+				damage = "CRC mismatch"
+			}
+		}
+		if torn {
+			break
+		}
+		return pos, fmt.Errorf("seglog: %s: frame %d: %s", name, i, damage)
+	}
+	return pos, nil
+}
+
 // scanSegmentFile streams every transaction of a complete (sealed) segment
 // file, verifying the header and every frame CRC. Any violation is an
 // error: sealed segments are immutable, so damage here is corruption of
@@ -76,32 +119,12 @@ func scanSegmentBytes(raw []byte, name string, fn func(txdb.Transaction) error) 
 		return 0, fmt.Errorf("seglog: %s: unsupported segment version", name)
 	}
 	var dec txdb.Decoder
-	pos := segHeaderSize
-	for frameIdx := 0; pos < len(raw); frameIdx++ {
-		if len(raw)-pos < frameHeaderSize {
-			return txns, fmt.Errorf("seglog: %s: frame %d: truncated header", name, frameIdx)
-		}
-		ln := int(binary.LittleEndian.Uint32(raw[pos : pos+4]))
-		sum := binary.LittleEndian.Uint32(raw[pos+4 : pos+8])
-		if ln > maxFramePayload {
-			return txns, fmt.Errorf("seglog: %s: frame %d: absurd payload length %d", name, frameIdx, ln)
-		}
-		pos += frameHeaderSize
-		if len(raw)-pos < ln {
-			return txns, fmt.Errorf("seglog: %s: frame %d: truncated payload", name, frameIdx)
-		}
-		payload := raw[pos : pos+ln]
-		if crc32.Checksum(payload, crcTable) != sum {
-			return txns, fmt.Errorf("seglog: %s: frame %d: CRC mismatch", name, frameIdx)
-		}
+	_, err = walkFrames(raw, segHeaderSize, name, false, func(payload []byte) error {
 		n, err := dec.DecodeAll(payload, fn)
 		txns += n
-		if err != nil {
-			return txns, fmt.Errorf("seglog: %s: frame %d: %w", name, frameIdx, err)
-		}
-		pos += ln
-	}
-	return txns, nil
+		return err
+	})
+	return txns, err
 }
 
 // segDB is a read-only txdb.DB view of one sealed segment. Every Scan
@@ -136,10 +159,8 @@ type recovered struct {
 }
 
 // recoverActiveBytes classifies an active segment's bytes into a valid
-// prefix and (possibly) a torn tail. Only a tail that cannot contain a
-// complete acknowledged frame may be dropped: a damaged frame strictly
-// inside the file — acknowledged bytes — is an error, never a silent
-// truncation.
+// prefix and (possibly) a torn tail, as walkFrames decides: only a tail
+// that cannot contain a complete acknowledged frame is dropped.
 func recoverActiveBytes(raw []byte, name string) (*recovered, error) {
 	rec := &recovered{}
 	hdr := segmentHeader()
@@ -155,50 +176,23 @@ func recoverActiveBytes(raw []byte, name string) (*recovered, error) {
 		return nil, fmt.Errorf("seglog: %s: bad segment header", name)
 	}
 	var dec txdb.Decoder
-	pos := len(hdr)
-	for frameIdx := 0; pos < len(raw); frameIdx++ {
-		rest := len(raw) - pos
-		if rest < frameHeaderSize {
-			break // torn frame header at the tail
-		}
-		ln := int(binary.LittleEndian.Uint32(raw[pos : pos+4]))
-		sum := binary.LittleEndian.Uint32(raw[pos+4 : pos+8])
-		end := pos + frameHeaderSize + ln
-		if ln > maxFramePayload {
-			// A torn append leaves a strict prefix of a valid frame; with the
-			// full header present the length is authentic, so a bound above
-			// what the writer ever produces is corruption, not tearing.
-			return nil, fmt.Errorf("seglog: %s: frame %d: absurd payload length %d", name, frameIdx, ln)
-		}
-		if end > len(raw) {
-			break // payload did not land completely: torn tail
-		}
-		payload := raw[pos+frameHeaderSize : end]
-		if crc32.Checksum(payload, crcTable) != sum {
-			if end == len(raw) {
-				break // last frame, payload bytes torn
-			}
-			return nil, fmt.Errorf("seglog: %s: frame %d: CRC mismatch in acknowledged data", name, frameIdx)
-		}
+	end, err := walkFrames(raw, len(hdr), name, true, func(payload []byte) error {
 		// The frame is intact; decode failures past the CRC mean the writer
 		// never produced these bytes — corruption, not tearing.
-		nBefore := len(rec.txs)
 		_, err := dec.DecodeAll(payload, func(tx txdb.Transaction) error {
 			rec.txs = append(rec.txs, txdb.Transaction{TID: tx.TID, Items: tx.Items.Clone()})
 			return nil
 		})
-		if err != nil {
-			return nil, fmt.Errorf("seglog: %s: frame %d: %w", name, frameIdx, err)
-		}
-		if len(rec.txs) > nBefore && rec.minTID == 0 {
-			rec.minTID = rec.txs[nBefore].TID
-		}
-		pos = end
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
-	rec.size = int64(pos)
-	rec.crc = crc32.Checksum(raw[:pos], crcTable)
-	rec.dropped += int64(len(raw) - pos)
+	rec.size = int64(end)
+	rec.crc = crc32.Checksum(raw[:end], crcTable)
+	rec.dropped = int64(len(raw) - end)
 	if len(rec.txs) > 0 {
+		rec.minTID = rec.txs[0].TID
 		rec.maxTID = rec.txs[len(rec.txs)-1].TID
 	}
 	return rec, nil

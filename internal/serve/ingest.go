@@ -24,7 +24,8 @@ var (
 	// ErrIngestNotPrimary marks a write sent to a standby or replica.
 	ErrIngestNotPrimary = errors.New("ingest refused: node is not the primary")
 	// ErrIngestStale marks a keyed batch whose sequence number is at or
-	// below one already retired from the dedup window.
+	// below the newest its key holds in the dedup window, and is not itself
+	// retained there.
 	ErrIngestStale = errors.New("ingest refused: stale sequence number")
 	// ErrIngestUnavailable marks a write the primary could not make safe in
 	// time (e.g. replication ack timeout); the client should retry.

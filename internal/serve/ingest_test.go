@@ -126,6 +126,7 @@ func TestHandlerIngestValidation(t *testing.T) {
 		{"unknown item", `{"baskets":[["coke-zero-max"]]}`, http.StatusBadRequest},
 		{"seq without key", `{"baskets":[["pepsi"]],"seq":1}`, http.StatusBadRequest},
 		{"key without seq", `{"baskets":[["pepsi"]],"key":"k"}`, http.StatusBadRequest},
+		{"second value", `{"baskets":[["pepsi"]]} {"baskets":[["pepsi"]]}`, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		if code, body := post(t, h, "/ingest", tc.body); code != tc.want {

@@ -120,9 +120,10 @@ func DecodeScore(r *http.Request) (ScoreRequest, []byte, error) {
 
 // decodeBody reads a POST request's body once, sized by r.ContentLength,
 // and decodes it with scan, or, when scan does not take it, with
-// encoding/json's Decoder with unknown fields refused. It returns the value,
-// the body and where its JSON value ends. usage is what a request with
-// another method is told.
+// encoding/json's Decoder with unknown fields refused. Anything but
+// whitespace after the JSON value is refused too. It returns the value, the
+// body and where its JSON value ends. usage is what a request with another
+// method is told.
 //
 // scan reads the body with ruleframe's lexer and no reflection: strings are
 // substrings of one copy of the body (or, escaped, copies of their own) and
@@ -150,6 +151,9 @@ func decodeBody[T any](r *http.Request, usage string, scan func(body []byte) (T,
 			return v, body, 0, bodyError(err)
 		}
 		end = int(dec.InputOffset())
+		if _, err := dec.Token(); err != io.EOF {
+			return v, body, 0, badRequest("bad request body: trailing data after the JSON value")
+		}
 	}
 	return v, body, end, nil
 }

@@ -17,14 +17,19 @@ import (
 )
 
 // referenceIngest is what DecodeIngest is held to: one encoding/json
-// Decoder value with unknown fields refused, then the batch's checks; the
-// bytes forwarded are the body up to the end of that value.
+// Decoder value with unknown fields refused and only whitespace after it,
+// then the batch's checks; the bytes forwarded are the body up to the end
+// of that value.
 func referenceIngest(body []byte) (IngestBatch, []byte, error) {
 	var b IngestBatch
 	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&b); err != nil {
 		return b, nil, fmt.Errorf("bad request body: %v", err)
+	}
+	end := dec.InputOffset()
+	if _, err := dec.Token(); err != io.EOF {
+		return b, nil, errors.New("bad request body: trailing data after the JSON value")
 	}
 	if len(b.Baskets) == 0 {
 		return b, nil, errors.New("baskets must contain at least one basket")
@@ -40,7 +45,7 @@ func referenceIngest(body []byte) (IngestBatch, []byte, error) {
 	case b.Key != "" && b.Seq == 0:
 		return b, nil, errors.New("keyed batches need seq >= 1")
 	}
-	return b, body[:dec.InputOffset()], nil
+	return b, body[:end], nil
 }
 
 // ingestRequest is a POST /ingest carrying body, with size as its announced
@@ -294,8 +299,9 @@ func BenchmarkDecodeIngest(b *testing.B) {
 }
 
 // referenceScore is what DecodeScore is held to: one encoding/json Decoder
-// value with unknown fields refused, then the request's checks; the bytes
-// forwarded are the body up to the end of that value.
+// value with unknown fields refused and only whitespace after it, then the
+// request's checks; the bytes forwarded are the body up to the end of that
+// value.
 func referenceScore(body []byte) (ScoreRequest, []byte, error) {
 	var req ScoreRequest
 	dec := json.NewDecoder(bytes.NewReader(body))
@@ -303,13 +309,17 @@ func referenceScore(body []byte) (ScoreRequest, []byte, error) {
 	if err := dec.Decode(&req); err != nil {
 		return req, nil, fmt.Errorf("bad request body: %v", err)
 	}
+	end := dec.InputOffset()
+	if _, err := dec.Token(); err != io.EOF {
+		return req, nil, errors.New("bad request body: trailing data after the JSON value")
+	}
 	if len(req.Basket) == 0 {
 		return req, nil, errors.New("basket must contain at least one item")
 	}
 	if req.Limit < 0 {
 		return req, nil, fmt.Errorf("bad limit %d", req.Limit)
 	}
-	return req, body[:dec.InputOffset()], nil
+	return req, body[:end], nil
 }
 
 // FuzzDecodeScore checks DecodeScore against referenceScore on every input:
@@ -319,7 +329,7 @@ func FuzzDecodeScore(f *testing.F) {
 		`{"basket":["pepsi","chips"]}`, `{"basket":["a"],"minRI":0.5,"limit":3}`,
 		" {\"limit\":2,\"basket\":[\"AT\\u0026T\",\"\\ud83d\\uded2\"]} \n", `{"basket":["a"],"minRI":-0,"limit":0}`,
 		`{"basket":[]}`, `{"basket":["a"],"limit":-1}`, `{"basket":["a"],"minRI":null}`, `{"basket":null}`,
-		`{"Basket":["a"]}`, `{"basket":["a"],"basket":["b"]}`, `{"basket":["a"]}x`, `{"basket":["a"]}]`,
+		`{"Basket":["a"]}`, `{"basket":["a"],"basket":["b"]}`, `{"basket":["a"]}x`, `{"basket":["a"]}]`, `{"basket":["a"]} {"basket":["b"]}`,
 		`{"basket":["a"],"limit":1.5}`, `{"basket":["a"],"minRI":1e999}`, `{"basket":["\ud83d"]}`,
 		`{"basket":["a"],"bogus":1}`, ``, `null`, `{"basket":["a"]`, "{\"basket\":[\"\xff\"]}",
 	} {

@@ -189,16 +189,16 @@ func Decode(data []byte) (*Image, error) {
 		elem int
 		set  func([]byte)
 	}{
-		{SecRI, 8, func(b []byte) { img.RI = bytesF64(b) }},
-		{SecExpected, 8, func(b []byte) { img.Expected = bytesF64(b) }},
-		{SecActual, 8, func(b []byte) { img.Actual = bytesF64(b) }},
-		{SecOff, 4, func(b []byte) { img.Off = bytesU32(b) }},
-		{SecSideIDs, 4, func(b []byte) { img.SideIDs = bytesI32(b) }},
-		{SecNameOffs, 4, func(b []byte) { img.NameOffs = bytesU32(b) }},
+		{SecRI, 8, func(b []byte) { img.RI = fromBytes[float64](b) }},
+		{SecExpected, 8, func(b []byte) { img.Expected = fromBytes[float64](b) }},
+		{SecActual, 8, func(b []byte) { img.Actual = fromBytes[float64](b) }},
+		{SecOff, 4, func(b []byte) { img.Off = fromBytes[uint32](b) }},
+		{SecSideIDs, 4, func(b []byte) { img.SideIDs = fromBytes[int32](b) }},
+		{SecNameOffs, 4, func(b []byte) { img.NameOffs = fromBytes[uint32](b) }},
 		{SecNameBlob, 1, func(b []byte) { img.NameBlob = b }},
-		{SecAncOff, 4, func(b []byte) { img.AncOff = bytesU32(b) }},
-		{SecAncIDs, 4, func(b []byte) { img.AncIDs = bytesI32(b) }},
-		{SecFragOff, 8, func(b []byte) { img.FragOff = bytesU64(b) }},
+		{SecAncOff, 4, func(b []byte) { img.AncOff = fromBytes[uint32](b) }},
+		{SecAncIDs, 4, func(b []byte) { img.AncIDs = fromBytes[int32](b) }},
+		{SecFragOff, 8, func(b []byte) { img.FragOff = fromBytes[uint64](b) }},
 		{SecFragBlob, 1, func(b []byte) { img.FragBlob = b }},
 	}
 	for _, l := range load {

@@ -236,16 +236,16 @@ func (img *Image) sections() ([]section, error) {
 	}
 	return []section{
 		{SecMeta, mb},
-		{SecRI, f64Bytes(img.RI)},
-		{SecExpected, f64Bytes(img.Expected)},
-		{SecActual, f64Bytes(img.Actual)},
-		{SecOff, u32Bytes(img.Off)},
-		{SecSideIDs, i32Bytes(img.SideIDs)},
-		{SecNameOffs, u32Bytes(img.NameOffs)},
+		{SecRI, asBytes(img.RI)},
+		{SecExpected, asBytes(img.Expected)},
+		{SecActual, asBytes(img.Actual)},
+		{SecOff, asBytes(img.Off)},
+		{SecSideIDs, asBytes(img.SideIDs)},
+		{SecNameOffs, asBytes(img.NameOffs)},
 		{SecNameBlob, img.NameBlob},
-		{SecAncOff, u32Bytes(img.AncOff)},
-		{SecAncIDs, i32Bytes(img.AncIDs)},
-		{SecFragOff, u64Bytes(img.FragOff)},
+		{SecAncOff, asBytes(img.AncOff)},
+		{SecAncIDs, asBytes(img.AncIDs)},
+		{SecFragOff, asBytes(img.FragOff)},
 		{SecFragBlob, img.FragBlob},
 	}, nil
 }

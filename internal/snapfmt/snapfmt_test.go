@@ -11,6 +11,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"negmine/internal/fault"
 )
@@ -376,6 +377,43 @@ func TestDecodeUnaligned(t *testing.T) {
 	}
 	if !reflect.DeepEqual(img.RI, []float64{5, 3.5, 3.5}) {
 		t.Errorf("misaligned RI = %v", img.RI)
+	}
+}
+
+// TestCopyingViewsRoundTrip forces the copying path of asBytes and
+// fromBytes, the one a big-endian host takes: the encoding must be the
+// zero-copy one byte for byte, and decode to the same image in slices of
+// its own.
+func TestCopyingViewsRoundTrip(t *testing.T) {
+	img := testImage()
+	want := encode(t, img)
+	defer func(old bool) { hostLittle = old }(hostLittle)
+	hostLittle = false
+	data := encode(t, img)
+	if !bytes.Equal(data, want) {
+		t.Fatal("copying encode differs from the zero-copy encoding")
+	}
+	got, err := Decode(data)
+	if err != nil {
+		t.Fatalf("Decode: %v", err)
+	}
+	for _, c := range []struct {
+		name      string
+		got, want any
+	}{
+		{"RI", got.RI, img.RI}, {"Expected", got.Expected, img.Expected}, {"Actual", got.Actual, img.Actual},
+		{"Off", got.Off, img.Off}, {"SideIDs", got.SideIDs, img.SideIDs}, {"NameOffs", got.NameOffs, img.NameOffs},
+		{"AncOff", got.AncOff, img.AncOff}, {"AncIDs", got.AncIDs, img.AncIDs}, {"FragOff", got.FragOff, img.FragOff},
+	} {
+		if !reflect.DeepEqual(c.got, c.want) {
+			t.Errorf("%s round-trip: got %v want %v", c.name, c.got, c.want)
+		}
+	}
+	base, end := uintptr(unsafe.Pointer(&data[0])), uintptr(unsafe.Pointer(&data[len(data)-1]))
+	for name, p := range map[string]unsafe.Pointer{"RI": unsafe.Pointer(&got.RI[0]), "Off": unsafe.Pointer(&got.Off[0])} {
+		if uintptr(p) >= base && uintptr(p) <= end {
+			t.Errorf("%s aliases the file bytes on the copying path", name)
+		}
 	}
 }
 
