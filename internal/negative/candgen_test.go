@@ -2,6 +2,7 @@ package negative
 
 import (
 	"cmp"
+	"math"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -513,6 +514,49 @@ func TestHostileCase3(t *testing.T) {
 	t.Logf("%d candidates: %d via siblings, %d of them four roots, %d with an off-taxonomy member, %d tied between sources", total, siblings, roots4, offTaxonomy, ties)
 	if siblings < total/2 || roots4 == 0 || offTaxonomy == 0 || ties == 0 {
 		t.Fatal("the hostile corpus no longer reaches what it was built for")
+	}
+}
+
+// TestNonPositiveMembersGenerateNothing pins the rule for a source with a
+// member of no positive support, whose w = sup(l)/Π sup(x) has no finite
+// value: one member with a zero count (z) and one that is not large (n). Such
+// a source generates nothing, in the kernel and the reference alike, on any
+// number of workers, and every expectation is finite. (A mined table holds no
+// such source: there sup(x) ≥ sup(l) > 0.) Only {a d} generates: its class
+// reaches {b d} and {a e}, at w = 1.
+func TestNonPositiveMembersGenerateNothing(t *testing.T) {
+	c, set := namedCase(t, [][2]string{{"P", "a"}, {"P", "b"}, {"P", "z"}, {"P", "n"}, {"Q", "d"}, {"Q", "e"}}, nil,
+		[]namedSet{
+			{512, []string{"P"}}, {512, []string{"Q"}}, {256, []string{"a"}}, {256, []string{"b"}}, {0, []string{"z"}},
+			{256, []string{"d"}}, {128, []string{"e"}},
+			{64, []string{"a", "z"}}, {64, []string{"b", "n"}}, {64, []string{"a", "d"}},
+		}, nil)
+	want := []Candidate{
+		{Set: set("a", "e"), Expected: 1.0 / 32, Source: set("a", "d"), Via: ViaSiblings},
+		{Set: set("b", "d"), Expected: 1.0 / 16, Source: set("a", "d"), Via: ViaSiblings},
+	}
+	if ref := referenceCandidates(c.levels, c.table, c.tax, c.minSup, c.minRI, c.substitutes); !sameCandidates(ref, want) {
+		t.Fatalf("reference: got %v, want %v", ref, want)
+	}
+	opt := Options{MinSupport: c.minSup, MinRI: c.minRI, Substitutes: c.substitutes}
+	for _, workers := range []int{1, 2, 5} {
+		opt.Count.Parallelism = workers
+		got, walk := listed(generateCandidates(c.levels, c.table.Total(), c.tax, c.supports(c.tax), opt))
+		if !sameCandidates(got, want) || walk.Sources != 1 {
+			t.Fatalf("%d workers: got %v (%+v), want %v from one source", workers, got, walk, want)
+		}
+	}
+
+	// The random corpus holds such sources too: no expectation is infinite
+	// or NaN, and none reaches a set holding a member of no positive support.
+	for seed := int64(1); seed <= 600; seed++ {
+		c := randomCandgenCase(t, rand.New(rand.NewSource(seed)))
+		sup := c.supports(c.tax)
+		for _, cand := range GenerateCandidates(c.levels, c.table, c.tax, c.minSup, c.minRI, c.substitutes) {
+			if math.IsInf(cand.Expected, 0) || math.IsNaN(cand.Expected) || slices.ContainsFunc(cand.Set, func(x item.Item) bool { return !(sup[x] > 0) }) {
+				t.Fatalf("seed %d: %+v", seed, cand)
+			}
+		}
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/bits"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -44,8 +43,8 @@ type Candidate struct {
 // itemsets walked: through their children (Cases 1–2), and through their
 // siblings (Case 3) only when their class cannot stand for them. A visit is a
 // keep/replace decision of a walk or a member placed by a class enumeration;
-// a floor cut is a branch of either cut at the floor, or a class set whose
-// exact expectation does not clear it. An emission is a completed set:
+// a floor cut is a branch of either cut at the floor, or a completed set whose
+// expectation does not clear it. An emission is any other completed set:
 // Emitted = AlreadyLarge + Duplicates (another path to the set beats it) +
 // Recorded (the candidates); Case3 counts the emissions Case 3 made.
 type WalkStats struct {
@@ -62,7 +61,7 @@ type inputs struct {
 	tax *taxonomy.Taxonomy
 	// minExpected is MinSup·MinRI: a candidate whose expected support does
 	// not exceed it can yield no rule with RI ≥ MinRI. cutBelow is the same
-	// floor less the slack, for bounds not multiplied in the walk's order.
+	// floor less floorSlack, for pruning bounds.
 	minExpected, cutBelow float64
 	sup                   []float64                 // levelSupports(levels[0], total, tax.Size())
 	subs                  map[item.Item][]item.Item // an item's declared substitute partners
@@ -72,13 +71,12 @@ type inputs struct {
 	siblings map[item.Item][]item.Item
 	// sources are the large itemsets to walk, levels ascending — the table's
 	// itemsets of two members or more, so an emitted set is large exactly when
-	// it is one — and sourceSup their supports, read off their levels' counts
-	// as the table would read them (0: not walked).
-	sources   []item.Itemset
-	sourceSup []float64
+	// it is one — and w their weights (0: the source generates nothing).
+	sources []item.Itemset
+	w       []float64
 	// byHash indexes the sources by their Hash, walked the irregular sources
-	// of positive support by kinHash and w descending, and kin a group that
-	// substitutes join to a lower one.
+	// that generate by kinHash, w descending, then source, and kin a group
+	// that substitutes join to a lower one.
 	byHash item.Index
 	walked map[uint64][]weighted
 	kin    map[int64]int64
@@ -88,7 +86,8 @@ type inputs struct {
 	// classes slice anchors, groups and pools, each made once at its counted
 	// size.
 	regular []bool
-	classes []class // ascending by gids
+	classes []class
+	byGids  item.Index // the classes by the hash of their gids
 	anchors []anchor
 	groups  []group
 	pools   []item.Item
@@ -144,32 +143,35 @@ func newInputs(levels [][]item.CountedSet, total int, tax *taxonomy.Taxonomy, su
 	for _, lvl := range levels[min(1, len(levels)):] {
 		n += len(lvl)
 	}
-	in.sources, in.sourceSup = make([]item.Itemset, 0, n), make([]float64, 0, n)
+	in.sources, in.w = make([]item.Itemset, 0, n), make([]float64, 0, n)
 	for _, lvl := range levels[min(1, len(levels)):] {
 		for _, cs := range lvl {
-			in.sources = append(in.sources, cs.Set)
-			sup := 0.0 // as the table reads the count
+			supL := 0.0 // as the table reads the count
 			if total != 0 {
-				sup = float64(cs.Count) / float64(total)
+				supL = float64(cs.Count) / float64(total)
 			}
-			in.sourceSup = append(in.sourceSup, sup)
+			in.sources, in.w = append(in.sources, cs.Set), append(in.w, in.weight(cs.Set, supL))
 		}
 	}
 	in.classify()
 	return in
 }
 
-// floorSlack is the relative error allowed for an expectation not multiplied
-// in the walk's order: a few ulps per factor, many times over.
+// floorSlack is the relative slack of a pruning bound. A set's expectation is
+// multiplied in one order (expect); a bound multiplies the same supports in
+// another, and may round a few ulps per factor below the expectation of a set
+// it covers. Cutting only at the floor less many times that, a bound never
+// cuts a set whose expectation clears the floor.
 const floorSlack = 1e-9
 
-// Case 3 by sibling class (DESIGN §6). On a Case-3 path from a source l to a
-// set C the kept members cancel: its expectation is w(l)·Π_{c∈C} sup(c), with
-// w(l) = sup(l)/Π_{x∈l} sup(x). A class is the sources whose members fill the
-// same groups (parent; the roots; an id the taxonomy lacks alone), as many
-// each; a set's expectation is Π sup(c) times the largest w of a class source
-// holding one of its members. Each set is enumerated once, from its member of
-// highest W (its anchor), and its expectation recomputed as the walk does.
+// One expectation (DESIGN §6). On every path from a source l to a set C —
+// Cases 1, 2 and 3 alike — the kept members cancel: E(C | l) = w(l)·P(C), with
+// w(l) = sup(l)/Π_{x∈l} sup(x) and P(C) = Π_{c∈C} sup(c). So the path that wins
+// C is the one whose source has the largest w. Case 3 goes by sibling class: a
+// class is the sources whose members fill the same groups (parent; the roots;
+// an id the taxonomy lacks alone), as many each, and its best path to a set is
+// the class source of largest w holding one of the set's members. Each class
+// set is enumerated once, from its member of highest W (its anchor).
 
 // class is one sibling class.
 type class struct {
@@ -186,21 +188,25 @@ type group struct {
 	n    int
 }
 
-// anchor is a member x of a class's sources. w is W(x), and srcs the class
-// sources holding x by w descending, then source.
+// anchor is a member x of a class's sources: w is W(x), the largest w of the
+// class sources holding x, and src the lowest of those that have it.
 type anchor struct {
 	x    item.Item
 	cls  int32 // index into inputs.classes
 	rank int32 // index into the class's anchors
+	src  int32
 	w    float64
-	srcs []weighted
 }
 
-// weighted is a class source holding x, with its w.
+// weighted is a source with its w, and its class if it is regular.
 type weighted struct {
-	x   item.Item
-	src int32
-	w   float64
+	src, cls int32
+	w        float64
+}
+
+// byClass orders sources by class, then w descending, then source.
+func byClass(a, b weighted) int {
+	return cmp.Or(cmp.Compare(a.cls, b.cls), cmp.Compare(b.w, a.w), cmp.Compare(a.src, b.src))
 }
 
 // Group ids: a parent's is its item, the roots' is rootGroup, and an id the
@@ -229,53 +235,52 @@ func (in *inputs) groupOf(x item.Item) int64 {
 	return int64(in.tax.Parent(x))
 }
 
-// weight returns w(l), +Inf if a member's support is not positive, and
-// whether l is regular: its support and its members' are positive and none has
-// declared substitutes, so that each is a sibling of exactly the others of its
-// group (of which only the large ones are ever chosen). Masks hold 64 members.
-func (in *inputs) weight(l item.Itemset, supL float64) (float64, bool) {
-	prod, regular := 1.0, supL > 0 && len(l) <= 64
+// weight returns w(l) = sup(l)/Π_{x∈l} sup(x), the product in member order.
+// A source whose support is not positive, or with a member that is not large
+// or of no positive support, has w = 0 and generates nothing; a mined table
+// holds no such source, as there sup(x) ≥ sup(l) > 0.
+func (in *inputs) weight(l item.Itemset, supL float64) float64 {
+	prod := 1.0
 	for _, x := range l {
-		s, ok := in.support(x)
-		if !ok || s <= 0 {
-			return math.Inf(1), false
+		s, _ := in.support(x)
+		if !(s > 0) {
+			return 0
 		}
 		prod *= s
-		regular = regular && x >= 0 && len(in.subs[x]) == 0
 	}
-	return supL / prod, regular
+	return supL / prod
 }
 
 // classify indexes the sources, marks the regular ones and builds their
 // classes, one allocation per table, each sized by a counting pass. A source
-// finds its class by the hash of its groups, so what is sorted is the
-// distinct classes and the sources by class, and a class's anchors take their
-// sources in order from a counting sort of its members by item.
+// finds its class by the hash of its groups (classNumber), so what is sorted
+// is the sources by class, then w descending and source, and a class's anchors
+// are its sources' members, each with the first of those sources holding it.
 func (in *inputs) classify() {
 	n, members := len(in.sources), 0
 	for _, l := range in.sources {
 		members += len(l)
 	}
 	in.regular = make([]bool, n)
-	in.byHash, in.walked = item.NewIndex(n), map[uint64][]weighted{}
-	type regularSource struct {
-		src, cls int32 // cls numbers the classes in the order first met
-		w        float64
-	}
-	reg := make([]regularSource, 0, n)
+	in.byHash, in.byGids, in.walked = item.NewIndex(n), item.NewIndex(n), map[uint64][]weighted{}
+	reg := make([]weighted, 0, n)
 	gids := make([]int64, 0, members)
-	// srcGids[s] is regular source s's members' groups, ascending: its class's
-	// key. byGids indexes each class's first entry in reg by the hash of its
-	// key, and firsts holds that entry's source.
-	srcGids, byGids := make([][]int64, n), item.NewIndex(n)
-	var firsts []int32
 	for s, l := range in.sources {
 		in.byHash.Insert(l.Hash(), int32(s))
-		w, ok := in.weight(l, in.sourceSup[s])
-		if !ok {
-			if k := in.kinHash(l); in.sourceSup[s] > 0 {
-				in.walked[k] = append(in.walked[k], weighted{src: int32(s), w: w})
-			}
+		w := in.w[s]
+		if w == 0 {
+			continue
+		}
+		// A regular source has no member with declared substitutes, so that
+		// each is a sibling of exactly the others of its group (of which only
+		// the large ones are ever chosen). Masks hold 64 members.
+		irregular := len(l) > 64
+		for _, x := range l {
+			irregular = irregular || len(in.subs[x]) > 0
+		}
+		if irregular {
+			k := in.kinHash(l)
+			in.walked[k] = append(in.walked[k], weighted{src: int32(s), w: w})
 			for _, x := range l {
 				if _, ok := in.siblings[x]; ok {
 					continue
@@ -298,62 +303,39 @@ func (in *inputs) classify() {
 		}
 		g := gids[start:len(gids):len(gids)]
 		slices.Sort(g)
-		srcGids[s] = g
-		hg := uint64(0)
-		for _, id := range g {
-			hg += item.Mix(uint64(id))
+		c, h := in.classNumber(g)
+		if c < 0 {
+			c = int32(len(in.classes))
+			in.byGids.Insert(h, c)
+			in.classes = append(in.classes, class{gids: g})
 		}
-		r := regularSource{src: int32(s), cls: -1, w: w}
-		for e, at := byGids.Probe(hg); e >= 0; e, at = byGids.Next(hg, at) {
-			if first := reg[e]; slices.Equal(srcGids[first.src], g) {
-				r.cls = first.cls
-				break
-			}
-		}
-		if r.cls < 0 {
-			byGids.Insert(hg, int32(len(reg)))
-			r.cls = int32(len(firsts))
-			firsts = append(firsts, int32(s))
-		}
-		reg = append(reg, r)
+		reg = append(reg, weighted{int32(s), c, w})
 	}
 	in.idBound = max(in.idBound, in.tax.Size())
 	for _, b := range in.walked {
-		slices.SortFunc(b, func(a, b weighted) int { return cmp.Or(cmp.Compare(b.w, a.w), cmp.Compare(a.src, b.src)) })
+		slices.SortFunc(b, byClass)
 	}
-	// The classes ascending by their groups (rank), then the sources by
-	// class, w descending and source: a class is a run.
-	order := make([]int32, len(firsts))
-	for i := range order {
-		order[i] = int32(i)
-	}
-	slices.SortFunc(order, func(a, b int32) int { return slices.Compare(srcGids[firsts[a]], srcGids[firsts[b]]) })
-	rank := make([]int32, len(firsts))
-	for r, c := range order {
-		rank[c] = int32(r)
-	}
-	slices.SortFunc(reg, func(a, b regularSource) int {
-		return cmp.Or(cmp.Compare(rank[a.cls], rank[b.cls]), cmp.Compare(b.w, a.w), cmp.Compare(a.src, b.src))
-	})
+	slices.SortFunc(reg, byClass) // a class is a run
 
-	// A pass over the class runs sizes the tables below exactly: a group per
-	// distinct group of a class, with its pool's members, and an anchor per
-	// distinct member of the class's sources (held[x] == cls + 1 marks one).
-	held := make([]int32, in.idBound)
+	// A pass over the classes and their runs sizes the tables below exactly: a
+	// group per distinct group of a class, with its pool's members, and an
+	// anchor per distinct member of the class's sources (held[x] == cls + 1
+	// marks one).
 	nGroups, nPool, nAnchors := 0, 0, 0
-	for i, r := range reg {
-		if cg := srcGids[r.src]; i == 0 || r.cls != reg[i-1].cls {
-			for g, id := range cg {
-				if g == 0 || id != cg[g-1] {
-					nGroups++
-					for _, x := range in.groupItems(id) {
-						if s, ok := in.support(x); ok && s > 0 { // as pool tells
-							nPool++
-						}
+	for _, k := range in.classes {
+		for g, id := range k.gids {
+			if g == 0 || id != k.gids[g-1] {
+				nGroups++
+				for _, x := range in.groupItems(id) {
+					if s, ok := in.support(x); ok && s > 0 { // as pool tells
+						nPool++
 					}
 				}
 			}
 		}
+	}
+	held := make([]int32, in.idBound)
+	for _, r := range reg {
 		for _, x := range in.sources[r.src] {
 			if held[x] != r.cls+1 {
 				held[x], nAnchors = r.cls+1, nAnchors+1
@@ -364,62 +346,47 @@ func (in *inputs) classify() {
 
 	in.pools = make([]item.Item, 0, nPool)
 	in.groups = make([]group, 0, nGroups)
-	entries := make([]weighted, len(gids)) // one per member of a regular source
 	in.anchors = make([]anchor, 0, nAnchors)
-	// held[x] counts x's entries in the class being built, then is where the
-	// next of them goes; xs are those members in the order first met.
-	var xs []item.Item
-	for i, e0 := 0, 0; i < len(reg); {
-		j := i + 1
-		for j < len(reg) && reg[j].cls == reg[i].cls {
-			j++
-		}
-		cls := reg[i:j]
-		cg := srcGids[cls[0].src]
-		g0 := len(in.groups)
-		for _, id := range cg {
+	for i := 0; i < len(reg); {
+		k, g0, a0 := &in.classes[reg[i].cls], len(in.groups), len(in.anchors)
+		for _, id := range k.gids {
 			if last := len(in.groups) - 1; last >= g0 && in.groups[last].id == id {
 				in.groups[last].n++
 				continue
 			}
 			in.groups = append(in.groups, group{id: id, pool: in.pool(id), n: 1})
 		}
-		k := class{gids: cg, groups: in.groups[g0:len(in.groups):len(in.groups)]}
-
-		// Each member's entries, by w descending, then source, back to back.
-		xs = xs[:0]
-		for _, r := range cls {
+		k.groups = in.groups[g0:len(in.groups):len(in.groups)]
+		for c := reg[i].cls; i < len(reg) && reg[i].cls == c; i++ {
+			r := reg[i]
 			for _, x := range in.sources[r.src] {
-				if held[x] == 0 {
-					xs = append(xs, x)
+				if held[x] != r.cls+1 {
+					held[x] = r.cls + 1
+					in.anchors = append(in.anchors, anchor{x: x, cls: r.cls, src: r.src, w: r.w})
 				}
-				held[x]++
 			}
 		}
-		next := int32(e0)
-		for _, x := range xs {
-			next, held[x] = next+held[x], next
-		}
-		for _, r := range cls {
-			for _, x := range in.sources[r.src] {
-				entries[held[x]], held[x] = weighted{x, r.src, r.w}, held[x]+1
-			}
-		}
-		a0, e := len(in.anchors), int32(e0)
-		for _, x := range xs { // x's entries end where the next one's start
-			f := held[x]
-			in.anchors = append(in.anchors, anchor{x: x, cls: int32(len(in.classes)), w: entries[e].w, srcs: entries[e:f:f]})
-			held[x], e = 0, f
-		}
-		e0 = int(next)
 		k.anchors = in.anchors[a0:len(in.anchors):len(in.anchors)]
 		slices.SortFunc(k.anchors, func(a, b anchor) int { return cmp.Or(cmp.Compare(b.w, a.w), cmp.Compare(a.x, b.x)) })
 		for r := range k.anchors {
 			k.anchors[r].rank = int32(r)
 		}
-		in.classes = append(in.classes, k)
-		i = j
 	}
+}
+
+// classNumber returns the class whose sources' members fill the groups gids,
+// ascending, or -1, and the hash it is indexed by.
+func (in *inputs) classNumber(gids []int64) (int32, uint64) {
+	h := uint64(0)
+	for _, id := range gids {
+		h += item.Mix(uint64(id))
+	}
+	for c, at := in.byGids.Probe(h); c >= 0; c, at = in.byGids.Next(h, at) {
+		if slices.Equal(in.classes[c].gids, gids) {
+			return c, h
+		}
+	}
+	return -1, h
 }
 
 // pool appends to in.pools the members of group id that are large with
@@ -454,9 +421,8 @@ type generator struct {
 	l       item.Itemset
 	src     int32 // l is sources[src]
 	start   int   // the first of items the walk recorded
-	supL    float64
 	via     Mode
-	suffix  []float64   // suffix[pos]: the most positions pos… of l can multiply the ratio by
+	suffix  []float64   // suffix[pos]: w(l) times the largest product of supports positions pos… can take
 	keepOne []float64   // the same when one of them must keep its member
 	picked  []item.Item // one choice per position of l, or the class set being enumerated
 	set     []item.Item // picked, sorted
@@ -470,25 +436,26 @@ type generator struct {
 	rest   []float64
 	mark   []int32
 	epoch  int32
-	xs, ys []member    // a source and a set, for pathRatio
 	lifted []item.Item // the source of a children path, for wins
 	gids   []int64     // a set's groups, for classOf
 }
 
-// prov is a generation path to a candidate: its expectation, source (an
-// index into inputs.sources) and mode.
+// prov is a generation path to a set: its source (an index into
+// inputs.sources) and mode, and, on a path that emits the set, the
+// expectation it gives it.
 type prov struct {
 	expected float64
 	source   int32
 	via      Mode
 }
 
-// outranks reports whether path p wins over path q to one set: a larger
-// expectation, then a lower source, then children over siblings — of equal
-// paths, the first in the reference's order (sources ascending, each through
-// its children before its siblings).
-func (p prov) outranks(q prov) bool {
-	return p.expected > q.expected || p.expected == q.expected && (p.source < q.source || p.source == q.source && p.via < q.via)
+// outranks reports whether path p wins over path q to one set: a larger w of
+// its source (P(C) is common to both), then a lower source, then children
+// over siblings — of equal paths, the first in the reference's order (sources
+// ascending, each through its children before its siblings).
+func (in *inputs) outranks(p, q prov) bool {
+	wp, wq := in.w[p.source], in.w[q.source]
+	return wp > wq || wp == wq && (p.source < q.source || p.source == q.source && p.via < q.via)
 }
 
 // levelSupports is the dense view of the large 1-itemsets l1, with their
@@ -536,44 +503,35 @@ func (g *generator) choices(x item.Item) []item.Item {
 	return g.tax.Children(x)
 }
 
-// maxGrowth is the most the position holding x can multiply the ratio by in
-// the mode being walked: 1 for keeping x, or the largest sup(r)/sup(x) over its
-// large choices — above 1 for a sibling more popular than x, never for a child
-// where the supports were counted.
-func (g *generator) maxGrowth(x item.Item) float64 {
-	m := 1.0
-	if supX, ok := g.support(x); ok && supX > 0 {
-		for _, r := range g.choices(x) {
-			if supR, ok := g.support(r); ok {
-				m = max(m, supR/supX)
-			}
-		}
-	}
-	return m
-}
-
 // fromLarge generates the candidates derivable from the large itemset l:
 // Cases 1–2 replace a non-empty subset of its members by children, Case 3 a
-// proper one by siblings or declared substitutes (the §4.1 extension). The
-// expected support is sup(l) scaled by Π sup(replacement)/sup(original) over
-// the replaced members — the uniformity assumption. Case 3 of a regular
-// source is its class's, done by fromAnchor.
+// proper one by siblings or declared substitutes (the §4.1 extension), each
+// set at w(l)·P(C), the uniformity assumption. Case 3 of a regular source is
+// its class's, done by fromAnchor.
 func (g *generator) fromLarge(src int32) {
-	l, supL := g.sources[src], g.sourceSup[src]
-	if supL == 0 {
+	if g.w[src] == 0 {
 		return
 	}
-	g.l, g.src, g.supL, g.start = l, src, supL, len(g.items)
+	l := g.sources[src]
+	g.l, g.src, g.start = l, src, len(g.items)
 	g.stats.Sources++
 	g.scratch(len(l))
 	for via := ViaChildren; via == ViaChildren || via == ViaSiblings && !g.regular[src]; via++ {
 		g.via = via
-		g.suffix[len(l)] = 1
-		least := math.Inf(1)
+		g.suffix[len(l)] = g.w[src]
+		least := math.Inf(1) // the least ratio of a later position's top to its member's support
 		for i := len(l) - 1; i > 0; i-- {
-			grow := g.maxGrowth(l[i])
-			least = min(least, grow)
-			g.suffix[i] = g.suffix[i+1] * grow
+			// top is the largest support position i can take: its member's, or
+			// a large choice's — a sibling more popular than the member, never
+			// a child where the supports were counted.
+			top := g.sup[l[i]]
+			for _, r := range g.choices(l[i]) {
+				if s, ok := g.support(r); ok {
+					top = max(top, s)
+				}
+			}
+			least = min(least, top/g.sup[l[i]])
+			g.suffix[i] = g.suffix[i+1] * top
 			g.keepOne[i] = g.suffix[i] / least
 		}
 		g.walk(0, 0, 0, 1)
@@ -583,45 +541,40 @@ func (g *generator) fromLarge(src int32) {
 // scratch sizes the per-position scratch for sets of k members.
 func (g *generator) scratch(k int) {
 	if len(g.picked) < k {
-		g.picked, g.suffix, g.keepOne = make([]item.Item, k), make([]float64, k+1), make([]float64, k+1)
-		g.rest, g.xs, g.ys = make([]float64, k+1), make([]member, k), make([]member, k)
+		g.picked, g.suffix, g.keepOne, g.rest = make([]item.Item, k), make([]float64, k+1), make([]float64, k+1), make([]float64, k+1)
 	}
 }
 
-// walk decides keep-vs-replace for position pos of g.l and recurses,
-// multiplying the support ratio of each replacement.
-func (g *generator) walk(pos, kept, replaced int, ratio float64) {
+// walk decides keep-vs-replace for position pos of g.l and recurses, prod
+// the product of the supports picked so far.
+func (g *generator) walk(pos, kept, replaced int, prod float64) {
 	g.stats.Visited++
 	if pos == len(g.l) {
-		if expected := g.supL * ratio; replaced > 0 && expected > g.minExpected {
-			g.emit(expected)
+		if replaced > 0 {
+			g.emit(g.picked[:pos], prov{source: g.src, via: g.via})
 		}
 		return
 	}
 	x := g.l[pos]
 	if g.place(pos, x) {
-		g.walk(pos+1, kept+1, replaced, ratio)
+		g.walk(pos+1, kept+1, replaced, prod*g.sup[x])
 	}
 	// A branch is cut when the most the later positions can lift it to is
-	// below the floor (a more popular sibling can lift the running product).
-	most := g.supL * g.suffix[pos+1]
+	// below the floor.
+	most := g.suffix[pos+1]
 	if g.via == ViaSiblings && kept == 0 {
 		// Case 3 keeps a member: the last one, or one of the later ones.
 		if pos == len(g.l)-1 {
 			return
 		}
-		most = g.supL * g.keepOne[pos+1]
-	}
-	supX, okX := g.support(x)
-	if !okX || supX == 0 {
-		return
+		most = g.keepOne[pos+1]
 	}
 	for _, r := range g.choices(x) {
 		supR, okR := g.support(r)
 		if !okR {
 			continue
 		}
-		next := ratio * supR / supX
+		next := prod * supR
 		if next*most <= g.cutBelow {
 			g.stats.FloorCuts++
 			continue
@@ -645,18 +598,41 @@ func (g *generator) place(pos int, y item.Item) bool {
 	return true
 }
 
-// emit records the set the walk completed if it is not large and the walk's
-// path wins it: the first, if a sibling walk reaches it by several.
-func (g *generator) emit(expected float64) {
-	if g.probe(g.picked[:len(g.l)], g.via) {
+// emit records the set in picked, normalized into g.set, on path p unless
+// its expectation does not clear the floor (a floor cut), it is large, or
+// another path outranks p; a sibling walk that reaches a set by several paths
+// records it by the first.
+func (g *generator) emit(picked []item.Item, p prov) {
+	if p.expected = g.expect(picked, g.w[p.source]); !(p.expected > g.minExpected) {
+		g.stats.FloorCuts++
 		return
 	}
-	p := prov{expected, g.src, g.via}
-	if g.wins(g.set, g.members(g.set), p) && (g.via == ViaChildren || !g.recorded()) {
+	g.stats.Emitted++
+	if p.via == ViaSiblings {
+		g.stats.Case3++
+	}
+	if g.find(g.set) >= 0 {
+		g.stats.AlreadyLarge++ // already found large: not a negative candidate
+		return
+	}
+	if g.wins(g.set, p) && (p.via == ViaChildren || g.regular[p.source] || !g.recorded()) {
 		g.record(p)
 		return
 	}
 	g.stats.Duplicates++
+}
+
+// expect normalizes picked, every member large, into g.set and returns its
+// expectation on a path of weight w: w·P(g.set), the product over the members
+// ascending.
+func (g *generator) expect(picked []item.Item, w float64) float64 {
+	g.set = append(g.set[:0], picked...)
+	slices.Sort(g.set)
+	prod := 1.0
+	for _, y := range g.set {
+		prod *= g.sup[y]
+	}
+	return w * prod
 }
 
 // recorded reports whether the walk in progress recorded g.set already.
@@ -669,23 +645,7 @@ func (g *generator) recorded() bool {
 	return false
 }
 
-// probe counts one emission: it normalizes picked into g.set and reports
-// whether that is a large itemset.
-func (g *generator) probe(picked []item.Item, via Mode) bool {
-	g.set = append(g.set[:0], picked...)
-	slices.Sort(g.set)
-	g.stats.Emitted++
-	if via == ViaSiblings {
-		g.stats.Case3++
-	}
-	if g.find(g.set) >= 0 {
-		g.stats.AlreadyLarge++ // already found large: not a negative candidate
-		return true
-	}
-	return false
-}
-
-// record keeps path p to the set probe just normalized.
+// record keeps path p to the set emit normalized.
 func (g *generator) record(p prov) {
 	g.items = append(grow(g.items, len(g.set)), g.set...)
 	g.recs = append(grow(g.recs, 1), p)
@@ -713,16 +673,13 @@ func (g *generator) fromAnchor(a *anchor) {
 	}
 	g.scratch(len(c.gids))
 	g.anc, g.cls = a, c
-	supA, _ := g.support(a.x)
-	g.base = a.w * supA
+	g.base = a.w * g.sup[a.x]
 	g.rest[len(c.groups)] = 1
 	for j := len(c.groups) - 1; j >= 0; j-- {
-		most := g.rest[j+1]
+		g.rest[j] = g.rest[j+1]
 		for _, y := range c.groups[j].pool[:g.owed(j)] {
-			s, _ := g.support(y)
-			most *= s
+			g.rest[j] *= g.sup[y]
 		}
-		g.rest[j] = most
 	}
 	g.picked[0] = a.x
 	g.enumerate(-1, 0, 0, 1, 1)
@@ -743,7 +700,8 @@ func (g *generator) enumerate(j, start, left, placed int, prod float64) {
 	groups := g.cls.groups
 	for left == 0 {
 		if j++; j == len(groups) {
-			g.complete(placed, prod)
+			set := g.picked[:placed]
+			g.emit(set, g.classPath(g.cls, int(g.anc.rank), set))
 			return
 		}
 		start, left = 0, g.owed(j)
@@ -754,7 +712,7 @@ func (g *generator) enumerate(j, start, left, placed int, prod float64) {
 		if y == g.anc.x || g.mark[y] == g.epoch {
 			continue
 		}
-		s, _ := g.support(y)
+		s := g.sup[y]
 		most := g.base * prod * g.rest[j+1]
 		for range left {
 			most *= s
@@ -771,207 +729,102 @@ func (g *generator) enumerate(j, start, left, placed int, prod float64) {
 	}
 }
 
-// complete emits the class set in g.picked[:k] unless its exact expectation
-// falls to the floor, and records it with its class's best path if that wins
-// it.
-func (g *generator) complete(k int, prod float64) {
-	ys, p := g.members(g.picked[:k]), prov{}
-	near := g.base*prod <= g.minExpected*(1+floorSlack) // else the exact one clears the floor
-	if near {
-		if p = g.exact(g.cls, int(g.anc.rank), ys); !(p.expected > g.minExpected) {
-			g.stats.FloorCuts++
-			return
-		}
-	}
-	if g.probe(g.picked[:k], ViaSiblings) {
-		return
-	}
-	if !near {
-		p = g.exact(g.cls, int(g.anc.rank), ys)
-	}
-	if g.wins(g.set, ys, p) {
-		g.record(p)
-		return
-	}
-	g.stats.Duplicates++
-}
-
-// wins reports whether no path beats p, the path an emitter took to set (not
-// large; ys as pathRatio reads it), of its class's path (unless p is it),
-// irregular sources' sibling walks and children paths.
-func (g *generator) wins(set []item.Item, ys []member, p prov) bool {
+// wins reports whether no path to set (not large, its expectation above the
+// floor) outranks p, the path that emitted it: set's class path (unless p is
+// it), an irregular source's sibling walk, or a children path.
+func (g *generator) wins(set []item.Item, p prov) bool {
 	if p.via == ViaChildren || !g.regular[p.source] {
-		// The class path's expectation is its estimate to within the slack.
-		if c, r, est := g.classOf(ys); est > p.expected*(1+floorSlack) || est >= p.expected*(1-floorSlack) && g.exact(c, r, ys).outranks(p) {
+		if q, ok := g.classOf(set); ok && g.outranks(q, p) {
 			return false
 		}
 	}
 	if len(g.walked) > 0 {
-		// A path's expectation is w·Π sup(c) to within the slack, unless a
-		// member's support is not positive.
-		prod := 1.0
-		for _, y := range ys {
-			prod *= max(y.sup, 0)
-		}
 		for _, e := range g.walked[g.kinHash(set)] {
-			if prod > 0 && e.w*prod < p.expected*(1-floorSlack) {
-				break
+			if e.w < g.w[p.source] {
+				break // no source further on outranks p
 			}
-			if l := g.sources[e.src]; len(l) == len(set) && (prov{g.sourceSup[e.src] * pathRatio(g.sourceMembers(l, ys, true), ys, 0, false, false, 1), e.src, ViaSiblings}).outranks(p) {
+			if l := g.sources[e.src]; len(l) == len(set) && g.outranks(prov{source: e.src, via: ViaSiblings}, p) && g.reaches(l, set, 0, false) {
 				return false
 			}
 		}
 	}
 	// A children path's source is set with a non-empty subset of its members
-	// put back to their parents (their groups), each member large and its
-	// parent of positive support.
+	// put back to their parents (their groups), each of them large.
 	var up uint64
-	for i, y := range ys {
-		if y.sup >= 0 && y.group >= 0 && y.group < offGroup {
-			if s, ok := g.support(item.Item(y.group)); ok && s > 0 {
-				up |= 1 << i
-			}
+	for i, y := range set {
+		if id := g.groupOf(y); id >= 0 && id < offGroup && g.sup[id] >= 0 {
+			up |= 1 << i
 		}
 	}
 	for m := up; m != 0; m = (m - 1) & up {
 		g.lifted = g.lifted[:0]
-		for i, y := range ys {
+		for i, y := range set {
 			if m&(1<<i) != 0 {
-				y.x = item.Item(y.group)
+				y = item.Item(g.groupOf(y))
 			}
-			g.lifted = append(g.lifted, y.x)
+			g.lifted = append(g.lifted, y)
 		}
 		slices.Sort(g.lifted)
-		s := g.find(g.lifted)
-		if s < 0 {
-			continue
-		}
-		ratio := 1.0 // multiplied position by position, as walk does
-		for _, x := range g.lifted {
-			for i, y := range ys {
-				if m&(1<<i) != 0 && item.Item(y.group) == x {
-					supX, _ := g.support(x)
-					ratio = ratio * y.sup / supX
-				}
-			}
-		}
-		if (prov{g.sourceSup[s] * ratio, s, ViaChildren}).outranks(p) {
+		if s := g.find(g.lifted); s >= 0 && g.outranks(prov{source: s, via: ViaChildren}, p) {
 			return false
 		}
 	}
 	return true
 }
 
-// classOf returns set's class, the rank there of set's top anchor, and the
-// class path's estimate, that anchor's W times the set's supports, or -Inf if
-// no class path reaches set (no class, a member of no positive support).
-func (g *generator) classOf(set []member) (*class, int, float64) {
+// classOf returns set's class path, if one reaches it: set has a class, a
+// member of its anchors and every member of positive support.
+func (g *generator) classOf(set []item.Item) (prov, bool) {
 	g.gids = g.gids[:0]
-	est := 1.0
 	for _, y := range set {
-		if !(y.sup > 0) {
-			return nil, 0, math.Inf(-1)
+		if !(g.sup[y] > 0) {
+			return prov{}, false
 		}
-		g.gids, est = append(g.gids, y.group), est*y.sup
+		g.gids = append(g.gids, g.groupOf(y))
 	}
 	slices.Sort(g.gids)
-	i := sort.Search(len(g.classes), func(i int) bool { return slices.Compare(g.classes[i].gids, g.gids) >= 0 })
-	if i < len(g.classes) && slices.Equal(g.classes[i].gids, g.gids) {
-		c := &g.classes[i]
-		for r, a := range c.anchors {
-			if slices.ContainsFunc(set, func(y member) bool { return y.x == a.x }) {
-				return c, r, a.w * est
+	if c, _ := g.classNumber(g.gids); c >= 0 {
+		for r, a := range g.classes[c].anchors {
+			if slices.Contains(set, a.x) {
+				return g.classPath(&g.classes[c], r, set), true
 			}
 		}
 	}
-	return nil, 0, math.Inf(-1)
+	return prov{}, false
 }
 
-// exact returns the best path to set from its class c, whose top anchor in
-// set is ranked from: every source whose estimate is within the slack of that
-// anchor's is recomputed as the walk multiplies it, and the best one wins.
-func (g *generator) exact(c *class, from int, set []member) prov {
-	best := prov{math.Inf(-1), math.MaxInt32, ViaSiblings}
-	band := c.anchors[from].w * (1 - floorSlack)
-	for _, b := range c.anchors[from:] {
-		if b.w < band {
+// classPath returns the best path to set from its class c, whose top anchor
+// in set is ranked from: of the class sources holding a member of set, the
+// one of largest w, the lowest of those tied.
+func (g *generator) classPath(c *class, from int, set []item.Item) prov {
+	top := &c.anchors[from]
+	best := top.src
+	for _, b := range c.anchors[from+1:] {
+		if b.w < top.w {
 			break
 		}
-		if !slices.ContainsFunc(set, func(y member) bool { return y.x == b.x }) {
-			continue
-		}
-		for _, s := range b.srcs {
-			if s.w < band {
-				break
-			}
-			if p := (prov{g.sourceSup[s.src] * pathRatio(g.sourceMembers(g.sources[s.src], set, false), set, 0, false, false, 1), s.src, ViaSiblings}); p.outranks(best) {
-				best = p
-			}
+		if slices.Contains(set, b.x) {
+			best = min(best, b.src)
 		}
 	}
-	return best
+	return prov{source: best, via: ViaSiblings}
 }
 
-// member is an item of a source or a set as pathRatio reads it. For a source
-// member, can marks the members of the set that may replace it.
-type member struct {
-	x     item.Item
-	group int64
-	sup   float64 // -1: x is not large
-	can   uint64
-}
-
-func (g *generator) member(x item.Item) member {
-	s, _ := g.support(x)
-	return member{x: x, group: g.groupOf(x), sup: s}
-}
-
-// members returns set as pathRatio reads it, in g.ys.
-func (g *generator) members(set []item.Item) []member {
-	for j, y := range set {
-		g.ys[j] = g.member(y)
-	}
-	return g.ys[:len(set)]
-}
-
-// sourceMembers returns the source l as pathRatio reads it against set: what
-// may replace a member is the others of its group for a class source, its
-// large sibling choices for an irregular one, if its support is positive.
-func (g *generator) sourceMembers(l item.Itemset, set []member, walked bool) []member {
-	for i, x := range l {
-		g.xs[i] = g.member(x)
-		for j, y := range set {
-			if !walked && y.group == g.xs[i].group || walked && g.xs[i].sup > 0 && y.sup >= 0 && slices.Contains(g.siblings[x], y.x) {
-				g.xs[i].can |= 1 << j
-			}
-		}
-	}
-	return g.xs[:len(l)]
-}
-
-// pathRatio returns the largest ratio a Case-3 path from the source l to set
-// multiplies, position by position as walk does: each position keeps its
-// member or takes an unused one of set (used marks them) that may replace it,
-// at least one keeps and one replaces.
-func pathRatio(l, set []member, used uint64, kept, replaced bool, ratio float64) float64 {
+// reaches reports whether a sibling walk from an irregular source reaches
+// set: whether its members l can take the members of set not in used one
+// each, kept or replaced by one of their sibling choices, with one member kept
+// (kept: one before them was). It is a depth-first search for such a
+// matching, which stops at the first. Masks hold 64 members.
+func (g *generator) reaches(l item.Itemset, set []item.Item, used uint64, kept bool) bool {
 	if len(l) == 0 {
-		if kept && replaced {
-			return ratio
-		}
-		return math.Inf(-1)
+		return kept
 	}
-	x := &l[0]
-	best := math.Inf(-1)
-	for j := range set {
-		switch y := &set[j]; {
-		case used&(1<<j) != 0:
-		case y.x == x.x:
-			best = max(best, pathRatio(l[1:], set, used|1<<j, true, replaced, ratio))
-		case x.can&(1<<j) != 0:
-			best = max(best, pathRatio(l[1:], set, used|1<<j, kept, true, ratio*y.sup/x.sup))
+	for j, y := range set {
+		if used&(1<<j) == 0 && (y == l[0] || slices.Contains(g.siblings[l[0]], y)) && g.reaches(l[1:], set, used|1<<j, kept || y == l[0]) {
+			return true
 		}
 	}
-	return best
+	return false
 }
 
 // generated is what candidate generation hands on: the recorded sets sorted
@@ -1078,12 +931,9 @@ func mergeTwo(a, b *generated) *generated {
 	c := &generated{sets: make([]item.Itemset, 0, n), paths: make([]prov, 0, n), sources: a.sources, walk: a.walk}
 	c.walk.add(b.walk)
 	c.bySize = make([]int, max(len(a.bySize), len(b.bySize)))
-	for k := range c.bySize {
-		if k < len(a.bySize) {
-			c.bySize[k] += a.bySize[k]
-		}
-		if k < len(b.bySize) {
-			c.bySize[k] += b.bySize[k]
+	for _, counts := range [][]int{a.bySize, b.bySize} {
+		for k, n := range counts {
+			c.bySize[k] += n
 		}
 	}
 	i, j := 0, 0

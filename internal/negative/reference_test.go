@@ -1,13 +1,15 @@
 package negative
 
 // The candidate generator as it was before the dense, allocation-free kernel
-// in candidates.go replaced it — kept verbatim (identifiers prefixed "ref")
-// as the oracle TestGenerateCandidatesMatchesReference compares against. It
-// is deliberately naive: string-keyed map lookups per choice, item.New per
-// emit, and the expectation floor applied to completed sets only (it used to
-// cut a branch as soon as the running product fell to the floor, the
-// assumption it shared with the kernel and that Case 3 breaks). Do not
-// optimise it.
+// in candidates.go replaced it (identifiers prefixed "ref"), the oracle
+// TestGenerateCandidatesMatchesReference compares against. Its expectations
+// are the one formula E(C | l) = w(l)·P(C), w(l) = sup(l)/Π_{x∈l} sup(x) in
+// member order and P(C) = Π_{c∈C} sup(c) in item order, and of the paths to a
+// set the one of largest w wins (the first of equal ones). It is deliberately
+// naive: string-keyed map lookups per choice, item.New per emit, and the
+// expectation floor applied to completed sets only (it used to cut a branch
+// as soon as the running product fell to the floor, the assumption it shared
+// with the kernel and that Case 3 breaks). Do not optimise it.
 
 import (
 	"sort"
@@ -41,7 +43,7 @@ type refGenerator struct {
 // refProv is the best generation path seen for a candidate so far.
 type refProv struct {
 	set, source item.Itemset
-	expected    float64
+	w, expected float64
 	via         Mode
 }
 
@@ -99,64 +101,73 @@ func (g *refGenerator) siblingChoices(x item.Item) []item.Item {
 //
 // In every case the expected support is sup(l) scaled by
 // Π sup(replacement)/sup(original) over the replaced members — the
-// uniformity assumption.
+// uniformity assumption — which is w(l)·P(C). A source whose support is not
+// positive, or with a member that is not large or of no positive support,
+// generates nothing.
 func (g *refGenerator) fromLarge(l item.Itemset) {
 	supL, ok := g.table.Support(l)
 	if !ok || supL == 0 {
 		return
 	}
+	prod := 1.0
+	for _, x := range l {
+		supX, ok := g.table.Support(item.Itemset{x})
+		if !ok || supX <= 0 {
+			return
+		}
+		prod *= supX
+	}
+	w := supL / prod
 	// Children modes: any non-empty subset replaced (cases 1 and 2 merge).
-	g.enumerate(l, supL, g.tax.Children, false, ViaChildren)
+	g.enumerate(l, w, g.tax.Children, false, ViaChildren)
 	// Sibling mode: proper subset replaced (case 3). Choices include
 	// declared substitute partners (the §4.1 extension).
-	g.enumerate(l, supL, g.siblingChoices, true, ViaSiblings)
+	g.enumerate(l, w, g.siblingChoices, true, ViaSiblings)
 }
 
-// enumerate walks positions of l deciding keep-vs-replace, multiplying the
-// support ratio of each replacement. keepOne forces at least one kept
-// member (sibling mode).
-func (g *refGenerator) enumerate(l item.Itemset, supL float64, choices func(item.Item) []item.Item, keepOne bool, via Mode) {
+// enumerate walks positions of l deciding keep-vs-replace. keepOne forces at
+// least one kept member (sibling mode).
+func (g *refGenerator) enumerate(l item.Itemset, w float64, choices func(item.Item) []item.Item, keepOne bool, via Mode) {
 	k := l.Len()
 	picked := make([]item.Item, k)
-	var rec func(pos, kept, replaced int, ratio float64)
-	rec = func(pos, kept, replaced int, ratio float64) {
+	var rec func(pos, kept, replaced int)
+	rec = func(pos, kept, replaced int) {
 		if pos == k {
 			if replaced == 0 || (keepOne && kept == 0) {
 				return
 			}
-			g.emit(picked, supL*ratio, l, via)
+			g.emit(picked, w, l, via)
 			return
 		}
 		x := l[pos]
 		// Keep.
 		picked[pos] = x
-		rec(pos+1, kept+1, replaced, ratio)
-		// Replace by each large choice with known support.
-		supX, okX := g.table.Support(item.Itemset{x})
-		if !okX || supX == 0 {
-			return
-		}
+		rec(pos+1, kept+1, replaced)
+		// Replace by each large choice.
 		for _, r := range choices(x) {
 			if !g.isLarge(r) {
 				continue
 			}
-			supR, okR := g.table.Support(item.Itemset{r})
-			if !okR {
-				continue
-			}
 			picked[pos] = r
-			rec(pos+1, kept, replaced+1, ratio*supR/supX)
+			rec(pos+1, kept, replaced+1)
 		}
 	}
-	rec(0, 0, 0, 1)
+	rec(0, 0, 0)
 }
 
-// emit normalizes, filters and records one candidate.
-func (g *refGenerator) emit(members []item.Item, expected float64, source item.Itemset, via Mode) {
+// emit normalizes, filters and records one candidate reached from a source
+// of weight w.
+func (g *refGenerator) emit(members []item.Item, w float64, source item.Itemset, via Mode) {
 	set := item.New(members...)
 	if set.Len() != len(members) {
 		return // replacement collided with another member
 	}
+	prod := 1.0
+	for _, c := range set {
+		supC, _ := g.table.Support(item.Itemset{c})
+		prod *= supC
+	}
+	expected := w * prod
 	if expected <= g.minExpected {
 		return
 	}
@@ -173,8 +184,8 @@ func (g *refGenerator) emit(members []item.Item, expected float64, source item.I
 		}
 	}
 	key := set.String()
-	if old, ok := g.out[key]; !ok || expected > old.expected {
-		g.out[key] = refProv{set: set, source: source, expected: expected, via: via}
+	if old, ok := g.out[key]; !ok || w > old.w {
+		g.out[key] = refProv{set: set, source: source, w: w, expected: expected, via: via}
 	}
 }
 
